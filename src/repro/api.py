@@ -63,7 +63,11 @@ from repro.core.pipeline import (
     TraceExtraction,
 )
 from repro.core.report import ExtractionReport, TriagedItemset
-from repro.core.session import ExtractionSession, run_session
+from repro.core.session import (
+    ExtractionSession,
+    StreamExtraction,
+    run_session,
+)
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import CustomFeature, Feature, resolve_features
 from repro.errors import (
@@ -113,7 +117,6 @@ from repro.registry import (
     routers,
     sinks,
 )
-from repro.streaming.extractor import StreamExtraction, StreamingExtractor
 
 __all__ = [
     "extract",
@@ -128,7 +131,6 @@ __all__ = [
     "resolve_config",
     # Curated re-exports (the stable names).
     "AnomalyExtractor",
-    "StreamingExtractor",
     "ExtractionSession",
     "FleetManager",
     "FleetIncident",
@@ -232,10 +234,9 @@ def metrics(
     """The metrics registry of a pipeline object, or a fresh one.
 
     With ``source`` (an :class:`AnomalyExtractor`,
-    :class:`ExtractionSession`, :class:`StreamingExtractor`, or
-    :class:`FleetManager`) this returns the registry that object
-    records into - the no-op registry when observability is off.
-    Without ``source`` it builds a fresh enabled
+    :class:`ExtractionSession`, or :class:`FleetManager`) this returns
+    the registry that object records into - the no-op registry when
+    observability is off.  Without ``source`` it builds a fresh enabled
     :class:`MetricsRegistry` to pass into :func:`session`,
     :func:`extract`, or :func:`open_fleet` via ``metrics=``::
 
@@ -257,12 +258,12 @@ def tracer(source: object | None = None) -> Tracer:
     """The span tracer of a pipeline object, or a fresh one.
 
     With ``source`` (an :class:`AnomalyExtractor`,
-    :class:`ExtractionSession`, :class:`StreamingExtractor`, or
-    :class:`FleetManager`) this returns the tracer that object records
-    spans into - the no-op :data:`~repro.obs.trace.NULL_TRACER` when
-    tracing is off.  Without ``source`` it builds a fresh enabled
-    :class:`Tracer` to pass into :func:`session`, :func:`extract`,
-    :func:`stream`, or :func:`open_fleet` via ``tracer=``::
+    :class:`ExtractionSession`, or :class:`FleetManager`) this returns
+    the tracer that object records spans into - the no-op
+    :data:`~repro.obs.trace.NULL_TRACER` when tracing is off.  Without
+    ``source`` it builds a fresh enabled :class:`Tracer` to pass into
+    :func:`session`, :func:`extract`, :func:`stream`, or
+    :func:`open_fleet` via ``tracer=``::
 
         t = repro.tracer()
         repro.extract("trace.npz", tracer=t)
@@ -410,8 +411,8 @@ def stream(
     ``source`` is a ``.csv`` path (streamed via
     :func:`~repro.flows.io.iter_csv`) or any iterable of
     :class:`FlowTable` chunks.  With default settings the result is
-    batch-equivalent; see :class:`StreamingExtractor` for the
-    incremental API and the retention knobs
+    batch-equivalent; see :func:`session` for the incremental API
+    (``feed`` / ``flush`` / ``finish``) and the retention knobs
     (``keep_reports`` here, ``streaming.keep_extractions`` in the
     config).
 

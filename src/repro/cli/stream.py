@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro import api
 from repro.cli._common import (
     GracefulInterrupt,
     TrackedAction,
@@ -28,7 +29,6 @@ from repro.cli._common import (
 )
 from repro.flows.io import DEFAULT_CHUNK_ROWS
 from repro.obs.log import get_logger
-from repro.streaming import StreamingExtractor
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -88,16 +88,16 @@ def run(args: argparse.Namespace) -> int:
         # the flag asks for it explicitly.
         config = config.replace(keep_extractions=False)
 
-    def emit(streamer, extraction) -> None:
+    def emit(session, extraction) -> None:
         if args.format == "json":
             # report_for carries the true (window-aware) bounds.
-            print(streamer.report_for(extraction).to_json())
+            print(session.report_for(extraction).to_json())
         else:
             print(extraction.render())
             print()
 
     interrupted: GracefulInterrupt | None = None
-    with StreamingExtractor(
+    with api.session(
         config,
         seed=args.seed,
         interval_seconds=args.interval_seconds,
@@ -108,7 +108,7 @@ def run(args: argparse.Namespace) -> int:
         keep_reports=False,
         metrics=registry,
         tracer=tracer,
-    ) as streamer:
+    ) as session:
         try:
             # Only the feed loop is guarded: an interrupt stops
             # ingesting but the flush below still completes every
@@ -116,13 +116,13 @@ def run(args: argparse.Namespace) -> int:
             # everything extracted before the signal.
             with interrupt_guard():
                 for chunk in chunks:
-                    for extraction in streamer.process_chunk(chunk):
-                        emit(streamer, extraction)
+                    for extraction in session.feed(chunk):
+                        emit(session, extraction)
         except GracefulInterrupt as exc:
             interrupted = exc
-        for extraction in streamer.flush():
-            emit(streamer, extraction)
-        result = streamer.result()
+        for extraction in session.flush():
+            emit(session, extraction)
+        result = session.result()
     summary = (
         f"{result.intervals} intervals, {result.flows} flows, "
         f"{result.extraction_count} extractions"

@@ -129,8 +129,8 @@ class StreamingSettings:
             oldest.
         keep_extractions: retain every
             :class:`~repro.core.pipeline.ExtractionResult` (and its
-            report state) for the streamer's lifetime so
-            :meth:`~repro.streaming.extractor.StreamingExtractor.result`
+            report state) for the session's lifetime so
+            :meth:`~repro.core.session.ExtractionSession.result`
             can return them all - linear in alarm count.  Set False for
             genuinely unbounded noisy pipes: emitted extractions are
             evicted after each chunk, memory stays flat, and summaries

@@ -6,16 +6,17 @@
         ->  flow prefiltering  ->  frequent item-set mining
         ->  maximal item-set report
 
-It operates online (``process_interval`` per measurement interval, alarm
-triggers extraction) or offline (``extract_with_metadata`` for
-post-mortem analysis of a flagged interval, as in Section II: "an
-administrator triggers the anomaly extraction process to analyze anomaly
-alarms in a post-mortem fashion").
+It operates online (an :class:`~repro.core.session.ExtractionSession`
+steps it one measurement interval at a time, alarm triggers extraction)
+or offline (``extract_with_metadata`` for post-mortem analysis of a
+flagged interval, as in Section II: "an administrator triggers the
+anomaly extraction process to analyze anomaly alarms in a post-mortem
+fashion").
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from typing import Protocol, runtime_checkable
@@ -88,6 +89,10 @@ class ExtractionResult:
     prefilter: PrefilterResult
     mining: MiningResult
     alarmed_features: tuple[Feature, ...] = ()
+    #: How many intervals the mining covered: 1, or the window's fill
+    #: when a sliding window mined the last N intervals together (the
+    #: report's bounds span them all).
+    window_intervals: int = 1
 
     @property
     def itemsets(self) -> list[FrequentItemset]:
@@ -299,33 +304,6 @@ class AnomalyExtractor:
     # ------------------------------------------------------------------
     # Online operation
     # ------------------------------------------------------------------
-    def process_interval(self, flows: FlowTable) -> ExtractionResult | None:
-        """Feed one measurement interval; returns an extraction when the
-        detectors alarm with usable meta-data, else None."""
-        ins = self._instruments
-        ins.intervals.inc()
-        ins.flows.inc(len(flows))
-        with time_stage(ins.stage_detection), self._tracer.span(
-            "stage.detection", flows=len(flows)
-        ) as span:
-            report = self._bank.observe(flows)
-            span.set_attribute("alarm", report.alarm)
-        if not report.alarm:
-            return None
-        ins.alarmed.inc()
-        metadata = report.metadata()
-        if metadata.is_empty():
-            # An alarm whose voted meta-data is empty cannot drive the
-            # prefilter; the paper's V-of-K voting intentionally trades
-            # these away.
-            return None
-        return self.extract_with_metadata(
-            flows,
-            metadata,
-            interval=report.interval,
-            alarmed_features=report.alarmed_features,
-        )
-
     def session(
         self,
         mode: str = "stream",
@@ -435,29 +413,63 @@ class AnomalyExtractor:
         recommends starting at 1-10% of the input flows and adjusting in
         2-3 trials).
         """
-        if len(flows) == 0:
-            raise ExtractionError("cannot extract from an empty interval")
+        result = self.mining_stage(
+            len(flows),
+            lambda: self.select_and_mine(
+                flows, metadata, interval, alarmed_features, min_support
+            ),
+        )
+        assert result is not None  # select_and_mine always produces one
+        return result
+
+    def mining_stage(
+        self,
+        flows: int,
+        extract: Callable[[], ExtractionResult | None],
+    ) -> ExtractionResult | None:
+        """Run ``extract`` as the mining stage.
+
+        One ``stage.mining`` span and histogram sample per call, plus
+        the extraction / item-set counters when it produced a result -
+        shared by the session's interval step and the post-mortem path,
+        so the stage means one thing for every input.
+        """
         ins = self._instruments
         with time_stage(ins.stage_mining), self._tracer.span(
-            "stage.mining", flows=len(flows)
+            "stage.mining", flows=flows
         ) as span:
-            selected = prefilter(flows, metadata, self.config.prefilter_mode)
-            support = (
-                min_support
-                if min_support is not None
-                else self.config.min_support
-            )
-            mining = self._mine(selected.flows, support)
-            span.set_attribute("selected", selected.selected_flows)
-            span.set_attribute("min_support", support)
-            span.set_attribute("itemsets", len(mining.itemsets))
-        ins.extractions.inc()
-        ins.itemsets.inc(len(mining.itemsets))
+            result = extract()
+            if result is not None:
+                span.set_attribute("selected", result.prefilter.selected_flows)
+                span.set_attribute("min_support", result.mining.min_support)
+                span.set_attribute("itemsets", len(result.mining.itemsets))
+        if result is not None:
+            ins.extractions.inc()
+            ins.itemsets.inc(len(result.mining.itemsets))
+        return result
+
+    def select_and_mine(
+        self,
+        flows: FlowTable,
+        metadata: Metadata,
+        interval: int = -1,
+        alarmed_features: tuple[Feature, ...] = (),
+        min_support: int | None = None,
+    ) -> ExtractionResult:
+        """Prefilter ``flows`` by the meta-data and mine the suspicious
+        ones (uninstrumented; callers run it inside
+        :meth:`mining_stage`)."""
+        if len(flows) == 0:
+            raise ExtractionError("cannot extract from an empty interval")
+        selected = prefilter(flows, metadata, self.config.prefilter_mode)
+        support = (
+            min_support if min_support is not None else self.config.min_support
+        )
         return ExtractionResult(
             interval=interval,
             metadata=metadata,
             prefilter=selected,
-            mining=mining,
+            mining=self._mine(selected.flows, support),
             alarmed_features=alarmed_features,
         )
 

@@ -153,29 +153,24 @@ class ExtractionReport:
         result: "ExtractionResult",
         interval_seconds: float,
         origin: float = 0.0,
-        window_intervals: int = 1,
     ) -> "ExtractionReport":
         """Snapshot an in-memory extraction.
 
         ``interval_seconds``/``origin`` recover the wall-clock bounds,
-        which the pipeline's per-interval result does not carry.
-        ``window_intervals`` is the number of intervals the extraction
-        actually mined (sliding-window streaming mode mines the last N
-        together); the bounds span the whole window so they stay
-        consistent with the window-wide flow counts and supports.
+        which the pipeline's per-interval result does not carry.  The
+        bounds span every interval the extraction mined
+        (``result.window_intervals`` - sliding-window streaming mode
+        mines the last N together), so they stay consistent with the
+        window-wide flow counts and supports.
         """
         if interval_seconds <= 0:
             raise ExtractionError(
                 f"interval length must be positive: {interval_seconds}"
             )
-        if window_intervals < 1:
-            raise ExtractionError(
-                f"window_intervals must be >= 1: {window_intervals}"
-            )
         end = origin + (result.interval + 1) * interval_seconds
         return cls(
             interval=result.interval,
-            start=end - window_intervals * interval_seconds,
+            start=end - result.window_intervals * interval_seconds,
             end=end,
             input_flows=result.prefilter.input_flows,
             selected_flows=result.prefilter.selected_flows,

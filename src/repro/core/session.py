@@ -1,41 +1,43 @@
-"""Push-based execution sessions: the single orchestration path.
+"""Push-based execution sessions around the single interval step.
 
-Every way of driving the paper's Fig. 3 pipeline - batch
-:meth:`~repro.core.pipeline.AnomalyExtractor.run_trace`, streaming
-:meth:`~repro.core.pipeline.AnomalyExtractor.run_stream`, the
-incremental :class:`~repro.streaming.extractor.StreamingExtractor`, and
-the multi-link :class:`~repro.fleet.manager.FleetManager` - funnels
-through one :class:`ExtractionSession`.  The session owns the
-per-interval orchestration that used to be duplicated between
-``core/pipeline.py`` and ``streaming/extractor.py``: window the flows,
-run the detector bank, prefilter + mine on alarm, build the
-serializable report, push it to the sink, and note pipeline progress so
-incident lifecycle state ages correctly.
+The paper's Fig. 3 is one pipeline, and this module holds its one
+per-interval orchestration - :meth:`IntervalSpine.step`::
 
-Two modes share that code path:
+    sources (closed intervals)        step                    sinks
+    batch windowing    --+                               +--> incident store
+    IntervalAssembler  --+--> detect -> gate -> extract -+--> JSONL / memory
+    Federator merge    --+        -> report -> age       +--> metrics trail
+
+The step owns everything that is not input-specific: the interval /
+flow / alarm / extraction counters, the ``stage.detection`` /
+``stage.mining`` / ``stage.triage`` spans and histograms, the alarm and
+empty-meta-data gates, result and lazy-report bookkeeping, the sink
+push (under the resume floor), incident ageing (``note_interval``) and
+detector-report retention.  What *is* input-specific hides behind the
+two-method :class:`IntervalInput` protocol: :class:`FlowInterval` here
+(raw flows: prefilter + item-set mining) and
+:class:`~repro.federation.federator.MergedInterval` (merged sketch
+digests: count-min single-item supports).
+
+:class:`ExtractionSession` adds the two flow *sources* on top:
 
 * ``mode="batch"`` - :meth:`ExtractionSession.feed` accumulates chunks;
   :meth:`ExtractionSession.finish` windows the whole trace with
-  :func:`~repro.flows.stream.iter_intervals` and processes every
-  interval, returning a
-  :class:`~repro.core.pipeline.TraceExtraction`.  Byte-identical to the
-  pre-session ``run_trace``.
+  :func:`~repro.flows.stream.iter_intervals` and steps every interval,
+  returning a :class:`~repro.core.pipeline.TraceExtraction`.
 * ``mode="stream"`` - chunks go through an
   :class:`~repro.streaming.assembler.IntervalAssembler`; completed
-  intervals are processed as the watermark releases them, results
-  return from :meth:`feed` incrementally, and :meth:`finish` drains the
-  tail and returns a :class:`StreamExtraction` summary.  Byte-identical
-  to the pre-session ``StreamingExtractor``.
+  intervals are stepped as the watermark releases them, results return
+  from :meth:`feed` incrementally, and :meth:`finish` drains the tail
+  and returns a :class:`StreamExtraction` summary.
 
 Sessions are context managers.  Created via
 :meth:`AnomalyExtractor.session` they *borrow* the extractor (closing
-the session leaves it open, mirroring
-``StreamingExtractor(extractor=...)``); created via
-:func:`repro.api.session` they *own* it, and ``close()`` releases the
-extractor's worker pool and incident store even when a mid-feed chunk
-raised (the ``with`` block guarantees the call, and
-:meth:`AnomalyExtractor.close` chains the two releases in
-``try``/``finally``).
+the session leaves it open); created via :func:`repro.api.session`
+they *own* it, and ``close()`` releases the extractor's worker pool and
+incident store even when a mid-feed chunk raised (the ``with`` block
+guarantees the call, and :meth:`AnomalyExtractor.close` chains the two
+releases in ``try``/``finally``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol
 
 from repro.core.pipeline import (
     AnomalyExtractor,
@@ -54,7 +56,8 @@ from repro.core.pipeline import (
 )
 from repro.core.prefilter import PrefilterResult, prefilter
 from repro.core.report import ExtractionReport
-from repro.detection.manager import DetectionRun
+from repro.detection.manager import DetectionRun, DetectorBank, IntervalReport
+from repro.detection.metadata import Metadata
 from repro.errors import CheckpointError, ExtractionError
 from repro.flows.stream import (
     DEFAULT_INTERVAL_SECONDS,
@@ -75,12 +78,7 @@ SESSION_MODES = ("batch", "stream")
 
 @dataclass
 class StreamExtraction:
-    """Everything a finished (or flushed) streaming run produced.
-
-    (Historically defined in :mod:`repro.streaming.extractor`, which
-    still re-exports it; the canonical home moved here with the
-    session redesign.)
-    """
+    """Everything a finished (or flushed) streaming run produced."""
 
     extractions: list[ExtractionResult] = field(default_factory=list)
     detection: DetectionRun | None = None
@@ -112,7 +110,259 @@ class StreamExtraction:
         return [e.interval for e in self.extractions]
 
 
-class ExtractionSession:
+class IntervalInput(Protocol):
+    """One closed measurement interval, whatever form it arrived in.
+
+    The protocol hides a format and an algorithm: how the detector bank
+    gets to see the interval, and how an alarmed interval's voted
+    meta-data becomes item-sets.  Everything else about an interval is
+    :meth:`IntervalSpine.step`'s business.
+    """
+
+    def observe(self, bank: DetectorBank) -> IntervalReport:
+        """Run the detector bank over this interval."""
+        ...
+
+    def extract(
+        self, report: IntervalReport, metadata: Metadata
+    ) -> ExtractionResult | None:
+        """Mine the alarmed interval (``metadata`` is non-empty); None
+        when nothing clears the support floor."""
+        ...
+
+
+class IntervalSpine:
+    """The one per-interval step of the pipeline, shared by every
+    source of closed intervals.
+
+    Args:
+        extractor: the :class:`AnomalyExtractor` whose detector bank,
+            instruments and tracer the step drives.
+        interval_seconds / origin: the interval grid (report bounds).
+        sink: optional report sink (anything with
+            ``append(ExtractionReport)``).
+        keep_reports: retain per-interval detector reports in the bank;
+            False drops them after each step so memory stays flat.
+        keep_extractions: retain every :class:`ExtractionResult`; False
+            pins only the results of the most recent step batch.
+    """
+
+    def __init__(
+        self,
+        extractor: AnomalyExtractor,
+        interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
+        origin: float = 0.0,
+        sink: ReportSink | None = None,
+        keep_reports: bool = True,
+        keep_extractions: bool = True,
+    ):
+        self._extractor = extractor
+        self._tracer = extractor.tracer
+        self.interval_seconds = interval_seconds
+        self.origin = origin
+        self._sink = sink
+        self.keep_reports = keep_reports
+        self.keep_extractions = keep_extractions
+        self.extraction_count = 0
+        #: With ``keep_extractions=False``: the extractions emitted by
+        #: the most recent step batch (one feed/flush call, one
+        #: :meth:`step`), pinned until the next so the caller can
+        #: render them and ``report_for`` stays valid for exactly that
+        #: window (id-keyed state must never outlive its object).
+        self._recent: list[ExtractionResult] = []
+        self.extractions: list[ExtractionResult] = []
+        #: Per-extraction report, keyed by object identity (safe:
+        #: ``extractions``/``_recent`` pin the objects): None until
+        #: :meth:`report_for` builds it.  Sink-less runs never pay for
+        #: reports nothing reads.
+        self._report_state: dict[int, ExtractionReport | None] = {}
+        #: Set by :meth:`arm_resume_floor`: intervals at or below this
+        #: index are already durable in the sink (persisted before the
+        #: crash a checkpoint recovers from), so their re-processed
+        #: reports are recognized as replays and skipped instead of
+        #: tripping the store's re-ingest guard.
+        self._resume_floor: int | None = None
+
+    @property
+    def extractor(self) -> AnomalyExtractor:
+        return self._extractor
+
+    @property
+    def sink(self) -> ReportSink | None:
+        """The report sink the step pushes to (may be None)."""
+        return self._sink
+
+    def report_for(self, extraction: ExtractionResult) -> ExtractionReport:
+        """The serializable report of an extraction this spine
+        produced (the very object the sink received, when a sink is
+        attached) - bounds cover the mined window, not just the
+        triggering interval.  Built lazily and cached, so runs whose
+        reports nothing reads never pay for their construction."""
+        key = id(extraction)
+        if key not in self._report_state:
+            raise ExtractionError(
+                "unknown extraction: report_for only serves results "
+                "produced by this session"
+            )
+        report = self._report_state[key]
+        if report is None:
+            report = self._report_state[key] = ExtractionReport.from_result(
+                extraction, self.interval_seconds, self.origin
+            )
+        return report
+
+    def arm_resume_floor(self) -> None:
+        """Treat reports the durable sink already covers (its
+        ``last_interval`` marker) as replays: a restored run re-fed
+        from its last checkpointed position continues mid-stream
+        instead of tripping the store's re-ingest guard."""
+        store = self._extractor.store
+        if store is not None:
+            self._resume_floor = store.last_interval()
+            return
+        last = getattr(self._sink, "last_interval", None)
+        marker = last() if callable(last) else None
+        self._resume_floor = None if marker is None else int(marker)
+
+    # ------------------------------------------------------------------
+    # The one orchestration path
+    # ------------------------------------------------------------------
+    def step(self, interval_input: IntervalInput) -> ExtractionResult | None:
+        """Run one closed interval through detect -> gate -> extract ->
+        report -> sink; returns its extraction, or None for a clean (or
+        unusable-alarm) interval."""
+        self._evict_recent()
+        return self._advance(interval_input)
+
+    def _evict_recent(self) -> None:
+        """A new step batch begins: the previous one has been consumed,
+        so (``keep_extractions=False``) evict its extractions and their
+        report state - each result pins its prefiltered FlowTable."""
+        for old in self._recent:
+            self._report_state.pop(id(old), None)
+        self._recent.clear()
+
+    def _advance(
+        self, interval_input: IntervalInput
+    ) -> ExtractionResult | None:
+        ins = self._extractor.instruments
+        bank = self._extractor.detector_bank
+        with self._tracer.span("session.interval") as interval_span:
+            ins.intervals.inc()
+            with time_stage(ins.stage_detection), self._tracer.span(
+                "stage.detection"
+            ) as span:
+                report = interval_input.observe(bank)
+                span.set_attribute("flows", report.flow_count)
+                span.set_attribute("alarm", report.alarm)
+            ins.flows.inc(report.flow_count)
+            interval_span.set_attribute("interval", report.interval)
+            interval_span.set_attribute("flows", report.flow_count)
+            extraction = None
+            if report.alarm:
+                ins.alarmed.inc()
+                metadata = report.metadata()
+                # An alarm whose voted meta-data is empty cannot drive
+                # extraction; the paper's V-of-K voting intentionally
+                # trades these away.
+                if not metadata.is_empty():
+                    extraction = self._extractor.mining_stage(
+                        report.flow_count,
+                        lambda: interval_input.extract(report, metadata),
+                    )
+            if extraction is not None:
+                interval_span.set_attribute(
+                    "itemsets", len(extraction.itemsets)
+                )
+                self.extraction_count += 1
+                if self.keep_extractions:
+                    self.extractions.append(extraction)
+                else:
+                    self._recent.append(extraction)
+                self._report_state[id(extraction)] = None
+                replayed = (
+                    self._resume_floor is not None
+                    and extraction.interval <= self._resume_floor
+                )
+                if self._sink is not None and not replayed:
+                    # Triage = report construction + sink push.
+                    with time_stage(ins.stage_triage), self._tracer.span(
+                        "stage.triage"
+                    ):
+                        self._sink.append(self.report_for(extraction))
+            if not self.keep_reports:
+                bank.clear_reports()
+        # Clean intervals leave no report but must still age incidents.
+        notify_sink_interval(self._sink, report.interval)
+        return extraction
+
+
+class FlowInterval:
+    """A closed interval of raw flows: the flow-view step input.
+
+    Detection bins the flows; extraction prefilters them by the voted
+    meta-data and mines item-sets - each alarmed interval on its own
+    through the extractor's registered miner, or, when the session runs
+    a sliding window (``window_intervals > 1``), the suspicious flows of
+    the last N intervals together.
+    """
+
+    __slots__ = ("_flows", "_session")
+
+    def __init__(self, session: "ExtractionSession", flows: FlowTable):
+        self._session = session
+        self._flows = flows
+
+    def observe(self, bank: DetectorBank) -> IntervalReport:
+        report = bank.observe(self._flows)
+        session = self._session
+        if session._window_miner is not None:
+            # Every interval opens a window slot (extract fills it when
+            # the interval alarms), so the window keeps tracking the
+            # last N *intervals*, not the last N alarms.
+            session._window_miner.push(FlowTable.empty())
+            session._window_raw_flows.append(len(self._flows))
+        return report
+
+    def extract(
+        self, report: IntervalReport, metadata: Metadata
+    ) -> ExtractionResult | None:
+        session = self._session
+        miner = session._window_miner
+        if miner is None:
+            return session.extractor.select_and_mine(
+                self._flows,
+                metadata,
+                interval=report.interval,
+                alarmed_features=report.alarmed_features,
+            )
+        mode = session.config.prefilter_mode
+        miner.fill(prefilter(self._flows, metadata, mode).flows)
+        mining = miner.mine_if_candidates()
+        if mining is None:
+            session.windows_skipped += 1
+            return None
+        session.windows_mined += 1
+        # The result must describe what was actually mined - the whole
+        # window's suspicious flows - not just this interval's share,
+        # or the rendered supports would exceed the stated flow counts.
+        selected = miner.window_flows()
+        return ExtractionResult(
+            interval=report.interval,
+            metadata=metadata,
+            prefilter=PrefilterResult(
+                flows=selected,
+                mode=mode,
+                input_flows=sum(session._window_raw_flows),
+                selected_flows=len(selected),
+            ),
+            mining=mining,
+            alarmed_features=report.alarmed_features,
+            window_intervals=len(session._window_raw_flows),
+        )
+
+
+class ExtractionSession(IntervalSpine):
     """One push-based run of the extraction pipeline.
 
     Usage::
@@ -166,23 +416,24 @@ class ExtractionSession:
                 f"unknown session mode {mode!r}; "
                 f"choose from {SESSION_MODES}"
             )
+        if mode == "batch" and interval_seconds <= 0:
+            raise ExtractionError(
+                f"interval length must be positive: {interval_seconds}"
+            )
         self.mode = mode
-        self._extractor = extractor
         self._owns_extractor = owns_extractor
         self.config = extractor.config
-        self.interval_seconds = interval_seconds
-        self.origin = origin
-        self._tracer = extractor.tracer
         # The run's root span: parents under the ambient span when one
         # is active (the fleet's root), else starts a new trace.  Ended
         # at finish()/close(), re-activated around every feed so the
         # per-interval trees nest under it.
-        self._span = self._tracer.span(
+        self._span = extractor.tracer.span(
             "session.run",
             mode=mode,
             pipeline=extractor.instruments.pipeline,
         )
-        self._sink = sink if sink is not None else extractor.store
+        if sink is None:
+            sink = extractor.store
         # With observability on and a telemetry path configured, tee an
         # owned MetricsSink next to the report sink: one snapshot per
         # processed interval lands in the JSONL trail.
@@ -194,24 +445,38 @@ class ExtractionSession:
             self._metrics_sink = MetricsSink(
                 self.config.obs.jsonl_path, extractor.metrics
             )
-            self._sink = (
-                TeeSink(self._sink, self._metrics_sink)
-                if self._sink is not None
+            sink = (
+                TeeSink(sink, self._metrics_sink)
+                if sink is not None
                 else self._metrics_sink
             )
-        self.keep_reports = keep_reports
+        super().__init__(
+            extractor,
+            interval_seconds=interval_seconds,
+            origin=origin,
+            sink=sink,
+            keep_reports=keep_reports,
+            # Batch mode retains everything, as run_trace always has.
+            keep_extractions=(
+                mode == "batch" or self.config.keep_extractions
+            ),
+        )
         self._closed = False
         self._finished = False
         #: Batch mode: chunks held until :meth:`finish` windows them.
         self._pending: list[FlowTable] = []
         self.assembler: IntervalAssembler | None = None
+        #: Sliding-window state of the flow input (stream mode with
+        #: ``window_intervals > 1``): the miner, and the raw
+        #: per-interval sizes of the current window, mirroring the
+        #: miner's batches, so window-mode reports can state the true
+        #: input-flow count.
         self._window_miner: SlidingWindowMiner | None = None
-        # Raw per-interval sizes of the current window, mirroring the
-        # miner's batches, so window-mode reports can state the true
-        # input-flow count.
         self._window_raw_flows: deque[int] = deque(
             maxlen=self.config.window_intervals
         )
+        self.windows_mined = 0
+        self.windows_skipped = 0
         if mode == "stream":
             # Imported lazily: repro.streaming itself imports this
             # module, and a module-level import would close the cycle.
@@ -232,48 +497,10 @@ class ExtractionSession:
                     miner=MINERS.get(self.config.miner),
                     maximal_only=self.config.maximal_only,
                 )
-            self.keep_extractions = self.config.keep_extractions
-        else:
-            if interval_seconds <= 0:
-                raise ExtractionError(
-                    f"interval length must be positive: {interval_seconds}"
-                )
-            self.keep_extractions = True
-        self.extraction_count = 0
-        #: With ``keep_extractions=False``: the extractions emitted by
-        #: the most recent feed/flush call, pinned until the next call
-        #: so the caller can render them and ``report_for`` stays valid
-        #: for exactly that window (id-keyed state must never outlive
-        #: its object).
-        self._recent: list[ExtractionResult] = []
-        self.extractions: list[ExtractionResult] = []
-        #: Per-extraction report state, keyed by object identity (safe:
-        #: ``extractions``/``_recent`` pin the objects): the window
-        #: fill captured at emission time, replaced by the lazily built
-        #: report once :meth:`report_for` constructs it.  Sink-less
-        #: runs never pay for reports nothing reads.
-        self._report_state: dict[int, int | ExtractionReport] = {}
-        self.windows_mined = 0
-        self.windows_skipped = 0
-        #: Set by :meth:`from_state`: intervals at or below this index
-        #: are already durable in the sink (persisted before the crash
-        #: the checkpoint recovers from), so their re-processed reports
-        #: are recognized as replays and skipped instead of tripping
-        #: the store's re-ingest guard.
-        self._resume_floor: int | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def extractor(self) -> AnomalyExtractor:
-        return self._extractor
-
-    @property
-    def sink(self) -> ReportSink | None:
-        """The report sink this session pushes to (may be None)."""
-        return self._sink
-
     @property
     def metrics(self) -> MetricsRegistry:
         """The extractor's metrics registry (no-op when observability
@@ -347,7 +574,7 @@ class ExtractionSession:
             self._extractor.instruments.stage_binning
         ), self._tracer.span("stage.binning", rows=len(chunk)):
             views = self.assembler.push(chunk)
-        return self._process_views(views)
+        return self._step_views(views)
 
     def flush(self) -> list[ExtractionResult]:
         """Drain what can be drained without ending the session.
@@ -367,7 +594,7 @@ class ExtractionSession:
             self._extractor.instruments.stage_binning
         ), self._tracer.span("stage.binning", rows=0):
             views = self.assembler.flush()
-        return self._process_views(views)
+        return self._step_views(views)
 
     def finish(self) -> TraceExtraction | StreamExtraction:
         """Flush, seal the session, and return the run's result.
@@ -398,7 +625,7 @@ class ExtractionSession:
         # copied FlowTable dies before the next is built, so peak memory
         # holds the trace plus ONE interval, same as the historical
         # run_trace loop.
-        return self._process_views(
+        return self._step_views(
             self._timed_views(
                 iter_intervals(
                     trace,
@@ -451,30 +678,6 @@ class ExtractionSession:
             late_dropped_pre_origin=self.assembler.late_dropped_pre_origin,
             late_dropped_closed=self.assembler.late_dropped_closed,
         )
-
-    def report_for(self, extraction: ExtractionResult) -> ExtractionReport:
-        """The serializable report of an extraction this session
-        produced (the very object the sink received, when a sink is
-        attached) - bounds cover the mined window, not just the
-        triggering interval.  Built lazily and cached, so runs whose
-        reports nothing reads never pay for their construction."""
-        key = id(extraction)
-        state = self._report_state.get(key)
-        if isinstance(state, ExtractionReport):
-            return state
-        if state is None:
-            raise ExtractionError(
-                "unknown extraction: report_for only serves results "
-                "produced by this session"
-            )
-        report = ExtractionReport.from_result(
-            extraction,
-            self.interval_seconds,
-            self.origin,
-            window_intervals=state,
-        )
-        self._report_state[key] = report
-        return report
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -571,142 +774,21 @@ class ExtractionSession:
         self.windows_mined = counters["windows_mined"]
         self.windows_skipped = counters["windows_skipped"]
         self._extractor.detector_bank.from_state(detector_state)
-        self._resume_floor = self._sink_last_interval()
+        self.arm_resume_floor()
 
-    def _sink_last_interval(self) -> int | None:
-        """The newest interval the durable sink already covers (the
-        incident store's marker), or None without one."""
-        store = self._extractor.store
-        if store is not None:
-            return store.last_interval()
-        last = getattr(self._sink, "last_interval", None)
-        if callable(last):
-            marker = last()
-            return None if marker is None else int(marker)
-        return None
-
-    def _replayed(self, interval: int) -> bool:
-        """True when a restored session re-processed an interval whose
-        report is already durable (deterministic replay below the
-        resume floor) - the append is skipped, not duplicated."""
-        return (
-            self._resume_floor is not None
-            and interval <= self._resume_floor
-        )
-
-    # ------------------------------------------------------------------
-    # The one orchestration path
-    # ------------------------------------------------------------------
-    def _process_views(
+    def _step_views(
         self, views: Iterable[IntervalView]
     ) -> list[ExtractionResult]:
-        if not self.keep_extractions:
-            # The previous batch has been consumed; evict its
-            # extractions and their report state so alarm-heavy pipes
-            # stay flat (each result pins its prefiltered FlowTable).
-            for old in self._recent:
-                self._report_state.pop(id(old), None)
-            self._recent.clear()
+        """Hand a source's closed intervals to the step, in order; one
+        call is one step batch (see ``_recent``)."""
+        self._evict_recent()
         results = []
-        last_index: int | None = None
         with self._span.active():
             for view in views:
-                last_index = view.index
-                with self._tracer.span(
-                    "session.interval",
-                    interval=view.index,
-                    flows=len(view.flows),
-                ) as interval_span:
-                    extraction = self._process_interval(view)
-                    if extraction is not None:
-                        interval_span.set_attribute(
-                            "itemsets", len(extraction.mining.itemsets)
-                        )
-                        results.append(extraction)
-                        self.extraction_count += 1
-                        if self.keep_extractions:
-                            self.extractions.append(extraction)
-                        else:
-                            self._recent.append(extraction)
-                        # In window mode the extraction describes the
-                        # whole mined window, so its report bounds must
-                        # span it too; the deque length is the window's
-                        # current fill, only known now - record it so
-                        # report_for can build the report later.
-                        window = 1
-                        if self._window_miner is not None:
-                            window = max(1, len(self._window_raw_flows))
-                        self._report_state[id(extraction)] = window
-                        if self._sink is not None and not self._replayed(
-                            extraction.interval
-                        ):
-                            # Triage = report construction + sink push.
-                            with time_stage(
-                                self._extractor.instruments.stage_triage
-                            ), self._tracer.span("stage.triage"):
-                                self._sink.append(
-                                    self.report_for(extraction)
-                                )
-                    if not self.keep_reports:
-                        self._extractor.detector_bank.clear_reports()
-        # Clean intervals leave no report but must still age incidents;
-        # both windowing sources emit views in interval order, so the
-        # last index seen is the furthest the pipeline processed.
-        notify_sink_interval(self._sink, last_index)
+                extraction = self._advance(FlowInterval(self, view.flows))
+                if extraction is not None:
+                    results.append(extraction)
         return results
-
-    def _process_interval(self, view: IntervalView) -> ExtractionResult | None:
-        if self._window_miner is None:
-            # One-shot mode shares AnomalyExtractor's own per-interval
-            # path, which is what guarantees batch equivalence.
-            return self._extractor.process_interval(view.flows)
-        ins = self._extractor.instruments
-        ins.intervals.inc()
-        ins.flows.inc(len(view.flows))
-        with time_stage(ins.stage_detection), self._tracer.span(
-            "stage.detection", flows=len(view.flows)
-        ) as span:
-            report = self._extractor.detector_bank.observe(view.flows)
-            span.set_attribute("alarm", report.alarm)
-        metadata = report.metadata()
-        self._window_raw_flows.append(len(view.flows))
-        if not report.alarm or metadata.is_empty():
-            # Slide an empty batch through so the window keeps tracking
-            # the last N *intervals*, not the last N alarms.
-            self._window_miner.push(FlowTable.empty())
-            return None
-        ins.alarmed.inc()
-        with time_stage(ins.stage_mining), self._tracer.span(
-            "stage.mining", flows=len(view.flows)
-        ):
-            selected = prefilter(
-                view.flows, metadata, self.config.prefilter_mode
-            )
-            self._window_miner.push(selected.flows)
-            mining = self._window_miner.mine_if_candidates()
-        if mining is None:
-            self.windows_skipped += 1
-            return None
-        self.windows_mined += 1
-        ins.extractions.inc()
-        ins.itemsets.inc(len(mining.itemsets))
-        # The report must describe what was actually mined - the whole
-        # window's suspicious flows - not just this interval's share,
-        # or the rendered supports would exceed the stated flow counts.
-        window_selected = self._window_miner.window_flows()
-        window_prefilter = PrefilterResult(
-            flows=window_selected,
-            mode=self.config.prefilter_mode,
-            input_flows=sum(self._window_raw_flows),
-            selected_flows=len(window_selected),
-        )
-        return ExtractionResult(
-            interval=report.interval,
-            metadata=metadata,
-            prefilter=window_prefilter,
-            mining=mining,
-            alarmed_features=report.alarmed_features,
-        )
 
 
 def run_session(
@@ -722,6 +804,9 @@ def run_session(
 __all__ = [
     "SESSION_MODES",
     "ExtractionSession",
+    "FlowInterval",
+    "IntervalInput",
+    "IntervalSpine",
     "StreamExtraction",
     "run_session",
 ]

@@ -3,13 +3,17 @@
 The "fleet-of-fleets" tier above per-link pipelines: collectors at each
 site ship :class:`~repro.federation.digest.IntervalDigest` documents,
 and the :class:`Federator` aligns them on interval index, merges each
-interval's digests (exact cell-wise sketch addition), and drives a
-:class:`~repro.detection.manager.DetectorBank` over the merged view -
-so the network-wide anomaly that no single link sees clearly still
-trips the KL detectors.  Alarmed intervals flow into the existing
-mining/triage/incident path: voted meta-data values become single-item
-frequent item-sets whose supports come from the merged count-min
-sketches, triaged and ranked exactly like locally-mined reports.
+interval's digests (exact cell-wise sketch addition), and hands each
+merged interval to the pipeline's one interval step
+(:meth:`~repro.core.session.IntervalSpine.step`) as a
+:class:`MergedInterval` - so the network-wide anomaly that no single
+link sees clearly still trips the KL detectors.  The federator is a
+*source* of closed intervals, exactly like batch windowing and the
+stream assembler: detection, gating, counters, report construction,
+the store push and incident ageing are the step's, shared with every
+single-site run.  Only the input is digest-specific: voted meta-data
+values become single-item frequent item-sets whose supports come from
+the merged count-min sketches.
 
 Straggler policy: an interval is released as soon as every expected
 site has reported, or - watermark - once ``straggler_grace`` later
@@ -25,12 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from repro.core.report import ExtractionReport, triage_all
+from repro.core.config import ExtractionConfig
+from repro.core.pipeline import AnomalyExtractor, ExtractionResult
+from repro.core.prefilter import PrefilterResult
+from repro.core.report import ExtractionReport
+from repro.core.session import IntervalSpine
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature
 from repro.detection.manager import DetectorBank, IntervalReport
+from repro.detection.metadata import Metadata
 from repro.errors import CheckpointError, FederationError, SketchError
 from repro.federation.collector import Collector
 from repro.federation.digest import (
@@ -40,18 +47,15 @@ from repro.federation.digest import (
     IntervalDigest,
 )
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
+from repro.flows.table import FlowTable
 from repro.incidents.correlate import correlate
 from repro.incidents.rank import RankedIncident, rank_incidents
 from repro.incidents.store import IncidentStore
-from repro.mining.items import FrequentItemset, encode_item
+from repro.mining.items import encode_item
+from repro.mining.result import build_result
 from repro.obs.instruments import catalogued
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-    time_stage,
-)
-from repro.obs.trace import NULL_TRACER, AnyTracer, Tracer
+from repro.obs.metrics import MetricsRegistry, time_stage
+from repro.obs.trace import Tracer
 
 #: How the digest-only extraction path labels its reports; the normal
 #: pipeline writes prefilter/miner names here.
@@ -75,8 +79,77 @@ class FederatedInterval:
         return bool(self.alarmed_features)
 
 
+class MergedInterval:
+    """One interval's merged digest: the sketch-view step input.
+
+    Detection runs over the merged histogram-clone snapshots without
+    ever materializing flows.  Extraction is digest-only mining: each
+    voted meta-data value becomes a single-item item-set whose support
+    is the merged count-min estimate (an upper bound within eps*N of
+    truth); estimates below ``min_support`` are discarded just like the
+    miners' support floor.  Multi-item conjunctions need the flows and
+    are deliberately out of digest scope.
+    """
+
+    def __init__(self, digest: IntervalDigest, min_support: int) -> None:
+        self.digest = digest
+        self._min_support = min_support
+        #: Short names of the features that alarmed, kept for the
+        #: released interval's summary (the step returns extractions
+        #: only, and clean intervals produce none).
+        self.alarmed_features: tuple[str, ...] = ()
+
+    def observe(self, bank: DetectorBank) -> IntervalReport:
+        report = bank.observe_snapshots(
+            self.digest.snapshots_by_feature(bank.features),
+            flow_count=self.digest.flow_count,
+        )
+        self.alarmed_features = tuple(
+            f.short_name for f in report.alarmed_features
+        )
+        return report
+
+    def extract(
+        self, report: IntervalReport, metadata: Metadata
+    ) -> ExtractionResult | None:
+        supports: dict[tuple[int, ...], int] = {}
+        for feature, values in metadata.values.items():
+            sketch = self.digest.countmin(feature)
+            for value in values.tolist():
+                support = sketch.estimate(value)
+                if support >= self._min_support:
+                    supports[(encode_item(feature, value),)] = support
+        if not supports:
+            return None
+        flow_count = self.digest.flow_count
+        return ExtractionResult(
+            interval=report.interval,
+            metadata=metadata,
+            # Digest-only extraction never materializes flows; 0
+            # selected keeps the field honest rather than guessing
+            # from estimates.
+            prefilter=PrefilterResult(
+                flows=FlowTable.empty(),
+                mode=FEDERATED_PREFILTER,
+                input_flows=flow_count,
+                selected_flows=0,
+            ),
+            # Every single-item set is maximal; build_result puts them
+            # in the canonical report order (support descending).
+            mining=build_result(
+                FEDERATED_ALGORITHM,
+                supports,
+                supports,
+                n_transactions=flow_count,
+                min_support=self._min_support,
+            ),
+            alarmed_features=report.alarmed_features,
+        )
+
+
 class Federator:
-    """Merges per-site digests and runs global detection over them."""
+    """Merges per-site digests and steps each merged interval through
+    the shared pipeline spine."""
 
     def __init__(
         self,
@@ -121,11 +194,6 @@ class Federator:
         self.straggler_grace = straggler_grace
         self._jaccard = jaccard
         self._quiet_gap = quiet_gap
-        self._store = store
-        registry: MetricsRegistry | NullRegistry = (
-            metrics if metrics is not None else NULL_REGISTRY
-        )
-        self._tracer: AnyTracer = tracer if tracer is not None else NULL_TRACER
         # The reference collector pins the digest schema and fills
         # wholly-missing intervals with empty digests; its sentinel
         # site name never appears in released site lists.
@@ -138,7 +206,28 @@ class Federator:
             cm_depth=cm_depth,
         )
         self.features = self._reference.features
-        self._bank = DetectorBank(self.config, self.features, seed=seed)
+        # The step, instrumented as pipeline "federation".  Nothing
+        # reads the per-interval detector reports or the extraction
+        # list afterwards, so neither is retained: a daemon federating
+        # for months stays flat.
+        extractor = AnomalyExtractor(
+            ExtractionConfig(detector=self.config, features=self.features),
+            seed=seed,
+            metrics=metrics,
+            pipeline="federation",
+            tracer=tracer,
+        )
+        self._spine = IntervalSpine(
+            extractor,
+            interval_seconds=interval_seconds,
+            origin=origin,
+            sink=store,
+            keep_reports=False,
+            keep_extractions=False,
+        )
+        self._bank = extractor.detector_bank
+        self._tracer = extractor.tracer
+        registry = extractor.metrics
         self._pending: dict[int, dict[str, IntervalDigest]] = {}
         self._next = 0
         self._max_seen = -1
@@ -274,15 +363,12 @@ class Federator:
                 sites: tuple[str, ...] = ()
             else:
                 sites = merged.sites
-            interval_report = self._bank.observe_snapshots(
-                merged.snapshots_by_feature(self.features),
-                flow_count=merged.flow_count,
-            )
-            report = self._extract(interval_report, merged)
-        if report is not None:
+            merged_input = MergedInterval(merged, self.min_support)
+            extraction = self._spine.step(merged_input)
+        report = None
+        if extraction is not None:
+            report = self._spine.report_for(extraction)
             self._reports.append(report)
-            if self._store is not None:
-                self._store.append(report)
         self._m_merged.inc()
         self._next = interval + 1
         self._max_seen = max(self._max_seen, interval)
@@ -291,61 +377,8 @@ class Federator:
             sites=sites,
             stragglers=missing,
             flow_count=merged.flow_count,
-            alarmed_features=tuple(
-                f.short_name for f in interval_report.alarmed_features
-            ),
+            alarmed_features=merged_input.alarmed_features,
             report=report,
-        )
-
-    def _extract(
-        self, interval_report: IntervalReport, merged: IntervalDigest
-    ) -> ExtractionReport | None:
-        """Turn an alarmed merged interval into an extraction report.
-
-        Digest-only mining: each voted meta-data value becomes a
-        single-item item-set whose support is the merged count-min
-        estimate (an upper bound within eps*N of truth); estimates
-        below ``min_support`` are discarded just like the miners'
-        support floor.  Multi-item conjunctions need the flows and are
-        deliberately out of digest scope.
-        """
-        if not interval_report.alarm:
-            return None
-        itemsets: list[FrequentItemset] = []
-        for feature in self.features:
-            obs = interval_report.observations[feature]
-            if not obs.alarm or len(obs.voted_values) == 0:
-                continue
-            sketch = merged.countmin(feature)
-            for value in np.sort(obs.voted_values):
-                support = sketch.estimate(int(value))
-                if support >= self.min_support:
-                    itemsets.append(
-                        FrequentItemset(
-                            items=(encode_item(feature, int(value)),),
-                            support=support,
-                        )
-                    )
-        if not itemsets:
-            return None
-        itemsets.sort(key=lambda s: (-s.support, s.items))
-        interval = interval_report.interval
-        start = self.origin + interval * self.interval_seconds
-        return ExtractionReport(
-            interval=interval,
-            start=start,
-            end=start + self.interval_seconds,
-            input_flows=merged.flow_count,
-            # Digest-only extraction never materializes flows; 0 keeps
-            # the field honest rather than guessing from estimates.
-            selected_flows=0,
-            prefilter_mode=FEDERATED_PREFILTER,
-            algorithm=FEDERATED_ALGORITHM,
-            min_support=self.min_support,
-            alarmed_features=tuple(
-                f.short_name for f in interval_report.alarmed_features
-            ),
-            itemsets=tuple(triage_all(itemsets)),
         )
 
     # ------------------------------------------------------------------
@@ -390,7 +423,13 @@ class Federator:
 
     def from_state(self, state: dict[str, Any]) -> None:
         """Restore :meth:`to_state` data into this federator (which
-        must be built with the same sites, config, and seed)."""
+        must be built with the same sites, config, and seed).
+
+        Also arms the step's resume floor, exactly as a restored
+        session does: the store being *ahead* of the checkpoint is the
+        normal crash shape, so intervals re-released after the restore
+        whose reports are already durable are skipped, not
+        re-appended."""
         try:
             schema = DigestSchema.from_dict(state["schema"])
             next_interval = int(state["next"])
@@ -434,3 +473,4 @@ class Federator:
         self._next = next_interval
         self._max_seen = max_seen
         self._reports = reports
+        self._spine.arm_resume_floor()

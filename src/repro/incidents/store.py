@@ -304,9 +304,9 @@ class IncidentStore:
     def append(self, report: ExtractionReport) -> int:
         """Persist one report; returns its row id.
 
-        This is the report-sink protocol consumed by
-        :meth:`~repro.core.pipeline.AnomalyExtractor.run_trace` and
-        :meth:`~repro.core.pipeline.AnomalyExtractor.run_stream`.
+        This is the report-sink protocol consumed by the pipeline's
+        interval step (:meth:`~repro.core.session.IntervalSpine.step`),
+        whatever source feeds it - batch, stream, fleet, or federation.
         The marker advances in the SAME transaction, so the re-ingest
         guard is armed atomically with the data it protects - which
         also makes single appends strictly interval-ordered (bulk-load
@@ -376,9 +376,9 @@ class IncidentStore:
         """Record that the pipeline processed up to ``interval`` - even
         when it produced no report (clean intervals leave no row, but
         they must still age incidents toward quiet/closed).  Monotonic:
-        an older value never overwrites a newer one.  The batch and
-        streaming drivers call this automatically when the store is
-        their sink.
+        an older value never overwrites a newer one.  The interval
+        step calls this after every interval - single-site or
+        federated - when the store is its sink.
         """
         if (
             self._last_interval is not None

@@ -94,6 +94,16 @@ class SlidingWindowMiner:
             evicted = self._batches.popleft()
             self._add_counts(evicted, sign=-1)
 
+    def fill(self, flows: FlowTable) -> None:
+        """Put ``flows`` into the newest slot, which must have been
+        pushed empty: a caller that slides the window once per interval
+        (``push(FlowTable.empty())``) fills in the interval's flows
+        only when it turns out to have any worth mining."""
+        if not self._batches or len(self._batches[-1]):
+            raise MiningError("fill needs an empty newest batch")
+        self._batches[-1] = flows
+        self._add_counts(flows, sign=+1)
+
     def _add_counts(self, flows: FlowTable, sign: int) -> None:
         transactions = TransactionSet.from_flows(flows)
         items, counts = transactions.item_supports()

@@ -3,7 +3,7 @@
 One :class:`PipelineInstruments` bundle per pipeline (label
 ``pipeline="default"`` for solo runs, the fleet's link names for
 multi-pipeline runs) keeps the hot paths free of name lookups: the
-session, extractor, and assembler increment pre-resolved children.
+interval step, extractor, and assembler increment pre-resolved children.
 
 :data:`CATALOG` is the machine-readable registry of every metric the
 library emits - name, instrument kind, label schema, and help text.
@@ -40,15 +40,19 @@ CATALOG: dict[str, InstrumentSpec] = {
     # -- core pipeline -----------------------------------------------------
     "repro_intervals_processed_total": InstrumentSpec(
         "counter", ("pipeline",),
-        "Measurement intervals run through the detector bank.",
+        "Measurement intervals run through the detector bank "
+        "(pipeline=federation: intervals released by the federator).",
     ),
     "repro_flows_processed_total": InstrumentSpec(
         "counter", ("pipeline",),
-        "Flows observed by the detector bank (late drops excluded).",
+        "Flows observed by the detector bank (late drops excluded; "
+        "pipeline=federation: merged digest flow counts).",
     ),
     "repro_intervals_alarmed_total": InstrumentSpec(
         "counter", ("pipeline",),
-        "Intervals on which the detector voting raised an alarm.",
+        "Intervals on which any detector alarmed, whether or not the "
+        "voted meta-data was usable - the same definition for flow, "
+        "sliding-window, and merged-digest inputs.",
     ),
     "repro_extractions_total": InstrumentSpec(
         "counter", ("pipeline",),
@@ -187,7 +191,8 @@ CATALOG: dict[str, InstrumentSpec] = {
     "repro_federation_merge_seconds": InstrumentSpec(
         "histogram", (),
         "Wall-clock seconds to merge one interval's digests and run "
-        "the detector bank over the merged view.",
+        "the interval step (detection, count-min extraction, store "
+        "push) over the merged view.",
     ),
     "repro_federation_intervals_merged_total": InstrumentSpec(
         "counter", (),
@@ -241,8 +246,9 @@ SPANS: dict[str, str] = {
         "(attributes: site, interval)."
     ),
     "federation.merge": (
-        "One interval's digests merged and detected on by the "
-        "federator (attributes: interval, sites, stragglers)."
+        "One interval's digests merged by the federator and stepped "
+        "through the pipeline; the interval's session.interval tree "
+        "nests under it (attributes: interval, sites, stragglers)."
     ),
     "federation.run": (
         "One federated multi-vantage-point run, collectors through "

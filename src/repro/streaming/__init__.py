@@ -9,11 +9,11 @@ mode.  It maps onto the paper as follows:
   measurement intervals of Section II-C, recovered online: chunked flow
   records are binned into fixed-length windows and released by a
   watermark, with bounded buffering for out-of-order arrivals.
-* :class:`~repro.streaming.extractor.StreamingExtractor` - the Fig. 3
-  pipeline (histogram clone detectors -> voting -> union meta-data ->
-  flow prefiltering -> item-set mining) driven one completed interval
-  at a time.  Memory is bounded by the interval/window size, never the
-  trace length.
+* a stream-mode :class:`~repro.core.session.ExtractionSession`
+  (:func:`repro.api.session`) - the Fig. 3 pipeline (histogram clone
+  detectors -> voting -> union meta-data -> flow prefiltering ->
+  item-set mining) stepped one completed interval at a time.  Memory
+  is bounded by the interval/window size, never the trace length.
 * ``window_intervals > 1`` switches the mining stage to the
   sliding-window mode of Section V (Li & Deng's sliding-window Eclat is
   the cited precedent), via
@@ -31,11 +31,10 @@ non-zero count is the signal that the two paths diverged.
 directions.
 """
 
+from repro.core.session import StreamExtraction
 from repro.streaming.assembler import IntervalAssembler
-from repro.streaming.extractor import StreamExtraction, StreamingExtractor
 
 __all__ = [
     "IntervalAssembler",
     "StreamExtraction",
-    "StreamingExtractor",
 ]

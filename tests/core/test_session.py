@@ -1,12 +1,12 @@
 """The session redesign's contract: one orchestration path.
 
-`ExtractionSession` is the single execution surface `run_trace`,
-`run_stream`, and `StreamingExtractor` now delegate to.  These tests
-hold the ISSUE 5 acceptance criteria: a batch session fed a whole
-trace (in one piece or arbitrary chunks) equals `run_trace`
-byte-for-byte, a chunk-fed stream session equals the incremental
-`StreamingExtractor`, and `close()` releases the owned extractor's
-store and worker pool even when a mid-feed chunk raised.
+`ExtractionSession` is the single execution surface `run_trace` and
+`run_stream` delegate to.  These tests hold the ISSUE 5 acceptance
+criteria: a batch session fed a whole trace (in one piece or arbitrary
+chunks) equals `run_trace` byte-for-byte, a chunk-fed stream session
+driven incrementally (feed / flush / result) equals one that is fed
+and finished, and `close()` releases the owned extractor's store and
+worker pool even when a mid-feed chunk raised.
 """
 
 import numpy as np
@@ -121,15 +121,13 @@ class TestBatchSessionEquivalence:
 
 
 class TestStreamSessionEquivalence:
-    def test_feed_equals_streaming_extractor(self, ddos_trace):
-        from repro.streaming import StreamingExtractor
-
+    def test_feed_equals_incremental_session(self, ddos_trace):
         incremental = []
-        with StreamingExtractor(
+        with api.session(
             _config(), seed=1, interval_seconds=INTERVAL_SECONDS
         ) as streamer:
             for chunk in _chunked(ddos_trace.flows, 517):
-                incremental.extend(streamer.process_chunk(chunk))
+                incremental.extend(streamer.feed(chunk))
             incremental.extend(streamer.flush())
             expected = streamer.result()
         with api.session(

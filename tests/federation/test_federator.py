@@ -17,12 +17,14 @@ import json
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.detection.features import Feature
 from repro.errors import CheckpointError, FederationError, SketchError
 from repro.federation.federator import (
     FEDERATED_ALGORITHM,
     FEDERATED_PREFILTER,
 )
+from repro.incidents.store import open_store
 
 SITES = ("east", "west")
 
@@ -254,6 +256,57 @@ class TestResume:
         ) == json.dumps(resumed.to_state(), sort_keys=True)
         assert [r.to_dict() for r in live.reports] == [
             r.to_dict() for r in resumed.reports
+        ]
+
+    @pytest.mark.parametrize("checkpoint_at", range(0, 30, 3))
+    def test_kill_anywhere_resume_absorbs_replays(
+        self, site_digests, federator_factory, tmp_path, checkpoint_at
+    ):
+        """The federator's half of the kill-anywhere property: the
+        checkpoint is taken before interval ``checkpoint_at`` releases,
+        the first life runs two more intervals (so the store is *ahead*
+        of the checkpoint - the normal crash shape - and at
+        ``checkpoint_at`` 24 already holds the alarmed report), then
+        dies.  Restore + replay from ``state["next"]`` must complete,
+        skip the already-durable report instead of re-appending it, and
+        end byte-identical to the uninterrupted run."""
+
+        def deliver(fed, lo, hi):
+            for i in range(lo, hi):
+                for site in SITES:
+                    fed.add(site_digests[site][i])
+
+        baseline_path = str(tmp_path / "baseline.db")
+        with open_store(baseline_path) as store:
+            baseline = federator_factory(store=store)
+            deliver(baseline, 0, 30)
+            baseline.finish()
+            expected_rows = [r.to_json() for r in store.reports()]
+        assert expected_rows
+
+        path = str(tmp_path / "killed.db")
+        with open_store(path) as store:
+            first = federator_factory(store=store)
+            deliver(first, 0, checkpoint_at)
+            state = json.loads(json.dumps(first.to_state()))
+            assert state["next"] == checkpoint_at
+            deliver(first, checkpoint_at, min(30, checkpoint_at + 2))
+            # kill -9: no finish, no further checkpoint.
+        with open_store(path) as store:
+            resumed = federator_factory(store=store)
+            resumed.from_state(state)
+            deliver(resumed, state["next"], 30)
+            resumed.finish()
+            assert [r.to_json() for r in store.reports()] == expected_rows
+            assert store.last_interval() == 29
+        assert [r.to_json() for r in resumed.reports] == [
+            r.to_json() for r in baseline.reports
+        ]
+        assert json.dumps(resumed.to_state(), sort_keys=True) == (
+            json.dumps(baseline.to_state(), sort_keys=True)
+        )
+        assert [r.to_dict() for r in api.rank(path)] == [
+            r.to_dict() for r in api.rank(baseline_path)
         ]
 
     def test_schema_mismatch_refused(self, federator_factory):

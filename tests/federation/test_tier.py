@@ -6,6 +6,7 @@ import ipaddress
 
 import pytest
 
+import repro.api as api
 from repro.errors import FederationError
 from repro.federation import run_federation, split_trace
 from repro.federation.federator import FEDERATED_ALGORITHM
@@ -134,3 +135,46 @@ class TestStorePath:
             assert [r.to_dict() for r in stored] == [
                 r.to_dict() for r in result.reports
             ]
+
+    def test_store_lifecycle_matches_in_memory_ranking(
+        self, ddos_trace, fed_config, tmp_path
+    ):
+        """A federated store ages like a single-site one: the clean
+        tail after the attack reaches ``note_interval`` through the
+        shared interval step, so replaying the store ranks the finished
+        attack exactly as the live federator does (closed), not
+        ``active`` forever."""
+        fed_path = str(tmp_path / "federation.db")
+        single_path = str(tmp_path / "single.db")
+        knobs = dict(
+            detector=fed_config,
+            interval_seconds=INTERVAL_SECONDS,
+            min_support=300,
+        )
+        result = api.federate(
+            ddos_trace.flows,
+            sites=["east", "west"],
+            route="dst_ip%2",
+            store=fed_path,
+            **knobs,
+        )
+        assert result.reports
+        last_alarmed = max(r.interval for r in result.reports)
+        last_released = result.intervals[-1].interval
+        assert last_released > last_alarmed + 2  # a clean tail exists
+
+        ranked = api.rank(fed_path)
+        assert [r.to_dict() for r in ranked] == [
+            r.to_dict() for r in result.incidents
+        ]
+        api.extract(ddos_trace.flows, store_path=single_path, **knobs)
+        lifecycle = {
+            (r.incident.state, r.incident.last_seen) for r in ranked
+        }
+        assert lifecycle == {
+            (r.incident.state, r.incident.last_seen)
+            for r in api.rank(single_path)
+        }
+        assert {state for state, _ in lifecycle} == {"closed"}
+        with open_store(fed_path, must_exist=True) as store:
+            assert store.last_interval() == last_released

@@ -121,7 +121,7 @@ class TestWindowModeReports:
         """Sliding-window extractions describe N intervals of traffic;
         the persisted bounds must cover all N, not just the triggering
         interval, or flow counts and (end - start) disagree."""
-        from repro.streaming import StreamingExtractor
+        import repro.api as api
 
         trace, _ = burst_trace
         store = IncidentStore(":memory:")
@@ -133,12 +133,12 @@ class TestWindowModeReports:
             min_support=300,
             window_intervals=3,
         )
-        with StreamingExtractor(
+        with api.session(
             config, seed=1, interval_seconds=INTERVAL_SECONDS,
             sink=store,
         ) as streamer:
             result = run_session(
-                streamer.session, _chunked(trace.flows, CHUNK_ROWS)
+                streamer, _chunked(trace.flows, CHUNK_ROWS)
             )
             assert result.extractions
             for extraction in result.extractions:
@@ -159,10 +159,10 @@ class TestWindowModeReports:
         ]
 
     def test_report_for_rejects_foreign_extraction(self, burst_trace):
+        import repro.api as api
         from repro.errors import ExtractionError
-        from repro.streaming import StreamingExtractor
 
-        with StreamingExtractor(
+        with api.session(
             _config(), interval_seconds=INTERVAL_SECONDS
         ) as streamer:
             with pytest.raises(ExtractionError, match="unknown"):

@@ -14,10 +14,12 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro.core.config import ServiceSettings
 from repro.errors import CheckpointError
 from repro.federation import Collector, Federator
 from repro.fleet.manager import FleetManager
+from repro.incidents.store import open_store
 from repro.obs.metrics import MetricsRegistry
 from repro.service.app import ServiceApp
 from repro.service.checkpoint import read_checkpoint
@@ -140,6 +142,37 @@ class TestDigestRoute:
         assert doc["digests"] == 6
         assert [r["interval"] for r in doc["released"]] == [0, 1, 2]
         assert doc["next_interval"] == 3
+
+    def test_detector_reports_do_not_accumulate(
+        self, fed_app, service_config, service_chunks
+    ):
+        """A daemon federating for months stays flat: the interval
+        step drops each release's detector report (the federator runs
+        ``keep_reports=False``), while the checkpointed bank state is
+        untouched by the dropping."""
+        collectors = {
+            site: Collector(
+                site=site,
+                config=service_config.detector,
+                features=service_config.features,
+                seed=0,
+                cm_width=CM_WIDTH,
+                cm_depth=CM_DEPTH,
+            )
+            for site in SITES
+        }
+        bank = fed_app.federator._bank
+        for i in range(50):
+            chunk = service_chunks[i % len(service_chunks)]
+            for site in SITES:
+                wire = collectors[site].summarize(chunk, i).to_json()
+                status, body, _ = fed_app.handle(req(
+                    "POST", "/digest", body=wire.encode()
+                ))
+                assert status == 200, body
+            assert len(bank.reports) <= 1
+        assert fed_app.federator.next_interval == 50
+        assert fed_app.federator.to_state()["bank"] == bank.to_state()
 
     def test_requires_post(self, fed_app):
         status, body, _ = fed_app.handle(req("GET", "/digest"))
@@ -270,6 +303,88 @@ class TestFederatedCheckpoint:
             assert resumed.pending_intervals == 1
         finally:
             fresh.close()
+
+    @pytest.mark.parametrize("kill_after", [5, 14, 24, 31])
+    @pytest.mark.parametrize("checkpoint_every", [1, 3, 5])
+    def test_kill_anywhere_resume_is_byte_identical(
+        self, service_config, site_wire, tmp_path,
+        kill_after, checkpoint_every,
+    ):
+        """The service kill-anywhere property, extended to the
+        federator: digests POSTed, checkpoints written every
+        ``checkpoint_every`` bodies, the daemon killed after
+        ``kill_after`` bodies with no final checkpoint - so the
+        federation store can be *ahead* of the checkpoint, holding
+        reports of alarmed intervals the restored federator will
+        release again.  Resume + replay from ``checkpointed_sequence``
+        must absorb those replays (no duplicate rows, no re-ingest
+        refusal) and end byte-identical to the uninterrupted run."""
+        bodies = [
+            site_wire[site][i].encode()
+            for i in range(len(site_wire["east"]))
+            for site in SITES
+        ]
+
+        def post(app, some):
+            for body in some:
+                status, payload, _ = app.handle(
+                    req("POST", "/digest", body=body)
+                )
+                assert status == 200, payload
+
+        def snapshot(federator, store):
+            return json.dumps({
+                "rows": [r.to_json() for r in store.reports()],
+                "marker": store.last_interval(),
+                "reports": [r.to_json() for r in federator.reports],
+                "ranking": [r.to_dict() for r in api.rank(store)],
+                "state": federator.to_state(),
+            }, sort_keys=True)
+
+        fleet = make_fleet(service_config)
+        try:
+            with open_store(str(tmp_path / "baseline.db")) as store:
+                federator = make_federator(service_config, store=store)
+                post(ServiceApp(fleet, federator=federator), bodies)
+                expected = snapshot(federator, store)
+                assert federator.reports  # the attacks were extracted
+        finally:
+            fleet.close()
+
+        ckpt = str(tmp_path / "ckpt.json")
+        fed_db = str(tmp_path / "federation.db")
+        first = make_fleet(service_config, store_dir=tmp_path / "stores")
+        try:
+            with open_store(fed_db) as store:
+                app = ServiceApp(
+                    first,
+                    checkpoint_path=ckpt,
+                    checkpoint_every=checkpoint_every,
+                    federator=make_federator(service_config, store=store),
+                )
+                post(app, bodies[:kill_after])
+        finally:
+            first.close()  # kill -9: no flush, no final checkpoint
+
+        second = make_fleet(service_config, store_dir=tmp_path / "stores")
+        try:
+            with open_store(fed_db) as store:
+                resumed = make_federator(service_config, store=store)
+                replay_from = resume_sequence(
+                    second, self._settings(ckpt), resume=True,
+                    federator=resumed,
+                )
+                assert replay_from == read_checkpoint(ckpt)["sequence"]
+                assert replay_from <= kill_after
+                post(
+                    ServiceApp(
+                        second, sequence=replay_from, federator=resumed
+                    ),
+                    bodies[replay_from:],
+                )
+                assert snapshot(resumed, store) == expected
+        finally:
+            second.close()
 
     def test_resume_refuses_orphaned_federation_state(
         self, service_config, site_wire, tmp_path

@@ -1,10 +1,10 @@
-"""ISSUE 5 satellite: `StreamingExtractor.run` is deprecated, not
-removed - old imports, call sites, and return types keep working."""
+"""ISSUE 5 satellite, re-scoped by ISSUE 12: the `StreamingExtractor`
+facade (and its deprecated `run`) is gone; the surviving import path
+keeps working and the blessed session paths stay warning-free."""
 
 import warnings
 
 import numpy as np
-import pytest
 
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import AnomalyExtractor
@@ -25,30 +25,12 @@ def _chunked(table, rows=700):
 
 class TestRunDeprecation:
     def test_old_imports_unchanged(self):
-        # Both historical import paths resolve to the same objects.
-        from repro.streaming import StreamExtraction, StreamingExtractor
-        from repro.streaming.extractor import (
-            StreamExtraction as FromModule,
-        )
+        # The historical import path of the stream summary still
+        # resolves to the canonical class.
         from repro.core.session import StreamExtraction as Canonical
+        from repro.streaming import StreamExtraction
 
-        assert StreamExtraction is FromModule is Canonical
-        assert hasattr(StreamingExtractor, "run")
-
-    def test_run_warns_but_returns_the_old_type(self, ddos_trace):
-        from repro.streaming import StreamExtraction, StreamingExtractor
-
-        with StreamingExtractor(
-            ExtractionConfig(**_CONFIG), seed=1, interval_seconds=900.0
-        ) as streamer:
-            with pytest.warns(DeprecationWarning, match="api.session"):
-                result = streamer.run(_chunked(ddos_trace.flows))
-        # Return type and payload are exactly what pre-deprecation
-        # callers got.
-        assert isinstance(result, StreamExtraction)
-        assert result.extraction_count == len(result.extractions)
-        assert result.flagged_intervals
-        assert result.intervals == ddos_trace.n_intervals
+        assert StreamExtraction is Canonical
 
     def test_blessed_paths_do_not_warn(self, ddos_trace):
         import repro.api as api

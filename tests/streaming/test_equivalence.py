@@ -5,12 +5,12 @@ acceptance criterion)."""
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import AnomalyExtractor
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.flows.io import iter_csv, write_csv
-from repro.streaming import StreamingExtractor
 
 CHUNK_ROWS = 517  # deliberately misaligned with interval boundaries
 
@@ -82,13 +82,13 @@ class TestCsvStreamEquivalence:
     ):
         path = tmp_path_factory.mktemp("stream") / "trace.csv"
         write_csv(ddos_trace.flows, path)
-        with StreamingExtractor(
+        with api.session(
             _config(),
             seed=1,
             interval_seconds=ddos_trace.interval_seconds,
         ) as streamer:
             result = run_session(
-                streamer.session, iter_csv(path, chunk_rows=777)
+                streamer, iter_csv(path, chunk_rows=777)
             )
         assert result.late_dropped == 0
         assert result.flows == len(ddos_trace.flows)

@@ -1,14 +1,14 @@
-"""Unit tests for the StreamingExtractor (one-shot and window modes)."""
+"""Unit tests for stream-mode sessions (one-shot and window modes)."""
 
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature
 from repro.errors import ConfigError
-from repro.streaming import StreamingExtractor
 
 CHUNK_ROWS = 400
 
@@ -31,12 +31,12 @@ def _chunked(table, rows=CHUNK_ROWS):
 class TestOneShotMode:
     def test_extractions_arrive_incrementally(self, ddos_trace):
         """The DDoS extraction must surface mid-stream, before flush."""
-        streamer = StreamingExtractor(
+        streamer = api.session(
             _config(), seed=1, interval_seconds=ddos_trace.interval_seconds
         )
         seen_before_flush = []
         for chunk in _chunked(ddos_trace.flows):
-            seen_before_flush.extend(streamer.process_chunk(chunk))
+            seen_before_flush.extend(streamer.feed(chunk))
         assert 24 in [e.interval for e in seen_before_flush]
         streamer.flush()
         result = streamer.result()
@@ -46,12 +46,12 @@ class TestOneShotMode:
         assert result.windows_mined == 0  # one-shot mode never windows
 
     def test_result_snapshot_mid_stream(self, ddos_trace):
-        streamer = StreamingExtractor(
+        streamer = api.session(
             _config(), seed=1, interval_seconds=ddos_trace.interval_seconds
         )
         chunks = list(_chunked(ddos_trace.flows))
         for chunk in chunks[: len(chunks) // 2]:
-            streamer.process_chunk(chunk)
+            streamer.feed(chunk)
         partial = streamer.result()
         assert 0 < partial.intervals < ddos_trace.n_intervals
         assert partial.detection.n_intervals == partial.intervals
@@ -59,12 +59,12 @@ class TestOneShotMode:
 
 class TestWindowMode:
     def test_window_mode_catches_ddos(self, ddos_trace, small_profile):
-        streamer = StreamingExtractor(
+        streamer = api.session(
             _config(window_intervals=3),
             seed=1,
             interval_seconds=ddos_trace.interval_seconds,
         )
-        result = run_session(streamer.session, _chunked(ddos_trace.flows))
+        result = run_session(streamer, _chunked(ddos_trace.flows))
         assert result.windows_mined >= 1
         victim = small_profile.internal_base + 5
         hits = [
@@ -82,12 +82,12 @@ class TestWindowMode:
                 assert itemset.support <= e.prefilter.selected_flows
 
     def test_window_accounting_consistent(self, ddos_trace):
-        streamer = StreamingExtractor(
+        streamer = api.session(
             _config(window_intervals=4),
             seed=1,
             interval_seconds=ddos_trace.interval_seconds,
         )
-        result = run_session(streamer.session, _chunked(ddos_trace.flows))
+        result = run_session(streamer, _chunked(ddos_trace.flows))
         # Exactly the mined windows became extractions.
         assert result.windows_mined == len(result.extractions)
         assert result.intervals == ddos_trace.n_intervals
@@ -96,19 +96,19 @@ class TestWindowMode:
 class TestKeepReports:
     def test_dropped_reports_keep_extractions_identical(self, ddos_trace):
         kept = run_session(
-            StreamingExtractor(
+            api.session(
                 _config(), seed=1,
                 interval_seconds=ddos_trace.interval_seconds,
-            ).session,
+            ),
             _chunked(ddos_trace.flows),
         )
-        unbounded = StreamingExtractor(
+        unbounded = api.session(
             _config(),
             seed=1,
             interval_seconds=ddos_trace.interval_seconds,
             keep_reports=False,
         )
-        dropped = run_session(unbounded.session, _chunked(ddos_trace.flows))
+        dropped = run_session(unbounded, _chunked(ddos_trace.flows))
         assert [e.render() for e in dropped.extractions] == (
             [e.render() for e in kept.extractions]
         )
@@ -128,7 +128,7 @@ class TestConfigKnobs:
             ExtractionConfig(max_pending_intervals=0)
 
     def test_context_manager_closes_owned_extractor(self):
-        with StreamingExtractor(_config(jobs=2, backend="thread")) as s:
+        with api.session(_config(jobs=2, backend="thread")) as s:
             assert s.extractor.engine is not None
         # close() is idempotent
         s.close()
@@ -137,7 +137,7 @@ class TestConfigKnobs:
         from repro.core.pipeline import AnomalyExtractor
 
         with AnomalyExtractor(_config(jobs=2, backend="thread")) as extractor:
-            streamer = StreamingExtractor(extractor=extractor)
+            streamer = extractor.session()
             streamer.close()  # must NOT close the borrowed engine pool
             assert streamer.config is extractor.config
             # The borrowed bank still works after the streamer is closed.

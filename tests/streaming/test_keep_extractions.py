@@ -9,10 +9,10 @@ once the caller has had the chance to consume them.
 
 import pytest
 
+import repro.api as api
 from repro.core import ExtractionConfig
 from repro.core.session import run_session
 from repro.flows import split_intervals
-from repro.streaming import StreamingExtractor
 
 _CONFIG = dict(
     detector={"bins": 256, "training_intervals": 16},
@@ -27,21 +27,21 @@ def _chunks(trace):
 class TestKeepExtractionsFalse:
     def test_emitted_results_match_the_retained_run(self, ddos_trace):
         kept, dropped = [], []
-        with StreamingExtractor(
+        with api.session(
             ExtractionConfig(**_CONFIG),
             seed=1, interval_seconds=900.0,
         ) as retaining:
             for chunk in _chunks(ddos_trace):
-                kept.extend(retaining.process_chunk(chunk))
+                kept.extend(retaining.feed(chunk))
             kept.extend(retaining.flush())
             retained = retaining.result()
-        with StreamingExtractor(
+        with api.session(
             ExtractionConfig(keep_extractions=False, **_CONFIG),
             seed=1, interval_seconds=900.0,
         ) as flat:
             for chunk in _chunks(ddos_trace):
                 dropped.extend(
-                    e.render() for e in flat.process_chunk(chunk)
+                    e.render() for e in flat.feed(chunk)
                 )
             dropped.extend(e.render() for e in flat.flush())
             summary = flat.result()
@@ -57,13 +57,13 @@ class TestKeepExtractionsFalse:
     def test_state_evicted_after_next_chunk(self, ddos_trace):
         from repro.errors import ExtractionError
 
-        with StreamingExtractor(
+        with api.session(
             ExtractionConfig(keep_extractions=False, **_CONFIG),
             seed=1, interval_seconds=900.0,
         ) as streamer:
             emitted = []
             for chunk in _chunks(ddos_trace):
-                results = streamer.process_chunk(chunk)
+                results = streamer.feed(chunk)
                 for extraction in results:
                     # Within the same round the report is available...
                     assert streamer.report_for(extraction) is not None
@@ -81,19 +81,19 @@ class TestKeepExtractionsFalse:
         from repro.sinks import MemorySink
 
         sink = MemorySink()
-        with StreamingExtractor(
+        with api.session(
             ExtractionConfig(keep_extractions=False, **_CONFIG),
             seed=1, interval_seconds=900.0, sink=sink,
         ) as streamer:
-            result = run_session(streamer.session, _chunks(ddos_trace))
+            result = run_session(streamer, _chunks(ddos_trace))
         assert result.extraction_count > 0
         assert len(sink.reports) == result.extraction_count
         assert sink.last_interval == result.intervals - 1
 
     def test_default_retains_for_batch_parity(self, ddos_trace):
-        with StreamingExtractor(
+        with api.session(
             ExtractionConfig(**_CONFIG), seed=1, interval_seconds=900.0
         ) as streamer:
-            result = run_session(streamer.session, _chunks(ddos_trace))
+            result = run_session(streamer, _chunks(ddos_trace))
         assert result.extractions
         assert result.extraction_count == len(result.extractions)
