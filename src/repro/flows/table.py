@@ -41,6 +41,31 @@ _DTYPES = {
     "label": np.int64,
 }
 
+#: One flow as a record: the structured dtype the text decoders
+#: (:mod:`repro.flows.io`, the service's JSONL ingest) fill a batch at
+#: a time, so a cell that does not fit its column is refused at the
+#: edge instead of wrapping.
+ROW_DTYPE = np.dtype([(name, _DTYPES[name]) for name in ALL_COLUMNS])
+
+_INT_BOUNDS = {
+    name: np.iinfo(dtype)
+    for name, dtype in _DTYPES.items()
+    if np.issubdtype(dtype, np.integer)
+}
+
+
+def fit_error(column: str, value: int) -> str | None:
+    """Why ``value`` cannot be stored in integer ``column``, or ``None``.
+
+    The text decoders word their out-of-range refusals with this, and
+    the JSONL one also decides with it: what numpy does with a Python
+    int that does not fit (raise or wrap) depends on its version.
+    """
+    bounds = _INT_BOUNDS[column]
+    if bounds.min <= value <= bounds.max:
+        return None
+    return f"{column}={value} does not fit {bounds.dtype}"
+
 
 #: Arrays below this size keep their native dtype: the handful of
 #: bytes a narrower rendering would save cannot pay for the value-range
@@ -188,6 +213,18 @@ class FlowTable:
                 "start": np.asarray(start),
                 "label": np.asarray(label),
             }
+        )
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "FlowTable":
+        """Build a table from a :data:`ROW_DTYPE` record array.
+
+        Each field is copied out to its own contiguous column: the
+        packed record layout is right for decoding, not for the
+        column-wise hashing and masking done downstream.
+        """
+        return cls(
+            {name: np.ascontiguousarray(rows[name]) for name in ALL_COLUMNS}
         )
 
     @classmethod

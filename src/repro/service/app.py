@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from typing import Any
 
@@ -42,7 +43,12 @@ from repro.federation.digest import IntervalDigest
 from repro.federation.federator import Federator
 from repro.fleet.manager import FleetManager
 from repro.flows.io import iter_csv_handle
-from repro.flows.table import ALL_COLUMNS, FlowTable
+from repro.flows.table import (
+    ALL_COLUMNS,
+    ROW_DTYPE,
+    FlowTable,
+    fit_error,
+)
 from repro.incidents.provenance import explain_incident
 from repro.obs.instruments import catalogued
 from repro.service.checkpoint import fleet_checkpoint, write_checkpoint
@@ -387,38 +393,35 @@ class ServiceApp:
         rows = self._feed_csv(text, pipeline)
         return rows, self.batch_accepted(rows)
 
+    def _feed(self, chunks: list[FlowTable], pipeline: str | None) -> int:
+        """Feed a fully decoded body.  Decoding finishes before the
+        first chunk is fed, so a refused body has fed nothing and the
+        client can resend it corrected without double-counting."""
+        for chunk in chunks:
+            self.fleet.feed(chunk, pipeline=pipeline)
+        return sum(map(len, chunks))
+
     def _feed_csv(self, text: str, pipeline: str | None) -> int:
         """Parse a CSV body (header required) and feed the fleet."""
-        rows = 0
-        for chunk in iter_csv_handle(
-            io.StringIO(text),
-            chunk_rows=self.chunk_rows,
-            name="ingest",
-            metrics=self.fleet.metrics,
-        ):
-            self.fleet.feed(chunk, pipeline=pipeline)
-            rows += len(chunk)
-        return rows
+        chunks = list(
+            iter_csv_handle(
+                io.StringIO(text),
+                chunk_rows=self.chunk_rows,
+                name="ingest",
+                metrics=self.fleet.metrics,
+            )
+        )
+        return self._feed(chunks, pipeline)
 
     def _feed_jsonl(self, text: str, pipeline: str | None) -> int:
         """Parse a JSONL body (one flow object per line) and feed the
-        fleet in ``chunk_rows``-sized chunks."""
-        columns: dict[str, list[float]] = {c: [] for c in ALL_COLUMNS}
-        rows = 0
-
-        def flush() -> None:
-            nonlocal columns
-            if not columns["start"]:
-                return
-            self.fleet.feed(
-                FlowTable(
-                    {c: np.asarray(v) for c, v in columns.items()}
-                ),
-                pipeline=pipeline,
-            )
-            columns = {c: [] for c in ALL_COLUMNS}
-
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        fleet in ``chunk_rows``-sized chunks.  Values land in the same
+        :data:`~repro.flows.table.ROW_DTYPE` record as a CSV row, so
+        both formats refuse the same out-of-range cells."""
+        lines = text.splitlines()
+        rows = np.empty(len(lines), dtype=ROW_DTYPE)
+        filled = 0
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -441,21 +444,34 @@ class ServiceApp:
                     f"{missing}"
                 )
             try:
-                for key in _REQUIRED_JSONL_KEYS:
-                    value = record[key]
-                    columns[key].append(
-                        float(value) if key == "start" else int(value)
-                    )
-                columns["label"].append(int(record.get("label", 0)))
-            except (TypeError, ValueError) as exc:
+                cells = {
+                    key: float(record[key]) if key == "start"
+                    else int(record.get(key, 0))
+                    for key in ALL_COLUMNS
+                }
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError(
                     f"ingest:{line_no}: bad value: {exc}"
                 ) from exc
-            rows += 1
-            if rows % self.chunk_rows == 0:
-                flush()
-        flush()
-        return rows
+            for key, value in cells.items():
+                if key == "start":
+                    if not math.isfinite(value):
+                        raise ServiceError(
+                            f"ingest:{line_no}: non-finite start "
+                            f"timestamp {record['start']!r}"
+                        )
+                elif why := fit_error(key, value):
+                    raise ServiceError(
+                        f"ingest:{line_no}: bad value: {why}"
+                    )
+            rows[filled] = tuple(cells.values())
+            filled += 1
+        rows = rows[:filled]
+        chunks = [
+            FlowTable.from_rows(rows[lo:lo + self.chunk_rows])
+            for lo in range(0, filled, self.chunk_rows)
+        ]
+        return self._feed(chunks, pipeline)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import TraceFormatError
 from repro.flows.io import (
     iter_csv,
+    iter_csv_handle,
     iter_csv_records,
     read_csv,
     read_npz,
@@ -14,7 +15,8 @@ from repro.flows.io import (
     write_npz,
 )
 from repro.flows.record import FlowRecord
-from repro.flows.table import FlowTable
+from repro.flows.table import ALL_COLUMNS, FlowTable
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestCsv:
@@ -206,3 +208,175 @@ class TestNpz:
         path = tmp_path / "big.npz"
         write_npz(table, path)
         assert read_npz(path) == table
+
+
+GOOD_ROW = "1,2,3,4,6,1,40,0.5,-1"
+HEADER = ",".join(ALL_COLUMNS)
+
+
+def parse(lines, **kwargs):
+    chunks = list(iter_csv_handle(lines, **kwargs))
+    return FlowTable.concat(chunks), [len(chunk) for chunk in chunks]
+
+
+@pytest.mark.filterwarnings("error")
+class TestBatchDecoder:
+    """The numpy batch decode behind every CSV entry point: what it
+    accepts, what it refuses, and which physical line it blames.  Runs
+    with warnings as errors so ``loadtxt``'s "input contained no data"
+    can never leak."""
+
+    def test_handle_may_be_a_list_or_a_generator(self):
+        lines = [HEADER + "\n", GOOD_ROW + "\n", GOOD_ROW + "\n"]
+        from_list, _ = parse(lines)
+        from_generator, _ = parse(line for line in lines)
+        assert len(from_list) == 2
+        assert from_list == from_generator
+
+    def test_accepted_number_syntax(self):
+        table, _ = parse([
+            HEADER + "\r\n",
+            " 1 , 2,3 ,4,6,1,40, 0.5 , -1 \r\n",
+            "\r\n",
+            '"+7",2,3,4,6,1,40,"1e3",+5\r\n',
+            "\n",
+            "4294967295,2,3,4,6,18446744073709551615,40,1E-05,"
+            "-9223372036854775808",
+        ])
+        assert table.src_ip.tolist() == [1, 7, 2**32 - 1]
+        assert table.packets.tolist() == [1, 1, 2**64 - 1]
+        assert table.start.tolist() == [0.5, 1000.0, 1e-05]
+        assert table.label.tolist() == [-1, 5, -(2**63)]
+
+    def test_batches_hold_chunk_rows_lines(self):
+        """Empty lines take a slot in their batch but carry no flow;
+        a batch of only empty lines yields nothing."""
+        lines = [HEADER, GOOD_ROW, "", GOOD_ROW, GOOD_ROW, "", "", "\n"]
+        table, sizes = parse(lines, chunk_rows=2)
+        assert sizes == [1, 2]
+        assert len(table) == 3
+
+    def test_header_only_and_all_blank_tail(self):
+        assert list(iter_csv_handle([HEADER + "\n"])) == []
+        assert list(iter_csv_handle([HEADER + "\n", "\n", "\r\n", ""])) == []
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 65536])
+    @pytest.mark.parametrize("lines,message", [
+        # Blank lines before the bad row count as physical lines.
+        ([GOOD_ROW, "", "", "1,2,3", GOOD_ROW],
+         r"^t:5: expected 9 fields, got 3$"),
+        # A bad row in a later batch.
+        ([GOOD_ROW] * 6 + ["x" + GOOD_ROW],
+         r"^t:8: bad value$"),
+        # A whitespace-only line is a ragged row, not an empty line.
+        ([GOOD_ROW, "   ", GOOD_ROW],
+         r"^t:3: expected 9 fields, got 1$"),
+        ([GOOD_ROW, GOOD_ROW + ",9"],
+         r"^t:3: expected 9 fields, got 10$"),
+        # A quoted cell is one cell even when it holds a comma.
+        ([GOOD_ROW, '"1,5",2,3,4,6,1,40,0.5,-1'],
+         r"^t:3: bad value$"),
+        ([GOOD_ROW, "", "1,2,3,4,6,1,40,-inf,-1"],
+         r"^t:4: non-finite start timestamp '-inf'$"),
+        ([GOOD_ROW, "1,2,3,4,6,1,40,1e400,-1"],
+         r"^t:3: non-finite start timestamp '1e400'$"),
+        # A quoted cell may not span lines: the line that leaves it
+        # open is refused wherever the batch boundary falls.
+        ([GOOD_ROW, GOOD_ROW, '1,2,3,4,6,1,40,0.5,"-1', '"', GOOD_ROW],
+         r"^t:4: bad value: unterminated quoted cell$"),
+        ([GOOD_ROW, '1,2,3,4,6,1,40,0.5,"-1'],
+         r"^t:3: bad value: unterminated quoted cell$"),
+        # The first offending cell words the error, as it always did.
+        ([GOOD_ROW, "x,2,3,4,6,1,40,nan,-1"], r"^t:3: bad value$"),
+        ([GOOD_ROW, "1,2,3,4,6,1,40,nan,x"], r"^t:3: non-finite"),
+        # Only the first bad line is reported.
+        ([GOOD_ROW, "1,2,3,4,6,1,40,0.5,", "1,2"], r"^t:3: bad value$"),
+    ])
+    def test_refusal_names_the_physical_line(
+        self, lines, message, chunk_rows
+    ):
+        for line_end in ("\n", "\r\n"):
+            text = [line + line_end for line in [HEADER, *lines]]
+            metrics = MetricsRegistry()
+            with pytest.raises(TraceFormatError, match=message):
+                list(iter_csv_handle(
+                    text, chunk_rows=chunk_rows, name="t", metrics=metrics
+                ))
+            errors = metrics.counter("repro_io_parse_errors_total", "")
+            assert errors.value == 1
+
+    @pytest.mark.parametrize("column,cell,dtype", [
+        ("src_port", "-3", "uint32"),
+        ("src_ip", "4294967297", "uint32"),
+        ("packets", "18446744073709551616", "uint64"),
+        ("label", "9223372036854775808", "int64"),
+    ])
+    def test_out_of_range_cell_refused(self, column, cell, dtype):
+        cells = GOOD_ROW.split(",")
+        cells[ALL_COLUMNS.index(column)] = cell
+        lines = [HEADER, GOOD_ROW, ",".join(cells)]
+        with pytest.raises(
+            TraceFormatError,
+            match=rf"^t:3: bad value: {column}={cell} does not fit {dtype}$",
+        ):
+            list(iter_csv_handle(lines, name="t"))
+
+    @pytest.mark.parametrize("cell", ["1_000", "١", "-0", "3.0", "0x10", ""])
+    def test_integer_cells_are_ascii_decimal(self, cell):
+        lines = [HEADER, GOOD_ROW, cell + GOOD_ROW[1:]]
+        with pytest.raises(TraceFormatError, match=r"^t:3: bad value$"):
+            list(iter_csv_handle(lines, name="t"))
+
+    def test_rows_before_the_bad_batch_are_yielded_and_counted(self):
+        metrics = MetricsRegistry()
+        lines = [HEADER] + [GOOD_ROW] * 5 + ["1,2,3"]
+        chunks = iter_csv_handle(lines, chunk_rows=2, metrics=metrics)
+        assert [len(next(chunks)), len(next(chunks))] == [2, 2]
+        with pytest.raises(TraceFormatError, match=r":7: expected 9"):
+            next(chunks)
+        rows = metrics.counter("repro_io_rows_parsed_total", "")
+        assert rows.value == 4
+
+
+class TestWriteCsvBytes:
+    def test_matches_csv_writer(self, tmp_path):
+        """``write_csv`` renders whole columns at once; the bytes must
+        be what one ``csv.writer.writerow`` per flow produces."""
+        import csv
+
+        n = 10_000  # spans several write blocks
+        rng = np.random.default_rng(3)
+        start = rng.uniform(0, 1e6, n)
+        start[:6] = [1e16, 1e-05, 0.0, 5e-324, 1e300, 123456789.125]
+        packets = rng.integers(1, 2**40, n, dtype=np.uint64)
+        packets[0] = 2**64 - 1
+        label = rng.integers(-5, 5, n)
+        label[0] = -(2**63)
+        table = FlowTable.from_arrays(
+            rng.integers(0, 2**32, n),
+            rng.integers(0, 2**32, n),
+            rng.integers(0, 2**16, n),
+            rng.integers(0, 2**16, n),
+            rng.integers(0, 256, n),
+            packets,
+            rng.integers(40, 10**6, n),
+            start=start,
+            label=label,
+        )
+        golden = tmp_path / "golden.csv"
+        with open(golden, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(ALL_COLUMNS)
+            for record in table:
+                writer.writerow(
+                    [getattr(record, name) for name in ALL_COLUMNS]
+                )
+        path = tmp_path / "trace.csv"
+        write_csv(table, path)
+        assert path.read_bytes() == golden.read_bytes()
+        assert read_csv(path) == table
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(FlowTable.empty(), path)
+        assert path.read_bytes() == (HEADER + "\r\n").encode()

@@ -1,12 +1,20 @@
 """Property-based tests for FlowTable and interval windowing."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.flows.io import read_csv, read_npz, write_csv, write_npz
+from repro.errors import TraceFormatError
+from repro.flows.io import (
+    iter_csv,
+    iter_csv_handle,
+    read_csv,
+    read_npz,
+    write_csv,
+    write_npz,
+)
 from repro.flows.stream import split_intervals
-from repro.flows.table import FlowTable
+from repro.flows.table import ALL_COLUMNS, ROW_DTYPE, FlowTable
 
 
 @st.composite
@@ -33,6 +41,96 @@ def test_csv_round_trip(table, tmp_path_factory):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     write_csv(table, path)
     assert read_csv(path) == table
+
+
+def _column(width_max, lo=0):
+    """Cells of one integer column, the type's extremes included."""
+    return st.one_of(
+        st.sampled_from([lo, 0, 1, width_max - 1, width_max]),
+        st.integers(min_value=lo, max_value=width_max),
+    )
+
+
+_EDGE_ROWS = st.lists(
+    st.tuples(
+        _column(2**32 - 1),
+        _column(2**32 - 1),
+        _column(2**32 - 1),
+        _column(2**32 - 1),
+        _column(2**32 - 1),
+        _column(2**64 - 1),
+        _column(2**64 - 1),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1e16, 1e300, -1e300]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        _column(2**63 - 1, lo=-(2**63)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_EDGE_ROWS, chunk_rows=st.sampled_from([1, 3, 65536]))
+def test_csv_round_trip_is_exact_at_the_type_edges(
+    rows, chunk_rows, tmp_path_factory
+):
+    """write_csv -> iter_csv returns every column bit-for-bit, dtypes
+    included, whatever the batch size."""
+    table = FlowTable.from_rows(np.array(rows, dtype=ROW_DTYPE))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(table, path)
+    chunks = list(iter_csv(path, chunk_rows=chunk_rows))
+    assert all(0 < len(chunk) <= chunk_rows for chunk in chunks)
+    back = FlowTable.concat(chunks)
+    for name in ALL_COLUMNS:
+        assert back.column(name).dtype == table.column(name).dtype
+        # tobytes: -0.0 and 0.0 must not compare equal here.
+        assert back.column(name).tobytes() == table.column(name).tobytes()
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["1", "23", '"4"', '"5', '6"', '""', " 7", ""]),
+    st.text(alphabet='12" x', max_size=4),
+)
+
+
+@st.composite
+def _lines(draw):
+    """Mostly well-formed rows: empty, one odd cell, or ragged."""
+    if draw(st.integers(0, 5)) == 0:
+        return ",".join(draw(st.lists(_CELLS, max_size=10)))
+    cells = ["1"] * len(ALL_COLUMNS)
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(_CELLS)
+    return ",".join(cells)
+
+
+def _decode(lines, chunk_rows):
+    try:
+        chunks = list(iter_csv_handle(lines, chunk_rows=chunk_rows))
+    except TraceFormatError as exc:
+        return str(exc)
+    return FlowTable.concat(chunks) if chunks else FlowTable.empty()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.lists(_lines(), max_size=6),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+    chunk_rows=st.integers(min_value=1, max_value=6),
+)
+@example(
+    body=['1,1,1,1,1,1,1,1,"5', "1,1,1,1,1,1,1,1,1"],
+    line_end="\n",
+    chunk_rows=1,
+)
+def test_csv_verdict_does_not_depend_on_the_batch_size(
+    body, line_end, chunk_rows
+):
+    """Quotes included, a body decodes to the same flows - or is
+    refused naming the same line - at every ``chunk_rows``."""
+    lines = [line + line_end for line in [",".join(ALL_COLUMNS), *body]]
+    assert _decode(lines, chunk_rows) == _decode(lines, 65536)
 
 
 @settings(max_examples=50, deadline=None)

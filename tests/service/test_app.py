@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import CheckpointError, ConfigError, TraceFormatError
 from repro.fleet.manager import FleetManager
 from repro.flows.io import write_csv
 from repro.flows.table import ALL_COLUMNS
@@ -217,6 +217,96 @@ class TestIngest:
         error = json.loads(body)["error"]
         assert error.startswith("ingest:1:")
         assert needle in error
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "lines"])
+    def test_refused_body_feeds_nothing_and_retry_is_clean(
+        self, service_config, service_chunks, tmp_path, fmt
+    ):
+        """A 400 must not leave part of the body behind: the client
+        resends the corrected body, and the incident ranking has to
+        equal a run that never saw the bad one.  ``chunk_rows=4`` puts
+        the bad row several chunks into the body."""
+        def csv_rows(chunk):
+            return chunk_csv(tmp_path, chunk).decode().splitlines()[1:]
+
+        def post(app, chunk, spoil=False):
+            if fmt == "lines":
+                rows = csv_rows(chunk)
+                return app.ingest_lines(rows + ["1,2,3"] * spoil)
+            if fmt == "jsonl":
+                body = chunk_jsonl(chunk) + b'{"src_ip": 1}\n' * spoil
+            else:
+                body = chunk_csv(tmp_path, chunk) + b"1,2,3\r\n" * spoil
+            return app.handle(req("POST", "/ingest", {"format": fmt}, body))
+
+        def run(spoil_chunks):
+            fleet = FleetManager(
+                {"linkA": service_config, "linkB": service_config},
+                route="dst_ip%2",
+                interval_seconds=10.0,
+            )
+            app = ServiceApp(fleet, chunk_rows=4)
+            try:
+                for index, chunk in enumerate(service_chunks):
+                    if index in spoil_chunks:
+                        before = (app.sequence, app.health()["pipelines"])
+                        if fmt == "lines":
+                            with pytest.raises(TraceFormatError):
+                                post(app, chunk, spoil=True)
+                        else:
+                            assert post(app, chunk, spoil=True)[0] == 400
+                        assert before == (
+                            app.sequence, app.health()["pipelines"]
+                        )
+                    post(app, chunk)
+                return body_of(app.handle(req("GET", "/incidents")))
+            finally:
+                fleet.close()
+
+        clean = run(spoil_chunks=())
+        assert clean["count"] > 0
+        assert run(spoil_chunks=(2, 7, 12)) == clean
+
+    @pytest.mark.parametrize("key,value", [
+        ("src_port", -3),
+        ("src_ip", 2**32 + 1),
+        ("packets", 2**64),
+        ("label", 2**63),
+        ("start", float("nan")),
+        ("start", float("inf")),
+        ("bytes", None),
+        ("bytes", "many"),
+    ])
+    def test_jsonl_refuses_what_csv_refuses(self, served, key, value):
+        """Out-of-range and non-finite values answer 400 naming the
+        line in both text formats (they used to wrap, or escape the
+        error envelope)."""
+        record = dict(zip(ALL_COLUMNS, [1, 2, 3, 4, 6, 1, 40, 0.5, 0]))
+        good = json.dumps(record)
+        before = served.sequence
+        status, body, _ = served.handle(req(
+            "POST", "/ingest", {"format": "jsonl"},
+            f"{good}\n\n{json.dumps({**record, key: value})}\n".encode(),
+        ))
+        assert status == 400
+        assert json.loads(body)["error"].startswith("ingest:3: ")
+        assert served.sequence == before
+        if value is None or isinstance(value, str | float):
+            return
+        # Decided by the column's bounds, not by what the installed
+        # numpy does with a Python int that does not fit.
+        assert json.loads(body)["error"].startswith(
+            f"ingest:3: bad value: {key}={value} does not fit"
+        )
+        cells = [str({**record, key: value}[c]) for c in ALL_COLUMNS]
+        status, body, _ = served.handle(req(
+            "POST", "/ingest",
+            body=f"{','.join(ALL_COLUMNS)}\n\n{','.join(cells)}\n".encode(),
+        ))
+        assert status == 400
+        assert json.loads(body)["error"].startswith(
+            f"ingest:3: bad value: {key}={value} does not fit"
+        )
 
     def test_malformed_batch_leaves_sequence_unchanged(self, served):
         before = served.sequence
