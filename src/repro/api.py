@@ -39,9 +39,11 @@ facade without touching ``repro`` internals.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TextIO
+from typing import Any, TextIO
 
 from repro.core.config import (
     ExtractionConfig,
@@ -50,10 +52,10 @@ from repro.core.config import (
     IncidentSettings,
     MiningSettings,
     ParallelSettings,
+    RunConfig,
     ServiceSettings,
     StreamingSettings,
-    split_fleet_data,
-    split_run_data,
+    apply_section_overrides,
 )
 from repro.core.pipeline import (
     AnomalyExtractor,
@@ -84,10 +86,9 @@ from repro.federation import (
     FederationResult,
     Federator,
     IntervalDigest,
-    run_federation,
     split_trace,
 )
-from repro.federation.tier import federation_kwargs
+from repro.federation.tier import federate_traces, open_federator
 from repro.fleet.manager import FleetIncident, FleetManager
 from repro.flows.io import DEFAULT_CHUNK_ROWS, iter_csv, read_trace
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
@@ -196,28 +197,16 @@ def resolve_config(
     """Normalize every accepted config spelling into an
     :class:`ExtractionConfig`.
 
-    ``config`` may be a ready config, a nested mapping
-    (:meth:`ExtractionConfig.from_dict`), a path to a TOML run config
-    (:meth:`ExtractionConfig.from_toml`), or ``None`` for defaults.
-    ``overrides`` are flat or grouped fields applied on top (the
-    equivalent of explicit CLI flags over a ``--config`` file).
+    ``config`` may be a ready config, a nested mapping, a path to a
+    TOML run config, or ``None`` for defaults; a mapping or file may
+    carry the ``[fleet]``/``[service]``/``[federation]`` run tables,
+    which are validated and otherwise unused here
+    (:meth:`RunConfig.load <repro.core.config.RunConfig.load>` reads
+    every spelling for every verb).  ``overrides`` are flat or grouped
+    fields applied on top (the equivalent of explicit CLI flags over a
+    ``--config`` file).
     """
-    if config is None:
-        resolved = ExtractionConfig()
-    elif isinstance(config, ExtractionConfig):
-        resolved = config
-    elif isinstance(config, Mapping):
-        resolved = ExtractionConfig.from_dict(config)
-    elif isinstance(config, (str, os.PathLike)):
-        resolved = ExtractionConfig.from_toml(config)
-    else:
-        raise ConfigError(
-            f"config must be an ExtractionConfig, mapping, or TOML path, "
-            f"got {type(config).__name__}"
-        )
-    if overrides:
-        resolved = resolved.replace(**overrides)
-    return resolved
+    return RunConfig.load(config, **overrides).base
 
 
 def _load_flows(trace: FlowTable | str | os.PathLike[str]) -> FlowTable:
@@ -500,24 +489,32 @@ def open_fleet(
         **overrides: flat or grouped base-config fields
             (``min_support=500``, ``jobs=4``, ...).
     """
-    from repro.core.config import apply_section_overrides
+    return _open_fleet(
+        RunConfig.load(config, **overrides),
+        pipelines,
+        route,
+        store_dir,
+        mode=mode,
+        interval_seconds=interval_seconds,
+        origin=origin,
+        seed=seed,
+        keep_reports=keep_reports,
+        metrics=metrics,
+        tracer=tracer,
+    )
 
-    fleet_data: Mapping | None = None
-    if isinstance(config, (str, os.PathLike)):
-        fleet_data, raw = split_fleet_data(config)
-        try:
-            base = ExtractionConfig.from_dict(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{config}: {exc}") from exc
-        if overrides:
-            base = base.replace(**overrides)
-    elif isinstance(config, Mapping):
-        raw = dict(config)
-        fleet_data = raw.pop("fleet", None)
-        base = resolve_config(raw, **overrides)
-    else:
-        base = resolve_config(config, **overrides)
-    settings = FleetSettings.from_data(fleet_data, base)
+
+def _open_fleet(
+    run: RunConfig,
+    pipelines: int | Sequence[str] | Mapping[str, object] | None,
+    route: str | None,
+    store_dir: str | os.PathLike[str] | None,
+    **manager: Any,
+) -> FleetManager:
+    """The fleet a loaded run config describes, keyword arguments over
+    its ``[fleet]`` table (shared by :func:`open_fleet` and
+    :func:`serve`)."""
+    base, settings = run.base, run.fleet
     if route is None:
         route = settings.route
     if store_dir is None:
@@ -560,16 +557,7 @@ def open_fleet(
             )
         configs = {name: base for name in names}
     return FleetManager(
-        configs,
-        route=route,
-        mode=mode,
-        interval_seconds=interval_seconds,
-        origin=origin,
-        seed=seed,
-        store_dir=store_dir,
-        keep_reports=keep_reports,
-        metrics=metrics,
-        tracer=tracer,
+        configs, route=route, store_dir=store_dir, **manager
     )
 
 
@@ -690,98 +678,49 @@ def serve(
     """
     from repro.service.supervisor import run_service
 
-    service_data: Mapping | None = None
-    federation_data: Mapping | None = None
-    fleet_config: ExtractionConfig | Mapping | None
-    if isinstance(config, (str, os.PathLike)):
-        fleet_data, service_data, federation_data, raw = split_run_data(
-            config
-        )
-        data = dict(raw)
-        if fleet_data is not None:
-            data["fleet"] = fleet_data
-        fleet_config = data
-    elif isinstance(config, Mapping):
-        data = dict(config)
-        service_data = data.pop("service", None)
-        federation_data = data.pop("federation", None)
-        fleet_config = data
-    else:
-        fleet_config = config
-    try:
-        settings = ServiceSettings.from_data(service_data)
-        federation_settings = FederationSettings.from_data(federation_data)
-    except ConfigError as exc:
-        if isinstance(config, (str, os.PathLike)):
-            raise ConfigError(f"{config}: {exc}") from exc
-        raise
-    kw: dict[str, object] = {}
-    if host is not None:
-        kw["host"] = host
-    if port is not None:
-        kw["port"] = port
-    if ingest_port is not None:
-        kw["ingest_port"] = ingest_port
-    if checkpoint_path is not None:
-        kw["checkpoint_path"] = os.fspath(checkpoint_path)
-    if checkpoint_every is not None:
-        kw["checkpoint_every"] = checkpoint_every
-    if kw:
-        import dataclasses
-
-        settings = dataclasses.replace(settings, **kw)
-    if pipelines is None:
-        configured = isinstance(fleet_config, Mapping) and isinstance(
-            fleet_config.get("fleet"), Mapping
-        ) and fleet_config["fleet"].get("pipelines")
-        if not configured:
-            # A daemon without explicit pipelines watches one link.
-            pipelines = 1
+    run = RunConfig.load(config, **overrides)
+    given = {
+        "host": host,
+        "port": port,
+        "ingest_port": ingest_port,
+        "checkpoint_path": (
+            None if checkpoint_path is None else os.fspath(checkpoint_path)
+        ),
+        "checkpoint_every": checkpoint_every,
+    }
+    settings = dataclasses.replace(
+        run.service, **{k: v for k, v in given.items() if v is not None}
+    )
+    if pipelines is None and not run.fleet.pipelines:
+        # A daemon without explicit pipelines watches one link.
+        pipelines = 1
+    # One registry and one tracer, resolved once from the base config,
+    # for the fleet and the federator alike.
     if metrics is None:
-        metrics = MetricsRegistry()
-    federator = None
-    federation_store: IncidentStore | None = None
-    if federation_settings.configured:
-        base = resolve_config(
-            {k: v for k, v in fleet_config.items() if k != "fleet"}
-            if isinstance(fleet_config, Mapping)
-            else fleet_config,
-            **overrides,
-        )
-        if federation_settings.store_path is not None:
-            federation_store = _open_store(federation_settings.store_path)
-        federator = Federator(
-            sites=federation_settings.sites,
-            config=base.detector,
-            features=base.features,
-            seed=seed,
-            interval_seconds=interval_seconds,
-            origin=origin,
-            store=federation_store,
-            metrics=metrics,
-            tracer=tracer,
-            **federation_kwargs(federation_settings),
-        )
-    try:
-        with open_fleet(
-            fleet_config,
-            pipelines=pipelines,
-            route=route,
-            store_dir=store_dir,
-            interval_seconds=interval_seconds,
-            origin=origin,
-            seed=seed,
-            metrics=metrics,
-            tracer=tracer,
-            **overrides,
-        ) as fleet:
-            run_service(
-                fleet, settings, resume=resume, log=log,
-                federator=federator,
+        metrics = MetricsRegistry(buckets=run.base.obs.histogram_buckets)
+    if tracer is None and run.base.obs.trace_path is not None:
+        tracer = Tracer()
+    shared: dict[str, Any] = {
+        "interval_seconds": interval_seconds,
+        "origin": origin,
+        "seed": seed,
+        "metrics": metrics,
+        "tracer": tracer,
+    }
+    with contextlib.ExitStack() as stack:
+        federator = (
+            stack.enter_context(
+                open_federator(run.base, run.federation, **shared)
             )
-    finally:
-        if federation_store is not None:
-            federation_store.close()
+            if run.federation.configured
+            else None
+        )
+        fleet = stack.enter_context(
+            _open_fleet(run, pipelines, route, store_dir, **shared)
+        )
+        run_service(
+            fleet, settings, resume=resume, log=log, federator=federator
+        )
 
 
 def federate(
@@ -857,36 +796,8 @@ def federate(
             the detector group configures the clone geometry every
             site's digests must share.
     """
-    federation_data: Mapping | None = None
-    if isinstance(config, (str, os.PathLike)):
-        _fleet_data, _service_data, federation_data, raw = split_run_data(
-            config
-        )
-        try:
-            base = ExtractionConfig.from_dict(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{config}: {exc}") from exc
-        if overrides:
-            base = base.replace(**overrides)
-    elif isinstance(config, Mapping):
-        data = dict(config)
-        federation_data = data.pop("federation", None)
-        data.pop("fleet", None)
-        data.pop("service", None)
-        base = resolve_config(data, **overrides)
-    else:
-        base = resolve_config(config, **overrides)
-    try:
-        settings = FederationSettings.from_data(federation_data)
-    except ConfigError as exc:
-        if isinstance(config, (str, os.PathLike)):
-            raise ConfigError(f"{config}: {exc}") from exc
-        raise
-    kwargs = federation_kwargs(settings)
-    if min_support is not None:
-        kwargs["min_support"] = min_support
-    if straggler_grace is not None:
-        kwargs["straggler_grace"] = straggler_grace
+    run = RunConfig.load(config, **overrides)
+    settings = run.federation
     if isinstance(traces, Mapping):
         site_traces = {
             str(site): _load_flows(trace)
@@ -907,38 +818,19 @@ def federate(
         if spec is None:
             spec = "dst_ip"
         site_traces = split_trace(_load_flows(traces), site_names, spec)
-    opened: IncidentStore | None = None
-    if isinstance(store, (str, os.PathLike)):
-        opened = _open_store(store)
-    elif store is None and settings.store_path is not None:
-        opened = _open_store(settings.store_path)
-    try:
-        return run_federation(
-            site_traces,
-            config=base.detector,
-            features=base.features,
-            seed=seed,
-            interval_seconds=interval_seconds,
-            origin=origin,
-            jaccard=(
-                base.incident_jaccard
-                if base.incident_jaccard is not None
-                else 0.5
-            ),
-            quiet_gap=(
-                base.incident_quiet_gap
-                if base.incident_quiet_gap is not None
-                else 2
-            ),
-            store=opened if opened is not None else (
-                store if isinstance(store, IncidentStore) else None
-            ),
-            profile=profile,
-            top=top,
-            metrics=metrics,
-            tracer=tracer,
-            **kwargs,
+    with open_federator(
+        run.base,
+        settings,
+        sites=tuple(site_traces),
+        store=store,
+        min_support=min_support,
+        straggler_grace=straggler_grace,
+        seed=seed,
+        interval_seconds=interval_seconds,
+        origin=origin,
+        metrics=metrics,
+        tracer=tracer,
+    ) as federator:
+        return federate_traces(
+            federator, site_traces, profile=profile, top=top, tracer=tracer
         )
-    finally:
-        if opened is not None:
-            opened.close()

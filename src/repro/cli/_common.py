@@ -9,20 +9,19 @@ Three concerns live here so every subcommand module stays small:
 * **Registry-driven choices** - ``--miner`` and ``--features`` take
   their choice lists from :mod:`repro.registry`, so a registered
   third-party extension is selectable without touching the CLI.
-* **Declarative run configs** - :func:`extraction_config` builds the
-  :class:`~repro.core.config.ExtractionConfig` for a subcommand from
-  the layered sources.
+* **Declarative run configs** - :func:`run_config` loads the
+  :class:`~repro.core.config.RunConfig` for a subcommand from the
+  layered sources.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import signal
+from typing import Any
 
-from repro.core import ExtractionConfig
-from repro.core.config import load_toml_data
+from repro.core.config import RunConfig
 from repro.errors import ConfigError
 from repro.flows import read_trace
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
@@ -157,8 +156,9 @@ def add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", default=None, metavar="RUN.TOML",
         help="declarative run config (TOML with [detector]/[mining]/"
-        "[parallel]/[streaming]/[incidents] tables); explicit "
-        "command-line flags override file values",
+        "[parallel]/[streaming]/[incidents]/[obs] tables, plus the "
+        "[fleet]/[service]/[federation] run tables: one file serves "
+        "every verb); explicit command-line flags override file values",
     )
 
 
@@ -329,97 +329,117 @@ def add_parallel_args(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 # Config resolution
 # ----------------------------------------------------------------------
-#: argparse dest -> where the value lands in ExtractionConfig.
-_CONFIG_DESTS: dict[str, tuple[str, str | None]] = {
+#: argparse dest -> the ``[section] key`` the flag sets.
+_CONFIG_DESTS: dict[str, tuple[str, str]] = {
     "clones": ("detector", "clones"),
     "bins": ("detector", "bins"),
     "votes": ("detector", "vote_threshold"),
     "training": ("detector", "training_intervals"),
-    "features": ("features", None),
-    "min_support": ("flat", "min_support"),
-    "prefilter": ("flat", "prefilter_mode"),
-    "miner": ("flat", "miner"),
-    "jobs": ("flat", "jobs"),
-    "backend": ("flat", "backend"),
-    "partitions": ("flat", "partitions"),
-    "window": ("flat", "window_intervals"),
-    "max_delay": ("flat", "max_delay_seconds"),
-    "max_pending": ("flat", "max_pending_intervals"),
-    "keep_extractions": ("flat", "keep_extractions"),
-    "store": ("flat", "store_path"),
+    "features": ("detector", "features"),
+    "min_support": ("mining", "min_support"),
+    "prefilter": ("mining", "prefilter_mode"),
+    "miner": ("mining", "miner"),
+    "jobs": ("parallel", "jobs"),
+    "backend": ("parallel", "backend"),
+    "partitions": ("parallel", "partitions"),
+    "window": ("streaming", "window_intervals"),
+    "max_delay": ("streaming", "max_delay_seconds"),
+    "max_pending": ("streaming", "max_pending_intervals"),
+    "keep_extractions": ("streaming", "keep_extractions"),
+    "store": ("incidents", "store_path"),
 }
 
 
-def extraction_config(
-    args: argparse.Namespace,
-    file_data: dict | None = None,
-) -> ExtractionConfig:
-    """The pipeline config for a subcommand's parsed arguments.
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The run config for a subcommand's parsed arguments.
 
     Without ``--config`` every flag value applies (defaults included) -
     exactly the pre-redesign behavior.  With ``--config`` the TOML file
     is the base and only flags the user explicitly typed override it.
     Flags the subcommand doesn't define are simply absent from the
-    namespace and skipped, so one builder serves detect, extract,
-    stream, and fleet.
-
-    ``file_data`` lets a caller that already parsed (and possibly
-    pruned - the ``fleet`` subcommand pops its ``[fleet]`` table) the
-    run config pass the raw sections in, so the file is read once.
+    namespace and skipped (as are unset ``None`` defaults), so one
+    builder serves every verb.  The file is read, and all of it
+    validated, once - by :meth:`RunConfig.load`, which also layers the
+    ``[fleet.pipelines.*]`` tables over the flags.
     """
-    config_path = getattr(args, "config", None)
-    if file_data is None and config_path:
-        file_data = load_toml_data(config_path)
-    if file_data is not None:
-        raw = file_data
-        try:
-            base = ExtractionConfig.from_dict(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{config_path}: {exc}") from exc
-        # Stash the raw keys for config_file_sets: one read, one parse.
-        args._config_raw = raw
-        chosen = explicit_dests(args)
-    else:
-        base = ExtractionConfig()
-        chosen = None  # no file: every flag (defaults included) applies
-    detector_overrides: dict[str, object] = {}
-    flat_overrides: dict[str, object] = {}
-    features = None
-    for dest, (kind, field) in _CONFIG_DESTS.items():
-        if not hasattr(args, dest):
+    path = getattr(args, "config", None)
+    chosen = explicit_dests(args) if path else None
+    flags: dict[str, dict[str, object]] = {}
+    for dest, (section, key) in _CONFIG_DESTS.items():
+        value = getattr(args, dest, None)
+        if value is None or (chosen is not None and dest not in chosen):
             continue
-        if chosen is not None and dest not in chosen:
-            continue
-        value = getattr(args, dest)
-        if kind == "detector":
-            detector_overrides[field] = value
-        elif kind == "features":
-            if value is not None:
-                features = value
-        else:
-            flat_overrides[field] = value
-    detector = (
-        dataclasses.replace(base.detector, **detector_overrides)
-        if detector_overrides
-        else base.detector
-    )
-    kwargs: dict[str, object] = {"detector": detector}
-    if features is not None:
-        kwargs["features"] = features
-    return base.replace(**kwargs, **flat_overrides)
+        flags.setdefault(section, {})[key] = value
+    return RunConfig.load(path, flags)
 
 
-def config_file_sets(
-    args: argparse.Namespace, section: str, key: str
+def keeps_extractions(
+    args: argparse.Namespace, run: RunConfig, pipeline: str | None = None
 ) -> bool:
-    """Whether the ``--config`` file explicitly sets ``[section] key``.
+    """Whether the user asked - ``--keep-extractions``, the base
+    ``[streaming] keep_extractions``, or that key in ``pipeline``'s
+    ``[fleet.pipelines.<name>]`` override - for extraction retention.
 
-    Used for knobs whose CLI default differs from the library default
-    (``stream`` drops extractions unless asked to keep them): an
-    explicit file value must still win over the CLI's weak default.
-    Reads the raw keys :func:`extraction_config` stashed when it parsed
-    the file - the file is never opened twice.
+    The streaming verbs print or store results as they complete and
+    read counters afterwards, so their weak default drops extractions
+    (the library default keeps them); an explicit ask must still win.
     """
-    raw = getattr(args, "_config_raw", None) or {}
-    section_data = raw.get(section)
-    return isinstance(section_data, dict) and key in section_data
+    key = ("streaming", "keep_extractions")
+    return (
+        "keep_extractions" in explicit_dests(args)
+        or run.sets(*key)
+        or (
+            pipeline is not None
+            and run.sets("fleet", "pipelines", pipeline, *key)
+        )
+    )
+
+
+#: Routing spec used by ``fleet`` and ``serve`` when neither ``--route``
+#: nor the run config names one: hash-shard destination IPs across the
+#: pipelines.
+DEFAULT_ROUTE_COLUMN = "dst_ip"
+
+
+def fleet_arguments(
+    args: argparse.Namespace, run: RunConfig, unconfigured: int = 0
+) -> dict[str, Any]:
+    """:class:`~repro.fleet.manager.FleetManager` arguments for the
+    ``fleet`` and ``serve`` verbs: ``--pipelines``/``--route``/
+    ``--store-dir`` over the ``[fleet]`` table, each pipeline under the
+    CLI's weak retention default (see :func:`keeps_extractions`).
+    ``unconfigured`` is how many pipelines to generate when neither
+    names any (0 = refuse)."""
+    configs = run.fleet.pipeline_configs()
+    if args.pipelines is not None and configs:
+        raise ConfigError(
+            "both --pipelines and [fleet.pipelines.<name>] sections "
+            "given; configure the fleet in one place"
+        )
+    if not configs:
+        count = unconfigured if args.pipelines is None else args.pipelines
+        configs = {f"link{i}": run.base for i in range(count)}
+    if not configs:
+        raise ConfigError(
+            "no pipelines configured: pass --pipelines N or add "
+            "[fleet.pipelines.<name>] sections to --config"
+        )
+
+    def first(*values: str | None) -> str | None:
+        return next((v for v in values if v is not None), None)
+
+    return {
+        "pipelines": {
+            name: (
+                config
+                if keeps_extractions(args, run, name)
+                else config.replace(keep_extractions=False)
+            )
+            for name, config in configs.items()
+        },
+        "route": first(args.route, run.fleet.route, DEFAULT_ROUTE_COLUMN),
+        "store_dir": first(args.store_dir, run.fleet.store_dir),
+        "interval_seconds": args.interval_seconds,
+        "origin": args.origin,
+        "seed": args.seed,
+    }

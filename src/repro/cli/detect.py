@@ -10,8 +10,8 @@ from repro.cli._common import (
     add_detector_args,
     add_format_arg,
     add_parallel_args,
-    extraction_config,
     load_trace,
+    run_config,
 )
 from repro.detection import DetectorBank
 from repro.parallel import ParallelEngine
@@ -29,7 +29,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 def run(args: argparse.Namespace) -> int:
     flows = load_trace(args.trace)
-    config = extraction_config(args)
+    config = run_config(args).base
     if config.jobs > 1:
         with ParallelEngine(
             backend=config.backend, jobs=config.jobs

@@ -16,9 +16,9 @@ from repro.cli._common import (
     add_trace_args,
     build_metrics_registry,
     build_tracer,
-    extraction_config,
     load_trace,
     positive_int,
+    run_config,
     write_metrics,
     write_trace,
 )
@@ -46,7 +46,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 def run(args: argparse.Namespace) -> int:
     flows = load_trace(args.trace)
-    config = extraction_config(args)
+    config = run_config(args).base
     registry = build_metrics_registry(args, config)
     tracer = build_tracer(args, config)
     with AnomalyExtractor(

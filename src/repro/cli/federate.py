@@ -32,8 +32,8 @@ from repro.cli._common import (
     add_config_arg,
     add_detector_args,
     add_format_arg,
-    extraction_config,
     positive_int,
+    run_config,
 )
 
 
@@ -115,46 +115,25 @@ def _add_sketch_args(parser: argparse.ArgumentParser) -> None:
                         "cm_depth, else 4)")
 
 
-def _federation_setup(args: argparse.Namespace):
-    """Resolve (base config, FederationSettings, cm_width, cm_depth)
-    with the usual flags-over-file layering."""
-    from repro.core.config import FederationSettings, split_run_data
-    from repro.errors import ConfigError
-
-    file_data = None
-    federation_data = None
-    if args.config:
-        _fleet, _service, federation_data, file_data = split_run_data(
-            args.config
-        )
-    base = extraction_config(args, file_data=file_data)
-    try:
-        settings = FederationSettings.from_data(federation_data)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
-    cm_width = (
-        args.cm_width if args.cm_width is not None else settings.cm_width
-    )
-    cm_depth = (
-        args.cm_depth if args.cm_depth is not None else settings.cm_depth
-    )
-    return base, settings, cm_width, cm_depth
-
-
 def run_collect(args: argparse.Namespace) -> int:
     import sys
 
     from repro.cli._common import load_trace
     from repro.federation import Collector
 
-    base, _settings, cm_width, cm_depth = _federation_setup(args)
+    run = run_config(args)
+    settings = run.federation
     collector = Collector(
         site=args.site,
-        config=base.detector,
-        features=base.features,
+        config=run.base.detector,
+        features=run.base.features,
         seed=args.seed,
-        cm_width=cm_width,
-        cm_depth=cm_depth,
+        cm_width=(
+            settings.cm_width if args.cm_width is None else args.cm_width
+        ),
+        cm_depth=(
+            settings.cm_depth if args.cm_depth is None else args.cm_depth
+        ),
     )
     trace = load_trace(args.trace)
     digests = collector.run(
@@ -178,10 +157,10 @@ def run_collect(args: argparse.Namespace) -> int:
 
 def run_merge(args: argparse.Namespace) -> int:
     from repro.errors import FederationError
-    from repro.federation import Federator, IntervalDigest
-    from repro.federation.tier import federation_kwargs
+    from repro.federation import IntervalDigest
+    from repro.federation.tier import open_federator
 
-    base, settings, cm_width, cm_depth = _federation_setup(args)
+    run = run_config(args)
     parsed: list[tuple[IntervalDigest, int]] = []
     for path in args.digests:
         try:
@@ -209,32 +188,19 @@ def run_merge(args: argparse.Namespace) -> int:
     sites = tuple(sorted({
         site for digest, _ in parsed for site in digest.sites
     }))
-    kwargs = federation_kwargs(settings)
-    kwargs["cm_width"] = cm_width
-    kwargs["cm_depth"] = cm_depth
-    if args.grace is not None:
-        kwargs["straggler_grace"] = args.grace
-    if args.fed_min_support is not None:
-        kwargs["min_support"] = args.fed_min_support
-    store = None
-    store_path = (
-        args.store if args.store is not None else settings.store_path
-    )
-    if store_path is not None:
-        from repro.incidents import open_store
-
-        store = open_store(store_path)
-    try:
-        federator = Federator(
-            sites=sites,
-            config=base.detector,
-            features=base.features,
-            seed=args.seed,
-            interval_seconds=args.interval_seconds,
-            origin=args.origin,
-            store=store,
-            **kwargs,
-        )
+    with open_federator(
+        run.base,
+        run.federation,
+        sites=sites,
+        store=args.store,
+        cm_width=args.cm_width,
+        cm_depth=args.cm_depth,
+        straggler_grace=args.grace,
+        min_support=args.fed_min_support,
+        seed=args.seed,
+        interval_seconds=args.interval_seconds,
+        origin=args.origin,
+    ) as federator:
         released = []
         # Interval-major delivery (every site's interval i before
         # anyone's i+1): the order a healthy deployment approximates,
@@ -249,9 +215,6 @@ def run_merge(args: argparse.Namespace) -> int:
         incidents = federator.incidents(
             profile=args.profile, top=args.top
         )
-    finally:
-        if store is not None:
-            store.close()
     if args.format == "json":
         print(json.dumps(
             {

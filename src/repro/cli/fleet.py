@@ -13,6 +13,7 @@ import argparse
 import json
 
 from repro.cli._common import (
+    DEFAULT_ROUTE_COLUMN,
     GracefulInterrupt,
     TrackedTrueAction,
     add_config_arg,
@@ -25,23 +26,16 @@ from repro.cli._common import (
     build_metrics_registry,
     build_tracer,
     chunk_source,
-    config_file_sets,
-    explicit_dests,
-    extraction_config,
+    fleet_arguments,
     interrupt_guard,
     positive_int,
+    run_config,
     write_metrics,
     write_trace,
 )
-from repro.core.config import FleetSettings, split_fleet_data
-from repro.errors import ConfigError
 from repro.fleet import FleetManager
 from repro.flows.io import DEFAULT_CHUNK_ROWS
 from repro.obs.log import get_logger
-
-#: Routing spec used when neither ``--route`` nor the run config names
-#: one: hash-shard destination IPs across the pipelines.
-DEFAULT_ROUTE_COLUMN = "dst_ip"
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -97,49 +91,16 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    file_data = None
-    fleet_data = None
-    if args.config:
-        fleet_data, file_data = split_fleet_data(args.config)
-    base = extraction_config(args, file_data=file_data)
-    try:
-        settings = FleetSettings.from_data(fleet_data, base)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
-    route = args.route if args.route is not None else settings.route
-    if route is None:
-        route = DEFAULT_ROUTE_COLUMN
-    store_dir = (
-        args.store_dir if args.store_dir is not None else settings.store_dir
-    )
-    configs = settings.pipeline_configs()
-    if args.pipelines is not None:
-        if configs:
-            raise ConfigError(
-                "both --pipelines and [fleet.pipelines.<name>] sections "
-                "given; configure the fleet in one place"
-            )
-        configs = {f"link{i}": base for i in range(args.pipelines)}
-    if not configs:
-        raise ConfigError(
-            "no pipelines configured: pass --pipelines N or add "
-            "[fleet.pipelines.<name>] sections to --config"
-        )
-    configs = _weak_default_retention(args, fleet_data, configs)
+    run_cfg = run_config(args)
+    base = run_cfg.base
+    fleet_args = fleet_arguments(args, run_cfg)
     registry = build_metrics_registry(args, base)
     tracer = build_tracer(args, base)
     chunks = chunk_source(
         args.trace, args.chunk_rows, command="fleet", metrics=registry
     )
     with FleetManager(
-        configs,
-        route=route,
-        interval_seconds=args.interval_seconds,
-        origin=args.origin,
-        seed=args.seed,
-        store_dir=store_dir,
-        metrics=registry,
-        tracer=tracer,
+        **fleet_args, metrics=registry, tracer=tracer
     ) as fleet:
         interrupted: GracefulInterrupt | None = None
         try:
@@ -167,36 +128,6 @@ def run(args: argparse.Namespace) -> int:
     write_metrics(registry, args)
     write_trace(tracer, args, base)
     return interrupted.exit_code if interrupted is not None else 0
-
-
-def _weak_default_retention(args, fleet_data, configs):
-    """The CLI's weak default, mirroring ``stream``: this command only
-    reads counters and the incident stores, so retaining every
-    extraction (each pinning its prefiltered flow table, per pipeline)
-    would only grow.  An explicit ``--keep-extractions``, a base
-    ``[streaming] keep_extractions``, or a per-pipeline override still
-    wins."""
-    if "keep_extractions" in explicit_dests(args):
-        return configs
-    base_sets = config_file_sets(args, "streaming", "keep_extractions")
-    raw_pipelines = (
-        fleet_data.get("pipelines", {})
-        if isinstance(fleet_data, dict)
-        else {}
-    )
-    adjusted = {}
-    for name, config in configs.items():
-        pipeline_raw = raw_pipelines.get(name)
-        pipeline_sets = (
-            isinstance(pipeline_raw, dict)
-            and isinstance(pipeline_raw.get("streaming"), dict)
-            and "keep_extractions" in pipeline_raw["streaming"]
-        )
-        if base_sets or pipeline_sets:
-            adjusted[name] = config
-        else:
-            adjusted[name] = config.replace(keep_extractions=False)
-    return adjusted
 
 
 def _document(fleet, results, incidents) -> dict:

@@ -5,7 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.cli._common import add_config_arg, add_format_arg, positive_int
+from repro.cli._common import (
+    add_config_arg,
+    add_format_arg,
+    positive_int,
+    run_config,
+)
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -57,17 +62,14 @@ def run(args: argparse.Namespace) -> int:
         raise IncidentError(
             "explain needs an incident id: incidents <db> explain <id>"
         )
+    # A run config's [incidents] knobs serve as defaults here too,
+    # below explicit flags (None = defer to the store's values).
+    base = run_config(args).base
     jaccard, quiet_gap = args.jaccard, args.quiet_gap
-    if args.config is not None:
-        # A run config's [incidents] knobs serve as defaults here too,
-        # below explicit flags (None = defer to the store's values).
-        from repro.core import ExtractionConfig
-
-        file_config = ExtractionConfig.from_toml(args.config)
-        if jaccard is None:
-            jaccard = file_config.incident_jaccard
-        if quiet_gap is None:
-            quiet_gap = file_config.incident_quiet_gap
+    if jaccard is None:
+        jaccard = base.incident_jaccard
+    if quiet_gap is None:
+        quiet_gap = base.incident_quiet_gap
     with open_store(args.db, must_exist=True) as store:
         ranked = store.incidents(
             jaccard=jaccard,

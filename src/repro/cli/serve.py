@@ -17,33 +17,24 @@ state rides along in the checkpoints.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 
 from repro.cli._common import (
+    DEFAULT_ROUTE_COLUMN,
     TrackedTrueAction,
     add_config_arg,
     add_detector_args,
     add_mining_args,
     add_parallel_args,
-    config_file_sets,
-    explicit_dests,
-    extraction_config,
+    fleet_arguments,
     positive_int,
+    run_config,
 )
-from repro.core.config import (
-    FederationSettings,
-    FleetSettings,
-    ServiceSettings,
-    split_run_data,
-)
-from repro.errors import ConfigError
+from repro.federation.tier import open_federator
 from repro.fleet import FleetManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-
-#: Routing spec used when neither ``--route`` nor the run config names
-#: one (mirrors the ``fleet`` subcommand).
-DEFAULT_ROUTE_COLUMN = "dst_ip"
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -110,109 +101,47 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    fleet_data = None
-    service_data = None
-    federation_data = None
-    file_data = None
-    if args.config:
-        fleet_data, service_data, federation_data, file_data = (
-            split_run_data(args.config)
-        )
-    base = extraction_config(args, file_data=file_data)
-    try:
-        fleet_settings = FleetSettings.from_data(fleet_data, base)
-        settings = ServiceSettings.from_data(service_data)
-        federation_settings = FederationSettings.from_data(federation_data)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
-    overrides: dict[str, object] = {}
-    if args.host is not None:
-        overrides["host"] = args.host
-    if args.port is not None:
-        overrides["port"] = args.port
-    if args.ingest_port is not None:
-        overrides["ingest_port"] = args.ingest_port
-    if args.checkpoint is not None:
-        overrides["checkpoint_path"] = args.checkpoint
-    if args.checkpoint_every is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-    if args.checkpoint_sync is not None:
-        overrides["checkpoint_sync"] = args.checkpoint_sync
-    if overrides:
-        settings = dataclasses.replace(settings, **overrides)
-    route = args.route if args.route is not None else fleet_settings.route
-    if route is None:
-        route = DEFAULT_ROUTE_COLUMN
-    store_dir = (
-        args.store_dir
-        if args.store_dir is not None
-        else fleet_settings.store_dir
-    )
-    configs = fleet_settings.pipeline_configs()
-    if args.pipelines is not None:
-        if configs:
-            raise ConfigError(
-                "both --pipelines and [fleet.pipelines.<name>] sections "
-                "given; configure the fleet in one place"
-            )
-        configs = {f"link{i}": base for i in range(args.pipelines)}
-    if not configs:
-        # A daemon without explicit pipelines watches one link.
-        configs = {"link0": base}
-    if (
-        "keep_extractions" not in explicit_dests(args)
-        and not config_file_sets(args, "streaming", "keep_extractions")
-    ):
-        # The daemon's weak default, mirroring stream/fleet: it serves
-        # stores and counters, never the in-memory extraction list, so
-        # retention would only grow for the lifetime of the process.
-        configs = {
-            name: config.replace(keep_extractions=False)
-            for name, config in configs.items()
-        }
-    # The daemon always runs a live registry: /metrics is part of its
-    # contract, not an opt-in export.
-    registry = MetricsRegistry(buckets=base.obs.histogram_buckets)
-    tracer = Tracer() if base.obs.trace_path is not None else None
     from repro.service.supervisor import run_service
 
-    federator = None
-    federation_store = None
-    if federation_settings.configured:
-        from repro.federation.federator import Federator
-        from repro.federation.tier import federation_kwargs
-
-        if federation_settings.store_path is not None:
-            from repro.incidents.store import open_store
-
-            federation_store = open_store(federation_settings.store_path)
-        federator = Federator(
-            sites=federation_settings.sites,
-            config=base.detector,
-            features=base.features,
-            seed=args.seed,
-            interval_seconds=args.interval_seconds,
-            origin=args.origin,
-            store=federation_store,
-            metrics=registry,
-            tracer=tracer,
-            **federation_kwargs(federation_settings),
+    run_cfg = run_config(args)
+    base = run_cfg.base
+    given = {
+        "host": args.host,
+        "port": args.port,
+        "ingest_port": args.ingest_port,
+        "checkpoint_path": args.checkpoint,
+        "checkpoint_every": args.checkpoint_every,
+        "checkpoint_sync": args.checkpoint_sync,
+    }
+    settings = dataclasses.replace(
+        run_cfg.service,
+        **{k: v for k, v in given.items() if v is not None},
+    )
+    # The daemon always runs a live registry: /metrics is part of its
+    # contract, not an opt-in export.  One registry and one tracer,
+    # for the fleet and the federator alike.
+    registry = MetricsRegistry(buckets=base.obs.histogram_buckets)
+    tracer = Tracer() if base.obs.trace_path is not None else None
+    # A daemon without explicit pipelines watches one link.
+    fleet_args = fleet_arguments(args, run_cfg, unconfigured=1)
+    with contextlib.ExitStack() as stack:
+        federator = (
+            stack.enter_context(open_federator(
+                base,
+                run_cfg.federation,
+                seed=args.seed,
+                interval_seconds=args.interval_seconds,
+                origin=args.origin,
+                metrics=registry,
+                tracer=tracer,
+            ))
+            if run_cfg.federation.configured
+            else None
         )
-    try:
-        with FleetManager(
-            configs,
-            route=route,
-            interval_seconds=args.interval_seconds,
-            origin=args.origin,
-            seed=args.seed,
-            store_dir=store_dir,
-            metrics=registry,
-            tracer=tracer,
-        ) as fleet:
-            run_service(
-                fleet, settings, resume=args.resume, federator=federator
-            )
-    finally:
-        if federation_store is not None:
-            federation_store.close()
+        fleet = stack.enter_context(
+            FleetManager(**fleet_args, metrics=registry, tracer=tracer)
+        )
+        run_service(
+            fleet, settings, resume=args.resume, federator=federator
+        )
     return 0

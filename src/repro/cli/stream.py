@@ -19,11 +19,10 @@ from repro.cli._common import (
     build_metrics_registry,
     build_tracer,
     chunk_source,
-    config_file_sets,
-    explicit_dests,
-    extraction_config,
     interrupt_guard,
+    keeps_extractions,
     positive_int,
+    run_config,
     write_metrics,
     write_trace,
 )
@@ -74,14 +73,12 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    config = extraction_config(args)
+    run_cfg = run_config(args)
+    config = run_cfg.base
     registry = build_metrics_registry(args, config)
     tracer = build_tracer(args, config)
     chunks = chunk_source(args.trace, args.chunk_rows, metrics=registry)
-    if (
-        "keep_extractions" not in explicit_dests(args)
-        and not config_file_sets(args, "streaming", "keep_extractions")
-    ):
+    if not keeps_extractions(args, run_cfg):
         # The CLI's weak default: results print as they complete and
         # the summary uses counters, so retention would only grow.
         # The library default (True) still wins when the run config or

@@ -29,13 +29,14 @@ documentation benchmark.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import difflib
 import math
 import os
 import types
 import typing
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.detection.detector import DetectorConfig
@@ -292,10 +293,11 @@ _GROUP_TYPES: dict[str, type] = {
     "obs": ObsSettings,
 }
 
+#: Every pipeline section -> the dataclass whose fields are its keys.
+_SECTION_TYPES: dict[str, type] = {"detector": DetectorConfig, **_GROUP_TYPES}
+
 #: to_dict/from_dict section order (fixed: byte-stable output).
-_SECTION_ORDER = (
-    "detector", "mining", "parallel", "streaming", "incidents", "obs"
-)
+_SECTION_ORDER = tuple(_SECTION_TYPES)
 
 
 def _close_match_hint(key: str, choices: list[str]) -> str:
@@ -303,14 +305,31 @@ def _close_match_hint(key: str, choices: list[str]) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-def _section_fields(section: str) -> dict[str, object]:
-    """Field name -> resolved type annotation for one config section."""
-    cls = DetectorConfig if section == "detector" else _GROUP_TYPES[section]
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+@contextlib.contextmanager
+def _blame(where: object) -> Iterator[None]:
+    """Prefix any :class:`ConfigError` raised inside the block with
+    ``where`` (a config file path, a ``[fleet.pipelines.<name>]``
+    table); ``None`` leaves the error as it is."""
+    try:
+        yield
+    except ConfigError as exc:
+        if where is None:
+            raise
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_type(section: str, key: str, value: object, annotation) -> object:
+#: How the run tables (``[fleet]``/``[service]``/``[federation]``) word
+#: a wrong-type refusal; pipeline sections use the bare type names.
+_RUN_TABLE_WORDS = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _check_type(
+    section: str,
+    key: str,
+    value: object,
+    annotation,
+    run_table: bool = False,
+) -> object:
     """Reject values whose type cannot satisfy ``annotation``.
 
     Dataclasses don't type-check, so a TOML typo like
@@ -347,13 +366,59 @@ def _check_type(section: str, key: str, value: object, annotation) -> object:
                 return tuple(float(v) for v in value)
         elif isinstance(value, expected):
             return value
+    words = _RUN_TABLE_WORDS if run_table else {}
     names = " or ".join(
-        getattr(t, "__name__", None) or str(t) for t in allowed
+        words.get(t) or getattr(t, "__name__", None) or str(t)
+        for t in allowed
     )
     raise ConfigError(
         f"[{section}] {key} must be {names}, "
         f"got {type(value).__name__}: {value!r}"
     )
+
+
+def _check_table(
+    section: str,
+    raw: object,
+    cls: type,
+    own: tuple[str, ...] = (),
+    run_table: bool = False,
+) -> dict[str, object]:
+    """Validate one raw config table against the dataclass ``cls``.
+
+    The fields and type hints of ``cls`` *are* the spec: a key that is
+    not a field is refused with a did-you-mean hint, a value that
+    cannot satisfy its field's annotation is refused by
+    :func:`_check_type` (worded for a ``run_table`` or, by default, a
+    pipeline section).  Keys named in ``own`` hold non-scalar values
+    (``features``, ``sites``, ``pipelines``) that the caller checks
+    itself; they pass through untouched.  Every config surface - the
+    pipeline sections, ``[fleet.pipelines.<name>]`` overrides and the
+    three run tables - is checked here and nowhere else.
+    """
+    if not isinstance(raw, Mapping):
+        raise ConfigError(
+            f"[{section}] must be a table of keys, "
+            f"got {type(raw).__name__}"
+        )
+    hints = typing.get_type_hints(cls)
+    spec = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    checked: dict[str, object] = {}
+    for key, value in raw.items():
+        if key in own:
+            checked[key] = value
+        elif key not in spec:
+            known = sorted({*spec, *own})
+            raise ConfigError(
+                f"[{section}] unknown key {key!r}"
+                f"{_close_match_hint(str(key), known)}; "
+                f"valid keys: {known}"
+            )
+        else:
+            checked[key] = _check_type(
+                section, key, value, spec[key], run_table
+            )
+    return checked
 
 
 @dataclass(frozen=True, init=False)
@@ -607,72 +672,7 @@ class ExtractionConfig:
         """Build a config from nested plain data (:meth:`to_dict`'s
         inverse).  Unknown sections/keys raise :class:`ConfigError`
         with a did-you-mean hint; so do values of the wrong type."""
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"config must be a mapping of sections, "
-                f"got {type(data).__name__}"
-            )
-        sections = set(_SECTION_ORDER)
-        for key in data:
-            if key not in sections:
-                target = _FLAT_FIELDS.get(str(key))
-                if key == "fleet":
-                    hint = (
-                        " (fleet run configs load through "
-                        "FleetSettings.from_toml / api.open_fleet / "
-                        "the 'fleet' CLI subcommand)"
-                    )
-                elif key == "service":
-                    hint = (
-                        " (service run configs load through "
-                        "ServiceSettings.from_data / api.serve / "
-                        "the 'serve' CLI subcommand)"
-                    )
-                elif key == "federation":
-                    hint = (
-                        " (federation run configs load through "
-                        "FederationSettings.from_data / api.federate / "
-                        "the 'federate' CLI subcommand)"
-                    )
-                elif target is not None:
-                    hint = f" (did you mean [{target[0]}] {target[1]}?)"
-                else:
-                    hint = _close_match_hint(str(key), sorted(sections))
-                raise ConfigError(
-                    f"unknown config section {key!r}{hint}; "
-                    f"valid sections: {sorted(sections)}"
-                )
-        kwargs: dict[str, object] = {}
-        for section in _SECTION_ORDER:
-            raw = data.get(section)
-            if raw is None:
-                continue
-            if not isinstance(raw, Mapping):
-                raise ConfigError(
-                    f"[{section}] must be a table of keys, "
-                    f"got {type(raw).__name__}"
-                )
-            spec = _section_fields(section)
-            checked: dict[str, object] = {}
-            features: object = None
-            for key, value in raw.items():
-                if section == "detector" and key == "features":
-                    features = cls._parse_features(value)
-                    continue
-                if key not in spec:
-                    raise ConfigError(
-                        f"[{section}] unknown key {key!r}"
-                        f"{_close_match_hint(str(key), sorted(spec))}; "
-                        f"valid keys: {sorted(spec)}"
-                    )
-                checked[key] = _check_type(section, key, value, spec[key])
-            if section == "detector":
-                kwargs["detector"] = DetectorConfig(**checked)
-                if features is not None:
-                    kwargs["features"] = features
-            else:
-                kwargs[section] = _GROUP_TYPES[section](**checked)
-        return cls(**kwargs)
+        return cls(**_section_kwargs("config", data, None))
 
     @staticmethod
     def _parse_features(value: object) -> tuple[Feature, ...]:
@@ -710,19 +710,16 @@ class ExtractionConfig:
         that into ``error: ...`` with exit code 2, not a traceback).
         """
         data = load_toml_data(path)
-        try:
+        with _blame(path):
             return cls.from_dict(data)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_toml_data(path: str | os.PathLike[str]) -> dict:
     """Parse a run-config TOML file into raw section data.
 
-    The loader behind :meth:`ExtractionConfig.from_toml`, exposed so a
-    caller that also needs the raw keys (the CLI's layered-default
-    logic) reads and parses the file exactly once.  File and syntax
-    errors surface as :class:`ConfigError` carrying the path.
+    The file read behind :meth:`ExtractionConfig.from_toml` and
+    :meth:`RunConfig.load`.  File and syntax errors surface as
+    :class:`ConfigError` carrying the path.
     """
     import tomllib
 
@@ -733,6 +730,71 @@ def load_toml_data(path: str | os.PathLike[str]) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
+
+
+#: Run tables a run config may carry beside the pipeline sections ->
+#: the :mod:`repro.api` verb that uses each (every verb *accepts* all
+#: three; see :class:`RunConfig`).
+_RUN_TABLES = {
+    "fleet": "open_fleet", "service": "serve", "federation": "federate",
+}
+
+
+def _section_kwargs(
+    noun: str, data: object, base: ExtractionConfig | None
+) -> dict[str, object]:
+    """Checked ``ExtractionConfig`` keyword arguments from nested
+    ``{section: {key: value}}`` data.
+
+    The one per-section loop behind :meth:`ExtractionConfig.from_dict`
+    (``base`` is ``None``: every section is built fresh, unnamed keys
+    take their defaults) and :func:`apply_section_overrides` (only the
+    keys present change, the rest keep ``base``'s values).
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(
+            f"{noun} must be a mapping of sections, "
+            f"got {type(data).__name__}"
+        )
+    for key in data:
+        if key in _SECTION_ORDER:
+            continue
+        target = _FLAT_FIELDS.get(str(key))
+        if key in _RUN_TABLES:
+            hint = (
+                f" ([{key}] is a run table, not a pipeline section: "
+                f"load the whole file through RunConfig.load / "
+                f"api.{_RUN_TABLES[key]} / the CLI's --config)"
+            )
+        elif target is not None:
+            hint = f" (did you mean [{target[0]}] {target[1]}?)"
+        else:
+            hint = _close_match_hint(str(key), sorted(_SECTION_ORDER))
+        raise ConfigError(
+            f"unknown config section {key!r}{hint}; "
+            f"valid sections: {sorted(_SECTION_ORDER)}"
+        )
+    kwargs: dict[str, object] = {}
+    for section in _SECTION_ORDER:
+        raw = data.get(section)
+        if raw is None:
+            continue
+        cls = _SECTION_TYPES[section]
+        checked = _check_table(
+            section, raw, cls,
+            own=("features",) if section == "detector" else (),
+        )
+        if "features" in checked:
+            kwargs["features"] = ExtractionConfig._parse_features(
+                checked.pop("features")
+            )
+        if base is None:
+            kwargs[section] = cls(**checked)
+        elif checked:
+            kwargs[section] = dataclasses.replace(
+                getattr(base, section), **checked
+            )
+    return kwargs
 
 
 def apply_section_overrides(
@@ -748,55 +810,8 @@ def apply_section_overrides(
     tables their semantics - per-pipeline overrides on the run
     config's base pipeline.
     """
-    if not isinstance(data, Mapping):
-        raise ConfigError(
-            f"overrides must be a mapping of sections, "
-            f"got {type(data).__name__}"
-        )
-    sections = set(_SECTION_ORDER)
-    kwargs: dict[str, object] = {}
-    for section, raw in data.items():
-        if section not in sections:
-            raise ConfigError(
-                f"unknown config section {section!r}"
-                f"{_close_match_hint(str(section), sorted(sections))}; "
-                f"valid sections: {sorted(sections)}"
-            )
-        if not isinstance(raw, Mapping):
-            raise ConfigError(
-                f"[{section}] must be a table of keys, "
-                f"got {type(raw).__name__}"
-            )
-        spec = _section_fields(section)
-        checked: dict[str, object] = {}
-        features: object = None
-        for key, value in raw.items():
-            if section == "detector" and key == "features":
-                features = ExtractionConfig._parse_features(value)
-                continue
-            if key not in spec:
-                raise ConfigError(
-                    f"[{section}] unknown key {key!r}"
-                    f"{_close_match_hint(str(key), sorted(spec))}; "
-                    f"valid keys: {sorted(spec)}"
-                )
-            checked[key] = _check_type(section, key, value, spec[key])
-        if section == "detector":
-            if checked:
-                kwargs["detector"] = dataclasses.replace(
-                    base.detector, **checked
-                )
-            if features is not None:
-                kwargs["features"] = features
-        elif checked:
-            kwargs[section] = dataclasses.replace(
-                getattr(base, section), **checked
-            )
+    kwargs = _section_kwargs("overrides", data, base)
     return base.replace(**kwargs) if kwargs else base
-
-
-#: Keys accepted in a ``[fleet]`` table.
-_FLEET_KEYS = ("route", "store_dir", "pipelines")
 
 
 @dataclass(frozen=True)
@@ -869,30 +884,10 @@ class FleetSettings:
         """
         if data is None:
             return cls()
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"[fleet] must be a table, got {type(data).__name__}"
-            )
-        for key in data:
-            if key not in _FLEET_KEYS:
-                raise ConfigError(
-                    f"[fleet] unknown key {key!r}"
-                    f"{_close_match_hint(str(key), sorted(_FLEET_KEYS))}; "
-                    f"valid keys: {sorted(_FLEET_KEYS)}"
-                )
-        route = data.get("route")
-        if route is not None and not isinstance(route, str):
-            raise ConfigError(
-                f"[fleet] route must be a string, "
-                f"got {type(route).__name__}: {route!r}"
-            )
-        store_dir = data.get("store_dir")
-        if store_dir is not None and not isinstance(store_dir, str):
-            raise ConfigError(
-                f"[fleet] store_dir must be a string, "
-                f"got {type(store_dir).__name__}: {store_dir!r}"
-            )
-        raw_pipelines = data.get("pipelines", {})
+        checked = _check_table(
+            "fleet", data, cls, own=("pipelines",), run_table=True
+        )
+        raw_pipelines = checked.get("pipelines", {})
         if not isinstance(raw_pipelines, Mapping):
             raise ConfigError(
                 f"[fleet.pipelines] must hold one table per pipeline, "
@@ -900,23 +895,12 @@ class FleetSettings:
             )
         pipelines = []
         for name, overrides in raw_pipelines.items():
-            if not isinstance(overrides, Mapping):
-                raise ConfigError(
-                    f"[fleet.pipelines.{name}] must be a table, "
-                    f"got {type(overrides).__name__}"
+            with _blame(f"[fleet.pipelines.{name}]"):
+                pipelines.append(
+                    (str(name), apply_section_overrides(base, overrides))
                 )
-            try:
-                config = apply_section_overrides(base, overrides)
-            except ConfigError as exc:
-                raise ConfigError(
-                    f"[fleet.pipelines.{name}]: {exc}"
-                ) from exc
-            pipelines.append((str(name), config))
-        return cls(
-            route=route,
-            store_dir=store_dir,
-            pipelines=tuple(pipelines),
-        )
+        checked["pipelines"] = tuple(pipelines)
+        return cls(**checked)  # type: ignore[arg-type]
 
     @classmethod
     def from_toml(
@@ -924,45 +908,12 @@ class FleetSettings:
     ) -> tuple["FleetSettings", ExtractionConfig]:
         """Load a fleet run config; returns ``(settings, base_config)``.
 
-        The non-``[fleet]`` sections build the base
-        :class:`ExtractionConfig` exactly as
-        :meth:`ExtractionConfig.from_toml` would.
+        The pipeline sections build the base :class:`ExtractionConfig`
+        exactly as :meth:`ExtractionConfig.from_toml` would; the file
+        is read and validated whole by :meth:`RunConfig.load`.
         """
-        fleet_data, raw = split_fleet_data(path)
-        try:
-            base = ExtractionConfig.from_dict(raw)
-            settings = cls.from_data(fleet_data, base)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return settings, base
-
-
-def split_fleet_data(
-    path: str | os.PathLike[str],
-) -> tuple[Mapping | None, dict]:
-    """Load a run-config TOML and split off its ``[fleet]`` table.
-
-    Returns ``(fleet_data, remaining_sections)`` - the single loading
-    step shared by :meth:`FleetSettings.from_toml`,
-    :func:`repro.api.open_fleet`, and the ``fleet`` CLI subcommand
-    (which layer the remaining sections into a base config in their
-    own ways).
-    """
-    raw = dict(load_toml_data(path))
-    return raw.pop("fleet", None), raw
-
-
-#: Keys accepted in a ``[service]`` table.
-_SERVICE_KEYS = (
-    "host",
-    "port",
-    "ingest_port",
-    "checkpoint_path",
-    "checkpoint_every",
-    "checkpoint_sync",
-    "max_body_bytes",
-    "chunk_rows",
-)
+        run = RunConfig.load(path)
+        return run.fleet, run.base
 
 
 @dataclass(frozen=True)
@@ -1044,67 +995,8 @@ class ServiceSettings:
         with a did-you-mean hint, like every other config surface."""
         if data is None:
             return cls()
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"[service] must be a table, got {type(data).__name__}"
-            )
-        for key in data:
-            if key not in _SERVICE_KEYS:
-                raise ConfigError(
-                    f"[service] unknown key {key!r}"
-                    f"{_close_match_hint(str(key), sorted(_SERVICE_KEYS))}"
-                    f"; valid keys: {sorted(_SERVICE_KEYS)}"
-                )
-        checked: dict[str, object] = {}
-        for key, expected in (
-            ("host", str),
-            ("checkpoint_path", str),
-        ):
-            if key in data:
-                value = data[key]
-                if not isinstance(value, str):
-                    raise ConfigError(
-                        f"[service] {key} must be a string, "
-                        f"got {type(value).__name__}: {value!r}"
-                    )
-                checked[key] = value
-        for key in (
-            "port",
-            "ingest_port",
-            "checkpoint_every",
-            "max_body_bytes",
-            "chunk_rows",
-        ):
-            if key in data:
-                value = data[key]
-                # bool is an int subclass; reject it explicitly.
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(
-                        f"[service] {key} must be an integer, "
-                        f"got {type(value).__name__}: {value!r}"
-                    )
-                checked[key] = value
-        if "checkpoint_sync" in data:
-            value = data["checkpoint_sync"]
-            if not isinstance(value, bool):
-                raise ConfigError(
-                    f"[service] checkpoint_sync must be a boolean, "
-                    f"got {type(value).__name__}: {value!r}"
-                )
-            checked["checkpoint_sync"] = value
+        checked = _check_table("service", data, cls, run_table=True)
         return cls(**checked)  # type: ignore[arg-type]
-
-
-#: Keys accepted in a ``[federation]`` table.
-_FEDERATION_KEYS = (
-    "sites",
-    "route",
-    "straggler_grace",
-    "cm_width",
-    "cm_depth",
-    "min_support",
-    "store_path",
-)
 
 
 @dataclass(frozen=True)
@@ -1127,8 +1019,10 @@ class FederationSettings:
         cm_width: count-min width (support-estimate error eps = e/width
             of the merged interval's flow count).
         cm_depth: count-min depth (failure probability delta = e^-depth).
-        min_support: support floor for digest-mined item-sets; ``None``
-            inherits the base config's ``[mining] min_support``.
+        min_support: support floor for digest-mined item-sets; its own
+            key - ``[mining] min_support`` does *not* apply.  ``None``
+            leaves the choice to the federator builder
+            (:func:`repro.federation.tier.open_federator`: 5,000).
         store_path: optional incident store the federator appends
             alarmed-interval reports to.
     """
@@ -1182,21 +1076,11 @@ class FederationSettings:
         :class:`ConfigError` with a did-you-mean hint."""
         if data is None:
             return cls()
-        if not isinstance(data, Mapping):
-            raise ConfigError(
-                f"[federation] must be a table, "
-                f"got {type(data).__name__}"
-            )
-        for key in data:
-            if key not in _FEDERATION_KEYS:
-                raise ConfigError(
-                    f"[federation] unknown key {key!r}"
-                    f"{_close_match_hint(str(key), sorted(_FEDERATION_KEYS))}"
-                    f"; valid keys: {sorted(_FEDERATION_KEYS)}"
-                )
-        checked: dict[str, object] = {}
-        if "sites" in data:
-            sites = data["sites"]
+        checked = _check_table(
+            "federation", data, cls, own=("sites",), run_table=True
+        )
+        if "sites" in checked:
+            sites = checked["sites"]
             if isinstance(sites, str) or not isinstance(sites, Sequence):
                 raise ConfigError(
                     f"[federation] sites must be a list of names, "
@@ -1209,52 +1093,105 @@ class FederationSettings:
                         f"got {type(site).__name__}: {site!r}"
                     )
             checked["sites"] = tuple(sites)
-        for key in ("route", "store_path"):
-            if key in data:
-                value = data[key]
-                if not isinstance(value, str):
-                    raise ConfigError(
-                        f"[federation] {key} must be a string, "
-                        f"got {type(value).__name__}: {value!r}"
-                    )
-                checked[key] = value
-        for key in (
-            "straggler_grace",
-            "cm_width",
-            "cm_depth",
-            "min_support",
-        ):
-            if key in data:
-                value = data[key]
-                # bool is an int subclass; reject it explicitly.
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(
-                        f"[federation] {key} must be an integer, "
-                        f"got {type(value).__name__}: {value!r}"
-                    )
-                checked[key] = value
         return cls(**checked)  # type: ignore[arg-type]
 
 
-def split_run_data(
-    path: str | os.PathLike[str],
-) -> tuple[Mapping | None, Mapping | None, Mapping | None, dict]:
-    """Load a run-config TOML and split off its ``[fleet]``,
-    ``[service]``, and ``[federation]`` tables.
+@dataclass(frozen=True)
+class RunConfig:
+    """One whole run config, read once: the base pipeline plus the
+    three run tables.
 
-    Returns ``(fleet_data, service_data, federation_data,
-    remaining_sections)`` - the loading step behind
-    :func:`repro.api.serve`, :func:`repro.api.federate`, and the
-    ``serve``/``federate`` CLI subcommands (the remaining sections
-    build the base :class:`ExtractionConfig`).
+    A deployment is described by one file - the pipeline sections
+    (``[detector]``/``[mining]``/...) that build the base
+    :class:`ExtractionConfig`, plus ``[fleet]``, ``[service]`` and
+    ``[federation]`` - and every verb (``extract``, ``stream``,
+    ``fleet``, ``serve``, ``federate``; the :mod:`repro.api` functions
+    of the same names) accepts that same file: all four parts are
+    validated, each verb uses its own.  :meth:`load` is the only place
+    a run config is read, split, validated and path-prefixed.
+
+    Attributes:
+        base: the base pipeline config (file, then overrides).
+        fleet / service / federation: the run tables (defaults when the
+            config carries none).  ``fleet.pipelines`` are layered over
+            ``base`` *after* the overrides.
+        sections: the raw data as written (``{}`` for a ready config or
+            ``None``) - what :meth:`sets` answers from.
+        path: the TOML file the config came from, if any.
     """
-    raw = dict(load_toml_data(path))
-    return (
-        raw.pop("fleet", None),
-        raw.pop("service", None),
-        raw.pop("federation", None),
-        raw,
-    )
+
+    base: ExtractionConfig
+    fleet: FleetSettings
+    service: ServiceSettings
+    federation: FederationSettings
+    sections: Mapping
+    path: str | None = None
+
+    @classmethod
+    def load(
+        cls,
+        config: ExtractionConfig | Mapping | str | os.PathLike[str] | None,
+        layer: Mapping | None = None,
+        **overrides: object,
+    ) -> "RunConfig":
+        """Normalize every accepted config spelling into a run config.
+
+        ``config`` may be a path to a TOML run config, a nested mapping
+        of the same shape, a ready :class:`ExtractionConfig`, or
+        ``None`` for defaults.  The layering order is fixed: the file,
+        then ``layer`` (partial ``{section: {key: value}}`` data in the
+        manner of :func:`apply_section_overrides` - what explicitly
+        typed CLI flags are), then ``overrides`` (flat or grouped
+        fields as taken by :meth:`ExtractionConfig.replace` - the
+        :mod:`repro.api` keyword arguments), then each
+        ``[fleet.pipelines.<name>]`` table on top of the result.
+        Refusals of anything the file says carry its path.
+        """
+        path: str | None = None
+        sections: Mapping = {}
+        if isinstance(config, (str, os.PathLike)):
+            path = os.fspath(config)
+            sections = load_toml_data(path)
+        elif isinstance(config, Mapping):
+            sections = dict(config)
+        elif config is not None and not isinstance(config, ExtractionConfig):
+            raise ConfigError(
+                f"config must be an ExtractionConfig, mapping, or TOML "
+                f"path, got {type(config).__name__}"
+            )
+        with _blame(path):
+            base = (
+                config
+                if isinstance(config, ExtractionConfig)
+                else ExtractionConfig.from_dict({
+                    key: value for key, value in sections.items()
+                    if key not in _RUN_TABLES
+                })
+            )
+            service = ServiceSettings.from_data(sections.get("service"))
+            federation = FederationSettings.from_data(
+                sections.get("federation")
+            )
+        # Not the file's fault: flag and keyword refusals stay bare.
+        if layer:
+            base = apply_section_overrides(base, layer)
+        if overrides:
+            base = base.replace(**overrides)
+        with _blame(path):
+            fleet = FleetSettings.from_data(sections.get("fleet"), base)
+        return cls(base, fleet, service, federation, sections, path)
+
+    def sets(self, *keys: str) -> bool:
+        """Whether the config *as written* sets the key at this path,
+        e.g. ``sets("streaming", "keep_extractions")``.  For knobs
+        whose CLI default differs from the library default: an explicit
+        file value must still win over the CLI's weak default."""
+        node: object = self.sections
+        for key in keys:
+            if not isinstance(node, Mapping) or key not in node:
+                return False
+            node = node[key]
+        return True
 
 
 @dataclass(frozen=True, slots=True)

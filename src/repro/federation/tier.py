@@ -11,12 +11,15 @@ result.  This is what ``repro-extract federate`` and
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import contextlib
+import os
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TypeVar
 
 import numpy as np
 
+from repro.core.config import ExtractionConfig, FederationSettings
 from repro.core.report import ExtractionReport
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature
@@ -32,9 +35,18 @@ from repro.fleet.routing import resolve_route
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.incidents.rank import RankedIncident
-from repro.incidents.store import IncidentStore
+from repro.incidents.store import IncidentStore, open_store
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+
+_T = TypeVar("_T")
+
+#: Support floor of a federator built from a run config that names no
+#: ``[federation] min_support``.  Deliberately not the base config's
+#: ``[mining] min_support``: that floor is sized for one link's
+#: prefiltered flows, this one for count-min estimates over every
+#: site's merged interval.
+DEFAULT_MIN_SUPPORT = 5_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,7 @@ def run_federation(
     cm_depth: int = DEFAULT_CM_DEPTH,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     origin: float = 0.0,
-    min_support: int = 5_000,
+    min_support: int = DEFAULT_MIN_SUPPORT,
     straggler_grace: int = 2,
     jaccard: float = 0.5,
     quiet_gap: int = 2,
@@ -120,9 +132,8 @@ def run_federation(
     """
     if not traces:
         raise FederationError("need at least one site trace to federate")
-    sites = tuple(traces)
     federator = Federator(
-        sites=sites,
+        sites=tuple(traces),
         config=config,
         features=features,
         seed=seed,
@@ -138,6 +149,23 @@ def run_federation(
         metrics=metrics,
         tracer=tracer,
     )
+    return federate_traces(
+        federator, traces, profile=profile, top=top, tracer=tracer
+    )
+
+
+def federate_traces(
+    federator: Federator,
+    traces: Mapping[str, FlowTable],
+    *,
+    profile: str = "balanced",
+    top: int | None = None,
+    tracer: Tracer | None = None,
+) -> FederationResult:
+    """Digest each of ``federator.sites``' traces with a collector on
+    the federator's own sketch schema and federate the digests."""
+    sites = federator.sites
+    schema = federator.schema
     ambient = tracer if tracer is not None else NULL_TRACER
     with ambient.span("federation.run", sites=len(sites)):
         per_site: dict[str, list[IntervalDigest]] = {}
@@ -145,14 +173,15 @@ def run_federation(
             collector = Collector(
                 site=site,
                 config=federator.config,
-                features=features,
-                seed=seed,
-                cm_width=cm_width,
-                cm_depth=cm_depth,
+                features=federator.features,
+                seed=schema.seed,
+                cm_width=schema.cm_width,
+                cm_depth=schema.cm_depth,
                 tracer=tracer,
             )
             per_site[site] = collector.run(
-                traces[site], interval_seconds, origin=origin
+                traces[site], federator.interval_seconds,
+                origin=federator.origin,
             )
         released: list[FederatedInterval] = []
         total = 0
@@ -176,15 +205,66 @@ def run_federation(
     )
 
 
-def federation_kwargs(settings: Any) -> dict[str, Any]:
-    """Keyword arguments for :func:`run_federation`/:class:`Federator`
-    from a :class:`~repro.core.config.FederationSettings` (shared by
-    the CLI and API wiring)."""
-    kwargs: dict[str, Any] = {
-        "cm_width": settings.cm_width,
-        "cm_depth": settings.cm_depth,
-        "straggler_grace": settings.straggler_grace,
-    }
-    if settings.min_support is not None:
-        kwargs["min_support"] = settings.min_support
-    return kwargs
+@contextlib.contextmanager
+def open_federator(
+    base: ExtractionConfig,
+    settings: FederationSettings,
+    *,
+    sites: Sequence[str] | None = None,
+    store: IncidentStore | str | os.PathLike[str] | None = None,
+    cm_width: int | None = None,
+    cm_depth: int | None = None,
+    straggler_grace: int | None = None,
+    min_support: int | None = None,
+    seed: int = 0,
+    interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
+    origin: float = 0.0,
+    metrics: MetricsRegistry | None = None,
+    tracer: Tracer | None = None,
+) -> Iterator[Federator]:
+    """Build the :class:`Federator` a run config describes, with its
+    incident store, and release the store on exit.
+
+    The single wiring behind :func:`repro.api.federate`,
+    :func:`repro.api.serve`, ``repro-extract serve`` and
+    ``repro-extract federate merge``.  ``base`` supplies the detector
+    geometry, the features and the incident-correlation knobs;
+    ``settings`` the ``[federation]`` table.  ``sites``, ``store`` and
+    the four sketch/support knobs override the table when not ``None``
+    (explicit flags and keyword arguments).  A ``store`` given as an
+    open :class:`IncidentStore` stays the caller's to close; a path -
+    the argument's or ``[federation] store_path`` - is opened here and
+    closed when the block exits.
+    """
+
+    def pick(override: _T | None, configured: _T) -> _T:
+        return configured if override is None else override
+
+    target = store if store is not None else settings.store_path
+    opened: IncidentStore | None = None
+    if target is not None and not isinstance(target, IncidentStore):
+        target = opened = open_store(os.fspath(target))
+    try:
+        yield Federator(
+            sites=tuple(sites) if sites is not None else settings.sites,
+            config=base.detector,
+            features=base.features,
+            seed=seed,
+            cm_width=pick(cm_width, settings.cm_width),
+            cm_depth=pick(cm_depth, settings.cm_depth),
+            interval_seconds=interval_seconds,
+            origin=origin,
+            min_support=pick(
+                min_support,
+                pick(settings.min_support, DEFAULT_MIN_SUPPORT),
+            ),
+            straggler_grace=pick(straggler_grace, settings.straggler_grace),
+            jaccard=pick(base.incident_jaccard, 0.5),
+            quiet_gap=pick(base.incident_quiet_gap, 2),
+            store=target,
+            metrics=metrics,
+            tracer=tracer,
+        )
+    finally:
+        if opened is not None:
+            opened.close()

@@ -40,8 +40,8 @@ from repro.errors import CheckpointError, ConfigError, ExtractionError
 from repro.fleet.routing import Router, resolve_route
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
-from repro.incidents.correlate import Incident
-from repro.incidents.rank import RankedIncident, resolve_profile
+from repro.incidents.correlate import Incident, correlate
+from repro.incidents.rank import RankedIncident, rank_incidents
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, time_stage
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -525,57 +525,36 @@ class FleetManager:
         quiet_gap: int | None,
         top: int | None,
     ) -> list[FleetIncident]:
-        from repro.incidents.correlate import IncidentCorrelator
-        from repro.incidents.rank import score_incident
-
-        # Validate before the possibly-empty early return, mirroring
-        # rank_incidents.
-        weights = resolve_profile(profile)
         if top is not None and top < 1:
             raise ConfigError(f"top must be >= 1: {top}")
-        entries: list[tuple[str, Incident]] = []
+        population: list[Incident] = []
+        pipeline_of: dict[int, str] = {}
         for name in self._names:
             store = self._extractors[name].store
             if store is None:
                 continue
-            correlator = IncidentCorrelator(
+            for incident in correlate(
+                store.iter_reports(),
                 jaccard=store.jaccard if jaccard is None else jaccard,
                 quiet_gap=(
                     store.quiet_gap if quiet_gap is None else quiet_gap
                 ),
-            )
-            for report in store.iter_reports():
-                correlator.observe(report)
-            for incident in correlator.incidents(now=store.last_interval()):
-                entries.append((name, incident))
-        if not entries:
-            return []
-        max_support = max(i.total_support for _, i in entries)
-        max_seen = max(i.intervals_seen for _, i in entries)
-        max_votes = max(i.peak_votes for _, i in entries)
-        merged = []
-        for name, incident in entries:
-            score, components = score_incident(
-                incident,
-                weights,
-                max_total_support=max_support,
-                max_intervals_seen=max_seen,
-                max_peak_votes=max_votes,
-            )
-            merged.append(FleetIncident(
-                pipeline=name,
-                ranked=RankedIncident(
-                    incident=incident, score=score, components=components
-                ),
-            ))
+                now=store.last_interval(),
+            ):
+                population.append(incident)
+                pipeline_of[id(incident)] = name
+        # One population, so scores normalize across the whole fleet;
+        # rank_incidents' order is refined by pipeline name on ties.
+        merged = [
+            FleetIncident(pipeline=pipeline_of[id(r.incident)], ranked=r)
+            for r in rank_incidents(population, profile=profile)
+        ]
         merged.sort(
             key=lambda f: (
                 -f.score, f.incident.first_seen, f.incident.key, f.pipeline
             )
         )
-        if top is not None:
-            merged = merged[:top]
-        return merged
+        return merged if top is None else merged[:top]
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -559,24 +559,21 @@ class IncidentStore:
         ``ExtractionConfig`` and they persist in ``store_meta``), else
         0.5/2.
         """
-        from repro.incidents.correlate import IncidentCorrelator
+        from repro.incidents.correlate import correlate
         from repro.incidents.rank import rank_incidents
 
         with time_stage(self._m_query):
-            correlator = IncidentCorrelator(
+            population = correlate(
+                self.iter_reports(),
                 jaccard=self.jaccard if jaccard is None else jaccard,
                 quiet_gap=self.quiet_gap if quiet_gap is None else quiet_gap,
+                # Lifecycle states age against the last interval the
+                # pipeline processed, not merely the last that alarmed
+                # - otherwise a long-finished attack followed by clean
+                # traffic reads "active" forever.
+                now=self.last_interval(),
             )
-            for report in self.iter_reports():
-                correlator.observe(report)
-            # Lifecycle states age against the last interval the
-            # pipeline processed, not merely the last that alarmed -
-            # otherwise a long-finished attack followed by clean
-            # traffic reads "active" forever.
-            return rank_incidents(
-                correlator.incidents(now=self.last_interval()),
-                profile=profile,
-            )
+            return rank_incidents(population, profile=profile)
 
 
 def open_store(

@@ -1,0 +1,76 @@
+"""``open_federator``: the one place a run config becomes a Federator."""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.api as api
+from repro.core.config import RunConfig
+from repro.errors import IncidentError
+from repro.federation.tier import DEFAULT_MIN_SUPPORT, open_federator
+from repro.incidents.store import IncidentStore
+
+
+def _run(**federation) -> RunConfig:
+    return RunConfig.load({
+        "detector": {"bins": 128, "training_intervals": 4},
+        "mining": {"min_support": 300},
+        "incidents": {"jaccard": 0.8},
+        "federation": {"sites": ["east", "west"], **federation},
+    })
+
+
+def test_mining_min_support_does_not_reach_the_federator():
+    """``[federation] min_support`` is its own key: a run config with
+    ``[mining] min_support = 300`` and no federation floor federates at
+    the builder's 5,000, whichever verb builds it."""
+    run = _run()
+    assert run.base.min_support == 300
+    assert run.federation.min_support is None
+    with open_federator(run.base, run.federation) as federator:
+        assert federator.min_support == DEFAULT_MIN_SUPPORT == 5_000
+    empty = api.FlowTable.empty()
+    result = api.federate({"east": empty, "west": empty}, run.sections)
+    assert result.sites == ("east", "west")
+
+
+def test_table_then_keyword_decide_each_knob():
+    run = _run(min_support=70, cm_width=512, straggler_grace=3)
+    with open_federator(run.base, run.federation) as federator:
+        assert federator.sites == ("east", "west")
+        assert federator.min_support == 70
+        assert federator.straggler_grace == 3
+        assert federator.schema.cm_width == 512
+        assert federator.schema.bins == 128  # the base detector geometry
+        assert federator._jaccard == 0.8  # the base [incidents] knobs
+    with open_federator(
+        run.base, run.federation, sites=["solo"], min_support=9,
+        cm_width=64, straggler_grace=1,
+    ) as federator:
+        assert federator.sites == ("solo",)
+        assert federator.min_support == 9
+        assert federator.straggler_grace == 1
+        assert federator.schema.cm_width == 64
+
+
+def test_a_path_store_is_opened_and_closed_here(tmp_path):
+    path = tmp_path / "fed.db"
+    run = _run(store_path=str(path))
+    with open_federator(run.base, run.federation) as federator:
+        store = federator._spine.sink
+        assert isinstance(store, IncidentStore) and store.path == str(path)
+        assert store.reports() == []  # open
+    assert path.exists()
+    with pytest.raises(IncidentError, match="closed"):
+        store.reports()
+
+
+def test_an_open_store_stays_the_callers(tmp_path):
+    run = _run(store_path=str(tmp_path / "unused.db"))
+    with IncidentStore(":memory:") as mine:
+        with open_federator(
+            run.base, run.federation, store=mine
+        ) as federator:
+            assert federator._spine.sink is mine
+        assert mine.reports() == []  # still open
+    assert not (tmp_path / "unused.db").exists()

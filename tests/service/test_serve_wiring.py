@@ -1,0 +1,104 @@
+"""``api.serve`` and ``repro-extract serve`` wire one daemon.
+
+Both verbs load the same :class:`~repro.core.config.RunConfig` and
+build the fleet, the federator, the registry and the tracer the same
+way.  The daemon loop is stubbed out (``run_service`` is looked up at
+call time), so each test sees exactly what a real daemon would be
+handed.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.api as api
+from repro.cli import main
+from repro.errors import ConfigError
+from repro.federation import Collector
+from repro.obs.trace import Tracer
+from repro.service.app import ServiceApp
+from repro.service.protocol import HttpRequest
+
+
+@pytest.fixture()
+def handed(monkeypatch):
+    """What ``run_service`` was called with, serving nothing."""
+    seen: dict[str, object] = {}
+
+    def capture(fleet, settings, resume=False, log=None, federator=None):
+        seen.update(fleet=fleet, settings=settings, federator=federator)
+        app = ServiceApp(fleet, federator=federator)
+        page = HttpRequest(
+            method="GET", target="/metrics", path="/metrics",
+            query={}, headers={}, body=b"",
+        )
+        seen["metrics_page"] = app.handle(page)[1].decode()
+
+    monkeypatch.setattr("repro.service.supervisor.run_service", capture)
+    return seen
+
+
+def _serve_api(path):
+    api.serve(str(path))
+
+
+def _serve_cli(path):
+    assert main(["serve", "--config", str(path)]) == 0
+
+
+SERVERS = pytest.mark.parametrize(
+    "serve", [_serve_api, _serve_cli], ids=["api", "cli"]
+)
+
+
+def test_api_serve_blames_the_file_for_a_base_section_typo(tmp_path):
+    path = tmp_path / "run.toml"
+    path.write_text("[mining]\nmin_suport = 3\n")
+    with pytest.raises(ConfigError) as refusal:
+        api.serve(str(path))
+    assert str(refusal.value).startswith(f"{path}: ")
+    assert "did you mean 'min_support'" in str(refusal.value)
+
+
+@SERVERS
+def test_metrics_page_uses_the_configured_buckets(serve, tmp_path, handed):
+    path = tmp_path / "run.toml"
+    path.write_text("[obs]\nhistogram_buckets = [0.1, 1.0]\n")
+    serve(path)
+    page = handed["metrics_page"]
+    assert 'le="0.1"' in page and 'le="1"' in page
+    assert 'le="0.005"' not in page  # a default bound
+
+
+@SERVERS
+def test_federator_shares_the_fleets_registry_and_tracer(
+    serve, tmp_path, handed
+):
+    path = tmp_path / "run.toml"
+    path.write_text(
+        f'[obs]\ntrace_path = "{tmp_path / "trace.jsonl"}"\n'
+        '[federation]\nsites = ["east"]\n'
+    )
+    serve(path)
+    fleet, federator = handed["fleet"], handed["federator"]
+    assert isinstance(fleet.tracer, Tracer)
+    digest = Collector(site="east").empty_digest(0)
+    federator.add(digest)
+    names = {span.name for span in fleet.tracer.spans}
+    assert "fleet.run" in names or "session.run" in names
+    assert "federation.merge" in names
+    assert "repro_federation_digests_total" in (
+        fleet.metrics.render_prometheus()
+    )
+
+
+@SERVERS
+def test_a_daemon_without_pipelines_watches_one_link(
+    serve, tmp_path, handed
+):
+    path = tmp_path / "run.toml"
+    path.write_text("[service]\nport = 0\n")
+    serve(path)
+    assert handed["fleet"].names == ("link0",)
+    assert handed["settings"].port == 0
+    assert handed["federator"] is None
