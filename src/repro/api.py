@@ -40,12 +40,12 @@ facade without touching ``repro`` internals.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, TextIO
 
 from repro.core.config import (
+    ConfigLike,
     ExtractionConfig,
     FederationSettings,
     FleetSettings,
@@ -63,11 +63,13 @@ from repro.core.pipeline import (
     IntervalSink,
     ReportSink,
     TraceExtraction,
+    default_observers,
 )
 from repro.core.report import ExtractionReport, TriagedItemset
 from repro.core.session import (
     ExtractionSession,
     StreamExtraction,
+    open_session,
     run_session,
 )
 from repro.detection.detector import DetectorConfig
@@ -88,8 +90,14 @@ from repro.federation import (
     IntervalDigest,
     split_trace,
 )
-from repro.federation.tier import federate_traces, open_federator
+from repro.federation.tier import (
+    federate_digests,
+    federate_traces,
+    open_federator,
+    read_digest_files,
+)
 from repro.fleet.manager import FleetIncident, FleetManager
+from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
 from repro.flows.io import DEFAULT_CHUNK_ROWS, iter_csv, read_trace
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
@@ -191,15 +199,17 @@ __all__ = [
 
 
 def resolve_config(
-    config: ExtractionConfig | Mapping | str | os.PathLike[str] | None,
+    config: ConfigLike,
     **overrides: object,
 ) -> ExtractionConfig:
     """Normalize every accepted config spelling into an
     :class:`ExtractionConfig`.
 
     ``config`` may be a ready config, a nested mapping, a path to a
-    TOML run config, or ``None`` for defaults; a mapping or file may
-    carry the ``[fleet]``/``[service]``/``[federation]`` run tables,
+    TOML run config, an already loaded
+    :class:`~repro.core.config.RunConfig`, or ``None`` for defaults; a
+    mapping or file may carry the
+    ``[fleet]``/``[service]``/``[federation]`` run tables,
     which are validated and otherwise unused here
     (:meth:`RunConfig.load <repro.core.config.RunConfig.load>` reads
     every spelling for every verb).  ``overrides`` are flat or grouped
@@ -269,7 +279,7 @@ def tracer(source: object | None = None) -> Tracer:
 
 
 def session(
-    config: ExtractionConfig | Mapping | str | os.PathLike[str] | None = None,
+    config: ConfigLike = None,
     *,
     mode: str = "stream",
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
@@ -311,31 +321,22 @@ def session(
             tracer unless ``[obs] trace_path`` is set).
         **overrides: flat or grouped config fields.
     """
-    resolved = resolve_config(config, **overrides)
-    extractor = AnomalyExtractor(
-        resolved, seed=seed, metrics=metrics, tracer=tracer
+    return open_session(
+        resolve_config(config, **overrides),
+        seed=seed,
+        metrics=metrics,
+        tracer=tracer,
+        mode=mode,
+        interval_seconds=interval_seconds,
+        origin=origin,
+        sink=sink,
+        keep_reports=keep_reports,
     )
-    try:
-        return ExtractionSession(
-            extractor,
-            mode=mode,
-            interval_seconds=interval_seconds,
-            origin=origin,
-            sink=sink,
-            keep_reports=keep_reports,
-            owns_extractor=True,
-        )
-    except BaseException:
-        # Session construction failed (e.g. a bad mode or interval):
-        # the extractor - and the store it may have opened - must not
-        # leak.
-        extractor.close()
-        raise
 
 
 def extract(
     trace: FlowTable | str | os.PathLike[str],
-    config: ExtractionConfig | Mapping | str | os.PathLike[str] | None = None,
+    config: ConfigLike = None,
     *,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     origin: float = 0.0,
@@ -370,20 +371,27 @@ def extract(
         :class:`ExtractionResult` per alarmed interval.
     """
     flows = _load_flows(trace)
-    resolved = resolve_config(config, **overrides)
-    with AnomalyExtractor(
-        resolved, seed=seed, metrics=metrics, tracer=tracer
-    ) as extractor:
-        return extractor.run_trace(
-            flows, interval_seconds, origin=origin, sink=sink
-        )
+    with session(
+        config,
+        mode="batch",
+        interval_seconds=interval_seconds,
+        origin=origin,
+        seed=seed,
+        sink=sink,
+        metrics=metrics,
+        tracer=tracer,
+        **overrides,
+    ) as opened:
+        result = run_session(opened, [flows])
+    assert isinstance(result, TraceExtraction)
+    return result
 
 
 def stream(
     source: (
         Iterable[FlowTable] | str | os.PathLike[str]
     ),
-    config: ExtractionConfig | Mapping | str | os.PathLike[str] | None = None,
+    config: ConfigLike = None,
     *,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     origin: float = 0.0,
@@ -441,7 +449,7 @@ def stream(
 
 
 def open_fleet(
-    config: ExtractionConfig | Mapping | str | os.PathLike[str] | None = None,
+    config: ConfigLike = None,
     *,
     pipelines: (
         int | Sequence[str] | Mapping[str, object] | None
@@ -489,31 +497,7 @@ def open_fleet(
         **overrides: flat or grouped base-config fields
             (``min_support=500``, ``jobs=4``, ...).
     """
-    return _open_fleet(
-        RunConfig.load(config, **overrides),
-        pipelines,
-        route,
-        store_dir,
-        mode=mode,
-        interval_seconds=interval_seconds,
-        origin=origin,
-        seed=seed,
-        keep_reports=keep_reports,
-        metrics=metrics,
-        tracer=tracer,
-    )
-
-
-def _open_fleet(
-    run: RunConfig,
-    pipelines: int | Sequence[str] | Mapping[str, object] | None,
-    route: str | None,
-    store_dir: str | os.PathLike[str] | None,
-    **manager: Any,
-) -> FleetManager:
-    """The fleet a loaded run config describes, keyword arguments over
-    its ``[fleet]`` table (shared by :func:`open_fleet` and
-    :func:`serve`)."""
+    run = RunConfig.load(config, **overrides)
     base, settings = run.base, run.fleet
     if route is None:
         route = settings.route
@@ -557,7 +541,16 @@ def _open_fleet(
             )
         configs = {name: base for name in names}
     return FleetManager(
-        configs, route=route, store_dir=store_dir, **manager
+        configs,
+        route=route,
+        store_dir=store_dir,
+        mode=mode,
+        interval_seconds=interval_seconds,
+        origin=origin,
+        seed=seed,
+        keep_reports=keep_reports,
+        metrics=metrics,
+        tracer=tracer,
     )
 
 
@@ -615,7 +608,7 @@ def rank(
 
 
 def serve(
-    config: ExtractionConfig | Mapping | str | os.PathLike[str] | None = None,
+    config: ConfigLike = None,
     *,
     pipelines: (
         int | Sequence[str] | Mapping[str, object] | None
@@ -664,7 +657,9 @@ def serve(
             ``[service]`` tables.
         pipelines / route / store_dir: as in :func:`open_fleet`, except
             that with nothing configured the daemon defaults to one
-            ``link0`` pipeline instead of raising.
+            ``link0`` pipeline instead of raising, and to hash-sharding
+            ``dst_ip`` over its pipelines instead of refusing un-tagged
+            ingest.
         host / port / ingest_port / checkpoint_path / checkpoint_every:
             :class:`ServiceSettings` overrides (``port=0`` binds an
             ephemeral port, announced on ``log``).
@@ -678,7 +673,6 @@ def serve(
     """
     from repro.service.supervisor import run_service
 
-    run = RunConfig.load(config, **overrides)
     given = {
         "host": host,
         "port": port,
@@ -688,24 +682,29 @@ def serve(
         ),
         "checkpoint_every": checkpoint_every,
     }
-    settings = dataclasses.replace(
-        run.service, **{k: v for k, v in given.items() if v is not None}
+    run = RunConfig.load(
+        config,
+        {"service": {k: v for k, v in given.items() if v is not None}},
+        **overrides,
     )
+    # A daemon cannot take explicit tags from every client, and one
+    # without explicit pipelines watches one link.
     if pipelines is None and not run.fleet.pipelines:
-        # A daemon without explicit pipelines watches one link.
         pipelines = 1
-    # One registry and one tracer, resolved once from the base config,
-    # for the fleet and the federator alike.
-    if metrics is None:
-        metrics = MetricsRegistry(buckets=run.base.obs.histogram_buckets)
-    if tracer is None and run.base.obs.trace_path is not None:
-        tracer = Tracer()
+    if route is None and run.fleet.route is None:
+        route = DEFAULT_ROUTE_COLUMN
+    # One registry - live whatever [obs] enabled says: /metrics is part
+    # of the daemon's contract - and one tracer, for the fleet and the
+    # federator alike.
+    registry, spans = default_observers(
+        [run.base.replace(obs_enabled=True)], metrics, tracer
+    )
     shared: dict[str, Any] = {
         "interval_seconds": interval_seconds,
         "origin": origin,
         "seed": seed,
-        "metrics": metrics,
-        "tracer": tracer,
+        "metrics": registry,
+        "tracer": spans,
     }
     with contextlib.ExitStack() as stack:
         federator = (
@@ -715,22 +714,24 @@ def serve(
             if run.federation.configured
             else None
         )
-        fleet = stack.enter_context(
-            _open_fleet(run, pipelines, route, store_dir, **shared)
-        )
+        fleet = stack.enter_context(open_fleet(
+            run, pipelines=pipelines, route=route, store_dir=store_dir,
+            **shared,
+        ))
         run_service(
-            fleet, settings, resume=resume, log=log, federator=federator
+            fleet, run.service, resume=resume, log=log, federator=federator
         )
 
 
 def federate(
     traces: (
         Mapping[str, FlowTable | str | os.PathLike[str]]
+        | Sequence[str | os.PathLike[str]]
         | FlowTable
         | str
         | os.PathLike[str]
     ),
-    config: ExtractionConfig | Mapping | str | os.PathLike[str] | None = None,
+    config: ConfigLike = None,
     *,
     sites: Sequence[str] | None = None,
     route: str | None = None,
@@ -759,14 +760,18 @@ def federate(
                                  "pop-west": "west.npz"})
         result = repro.federate("combined.csv", sites=["a", "b"],
                                 route="dst_ip%2", min_support=500)
+        result = repro.federate(["east.jsonl", "west.jsonl"])
         for entry in result.incidents:
             print(entry.render())
 
     Args:
         traces: a mapping of site name -> trace (each a
-            :class:`FlowTable` or a readable trace path), or one
-            combined trace to split across ``sites`` by ``route`` (as
-            if each site had captured its own share).
+            :class:`FlowTable` or a readable trace path); one combined
+            trace to split across ``sites`` by ``route`` (as if each
+            site had captured its own share); or a list of digest
+            JSONL files already written by the sites' collectors
+            (``repro-extract federate collect``), whose digests name
+            the sites.
         config: config object / nested dict / TOML path (see
             :func:`resolve_config`); dict/TOML may carry a
             ``[federation]`` table (:class:`FederationSettings`) whose
@@ -774,9 +779,10 @@ def federate(
             defaults the keyword arguments here override.
         sites: site names for the single-trace form (overrides
             ``[federation] sites``); ignored when ``traces`` is a
-            mapping.
+            mapping, refused with digest files.
         route: routing spec splitting a single trace across sites
-            (default ``[federation] route``, else ``dst_ip``).
+            (default ``[federation] route``, else ``dst_ip``); refused
+            with digest files.
         interval_seconds / origin / seed: the shared interval grid and
             hash seed - identical at every site by construction here;
             live collectors must agree on them out of band.
@@ -798,12 +804,14 @@ def federate(
     """
     run = RunConfig.load(config, **overrides)
     settings = run.federation
+    digests = None
     if isinstance(traces, Mapping):
         site_traces = {
             str(site): _load_flows(trace)
             for site, trace in traces.items()
         }
-    else:
+        site_names = tuple(site_traces)
+    elif isinstance(traces, (FlowTable, str, os.PathLike)):
         site_names = (
             tuple(str(s) for s in sites)
             if sites is not None
@@ -816,12 +824,28 @@ def federate(
             )
         spec = route if route is not None else settings.route
         if spec is None:
-            spec = "dst_ip"
+            spec = DEFAULT_ROUTE_COLUMN
         site_traces = split_trace(_load_flows(traces), site_names, spec)
+    else:
+        paths = list(traces)
+        if sites is not None or route is not None:
+            raise FederationError(
+                "digest files name their own sites: sites= and route= "
+                "apply only to a single combined trace"
+            )
+        if not all(isinstance(path, (str, os.PathLike)) for path in paths):
+            raise FederationError(
+                "a sequence passed to federate() lists digest JSONL "
+                "files; give traces as a {site: trace} mapping"
+            )
+        digests = read_digest_files(paths)
+        site_names = tuple(sorted({
+            site for digest, _ in digests for site in digest.sites
+        }))
     with open_federator(
         run.base,
         settings,
-        sites=tuple(site_traces),
+        sites=site_names,
         store=store,
         min_support=min_support,
         straggler_grace=straggler_grace,
@@ -831,6 +855,10 @@ def federate(
         metrics=metrics,
         tracer=tracer,
     ) as federator:
+        if digests is not None:
+            return federate_digests(
+                federator, digests, profile=profile, top=top
+            )
         return federate_traces(
             federator, site_traces, profile=profile, top=top, tracer=tracer
         )

@@ -22,8 +22,8 @@ import signal
 from typing import Any
 
 from repro.core.config import RunConfig
-from repro.errors import ConfigError
-from repro.flows import read_trace
+from repro.errors import ConfigError, TraceFormatError
+from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.parallel import EXECUTOR_BACKENDS
 from repro.registry import feature_sets, miners
@@ -76,33 +76,34 @@ def interrupt_guard():
             signal.signal(signum, handler)  # type: ignore[arg-type]
 
 
-def load_trace(path: str):
-    """Read a whole trace through the trace-reader registry."""
-    return read_trace(path)
+def check_streamable(trace: str, command: str = "stream") -> None:
+    """Refuse a trace the streaming subcommands cannot read
+    incrementally: anything but a ``.csv`` path or ``'-'`` for stdin
+    (incremental parsing is row-oriented).  The shells call this before
+    they open anything, so a refused run creates no store."""
+    if trace != "-" and not trace.endswith(".csv"):
+        raise TraceFormatError(
+            f"{trace}: {command} reads a .csv trace (or '-' for stdin)"
+        )
 
 
 def chunk_source(
     trace: str, chunk_rows: int, command: str = "stream", metrics=None
 ):
-    """Chunked flow iterator for the streaming subcommands: a ``.csv``
-    path or ``'-'`` for stdin (anything else is rejected up front -
-    incremental parsing is row-oriented).  ``metrics`` threads a
-    registry through to the CSV parser's row counters."""
+    """Chunked flow iterator for the streaming subcommands (see
+    :func:`check_streamable` for what ``trace`` may be).  ``metrics``
+    threads a registry through to the CSV parser's row counters."""
     import sys
 
-    from repro.errors import TraceFormatError
     from repro.flows import iter_csv, iter_csv_handle
 
+    check_streamable(trace, command)
     if trace == "-":
         return iter_csv_handle(
             sys.stdin, chunk_rows=chunk_rows, name="<stdin>",
             metrics=metrics,
         )
-    if trace.endswith(".csv"):
-        return iter_csv(trace, chunk_rows=chunk_rows, metrics=metrics)
-    raise TraceFormatError(
-        f"{trace}: {command} reads a .csv trace (or '-' for stdin)"
-    )
+    return iter_csv(trace, chunk_rows=chunk_rows, metrics=metrics)
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +193,23 @@ def add_mining_args(parser: argparse.ArgumentParser) -> None:
                         "registered via repro.registry.miners)")
 
 
+def add_fleet_args(parser: argparse.ArgumentParser) -> None:
+    """The pipeline-set flags ``fleet`` and ``serve`` share (see
+    :func:`fleet_options`)."""
+    parser.add_argument("--origin", type=float, default=0.0,
+                        help="timestamp of interval 0")
+    parser.add_argument("--pipelines", type=positive_int, default=None,
+                        metavar="N",
+                        help="run N generated pipelines (link0..linkN-1) "
+                        "on the base config; mutually exclusive with "
+                        "[fleet.pipelines.<name>] sections in --config")
+    parser.add_argument("--route", default=None, metavar="SPEC",
+                        help="routing spec: a flow column ('dst_ip'), a "
+                        "'column%%N' shard, or a registered router "
+                        f"(default: {DEFAULT_ROUTE_COLUMN} hash-sharded "
+                        "over the pipelines)")
+
+
 def add_format_arg(
     parser: argparse.ArgumentParser,
     json_help: str = "one JSON document per alarmed interval",
@@ -224,96 +242,58 @@ def add_metrics_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_metrics_registry(args: argparse.Namespace, config):
-    """A real registry when the run wants one, else ``None``.
+def _write_export(target: str | None, render) -> None:
+    """Write ``render()`` to ``target`` (``-`` = stdout; ``None`` =
+    the run asked for no export)."""
+    import sys
 
-    ``--metrics PATH`` or a run config with ``[obs] enabled = true``
-    turns observability on; everything else runs against the no-op
-    registry (chosen downstream when this returns ``None``).
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    if getattr(args, "metrics", None) is None and not config.obs_enabled:
-        return None
-    return MetricsRegistry(buckets=config.obs.histogram_buckets)
+    if target == "-":
+        sys.stdout.write(render())
+    elif target is not None:
+        with open(target, "w") as handle:
+            handle.write(render())
 
 
 def write_metrics(registry, args: argparse.Namespace) -> None:
-    """Export the registry per ``--metrics`` / ``--metrics-format``."""
-    import sys
+    """Export the run's registry per ``--metrics`` /
+    ``--metrics-format``."""
+    from repro.obs.export import render_json
 
-    target = getattr(args, "metrics", None)
-    if target is None or registry is None:
-        return
-    if getattr(args, "metrics_format", "prom") == "json":
-        from repro.obs.export import render_json
-
-        text = render_json(registry)
-    else:
-        text = registry.render_prometheus()
-    if target == "-":
-        sys.stdout.write(text)
-    else:
-        with open(target, "w") as handle:
-            handle.write(text)
+    _write_export(
+        args.metrics,
+        lambda: render_json(registry)
+        if args.metrics_format == "json"
+        else registry.render_prometheus(),
+    )
 
 
 def add_trace_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="PATH", dest="trace_out",
+        action=TrackedAction,
         help="record a span trace (per-interval stage timings, "
         "assembler events, worker shards) and write it to PATH when "
         "the run completes; '-' writes to stdout",
     )
     parser.add_argument(
         "--trace-format", choices=("jsonl", "chrome", "text"),
-        default=None,
+        default=None, action=TrackedAction,
         help="trace export format: one canonical-JSON span per line, "
         "Chrome trace-event JSON (load in Perfetto), or a "
         "human-readable span tree (default: jsonl)",
     )
 
 
-def build_tracer(args: argparse.Namespace, config):
-    """A real tracer when the run wants one, else ``None``.
-
-    ``--trace PATH`` or a run config with ``[obs] trace_path`` turns
-    span tracing on; everything else runs against the no-op tracer
-    (chosen downstream when this returns ``None``).
-    """
-    from repro.obs.trace import Tracer
-
-    if (
-        getattr(args, "trace_out", None) is None
-        and config.obs.trace_path is None
-    ):
-        return None
-    return Tracer()
-
-
-def write_trace(tracer, args: argparse.Namespace, config) -> None:
-    """Export the trace per ``--trace`` / ``--trace-format``, falling
-    back to the config's ``[obs] trace_path/trace_format`` keys."""
-    import sys
-
-    if tracer is None:
-        return
-    target = getattr(args, "trace_out", None) or config.obs.trace_path
-    if target is None:
-        return
-    fmt = (
-        getattr(args, "trace_format", None)
-        or config.obs.trace_format
-        or "jsonl"
-    )
+def write_trace(tracer, config) -> None:
+    """Export the run's trace to ``[obs] trace_path`` in ``[obs]
+    trace_format`` - which is where ``--trace`` / ``--trace-format``
+    land."""
     from repro.obs.trace import render_trace
 
-    text = render_trace(tracer, fmt)
-    if target == "-":
-        sys.stdout.write(text)
-    else:
-        with open(target, "w") as handle:
-            handle.write(text)
+    _write_export(
+        config.obs.trace_path,
+        lambda: render_trace(tracer, config.obs.trace_format or "jsonl"),
+    )
 
 
 def add_parallel_args(parser: argparse.ArgumentParser) -> None:
@@ -347,6 +327,16 @@ _CONFIG_DESTS: dict[str, tuple[str, str]] = {
     "max_pending": ("streaming", "max_pending_intervals"),
     "keep_extractions": ("streaming", "keep_extractions"),
     "store": ("incidents", "store_path"),
+    "trace_out": ("obs", "trace_path"),
+    "trace_format": ("obs", "trace_format"),
+    "host": ("service", "host"),
+    "port": ("service", "port"),
+    "ingest_port": ("service", "ingest_port"),
+    "checkpoint": ("service", "checkpoint_path"),
+    "checkpoint_every": ("service", "checkpoint_every"),
+    "checkpoint_sync": ("service", "checkpoint_sync"),
+    "cm_width": ("federation", "cm_width"),
+    "cm_depth": ("federation", "cm_depth"),
 }
 
 
@@ -370,76 +360,45 @@ def run_config(args: argparse.Namespace) -> RunConfig:
         if value is None or (chosen is not None and dest not in chosen):
             continue
         flags.setdefault(section, {})[key] = value
+    if getattr(args, "metrics", None) is not None:
+        # --metrics PATH turns the registry on; write_metrics has the path.
+        flags.setdefault("obs", {})["enabled"] = True
     return RunConfig.load(path, flags)
 
 
-def keeps_extractions(
-    args: argparse.Namespace, run: RunConfig, pipeline: str | None = None
-) -> bool:
-    """Whether the user asked - ``--keep-extractions``, the base
-    ``[streaming] keep_extractions``, or that key in ``pipeline``'s
-    ``[fleet.pipelines.<name>]`` override - for extraction retention.
-
-    The streaming verbs print or store results as they complete and
-    read counters afterwards, so their weak default drops extractions
-    (the library default keeps them); an explicit ask must still win.
+def weak_retention(
+    args: argparse.Namespace, run: RunConfig
+) -> dict[str, bool]:
+    """The streaming verbs' weak ``keep_extractions=False`` default as
+    an :mod:`repro.api` keyword override (they print or store results
+    as they complete, so retention would only grow): empty when
+    ``--keep-extractions`` or the base ``[streaming]`` key asks for
+    retention.  A keyword override sits below the
+    ``[fleet.pipelines.<name>]`` tables, so a pipeline's own key wins.
     """
-    key = ("streaming", "keep_extractions")
-    return (
-        "keep_extractions" in explicit_dests(args)
-        or run.sets(*key)
-        or (
-            pipeline is not None
-            and run.sets("fleet", "pipelines", pipeline, *key)
-        )
-    )
+    if "keep_extractions" in explicit_dests(args) or run.sets(
+        "streaming", "keep_extractions"
+    ):
+        return {}
+    return {"keep_extractions": False}
 
 
-#: Routing spec used by ``fleet`` and ``serve`` when neither ``--route``
-#: nor the run config names one: hash-shard destination IPs across the
-#: pipelines.
-DEFAULT_ROUTE_COLUMN = "dst_ip"
-
-
-def fleet_arguments(
-    args: argparse.Namespace, run: RunConfig, unconfigured: int = 0
-) -> dict[str, Any]:
-    """:class:`~repro.fleet.manager.FleetManager` arguments for the
-    ``fleet`` and ``serve`` verbs: ``--pipelines``/``--route``/
-    ``--store-dir`` over the ``[fleet]`` table, each pipeline under the
-    CLI's weak retention default (see :func:`keeps_extractions`).
-    ``unconfigured`` is how many pipelines to generate when neither
-    names any (0 = refuse)."""
-    configs = run.fleet.pipeline_configs()
-    if args.pipelines is not None and configs:
+def fleet_options(args: argparse.Namespace, run: RunConfig) -> dict[str, Any]:
+    """The keyword arguments the ``fleet`` and ``serve`` shells hand
+    :func:`repro.api.open_fleet` / :func:`repro.api.serve`, under the
+    command line's two policies: a fleet is configured in one place,
+    and results are not retained unless asked."""
+    if args.pipelines is not None and run.fleet.pipelines:
         raise ConfigError(
             "both --pipelines and [fleet.pipelines.<name>] sections "
             "given; configure the fleet in one place"
         )
-    if not configs:
-        count = unconfigured if args.pipelines is None else args.pipelines
-        configs = {f"link{i}": run.base for i in range(count)}
-    if not configs:
-        raise ConfigError(
-            "no pipelines configured: pass --pipelines N or add "
-            "[fleet.pipelines.<name>] sections to --config"
-        )
-
-    def first(*values: str | None) -> str | None:
-        return next((v for v in values if v is not None), None)
-
     return {
-        "pipelines": {
-            name: (
-                config
-                if keeps_extractions(args, run, name)
-                else config.replace(keep_extractions=False)
-            )
-            for name, config in configs.items()
-        },
-        "route": first(args.route, run.fleet.route, DEFAULT_ROUTE_COLUMN),
-        "store_dir": first(args.store_dir, run.fleet.store_dir),
+        "pipelines": args.pipelines,
+        "route": args.route,
+        "store_dir": args.store_dir,
         "interval_seconds": args.interval_seconds,
         "origin": args.origin,
         "seed": args.seed,
+        **weak_retention(args, run),
     }

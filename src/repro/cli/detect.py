@@ -1,20 +1,20 @@
-"""``repro-extract detect`` - run the histogram detector bank."""
+"""``repro-extract detect`` - run the histogram detector bank: the
+argv shell over the bank a :func:`repro.api.session` builds (serial,
+or on the parallel engine with ``--jobs``)."""
 
 from __future__ import annotations
 
 import argparse
 import json
 
+from repro import api
 from repro.cli._common import (
     add_config_arg,
     add_detector_args,
     add_format_arg,
     add_parallel_args,
-    load_trace,
     run_config,
 )
-from repro.detection import DetectorBank
-from repro.parallel import ParallelEngine
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -28,21 +28,16 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    flows = load_trace(args.trace)
-    config = run_config(args).base
-    if config.jobs > 1:
-        with ParallelEngine(
-            backend=config.backend, jobs=config.jobs
-        ) as engine:
-            bank = engine.bank(
-                config.detector, features=config.features, seed=args.seed
-            )
-            run_ = bank.run(flows, args.interval_seconds, origin=0.0)
-    else:
-        bank = DetectorBank(
-            config.detector, features=config.features, seed=args.seed
+    flows = api.read_trace(args.trace)
+    # Detection persists nothing: no store, telemetry file or tracer is
+    # opened, whatever the run config's [incidents]/[obs] tables say.
+    with api.session(
+        run_config(args), mode="batch", seed=args.seed,
+        store_path=None, obs_enabled=False, trace_path=None,
+    ) as session:
+        run_ = session.extractor.detector_bank.run(
+            flows, args.interval_seconds, origin=0.0
         )
-        run_ = bank.run(flows, args.interval_seconds, origin=0.0)
     alarms = run_.alarm_intervals()
     if args.format == "json":
         for interval in alarms:

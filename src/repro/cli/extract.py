@@ -1,9 +1,11 @@
-"""``repro-extract extract`` - the full batch extraction pipeline."""
+"""``repro-extract extract`` - the full batch extraction pipeline: the
+argv shell over a batch-mode :func:`repro.api.session`."""
 
 from __future__ import annotations
 
 import argparse
 
+from repro import api
 from repro.cli._common import (
     TrackedAction,
     add_config_arg,
@@ -14,16 +16,11 @@ from repro.cli._common import (
     add_parallel_args,
     add_store_arg,
     add_trace_args,
-    build_metrics_registry,
-    build_tracer,
-    load_trace,
     positive_int,
     run_config,
     write_metrics,
     write_trace,
 )
-from repro.core import AnomalyExtractor, ExtractionReport
-from repro.sinks import TeeSink
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -45,41 +42,26 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    flows = load_trace(args.trace)
-    config = run_config(args).base
-    registry = build_metrics_registry(args, config)
-    tracer = build_tracer(args, config)
-    with AnomalyExtractor(
-        config, seed=args.seed, metrics=registry, tracer=tracer
-    ) as extractor:
-        if args.format == "json":
-            # Collect the reports run_trace builds anyway (teeing into
-            # the store when one is configured) instead of rebuilding
-            # each one for printing.
-            reports: list[ExtractionReport] = []
-            sink = (
-                TeeSink(extractor.store, reports)
-                if extractor.store is not None else reports
-            )
-            result = extractor.run_trace(
-                flows, args.interval_seconds, sink=sink
-            )
-        else:
-            result = extractor.run_trace(flows, args.interval_seconds)
+    flows = api.read_trace(args.trace)
+    run_cfg = run_config(args)
+    with api.session(
+        run_cfg,
+        mode="batch",
+        seed=args.seed,
+        interval_seconds=args.interval_seconds,
+    ) as session:
+        session.feed(flows)
+        extractions = session.finish().extractions
     if args.format == "json":
-        for report in reports:
-            print(report.to_json())
-        write_metrics(registry, args)
-        write_trace(tracer, args, config)
-        return 0
-    if not result.extractions:
+        for extraction in extractions:
+            # The report the store received, not a rebuilt one.
+            print(session.report_for(extraction).to_json())
+    elif extractions:
+        for extraction in extractions:
+            print(extraction.render())
+            print()
+    else:
         print("no extractions (no alarms with usable meta-data)")
-        write_metrics(registry, args)
-        write_trace(tracer, args, config)
-        return 0
-    for extraction in result.extractions:
-        print(extraction.render())
-        print()
-    write_metrics(registry, args)
-    write_trace(tracer, args, config)
+    write_metrics(session.metrics, args)
+    write_trace(session.tracer, run_cfg.base)
     return 0

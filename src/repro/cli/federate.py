@@ -6,10 +6,11 @@ Two actions mirror the deployment's two roles:
   writes its interval digests as JSONL (one canonical digest document
   per line) - the exact bytes a live collector would ``POST /digest``
   to a federated daemon;
-* ``federate merge`` replays one or more digest files through a
-  federator - aligning intervals across sites, merging the sketches,
-  running the detector bank over the merged view - and prints the
-  released intervals plus the global incident ranking.
+* ``federate merge`` is the argv shell over :func:`repro.api.federate`
+  on digest files: it replays them through a federator - aligning
+  intervals across sites, merging the sketches, running the detector
+  bank over the merged view - and prints the released intervals plus
+  the global incident ranking.
 
 Digest files collected under different sketch parameters (width,
 depth, seed, clone geometry) are refused with exit code 2: merging
@@ -29,6 +30,7 @@ import argparse
 import json
 
 from repro.cli._common import (
+    TrackedAction,
     add_config_arg,
     add_detector_args,
     add_format_arg,
@@ -106,10 +108,12 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 def _add_sketch_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cm-width", type=positive_int, default=None,
+                        action=TrackedAction,
                         help="count-min sketch width (columns; "
                         "support error <= e/width * N; default: "
                         "[federation] cm_width, else 2048)")
     parser.add_argument("--cm-depth", type=positive_int, default=None,
+                        action=TrackedAction,
                         help="count-min sketch depth (rows; error "
                         "probability e^-depth; default: [federation] "
                         "cm_depth, else 4)")
@@ -118,8 +122,8 @@ def _add_sketch_args(parser: argparse.ArgumentParser) -> None:
 def run_collect(args: argparse.Namespace) -> int:
     import sys
 
-    from repro.cli._common import load_trace
     from repro.federation import Collector
+    from repro.flows import read_trace
 
     run = run_config(args)
     settings = run.federation
@@ -128,14 +132,10 @@ def run_collect(args: argparse.Namespace) -> int:
         config=run.base.detector,
         features=run.base.features,
         seed=args.seed,
-        cm_width=(
-            settings.cm_width if args.cm_width is None else args.cm_width
-        ),
-        cm_depth=(
-            settings.cm_depth if args.cm_depth is None else args.cm_depth
-        ),
+        cm_width=settings.cm_width,
+        cm_depth=settings.cm_depth,
     )
-    trace = load_trace(args.trace)
+    trace = read_trace(args.trace)
     digests = collector.run(
         trace, args.interval_seconds, origin=args.origin
     )
@@ -156,70 +156,27 @@ def run_collect(args: argparse.Namespace) -> int:
 
 
 def run_merge(args: argparse.Namespace) -> int:
-    from repro.errors import FederationError
-    from repro.federation import IntervalDigest
-    from repro.federation.tier import open_federator
+    from repro import api
 
-    run = run_config(args)
-    parsed: list[tuple[IntervalDigest, int]] = []
-    for path in args.digests:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        digest = IntervalDigest.from_json(line)
-                    except FederationError as exc:
-                        raise FederationError(
-                            f"{path}:{line_no}: {exc}"
-                        ) from exc
-                    parsed.append(
-                        (digest, len(line.rstrip("\n").encode("utf-8")))
-                    )
-        except OSError as exc:
-            raise FederationError(
-                f"cannot read digest file {path}: {exc}"
-            ) from exc
-    if not parsed:
-        raise FederationError(
-            f"no digests found in {', '.join(args.digests)}"
-        )
-    sites = tuple(sorted({
-        site for digest, _ in parsed for site in digest.sites
-    }))
-    with open_federator(
-        run.base,
-        run.federation,
-        sites=sites,
+    result = api.federate(
+        args.digests,
+        run_config(args),
         store=args.store,
-        cm_width=args.cm_width,
-        cm_depth=args.cm_depth,
         straggler_grace=args.grace,
         min_support=args.fed_min_support,
         seed=args.seed,
         interval_seconds=args.interval_seconds,
         origin=args.origin,
-    ) as federator:
-        released = []
-        # Interval-major delivery (every site's interval i before
-        # anyone's i+1): the order a healthy deployment approximates,
-        # and the one that keeps sorted replay free of stale refusals.
-        for digest, wire_bytes in sorted(
-            parsed, key=lambda entry: (entry[0].interval, entry[0].sites)
-        ):
-            released.extend(
-                federator.add(digest, wire_bytes=wire_bytes)
-            )
-        released.extend(federator.finish())
-        incidents = federator.incidents(
-            profile=args.profile, top=args.top
-        )
+        profile=args.profile,
+        top=args.top,
+    )
+    sites, released = result.sites, result.intervals
+    incidents = result.incidents
     if args.format == "json":
         print(json.dumps(
             {
                 "sites": list(sites),
-                "digests": len(parsed),
+                "digests": result.digests,
                 "intervals": [
                     {
                         "interval": fi.interval,
@@ -243,7 +200,7 @@ def run_merge(args: argparse.Namespace) -> int:
     alarmed = [fi for fi in released if fi.alarm]
     stragglers = [fi for fi in released if fi.stragglers]
     print(
-        f"{len(parsed)} digests from {len(sites)} sites "
+        f"{result.digests} digests from {len(sites)} sites "
         f"({', '.join(sites)}): {len(released)} intervals merged, "
         f"{len(alarmed)} alarmed, {len(stragglers)} with stragglers"
     )

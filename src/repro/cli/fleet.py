@@ -1,7 +1,8 @@
 """``repro-extract fleet`` - route one trace across many pipelines.
 
-One Fig. 3 pipeline per monitored link, all behind a single router and
-one shared worker pool (:class:`~repro.fleet.manager.FleetManager`).
+The argv shell over :func:`repro.api.open_fleet`: one Fig. 3 pipeline
+per monitored link, all behind a single router and one shared worker
+pool (:class:`~repro.fleet.manager.FleetManager`).
 Per-pipeline reports land in per-pipeline incident stores
 (``--store-dir``, or in-memory stores for a one-shot run), and the
 final output is the fleet-wide merged incident ranking.
@@ -12,28 +13,29 @@ from __future__ import annotations
 import argparse
 import json
 
+from repro import api
 from repro.cli._common import (
-    DEFAULT_ROUTE_COLUMN,
     GracefulInterrupt,
     TrackedTrueAction,
     add_config_arg,
     add_detector_args,
+    add_fleet_args,
     add_format_arg,
     add_metrics_args,
     add_mining_args,
     add_parallel_args,
     add_trace_args,
-    build_metrics_registry,
-    build_tracer,
+    check_streamable,
     chunk_source,
-    fleet_arguments,
+    fleet_options,
     interrupt_guard,
     positive_int,
     run_config,
     write_metrics,
     write_trace,
 )
-from repro.fleet import FleetManager
+from repro.errors import ConfigError
+from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
 from repro.flows.io import DEFAULT_CHUNK_ROWS
 from repro.obs.log import get_logger
 
@@ -53,18 +55,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     fleet.add_argument("--chunk-rows", type=positive_int,
                        default=DEFAULT_CHUNK_ROWS,
                        help="flows parsed per chunk (bounds parser memory)")
-    fleet.add_argument("--origin", type=float, default=0.0,
-                       help="timestamp of interval 0")
-    fleet.add_argument("--pipelines", type=positive_int, default=None,
-                       metavar="N",
-                       help="run N generated pipelines (link0..linkN-1) "
-                       "on the base config; mutually exclusive with "
-                       "[fleet.pipelines.<name>] sections in --config")
-    fleet.add_argument("--route", default=None, metavar="SPEC",
-                       help="routing spec: a flow column ('dst_ip'), a "
-                       "'column%%N' shard, or a registered router "
-                       f"(default: {DEFAULT_ROUTE_COLUMN} hash-sharded "
-                       "over the pipelines)")
+    add_fleet_args(fleet)
     fleet.add_argument("--store-dir", default=None, metavar="DIR",
                        help="directory of per-pipeline incident stores "
                        "(<name>.db, created if missing); default: "
@@ -92,16 +83,22 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 def run(args: argparse.Namespace) -> int:
     run_cfg = run_config(args)
-    base = run_cfg.base
-    fleet_args = fleet_arguments(args, run_cfg)
-    registry = build_metrics_registry(args, base)
-    tracer = build_tracer(args, base)
-    chunks = chunk_source(
-        args.trace, args.chunk_rows, command="fleet", metrics=registry
-    )
-    with FleetManager(
-        **fleet_args, metrics=registry, tracer=tracer
-    ) as fleet:
+    options = fleet_options(args, run_cfg)
+    if args.pipelines is None and not run_cfg.fleet.pipelines:
+        raise ConfigError(
+            "no pipelines configured: pass --pipelines N or add "
+            "[fleet.pipelines.<name>] sections to --config"
+        )
+    if args.route is None and run_cfg.fleet.route is None:
+        # A one-shot run cannot tag chunks per link.
+        options["route"] = DEFAULT_ROUTE_COLUMN
+    # Before the fleet opens (and creates) its stores.
+    check_streamable(args.trace, "fleet")
+    with api.open_fleet(run_cfg, **options) as fleet:
+        chunks = chunk_source(
+            args.trace, args.chunk_rows, command="fleet",
+            metrics=fleet.metrics,
+        )
         interrupted: GracefulInterrupt | None = None
         try:
             # Guard only the feed loop: an interrupt stops ingesting,
@@ -125,8 +122,8 @@ def run(args: argparse.Namespace) -> int:
             for line in _render_table(results, incidents):
                 print(line)
     # After the with-block so the fleet.run root span is ended.
-    write_metrics(registry, args)
-    write_trace(tracer, args, base)
+    write_metrics(fleet.metrics, args)
+    write_trace(fleet.tracer, run_cfg.base)
     return interrupted.exit_code if interrupted is not None else 0
 
 

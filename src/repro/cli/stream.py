@@ -1,4 +1,5 @@
-"""``repro-extract stream`` - bounded-memory extraction over CSV/stdin."""
+"""``repro-extract stream`` - bounded-memory extraction over CSV/stdin:
+the argv shell over a stream-mode :func:`repro.api.session`."""
 
 from __future__ import annotations
 
@@ -16,13 +17,12 @@ from repro.cli._common import (
     add_mining_args,
     add_store_arg,
     add_trace_args,
-    build_metrics_registry,
-    build_tracer,
+    check_streamable,
     chunk_source,
     interrupt_guard,
-    keeps_extractions,
     positive_int,
     run_config,
+    weak_retention,
     write_metrics,
     write_trace,
 )
@@ -74,16 +74,8 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 def run(args: argparse.Namespace) -> int:
     run_cfg = run_config(args)
-    config = run_cfg.base
-    registry = build_metrics_registry(args, config)
-    tracer = build_tracer(args, config)
-    chunks = chunk_source(args.trace, args.chunk_rows, metrics=registry)
-    if not keeps_extractions(args, run_cfg):
-        # The CLI's weak default: results print as they complete and
-        # the summary uses counters, so retention would only grow.
-        # The library default (True) still wins when the run config or
-        # the flag asks for it explicitly.
-        config = config.replace(keep_extractions=False)
+    # Before the session opens (and creates) its store.
+    check_streamable(args.trace)
 
     def emit(session, extraction) -> None:
         if args.format == "json":
@@ -95,7 +87,7 @@ def run(args: argparse.Namespace) -> int:
 
     interrupted: GracefulInterrupt | None = None
     with api.session(
-        config,
+        run_cfg,
         seed=args.seed,
         interval_seconds=args.interval_seconds,
         origin=args.origin,
@@ -103,9 +95,11 @@ def run(args: argparse.Namespace) -> int:
         # post-hoc DetectionRun, so per-interval reports need not
         # accumulate - this is what keeps day-long pipes flat.
         keep_reports=False,
-        metrics=registry,
-        tracer=tracer,
+        **weak_retention(args, run_cfg),
     ) as session:
+        chunks = chunk_source(
+            args.trace, args.chunk_rows, metrics=session.metrics
+        )
         try:
             # Only the feed loop is guarded: an interrupt stops
             # ingesting but the flush below still completes every
@@ -132,7 +126,7 @@ def run(args: argparse.Namespace) -> int:
             f"(pre-origin {result.late_dropped_pre_origin}, "
             f"closed-interval {result.late_dropped_closed})"
         )
-    if config.window_intervals > 1:
+    if session.config.window_intervals > 1:
         summary += (
             f"; windows mined {result.windows_mined}, "
             f"skipped {result.windows_skipped}"
@@ -144,6 +138,6 @@ def run(args: argparse.Namespace) -> int:
         get_logger("cli.stream").info("%s", summary)
     else:
         print(summary)
-    write_metrics(registry, args)
-    write_trace(tracer, args, config)
+    write_metrics(session.metrics, args)
+    write_trace(session.tracer, run_cfg.base)
     return interrupted.exit_code if interrupted is not None else 0

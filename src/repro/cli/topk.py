@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli._common import load_trace
+from repro.flows import read_trace
 from repro.mining import TransactionSet
 
 
@@ -21,7 +21,7 @@ def run(args: argparse.Namespace) -> int:
     from repro.core.report import render_itemset_table
     from repro.mining.topk import mine_top_k
 
-    flows = load_trace(args.trace)
+    flows = read_trace(args.trace)
     transactions = TransactionSet.from_flows(flows)
     top, result = mine_top_k(transactions, args.k)
     print(

@@ -1130,17 +1130,20 @@ class RunConfig:
     @classmethod
     def load(
         cls,
-        config: ExtractionConfig | Mapping | str | os.PathLike[str] | None,
+        config: "ConfigLike",
         layer: Mapping | None = None,
         **overrides: object,
     ) -> "RunConfig":
         """Normalize every accepted config spelling into a run config.
 
         ``config`` may be a path to a TOML run config, a nested mapping
-        of the same shape, a ready :class:`ExtractionConfig`, or
-        ``None`` for defaults.  The layering order is fixed: the file,
-        then ``layer`` (partial ``{section: {key: value}}`` data in the
-        manner of :func:`apply_section_overrides` - what explicitly
+        of the same shape, a ready :class:`ExtractionConfig`, ``None``
+        for defaults, or an already loaded :class:`RunConfig` (nothing
+        is re-read; the layers below apply on top of it).  The layering
+        order is fixed: the file, then ``layer`` (partial
+        ``{section: {key: value}}`` data in the manner of
+        :func:`apply_section_overrides`, where a section may also be
+        the ``service`` or ``federation`` run table - what explicitly
         typed CLI flags are), then ``overrides`` (flat or grouped
         fields as taken by :meth:`ExtractionConfig.replace` - the
         :mod:`repro.api` keyword arguments), then each
@@ -1149,32 +1152,45 @@ class RunConfig:
         """
         path: str | None = None
         sections: Mapping = {}
-        if isinstance(config, (str, os.PathLike)):
-            path = os.fspath(config)
-            sections = load_toml_data(path)
-        elif isinstance(config, Mapping):
-            sections = dict(config)
-        elif config is not None and not isinstance(config, ExtractionConfig):
-            raise ConfigError(
-                f"config must be an ExtractionConfig, mapping, or TOML "
-                f"path, got {type(config).__name__}"
+        if isinstance(config, RunConfig):
+            base, service, federation = (
+                config.base, config.service, config.federation
             )
-        with _blame(path):
-            base = (
-                config
-                if isinstance(config, ExtractionConfig)
-                else ExtractionConfig.from_dict({
-                    key: value for key, value in sections.items()
-                    if key not in _RUN_TABLES
-                })
-            )
-            service = ServiceSettings.from_data(sections.get("service"))
-            federation = FederationSettings.from_data(
-                sections.get("federation")
-            )
+            sections, path = config.sections, config.path
+        else:
+            if isinstance(config, (str, os.PathLike)):
+                path = os.fspath(config)
+                sections = load_toml_data(path)
+            elif isinstance(config, Mapping):
+                sections = dict(config)
+            elif config is not None and not isinstance(
+                config, ExtractionConfig
+            ):
+                raise ConfigError(
+                    f"config must be an ExtractionConfig, mapping, or "
+                    f"TOML path, got {type(config).__name__}"
+                )
+            with _blame(path):
+                base = (
+                    config
+                    if isinstance(config, ExtractionConfig)
+                    else ExtractionConfig.from_dict({
+                        key: value for key, value in sections.items()
+                        if key not in _RUN_TABLES
+                    })
+                )
+                service = ServiceSettings.from_data(sections.get("service"))
+                federation = FederationSettings.from_data(
+                    sections.get("federation")
+                )
         # Not the file's fault: flag and keyword refusals stay bare.
         if layer:
-            base = apply_section_overrides(base, layer)
+            given = dict(layer)
+            service = dataclasses.replace(service, **given.pop("service", {}))
+            federation = dataclasses.replace(
+                federation, **given.pop("federation", {})
+            )
+            base = apply_section_overrides(base, given)
         if overrides:
             base = base.replace(**overrides)
         with _blame(path):
@@ -1192,6 +1208,13 @@ class RunConfig:
                 return False
             node = node[key]
         return True
+
+
+#: Every spelling of a run config that :meth:`RunConfig.load` - and so
+#: every :mod:`repro.api` function - accepts.
+ConfigLike = (
+    RunConfig | ExtractionConfig | Mapping | str | os.PathLike[str] | None
+)
 
 
 @dataclass(frozen=True, slots=True)

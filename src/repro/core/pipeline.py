@@ -16,7 +16,7 @@ fashion").
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from typing import Protocol, runtime_checkable
@@ -37,7 +37,7 @@ from repro.mining.result import MiningResult
 from repro.mining.transactions import TransactionSet
 from repro.obs.instruments import PipelineInstruments
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, time_stage
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, AnyTracer, Tracer
 
 
 @runtime_checkable
@@ -148,6 +148,30 @@ class TraceExtraction:
         return [e.interval for e in self.extractions]
 
 
+def default_observers(
+    configs: Sequence[ExtractionConfig],
+    metrics: MetricsRegistry | None = None,
+    tracer: AnyTracer | None = None,
+) -> tuple[MetricsRegistry, AnyTracer]:
+    """The registry and tracer a run over ``configs`` records into:
+    one given wins, else the first ``[obs] enabled`` config gets a live
+    :class:`MetricsRegistry` on its ``histogram_buckets`` and any
+    ``[obs] trace_path`` a live :class:`Tracer`, else the shared
+    no-ops.  The extractor, the fleet and the daemon all decide here.
+    """
+    if metrics is None:
+        enabled = [c for c in configs if c.obs_enabled]
+        metrics = (
+            MetricsRegistry(buckets=enabled[0].obs.histogram_buckets)
+            if enabled
+            else NULL_REGISTRY
+        )
+    if tracer is None:
+        traced = any(c.obs.trace_path is not None for c in configs)
+        tracer = Tracer() if traced else NULL_TRACER
+    return metrics, tracer
+
+
 class AnomalyExtractor:
     """End-to-end online/offline anomaly extraction.
 
@@ -189,20 +213,8 @@ class AnomalyExtractor:
         self.config = config or ExtractionConfig()
         # Registry before any resource: instrument bundles are handed
         # to the store and engine at construction time.
-        if metrics is None:
-            metrics = (
-                MetricsRegistry(buckets=self.config.obs.histogram_buckets)
-                if self.config.obs_enabled
-                else NULL_REGISTRY
-            )
-        if tracer is None:
-            tracer = (
-                Tracer()
-                if self.config.obs.trace_path is not None
-                else NULL_TRACER
-            )
-        self._metrics = metrics
-        self._tracer = tracer
+        metrics, tracer = default_observers([self.config], metrics, tracer)
+        self._metrics, self._tracer = metrics, tracer
         self._instruments = PipelineInstruments(metrics, pipeline)
         self._store = None
         if self.config.store_path is not None:
@@ -217,12 +229,7 @@ class AnomalyExtractor:
         self._engine = engine
         self._owns_engine = engine is None
         try:
-            if engine is not None:
-                self._bank = engine.bank(
-                    self.config.detector, features=self.config.features,
-                    seed=seed,
-                )
-            elif self.config.jobs > 1:
+            if engine is None and self.config.jobs > 1:
                 from repro.parallel.engine import ParallelEngine
 
                 self._engine = ParallelEngine(
@@ -231,15 +238,10 @@ class AnomalyExtractor:
                     partitions=self.config.partitions,
                     metrics=metrics,
                 )
-                self._bank = self._engine.bank(
-                    self.config.detector, features=self.config.features,
-                    seed=seed,
-                )
-            else:
-                self._bank = DetectorBank(
-                    self.config.detector, features=self.config.features,
-                    seed=seed,
-                )
+            # The one engine-or-serial choice: every bank is built here.
+            self._bank = (
+                DetectorBank if self._engine is None else self._engine.bank
+            )(self.config.detector, features=self.config.features, seed=seed)
         except BaseException:
             # Engine/bank construction failed after the store connection
             # was already opened: don't leak it (WAL sidecars keep the

@@ -45,8 +45,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
+from repro.core.config import ExtractionConfig
 from repro.core.pipeline import (
     AnomalyExtractor,
     ExtractionResult,
@@ -68,6 +69,7 @@ from repro.flows.table import FlowTable
 from repro.mining import MINERS
 from repro.mining.streaming import SlidingWindowMiner
 from repro.obs.metrics import MetricsRegistry, time_stage
+from repro.obs.trace import AnyTracer
 
 if TYPE_CHECKING:
     from repro.streaming.assembler import IntervalAssembler
@@ -791,6 +793,36 @@ class ExtractionSession(IntervalSpine):
         return results
 
 
+def open_session(
+    config: ExtractionConfig,
+    *,
+    seed: int = 0,
+    engine: object | None = None,
+    metrics: MetricsRegistry | None = None,
+    tracer: AnyTracer | None = None,
+    pipeline: str = "default",
+    **session: Any,
+) -> ExtractionSession:
+    """Build an :class:`AnomalyExtractor` (``seed`` ... ``pipeline``
+    are its constructor's) and the :class:`ExtractionSession` that owns
+    it (``session`` holds the rest of its arguments).  If the session
+    refuses them - a bad mode or interval - the extractor and the store
+    it may have opened are closed, not leaked."""
+    extractor = AnomalyExtractor(
+        config,
+        seed=seed,
+        engine=engine,
+        metrics=metrics,
+        pipeline=pipeline,
+        tracer=tracer,
+    )
+    try:
+        return ExtractionSession(extractor, owns_extractor=True, **session)
+    except BaseException:
+        extractor.close()
+        raise
+
+
 def run_session(
     session: ExtractionSession,
     chunks: Iterable[FlowTable],
@@ -808,5 +840,6 @@ __all__ = [
     "IntervalInput",
     "IntervalSpine",
     "StreamExtraction",
+    "open_session",
     "run_session",
 ]

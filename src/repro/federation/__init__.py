@@ -26,11 +26,7 @@ from repro.federation.digest import (
     countmin_seed,
 )
 from repro.federation.federator import FederatedInterval, Federator
-from repro.federation.tier import (
-    FederationResult,
-    run_federation,
-    split_trace,
-)
+from repro.federation.tier import FederationResult, split_trace
 
 __all__ = [
     "DEFAULT_CM_DEPTH",
@@ -43,6 +39,5 @@ __all__ = [
     "Federator",
     "IntervalDigest",
     "countmin_seed",
-    "run_federation",
     "split_trace",
 ]

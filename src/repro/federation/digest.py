@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -369,3 +370,25 @@ class IntervalDigest:
                 f"digest is not valid JSON: {exc}"
             ) from exc
         return cls.from_dict(doc)
+
+
+def read_digests(
+    lines: Iterable[str], name: str
+) -> list[tuple[IntervalDigest, int]]:
+    """Parse digest JSONL (one wire document per line, blank lines
+    skipped) into ``(digest, wire bytes)`` pairs - the one reader of
+    wire lines, for a ``POST /digest`` body and the files of
+    ``federate merge`` alike.  A malformed line is refused as
+    ``<name>:<line number>: ...`` before the caller applies anything.
+    """
+    parsed: list[tuple[IntervalDigest, int]] = []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        try:
+            digest = IntervalDigest.from_json(line)
+        except (FederationError, SketchError) as exc:
+            raise type(exc)(f"{name}:{line_no}: {exc}") from exc
+        parsed.append((digest, len(line.encode("utf-8"))))
+    return parsed

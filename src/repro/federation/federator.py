@@ -26,6 +26,7 @@ closed-interval late-drop discipline.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -309,6 +310,21 @@ class Federator:
                 self._m_bytes.labels(site).observe(float(wire_bytes))
         self._max_seen = max(self._max_seen, digest.interval)
         return self._drain(force=False)
+
+    def add_all(
+        self, digests: Iterable[tuple[IntervalDigest, int | None]]
+    ) -> list[FederatedInterval]:
+        """:meth:`add` ``(digest, wire_bytes)`` pairs interval-major
+        (every site's interval ``i`` before anyone's ``i + 1``) and
+        return what they released: the order a healthy deployment
+        approximates, which keeps a replay - digest files, a request
+        body, per-site collector runs - free of stale refusals."""
+        released: list[FederatedInterval] = []
+        for digest, wire_bytes in sorted(
+            digests, key=lambda pair: pair[0].interval
+        ):
+            released.extend(self.add(digest, wire_bytes=wire_bytes))
+        return released
 
     def finish(self) -> list[FederatedInterval]:
         """Flush every pending interval (end of stream)."""

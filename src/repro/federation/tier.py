@@ -17,21 +17,13 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TypeVar
 
-import numpy as np
-
 from repro.core.config import ExtractionConfig, FederationSettings
 from repro.core.report import ExtractionReport
-from repro.detection.detector import DetectorConfig
-from repro.detection.features import Feature
-from repro.errors import ConfigError, FederationError
+from repro.errors import FederationError
 from repro.federation.collector import Collector
-from repro.federation.digest import (
-    DEFAULT_CM_DEPTH,
-    DEFAULT_CM_WIDTH,
-    IntervalDigest,
-)
+from repro.federation.digest import IntervalDigest, read_digests
 from repro.federation.federator import FederatedInterval, Federator
-from repro.fleet.routing import resolve_route
+from repro.fleet.routing import resolve_route, route_indices
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.incidents.rank import RankedIncident
@@ -83,75 +75,36 @@ def split_trace(
     had recorded its own share."""
     if not sites:
         raise FederationError("need at least one site to split into")
-    router = resolve_route(route, len(sites))
-    indices = np.asarray(router(trace))
-    if indices.shape != (len(trace),):
-        raise ConfigError(
-            f"router returned {indices.shape} indices for "
-            f"{len(trace)} flows"
-        )
-    if len(indices) and (
-        indices.min() < 0 or indices.max() >= len(sites)
-    ):
-        raise ConfigError(
-            f"router produced indices outside [0, {len(sites)}): "
-            f"[{indices.min()}, {indices.max()}]"
-        )
+    indices = route_indices(
+        resolve_route(route, len(sites)), trace, len(sites)
+    )
     return {
         site: trace.select(indices == k)
         for k, site in enumerate(sites)
     }
 
 
-def run_federation(
-    traces: Mapping[str, FlowTable],
-    *,
-    config: DetectorConfig | None = None,
-    features: tuple[Feature, ...] | str | None = None,
-    seed: int = 0,
-    cm_width: int = DEFAULT_CM_WIDTH,
-    cm_depth: int = DEFAULT_CM_DEPTH,
-    interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
-    origin: float = 0.0,
-    min_support: int = DEFAULT_MIN_SUPPORT,
-    straggler_grace: int = 2,
-    jaccard: float = 0.5,
-    quiet_gap: int = 2,
-    store: IncidentStore | None = None,
-    profile: str = "balanced",
-    top: int | None = None,
-    metrics: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-) -> FederationResult:
-    """Run collectors over per-site traces and federate the digests.
-
-    Digests are delivered interval-major (every site's interval ``i``
-    before anyone's ``i+1``), the delivery order a healthy multi-site
-    deployment approximates; sites whose traces end early surface as
-    stragglers, exercised the same way live operation would.
-    """
-    if not traces:
-        raise FederationError("need at least one site trace to federate")
-    federator = Federator(
-        sites=tuple(traces),
-        config=config,
-        features=features,
-        seed=seed,
-        cm_width=cm_width,
-        cm_depth=cm_depth,
-        interval_seconds=interval_seconds,
-        origin=origin,
-        min_support=min_support,
-        straggler_grace=straggler_grace,
-        jaccard=jaccard,
-        quiet_gap=quiet_gap,
-        store=store,
-        metrics=metrics,
-        tracer=tracer,
-    )
-    return federate_traces(
-        federator, traces, profile=profile, top=top, tracer=tracer
-    )
+def read_digest_files(
+    paths: Sequence[str | os.PathLike[str]],
+) -> list[tuple[IntervalDigest, int]]:
+    """Every ``(digest, wire bytes)`` pair of the digest JSONL files
+    ``federate collect`` wrote, in argument then line order."""
+    parsed: list[tuple[IntervalDigest, int]] = []
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                parsed.extend(read_digests(handle, os.fspath(path)))
+        except (OSError, UnicodeDecodeError) as exc:
+            # UnicodeDecodeError: a binary trace where a digest file
+            # belongs.
+            raise FederationError(
+                f"cannot read digest file {path}: {exc}"
+            ) from exc
+    if not parsed:
+        raise FederationError(
+            f"no digests found in {', '.join(map(os.fspath, paths))}"
+        )
+    return parsed
 
 
 def federate_traces(
@@ -162,14 +115,14 @@ def federate_traces(
     top: int | None = None,
     tracer: Tracer | None = None,
 ) -> FederationResult:
-    """Digest each of ``federator.sites``' traces with a collector on
-    the federator's own sketch schema and federate the digests."""
-    sites = federator.sites
+    """Digest each of ``federator.sites'`` traces with a collector on
+    the federator's own sketch schema and federate the digests; sites
+    whose traces end early surface as stragglers, as they would live."""
     schema = federator.schema
     ambient = tracer if tracer is not None else NULL_TRACER
-    with ambient.span("federation.run", sites=len(sites)):
-        per_site: dict[str, list[IntervalDigest]] = {}
-        for site in sites:
+    with ambient.span("federation.run", sites=len(federator.sites)):
+        digests: list[tuple[IntervalDigest, int | None]] = []
+        for site in federator.sites:
             collector = Collector(
                 site=site,
                 config=federator.config,
@@ -179,29 +132,33 @@ def federate_traces(
                 cm_depth=schema.cm_depth,
                 tracer=tracer,
             )
-            per_site[site] = collector.run(
-                traces[site], federator.interval_seconds,
-                origin=federator.origin,
+            digests.extend(
+                (digest, None)
+                for digest in collector.run(
+                    traces[site], federator.interval_seconds,
+                    origin=federator.origin,
+                )
             )
-        released: list[FederatedInterval] = []
-        total = 0
-        depth = max(
-            (len(digests) for digests in per_site.values()), default=0
-        )
-        for i in range(depth):
-            for site in sites:
-                digests = per_site[site]
-                if i < len(digests):
-                    total += 1
-                    released.extend(federator.add(digests[i]))
-        released.extend(federator.finish())
-        incidents = federator.incidents(profile=profile, top=top)
+        return federate_digests(federator, digests, profile=profile, top=top)
+
+
+def federate_digests(
+    federator: Federator,
+    digests: Sequence[tuple[IntervalDigest, int | None]],
+    *,
+    profile: str = "balanced",
+    top: int | None = None,
+) -> FederationResult:
+    """Deliver ``(digest, wire bytes)`` pairs to ``federator``, flush
+    it, and rank what it extracted."""
+    released = federator.add_all(digests)
+    released.extend(federator.finish())
     return FederationResult(
-        sites=sites,
-        digests=total,
+        sites=federator.sites,
+        digests=len(digests),
         intervals=tuple(released),
         reports=tuple(federator.reports),
-        incidents=tuple(incidents),
+        incidents=tuple(federator.incidents(profile=profile, top=top)),
     )
 
 
@@ -225,9 +182,9 @@ def open_federator(
     """Build the :class:`Federator` a run config describes, with its
     incident store, and release the store on exit.
 
-    The single wiring behind :func:`repro.api.federate`,
-    :func:`repro.api.serve`, ``repro-extract serve`` and
-    ``repro-extract federate merge``.  ``base`` supplies the detector
+    The single wiring behind :func:`repro.api.federate` and
+    :func:`repro.api.serve` (and so ``repro-extract federate merge``
+    and ``serve``).  ``base`` supplies the detector
     geometry, the features and the incident-correlation knobs;
     ``settings`` the ``[federation]`` table.  ``sites``, ``store`` and
     the four sketch/support knobs override the table when not ``None``

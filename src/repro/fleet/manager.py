@@ -27,23 +27,25 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import (
     AnomalyExtractor,
     ExtractionResult,
     TraceExtraction,
+    default_observers,
 )
-from repro.core.session import ExtractionSession, StreamExtraction
+from repro.core.session import (
+    ExtractionSession,
+    StreamExtraction,
+    open_session,
+)
 from repro.errors import CheckpointError, ConfigError, ExtractionError
-from repro.fleet.routing import Router, resolve_route
+from repro.fleet.routing import Router, resolve_route, route_indices
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.incidents.correlate import Incident, correlate
 from repro.incidents.rank import RankedIncident, rank_incidents
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, time_stage
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.metrics import MetricsRegistry, time_stage
 
 __all__ = ["FleetIncident", "FleetManager"]
 
@@ -198,21 +200,10 @@ class FleetManager:
                         f"its own store (use store_dir=)"
                     )
             resolved[name] = config
-        if metrics is None:
-            enabled = [c for c in resolved.values() if c.obs_enabled]
-            metrics = (
-                MetricsRegistry(buckets=enabled[0].obs.histogram_buckets)
-                if enabled
-                else NULL_REGISTRY
-            )
-        self._metrics = metrics
-        if tracer is None:
-            traced = [
-                c for c in resolved.values()
-                if c.obs.trace_path is not None
-            ]
-            tracer = Tracer() if traced else NULL_TRACER
-        self._tracer = tracer
+        metrics, tracer = default_observers(
+            list(resolved.values()), metrics, tracer
+        )
+        self._metrics, self._tracer = metrics, tracer
         self._span = tracer.span("fleet.run", pipelines=len(self._names))
         self._m_fed = metrics.counter(
             "repro_fleet_fed_rows_total",
@@ -233,7 +224,6 @@ class FleetManager:
             "Wall-clock seconds per merged fleet-wide incidents() query.",
         )
         self._engine = None
-        self._extractors: dict[str, AnomalyExtractor] = {}
         self._sessions: dict[str, ExtractionSession] = {}
         self._results: dict[str, TraceExtraction | StreamExtraction] | None = (
             None
@@ -254,22 +244,17 @@ class FleetManager:
             # session's own root parents beneath it in the trace.
             with self._span.active():
                 for name, config in resolved.items():
-                    extractor = AnomalyExtractor(
+                    self._sessions[name] = open_session(
                         config,
                         seed=seed,
                         engine=self._engine if config.jobs > 1 else None,
                         metrics=metrics,
                         pipeline=name,
                         tracer=tracer,
-                    )
-                    self._extractors[name] = extractor
-                    self._sessions[name] = ExtractionSession(
-                        extractor,
                         mode=mode,
                         interval_seconds=interval_seconds,
                         origin=origin,
                         keep_reports=keep_reports,
-                        owns_extractor=True,
                     )
         except BaseException:
             # The k-th pipeline failed to build (store locked, bad
@@ -306,19 +291,16 @@ class FleetManager:
 
     def session(self, pipeline: str) -> ExtractionSession:
         """The named pipeline's session."""
-        return self._sessions[self._check_pipeline(pipeline)]
+        if pipeline not in self._sessions:
+            raise ConfigError(
+                f"unknown pipeline {pipeline!r}; "
+                f"fleet pipelines: {', '.join(self._names)}"
+            )
+        return self._sessions[pipeline]
 
     def extractor(self, pipeline: str) -> AnomalyExtractor:
         """The named pipeline's extractor (its store lives there)."""
-        return self._extractors[self._check_pipeline(pipeline)]
-
-    def _check_pipeline(self, name: str) -> str:
-        if name not in self._sessions:
-            raise ConfigError(
-                f"unknown pipeline {name!r}; "
-                f"fleet pipelines: {', '.join(self._names)}"
-            )
-        return name
+        return self.session(pipeline).extractor
 
     def _check_open(self, verb: str) -> None:
         if self._closed:
@@ -372,26 +354,9 @@ class FleetManager:
                 "fleet has no route configured; pass pipeline=... or "
                 "construct the fleet with route="
             )
-        indices = np.asarray(self._router(chunk))
-        if indices.shape != (len(chunk),):
-            raise ConfigError(
-                f"router returned {indices.shape} indices for "
-                f"{len(chunk)} flows"
-            )
-        if len(indices) and not np.issubdtype(indices.dtype, np.integer):
-            raise ConfigError(
-                f"router must return integer pipeline indices, "
-                f"got dtype {indices.dtype}"
-            )
-        if len(indices) and (
-            indices.min() < 0 or indices.max() >= len(self._names)
-        ):
-            bad = (indices < 0) | (indices >= len(self._names))
-            self._m_misrouted.inc(int(bad.sum()))
-            raise ConfigError(
-                f"router produced indices outside [0, {len(self._names)}): "
-                f"[{indices.min()}, {indices.max()}]"
-            )
+        indices = route_indices(
+            self._router, chunk, len(self._names), self._m_misrouted
+        )
         out: dict[str, FlowTable] = {}
         for k, name in enumerate(self._names):
             mask = indices == k
@@ -431,10 +396,10 @@ class FleetManager:
                 "fleet already finished; checkpoints capture a live run"
             )
         pipelines: dict[str, dict] = {}
-        for name in self._names:
-            store = self._extractors[name].store
+        for name, session in self._sessions.items():
+            store = session.extractor.store
             pipelines[name] = {
-                "session": self._sessions[name].to_state(),
+                "session": session.to_state(),
                 "store_last_interval": (
                     None if store is None else store.last_interval()
                 ),
@@ -472,7 +437,7 @@ class FleetManager:
                     f"malformed checkpoint entry for pipeline "
                     f"{name!r}: {exc}"
                 ) from exc
-            store = self._extractors[name].store
+            store = self._sessions[name].extractor.store
             if marker is not None:
                 last = None if store is None else store.last_interval()
                 if last is None or last < int(marker):
@@ -529,8 +494,8 @@ class FleetManager:
             raise ConfigError(f"top must be >= 1: {top}")
         population: list[Incident] = []
         pipeline_of: dict[int, str] = {}
-        for name in self._names:
-            store = self._extractors[name].store
+        for name, session in self._sessions.items():
+            store = session.extractor.store
             if store is None:
                 continue
             for incident in correlate(
@@ -574,27 +539,12 @@ class FleetManager:
         self._closed = True
         self._span.end()
         first: BaseException | None = None
-        try:
-            for session in self._sessions.values():
-                try:
-                    session.close()
-                except BaseException as exc:
-                    if first is None:
-                        first = exc
-            # A pipeline whose extractor was built but whose session
-            # construction then failed has no session to close it -
-            # release it directly (constructor-failure path).
-            for name, extractor in self._extractors.items():
-                if name not in self._sessions:
-                    try:
-                        extractor.close()
-                    except BaseException as exc:
-                        if first is None:
-                            first = exc
-        finally:
+        releases = [session.close for session in self._sessions.values()]
+        if self._engine is not None:
+            releases.append(self._engine.close)
+        for release in releases:
             try:
-                if self._engine is not None:
-                    self._engine.close()
+                release()
             except BaseException as exc:
                 if first is None:
                     first = exc

@@ -41,6 +41,10 @@ Router = Callable[[FlowTable], np.ndarray]
 #: A registered router factory.
 RouterFactory = Callable[[str | None, int], Router]
 
+#: Route of a run that names none but cannot take per-chunk tags (the
+#: ``fleet`` verb, the daemon, a combined trace split across sites).
+DEFAULT_ROUTE_COLUMN = "dst_ip"
+
 
 def hash_router(arg: str | None, n_pipelines: int) -> Router:
     """Shard rows by ``column % n_pipelines`` (the built-in "hash").
@@ -116,6 +120,38 @@ def resolve_route(spec: str | Router, n_pipelines: int) -> Router:
     )
 
 
+def route_indices(
+    router: Router, table: FlowTable, n_pipelines: int, misrouted=None
+) -> np.ndarray:
+    """``router``'s pipeline index per row of ``table``, validated: a
+    router is third-party code, and anything but one integer in
+    ``[0, n_pipelines)`` per row (which would silently match no
+    pipeline) raises :class:`ConfigError`.  Out-of-range rows are first
+    counted into ``misrouted`` (the fleet's counter), when given."""
+    indices = np.asarray(router(table))
+    if indices.shape != (len(table),):
+        raise ConfigError(
+            f"router returned {indices.shape} indices for "
+            f"{len(table)} flows"
+        )
+    if len(indices) and not np.issubdtype(indices.dtype, np.integer):
+        raise ConfigError(
+            f"router must return integer pipeline indices, "
+            f"got dtype {indices.dtype}"
+        )
+    if len(indices) and (
+        indices.min() < 0 or indices.max() >= n_pipelines
+    ):
+        if misrouted is not None:
+            bad = (indices < 0) | (indices >= n_pipelines)
+            misrouted.inc(int(bad.sum()))
+        raise ConfigError(
+            f"router produced indices outside [0, {n_pipelines}): "
+            f"[{indices.min()}, {indices.max()}]"
+        )
+    return indices
+
+
 def _register_builtin_routers() -> None:
     from repro.registry import routers
 
@@ -124,4 +160,7 @@ def _register_builtin_routers() -> None:
 
 _register_builtin_routers()
 
-__all__ = ["Router", "RouterFactory", "hash_router", "resolve_route"]
+__all__ = [
+    "DEFAULT_ROUTE_COLUMN", "Router", "RouterFactory",
+    "hash_router", "resolve_route", "route_indices",
+]

@@ -39,7 +39,7 @@ from repro.errors import (
     SketchError,
     TraceFormatError,
 )
-from repro.federation.digest import IntervalDigest
+from repro.federation.digest import read_digests
 from repro.federation.federator import Federator
 from repro.fleet.manager import FleetManager
 from repro.flows.io import iter_csv_handle
@@ -316,7 +316,8 @@ class ServiceApp:
         are refused (400) before any digest of the body is applied; a
         federator-level refusal (incompatible schema, unknown site,
         stale or duplicate interval) also answers 400 but leaves the
-        body's earlier digests applied and the sequence unadvanced -
+        body's earlier digests (it is applied interval-major) applied
+        and the sequence unadvanced -
         collectors should ship one digest per request when they need
         that boundary to be atomic.
         """
@@ -332,20 +333,10 @@ class ServiceApp:
             raise ServiceError(
                 f"digest body is not valid UTF-8: {exc}"
             ) from exc
-        parsed: list[tuple[IntervalDigest, int]] = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                digest = IntervalDigest.from_json(line)
-            except (FederationError, SketchError) as exc:
-                raise type(exc)(f"digest:{line_no}: {exc}") from exc
-            parsed.append((digest, len(line.encode("utf-8"))))
+        parsed = read_digests(text.splitlines(), "digest")
         if not parsed:
             raise ServiceError("digest body carries no digests")
-        released = []
-        for digest, wire_bytes in parsed:
-            released.extend(federator.add(digest, wire_bytes=wire_bytes))
+        released = federator.add_all(parsed)
         sequence = self.batch_accepted(0)
         return (
             200,

@@ -9,12 +9,10 @@ weed out normal feature values that collide into anomalous bins.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigError, SketchError
-from repro.flows.table import unpack_array
+from repro.errors import ConfigError
 from repro.sketch.hashing import HashFamily
 from repro.sketch.histogram import HashedHistogram, HistogramSnapshot
 
@@ -25,7 +23,6 @@ class CloneSet:
     def __init__(self, clones: int, bins: int, seed: int = 0):
         if clones < 1:
             raise ConfigError(f"need at least one clone: {clones}")
-        self._seed = seed
         family = HashFamily(bins=bins, seed=seed)
         self._histograms = [HashedHistogram(fn) for fn in family.take(clones)]
 
@@ -42,11 +39,6 @@ class CloneSet:
     def bins(self) -> int:
         return self._histograms[0].bins
 
-    @property
-    def seed(self) -> int:
-        """Seed of the hash family shared by the clones."""
-        return self._seed
-
     def reset(self) -> None:
         """Start a new measurement interval on every clone."""
         for histogram in self._histograms:
@@ -60,64 +52,3 @@ class CloneSet:
     def snapshots(self) -> list[HistogramSnapshot]:
         """Freeze every clone's interval state."""
         return [histogram.snapshot() for histogram in self._histograms]
-
-    # ------------------------------------------------------------------
-    # Federation: canonical wire form
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical JSON-safe document of the clone set.
-
-        The clone hash functions are NOT serialized: they derive
-        deterministically from ``(clones, bins, seed)``, so the document
-        stays small and a restored set provably uses the same binning.
-        Per-clone state reuses the snapshot encoding minus the redundant
-        hash block.
-        """
-        return {
-            "clones": len(self._histograms),
-            "bins": self.bins,
-            "seed": self._seed,
-            "histograms": [
-                {
-                    key: value
-                    for key, value in histogram.snapshot().to_dict().items()
-                    if key != "hash"
-                }
-                for histogram in self._histograms
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "CloneSet":
-        """Rebuild a clone set (hash functions re-derived from the seed)
-        from :meth:`to_dict` output."""
-        try:
-            clone_set = cls(
-                clones=int(doc["clones"]),
-                bins=int(doc["bins"]),
-                seed=int(doc["seed"]),
-            )
-            states = list(doc["histograms"])
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise SketchError(
-                f"malformed clone-set document: {exc}"
-            ) from exc
-        if len(states) != len(clone_set):
-            raise SketchError(
-                f"clone-set document carries {len(states)} histograms "
-                f"for {len(clone_set)} clones"
-            )
-        for histogram, state in zip(clone_set, states, strict=True):
-            try:
-                counts = np.asarray(
-                    unpack_array(state["counts"]), dtype=np.float64
-                )
-                observed = np.asarray(
-                    unpack_array(state["observed"]), dtype=np.uint64
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SketchError(
-                    f"malformed clone histogram state: {exc}"
-                ) from exc
-            histogram.restore(counts, observed)
-        return clone_set

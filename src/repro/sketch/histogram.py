@@ -106,20 +106,6 @@ class HashedHistogram:
             observed=self._observed.copy(),
         )
 
-    def restore(self, counts: np.ndarray, observed: np.ndarray) -> None:
-        """Replace this histogram's interval state (digest replay path).
-
-        ``counts`` must match the bin count; both arrays are copied.
-        """
-        counts = np.asarray(counts, dtype=np.float64)
-        if len(counts) != self.bins:
-            raise SketchError(
-                f"histogram state has {len(counts)} bins, "
-                f"expected {self.bins}"
-            )
-        self._counts = counts.copy()
-        self._observed = np.asarray(observed, dtype=np.uint64).copy()
-
 
 class HistogramSnapshot:
     """Immutable state of a :class:`HashedHistogram` at interval end.

@@ -1,4 +1,4 @@
-"""The batch tier: split_trace, run_federation, and the incident path."""
+"""The batch tier: split_trace, api.federate, and the incident path."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import ipaddress
 import pytest
 
 import repro.api as api
-from repro.errors import FederationError
-from repro.federation import run_federation, split_trace
+from repro.errors import ConfigError, FederationError
+from repro.federation import split_trace
 from repro.federation.federator import FEDERATED_ALGORITHM
 from repro.incidents.store import open_store
 from repro.mining.items import format_item
@@ -37,18 +37,39 @@ class TestSplitTrace:
         with pytest.raises(FederationError, match="at least one site"):
             split_trace(ddos_trace.flows, (), "dst_ip")
 
+    def test_fractional_router_output_refused(self, ddos_trace):
+        """A router returning 0.5 passes a bare range test and matches
+        no site: every flow would vanish.  The fleet's validation
+        applies here too."""
+        import numpy as np
+
+        from repro.registry import routers
+
+        routers.register(
+            "halfway", lambda arg, n: lambda table: np.full(len(table), 0.5)
+        )
+        try:
+            with pytest.raises(ConfigError, match="integer pipeline indices"):
+                split_trace(ddos_trace.flows, ("a", "b"), "halfway")
+        finally:
+            routers.unregister("halfway")
+
+
+def _federate(traces, fed_config, **kwargs):
+    return api.federate(
+        traces,
+        {"federation": {"cm_width": 512, "cm_depth": 4}},
+        detector=fed_config,
+        seed=0,
+        interval_seconds=INTERVAL_SECONDS,
+        min_support=300,
+        **kwargs,
+    )
+
 
 @pytest.fixture(scope="module")
 def fed_result(site_flows, fed_config):
-    return run_federation(
-        site_flows,
-        config=fed_config,
-        seed=0,
-        cm_width=512,
-        cm_depth=4,
-        interval_seconds=INTERVAL_SECONDS,
-        min_support=300,
-    )
+    return _federate(site_flows, fed_config)
 
 
 class TestRunFederation:
@@ -89,7 +110,19 @@ class TestRunFederation:
 
     def test_empty_traces_refused(self):
         with pytest.raises(FederationError, match="at least one site"):
-            run_federation({})
+            api.federate({})
+
+    def test_digest_file_form_refuses_what_it_would_ignore(
+        self, site_flows, tmp_path
+    ):
+        with pytest.raises(FederationError, match="sites= and route="):
+            api.federate(["east.jsonl"], sites=["east"])
+        with pytest.raises(FederationError, match="site: trace"):
+            api.federate(list(site_flows.values()))
+        binary = tmp_path / "east.npz"
+        binary.write_bytes(b"PK\x03\x04\xc3\x28")
+        with pytest.raises(FederationError, match="cannot read digest file"):
+            api.federate([binary])
 
 
 class TestStragglerTier:
@@ -98,14 +131,8 @@ class TestStragglerTier:
     ):
         west = site_flows["west"]
         cut = west.select(west.column("start") < 24 * INTERVAL_SECONDS)
-        result = run_federation(
-            {"east": site_flows["east"], "west": cut},
-            config=fed_config,
-            seed=0,
-            cm_width=512,
-            cm_depth=4,
-            interval_seconds=INTERVAL_SECONDS,
-            min_support=300,
+        result = _federate(
+            {"east": site_flows["east"], "west": cut}, fed_config
         )
         assert result.n_intervals == 30
         assert result.straggler_intervals() == list(range(24, 30))
@@ -120,16 +147,7 @@ class TestStorePath:
     ):
         path = str(tmp_path / "federation.db")
         with open_store(path) as store:
-            result = run_federation(
-                site_flows,
-                config=fed_config,
-                seed=0,
-                cm_width=512,
-                cm_depth=4,
-                interval_seconds=INTERVAL_SECONDS,
-                min_support=300,
-                store=store,
-            )
+            result = _federate(site_flows, fed_config, store=store)
             assert len(store) == len(result.reports)
             stored = store.reports()
             assert [r.to_dict() for r in stored] == [

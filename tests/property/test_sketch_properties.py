@@ -14,7 +14,7 @@ Three contracts, over random value streams and hash seeds:
   (data-processing inequality), which bounds binned against exact
   value entropy.
 * **Canonical wire stability.**  ``to_dict -> from_dict -> to_dict``
-  is byte-stable for CountMinSketch, HistogramSnapshot, and CloneSet.
+  is byte-stable for CountMinSketch and HistogramSnapshot.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import HashFamily
 from repro.sketch.histogram import HashedHistogram
@@ -184,23 +183,3 @@ def test_snapshot_wire_byte_stable(values, seed):
     assert canonical(again.to_dict()) == canonical(doc)
     assert np.array_equal(again.counts, snapshot.counts)
     assert np.array_equal(again.observed, snapshot.observed)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    values=values_arrays,
-    seed=seeds,
-    clones=st.integers(min_value=1, max_value=4),
-)
-def test_clone_set_wire_byte_stable(values, seed, clones):
-    clone_set = CloneSet(clones, BINS, seed=seed)
-    clone_set.update(values)
-    doc = clone_set.to_dict()
-    again = CloneSet.from_dict(doc)
-    assert canonical(again.to_dict()) == canonical(doc)
-    for mine, theirs in zip(
-        clone_set.snapshots(), again.snapshots(), strict=True
-    ):
-        assert np.array_equal(mine.counts, theirs.counts)
-        assert np.array_equal(mine.observed, theirs.observed)
-        assert mine.hash_fn == theirs.hash_fn

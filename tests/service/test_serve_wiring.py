@@ -22,17 +22,23 @@ from repro.service.protocol import HttpRequest
 
 @pytest.fixture()
 def handed(monkeypatch):
-    """What ``run_service`` was called with, serving nothing."""
-    seen: dict[str, object] = {}
+    """What ``run_service`` was called with, serving nothing but the
+    ``(method, path, body)`` requests a test queued under
+    ``"requests"`` beforehand (the fleet closes when serve returns)."""
+    seen: dict[str, object] = {"requests": []}
 
     def capture(fleet, settings, resume=False, log=None, federator=None):
         seen.update(fleet=fleet, settings=settings, federator=federator)
         app = ServiceApp(fleet, federator=federator)
-        page = HttpRequest(
-            method="GET", target="/metrics", path="/metrics",
-            query={}, headers={}, body=b"",
-        )
-        seen["metrics_page"] = app.handle(page)[1].decode()
+        for method, path, body in [
+            *seen["requests"], ("GET", "/metrics", b"")
+        ]:
+            status, reply, _ = app.handle(HttpRequest(
+                method=method, target=path, path=path,
+                query={}, headers={}, body=body,
+            ))
+            assert status == 200, reply
+        seen["metrics_page"] = reply.decode()
 
     monkeypatch.setattr("repro.service.supervisor.run_service", capture)
     return seen
@@ -102,3 +108,30 @@ def test_a_daemon_without_pipelines_watches_one_link(
     assert handed["fleet"].names == ("link0",)
     assert handed["settings"].port == 0
     assert handed["federator"] is None
+
+
+@SERVERS
+def test_the_file_decides_checkpoint_sync(serve, tmp_path, handed):
+    path = tmp_path / "run.toml"
+    path.write_text("[service]\ncheckpoint_sync = true\n")
+    serve(path)
+    assert handed["settings"].checkpoint_sync is True
+
+
+@SERVERS
+def test_two_pipelines_and_no_route_shard_untagged_ingest(
+    serve, tmp_path, handed
+):
+    """A daemon cannot ask every client for a pipeline tag: with no
+    route configured it hash-shards ``dst_ip``, whoever opened it."""
+    path = tmp_path / "run.toml"
+    path.write_text("[fleet.pipelines.a]\n[fleet.pipelines.b]\n")
+    body = "\n".join([
+        "src_ip,dst_ip,src_port,dst_port,protocol,packets,bytes,start,label",
+        *(f"7,{dst_ip},1024,80,6,1,40,{dst_ip}.5,-1" for dst_ip in range(6)),
+    ])
+    handed["requests"].append(("POST", "/ingest", body.encode()))
+    serve(path)
+    page = handed["metrics_page"]
+    assert 'repro_fleet_routed_rows_total{pipeline="a"} 3' in page
+    assert 'repro_fleet_routed_rows_total{pipeline="b"} 3' in page

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SketchError
-from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import HashFamily
 from repro.sketch.histogram import HashedHistogram
@@ -93,33 +92,3 @@ class TestSnapshotGuards:
         del doc["counts"]
         with pytest.raises(SketchError, match="malformed"):
             type(make_snapshot()).from_dict(doc)
-
-    def test_restore_wrong_bins_refused(self):
-        histogram = HashedHistogram(
-            HashFamily(bins=32, seed=0).take(1)[0]
-        )
-        with pytest.raises(SketchError, match="bins"):
-            histogram.restore(
-                np.zeros(16), np.empty(0, dtype=np.uint64)
-            )
-
-
-class TestCloneSetGuards:
-    def test_from_dict_wrong_clone_count_refused(self):
-        clone_set = CloneSet(3, 32, seed=0)
-        clone_set.update(VALUES)
-        doc = clone_set.to_dict()
-        doc["histograms"] = doc["histograms"][:-1]
-        with pytest.raises(SketchError, match="clones"):
-            CloneSet.from_dict(doc)
-
-    def test_from_dict_malformed_refused(self):
-        with pytest.raises(SketchError, match="malformed"):
-            CloneSet.from_dict({"clones": 2})
-
-    def test_from_dict_malformed_histogram_refused(self):
-        clone_set = CloneSet(2, 32, seed=0)
-        doc = clone_set.to_dict()
-        doc["histograms"][0] = {"counts": "!!not-packed!!"}
-        with pytest.raises(SketchError, match="malformed"):
-            CloneSet.from_dict(doc)
