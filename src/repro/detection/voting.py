@@ -34,16 +34,8 @@ def vote(value_sets: list[np.ndarray], min_votes: int) -> np.ndarray:
         raise ConfigError(
             f"vote threshold {min_votes} out of range [1, {len(value_sets)}]"
         )
-    non_empty = [
-        np.unique(np.asarray(values, dtype=np.uint64))
-        for values in value_sets
-        if len(values) > 0
-    ]
-    if len(non_empty) < min_votes:
-        return np.empty(0, dtype=np.uint64)
-    stacked = np.concatenate(non_empty)
-    values, counts = np.unique(stacked, return_counts=True)
-    return values[counts >= min_votes]
+    values, votes = vote_matrix(value_sets)
+    return values[votes >= min_votes]
 
 
 def vote_matrix(value_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from repro.flows.table import FlowTable
 from repro.obs.trace import NULL_TRACER, AnyTracer, Tracer
 from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
+from repro.sketch.distinct import sorted_distinct
 
 
 class Collector:
@@ -81,13 +82,17 @@ class Collector:
             snapshots = {}
             countmin = {}
             for feature in self.features:
-                values = feature.extract(flows)
+                # One sort of the column serves the clones and the
+                # count-min alike.
+                distinct, run_lengths = sorted_distinct(
+                    feature.extract(flows)
+                )
                 clones = self._clones[feature]
                 clones.reset()
-                clones.update(values)
+                clones.update_distinct(distinct, run_lengths)
                 snapshots[feature.short_name] = clones.snapshots()
                 sketch = self._fresh_countmin(feature)
-                sketch.update_array(values)
+                sketch.update_distinct(distinct, run_lengths)
                 countmin[feature.short_name] = sketch
             return IntervalDigest(
                 schema=self.schema,

@@ -344,6 +344,17 @@ class IntervalDigest:
                         f"feature {name!r} snapshot has {snap.bins} "
                         f"bins, schema declares {schema.bins}"
                     )
+                # Every flow lands in exactly one bin of every clone.
+                # NaN fails the second test (NaN != anything); left in,
+                # it would turn the clone's KL into NaN, which the
+                # alarm threshold reads as "no alarm".
+                if snap.counts.min() < 0 or snap.total != flow_count:
+                    raise FederationError(
+                        f"self-contradictory payload: feature {name!r} "
+                        f"clone counts (min {snap.counts.min()}, total "
+                        f"{snap.total}) do not describe "
+                        f"{flow_count} flows"
+                    )
             cm = countmin[name]
             if cm.width != schema.cm_width or cm.depth != schema.cm_depth:
                 raise FederationError(

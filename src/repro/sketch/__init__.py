@@ -2,6 +2,7 @@
 
 from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
+from repro.sketch.distinct import sorted_distinct, sorted_union
 from repro.sketch.hashing import MERSENNE_PRIME, HashFamily, UniversalHash
 from repro.sketch.histogram import HashedHistogram, HistogramSnapshot
 
@@ -13,4 +14,6 @@ __all__ = [
     "HistogramSnapshot",
     "CloneSet",
     "CountMinSketch",
+    "sorted_distinct",
+    "sorted_union",
 ]

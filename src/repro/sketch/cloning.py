@@ -13,6 +13,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.sketch.distinct import sorted_distinct
 from repro.sketch.hashing import HashFamily
 from repro.sketch.histogram import HashedHistogram, HistogramSnapshot
 
@@ -46,8 +47,15 @@ class CloneSet:
 
     def update(self, values: np.ndarray) -> None:
         """Feed one interval's feature column to every clone."""
+        self.update_distinct(*sorted_distinct(values))
+
+    def update_distinct(
+        self, distinct: np.ndarray, run_lengths: np.ndarray
+    ) -> None:
+        """Feed a column already in ``sorted_distinct`` form to every
+        clone: one sort per column, however many clones bin it."""
         for histogram in self._histograms:
-            histogram.update(values)
+            histogram.update_distinct(distinct, run_lengths)
 
     def snapshots(self) -> list[HistogramSnapshot]:
         """Freeze every clone's interval state."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigError, SketchError
 from repro.flows.table import pack_array, unpack_array
+from repro.sketch.distinct import sorted_distinct
 from repro.sketch.hashing import HashFamily
 
 
@@ -82,13 +83,26 @@ class CountMinSketch:
 
     def update_array(self, values: np.ndarray) -> None:
         """Add one occurrence of every entry in ``values`` (vectorized)."""
-        vals = np.asarray(values, dtype=np.uint64)
-        if vals.size == 0:
+        self.update_distinct(*sorted_distinct(values))
+
+    def update_distinct(
+        self, distinct: np.ndarray, run_lengths: np.ndarray
+    ) -> None:
+        """Add ``run_lengths[i]`` occurrences of ``distinct[i]`` (a
+        column in :func:`~repro.sketch.distinct.sorted_distinct` form).
+
+        Each distinct value is hashed once per row; the run lengths are
+        integer-valued float64, so the weighted ``bincount`` is exact
+        and casts back to the table's int64 without rounding.
+        """
+        if distinct.size == 0:
             return
         for row, hash_fn in enumerate(self._hashes):
-            bins = hash_fn.hash_array(vals)
-            np.add.at(self._table[row], bins, 1)
-        self._total += int(vals.size)
+            bins = hash_fn.hash_array(distinct)
+            self._table[row] += np.bincount(
+                bins, weights=run_lengths, minlength=self._width
+            ).astype(np.int64)
+        self._total += int(run_lengths.sum())
 
     def estimate(self, value: int) -> int:
         """Point query: an upper bound on the true count of ``value``."""

@@ -15,7 +15,25 @@ import numpy as np
 
 from repro.errors import ConfigError, SketchError
 from repro.flows.table import pack_array, unpack_array
+from repro.sketch.distinct import sorted_distinct, sorted_union
 from repro.sketch.hashing import UniversalHash
+
+
+def _values_in_bins(
+    hash_fn: UniversalHash,
+    observed: np.ndarray,
+    bins: np.ndarray | list[int],
+) -> np.ndarray:
+    """The bin->values back-map: entries of ``observed`` that
+    ``hash_fn`` places in any of ``bins``."""
+    wanted = np.asarray(bins, dtype=np.int64)
+    if wanted.size == 0 or observed.size == 0:
+        return np.empty(0, dtype=np.uint64)
+    if wanted.min() < 0 or wanted.max() >= hash_fn.bins:
+        raise ConfigError(
+            f"bin index out of range [0, {hash_fn.bins}): {wanted}"
+        )
+    return observed[np.isin(hash_fn.hash_array(observed), wanted)]
 
 
 class HashedHistogram:
@@ -59,12 +77,28 @@ class HashedHistogram:
 
     def update(self, values: np.ndarray) -> None:
         """Add one flow per entry of ``values`` (a feature column)."""
-        vals = np.asarray(values, dtype=np.uint64)
-        if vals.size == 0:
+        self.update_distinct(*sorted_distinct(values))
+
+    def update_distinct(
+        self, distinct: np.ndarray, run_lengths: np.ndarray
+    ) -> None:
+        """Add ``run_lengths[i]`` flows of feature value ``distinct[i]``.
+
+        Takes a column in :func:`~repro.sketch.distinct.sorted_distinct`
+        form, so the ``C`` clones of a feature (and its count-min) share
+        one sort and each hashes a value once however many flows carry
+        it.  The run lengths are integer-valued float64: the weighted
+        ``bincount`` adds up exactly what one ``+1.0`` per flow would.
+        On the first update of an interval the histogram adopts
+        ``distinct`` itself as its observed set (see ``sorted_union``).
+        """
+        if distinct.size == 0:
             return
-        bins = self._hash.hash_array(vals)
-        np.add.at(self._counts, bins, 1.0)
-        self._observed = np.union1d(self._observed, vals)
+        bins = self._hash.hash_array(distinct)
+        self._counts += np.bincount(
+            bins, weights=run_lengths, minlength=self.bins
+        )
+        self._observed = sorted_union(self._observed, distinct)
 
     def observed_values(self) -> np.ndarray:
         """Distinct feature values seen in the current interval."""
@@ -76,16 +110,7 @@ class HashedHistogram:
         This is the bin->values back-map used after anomalous bins have
         been identified.
         """
-        wanted = np.asarray(bins, dtype=np.int64)
-        if wanted.size == 0 or self._observed.size == 0:
-            return np.empty(0, dtype=np.uint64)
-        if wanted.min() < 0 or wanted.max() >= self.bins:
-            raise ConfigError(
-                f"bin index out of range [0, {self.bins}): {wanted}"
-            )
-        value_bins = self._hash.hash_array(self._observed)
-        mask = np.isin(value_bins, wanted)
-        return self._observed[mask]
+        return _values_in_bins(self._hash, self._observed, bins)
 
     def distribution(self, pseudocount: float = 0.0) -> np.ndarray:
         """Normalized bin distribution, optionally Laplace-smoothed."""
@@ -100,11 +125,7 @@ class HashedHistogram:
 
     def snapshot(self) -> "HistogramSnapshot":
         """Freeze the current interval state (counts + observed values)."""
-        return HistogramSnapshot(
-            hash_fn=self._hash,
-            counts=self._counts.copy(),
-            observed=self._observed.copy(),
-        )
+        return HistogramSnapshot(self._hash, self._counts, self._observed)
 
 
 class HistogramSnapshot:
@@ -127,8 +148,14 @@ class HistogramSnapshot:
         self.hash_fn = hash_fn
         self._counts = np.asarray(counts, dtype=np.float64).copy()
         self._counts.setflags(write=False)
-        self._observed = np.asarray(observed, dtype=np.uint64).copy()
-        self._observed.setflags(write=False)
+        # An observed set that is already read-only is shared, not
+        # copied: the clones of a feature all hold the one array
+        # ``sorted_distinct`` produced for the interval.
+        seen = np.asarray(observed, dtype=np.uint64)
+        if seen.flags.writeable:
+            seen = seen.copy()
+            seen.setflags(write=False)
+        self._observed = seen
 
     @property
     def counts(self) -> np.ndarray:
@@ -158,12 +185,7 @@ class HistogramSnapshot:
 
     def values_in_bins(self, bins: np.ndarray | list[int]) -> np.ndarray:
         """Observed feature values hashing into any of ``bins``."""
-        wanted = np.asarray(bins, dtype=np.int64)
-        if wanted.size == 0 or self._observed.size == 0:
-            return np.empty(0, dtype=np.uint64)
-        value_bins = self.hash_fn.hash_array(self._observed)
-        mask = np.isin(value_bins, wanted)
-        return self._observed[mask]
+        return _values_in_bins(self.hash_fn, self._observed, bins)
 
     def with_counts(self, counts: np.ndarray) -> "HistogramSnapshot":
         """Copy of this snapshot with replaced counts (used by the
@@ -179,7 +201,7 @@ class HistogramSnapshot:
         Bin counts add cell-wise and the observed-value sets union, so
         the result is byte-identical to a snapshot taken over the
         concatenated flow streams (counts are integer-valued float64,
-        addition is exact; ``union1d`` output is the sorted union either
+        addition is exact; the sorted union is the same array either
         way).  That exactness - not an approximation - is what the
         federated detection-equivalence tests assert.  Snapshots binned
         by different hash functions count different events per bin, so
@@ -193,7 +215,7 @@ class HistogramSnapshot:
         return HistogramSnapshot(
             hash_fn=self.hash_fn,
             counts=self._counts + other._counts,
-            observed=np.union1d(self._observed, other._observed),
+            observed=sorted_union(self._observed, other._observed),
         )
 
     def to_dict(self) -> dict[str, Any]:

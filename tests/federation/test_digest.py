@@ -13,10 +13,12 @@ from __future__ import annotations
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import FederationError, SketchError
 from repro.federation import DIGEST_VERSION, IntervalDigest, split_trace
+from repro.flows.table import pack_array, unpack_array
 
 ATTACK = 24
 
@@ -102,6 +104,39 @@ class TestWireFormat:
         doc["schema"]["bins"] = doc["schema"]["bins"] // 2
         with pytest.raises(FederationError, match="schema declares"):
             IntervalDigest.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda c: c.__setitem__(0, float("nan")), id="nan"),
+            pytest.param(lambda c: c.__setitem__(0, -1.0), id="negative"),
+            pytest.param(
+                lambda c: c.__setitem__(0, c[0] + 0.5), id="fractional"
+            ),
+            pytest.param(
+                lambda c: c.__setitem__(0, c[0] + 1.0), id="wrong-total"
+            ),
+            pytest.param(
+                # Sums to flow_count again, through a negative bin.
+                lambda c: (
+                    c.__setitem__(0, c[0] + c[1] + 1.0),
+                    c.__setitem__(1, -1.0),
+                ),
+                id="negative-balanced",
+            ),
+        ],
+    )
+    def test_contradictory_clone_counts_refused(self, east24, tamper):
+        """A clone histogram that does not describe ``flow_count``
+        flows is refused at the wire edge: a NaN bin would make that
+        clone's KL NaN, and ``is_alarm(NaN)`` is a silent "no"."""
+        doc = copy.deepcopy(east24.to_dict())
+        clone = doc["features"]["dstIP"]["clones"][1]
+        counts = np.asarray(unpack_array(clone["counts"]), dtype=np.float64)
+        tamper(counts)
+        clone["counts"] = pack_array(counts)
+        with pytest.raises(FederationError, match="self-contradictory"):
+            IntervalDigest.from_json(json.dumps(doc))
 
 
 class TestMergeAlgebra:

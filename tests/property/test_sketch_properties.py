@@ -1,6 +1,12 @@
 """Property-based tests for the federation sketch layer.
 
-Three contracts, over random value streams and hash seeds:
+Four contracts, over random value streams and hash seeds:
+
+* **One sort per column.**  ``sorted_distinct`` / ``sorted_union`` are
+  ``np.unique(..., return_counts=True)`` / ``np.union1d`` (numpy's
+  routines stay here, in the test tree, as the reference), a clone set
+  fed a column in any chunking equals one fed the whole column, and
+  the count-min's distinct-value path equals the scalar update loop.
 
 * **Count-min guarantee.**  Estimates never undercount, and overcount
   by more than ``eps * N`` (eps = e/width) only with the documented
@@ -26,7 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
+from repro.sketch.distinct import sorted_distinct, sorted_union
 from repro.sketch.hashing import HashFamily
 from repro.sketch.histogram import HashedHistogram
 
@@ -64,6 +72,132 @@ def make_snapshot(values: np.ndarray, seed: int):
     histogram = HashedHistogram(hash_fn)
     histogram.update(values)
     return histogram.snapshot()
+
+
+# ----------------------------------------------------------------------
+# One sort per column
+# ----------------------------------------------------------------------
+#: Small, duplicate-heavy values mixed with the top of the uint64 range
+#: (a sort that went through int64 or float64 would misplace those).
+edge_values = st.one_of(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=2**63 - 2, max_value=2**63 + 2),
+    st.integers(min_value=2**64 - 3, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+edge_arrays = hnp.arrays(
+    dtype=np.uint64,
+    shape=st.integers(min_value=0, max_value=60),
+    elements=edge_values,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=edge_arrays)
+def test_sorted_distinct_equals_unique_with_counts(values):
+    distinct, run_lengths = sorted_distinct(values)
+    unique, counts = np.unique(values, return_counts=True)
+    assert distinct.dtype == np.uint64
+    assert run_lengths.dtype == np.float64
+    assert np.array_equal(distinct, unique)
+    assert np.array_equal(run_lengths, counts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    value=edge_values, repeats=st.integers(min_value=1, max_value=40)
+)
+def test_sorted_distinct_single_and_all_equal(value, repeats):
+    distinct, run_lengths = sorted_distinct(
+        np.full(repeats, value, dtype=np.uint64)
+    )
+    assert distinct.tolist() == [value]
+    assert run_lengths.tolist() == [float(repeats)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=hnp.arrays(
+        dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]),
+        shape=st.integers(min_value=0, max_value=60),
+        elements=st.integers(min_value=0, max_value=200),
+    )
+)
+def test_sorted_distinct_widens_narrow_columns(values):
+    """Feature columns arrive as uint32; whatever the input dtype, the
+    distinct values come back as uint64."""
+    distinct, run_lengths = sorted_distinct(values)
+    unique, counts = np.unique(
+        values.astype(np.uint64), return_counts=True
+    )
+    assert distinct.dtype == np.uint64
+    assert np.array_equal(distinct, unique)
+    assert np.array_equal(run_lengths, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=edge_arrays, b=edge_arrays)
+def test_sorted_union_equals_union1d(a, b):
+    left, right = np.unique(a), np.unique(b)
+    union = sorted_union(left, right)
+    assert union.dtype == np.uint64
+    assert np.array_equal(union, np.union1d(left, right))
+
+
+def chunked(values: np.ndarray, cuts: list[int]) -> list[np.ndarray]:
+    """``values`` split at the (sorted, possibly repeated) cut points;
+    repeated cuts give empty chunks."""
+    bounds = [0, *sorted(min(cut, len(values)) for cut in cuts), len(values)]
+    return [
+        values[lo:hi] for lo, hi in zip(bounds, bounds[1:], strict=False)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=hnp.arrays(
+        dtype=np.uint64,
+        shape=st.integers(min_value=0, max_value=300),
+        elements=st.one_of(
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=0, max_value=2**64 - 1),
+        ),
+    ),
+    cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=6),
+    seed=seeds,
+)
+def test_cloneset_any_chunking_equals_one_update(values, cuts, seed):
+    whole = CloneSet(3, BINS, seed=seed)
+    whole.update(values)
+    pieces = CloneSet(3, BINS, seed=seed)
+    for chunk in chunked(values, cuts):
+        pieces.update(chunk)
+    for one, many in zip(whole.snapshots(), pieces.snapshots(), strict=True):
+        assert np.array_equal(many.counts, one.counts)
+        assert np.array_equal(many.observed, one.observed)
+        assert canonical(many.to_dict()) == canonical(one.to_dict())
+        assert one.total == len(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=hnp.arrays(
+        dtype=np.uint64,
+        shape=st.integers(min_value=0, max_value=200),
+        elements=st.integers(min_value=0, max_value=6),
+    ),
+    seed=seeds,
+)
+def test_countmin_update_array_equals_scalar_loop(values, seed):
+    vectorized = CountMinSketch(width=16, depth=CM_DEPTH, seed=seed)
+    vectorized.update_array(values)
+    scalar = CountMinSketch(width=16, depth=CM_DEPTH, seed=seed)
+    for value in values.tolist():
+        scalar.update(value)
+    assert vectorized._table.dtype == np.int64
+    assert np.array_equal(vectorized._table, scalar._table)
+    assert vectorized.total == scalar.total == len(values)
+    assert canonical(vectorized.to_dict()) == canonical(scalar.to_dict())
 
 
 # ----------------------------------------------------------------------

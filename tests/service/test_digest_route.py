@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import repro.api as api
@@ -19,6 +20,7 @@ from repro.core.config import ServiceSettings
 from repro.errors import CheckpointError
 from repro.federation import Collector, Federator
 from repro.fleet.manager import FleetManager
+from repro.flows.table import pack_array, unpack_array
 from repro.incidents.store import open_store
 from repro.obs.metrics import MetricsRegistry
 from repro.service.app import ServiceApp
@@ -239,6 +241,29 @@ class TestDigestRefusals:
         ))
         assert status == 400
         assert "incompatible" in json.loads(body)["error"]
+
+    def test_nan_clone_count_refused_before_anything_applies(
+        self, fed_app, site_wire
+    ):
+        """A digest whose clone histogram carries a NaN bin gets the
+        typed 400 envelope; the good line ahead of it in the same body
+        is not applied either."""
+        doc = json.loads(site_wire["west"][0])
+        clone = doc["features"][next(iter(doc["features"]))]["clones"][0]
+        counts = np.asarray(unpack_array(clone["counts"]), dtype=np.float64)
+        counts[0] = np.nan
+        clone["counts"] = pack_array(counts)
+        before = fed_app.federator.to_state()
+        body = (site_wire["east"][0] + "\n" + json.dumps(doc)).encode()
+        status, payload, _ = fed_app.handle(req(
+            "POST", "/digest", body=body
+        ))
+        assert status == 400
+        error = json.loads(payload)["error"]
+        assert error.startswith("digest:2:")
+        assert "self-contradictory" in error
+        assert fed_app.sequence == 0
+        assert fed_app.federator.to_state() == before
 
     def test_duplicate_digest_refused(self, fed_app, site_wire):
         wire = site_wire["east"][0].encode()

@@ -41,6 +41,17 @@ class TestCloneSet:
         for clone, snap in zip(clones, snaps):
             assert np.array_equal(snap.counts, clone.counts)
 
+    def test_clones_share_one_observed_array(self):
+        """The column is sorted once; every clone's snapshot holds that
+        one read-only distinct-value array, not a copy each."""
+        clones = CloneSet(clones=3, bins=16, seed=0)
+        clones.update(np.array([7, 5, 7, 6], dtype=np.uint32))
+        first, *rest = clones.snapshots()
+        assert first.observed.tolist() == [5, 6, 7]
+        assert first.observed.dtype == np.uint64
+        assert not first.observed.flags.writeable
+        assert all(snap.observed is first.observed for snap in rest)
+
     def test_same_seed_reproducible(self):
         a = CloneSet(clones=2, bins=64, seed=5)
         b = CloneSet(clones=2, bins=64, seed=5)

@@ -95,6 +95,36 @@ class TestSnapshot:
         bin_of_7 = snap.hash_fn(7)
         assert 7 in snap.values_in_bins([bin_of_7])
 
+    def test_snapshot_values_in_bins_range_checked(self, histogram):
+        """One back-map body: the snapshot refuses an out-of-range bin
+        like the live histogram does, instead of answering "nothing"."""
+        histogram.update(np.array([1], dtype=np.uint64))
+        snap = histogram.snapshot()
+        with pytest.raises(ConfigError, match="out of range"):
+            snap.values_in_bins([histogram.bins])
+        with pytest.raises(ConfigError, match="out of range"):
+            snap.values_in_bins([-1])
+
+    def test_snapshot_survives_later_updates_and_reset(self, histogram):
+        histogram.update(np.array([3, 1, 3], dtype=np.uint64))
+        snap = histogram.snapshot()
+        counts, observed = snap.counts.copy(), snap.observed.copy()
+        histogram.update(np.array([9, 1], dtype=np.uint64))
+        histogram.reset()
+        histogram.update(np.array([4], dtype=np.uint64))
+        assert np.array_equal(snap.counts, counts)
+        assert snap.observed.tolist() == observed.tolist() == [1, 3]
+
+    def test_snapshot_copies_a_writable_observed_array(self, histogram):
+        observed = np.array([1, 2], dtype=np.uint64)
+        snap = HistogramSnapshot(
+            histogram.hash_fn, np.zeros(histogram.bins), observed
+        )
+        observed[0] = 99
+        assert snap.observed.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            snap.observed[0] = 5
+
     def test_with_counts_replaces(self, histogram):
         histogram.update(np.array([1], dtype=np.uint64))
         snap = histogram.snapshot()
