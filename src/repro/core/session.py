@@ -257,6 +257,23 @@ class IntervalSpine:
                 report = interval_input.observe(bank)
                 span.set_attribute("flows", report.flow_count)
                 span.set_attribute("alarm", report.alarm)
+                if report.alarm:
+                    # Why this close took longer than a clean one: how
+                    # many clones ran a bin identification, and how
+                    # many cleaning rounds those took together.
+                    observed = report.observations.values()
+                    span.set_attribute(
+                        "alarm_votes",
+                        sum(obs.alarm_votes for obs in observed),
+                    )
+                    span.set_attribute(
+                        "binid_rounds",
+                        sum(
+                            len(clone.bins)
+                            for obs in observed
+                            for clone in obs.clones
+                        ),
+                    )
             ins.flows.inc(report.flow_count)
             interval_span.set_attribute("interval", report.interval)
             interval_span.set_attribute("flows", report.flow_count)

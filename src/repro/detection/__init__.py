@@ -19,6 +19,7 @@ from repro.detection.kl import (
     first_difference,
     kl_distance,
     kl_from_counts,
+    kl_rows,
 )
 from repro.detection.manager import DetectionRun, DetectorBank, IntervalReport
 from repro.detection.metadata import (
@@ -52,6 +53,7 @@ __all__ = [
     "first_difference",
     "kl_distance",
     "kl_from_counts",
+    "kl_rows",
     "DetectionRun",
     "DetectorBank",
     "IntervalReport",

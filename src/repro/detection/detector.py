@@ -10,6 +10,7 @@ voting to produce the per-feature meta-data.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.detection.binid import BinIdentification, identify_anomalous_bins
 from repro.detection.features import Feature
-from repro.detection.kl import DEFAULT_PSEUDOCOUNT, kl_from_counts
+from repro.detection.kl import DEFAULT_PSEUDOCOUNT, kl_rows
 from repro.detection.threshold import (
     DEFAULT_MULTIPLIER,
     AlarmThreshold,
@@ -78,8 +79,16 @@ class DetectorConfig:
             raise ConfigError(
                 f"need >= 2 training intervals: {self.training_intervals}"
             )
-        if self.multiplier <= 0:
-            raise ConfigError(f"multiplier must be > 0: {self.multiplier}")
+        # NaN fails both tests: a NaN multiplier would make the alarm
+        # level NaN, and ``diff > nan`` is "no alarm" forever.
+        if not 0 < self.multiplier < math.inf:
+            raise ConfigError(
+                f"multiplier must be finite and > 0: {self.multiplier}"
+            )
+        if not 0 <= self.pseudocount < math.inf:
+            raise ConfigError(
+                f"pseudocount must be finite and >= 0: {self.pseudocount}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,24 +240,33 @@ class HistogramDetector:
                 prev.append(None)
                 continue
             try:
-                prev.append(
-                    HistogramSnapshot(
-                        hash_fn=self._clones[c].hash_fn,
-                        counts=np.asarray(
-                            unpack_array(snap["counts"]),
-                            dtype=np.float64,
-                        ),
-                        observed=np.asarray(
-                            unpack_array(snap["observed"]),
-                            dtype=np.uint64,
-                        ),
-                    )
+                restored = HistogramSnapshot(
+                    hash_fn=self._clones[c].hash_fn,
+                    counts=np.asarray(
+                        unpack_array(snap["counts"]),
+                        dtype=np.float64,
+                    ),
+                    observed=np.asarray(
+                        unpack_array(snap["observed"]),
+                        dtype=np.uint64,
+                    ),
                 )
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise CheckpointError(
                     f"malformed clone {c} snapshot in detector "
                     f"checkpoint: {exc}"
                 ) from exc
+            # The next interval's KL divides by these counts: refuse
+            # here what the kernel would refuse one interval into the
+            # resumed run (NaN fails the first test, inf the second).
+            if not (restored.counts.min() >= 0 and restored.total < np.inf):
+                raise CheckpointError(
+                    f"malformed clone {c} snapshot in detector "
+                    f"checkpoint: bin counts must be non-negative with "
+                    f"a finite total (min {restored.counts.min()}, "
+                    f"total {restored.total})"
+                )
+            prev.append(restored)
         thresholds: list[AlarmThreshold | None] = []
         for thr in per_clone["thresholds"]:
             if thr is None:
@@ -318,17 +336,26 @@ class HistogramDetector:
                 )
         self._interval += 1
 
+        # One stacked KL for the feature: every clone that has a
+        # reference, against its own previous counts.
+        kls = [0.0] * cfg.clones
+        scored = [
+            (c, prev) for c, prev in enumerate(self._prev) if prev is not None
+        ]
+        if scored:
+            rows = kl_rows(
+                np.stack([snapshots[c].counts for c, _ in scored]),
+                np.stack([prev.counts for _, prev in scored]),
+                cfg.pseudocount,
+            )
+            for (c, _), kl in zip(scored, rows.tolist()):
+                kls[c] = kl
+
         clone_results: list[CloneObservation] = []
         for c, snapshot in enumerate(snapshots):
             prev = self._prev[c]
-            if prev is None:
-                kl = 0.0
-                diff = 0.0
-            else:
-                kl = kl_from_counts(
-                    snapshot.counts, prev.counts, cfg.pseudocount
-                )
-                diff = kl - self._prev_kl[c]
+            kl = kls[c]
+            diff = 0.0 if prev is None else kl - self._prev_kl[c]
             self._kl_series[c].append(kl)
             self._diff_series[c].append(diff)
 

@@ -10,6 +10,13 @@ Coinciding distributions give 0; deviations give positive spikes at the
 start and end of an anomaly.  The paper leaves empty-bin handling
 unspecified; we use additive smoothing so the distance stays finite
 (documented in DESIGN.md).
+
+The detector's distance is computed in exactly one place,
+:func:`kl_rows`, a stack of histograms at a time; each row of its
+result is bit-identical to scoring that histogram alone, which is what
+lets callers batch (clones of a feature, rounds of a bin
+identification) without moving a checkpointed ``kl_series`` value or
+an alarm decision.
 """
 
 from __future__ import annotations
@@ -50,6 +57,88 @@ def kl_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * ratios))
 
 
+def kl_rows(
+    current: np.ndarray,
+    reference: np.ndarray,
+    pseudocount: float = DEFAULT_PSEUDOCOUNT,
+) -> np.ndarray:
+    """Smoothed KL distance of every row of a stack of bin counts.
+
+    ``current`` is ``(R, m)``; ``reference`` is ``(R, m)`` (row ``i``
+    is scored against row ``i``) or ``(m,)`` (every row against the one
+    reference).  This is the only KL arithmetic of the detection layer:
+    the detector scores a feature's ``C`` clones in one call and the
+    bin identification a block of cleaning rounds in one call.
+
+    **Bit-identity contract.**  Row ``i`` of the result is bit for bit
+    what a one-row call on ``current[i]`` returns, whatever else is in
+    the stack: every step is elementwise or a sum over the contiguous
+    last axis, which numpy accumulates pairwise *per row* - so stacking
+    changes how many Python calls are made, never a float.  The
+    operation order (``+ pseudocount``, row sum, divide,
+    ``log2(p / q)``, ``* p``, row sum) is fixed for the same reason:
+    the checkpointed ``kl_series`` and the alarm decisions depend on
+    the last bit.  ``tests/detection/reference.py`` keeps the 1-D
+    original this is checked against.
+
+    Counts must be non-negative with a finite total per row; anything
+    else (NaN included) is a :class:`ConfigError` raised before the
+    division, so a distance is never NaN and numpy never warns.  With
+    ``pseudocount == 0`` an empty current bin contributes 0 (summed in
+    place rather than compressed away, so such a row agrees with the
+    1-D original to ~1e-12, not to the bit), a positive current bin
+    over an empty reference bin gives ``inf``, and a row whose current
+    or reference histogram is entirely empty carries no information and
+    scores 0.
+    """
+    if not pseudocount >= 0:
+        raise ConfigError(f"pseudocount must be >= 0: {pseudocount}")
+    # Fresh C-ordered arrays whatever the layout of the inputs: the
+    # row sums below must run over a contiguous axis, and the in-place
+    # steps must not write into the caller's counts.
+    cur = np.add(current, pseudocount, dtype=np.float64, order="C")
+    ref = np.add(reference, pseudocount, dtype=np.float64, order="C")
+    if cur.ndim != 2:
+        raise ConfigError(
+            f"need a (rows, bins) stack of counts, got shape {cur.shape}"
+        )
+    if ref.shape not in (cur.shape, cur.shape[1:]):
+        raise ConfigError(f"shape mismatch: {cur.shape} vs {ref.shape}")
+    if cur.size == 0:
+        return np.zeros(len(cur))
+    # Nothing below may warn: what numpy would warn about is either
+    # refused (a total that overflows, inf - inf) or has a defined
+    # answer (an empty bin, handled after the sum).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cur_total = cur.sum(axis=-1, keepdims=True)
+        ref_total = ref.sum(axis=-1, keepdims=True)
+        # The one refusal per stack: NaN fails the first two
+        # comparisons, inf the last two.
+        if not (
+            cur.min() >= 0
+            and ref.min() >= 0
+            and cur_total.max() < np.inf
+            and ref_total.max() < np.inf
+        ):
+            raise ConfigError(
+                "bin counts must be non-negative with a finite total"
+            )
+        cur /= cur_total
+        ref /= ref_total
+        terms = np.log2(cur / ref)
+        terms *= cur
+    distances = terms.sum(axis=-1)
+    if np.isnan(distances).any():
+        # After the refusal above a NaN has one source: a bin that is
+        # exactly 0 once normalised (pseudocount 0, or a smoothed count
+        # that underflows), where 0 * log2(0 / q) is 0 by convention,
+        # or a histogram that is empty altogether.
+        terms[cur == 0] = 0.0
+        terms[((cur_total == 0) | (ref_total == 0)).ravel()] = 0.0
+        distances = terms.sum(axis=-1)
+    return distances
+
+
 def kl_from_counts(
     current: np.ndarray,
     reference: np.ndarray,
@@ -60,21 +149,15 @@ def kl_from_counts(
     This is the exact quantity the detector tracks: counts are Laplace-
     smoothed with ``pseudocount`` and normalized before the distance is
     taken.  Smoothing guarantees finiteness even for bins that empty out
-    between intervals.
+    between intervals.  It is the one-row call of :func:`kl_rows`.
     """
-    if pseudocount < 0:
-        raise ConfigError(f"pseudocount must be >= 0: {pseudocount}")
-    cur = np.asarray(current, dtype=np.float64) + pseudocount
-    ref = np.asarray(reference, dtype=np.float64) + pseudocount
+    cur = np.asarray(current, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
     if cur.shape != ref.shape:
         raise ConfigError(f"shape mismatch: {cur.shape} vs {ref.shape}")
-    cur_total = cur.sum()
-    ref_total = ref.sum()
-    if cur_total == 0 or ref_total == 0:
-        # Both-zero histograms (pseudocount 0 and empty intervals): no
-        # information, no distance.
-        return 0.0
-    return kl_distance(cur / cur_total, ref / ref_total)
+    if cur.ndim != 1:
+        raise ConfigError("bin counts must be one-dimensional")
+    return float(kl_rows(cur[np.newaxis], ref, pseudocount)[0])
 
 
 def first_difference(series: np.ndarray) -> np.ndarray:

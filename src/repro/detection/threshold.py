@@ -9,6 +9,7 @@ exceeds the threshold (one-sided - negative spikes mark anomaly ends).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,13 @@ class AlarmThreshold:
     multiplier: float = DEFAULT_MULTIPLIER
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0: {self.sigma}")
-        if self.multiplier <= 0:
-            raise ConfigError(f"multiplier must be > 0: {self.multiplier}")
+        # NaN fails both tests: a NaN alarm level never alarms.
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0: {self.sigma}")
+        if not 0 < self.multiplier < math.inf:
+            raise ConfigError(
+                f"multiplier must be finite and > 0: {self.multiplier}"
+            )
 
     @property
     def value(self) -> float:

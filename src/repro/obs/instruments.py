@@ -264,6 +264,12 @@ SPANS.update(
         for stage in STAGES
     }
 )
+SPANS["stage.detection"] += (
+    " Attributes: flows, alarm; on an alarmed interval also "
+    "alarm_votes (clones that alarmed, summed over features) and "
+    "binid_rounds (bin-identification cleaning rounds, summed over "
+    "those clones)."
+)
 
 #: Every span-event name, keyed by name (RPR007, like SPANS).
 EVENTS: dict[str, str] = {

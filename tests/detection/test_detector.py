@@ -5,8 +5,8 @@ import pytest
 
 from repro.detection.detector import DetectorConfig, HistogramDetector
 from repro.detection.features import Feature
-from repro.errors import ConfigError
-from repro.flows.table import FlowTable
+from repro.errors import CheckpointError, ConfigError
+from repro.flows.table import FlowTable, pack_array, unpack_array
 
 
 def _interval(dst_ports, rng):
@@ -51,6 +51,30 @@ class TestDetectorConfig:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             DetectorConfig(**base)
+
+
+class TestDetectorConfigNumericEdges:
+    """Values that used to be accepted and go wrong one interval into
+    the run (a ``ConfigError`` from the KL) or never (a NaN alarm level
+    is "no alarm" forever)."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(pseudocount=-1.0),
+            dict(pseudocount=float("nan")),
+            dict(pseudocount=float("inf")),
+            dict(multiplier=float("nan")),
+            dict(multiplier=float("inf")),
+        ],
+    )
+    def test_non_finite_or_negative_refused(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=name):
+            DetectorConfig(**kwargs)
+
+    def test_zero_pseudocount_stays_legal(self):
+        assert DetectorConfig(pseudocount=0.0).pseudocount == 0.0
 
 
 class TestTrainingPhase:
@@ -168,3 +192,36 @@ class TestDetection:
         a = HistogramDetector(Feature.DST_PORT, config, seed=1)
         b = HistogramDetector(Feature.SRC_PORT, config, seed=1)
         assert a._clones[0].hash_fn != b._clones[0].hash_fn
+
+
+class TestRestoreRefusesCorruptCounts:
+    """A reference histogram holding NaN, a negative or inf is refused
+    at restore, naming the clone - not one interval later from inside
+    the KL, worded as a distribution that does not sum to 1."""
+
+    @pytest.fixture()
+    def state(self, config, rng):
+        detector = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        for _ in range(3):
+            detector.observe(_interval(_baseline_ports(rng), rng))
+        return detector.to_state()
+
+    def test_clean_state_restores(self, config, state):
+        restored = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        restored.from_state(state)
+        assert restored.to_state() == state
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), -1.0, float("inf"), float("-inf")]
+    )
+    def test_corrupt_counts_refused_naming_the_clone(
+        self, config, state, bad, recwarn
+    ):
+        counts = unpack_array(state["prev"][1]["counts"]).astype(np.float64)
+        counts[7] = bad
+        state["prev"][1]["counts"] = pack_array(counts)
+        fresh = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        with pytest.raises(CheckpointError, match="clone 1 .*non-negative"):
+            fresh.from_state(state)
+        assert fresh.interval == -1  # nothing was restored
+        assert not recwarn.list

@@ -62,6 +62,21 @@ class TestAlarmThreshold:
             AlarmThreshold(sigma=1.0, multiplier=0.0)
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(sigma=float("nan")),
+            dict(sigma=float("inf")),
+            dict(sigma=1.0, multiplier=float("nan")),
+            dict(sigma=1.0, multiplier=float("inf")),
+        ],
+    )
+    def test_non_finite_refused(self, kwargs):
+        """A NaN alarm level never alarms: ``diff > nan`` is False."""
+        with pytest.raises(ConfigError, match="finite"):
+            AlarmThreshold(**kwargs)
+
+
 class TestEstimateThreshold:
     def test_from_training_diffs(self, rng):
         diffs = rng.normal(0.0, 0.5, size=5000)

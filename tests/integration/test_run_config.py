@@ -180,6 +180,20 @@ MISTAKES = {
         "[fleet.pipelines.a.mining]\nmin_support = true\n",
         "[fleet.pipelines.a]: [mining] min_support must be int",
     ),
+    # Numbers that parse but cannot score: refused at load, not one
+    # interval into the run (or, for a NaN alarm level, never).
+    "pseudocount-negative": (
+        "[detector]\npseudocount = -1\n",
+        "pseudocount must be finite and >= 0: -1",
+    ),
+    "pseudocount-nan": (
+        "[detector]\npseudocount = nan\n",
+        "pseudocount must be finite and >= 0: nan",
+    ),
+    "multiplier-nan": (
+        "[detector]\nmultiplier = nan\n",
+        "multiplier must be finite and > 0: nan",
+    ),
 }
 
 CLI_VERBS = {

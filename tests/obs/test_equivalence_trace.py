@@ -128,6 +128,38 @@ class TestTraceOnVsOff:
         assert _rendered(on.extractions) == _rendered(off.extractions)
 
 
+class TestDetectionSpanExplainsAlarm:
+    def test_alarmed_interval_carries_votes_and_rounds(self, ddos_trace):
+        """"Why did this close take 12 ms": an alarmed interval's
+        stage.detection span says how many clones alarmed and how many
+        cleaning rounds their bin identifications ran; a clean
+        interval's span carries neither."""
+        tracer = Tracer()
+        with AnomalyExtractor(_config(), seed=1, tracer=tracer) as extractor:
+            run = extractor.run_trace(
+                ddos_trace.flows, ddos_trace.interval_seconds
+            ).detection
+        spans = [s for s in tracer.spans if s.name == "stage.detection"]
+        assert len(spans) == run.n_intervals
+        alarmed = [s for s in spans if s.attributes["alarm"]]
+        assert alarmed  # the comparison is not vacuous
+        for span, report in zip(spans, run.reports):
+            if not report.alarm:
+                assert "alarm_votes" not in span.attributes
+                assert "binid_rounds" not in span.attributes
+                continue
+            clones = [
+                clone
+                for obs in report.observations.values()
+                for clone in obs.clones
+                if clone.alarm
+            ]
+            assert span.attributes["alarm_votes"] == len(clones) >= 1
+            assert span.attributes["binid_rounds"] == sum(
+                clone.bin_identification.rounds for clone in clones
+            )
+
+
 class TestFleetTraceTree:
     def test_session_roots_nest_under_fleet_run(self, ddos_trace):
         tracer = Tracer()

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
 from repro.fleet.manager import FleetManager
+from repro.flows.table import pack_array, unpack_array
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
     fleet_checkpoint,
@@ -200,5 +202,38 @@ class TestRestoreValidation:
         try:
             with pytest.raises(CheckpointError, match="store"):
                 restore_fleet(fresh, doc)
+        finally:
+            fresh.close()
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_corrupt_reference_histogram_rejected(
+        self, fed_fleet, service_config, tmp_path, bad
+    ):
+        """One packed array of the checkpoint file holds a NaN, a
+        negative or inf: the restore refuses, naming the clone, instead
+        of resuming into a run whose next interval fails inside the KL
+        (for inf, after a numpy divide warning)."""
+        doc = fleet_checkpoint(fed_fleet, sequence=8)
+        detector = doc["fleet"]["pipelines"]["linkA"]["session"][
+            "detectors"
+        ]["detectors"]["dstPort"]
+        counts = unpack_array(detector["prev"][2]["counts"]).astype(
+            np.float64
+        )
+        counts[3] = bad
+        detector["prev"][2]["counts"] = pack_array(counts)
+        path = tmp_path / "corrupt.ckpt"
+        write_checkpoint(path, doc)
+        fresh = FleetManager(
+            {"linkA": service_config, "linkB": service_config},
+            route="dst_ip%2",
+            interval_seconds=10.0,
+            store_dir=tmp_path / "stores",
+        )
+        try:
+            with pytest.raises(
+                CheckpointError, match="clone 2 .*non-negative"
+            ):
+                restore_fleet(fresh, read_checkpoint(path))
         finally:
             fresh.close()
