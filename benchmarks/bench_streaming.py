@@ -1,7 +1,7 @@
 """Streaming vs batch extraction: throughput and peak memory.
 
 The ISSUE 2 acceptance criterion: the streaming path must produce the
-same extractions as batch ``run_trace`` while its peak memory follows
+same extractions as a batch ``api.extract`` while its peak memory follows
 the interval/window size, not the trace size.  This bench writes a
 generated trace to CSV, runs both paths over it, asserts the reports
 are identical, and measures flows/sec plus the peak Python allocation
@@ -16,8 +16,8 @@ import tracemalloc
 
 import pytest
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor
 from repro.detection.detector import DetectorConfig
 from repro.flows.io import iter_csv, read_csv, write_csv
 from repro.traffic.generator import TraceGenerator
@@ -60,14 +60,15 @@ def test_streaming_vs_batch(benchmark, csv_trace, report):
     path, n_flows = csv_trace
 
     def run_batch():
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            return extractor.run_trace(read_csv(path), 900.0)
+        return api.extract(
+            read_csv(path), _config(), interval_seconds=900.0, seed=1
+        )
 
     def run_stream():
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            return extractor.run_stream(
-                iter_csv(path, chunk_rows=CHUNK_ROWS), 900.0
-            )
+        return api.stream(
+            iter_csv(path, chunk_rows=CHUNK_ROWS), _config(),
+            interval_seconds=900.0, seed=1,
+        )
 
     def measure():
         batch, batch_s, batch_peak = _measure(run_batch)
@@ -93,9 +94,9 @@ def test_streaming_vs_batch(benchmark, csv_trace, report):
         "Streaming engine - throughput and peak memory "
         f"({n_flows} flows, {N_INTERVALS} intervals, "
         f"chunk={CHUNK_ROWS} rows)",
-        f"  batch  run_trace : {n_flows / batch_s:>9.0f} flows/s, "
+        f"  batch  extract: {n_flows / batch_s:>9.0f} flows/s, "
         f"peak {batch_peak / 2**20:6.1f} MiB",
-        f"  stream run_stream: {n_flows / stream_s:>9.0f} flows/s, "
+        f"  stream stream : {n_flows / stream_s:>9.0f} flows/s, "
         f"peak {stream_peak / 2**20:6.1f} MiB "
         f"(x{batch_peak / stream_peak:.1f} smaller)",
         # Structured metrics land in BENCH_streaming.json.
@@ -121,10 +122,10 @@ def test_streaming_memory_flat_in_trace_size(tmp_path_factory, report):
         write_csv(trace.flows, path)
 
         def run_stream(path=path):
-            with AnomalyExtractor(_config(), seed=1) as extractor:
-                return extractor.run_stream(
-                    iter_csv(path, chunk_rows=CHUNK_ROWS), 900.0
-                )
+            return api.stream(
+                iter_csv(path, chunk_rows=CHUNK_ROWS), _config(),
+                interval_seconds=900.0, seed=1,
+            )
 
         _, _, peaks[n_intervals] = _measure(run_stream)
 

@@ -13,8 +13,8 @@ demonstrably noise.
 
 import time
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor
 from repro.detection.detector import DetectorConfig
 from repro.obs.trace import NULL_TRACER, Tracer, render_trace_jsonl
 from repro.traffic import TraceGenerator, small_test
@@ -42,8 +42,10 @@ def _run(trace, tracer):
         min_support=300,
     )
     start = time.perf_counter()
-    with AnomalyExtractor(config, seed=1, tracer=tracer) as extractor:
-        extractor.run_trace(trace.flows, trace.interval_seconds)
+    api.extract(
+        trace.flows, config, interval_seconds=trace.interval_seconds,
+        seed=1, tracer=tracer,
+    )
     return time.perf_counter() - start
 
 

@@ -17,8 +17,9 @@ Run:
 import tempfile
 from pathlib import Path
 
-from repro import AnomalyExtractor, DetectorConfig, ExtractionConfig
+from repro import DetectorConfig, ExtractionConfig
 from repro.anomalies import DDoSInjector, EventSchedule
+from repro.api import extract
 from repro.incidents import IncidentStore
 from repro.traffic import TraceGenerator, small_test
 
@@ -50,8 +51,10 @@ def main() -> None:
         db = Path(tmp) / "incidents.db"
         # Stage 1: the pipeline persists one report per alarmed interval.
         with IncidentStore(str(db)) as store:
-            with AnomalyExtractor(config, seed=1) as extractor:
-                extractor.run_trace(trace.flows, INTERVAL, sink=store)
+            extract(
+                trace.flows, config, interval_seconds=INTERVAL, seed=1,
+                sink=store,
+            )
             print(f"store: {len(store)} reports "
                   f"(intervals {store.intervals()})")
             for report in store.reports():

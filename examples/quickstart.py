@@ -11,9 +11,10 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import AnomalyExtractor, DetectorConfig, ExtractionConfig
+from repro import DetectorConfig, ExtractionConfig
 from repro.analysis import judge_itemsets
 from repro.anomalies import DDoSInjector, EventSchedule
+from repro.api import extract
 from repro.flows import interval_of
 from repro.traffic import TraceGenerator, switch_like
 
@@ -43,8 +44,9 @@ def main() -> None:
         ),
         min_support=800,
     )
-    extractor = AnomalyExtractor(config, seed=7)
-    result = extractor.run_trace(trace.flows, trace.interval_seconds)
+    result = extract(
+        trace.flows, config, interval_seconds=trace.interval_seconds, seed=7
+    )
 
     if not result.extractions:
         raise SystemExit("no alarms raised - try a larger event")

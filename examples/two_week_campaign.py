@@ -16,7 +16,8 @@ Run:
 from collections import defaultdict
 
 from repro.analysis import judge_itemsets
-from repro.core import AnomalyExtractor, ExtractionConfig
+from repro.api import extract
+from repro.core import ExtractionConfig
 from repro.detection import DetectorConfig
 from repro.flows import interval_of
 from repro.traffic import two_week_trace
@@ -37,8 +38,9 @@ def main() -> None:
         ),
         min_support=100,
     )
-    extractor = AnomalyExtractor(config, seed=1)
-    result = extractor.run_trace(trace.flows, trace.interval_seconds)
+    result = extract(
+        trace.flows, config, interval_seconds=trace.interval_seconds, seed=1
+    )
 
     flagged = set(result.flagged_intervals)
     print(

@@ -9,12 +9,14 @@ maximal item-sets.
 
 Quickstart::
 
-    from repro import AnomalyExtractor, ExtractionConfig
+    import repro.api
     from repro.traffic import two_day_trace
 
     trace = two_day_trace()
-    extractor = AnomalyExtractor(ExtractionConfig(min_support=400))
-    result = extractor.run_trace(trace.flows, trace.interval_seconds)
+    result = repro.api.extract(
+        trace.flows, min_support=400,
+        interval_seconds=trace.interval_seconds,
+    )
     for extraction in result.extractions:
         print(extraction.render())
 

@@ -170,8 +170,7 @@ class IncidentSettings:
         store_path: when set, the extractor opens an
             :class:`~repro.incidents.store.IncidentStore` at this path
             and persists every alarmed interval's extraction report
-            there (batch ``run_trace`` and streaming ``run_stream``
-            alike).
+            there (batch and streaming runs alike).
         jaccard: item-set similarity threshold used by the
             :class:`~repro.incidents.correlate.IncidentCorrelator` to
             merge non-identical item-sets into one incident

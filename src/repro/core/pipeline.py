@@ -16,7 +16,7 @@ fashion").
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from typing import Protocol, runtime_checkable
@@ -29,15 +29,14 @@ from repro.detection.features import Feature
 from repro.detection.manager import DetectionRun, DetectorBank
 from repro.detection.metadata import Metadata
 from repro.errors import ExtractionError
-from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
-from repro.mining import MINERS
 from repro.mining.items import FrequentItemset
 from repro.mining.result import MiningResult
 from repro.mining.transactions import TransactionSet
 from repro.obs.instruments import PipelineInstruments
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, time_stage
 from repro.obs.trace import NULL_TRACER, AnyTracer, Tracer
+from repro.registry import miners
 
 
 @runtime_checkable
@@ -130,15 +129,12 @@ class TraceExtraction:
 
     extractions: list[ExtractionResult] = field(default_factory=list)
     detection: DetectionRun | None = None
-    #: Streaming only (:meth:`AnomalyExtractor.run_stream`): flows that
-    #: arrived after their interval was already emitted and were
-    #: dropped.  Always 0 on the batch path.  Non-zero means the
-    #: detectors saw incomplete intervals - raise
-    #: ``max_delay_seconds`` / ``max_pending_intervals`` to keep
-    #: intervals open longer.
+    #: Flows dropped as late.  Always 0 here - batch windowing sees the
+    #: whole trace at once - but mirrored from
+    #: :class:`~repro.core.session.StreamExtraction` so a caller holding
+    #: either result (``FleetManager.finish()`` returns one per
+    #: pipeline) reads the same counters.
     late_dropped: int = 0
-    #: Late-drop split (streaming only): flows predating interval 0 vs
-    #: flows whose interval had closed past the lateness allowance.
     #: ``late_dropped == late_dropped_pre_origin + late_dropped_closed``.
     late_dropped_pre_origin: int = 0
     late_dropped_closed: int = 0
@@ -304,101 +300,6 @@ class AnomalyExtractor:
         self.close()
 
     # ------------------------------------------------------------------
-    # Online operation
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        mode: str = "stream",
-        interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
-        origin: float = 0.0,
-        sink: ReportSink | None = None,
-        keep_reports: bool = True,
-    ):
-        """Open a push-based :class:`~repro.core.session.ExtractionSession`
-        on this extractor.
-
-        The session *borrows* the extractor: closing it leaves the
-        extractor (and its pool/store) open.  ``mode="batch"`` mirrors
-        :meth:`run_trace`, ``mode="stream"`` mirrors the incremental
-        streaming path; both run the same orchestration code.
-        """
-        from repro.core.session import ExtractionSession
-
-        return ExtractionSession(
-            self,
-            mode=mode,
-            interval_seconds=interval_seconds,
-            origin=origin,
-            sink=sink,
-            keep_reports=keep_reports,
-        )
-
-    def run_trace(
-        self,
-        trace: FlowTable,
-        interval_seconds: float,
-        origin: float = 0.0,
-        sink: ReportSink | None = None,
-    ) -> TraceExtraction:
-        """Window a trace and process every interval online.
-
-        A thin wrapper over a batch-mode :meth:`session` (feed the
-        whole trace, finish).  Every extraction is also pushed to
-        ``sink`` (or, when no sink is given, to the store opened via
-        ``config.store_path``) as a serializable
-        :class:`~repro.core.report.ExtractionReport`.
-        """
-        session = self.session(
-            "batch", interval_seconds=interval_seconds, origin=origin,
-            sink=sink,
-        )
-        session.feed(trace)
-        result = session.finish()
-        assert isinstance(result, TraceExtraction)
-        return result
-
-    def run_stream(
-        self,
-        chunks: Iterable[FlowTable],
-        interval_seconds: float,
-        origin: float = 0.0,
-        sink: ReportSink | None = None,
-    ) -> TraceExtraction:
-        """Process an unbounded chunk stream (e.g. ``iter_csv``) online.
-
-        The bounded-memory counterpart of :meth:`run_trace`: chunks are
-        assembled into completed intervals and processed as they close,
-        so peak memory follows the interval/window size rather than the
-        trace length.
-
-        With the default ``window_intervals == 1`` the result is
-        identical to :meth:`run_trace` on the same trace *provided no
-        flows arrive late*: a flow older than an already-emitted
-        interval cannot be re-windowed (the batch path, which sees the
-        whole trace at once, has no such constraint) and is dropped and
-        counted in the returned :attr:`TraceExtraction.late_dropped`.
-        Check that field - a non-zero value means the detectors saw
-        incomplete intervals; raise ``config.max_delay_seconds`` to
-        keep intervals open long enough for the stream's reordering.
-        See :mod:`repro.streaming` for the richer streaming API
-        (per-chunk incremental results, full counters).
-        """
-        session = self.session(
-            "stream", interval_seconds=interval_seconds, origin=origin,
-            sink=sink,
-        )
-        for chunk in chunks:
-            session.feed(chunk)
-        result = session.finish()
-        return TraceExtraction(
-            extractions=result.extractions,
-            detection=result.detection,
-            late_dropped=result.late_dropped,
-            late_dropped_pre_origin=result.late_dropped_pre_origin,
-            late_dropped_closed=result.late_dropped_closed,
-        )
-
-    # ------------------------------------------------------------------
     # Offline operation
     # ------------------------------------------------------------------
     def extract_with_metadata(
@@ -484,7 +385,7 @@ class AnomalyExtractor:
                 maximal_only=self.config.maximal_only,
                 local_miner=self.config.miner,
             )
-        miner = MINERS.get(self.config.miner)
+        miner = miners.get(self.config.miner)
         # An empty prefilter output (e.g. intersection mode on a
         # multi-stage anomaly) flows through the same call and yields an
         # empty-but-valid mining result.

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.detection.features import Feature
-from repro.errors import ExtractionError
+from repro.errors import ExtractionError, MiningError
 from repro.mining.items import FrequentItemset, format_item
+from repro.state import count, finite, listof, read_fields, text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import ExtractionResult
@@ -29,6 +30,10 @@ COMMON_SERVICE_PORTS = frozenset(
 
 #: Packet counts so small they match a large share of all flows.
 COMMON_PACKET_COUNTS = frozenset({1, 2, 3})
+
+
+_ITEMS = listof(count, into=tuple)
+_NAMES = listof(text, into=tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,13 +61,17 @@ class TriagedItemset:
     def from_dict(cls, data: dict[str, Any]) -> "TriagedItemset":
         """Inverse of :meth:`to_dict` (``rendered`` is derived and
         ignored)."""
-        return cls(
-            itemset=FrequentItemset(
-                items=tuple(int(i) for i in data["items"]),
-                support=int(data["support"]),
-            ),
-            hint=str(data["hint"]),
+        fields = read_fields(
+            "item-set", data, ExtractionError,
+            items=_ITEMS,
+            support=count,
+            hint=text,
         )
+        try:
+            itemset = FrequentItemset(fields["items"], fields["support"])
+        except MiningError as exc:
+            raise ExtractionError(f"malformed item-set: {exc}") from exc
+        return cls(itemset=itemset, hint=fields["hint"])
 
 
 def triage(itemset: FrequentItemset) -> TriagedItemset:
@@ -201,20 +210,19 @@ class ExtractionReport:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExtractionReport":
         return cls(
-            interval=int(data["interval"]),
-            start=float(data["start"]),
-            end=float(data["end"]),
-            input_flows=int(data["input_flows"]),
-            selected_flows=int(data["selected_flows"]),
-            prefilter_mode=str(data["prefilter_mode"]),
-            algorithm=str(data["algorithm"]),
-            min_support=int(data["min_support"]),
-            alarmed_features=tuple(
-                str(f) for f in data["alarmed_features"]
-            ),
-            itemsets=tuple(
-                TriagedItemset.from_dict(t) for t in data["itemsets"]
-            ),
+            **read_fields(
+                "extraction report", data, ExtractionError,
+                interval=count,
+                start=finite,
+                end=finite,
+                input_flows=count,
+                selected_flows=count,
+                prefilter_mode=text,
+                algorithm=text,
+                min_support=count,
+                alarmed_features=_NAMES,
+                itemsets=_ITEMSETS,
+            )
         )
 
     def to_json(self) -> str:
@@ -226,6 +234,9 @@ class ExtractionReport:
     @classmethod
     def from_json(cls, text: str) -> "ExtractionReport":
         return cls.from_dict(json.loads(text))
+
+
+_ITEMSETS = listof(TriagedItemset.from_dict, into=tuple)
 
 
 def render_itemset_table(itemsets: list[FrequentItemset]) -> str:

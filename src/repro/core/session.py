@@ -66,10 +66,11 @@ from repro.flows.stream import (
     iter_intervals,
 )
 from repro.flows.table import FlowTable
-from repro.mining import MINERS
 from repro.mining.streaming import SlidingWindowMiner
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.obs.trace import AnyTracer
+from repro.registry import miners
+from repro.state import count, listof, mapping, optional, read_fields, text
 
 if TYPE_CHECKING:
     from repro.streaming.assembler import IntervalAssembler
@@ -386,7 +387,7 @@ class ExtractionSession(IntervalSpine):
 
     Usage::
 
-        with extractor.session(mode="stream", interval_seconds=900.0) as s:
+        with repro.api.session(config, interval_seconds=900.0) as s:
             for chunk in iter_csv("trace.csv"):
                 for extraction in s.feed(chunk):
                     print(extraction.render())
@@ -394,13 +395,15 @@ class ExtractionSession(IntervalSpine):
 
     Args:
         extractor: the :class:`AnomalyExtractor` whose detector bank,
-            engine, and store the session drives.
+            engine, and store the session drives - and owns:
+            :meth:`close` releases them (:func:`open_session` builds
+            both together).
         mode: "batch" (results at :meth:`finish`, whole-trace
             windowing) or "stream" (incremental results from
             :meth:`feed`, watermark windowing).
         interval_seconds: measurement interval length ``L``.
         origin: time of interval 0 (streaming cannot infer it; the
-            batch drivers default to 0.0 as ``run_trace`` always has).
+            batch drivers default to 0.0).
         sink: optional report sink (anything with
             ``append(ExtractionReport)``); defaults to the extractor's
             open incident store, when one is configured.
@@ -409,12 +412,8 @@ class ExtractionSession(IntervalSpine):
             :class:`~repro.detection.manager.DetectionRun`.  Set False
             for unbounded streams; memory stays flat and
             ``result().detection`` is ``None``.
-        owns_extractor: when True, :meth:`close` releases the extractor
-            (worker pool + store); when False the extractor is
-            borrowed and outlives the session.
 
-    Batch mode intentionally mirrors the historical ``run_trace``
-    semantics exactly: every interval is mined on its own (the
+    In batch mode every interval is mined on its own (the
     sliding-window knob only applies to streams) and every extraction
     is retained regardless of ``streaming.keep_extractions`` (the
     caller holds the whole trace in memory anyway).
@@ -428,7 +427,6 @@ class ExtractionSession(IntervalSpine):
         origin: float = 0.0,
         sink: ReportSink | None = None,
         keep_reports: bool = True,
-        owns_extractor: bool = False,
     ):
         if mode not in SESSION_MODES:
             raise ExtractionError(
@@ -440,7 +438,6 @@ class ExtractionSession(IntervalSpine):
                 f"interval length must be positive: {interval_seconds}"
             )
         self.mode = mode
-        self._owns_extractor = owns_extractor
         self.config = extractor.config
         # The run's root span: parents under the ambient span when one
         # is active (the fleet's root), else starts a new trace.  Ended
@@ -475,7 +472,7 @@ class ExtractionSession(IntervalSpine):
             origin=origin,
             sink=sink,
             keep_reports=keep_reports,
-            # Batch mode retains everything, as run_trace always has.
+            # Batch mode retains everything.
             keep_extractions=(
                 mode == "batch" or self.config.keep_extractions
             ),
@@ -513,7 +510,7 @@ class ExtractionSession(IntervalSpine):
                 self._window_miner = SlidingWindowMiner(
                     window=self.config.window_intervals,
                     min_support=self.config.min_support,
-                    miner=MINERS.get(self.config.miner),
+                    miner=miners.get(self.config.miner),
                     maximal_only=self.config.maximal_only,
                 )
 
@@ -542,12 +539,10 @@ class ExtractionSession(IntervalSpine):
     def close(self) -> None:
         """Release the session's resources (idempotent).
 
-        An owning session (``api.session``, the fleet) closes its
-        extractor, which releases the parallel worker pool and the
-        incident store in ``try``/``finally`` - so both are freed even
-        when one release raises, and even when the session is being
-        torn down because a mid-feed chunk raised.  A borrowing session
-        (``extractor.session(...)``) leaves the extractor untouched.
+        The session closes its extractor, which releases the parallel
+        worker pool and the incident store in ``try``/``finally`` - so
+        both are freed even when one release raises, and even when the
+        session is being torn down because a mid-feed chunk raised.
         """
         if self._closed:
             return
@@ -557,8 +552,7 @@ class ExtractionSession(IntervalSpine):
             if self._metrics_sink is not None:
                 self._metrics_sink.close()
         finally:
-            if self._owns_extractor:
-                self._extractor.close()
+            self._extractor.close()
 
     def __enter__(self) -> "ExtractionSession":
         return self
@@ -642,8 +636,7 @@ class ExtractionSession(IntervalSpine):
         self._pending = []
         # The generator is consumed one view at a time - each interval's
         # copied FlowTable dies before the next is built, so peak memory
-        # holds the trace plus ONE interval, same as the historical
-        # run_trace loop.
+        # holds the trace plus ONE interval.
         return self._step_views(
             self._timed_views(
                 iter_intervals(
@@ -750,11 +743,6 @@ class ExtractionSession(IntervalSpine):
             raise CheckpointError(
                 "only stream sessions restore from a checkpoint"
             )
-        if not isinstance(state, dict) or state.get("mode") != "stream":
-            raise CheckpointError(
-                f"session checkpoint state must carry mode='stream', "
-                f"got {state.get('mode') if isinstance(state, dict) else state!r}"
-            )
         assert self.assembler is not None
         if self.extraction_count or self.assembler.intervals_emitted or (
             self.assembler.flows_seen
@@ -763,36 +751,38 @@ class ExtractionSession(IntervalSpine):
                 "restore into a fresh session: this one has already "
                 "processed data"
             )
-        try:
-            assembler_state = state["assembler"]
-            miner_state = state["window_miner"]
-            raw_flows = [int(n) for n in state["window_raw_flows"]]
-            counters = {
-                key: int(state[key])
-                for key in (
-                    "extraction_count", "windows_mined", "windows_skipped"
-                )
-            }
-            detector_state = state["detectors"]
-        except (KeyError, TypeError, ValueError) as exc:
+        fields = read_fields(
+            "session checkpoint state", state, CheckpointError,
+            mode=text,
+            assembler=mapping,
+            window_miner=optional(mapping),
+            window_raw_flows=listof(count),
+            extraction_count=count,
+            windows_mined=count,
+            windows_skipped=count,
+            detectors=mapping,
+        )
+        if fields["mode"] != "stream":
             raise CheckpointError(
-                f"malformed session checkpoint state: {exc}"
-            ) from exc
+                f"session checkpoint state must carry mode='stream', "
+                f"got {fields['mode']!r}"
+            )
+        miner_state = fields["window_miner"]
         if (miner_state is None) != (self._window_miner is None):
             raise CheckpointError(
                 "session checkpoint window mode does not match this "
                 "session's window_intervals; restore with the "
                 "configuration the checkpoint was written under"
             )
-        self.assembler.from_state(assembler_state)
+        self.assembler.from_state(fields["assembler"])
         if self._window_miner is not None:
             self._window_miner.from_state(miner_state)
         self._window_raw_flows.clear()
-        self._window_raw_flows.extend(raw_flows)
-        self.extraction_count = counters["extraction_count"]
-        self.windows_mined = counters["windows_mined"]
-        self.windows_skipped = counters["windows_skipped"]
-        self._extractor.detector_bank.from_state(detector_state)
+        self._window_raw_flows.extend(fields["window_raw_flows"])
+        self.extraction_count = fields["extraction_count"]
+        self.windows_mined = fields["windows_mined"]
+        self.windows_skipped = fields["windows_skipped"]
+        self._extractor.detector_bank.from_state(fields["detectors"])
         self.arm_resume_floor()
 
     def _step_views(
@@ -834,7 +824,7 @@ def open_session(
         tracer=tracer,
     )
     try:
-        return ExtractionSession(extractor, owns_extractor=True, **session)
+        return ExtractionSession(extractor, **session)
     except BaseException:
         extractor.close()
         raise

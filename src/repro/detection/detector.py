@@ -26,9 +26,19 @@ from repro.detection.threshold import (
 )
 from repro.detection.voting import vote
 from repro.errors import CheckpointError, ConfigError, SketchError
-from repro.flows.table import FlowTable, pack_array, unpack_array
+from repro.flows.table import FlowTable
 from repro.sketch.cloning import CloneSet
 from repro.sketch.histogram import HistogramSnapshot
+from repro.state import (
+    finite,
+    integer,
+    listof,
+    optional,
+    pack_array,
+    packed,
+    read_fields,
+    record,
+)
 
 
 def clone_seed(seed: int, feature: Feature) -> int:
@@ -126,6 +136,16 @@ class FeatureObservation:
         return sum(1 for clone in self.clones if clone.alarm)
 
 
+#: One clone's checkpointed reference histogram (``prev[c]``) and
+#: calibration (``thresholds[c]``).
+_REFERENCE = record(counts=packed(np.float64), observed=packed(np.uint64))
+_CALIBRATION = record(sigma=finite, multiplier=finite)
+
+
+def _threshold(doc: object) -> AlarmThreshold:
+    return AlarmThreshold(**_CALIBRATION(doc))
+
+
 class HistogramDetector:
     """Stateful per-feature detector; call :meth:`observe` per interval."""
 
@@ -212,46 +232,31 @@ class HistogramDetector:
         """Restore :meth:`to_state` data into this detector (which must
         be built with the same config, feature, and seed - the hash
         streams are rebuilt, not restored)."""
-        cfg = self.config
-        try:
-            per_clone = {
-                key: state[key]
-                for key in (
-                    "prev", "prev_kl", "kl_series", "diff_series",
-                    "training_diffs", "thresholds",
-                )
-            }
-            interval = int(state["interval"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed detector checkpoint state: {exc}"
-            ) from exc
-        for key, series in per_clone.items():
-            if len(series) != cfg.clones:
-                raise CheckpointError(
-                    f"detector checkpoint has {len(series)} clones of "
-                    f"{key!r} but the config declares {cfg.clones}; "
-                    f"restore with the configuration the checkpoint "
-                    f"was written under"
-                )
+        clones = self.config.clones
+
+        def per_clone(kind):
+            return listof(kind, length=clones)
+
+        fields = read_fields(
+            "detector checkpoint state", state, CheckpointError,
+            interval=integer(-1),
+            prev=per_clone(optional(_REFERENCE)),
+            prev_kl=per_clone(finite),
+            kl_series=per_clone(listof(finite)),
+            diff_series=per_clone(listof(finite)),
+            training_diffs=per_clone(listof(finite)),
+            thresholds=per_clone(optional(_threshold)),
+        )
         prev: list[HistogramSnapshot | None] = []
-        for c, snap in enumerate(per_clone["prev"]):
-            if snap is None:
+        for c, arrays in enumerate(fields["prev"]):
+            if arrays is None:
                 prev.append(None)
                 continue
             try:
                 restored = HistogramSnapshot(
-                    hash_fn=self._clones[c].hash_fn,
-                    counts=np.asarray(
-                        unpack_array(snap["counts"]),
-                        dtype=np.float64,
-                    ),
-                    observed=np.asarray(
-                        unpack_array(snap["observed"]),
-                        dtype=np.uint64,
-                    ),
+                    hash_fn=self._clones[c].hash_fn, **arrays
                 )
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            except ConfigError as exc:
                 raise CheckpointError(
                     f"malformed clone {c} snapshot in detector "
                     f"checkpoint: {exc}"
@@ -267,37 +272,13 @@ class HistogramDetector:
                     f"total {restored.total})"
                 )
             prev.append(restored)
-        thresholds: list[AlarmThreshold | None] = []
-        for thr in per_clone["thresholds"]:
-            if thr is None:
-                thresholds.append(None)
-                continue
-            try:
-                thresholds.append(
-                    AlarmThreshold(
-                        sigma=float(thr["sigma"]),
-                        multiplier=float(thr["multiplier"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                raise CheckpointError(
-                    f"malformed threshold in detector checkpoint: {exc}"
-                ) from exc
-        self._interval = interval
+        self._interval = fields["interval"]
         self._prev = prev
-        self._prev_kl = [float(kl) for kl in per_clone["prev_kl"]]
-        self._kl_series = [
-            [float(v) for v in series] for series in per_clone["kl_series"]
-        ]
-        self._diff_series = [
-            [float(v) for v in series]
-            for series in per_clone["diff_series"]
-        ]
-        self._training_diffs = [
-            [float(v) for v in series]
-            for series in per_clone["training_diffs"]
-        ]
-        self._thresholds = thresholds
+        self._prev_kl = fields["prev_kl"]
+        self._kl_series = fields["kl_series"]
+        self._diff_series = fields["diff_series"]
+        self._training_diffs = fields["training_diffs"]
+        self._thresholds = fields["thresholds"]
 
     # ------------------------------------------------------------------
     def observe(self, flows: FlowTable) -> FeatureObservation:

@@ -29,6 +29,7 @@ from repro.errors import CheckpointError, ConfigError
 from repro.flows.stream import iter_intervals
 from repro.flows.table import FlowTable
 from repro.sketch.histogram import HistogramSnapshot
+from repro.state import listof, mapping, read_fields, text
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,11 @@ class DetectorBank:
     def from_state(self, state: dict) -> None:
         """Restore :meth:`to_state` data into this bank (which must be
         configured with the same features, config, and seed)."""
-        try:
-            names = [str(name) for name in state["features"]]
-            detectors = state["detectors"]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(
-                f"malformed detector-bank checkpoint state: {exc}"
-            ) from exc
+        fields = read_fields(
+            "detector-bank checkpoint state", state, CheckpointError,
+            features=listof(text), detectors=mapping,
+        )
+        names = fields["features"]
         expected = [f.short_name for f in self.features]
         if names != expected:
             raise CheckpointError(
@@ -201,6 +200,10 @@ class DetectorBank:
                 f"but this bank monitors {expected}; restore with the "
                 f"configuration the checkpoint was written under"
             )
+        detectors = read_fields(
+            "detector table of the bank checkpoint", fields["detectors"],
+            CheckpointError, **dict.fromkeys(expected, mapping),
+        )
         for feature, detector in self._detectors.items():
             detector.from_state(detectors[feature.short_name])
 

@@ -3,7 +3,7 @@
 The architecture stacks four layers over a foundation importable from
 anywhere::
 
-    layer 0  errors, obs, registry          (foundation: anywhere)
+    layer 0  errors, obs, registry, state   (foundation: anywhere)
     layer 1  flows, sketch, detection, mining,
              anomalies, traffic, analysis   (domain)
     layer 2  core                           (orchestration)
@@ -30,7 +30,7 @@ from repro.devtools.project import ModuleInfo, Project
 
 #: Top-level package/module -> layer index (under the ``repro`` root).
 LAYERS: dict[str, int] = {
-    "errors": 0, "obs": 0, "registry": 0,
+    "errors": 0, "obs": 0, "registry": 0, "state": 0,
     "flows": 1, "sketch": 1, "detection": 1, "mining": 1,
     "anomalies": 1, "traffic": 1, "analysis": 1,
     "core": 2,

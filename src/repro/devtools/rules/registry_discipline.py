@@ -3,8 +3,8 @@
 The ISSUE 4 migration put every extension point behind a named
 :class:`repro.registry.Registry`, whose ``get`` raises a
 :class:`~repro.errors.RegistryError` listing the valid choices with a
-did-you-mean hint.  Direct subscripting (``MINERS[name]``) still works
-through the legacy ``Mapping`` shim but bypasses nothing visibly - so
+did-you-mean hint.  Direct subscripting (``miners[name]``) still works
+through the ``Mapping`` shim but bypasses nothing visibly - so
 new code keeps sneaking it in, and a future registry change (async
 loading, per-call context) would break those sites silently.  Outside
 ``repro/registry.py`` every lookup must use ``.get(...)``.
@@ -19,9 +19,9 @@ from repro.devtools.engine import Rule
 from repro.devtools.findings import Finding
 from repro.devtools.project import ModuleInfo
 
-#: The extension-registry objects (and the MINERS legacy alias).
+#: The extension-registry objects.
 REGISTRY_NAMES = frozenset(
-    {"MINERS", "miners", "feature_sets", "readers", "sinks", "routers"}
+    {"miners", "feature_sets", "readers", "sinks", "routers"}
 )
 
 _EXEMPT_MODULES = ("repro.registry",)

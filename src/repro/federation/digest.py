@@ -36,6 +36,16 @@ from repro.detection.features import DETECTOR_FEATURES, Feature
 from repro.errors import FederationError, SketchError
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.histogram import HistogramSnapshot
+from repro.state import (
+    canonical_json,
+    count,
+    integer,
+    listof,
+    mapping,
+    read_fields,
+    record,
+    text,
+)
 
 #: Schema version of the digest wire document.  Bump it whenever the
 #: digest payload changes shape; foreign versions are rejected, never
@@ -108,19 +118,23 @@ class DigestSchema:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "DigestSchema":
-        try:
-            return cls(
-                seed=int(doc["seed"]),
-                clones=int(doc["clones"]),
-                bins=int(doc["bins"]),
-                cm_width=int(doc["cm_width"]),
-                cm_depth=int(doc["cm_depth"]),
-                features=tuple(str(name) for name in doc["features"]),
+        return cls(
+            **read_fields(
+                "digest schema block", doc, FederationError,
+                **_SCHEMA_KINDS,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FederationError(
-                f"malformed digest schema block: {exc}"
-            ) from exc
+        )
+
+
+_NAMES = listof(text, into=tuple)
+_SCHEMA_KINDS = {
+    "seed": count,
+    "clones": integer(1),
+    "bins": integer(1),
+    "cm_width": integer(1),
+    "cm_depth": integer(1),
+    "features": _NAMES,
+}
 
 
 def federation_features(
@@ -293,12 +307,7 @@ class IntervalDigest:
         """Canonical JSON rendering: byte-stable for identical state
         (sorted keys, minimal separators), so digests diff and replay
         like checkpoint documents."""
-        return json.dumps(
-            self.to_dict(),
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "IntervalDigest":
@@ -307,36 +316,34 @@ class IntervalDigest:
             raise FederationError(
                 f"digest must be a JSON object, got {type(doc).__name__}"
             )
-        version = doc.get("version")
-        if version != DIGEST_VERSION:
+        version = read_fields(
+            "digest", doc, FederationError, version=lambda value: value
+        )["version"]
+        if type(version) is not int or version != DIGEST_VERSION:
             raise FederationError(
                 f"digest wire version {version!r} != {DIGEST_VERSION}; "
                 f"this build cannot read it (digests are rejected "
                 f"across schema changes, never migrated silently)"
             )
-        try:
-            schema = DigestSchema.from_dict(doc["schema"])
-            interval = int(doc["interval"])
-            sites = tuple(str(site) for site in doc["sites"])
-            flow_count = int(doc["flow_count"])
-            payload = doc["features"]
-            snapshots = {
-                name: [
-                    HistogramSnapshot.from_dict(snap)
-                    for snap in payload[name]["clones"]
-                ]
-                for name in schema.features
-            }
-            countmin = {
-                name: CountMinSketch.from_dict(payload[name]["countmin"])
-                for name in schema.features
-            }
-        except FederationError:
-            raise
-        except SketchError as exc:
-            raise FederationError(f"malformed digest: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FederationError(f"malformed digest: {exc}") from exc
+        fields = read_fields(
+            "digest", doc, FederationError,
+            schema=DigestSchema.from_dict,
+            interval=count,
+            sites=_NAMES,
+            flow_count=count,
+            features=mapping,
+        )
+        schema, flow_count = fields["schema"], fields["flow_count"]
+        sketches = record(
+            clones=listof(HistogramSnapshot.from_dict, length=schema.clones),
+            countmin=CountMinSketch.from_dict,
+        )
+        payload = read_fields(
+            "digest features", fields["features"], FederationError,
+            **dict.fromkeys(schema.features, sketches),
+        )
+        snapshots = {name: payload[name]["clones"] for name in payload}
+        countmin = {name: payload[name]["countmin"] for name in payload}
         for name in schema.features:
             for snap in snapshots[name]:
                 if snap.bins != schema.bins:
@@ -364,8 +371,8 @@ class IntervalDigest:
                 )
         return cls(
             schema=schema,
-            interval=interval,
-            sites=sites,
+            interval=fields["interval"],
+            sites=fields["sites"],
             flow_count=flow_count,
             snapshots=snapshots,
             countmin=countmin,

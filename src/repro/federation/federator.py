@@ -57,9 +57,18 @@ from repro.mining.result import build_result
 from repro.obs.instruments import catalogued
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.obs.trace import Tracer
+from repro.state import count, integer, listof, mapping, read_fields, text, tupleof
+from repro.streaming.assembler import IntervalAssembler
 
 #: How the digest-only extraction path labels its reports; the normal
 #: pipeline writes prefilter/miner names here.
+#: The straggler watermark releases every interval between the cursor
+#: and the newest digest (empty ones included), so one digest claiming
+#: interval 10^12 - epoch seconds against ``origin=0``, or a hostile
+#: line - would release empty intervals forever.  Same bound, same
+#: reasoning as the assembler's guard on flow timestamps.
+MAX_GAP_INTERVALS = IntervalAssembler.DEFAULT_MAX_GAP_INTERVALS
+
 FEDERATED_ALGORITHM = "federated-countmin"
 FEDERATED_PREFILTER = "federated-vote"
 
@@ -271,14 +280,9 @@ class Federator:
         return list(self._reports)
 
     # ------------------------------------------------------------------
-    def add(
-        self, digest: IntervalDigest, wire_bytes: int | None = None
-    ) -> list[FederatedInterval]:
-        """Accept one site's digest; returns any intervals it released.
-
-        ``wire_bytes`` is the canonical wire size when the caller
-        parsed the digest off the wire (feeds the digest-size metric).
-        """
+    def _check_admissible(self, digest: IntervalDigest, cursor: int) -> None:
+        """Refuse a digest this federation cannot buffer while its
+        release cursor stands at ``cursor``."""
         if digest.schema != self.schema:
             raise SketchError(
                 f"digest sketch parameters are incompatible with this "
@@ -290,12 +294,29 @@ class Federator:
                     f"digest from unknown site {site!r}; this "
                     f"federation expects {list(self.sites)}"
                 )
-        if digest.interval < self._next:
+        if digest.interval < cursor:
             raise FederationError(
                 f"stale digest for interval {digest.interval}: the "
                 f"federator has already released intervals below "
-                f"{self._next}"
+                f"{cursor}"
             )
+        if digest.interval - cursor > MAX_GAP_INTERVALS:
+            raise FederationError(
+                f"digest for interval {digest.interval} jumps "
+                f"{digest.interval - cursor} intervals past the "
+                f"release cursor (> {MAX_GAP_INTERVALS}); check the "
+                f"collector's origin and interval length"
+            )
+
+    def add(
+        self, digest: IntervalDigest, wire_bytes: int | None = None
+    ) -> list[FederatedInterval]:
+        """Accept one site's digest; returns any intervals it released.
+
+        ``wire_bytes`` is the canonical wire size when the caller
+        parsed the digest off the wire (feeds the digest-size metric).
+        """
+        self._check_admissible(digest, self._next)
         bucket = self._pending.setdefault(digest.interval, {})
         for site in digest.sites:
             if site in bucket:
@@ -446,47 +467,56 @@ class Federator:
         normal crash shape, so intervals re-released after the restore
         whose reports are already durable are skipped, not
         re-appended."""
-        try:
-            schema = DigestSchema.from_dict(state["schema"])
-            next_interval = int(state["next"])
-            max_seen = int(state["max_seen"])
-            pending_doc = list(state["pending"])
-            bank_state = state["bank"]
-            report_docs = list(state["reports"])
-        except (
-            KeyError, TypeError, ValueError, FederationError,
-        ) as exc:
-            raise CheckpointError(
-                f"malformed federator checkpoint state: {exc}"
-            ) from exc
-        if schema != self.schema:
+        fields = read_fields(
+            "federator checkpoint state", state, CheckpointError,
+            schema=DigestSchema.from_dict,
+            next=count,
+            max_seen=integer(-1),
+            pending=listof(
+                tupleof(
+                    count,
+                    listof(tupleof(text, IntervalDigest.from_dict)),
+                )
+            ),
+            bank=mapping,
+            reports=listof(ExtractionReport.from_dict),
+        )
+        if fields["schema"] != self.schema:
             raise CheckpointError(
                 f"federator checkpoint was written under sketch schema "
-                f"{schema}, this federation runs {self.schema}; "
-                f"restore with the configuration the checkpoint was "
-                f"written under"
+                f"{fields['schema']}, this federation runs "
+                f"{self.schema}; restore with the configuration the "
+                f"checkpoint was written under"
             )
+        next_interval, max_seen = fields["next"], fields["max_seen"]
         pending: dict[int, dict[str, IntervalDigest]] = {}
         try:
-            for interval_doc, entries in pending_doc:
-                bucket: dict[str, IntervalDigest] = {}
-                for _site, digest_doc in entries:
-                    digest = IntervalDigest.from_dict(digest_doc)
+            for interval, entries in fields["pending"]:
+                for site, digest in entries:
+                    if digest.interval != interval or site not in digest.sites:
+                        raise FederationError(
+                            f"digest of interval {digest.interval} from "
+                            f"{list(digest.sites)} is filed under "
+                            f"interval {interval}, site {site!r}"
+                        )
+                    self._check_admissible(digest, next_interval)
                     for covered in digest.sites:
-                        bucket[covered] = digest
-                pending[int(interval_doc)] = bucket
-            reports = [
-                ExtractionReport.from_dict(doc) for doc in report_docs
-            ]
-        except (
-            KeyError, TypeError, ValueError, FederationError,
-        ) as exc:
+                        pending.setdefault(interval, {})[covered] = digest
+        except (FederationError, SketchError) as exc:
             raise CheckpointError(
-                f"malformed federator checkpoint state: {exc}"
+                f"malformed federator checkpoint state: buffered {exc}"
             ) from exc
-        self._bank.from_state(bank_state)
+        # Every interval seen is either released or still buffered;
+        # a larger value would release empty intervals up to it.
+        if max_seen != max([next_interval - 1, *pending]):
+            raise CheckpointError(
+                f"malformed federator checkpoint state: max_seen "
+                f"{max_seen} does not follow from next {next_interval} "
+                f"and the buffered intervals {sorted(pending)}"
+            )
+        self._bank.from_state(fields["bank"])
         self._pending = pending
         self._next = next_interval
         self._max_seen = max_seen
-        self._reports = reports
+        self._reports = fields["reports"]
         self._spine.arm_resume_floor()

@@ -46,6 +46,7 @@ from repro.flows.table import FlowTable
 from repro.incidents.correlate import Incident, correlate
 from repro.incidents.rank import RankedIncident, rank_incidents
 from repro.obs.metrics import MetricsRegistry, time_stage
+from repro.state import count, mapping, optional, read_fields
 
 __all__ = ["FleetIncident", "FleetManager"]
 
@@ -414,42 +415,43 @@ class FleetManager:
             raise CheckpointError(
                 "fleet already finished; restore into a fresh fleet"
             )
-        try:
-            pipelines = state["pipelines"]
-            names = list(pipelines)
-        except (KeyError, TypeError) as exc:
+        pipelines = read_fields(
+            "fleet checkpoint state", state, CheckpointError,
+            pipelines=mapping,
+        )["pipelines"]
+        # A JSON object is unordered (the canonical file sorts it):
+        # the declaration order is this fleet's, not the document's.
+        if set(pipelines) != set(self._names):
             raise CheckpointError(
-                f"malformed fleet checkpoint state: {exc}"
-            ) from exc
-        if names != list(self._names):
-            raise CheckpointError(
-                f"fleet checkpoint covers pipelines {names} but this "
-                f"fleet runs {list(self._names)}; restore with the "
-                f"configuration the checkpoint was written under"
+                f"fleet checkpoint covers pipelines {list(pipelines)} "
+                f"but this fleet runs {list(self._names)}; restore with "
+                f"the configuration the checkpoint was written under"
             )
-        for name in self._names:
-            entry = pipelines[name]
-            try:
-                session_state = entry["session"]
-                marker = entry["store_last_interval"]
-            except (KeyError, TypeError) as exc:
-                raise CheckpointError(
-                    f"malformed checkpoint entry for pipeline "
-                    f"{name!r}: {exc}"
-                ) from exc
+        entries = {
+            name: read_fields(
+                f"checkpoint entry for pipeline {name!r}",
+                pipelines[name], CheckpointError,
+                session=mapping, store_last_interval=optional(count),
+            )
+            for name in self._names
+        }
+        for name, entry in entries.items():
+            marker = entry["store_last_interval"]
+            if marker is None:
+                continue
             store = self._sessions[name].extractor.store
-            if marker is not None:
-                last = None if store is None else store.last_interval()
-                if last is None or last < int(marker):
-                    raise CheckpointError(
-                        f"pipeline {name!r}: checkpoint says the store "
-                        f"had covered interval {marker} but the "
-                        f"attached store reports "
-                        f"{last if last is not None else 'nothing'}; "
-                        f"the checkpoint belongs to different store "
-                        f"files"
-                    )
-            self._sessions[name].from_state(session_state)
+            last = None if store is None else store.last_interval()
+            if last is None or last < marker:
+                raise CheckpointError(
+                    f"pipeline {name!r}: checkpoint says the store "
+                    f"had covered interval {marker} but the "
+                    f"attached store reports "
+                    f"{last if last is not None else 'nothing'}; "
+                    f"the checkpoint belongs to different store "
+                    f"files"
+                )
+        for name, entry in entries.items():
+            self._sessions[name].from_state(entry["session"])
 
     # ------------------------------------------------------------------
     # Fleet-wide queries

@@ -9,13 +9,13 @@ pure Python.
 
 from __future__ import annotations
 
-import base64
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import FlowError
 from repro.flows.record import BASELINE_LABEL, FlowRecord
+from repro.state import pack_array, packed, read_fields
 
 #: Column names in canonical order (the seven features, then timing/labels).
 FEATURE_COLUMNS = (
@@ -67,92 +67,8 @@ def fit_error(column: str, value: int) -> str | None:
     return f"{column}={value} does not fit {bounds.dtype}"
 
 
-#: Arrays below this size keep their native dtype: the handful of
-#: bytes a narrower rendering would save cannot pay for the value-range
-#: scans.  256 keeps every histogram-sized buffer (the smallest
-#: supported bin count) on the narrowed path - those dominate detector
-#: state - while skipping the tiny series tails.
-_NARROW_MIN_SIZE = 256
-
-
-def _narrowed(array: np.ndarray) -> np.ndarray:
-    """Smallest integer rendering that reproduces ``array`` exactly.
-
-    Integer columns narrow to the tightest dtype holding their value
-    range (ports fit uint16, protocols uint8, ...) - exact by
-    construction, since ``min_scalar_type`` covers ``[min, max]`` and
-    integer casts inside that range are lossless.  Float arrays
-    (histogram counts are float64 but integer-valued) narrow via a
-    cast-and-verify: the ``array_equal`` round trip through the narrow
-    dtype IS the correctness guarantee, so NaN, fractions, negatives,
-    and out-of-range values all fall back to the native rendering.
-    The checkpoint path calls this per array, so both paths stay at a
-    handful of numpy operations.
-    """
-    if array.size < _NARROW_MIN_SIZE or array.dtype.kind not in "uif":
-        return array
-    if array.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):
-            narrowed = array.astype(np.uint32, casting="unsafe")
-            if not np.array_equal(narrowed.astype(array.dtype), array):
-                return array
-        lo, hi = int(narrowed.min()), int(narrowed.max())
-    else:
-        lo, hi = int(array.min()), int(array.max())
-        narrowed = array
-    small = np.promote_types(
-        np.min_scalar_type(lo), np.min_scalar_type(hi)
-    )
-    if small.itemsize >= array.dtype.itemsize or small.kind not in "ui":
-        return array
-    return narrowed.astype(small)
-
-
-def pack_array(array: np.ndarray) -> dict[str, str]:
-    """Compact JSON-safe encoding of a numeric array.
-
-    The array is rendered as its dtype tag plus the base64 of its
-    little-endian buffer, after value-lossless integer narrowing
-    (:func:`_narrowed`).  Compared to a JSON list of Python numbers
-    this serializes several times faster and round-trips every value
-    exactly (not via shortest-repr), both of which the durable
-    checkpoint path depends on: checkpoints are written per ingest
-    batch, and identical state must produce an identical document.
-    Callers re-cast to their working dtype on :func:`unpack_array`.
-    """
-    little = _narrowed(array)
-    little = little.astype(little.dtype.newbyteorder("<"), copy=False)
-    return {
-        "dtype": little.dtype.str,
-        "data": base64.b64encode(little.tobytes()).decode("ascii"),
-    }
-
-
-def unpack_array(state: object) -> np.ndarray:
-    """Inverse of :func:`pack_array`; raises ``ValueError`` on
-    malformed input so each caller can wrap it in its own error type.
-
-    Plain sequences are also accepted (hand-written states and
-    pre-packing documents), making the packed form an encoding detail
-    rather than a schema requirement.
-    """
-    if isinstance(state, Mapping):
-        try:
-            dtype = np.dtype(str(state["dtype"]))
-            raw = base64.b64decode(str(state["data"]), validate=True)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed packed array: {exc}") from exc
-        if dtype.itemsize == 0 or len(raw) % dtype.itemsize:
-            raise ValueError(
-                f"packed array buffer of {len(raw)} bytes does not "
-                f"divide into {dtype.str} items"
-            )
-        # frombuffer views the read-only decode; astype to the native
-        # byte order yields an owned, platform-native array.
-        return np.frombuffer(raw, dtype=dtype).astype(
-            dtype.newbyteorder("="), copy=True
-        )
-    return np.asarray(state)
+#: One :func:`~repro.state.packed` kind per column of a table state.
+_COLUMN_KINDS = {name: packed(dtype) for name, dtype in _DTYPES.items()}
 
 
 class FlowTable:
@@ -251,25 +167,8 @@ class FlowTable:
     @classmethod
     def from_state(cls, state: Mapping[str, Sequence]) -> "FlowTable":
         """Rebuild a table from :meth:`to_state` plain data."""
-        if not isinstance(state, Mapping):
-            raise FlowError(
-                f"table state must be a mapping of columns, "
-                f"got {type(state).__name__}"
-            )
-        missing = [name for name in ALL_COLUMNS if name not in state]
-        if missing:
-            raise FlowError(f"table state missing columns: {missing}")
-        try:
-            columns = {
-                name: unpack_array(state[name]) for name in ALL_COLUMNS
-            }
-        except ValueError as exc:
-            raise FlowError(f"malformed table state: {exc}") from exc
         return cls(
-            {
-                name: np.asarray(columns[name], dtype=_DTYPES[name])
-                for name in ALL_COLUMNS
-            }
+            read_fields("table state", state, FlowError, **_COLUMN_KINDS)
         )
 
     @classmethod

@@ -4,8 +4,8 @@ The paper's pipeline ends at a per-interval list of maximal item-sets
 that "an administrator trivially sorts out".  At production scale the
 same anomaly spans many intervals and nobody re-reads raw tables, so
 this package adds the operator-facing layer on top of the batch
-(:meth:`~repro.core.pipeline.AnomalyExtractor.run_trace`) and streaming
-(:meth:`~repro.core.pipeline.AnomalyExtractor.run_stream`) engines:
+(:func:`repro.api.extract`) and streaming (:func:`repro.api.stream`)
+engines:
 
 * :class:`~repro.incidents.store.IncidentStore` - a SQLite (WAL) log of
   every alarmed interval's

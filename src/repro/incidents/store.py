@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 from repro.core.report import ExtractionReport
-from repro.errors import IncidentError
+from repro.errors import ExtractionError, IncidentError
 from repro.obs.metrics import NULL_REGISTRY, time_stage
 
 #: Bump when the table layout changes; the store refuses to open a
@@ -75,7 +75,7 @@ class IncidentStore:
     Usage::
 
         with IncidentStore("incidents.db") as store:
-            extractor.run_trace(flows, 900.0, sink=store)
+            repro.api.extract(flows, interval_seconds=900.0, sink=store)
             for report in store.reports():
                 print(report.interval, len(report.itemsets))
 
@@ -403,10 +403,10 @@ class IncidentStore:
     def _decode(self, payload: str) -> ExtractionReport:
         try:
             return ExtractionReport.from_json(payload)
-        except (ValueError, KeyError, TypeError) as exc:
-            # Truncated/hand-edited row: surface as a ReproError so the
-            # CLI prints "error: ..." and exits 2 instead of a raw
-            # traceback.
+        except (ValueError, ExtractionError) as exc:
+            # Truncated/hand-edited row (not JSON, or not a report):
+            # surface as the store's error so the CLI prints
+            # "error: ..." and exits 2 instead of a raw traceback.
             raise IncidentError(
                 f"{self.path}: corrupt report row ({exc})"
             ) from exc

@@ -48,22 +48,18 @@ def _son_miner(transactions, min_support, maximal_only=True, **kwargs):
     )
 
 
-#: Miners by name: the :data:`repro.registry.miners` registry.  The
-#: ``MINERS`` alias predates the registry and keeps its dict-style API
-#: (lookup, membership, iteration) working unchanged; new code and
-#: third-party plugins should use :mod:`repro.registry` directly.
-from repro.registry import miners as MINERS  # noqa: E402
+# The built-in miners, by name, in :data:`repro.registry.miners`.
+from repro.registry import miners  # noqa: E402
 
-MINERS.register("apriori", apriori, replace=True)
-MINERS.register("fpgrowth", fpgrowth, replace=True)
-MINERS.register("eclat", eclat, replace=True)
-MINERS.register("son", _son_miner, replace=True)
+miners.register("apriori", apriori, replace=True)
+miners.register("fpgrowth", fpgrowth, replace=True)
+miners.register("eclat", eclat, replace=True)
+miners.register("son", _son_miner, replace=True)
 
 __all__ = [
     "apriori",
     "fpgrowth",
     "eclat",
-    "MINERS",
     "filter_closed",
     "closed_itemsets",
     "is_closed_in",

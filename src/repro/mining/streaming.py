@@ -18,6 +18,7 @@ from repro.flows.table import FlowTable
 from repro.mining.eclat import eclat
 from repro.mining.result import MiningResult
 from repro.mining.transactions import TransactionSet
+from repro.state import count, listof, read_fields
 
 
 def _accepts_maximal_only(miner) -> bool:
@@ -133,15 +134,11 @@ class SlidingWindowMiner:
     def from_state(self, state: dict) -> None:
         """Restore :meth:`to_state` data into this miner (which must be
         configured with the same window)."""
-        try:
-            batches = [
-                FlowTable.from_state(data) for data in state["batches"]
-            ]
-            pushed = int(state["pushed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed window-miner checkpoint state: {exc}"
-            ) from exc
+        fields = read_fields(
+            "window-miner checkpoint state", state, CheckpointError,
+            batches=listof(FlowTable.from_state), pushed=count,
+        )
+        batches = fields["batches"]
         if len(batches) > self.window:
             raise CheckpointError(
                 f"checkpoint holds {len(batches)} window batches but "
@@ -153,7 +150,7 @@ class SlidingWindowMiner:
         for batch in batches:
             self._batches.append(batch)
             self._add_counts(batch, sign=+1)
-        self._pushed = pushed
+        self._pushed = fields["pushed"]
 
     # ------------------------------------------------------------------
     def frequent_item_count(self) -> int:

@@ -169,6 +169,11 @@ CATALOG: dict[str, InstrumentSpec] = {
         "counter", (),
         "Durable checkpoints written by the service.",
     ),
+    "repro_checkpoint_failures_total": InstrumentSpec(
+        "counter", (),
+        "Periodic checkpoints that could not be written (the batch "
+        "was applied and acknowledged; /healthz shows the error).",
+    ),
     "repro_checkpoint_write_seconds": InstrumentSpec(
         "histogram", (),
         "Wall-clock seconds per durable checkpoint write (snapshot + "

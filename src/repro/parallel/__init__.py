@@ -23,7 +23,7 @@ from repro.parallel.executor import (
     get_executor,
     resolve_jobs,
 )
-from repro.parallel.son import SON_LOCAL_MINERS, son
+from repro.parallel.son import son
 
 __all__ = [
     "EXECUTOR_BACKENDS",
@@ -34,7 +34,6 @@ __all__ = [
     "get_executor",
     "resolve_jobs",
     "son",
-    "SON_LOCAL_MINERS",
     "ParallelDetectorBank",
     "ParallelEngine",
 ]

@@ -21,9 +21,6 @@ suite asserts; only the ``algorithm`` tag of the result differs.
 from __future__ import annotations
 
 from repro.errors import MiningError
-from repro.mining.apriori import apriori
-from repro.mining.eclat import eclat
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.partition import (
     count_candidates,
     local_min_support,
@@ -35,17 +32,6 @@ from repro.mining.result import MiningResult
 from repro.mining.transactions import TransactionSet
 from repro.obs.trace import current_span, inject, worker_span
 from repro.parallel.executor import Executor, SerialExecutor
-
-#: The built-in exact miners for the per-shard candidate pass.  Kept as
-#: a plain dict for backward compatibility; resolution goes through the
-#: :data:`repro.registry.miners` registry, so registered third-party
-#: exact miners are valid ``local_miner`` choices too.
-SON_LOCAL_MINERS = {
-    "apriori": apriori,
-    "eclat": eclat,
-    "fpgrowth": fpgrowth,
-}
-
 
 def _resolve_local_miner(name: str):
     """A local (per-shard) miner by name, via the miners registry.

@@ -53,8 +53,8 @@ class Registry(Mapping):
     """A named table of extension objects with entry-point discovery.
 
     Implements the read side of the :class:`Mapping` protocol, so
-    legacy dict-style access (``MINERS["apriori"]``, ``name in MINERS``,
-    ``sorted(MINERS)``) keeps working on migrated extension points.
+    dict-style access (``miners["apriori"]``, ``name in miners``,
+    ``sorted(miners)``) works on every extension point.
 
     Args:
         kind: human label used in error messages ("miner", ...).

@@ -51,6 +51,7 @@ from repro.flows.table import (
 )
 from repro.incidents.provenance import explain_incident
 from repro.obs.instruments import catalogued
+from repro.obs.log import get_logger
 from repro.service.checkpoint import fleet_checkpoint, write_checkpoint
 from repro.service.protocol import HttpRequest
 
@@ -59,6 +60,8 @@ from repro.service.protocol import HttpRequest
 _REQUIRED_JSONL_KEYS = tuple(c for c in ALL_COLUMNS if c != "label")
 
 _JSON_CONTENT = "application/json"
+
+_LOG = get_logger("service")
 
 
 def _json_body(payload: Any) -> bytes:
@@ -135,6 +138,9 @@ class ServiceApp:
         #: resumed daemon starts with both counters equal; they only
         #: diverge between checkpoint writes.
         self.checkpointed_sequence = sequence
+        #: Why the newest periodic checkpoint failed (``None`` once a
+        #: write succeeds again); ``/healthz`` shows it.
+        self.checkpoint_error: str | None = None
         self._tracer = fleet.tracer
         registry = fleet.metrics
         self._m_requests = catalogued(
@@ -148,6 +154,9 @@ class ServiceApp:
         ).labels()
         self._m_ckpt_writes = catalogued(
             registry, "repro_checkpoint_writes_total"
+        ).labels()
+        self._m_ckpt_failures = catalogued(
+            registry, "repro_checkpoint_failures_total"
         ).labels()
         self._m_ckpt_seconds = catalogued(
             registry, "repro_checkpoint_write_seconds"
@@ -171,36 +180,31 @@ class ServiceApp:
         with self._tracer.span(
             "service.request", method=request.method, route=route
         ) as span:
+            content_type = _JSON_CONTENT
             try:
                 status, body, content_type = self._dispatch(
                     request, route
                 )
-            except ServiceError as exc:
-                status, body, content_type = (
-                    400, _error_body(str(exc)), _JSON_CONTENT
-                )
-            except TraceFormatError as exc:
-                status, body, content_type = (
-                    400, _error_body(str(exc)), _JSON_CONTENT
-                )
             except IncidentError as exc:
-                code = 404 if "no incident" in str(exc) else 409
-                status, body, content_type = (
-                    code, _error_body(str(exc)), _JSON_CONTENT
-                )
+                status = 404 if "no incident" in str(exc) else 409
+                body = _error_body(str(exc))
             except (
+                ServiceError,
+                TraceFormatError,
                 ConfigError,
-                CheckpointError,
                 FederationError,
                 SketchError,
             ) as exc:
-                status, body, content_type = (
-                    400, _error_body(str(exc)), _JSON_CONTENT
-                )
-            except ReproError as exc:
-                status, body, content_type = (
-                    500, _error_body(str(exc)), _JSON_CONTENT
-                )
+                status, body = 400, _error_body(str(exc))
+            except Exception as exc:
+                # The transport must answer and count every request;
+                # outside ReproError this is a bug, so keep its trace.
+                if not isinstance(exc, ReproError):
+                    _LOG.exception(
+                        "unhandled error serving %s %s",
+                        request.method, request.path,
+                    )
+                status, body = 500, _error_body(str(exc))
             span.set_attribute("status", status)
         self._m_requests.labels(
             request.method, route, str(status)
@@ -363,14 +367,26 @@ class ServiceApp:
     def batch_accepted(self, rows: int) -> int:
         """Advance the ingest sequence for one accepted batch and run
         the periodic checkpoint policy; returns the new sequence.
-        Shared by the HTTP and TCP ingest surfaces."""
+        Shared by the HTTP and TCP ingest surfaces.  A checkpoint that
+        cannot be written is counted, logged and shown by ``/healthz``,
+        never raised: the batch it follows is already applied."""
         self._m_ingest_rows.inc(rows)
         self.sequence += 1
         if (
             self.checkpoint_path is not None
             and self.sequence % self.checkpoint_every == 0
         ):
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except CheckpointError as exc:
+                # The batch is applied: refusing it now would make a
+                # client that honours all-or-nothing resend it, and
+                # double-feed.  ``checkpointed_sequence`` stays behind
+                # and says how far a restart would roll back.
+                self._m_ckpt_failures.inc()
+                if self.checkpoint_error is None:
+                    _LOG.warning("periodic checkpoint failed: %s", exc)
+                self.checkpoint_error = str(exc)
         return self.sequence
 
     def ingest_lines(
@@ -497,6 +513,7 @@ class ServiceApp:
             )
             span.set_attribute("bytes", size)
         self.checkpointed_sequence = self.sequence
+        self.checkpoint_error = None
         self._m_ckpt_writes.inc()
         self._m_ckpt_seconds.observe(time.perf_counter() - started)
         self._m_ckpt_bytes.set(size)
@@ -615,6 +632,7 @@ class ServiceApp:
             "sequence": self.sequence,
             "checkpointed_sequence": self.checkpointed_sequence,
             "checkpointing": self.checkpoint_path is not None,
+            "checkpoint": {"last_error": self.checkpoint_error},
             "pipelines": pipelines,
         }
         if self.federator is not None:

@@ -26,6 +26,7 @@ resume floor then recognizes re-processed intervals as replays; see
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections.abc import Mapping
@@ -33,6 +34,7 @@ from typing import Any
 
 from repro.errors import CheckpointError
 from repro.fleet.manager import FleetManager
+from repro.state import canonical_json, count, mapping, read_fields
 
 #: Schema version of the checkpoint document.  Bump it whenever any
 #: ``to_state`` payload changes shape; old files are rejected, never
@@ -40,6 +42,10 @@ from repro.fleet.manager import FleetManager
 #: Version 2 added the optional ``federation`` block (buffered interval
 #: digests + the federator's detector bank) for federated daemons.
 CHECKPOINT_VERSION = 2
+
+#: What every checkpoint document carries beside its version (a
+#: federated daemon's also has a ``federation`` block).
+_ENVELOPE = {"sequence": count, "fleet": mapping}
 
 
 def fleet_checkpoint(
@@ -86,12 +92,7 @@ def write_checkpoint(
     on ordinary disks (see ``benchmarks/bench_service_ingest.py``).
     """
     try:
-        # ensure_ascii=False is measurably faster and byte-identical
-        # for this document (state payloads are pure ASCII: base64
-        # buffers, numbers, identifier keys).
-        payload = json.dumps(
-            doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
+        payload = canonical_json(doc).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint state is not JSON-serializable: {exc}"
@@ -106,6 +107,10 @@ def write_checkpoint(
                 os.fsync(handle.fileno())
         os.replace(tmp, target)
     except OSError as exc:
+        # A failed write or rename must not leave its staging file
+        # behind (the previous checkpoint is untouched either way).
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise CheckpointError(
             f"cannot write checkpoint {target}: {exc}"
         ) from exc
@@ -139,28 +144,14 @@ def read_checkpoint(path: str | os.PathLike[str]) -> dict[str, Any]:
             f"got {type(doc).__name__}"
         )
     version = doc.get("version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{target}: checkpoint schema version {version!r} != "
             f"{CHECKPOINT_VERSION}; this build cannot restore it "
             f"(checkpoints are rejected across schema changes, never "
             f"migrated silently)"
         )
-    for key in ("sequence", "fleet"):
-        if key not in doc:
-            raise CheckpointError(
-                f"{target}: checkpoint missing {key!r}"
-            )
-    sequence = doc["sequence"]
-    if (
-        not isinstance(sequence, int)
-        or isinstance(sequence, bool)
-        or sequence < 0
-    ):
-        raise CheckpointError(
-            f"{target}: checkpoint sequence must be a non-negative "
-            f"integer, got {sequence!r}"
-        )
+    read_fields(f"checkpoint {target}", doc, CheckpointError, **_ENVELOPE)
     return doc
 
 
@@ -171,5 +162,7 @@ def restore_fleet(fleet: FleetManager, doc: Mapping[str, Any]) -> int:
     daemon resumes counting from it, and clients replay everything
     after it.
     """
-    fleet.from_state(doc["fleet"])
-    return int(doc["sequence"])
+    fields = read_fields("checkpoint", doc, CheckpointError, **_ENVELOPE)
+    fleet.from_state(fields["fleet"])
+    sequence: int = fields["sequence"]
+    return sequence

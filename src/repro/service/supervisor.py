@@ -35,10 +35,12 @@ from repro.errors import (
 )
 from repro.federation.federator import Federator
 from repro.fleet.manager import FleetManager
+from repro.obs.log import get_logger
 from repro.service.app import ServiceApp
 from repro.service.checkpoint import read_checkpoint, restore_fleet
 from repro.service.protocol import read_request, render_response
 
+_LOG = get_logger("service")
 
 class ServiceSupervisor:
     """Own the daemon's sockets and serve the app over them.
@@ -209,10 +211,15 @@ class ServiceSupervisor:
             batch, lines = lines, []
             try:
                 rows, sequence = self.app.ingest_lines(batch)
-                writer.write(f"ok {rows} {sequence}\n".encode())
-            except ReproError as exc:
-                message = str(exc).replace("\n", " ")
-                writer.write(f"err {message}\n".encode())
+                reply = f"ok {rows} {sequence}"
+            except Exception as exc:
+                # A ReproError refuses the batch; anything else is a
+                # bug - answered all the same, so the client is not
+                # left guessing whether its rows were fed.
+                if not isinstance(exc, ReproError):
+                    _LOG.exception("unhandled error in a TCP ingest batch")
+                reply = "err " + str(exc).replace("\n", " ")
+            writer.write(f"{reply}\n".encode())
             await writer.drain()
 
         try:

@@ -14,9 +14,17 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigError, SketchError
-from repro.flows.table import pack_array, unpack_array
 from repro.sketch.distinct import sorted_distinct
 from repro.sketch.hashing import HashFamily
+from repro.state import count, integer, pack_array, packed, read_fields
+
+_DOCUMENT = {
+    "width": integer(1),
+    "depth": integer(1),
+    "seed": count,
+    "total": integer(),
+    "table": packed(np.int64),
+}
 
 
 class CountMinSketch:
@@ -28,7 +36,16 @@ class CountMinSketch:
     ``delta``.
     """
 
-    def __init__(self, width: int, depth: int, seed: int = 0):
+    def __init__(
+        self,
+        width: int,
+        depth: int,
+        seed: int = 0,
+        *,
+        table: np.ndarray | None = None,
+    ):
+        """``table`` adopts a ready ``(depth, width)`` int64 counter
+        array (a decoded document) instead of allocating zeros."""
         if width < 1:
             raise ConfigError(f"width must be >= 1: {width}")
         if depth < 1:
@@ -38,7 +55,11 @@ class CountMinSketch:
         self._seed = seed
         family = HashFamily(bins=width, seed=seed)
         self._hashes = family.take(depth)
-        self._table = np.zeros((depth, width), dtype=np.int64)
+        self._table = (
+            np.zeros((depth, width), dtype=np.int64)
+            if table is None
+            else table
+        )
         self._total = 0
 
     @classmethod
@@ -176,27 +197,24 @@ class CountMinSketch:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "CountMinSketch":
         """Rebuild a sketch from :meth:`to_dict` output."""
-        try:
-            sketch = cls(
-                width=int(doc["width"]),
-                depth=int(doc["depth"]),
-                seed=int(doc["seed"]),
-            )
-            total = int(doc["total"])
-            flat = np.asarray(unpack_array(doc["table"]), dtype=np.int64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SketchError(
-                f"malformed count-min document: {exc}"
-            ) from exc
+        fields = read_fields(
+            "count-min document", doc, SketchError, **_DOCUMENT
+        )
+        width, depth = fields["width"], fields["depth"]
+        total, flat = fields["total"], fields["table"]
         if total < 0:
             raise SketchError(
                 f"count-min document has negative total: {total}"
             )
-        if flat.size != sketch._depth * sketch._width:
+        # Before anything is sized by the document's own geometry: a
+        # few hundred bytes may declare a table of terabytes.
+        if flat.size != depth * width:
             raise SketchError(
                 f"count-min table has {flat.size} cells, expected "
-                f"{sketch._depth}x{sketch._width}"
+                f"{depth}x{width}"
             )
-        sketch._table = flat.reshape(sketch._depth, sketch._width)
+        sketch = cls(
+            width, depth, fields["seed"], table=flat.reshape(depth, width)
+        )
         sketch._total = total
         return sketch

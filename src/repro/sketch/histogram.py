@@ -14,9 +14,16 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigError, SketchError
-from repro.flows.table import pack_array, unpack_array
 from repro.sketch.distinct import sorted_distinct, sorted_union
 from repro.sketch.hashing import UniversalHash
+from repro.state import count, integer, pack_array, packed, read_fields, record
+
+_HASH = record(a=integer(1), b=count, bins=integer(1))
+_DOCUMENT = {
+    "hash": lambda block: UniversalHash(**_HASH(block)),
+    "counts": packed(np.float64),
+    "observed": packed(np.uint64),
+}
 
 
 def _values_in_bins(
@@ -234,25 +241,15 @@ class HistogramSnapshot:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "HistogramSnapshot":
         """Rebuild a snapshot from :meth:`to_dict` output."""
-        try:
-            hash_fn = UniversalHash(
-                a=int(doc["hash"]["a"]),
-                b=int(doc["hash"]["b"]),
-                bins=int(doc["hash"]["bins"]),
-            )
-            counts = np.asarray(
-                unpack_array(doc["counts"]), dtype=np.float64
-            )
-            observed = np.asarray(
-                unpack_array(doc["observed"]), dtype=np.uint64
-            )
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise SketchError(
-                f"malformed histogram snapshot document: {exc}"
-            ) from exc
+        fields = read_fields(
+            "histogram snapshot document", doc, SketchError, **_DOCUMENT
+        )
+        hash_fn, counts = fields["hash"], fields["counts"]
         if len(counts) != hash_fn.bins:
             raise SketchError(
                 f"histogram snapshot has {len(counts)} counts, "
                 f"expected {hash_fn.bins} bins"
             )
-        return cls(hash_fn=hash_fn, counts=counts, observed=observed)
+        return cls(
+            hash_fn=hash_fn, counts=counts, observed=fields["observed"]
+        )

@@ -1,0 +1,292 @@
+"""How plain-data state is read: one strict field reader.
+
+Every ``from_state`` / ``from_dict`` of the package - checkpoints,
+federation digests, stored report rows - reads its document through
+:func:`read_fields`, naming a *kind* per field.  A kind returns the
+value the document holds or refuses it; nothing is coerced: ``true`` is
+not an integer, ``0.5`` is not an index, ``NaN`` / ``inf`` is not a
+number, a ``{}`` is not a list.  Any refusal - a missing field, a wrong
+kind, a nested decoder's own :class:`~repro.errors.ReproError` -
+surfaces as the *caller's* error type, worded ``malformed <what>:
+<field path> <reason>``, so each boundary sees exactly one typed error.
+
+The module also owns the two encodings those documents share:
+:func:`pack_array` / :func:`unpack_array` and :func:`canonical_json`.
+"""
+
+from __future__ import annotations
+
+import base64
+import itertools
+import json
+import math
+import reprlib
+from collections.abc import Callable, Iterable, Mapping
+from typing import Any
+
+import numpy as np
+from numpy.typing import DTypeLike, NDArray
+
+from repro.errors import ReproError
+
+#: A field kind: returns the value it was handed, or refuses it.  Any
+#: ``from_dict`` classmethod is one too (its ``ReproError`` refuses).
+Kind = Callable[[Any], Any]
+
+
+def canonical_json(doc: Any) -> str:
+    """The byte-stable rendering of a state document: sorted keys,
+    minimal separators, no ASCII escaping (state payloads are base64
+    buffers, numbers and identifier keys - ASCII either way, and
+    skipping the escape pass is measurably faster)."""
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+
+
+class _Refused(Exception):
+    """A kind's refusal, worded ``<path under the field> <reason>``."""
+
+
+def _under(step: str, exc: Exception) -> _Refused:
+    """``exc`` (a refusal or a nested decoder's error) one level up."""
+    return _Refused(
+        step + (str(exc) if isinstance(exc, _Refused) else f": {exc}")
+    )
+
+
+def _got(what: str, value: Any) -> _Refused:
+    return _Refused(
+        f" must be {what}, got {type(value).__name__} {reprlib.repr(value)}"
+    )
+
+
+def _read(kinds: Mapping[str, Kind], value: Any) -> dict[str, Any]:
+    """The named fields of object ``value``, each through its kind."""
+    mapping(value)
+    fields: dict[str, Any] = {}
+    for name, kind in kinds.items():
+        try:
+            if name not in value:
+                raise _Refused(" is missing")
+            fields[name] = kind(value[name])
+        except (_Refused, ReproError) as exc:
+            raise _under(f".{name}", exc) from exc
+    return fields
+
+
+def read_fields(
+    what: str, state: Any, error: type[ReproError], /, **kinds: Kind
+) -> dict[str, Any]:
+    """Read the named fields of document ``state``, each through its
+    kind, or raise ``error("malformed <what>: <field path> <reason>")``.
+    Fields the call does not name are ignored."""
+    try:
+        return _read(kinds, state)
+    except _Refused as exc:
+        raise error(f"malformed {what}: {str(exc).lstrip('. ')}") from exc
+
+
+def record(**kinds: Kind) -> Kind:
+    """A nested object, read like :func:`read_fields` reads its own."""
+    return lambda value: _read(kinds, value)
+
+
+def mapping(value: Any) -> Mapping[str, Any]:
+    """A nested document, handed on as it is to its own decoder."""
+    if not isinstance(value, Mapping):
+        raise _got("an object", value)
+    return value
+
+
+def integer(minimum: int | None = None) -> Kind:
+    """An ``int`` (never a ``bool`` or a float), ``>= minimum``."""
+
+    def kind(value: Any) -> int:
+        if type(value) is not int:
+            raise _got("an integer", value)
+        if minimum is not None and value < minimum:
+            raise _Refused(f" must be >= {minimum}, got {value}")
+        return value
+
+    return kind
+
+
+#: A counter or an index: an integer ``>= 0``.
+count = integer(0)
+
+
+def finite(value: Any) -> float:
+    """A finite real number (an integer widens to ``float``)."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise _got("a finite number", value)
+    return float(value)
+
+
+def text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise _got("a string", value)
+    return value
+
+
+def optional(kind: Kind) -> Kind:
+    """``null`` or ``kind``."""
+    return lambda value: None if value is None else kind(value)
+
+
+def _items(kinds: Iterable[Kind], value: Any, length: int | None) -> list[Any]:
+    """``value``, a list (of ``length`` entries), each through its kind."""
+    if not isinstance(value, (list, tuple)):
+        raise _got("a list", value)
+    if length is not None and len(value) != length:
+        raise _Refused(f" must hold {length} entries, holds {len(value)}")
+    items = []
+    for index, (kind, item) in enumerate(zip(kinds, value)):
+        try:
+            items.append(kind(item))
+        except (_Refused, ReproError) as exc:
+            raise _under(f"[{index}]", exc) from exc
+    return items
+
+
+def listof(
+    kind: Kind,
+    length: int | None = None,
+    into: Callable[[list[Any]], Any] = list,
+) -> Kind:
+    """A list of ``kind`` (exactly ``length`` entries when given),
+    returned as ``into`` (``tuple`` for frozen dataclass fields)."""
+    return lambda value: into(_items(itertools.repeat(kind), value, length))
+
+
+def tupleof(*kinds: Kind) -> Kind:
+    """A fixed-length list with one kind per position."""
+    return lambda value: _items(kinds, value, len(kinds))
+
+
+# ----------------------------------------------------------------------
+# Packed arrays
+# ----------------------------------------------------------------------
+#: Arrays below this size keep their native dtype: the handful of
+#: bytes a narrower rendering would save cannot pay for the value-range
+#: scans.  256 keeps every histogram-sized buffer (the smallest
+#: supported bin count) on the narrowed path - those dominate detector
+#: state - while skipping the tiny series tails.
+_NARROW_MIN_SIZE = 256
+
+
+def _narrowed(array: NDArray[Any]) -> NDArray[Any]:
+    """Smallest integer rendering that reproduces ``array`` exactly.
+
+    Integer columns narrow to the tightest dtype holding their value
+    range (ports fit uint16, protocols uint8, ...) - exact by
+    construction, since ``min_scalar_type`` covers ``[min, max]`` and
+    integer casts inside that range are lossless.  Float arrays
+    (histogram counts are float64 but integer-valued) narrow via a
+    cast-and-verify: the ``array_equal`` round trip through the narrow
+    dtype IS the correctness guarantee, so NaN, fractions, negatives,
+    and out-of-range values all fall back to the native rendering.
+    The checkpoint path calls this per array, so both paths stay at a
+    handful of numpy operations.
+    """
+    if array.size < _NARROW_MIN_SIZE or array.dtype.kind not in "uif":
+        return array
+    if array.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            narrowed = array.astype(np.uint32, casting="unsafe")
+            if not np.array_equal(narrowed.astype(array.dtype), array):
+                return array
+        lo, hi = int(narrowed.min()), int(narrowed.max())
+    else:
+        lo, hi = int(array.min()), int(array.max())
+        narrowed = array
+    small = np.promote_types(
+        np.min_scalar_type(lo), np.min_scalar_type(hi)
+    )
+    if small.itemsize >= array.dtype.itemsize or small.kind not in "ui":
+        return array
+    return narrowed.astype(small)
+
+
+def pack_array(array: NDArray[Any]) -> dict[str, str]:
+    """Compact JSON-safe encoding of a numeric array.
+
+    The array is rendered as its dtype tag plus the base64 of its
+    little-endian buffer, after value-lossless integer narrowing
+    (:func:`_narrowed`).  Compared to a JSON list of Python numbers
+    this serializes several times faster and round-trips every value
+    exactly (not via shortest-repr), both of which the durable
+    checkpoint path depends on: checkpoints are written per ingest
+    batch, and identical state must produce an identical document.
+    Readers re-cast to their working dtype (:func:`packed`).
+    """
+    little = _narrowed(array)
+    little = little.astype(little.dtype.newbyteorder("<"), copy=False)
+    return {
+        "dtype": little.dtype.str,
+        "data": base64.b64encode(little.tobytes()).decode("ascii"),
+    }
+
+
+def unpack_array(state: object) -> NDArray[Any]:
+    """Inverse of :func:`pack_array`; raises ``ValueError`` on
+    malformed input.
+
+    A plain flat list of numbers is also accepted (hand-written
+    states), making the packed form an encoding detail rather than a
+    schema requirement.
+    """
+    if isinstance(state, Mapping):
+        try:
+            tag, data = state["dtype"], state["data"]
+            if not (isinstance(tag, str) and isinstance(data, str)):
+                raise TypeError("dtype and data must be strings")
+            dtype = np.dtype(tag)
+            raw = base64.b64decode(data, validate=True)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed packed array: {exc!r}") from exc
+        if dtype.kind not in "uif" or len(raw) % dtype.itemsize:
+            raise ValueError(
+                f"packed array buffer of {len(raw)} bytes does not "
+                f"divide into {dtype.str} numbers"
+            )
+        # frombuffer views the read-only decode; astype to the native
+        # byte order yields an owned, platform-native array.
+        return np.frombuffer(raw, dtype=dtype).astype(
+            dtype.newbyteorder("="), copy=True
+        )
+    try:
+        array = np.asarray(state)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"malformed number list: {exc}") from exc
+    if array.ndim != 1 or array.dtype.kind not in "uif":
+        raise ValueError(
+            f"expected a packed array or a flat list of numbers, "
+            f"got {reprlib.repr(state)}"
+        )
+    return array
+
+
+def packed(dtype: DTypeLike) -> Kind:
+    """A :func:`pack_array` document (or a flat number list) holding
+    values that ``dtype`` represents exactly."""
+    target = np.dtype(dtype)
+
+    def kind(value: Any) -> NDArray[Any]:
+        try:
+            array = unpack_array(value)
+        except ValueError as exc:
+            raise _Refused(f": {exc}") from exc
+        if np.can_cast(array.dtype, target, "safe"):
+            return array.astype(target, copy=False)
+        with np.errstate(invalid="ignore"):
+            cast = array.astype(target)
+        if not np.array_equal(cast, array):
+            raise _Refused(f" holds values that do not fit {target}")
+        return cast
+
+    return kind

@@ -20,7 +20,7 @@ mode.  It maps onto the paper as follows:
   :class:`~repro.mining.streaming.SlidingWindowMiner`.
 
 With the default one-shot mining mode the streaming path is
-byte-identical to :meth:`AnomalyExtractor.run_trace` on the same trace,
+byte-identical to a batch run (:func:`repro.api.extract`) on the same trace,
 as long as every flow reaches its interval before the watermark closes
 it - i.e. the stream is time-ordered across interval boundaries, or
 ``max_delay_seconds`` covers its reordering.  Flows that miss that

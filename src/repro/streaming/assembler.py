@@ -41,6 +41,20 @@ from repro.flows.table import FlowTable
 from repro.obs.instruments import PipelineInstruments
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import NULL_TRACER
+from repro.state import count, finite, integer, listof, optional, read_fields, tupleof
+
+#: The kind of every :meth:`IntervalAssembler.to_state` field.
+_STATE_KINDS = {
+    "pending": listof(tupleof(count, listof(FlowTable.from_state))),
+    "next_emit": count,
+    "highest_seen": integer(-1),
+    "watermark": optional(finite),
+    "flows_seen": count,
+    "late_dropped_pre_origin": count,
+    "late_dropped_closed": count,
+    "backpressure_emits": count,
+    "intervals_emitted": count,
+}
 
 
 class IntervalAssembler:
@@ -51,7 +65,7 @@ class IntervalAssembler:
         origin: time of interval 0.  Unlike the batch path the origin
             cannot default to the earliest flow (the stream has no
             "earliest" until it ends), so it must be known up front;
-            the CLI and :meth:`AnomalyExtractor.run_stream` use 0.0.
+            the CLI and :func:`repro.api.stream` default to 0.0.
         max_delay_seconds: lateness allowance.  Interval ``k`` stays
             open until a flow with start time ``>= end_k + max_delay``
             arrives (or the stream is flushed).
@@ -219,38 +233,20 @@ class IntervalAssembler:
         freshly constructed (with the same configuration the snapshot
         was taken under).
         """
-        try:
-            pending = {
-                int(k): [FlowTable.from_state(part) for part in parts]
-                for k, parts in state["pending"]
-            }
-            watermark = state["watermark"]
-            restored = {
-                "next_emit": int(state["next_emit"]),
-                "highest_seen": int(state["highest_seen"]),
-                "flows_seen": int(state["flows_seen"]),
-                "late_dropped_pre_origin": int(
-                    state["late_dropped_pre_origin"]
-                ),
-                "late_dropped_closed": int(state["late_dropped_closed"]),
-                "backpressure_emits": int(state["backpressure_emits"]),
-                "intervals_emitted": int(state["intervals_emitted"]),
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed assembler checkpoint state: {exc}"
-            ) from exc
-        self._pending = pending
-        self._next_emit = restored["next_emit"]
-        self._highest_seen = restored["highest_seen"]
-        self._watermark = (
-            -math.inf if watermark is None else float(watermark)
+        fields = read_fields(
+            "assembler checkpoint state", state, CheckpointError,
+            **_STATE_KINDS,
         )
-        self.flows_seen = restored["flows_seen"]
-        self.late_dropped_pre_origin = restored["late_dropped_pre_origin"]
-        self.late_dropped_closed = restored["late_dropped_closed"]
-        self.backpressure_emits = restored["backpressure_emits"]
-        self.intervals_emitted = restored["intervals_emitted"]
+        self._pending = dict(fields["pending"])
+        self._next_emit = fields["next_emit"]
+        self._highest_seen = fields["highest_seen"]
+        watermark = fields["watermark"]
+        self._watermark = -math.inf if watermark is None else watermark
+        self.flows_seen = fields["flows_seen"]
+        self.late_dropped_pre_origin = fields["late_dropped_pre_origin"]
+        self.late_dropped_closed = fields["late_dropped_closed"]
+        self.backpressure_emits = fields["backpressure_emits"]
+        self.intervals_emitted = fields["intervals_emitted"]
         self._update_gauges()
 
     # ------------------------------------------------------------------

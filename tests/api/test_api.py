@@ -28,12 +28,16 @@ def trace_files(tmp_path_factory, ddos_trace):
 class TestExtract:
     def test_matches_pipeline_class(self, ddos_trace):
         from repro import AnomalyExtractor, ExtractionConfig
+        from repro.core.session import ExtractionSession, run_session
 
         config = ExtractionConfig(
             detector=_DETECTOR, min_support=300, features="paper"
         )
-        with AnomalyExtractor(config, seed=1) as extractor:
-            expected = extractor.run_trace(ddos_trace.flows, 900.0)
+        with ExtractionSession(
+            AnomalyExtractor(config, seed=1), mode="batch",
+            interval_seconds=900.0,
+        ) as session:
+            expected = run_session(session, [ddos_trace.flows])
         got = api.extract(
             ddos_trace.flows,
             detector=_DETECTOR,

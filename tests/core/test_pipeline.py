@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import AnomalyExtractor, suggest_min_support
+from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature
 from repro.detection.metadata import Metadata
@@ -24,8 +26,10 @@ def _config(min_support=300, prefilter="union"):
 
 @pytest.fixture(scope="module")
 def ddos_extraction(ddos_trace):
-    extractor = AnomalyExtractor(_config(), seed=1)
-    return extractor.run_trace(ddos_trace.flows, ddos_trace.interval_seconds)
+    return api.extract(
+        ddos_trace.flows, _config(),
+        interval_seconds=ddos_trace.interval_seconds, seed=1,
+    )
 
 
 class TestOnlinePipeline:
@@ -75,8 +79,9 @@ class TestOnlinePipeline:
         from repro.traffic import TraceGenerator
 
         trace = TraceGenerator(small_profile, seed=11).generate(18)
-        extractor = AnomalyExtractor(_config(), seed=1)
-        results = extractor.run_trace(trace.flows, 900.0)
+        results = api.extract(
+            trace.flows, _config(), interval_seconds=900.0, seed=1
+        )
         # Pure baseline: at most a rare statistical alarm.
         assert len(results.extractions) <= 1
 
@@ -137,10 +142,12 @@ class TestSatelliteFixes:
             bank.reports.clear()
             assert len(bank.reports) == 1
 
-    def test_run_trace_detection_uses_public_reports(self, tiny_flows):
-        extractor = AnomalyExtractor(_config(), seed=0)
-        result = extractor.run_trace(tiny_flows, 900.0)
-        public = extractor.detector_bank.reports
+    def test_batch_detection_uses_public_reports(self, tiny_flows):
+        with api.session(
+            _config(), mode="batch", interval_seconds=900.0, seed=0
+        ) as session:
+            result = run_session(session, [tiny_flows])
+            public = session.extractor.detector_bank.reports
         assert len(result.detection.reports) == len(public) == 1
         assert all(
             ours is theirs

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro.core.report import (
     COMMON_SERVICE_PORTS,
     ExtractionReport,
@@ -151,7 +152,6 @@ class TestExtractionReport:
 
     def test_from_result_interval_bounds(self, ddos_trace):
         from repro.core.config import ExtractionConfig
-        from repro.core.pipeline import AnomalyExtractor
         from repro.detection.detector import DetectorConfig
 
         config = ExtractionConfig(
@@ -161,8 +161,9 @@ class TestExtractionReport:
             ),
             min_support=300,
         )
-        with AnomalyExtractor(config, seed=1) as extractor:
-            result = extractor.run_trace(ddos_trace.flows, 900.0)
+        result = api.extract(
+            ddos_trace.flows, config, interval_seconds=900.0, seed=1,
+        )
         assert result.extractions
         extraction = result.extractions[0]
         report = ExtractionReport.from_result(extraction, 900.0)

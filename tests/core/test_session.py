@@ -1,9 +1,9 @@
 """The session redesign's contract: one orchestration path.
 
-`ExtractionSession` is the single execution surface `run_trace` and
-`run_stream` delegate to.  These tests hold the ISSUE 5 acceptance
+`ExtractionSession` is the single execution surface `api.extract` and
+`api.stream` run on.  These tests hold the ISSUE 5 acceptance
 criteria: a batch session fed a whole trace (in one piece or arbitrary
-chunks) equals `run_trace` byte-for-byte, a chunk-fed stream session
+chunks) equals `api.extract` byte-for-byte, a chunk-fed stream session
 driven incrementally (feed / flush / result) equals one that is fed
 and finished, and `close()` releases the owned extractor's store and
 worker pool even when a mid-feed chunk raised.
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import repro.api as api
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor, TraceExtraction
-from repro.core.session import ExtractionSession, StreamExtraction, run_session
+from repro.core.pipeline import TraceExtraction
+from repro.core.session import StreamExtraction, run_session
 from repro.detection.detector import DetectorConfig
 from repro.errors import ConfigError, ExtractionError
 from repro.sinks import MemorySink
@@ -44,20 +44,26 @@ def _rendered(extractions):
     return "\n\n".join(e.render() for e in extractions)
 
 
+def _session(mode, **kwargs):
+    return api.session(
+        _config(), mode=mode, interval_seconds=INTERVAL_SECONDS, seed=1,
+        **kwargs,
+    )
+
+
 @pytest.fixture(scope="module")
 def batch(ddos_trace):
-    with AnomalyExtractor(_config(), seed=1) as extractor:
-        return extractor.run_trace(ddos_trace.flows, INTERVAL_SECONDS)
+    return api.extract(
+        ddos_trace.flows, _config(), interval_seconds=INTERVAL_SECONDS,
+        seed=1,
+    )
 
 
 class TestBatchSessionEquivalence:
-    def test_whole_trace_feed_equals_run_trace(self, ddos_trace, batch):
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            with extractor.session(
-                "batch", interval_seconds=INTERVAL_SECONDS
-            ) as session:
-                assert session.feed(ddos_trace.flows) == []
-                result = session.finish()
+    def test_whole_trace_feed_equals_extract(self, ddos_trace, batch):
+        with _session("batch") as session:
+            assert session.feed(ddos_trace.flows) == []
+            result = session.finish()
         assert isinstance(result, TraceExtraction)
         assert result.flagged_intervals == batch.flagged_intervals
         assert result.flagged_intervals  # the DDoS was actually caught
@@ -76,23 +82,17 @@ class TestBatchSessionEquivalence:
         second = ddos_trace.flows.select(
             np.arange(half, len(ddos_trace.flows))
         )
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            session = extractor.session(
-                "batch", interval_seconds=INTERVAL_SECONDS
-            )
+        with _session("batch") as session:
             session.feed(first)
             assert session.flush() == []  # defers to finish
             session.feed(second)
             result = session.finish()
         assert _rendered(result.extractions) == _rendered(batch.extractions)
 
-    def test_chunk_feed_equals_run_trace(self, ddos_trace, batch):
+    def test_chunk_feed_equals_extract(self, ddos_trace, batch):
         """Batch mode accumulates chunks; windowing happens at finish,
         so arbitrary chunking cannot change the result."""
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            session = extractor.session(
-                "batch", interval_seconds=INTERVAL_SECONDS
-            )
+        with _session("batch") as session:
             for chunk in _chunked(ddos_trace.flows, 613):
                 assert session.feed(chunk) == []
             result = session.finish()
@@ -100,19 +100,12 @@ class TestBatchSessionEquivalence:
 
     def test_sink_reports_byte_identical(self, ddos_trace):
         direct, via_session = MemorySink(), MemorySink()
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            extractor.run_trace(
-                ddos_trace.flows, INTERVAL_SECONDS, sink=direct
-            )
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            result = run_session(
-                extractor.session(
-                    "batch",
-                    interval_seconds=INTERVAL_SECONDS,
-                    sink=via_session,
-                ),
-                [ddos_trace.flows],
-            )
+        api.extract(
+            ddos_trace.flows, _config(), interval_seconds=INTERVAL_SECONDS,
+            seed=1, sink=direct,
+        )
+        with _session("batch", sink=via_session) as session:
+            result = run_session(session, [ddos_trace.flows])
         assert [r.to_json() for r in via_session.reports] == [
             r.to_json() for r in direct.reports
         ]
@@ -147,37 +140,20 @@ class TestStreamSessionEquivalence:
             expected.extractions
         )
 
-    def test_run_stream_equals_stream_session(self, ddos_trace):
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            expected = extractor.run_stream(
-                _chunked(ddos_trace.flows, 517), INTERVAL_SECONDS
-            )
-        with api.session(
-            _config(), mode="stream", interval_seconds=INTERVAL_SECONDS,
-            seed=1,
-        ) as session:
-            result = run_session(session, _chunked(ddos_trace.flows, 517))
-        assert _rendered(result.extractions) == _rendered(
-            expected.extractions
-        )
-        assert result.late_dropped == expected.late_dropped == 0
-
 
 @settings(max_examples=5, deadline=None)
 @given(chunk_rows=st.integers(min_value=97, max_value=4001))
 def test_chunking_never_changes_results(ddos_trace, batch, chunk_rows):
     """Property: for ANY chunk size, a chunk-fed batch session equals
-    `run_trace`, and a chunk-fed stream session equals it too (the
+    `api.extract`, and a chunk-fed stream session equals it too (the
     trace is time-ordered, so no flow is ever late)."""
-    with AnomalyExtractor(_config(), seed=1) as extractor:
+    with _session("batch") as session:
         batched = run_session(
-            extractor.session("batch", interval_seconds=INTERVAL_SECONDS),
-            _chunked(ddos_trace.flows, chunk_rows),
+            session, _chunked(ddos_trace.flows, chunk_rows)
         )
-    with AnomalyExtractor(_config(), seed=1) as extractor:
+    with _session("stream") as session:
         streamed = run_session(
-            extractor.session("stream", interval_seconds=INTERVAL_SECONDS),
-            _chunked(ddos_trace.flows, chunk_rows),
+            session, _chunked(ddos_trace.flows, chunk_rows)
         )
     expected = _rendered(batch.extractions)
     assert _rendered(batched.extractions) == expected
@@ -187,13 +163,11 @@ def test_chunking_never_changes_results(ddos_trace, batch, chunk_rows):
 
 class TestSessionLifecycle:
     def test_unknown_mode_rejected(self):
-        with AnomalyExtractor(_config()) as extractor:
-            with pytest.raises(ExtractionError, match="unknown session mode"):
-                extractor.session("batch-stream")
+        with pytest.raises(ExtractionError, match="unknown session mode"):
+            api.session(_config(), mode="batch-stream")
 
     def test_feed_after_finish_rejected(self, tiny_flows):
-        with AnomalyExtractor(_config()) as extractor:
-            session = extractor.session("batch")
+        with api.session(_config(), mode="batch") as session:
             session.feed(tiny_flows)
             session.finish()
             with pytest.raises(ExtractionError, match="already finished"):
@@ -205,20 +179,11 @@ class TestSessionLifecycle:
             assert session.result().extractions == []
 
     def test_feed_after_close_rejected(self, tiny_flows):
-        with AnomalyExtractor(_config()) as extractor:
-            session = extractor.session("stream")
-            session.close()
-            session.close()  # idempotent
-            with pytest.raises(ExtractionError, match="closed"):
-                session.feed(tiny_flows)
-
-    def test_borrowed_extractor_survives_session_close(self, tiny_flows):
-        with AnomalyExtractor(_config(jobs=2, backend="thread")) as extractor:
-            session = extractor.session("stream")
-            session.close()
-            # The borrowed engine pool is still usable.
-            report = extractor.detector_bank.observe(tiny_flows)
-            assert report.flow_count == len(tiny_flows)
+        session = api.session(_config(), mode="stream")
+        session.close()
+        session.close()  # idempotent
+        with pytest.raises(ExtractionError, match="closed"):
+            session.feed(tiny_flows)
 
 
 class TestLeakRegression:
@@ -281,6 +246,5 @@ class TestLeakRegression:
             assert len(store) == 0
 
     def test_batch_mode_rejects_bad_interval(self):
-        with AnomalyExtractor(_config()) as extractor:
-            with pytest.raises(ExtractionError, match="positive"):
-                extractor.session("batch", interval_seconds=0.0)
+        with pytest.raises(ExtractionError, match="positive"):
+            api.session(_config(), mode="batch", interval_seconds=0.0)

@@ -1,10 +1,9 @@
 """Fixture: registry lookups through the .get API."""
 
-from repro.mining import MINERS
-from repro.registry import readers
+from repro.registry import miners, readers
 
 
 def lookup(name):
-    miner = MINERS.get(name)
+    miner = miners.get(name)
     reader = readers.get(name)
     return miner, reader

@@ -1,10 +1,9 @@
 """Fixture: direct subscripting silenced by noqa comments."""
 
-from repro.mining import MINERS
-from repro.registry import readers
+from repro.registry import miners, readers
 
 
 def lookup(name):
-    miner = MINERS[name]  # repro: noqa[RPR003]
+    miner = miners[name]  # repro: noqa[RPR003]
     reader = readers[name]  # repro: noqa
     return miner, reader

@@ -1,10 +1,9 @@
 """Fixture: direct registry subscripting."""
 
-from repro.mining import MINERS
-from repro.registry import readers
+from repro.registry import miners, readers
 
 
 def lookup(name):
-    miner = MINERS[name]
+    miner = miners[name]
     reader = readers[name]
     return miner, reader

@@ -30,11 +30,11 @@ class TestParseNoqa:
 class TestSuppressionScope:
     def test_wrong_code_does_not_suppress(self, tmp_path):
         source = (
-            "from repro.mining import MINERS\n"
+            "from repro.registry import miners\n"
             "\n"
             "\n"
             "def lookup(name):\n"
-            "    return MINERS[name]  # repro: noqa[RPR001]\n"
+            "    return miners[name]  # repro: noqa[RPR001]\n"
         )
         path = tmp_path / "wrong_code.py"
         path.write_text(source)
@@ -43,12 +43,12 @@ class TestSuppressionScope:
 
     def test_suppression_is_per_line(self, tmp_path):
         source = (
-            "from repro.mining import MINERS\n"
+            "from repro.registry import miners\n"
             "\n"
             "\n"
             "def lookup(name):\n"
-            "    first = MINERS[name]  # repro: noqa[RPR003]\n"
-            "    second = MINERS[name]\n"
+            "    first = miners[name]  # repro: noqa[RPR003]\n"
+            "    second = miners[name]\n"
             "    return first, second\n"
         )
         path = tmp_path / "per_line.py"
@@ -78,19 +78,18 @@ class TestParseErrors:
 class TestResultShape:
     def test_findings_sort_by_position(self, tmp_path):
         source = (
-            "from repro.mining import MINERS\n"
-            "from repro.registry import readers\n"
+            "from repro.registry import miners, readers\n"
             "\n"
             "\n"
             "def lookup(name):\n"
             "    reader = readers[name]\n"
-            "    miner = MINERS[name]\n"
+            "    miner = miners[name]\n"
             "    return miner, reader\n"
         )
         path = tmp_path / "ordering.py"
         path.write_text(source)
         result = lint_paths([str(path)])
-        assert [f.line for f in result.findings] == [6, 7]
+        assert [f.line for f in result.findings] == [5, 6]
 
     def test_rules_ran_are_recorded(self, tmp_path):
         (tmp_path / "empty.py").write_text("x = 1\n")

@@ -88,7 +88,7 @@ class TestRuleDetails:
         messages = [
             f.message for f in lint_fixture(path, "RPR003").findings
         ]
-        assert any("MINERS[...]" in m for m in messages)
+        assert any("miners[...]" in m for m in messages)
         assert any("readers[...]" in m for m in messages)
 
     def test_rpr005_names_class_method_and_attribute(self):

@@ -209,6 +209,20 @@ class TestRefusals:
         with pytest.raises(SketchError, match="incompatible"):
             fed.add(foreign)
 
+    def test_runaway_interval_refused_before_anything_is_released(
+        self, collector_factory, federator_factory
+    ):
+        """The straggler watermark releases every interval up to the
+        newest digest; without a bound, one digest claiming interval
+        10^12 (epoch seconds against origin 0, or a hostile line)
+        releases empty intervals forever.  Found by the state fuzz."""
+        fed = federator_factory()
+        before = json.dumps(fed.to_state(), sort_keys=True)
+        with pytest.raises(FederationError, match="past the release cursor"):
+            fed.add(collector_factory("east").empty_digest(10**12))
+        assert json.dumps(fed.to_state(), sort_keys=True) == before
+        assert fed.add(collector_factory("east").empty_digest(0)) == []
+
     def test_constructor_validation(self, federator_factory):
         with pytest.raises(FederationError, match="at least one site"):
             federator_factory(sites=())
@@ -318,3 +332,30 @@ class TestResume:
     def test_malformed_state_refused(self, federator_factory):
         with pytest.raises(CheckpointError, match="malformed"):
             federator_factory().from_state({})
+
+    @pytest.mark.parametrize(
+        "tamper, names",
+        [
+            # Each would release empty intervals up to the bogus mark.
+            (lambda s: s.update(max_seen=10**12), "max_seen"),
+            (lambda s: s.update(next=10**12), "interval 3"),
+            # A buffered digest add() could never have admitted.
+            (lambda s: s["pending"][0].__setitem__(0, 7), "interval 7"),
+            (lambda s: s["pending"][0][1][0].__setitem__(0, "x"), "'x'"),
+        ],
+    )
+    def test_inconsistent_state_refused(
+        self, site_digests, federator_factory, tamper, names
+    ):
+        live = federator_factory()
+        for i in range(4):
+            live.add(site_digests["east"][i])
+            if i < 3:
+                live.add(site_digests["west"][i])
+        state = json.loads(json.dumps(live.to_state()))
+        assert (state["next"], state["max_seen"]) == (3, 3)
+        tamper(state)
+        fresh = federator_factory()
+        with pytest.raises(CheckpointError, match=names):
+            fresh.from_state(state)
+        assert fresh.next_interval == 0 and not fresh.pending_intervals

@@ -15,7 +15,6 @@ import pytest
 
 import repro.api as api
 from repro.core.config import ExtractionConfig, FleetSettings
-from repro.core.pipeline import AnomalyExtractor
 from repro.detection.detector import DetectorConfig
 from repro.errors import ConfigError, ExtractionError, RegistryError
 from repro.fleet import FleetManager, resolve_route
@@ -129,10 +128,10 @@ class TestFleetDeterminism:
                 ddos_trace.flows.dst_ip % 2 == k
             )
             store = api.open_store(":memory:")
-            with AnomalyExtractor(_config(), seed=1) as solo:
-                expected = solo.run_stream(
-                    _chunked(subset), INTERVAL_SECONDS, sink=store
-                )
+            expected = api.stream(
+                _chunked(subset), _config(), interval_seconds=INTERVAL_SECONDS,
+                sink=store, seed=1,
+            )
             assert _rendered(results[name].extractions) == _rendered(
                 expected.extractions
             )

@@ -10,9 +10,9 @@ modes.
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.anomalies import DDoSInjector, EventSchedule
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor
 from repro.core.report import ExtractionReport
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
@@ -63,10 +63,10 @@ def _chunked(table, rows):
 def batch(burst_trace):
     trace, _ = burst_trace
     store = IncidentStore(":memory:")
-    with AnomalyExtractor(_config(), seed=1) as extractor:
-        result = extractor.run_trace(
-            trace.flows, INTERVAL_SECONDS, sink=store
-        )
+    result = api.extract(
+        trace.flows, _config(), interval_seconds=INTERVAL_SECONDS, sink=store,
+        seed=1,
+    )
     return result, store
 
 
@@ -74,12 +74,10 @@ def batch(burst_trace):
 def streamed(burst_trace):
     trace, _ = burst_trace
     store = IncidentStore(":memory:")
-    with AnomalyExtractor(_config(), seed=1) as extractor:
-        result = extractor.run_stream(
-            _chunked(trace.flows, CHUNK_ROWS),
-            INTERVAL_SECONDS,
-            sink=store,
-        )
+    result = api.stream(
+        _chunked(trace.flows, CHUNK_ROWS), _config(),
+        interval_seconds=INTERVAL_SECONDS, sink=store, seed=1,
+    )
     return result, store
 
 
@@ -198,12 +196,12 @@ class TestInterruptedRunGuard:
             def note_interval(self, interval):
                 self.inner.note_interval(interval)
 
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            with pytest.raises(Boom):
-                extractor.run_trace(
-                    trace.flows, INTERVAL_SECONDS,
-                    sink=ExplodingSink(store),
-                )
+        with pytest.raises(Boom):
+            api.extract(
+                trace.flows, _config(),
+                interval_seconds=INTERVAL_SECONDS, seed=1,
+                sink=ExplodingSink(store),
+            )
         assert store.last_interval() is not None
         assert store.last_interval() >= BURST_INTERVALS[0]
         with pytest.raises(IncidentError, match="duplicate"):

@@ -451,7 +451,7 @@ class TestCorruption:
 
 class TestSinkIntegration:
     def test_store_satisfies_report_sink(self, store):
-        # append() is the whole sink protocol run_trace/run_stream use.
+        # append() is the whole sink protocol a session uses.
         from repro.core.pipeline import ReportSink
 
         assert isinstance(store, ReportSink)

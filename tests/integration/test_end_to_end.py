@@ -2,9 +2,9 @@
 
 import pytest
 
+import repro.api as api
 from repro.analysis.metrics import flow_recall, judge_itemsets
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature
 from repro.flows.stream import interval_of
@@ -24,8 +24,9 @@ def _config(min_support=300):
 class TestScanExtraction:
     @pytest.fixture(scope="class")
     def result(self, scan_trace):
-        extractor = AnomalyExtractor(_config(), seed=2)
-        return extractor.run_trace(scan_trace.flows, 900.0)
+        return api.extract(
+            scan_trace.flows, _config(), interval_seconds=900.0, seed=2
+        )
 
     def test_scan_interval_flagged(self, result):
         assert 25 in result.flagged_intervals
@@ -76,8 +77,9 @@ class TestMinerInterchangeability:
                 min_support=300,
                 miner=miner,
             )
-            extractor = AnomalyExtractor(config, seed=1)
-            result = extractor.run_trace(ddos_trace.flows, 900.0)
+            result = api.extract(
+                ddos_trace.flows, config, interval_seconds=900.0, seed=1
+            )
             outputs[miner] = {
                 (e.interval, s.items, s.support)
                 for e in result.extractions
@@ -107,8 +109,9 @@ class TestMultiEventInterval:
             20, 900.0, duration=880.0,
         )
         trace = generator.generate(24, schedule=schedule)
-        extractor = AnomalyExtractor(_config(min_support=250), seed=3)
-        result = extractor.run_trace(trace.flows, 900.0)
+        result = api.extract(
+            trace.flows, _config(min_support=250), interval_seconds=900.0, seed=3
+        )
         extraction = next(
             (e for e in result.extractions if e.interval == 20), None
         )
@@ -124,8 +127,9 @@ class TestStabilityOverBaseline:
         from repro.traffic import TraceGenerator
 
         trace = TraceGenerator(small_profile, seed=21).generate(22)
-        extractor = AnomalyExtractor(_config(), seed=4)
-        result = extractor.run_trace(trace.flows, 900.0)
+        result = api.extract(
+            trace.flows, _config(), interval_seconds=900.0, seed=4
+        )
         assert len(result.extractions) <= 1
 
 

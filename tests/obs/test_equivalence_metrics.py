@@ -8,8 +8,9 @@ invariant: every row fed is routed to exactly one pipeline.
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor
+from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.fleet.manager import FleetManager
 from repro.obs.metrics import MetricsRegistry
@@ -45,29 +46,26 @@ def _value(registry, name, *labels):
 
 class TestMetricsOnVsOff:
     def test_batch_output_byte_identical(self, ddos_trace):
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            off = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
-        with AnomalyExtractor(
-            _config(), seed=1, metrics=MetricsRegistry()
-        ) as extractor:
-            on = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
+        off = api.extract(
+            ddos_trace.flows, _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+        )
+        on = api.extract(
+            ddos_trace.flows, _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+            metrics=MetricsRegistry(),
+        )
         assert off.extractions  # the comparison is not vacuous
         assert _rendered(on.extractions) == _rendered(off.extractions)
         assert on.flagged_intervals == off.flagged_intervals
 
     def test_stream_output_byte_identical(self, ddos_trace):
         def run(metrics):
-            with AnomalyExtractor(
-                _config(), seed=1, metrics=metrics
-            ) as extractor:
-                return extractor.run_stream(
-                    _chunked(ddos_trace.flows, CHUNK_ROWS),
-                    ddos_trace.interval_seconds,
-                )
+            return api.stream(
+                _chunked(ddos_trace.flows, CHUNK_ROWS), _config(),
+                interval_seconds=ddos_trace.interval_seconds, seed=1,
+                metrics=metrics,
+            )
 
         off = run(None)
         on = run(MetricsRegistry())
@@ -80,30 +78,26 @@ class TestMetricsOnVsOff:
     def test_reports_byte_identical_via_json(self, ddos_trace):
         def reports(metrics):
             collected = []
-            with AnomalyExtractor(
-                _config(), seed=1, metrics=metrics
-            ) as extractor:
-                extractor.run_trace(
-                    ddos_trace.flows,
-                    ddos_trace.interval_seconds,
-                    sink=collected,
-                )
+            api.extract(
+                ddos_trace.flows, _config(),
+                interval_seconds=ddos_trace.interval_seconds, sink=collected,
+                seed=1, metrics=metrics,
+            )
             return [r.to_json() for r in collected]
 
         assert reports(MetricsRegistry()) == reports(None)
 
     def test_obs_config_section_does_not_change_output(self, ddos_trace):
-        with AnomalyExtractor(
-            _config(obs={"enabled": True}), seed=1
-        ) as extractor:
-            on = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
-            assert extractor.metrics.enabled
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            off = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
+        with api.session(
+            _config(obs={"enabled": True}), mode="batch",
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+        ) as session:
+            on = run_session(session, [ddos_trace.flows])
+            assert session.extractor.metrics.enabled
+        off = api.extract(
+            ddos_trace.flows, _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+        )
         assert _rendered(on.extractions) == _rendered(off.extractions)
 
 
@@ -167,11 +161,10 @@ class TestMetricsJsonlTee:
         config = _config(
             obs={"enabled": True, "jsonl_path": str(path)}
         )
-        with AnomalyExtractor(config, seed=1) as extractor:
-            result = extractor.run_stream(
-                _chunked(ddos_trace.flows, CHUNK_ROWS),
-                ddos_trace.interval_seconds,
-            )
+        result = api.stream(
+            _chunked(ddos_trace.flows, CHUNK_ROWS), config,
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+        )
         intervals = result.detection.n_intervals
         lines = path.read_text().splitlines()
         assert len(lines) == intervals

@@ -9,8 +9,9 @@ spans that the parent adopts under the right trace.
 
 import numpy as np
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor
+from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.fleet.manager import FleetManager
 from repro.mining.transactions import TransactionSet
@@ -43,12 +44,11 @@ def _rendered(extractions):
 class TestTraceOnVsOff:
     def test_batch_output_byte_identical(self, ddos_trace):
         def run(tracer):
-            with AnomalyExtractor(
-                _config(), seed=1, tracer=tracer
-            ) as extractor:
-                return extractor.run_trace(
-                    ddos_trace.flows, ddos_trace.interval_seconds
-                )
+            return api.extract(
+                ddos_trace.flows, _config(),
+                interval_seconds=ddos_trace.interval_seconds, seed=1,
+                tracer=tracer,
+            )
 
         off = run(None)
         tracer = Tracer()
@@ -60,13 +60,11 @@ class TestTraceOnVsOff:
 
     def test_stream_output_byte_identical(self, ddos_trace):
         def run(tracer):
-            with AnomalyExtractor(
-                _config(), seed=1, tracer=tracer
-            ) as extractor:
-                return extractor.run_stream(
-                    _chunked(ddos_trace.flows, CHUNK_ROWS),
-                    ddos_trace.interval_seconds,
-                )
+            return api.stream(
+                _chunked(ddos_trace.flows, CHUNK_ROWS), _config(),
+                interval_seconds=ddos_trace.interval_seconds, seed=1,
+                tracer=tracer,
+            )
 
         off = run(None)
         on = run(Tracer())
@@ -77,14 +75,11 @@ class TestTraceOnVsOff:
     def test_reports_byte_identical_via_json(self, ddos_trace):
         def reports(tracer):
             collected = []
-            with AnomalyExtractor(
-                _config(), seed=1, tracer=tracer
-            ) as extractor:
-                extractor.run_trace(
-                    ddos_trace.flows,
-                    ddos_trace.interval_seconds,
-                    sink=collected,
-                )
+            api.extract(
+                ddos_trace.flows, _config(),
+                interval_seconds=ddos_trace.interval_seconds, sink=collected,
+                seed=1, tracer=tracer,
+            )
             return [r.to_json() for r in collected]
 
         assert reports(Tracer()) == reports(None)
@@ -113,18 +108,17 @@ class TestTraceOnVsOff:
         assert "fleet.run" in names and "fleet.rank" in names
 
     def test_trace_path_config_does_not_change_output(self, ddos_trace):
-        with AnomalyExtractor(
-            _config(obs={"trace_path": "unused.jsonl"}), seed=1
-        ) as extractor:
-            on = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
-            assert extractor.tracer.enabled
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            off = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
-            assert not extractor.tracer.enabled
+        def run(config):
+            with api.session(
+                config, mode="batch",
+                interval_seconds=ddos_trace.interval_seconds, seed=1,
+            ) as session:
+                result = run_session(session, [ddos_trace.flows])
+                return result, session.extractor.tracer.enabled
+
+        on, traced = run(_config(obs={"trace_path": "unused.jsonl"}))
+        off, untraced = run(_config())
+        assert traced and not untraced
         assert _rendered(on.extractions) == _rendered(off.extractions)
 
 
@@ -135,10 +129,11 @@ class TestDetectionSpanExplainsAlarm:
         cleaning rounds their bin identifications ran; a clean
         interval's span carries neither."""
         tracer = Tracer()
-        with AnomalyExtractor(_config(), seed=1, tracer=tracer) as extractor:
-            run = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            ).detection
+        run = api.extract(
+            ddos_trace.flows, _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+            tracer=tracer,
+        ).detection
         spans = [s for s in tracer.spans if s.name == "stage.detection"]
         assert len(spans) == run.n_intervals
         alarmed = [s for s in spans if s.attributes["alarm"]]

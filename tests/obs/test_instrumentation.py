@@ -8,8 +8,10 @@ same code paths are byte-identical with the registry disabled.
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import AnomalyExtractor
+from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.flows.table import FlowTable
 from repro.obs.instruments import PipelineInstruments
@@ -150,12 +152,11 @@ class TestPipelineInstrumentation:
     @pytest.fixture(scope="class")
     def run(self, ddos_trace):
         registry = MetricsRegistry()
-        with AnomalyExtractor(
-            _config(), seed=1, metrics=registry
-        ) as extractor:
-            result = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
+        result = api.extract(
+            ddos_trace.flows, _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+            metrics=registry,
+        )
         return registry, result
 
     def test_interval_and_flow_counters_match_result(
@@ -214,13 +215,12 @@ class TestStoreInstrumentation:
 
         registry = MetricsRegistry()
         config = _config(store_path=str(tmp_path / "inc.db"))
-        with AnomalyExtractor(
-            config, seed=1, metrics=registry
-        ) as extractor:
-            result = extractor.run_trace(
-                ddos_trace.flows, ddos_trace.interval_seconds
-            )
-            extractor.store.incidents()
+        with api.session(
+            config, mode="batch", seed=1, metrics=registry,
+            interval_seconds=ddos_trace.interval_seconds,
+        ) as session:
+            result = run_session(session, [ddos_trace.flows])
+            session.extractor.store.incidents()
         assert len(result.extractions) > 0
         appends = "repro_store_appends_total"
         assert _value(registry, appends) == len(result.extractions)
@@ -237,13 +237,12 @@ class TestStoreInstrumentation:
         with IncidentStore(
             config.store_path, metrics=registry
         ) as store:
-            with AnomalyExtractor(_config(), seed=1) as extractor:
-                with pytest.raises(Exception):
-                    extractor.run_trace(
-                        ddos_trace.flows,
-                        ddos_trace.interval_seconds,
-                        sink=store,
-                    )
+            with pytest.raises(Exception):
+                api.extract(
+                    ddos_trace.flows, _config(),
+                    interval_seconds=ddos_trace.interval_seconds,
+                    seed=1, sink=store,
+                )
         assert _value(registry, refusals) == 1
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.api as api
 from repro.core import AnomalyExtractor, ExtractionConfig
+from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.mining.transactions import TransactionSet
 from repro.parallel.engine import ParallelEngine
@@ -65,8 +67,9 @@ class TestEngine:
 class TestExtractorRouting:
     @pytest.fixture(scope="class")
     def serial_result(self, ddos_trace):
-        extractor = AnomalyExtractor(_config(), seed=1)
-        return extractor.run_trace(ddos_trace.flows, 900.0)
+        return api.extract(
+            ddos_trace.flows, _config(), interval_seconds=900.0, seed=1
+        )
 
     def test_serial_config_has_no_engine(self):
         extractor = AnomalyExtractor(_config())
@@ -78,9 +81,11 @@ class TestExtractorRouting:
         self, ddos_trace, serial_result, backend
     ):
         config = _config(jobs=2, backend=backend)
-        with AnomalyExtractor(config, seed=1) as extractor:
-            assert extractor.engine is not None
-            result = extractor.run_trace(ddos_trace.flows, 900.0)
+        with api.session(
+            config, mode="batch", interval_seconds=900.0, seed=1
+        ) as session:
+            assert session.extractor.engine is not None
+            result = run_session(session, [ddos_trace.flows])
         assert result.flagged_intervals == serial_result.flagged_intervals
         for ours, theirs in zip(
             result.extractions, serial_result.extractions
@@ -92,8 +97,9 @@ class TestExtractorRouting:
         self, ddos_trace, serial_result
     ):
         config = _config(jobs=2, backend="process")
-        with AnomalyExtractor(config, seed=1) as extractor:
-            result = extractor.run_trace(ddos_trace.flows, 900.0)
+        result = api.extract(
+            ddos_trace.flows, config, interval_seconds=900.0, seed=1,
+        )
         assert result.flagged_intervals == serial_result.flagged_intervals
         for ours, theirs in zip(
             result.extractions, serial_result.extractions
@@ -102,8 +108,9 @@ class TestExtractorRouting:
 
     def test_partitions_knob_respected(self, ddos_trace, serial_result):
         config = _config(jobs=2, backend="serial", partitions=7)
-        with AnomalyExtractor(config, seed=1) as extractor:
-            result = extractor.run_trace(ddos_trace.flows, 900.0)
+        result = api.extract(
+            ddos_trace.flows, config, interval_seconds=900.0, seed=1,
+        )
         assert [e.render() for e in result.extractions] == [
             e.render() for e in serial_result.extractions
         ]

@@ -7,11 +7,11 @@ The acceptance bar of the subsystem: identical item-sets and supports to
 import pytest
 
 from repro.errors import MiningError
-from repro.mining import MINERS
 from repro.mining.apriori import apriori
 from repro.mining.transactions import TransactionSet
 from repro.parallel.executor import EXECUTOR_BACKENDS, get_executor
 from repro.parallel.son import son
+from repro.registry import miners
 
 
 def _itemset_pairs(result):
@@ -100,5 +100,5 @@ class TestEdges:
     def test_registered_in_miners(self, tiny_flows):
         transactions = TransactionSet.from_flows(tiny_flows)
         reference = apriori(transactions, 2)
-        result = MINERS["son"](transactions, 2)
+        result = miners.get("son")(transactions, 2)
         assert result.all_frequent == reference.all_frequent

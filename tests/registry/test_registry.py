@@ -176,14 +176,10 @@ class TestBuiltinRegistries:
     def test_miners_builtins(self):
         assert {"apriori", "fpgrowth", "eclat", "son"} <= set(miners)
 
-    def test_miners_is_the_legacy_MINERS_object(self):
-        from repro.mining import MINERS
-
-        assert MINERS is miners
-        # Legacy dict-style access patterns still work.
-        assert callable(MINERS["apriori"])
-        assert "apriori" in MINERS
-        assert sorted(MINERS)
+    def test_miners_reads_like_a_mapping(self):
+        assert callable(miners["apriori"])
+        assert "apriori" in miners
+        assert sorted(miners)
 
     def test_feature_set_builtins(self):
         from repro.detection.features import (

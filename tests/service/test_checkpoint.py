@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.fleet.manager import FleetManager
-from repro.flows.table import pack_array, unpack_array
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
     fleet_checkpoint,
@@ -18,6 +17,7 @@ from repro.service.checkpoint import (
     restore_fleet,
     write_checkpoint,
 )
+from repro.state import pack_array, unpack_array
 
 
 @pytest.fixture()
@@ -185,6 +185,39 @@ class TestRestoreValidation:
                 restore_fleet(other, doc)
         finally:
             other.close()
+
+    def test_pipelines_need_not_be_declared_alphabetically(
+        self, service_config, service_chunks, tmp_path
+    ):
+        """The canonical file sorts the ``pipelines`` object; the
+        restore used to compare key *lists*, so a fleet declared
+        ``west, east`` could never resume its own checkpoint."""
+
+        def build():
+            return FleetManager(
+                {"west": service_config, "east": service_config},
+                route="dst_ip%2",
+                interval_seconds=10.0,
+                store_dir=tmp_path / "stores",
+            )
+
+        path = tmp_path / "fleet.ckpt"
+        first = build()
+        try:
+            for chunk in service_chunks[:5]:
+                first.feed(chunk)
+            write_checkpoint(path, fleet_checkpoint(first, sequence=5))
+        finally:
+            first.close()
+        second = build()
+        try:
+            assert restore_fleet(second, read_checkpoint(path)) == 5
+            write_checkpoint(
+                tmp_path / "again.ckpt", fleet_checkpoint(second, 5)
+            )
+        finally:
+            second.close()
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_checkpoint_ahead_of_store_rejected(
         self, fed_fleet, service_config, tmp_path

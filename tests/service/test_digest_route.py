@@ -20,13 +20,13 @@ from repro.core.config import ServiceSettings
 from repro.errors import CheckpointError
 from repro.federation import Collector, Federator
 from repro.fleet.manager import FleetManager
-from repro.flows.table import pack_array, unpack_array
 from repro.incidents.store import open_store
 from repro.obs.metrics import MetricsRegistry
 from repro.service.app import ServiceApp
 from repro.service.checkpoint import read_checkpoint
 from repro.service.protocol import HttpRequest
 from repro.service.supervisor import resume_sequence
+from repro.state import pack_array, unpack_array
 
 SITES = ("east", "west")
 CM_WIDTH = 256
@@ -262,6 +262,47 @@ class TestDigestRefusals:
         error = json.loads(payload)["error"]
         assert error.startswith("digest:2:")
         assert "self-contradictory" in error
+        assert fed_app.sequence == 0
+        assert fed_app.federator.to_state() == before
+
+    @pytest.mark.parametrize(
+        "find, put, names",
+        [
+            ('"interval":0', '"interval":1e999', "interval"),
+            ('"interval":0', '"interval":0.5', "interval"),
+            ('"interval":0', '"interval":true', "interval"),
+            ('"flow_count":', '"flow_count":NaN,"was":', "flow_count"),
+            # 300 bytes declaring a 7 TiB count-min table.
+            (f'"depth":{CM_DEPTH}', '"depth":10000', "cm_depth"),
+        ],
+        ids=["overflow", "fraction", "bool", "nan", "oversized"],
+    )
+    def test_coerced_field_is_a_typed_400_naming_it(
+        self, fed_app, site_wire, find, put, names
+    ):
+        """What ``int(doc[...])`` used to let through - or die on:
+        ``1e999`` raised ``OverflowError`` out of ``handle`` (dropped
+        connection), ``0.5`` and ``true`` were read as interval 0/1."""
+        line = site_wire["west"][0]
+        assert find in line
+        line = line.replace(find, put)
+        if names == "cm_depth":
+            line = line.replace(
+                f'"cm_depth":{CM_DEPTH}', '"cm_depth":10000'
+            ).replace(
+                f'"width":{CM_WIDTH}', '"width":100000000'
+            ).replace(
+                f'"cm_width":{CM_WIDTH}', '"cm_width":100000000'
+            )
+        before = fed_app.federator.to_state()
+        body = (site_wire["east"][0] + "\n" + line).encode()
+        status, payload, _ = fed_app.handle(req(
+            "POST", "/digest", body=body
+        ))
+        error = json.loads(payload)["error"]
+        assert status == 400, error
+        assert error.startswith("digest:2: malformed digest")
+        assert names in error or "cells" in error
         assert fed_app.sequence == 0
         assert fed_app.federator.to_state() == before
 

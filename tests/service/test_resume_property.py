@@ -9,15 +9,21 @@ same stream.  Hypothesis drives the kill point across every chunk
 boundary and the checkpoint cadence across 1-3 batches (cadence > 1
 forces the resumed fleet to re-process already-covered intervals, which
 is exactly what the session resume floor must absorb without
-re-appending to the stores).
+re-appending to the stores).  A third axis makes the *last* periodic
+checkpoint before the kill fail (disk full on the rename): the batch
+stays applied and acknowledged, the previous checkpoint stays the
+newest, and the resume rolls back one cadence further.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import os
 import shutil
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -80,10 +86,11 @@ def uninterrupted(service_config, service_chunks, tmp_path_factory):
 @given(
     kill_after=st.integers(min_value=1, max_value=N_CHUNKS - 1),
     checkpoint_every=st.integers(min_value=1, max_value=3),
+    last_checkpoint_fails=st.booleans(),
 )
 def test_kill_then_resume_is_byte_identical(
     service_config, service_chunks, uninterrupted,
-    kill_after, checkpoint_every,
+    kill_after, checkpoint_every, last_checkpoint_fails,
 ):
     assert len(service_chunks) == N_CHUNKS
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,12 +103,28 @@ def test_kill_then_resume_is_byte_identical(
             first, checkpoint_path=ckpt,
             checkpoint_every=checkpoint_every,
         )
+        last_write = kill_after - kill_after % checkpoint_every
+        disk_full = mock.patch(
+            "repro.service.checkpoint.os.replace",
+            side_effect=OSError(errno.ENOSPC, "No space left on device"),
+        )
         try:
-            for chunk in service_chunks[:kill_after]:
+            for n, chunk in enumerate(service_chunks[:kill_after], 1):
                 first.feed(chunk)
-                app.batch_accepted(len(chunk))
+                with (
+                    disk_full
+                    if last_checkpoint_fails and n == last_write
+                    else contextlib.nullcontext()
+                ):
+                    assert app.batch_accepted(len(chunk)) == n
+            if last_checkpoint_fails and last_write:
+                assert app.checkpointed_sequence == (
+                    last_write - checkpoint_every
+                )
+                assert app.checkpoint_error is not None
         finally:
             first.close()  # kill -9: no flush, no final checkpoint
+        assert not os.path.exists(ckpt + ".tmp")
 
         if not os.path.exists(ckpt):
             # Died before the first periodic checkpoint: cold start.

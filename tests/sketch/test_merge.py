@@ -72,6 +72,38 @@ class TestCountMinGuards:
             CountMinSketch.from_dict(doc)
 
 
+    def test_from_dict_checks_the_table_before_sizing_anything(self):
+        """A few hundred bytes may declare a 10^4 x 10^8 sketch (7 TiB
+        of int64): the cell count is checked against the table that
+        was actually sent before anything is allocated."""
+        doc = make_sketch().to_dict()
+        doc["depth"], doc["width"] = 10_000, 100_000_000
+        with pytest.raises(SketchError, match="192 cells"):
+            CountMinSketch.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", True), ("depth", 3.0), ("seed", -1), ("total", "50"),
+            ("table", 7), ("table", [[1, 2], [3, 4]]), ("table", {}),
+        ],
+    )
+    def test_from_dict_coerces_nothing(self, field, value):
+        doc = make_sketch().to_dict()
+        doc[field] = value
+        with pytest.raises(
+            SketchError, match=f"malformed count-min document: {field}"
+        ):
+            CountMinSketch.from_dict(doc)
+
+    def test_from_dict_adopts_the_decoded_table(self):
+        sketch = make_sketch()
+        restored = CountMinSketch.from_dict(sketch.to_dict())
+        assert restored.to_dict() == sketch.to_dict()
+        restored.update_array(VALUES)  # an owned, writable table
+        assert restored.estimate(int(VALUES[0])) == 2
+
+
 class TestSnapshotGuards:
     def test_different_hash_refused(self):
         with pytest.raises(SketchError, match="different hash"):

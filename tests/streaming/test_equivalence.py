@@ -1,5 +1,5 @@
 """Batch/stream equivalence: the streaming pipeline must reproduce the
-batch `run_trace` output byte for byte on the same trace (ISSUE 2
+batch (`api.extract`) output byte for byte on the same trace (ISSUE 2
 acceptance criterion)."""
 
 import numpy as np
@@ -7,7 +7,6 @@ import pytest
 
 import repro.api as api
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import AnomalyExtractor
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.flows.io import iter_csv, write_csv
@@ -36,19 +35,18 @@ def _rendered(extractions):
 
 @pytest.fixture(scope="module")
 def batch(ddos_trace):
-    with AnomalyExtractor(_config(), seed=1) as extractor:
-        return extractor.run_trace(
-            ddos_trace.flows, ddos_trace.interval_seconds
-        )
+    return api.extract(
+        ddos_trace.flows, _config(),
+        interval_seconds=ddos_trace.interval_seconds, seed=1,
+    )
 
 
 @pytest.fixture(scope="module")
 def streamed(ddos_trace):
-    with AnomalyExtractor(_config(), seed=1) as extractor:
-        return extractor.run_stream(
-            _chunked(ddos_trace.flows, CHUNK_ROWS),
-            ddos_trace.interval_seconds,
-        )
+    return api.stream(
+        _chunked(ddos_trace.flows, CHUNK_ROWS), _config(),
+        interval_seconds=ddos_trace.interval_seconds, seed=1,
+    )
 
 
 class TestRunStreamEquivalence:
@@ -96,17 +94,20 @@ class TestCsvStreamEquivalence:
 
 
 class TestLateDropAccounting:
-    def test_run_stream_surfaces_late_drops(self, ddos_trace, rng):
+    def test_stream_surfaces_late_drops(self, ddos_trace, rng):
         """A stream reordered beyond the lateness allowance must not
         pretend to equal the batch result: the dropped flows are
-        counted on the returned TraceExtraction."""
+        counted on the returned summary."""
         order = rng.permutation(len(ddos_trace.flows))
         shuffled = ddos_trace.flows.select(order)
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            result = extractor.run_stream(
-                _chunked(shuffled, CHUNK_ROWS), ddos_trace.interval_seconds
-            )
+        result = api.stream(
+            _chunked(shuffled, CHUNK_ROWS), _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+        )
         assert result.late_dropped > 0
+        assert result.late_dropped == (
+            result.late_dropped_pre_origin + result.late_dropped_closed
+        )
 
     def test_batch_path_reports_zero_late_drops(self, batch):
         assert batch.late_dropped == 0
@@ -124,15 +125,14 @@ class TestOutOfOrderEquivalence:
         reordered) trace."""
         order = rng.permutation(len(ddos_trace.flows))
         shuffled = ddos_trace.flows.select(order)
-        with AnomalyExtractor(_config(), seed=1) as extractor:
-            want = extractor.run_trace(
-                shuffled, ddos_trace.interval_seconds
-            )
-        with AnomalyExtractor(
-            _config(max_delay_seconds=1e9), seed=1
-        ) as extractor:
-            got = extractor.run_stream(
-                _chunked(shuffled, CHUNK_ROWS), ddos_trace.interval_seconds
-            )
+        want = api.extract(
+            shuffled, _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+        )
+        got = api.stream(
+            _chunked(shuffled, CHUNK_ROWS),
+            _config(max_delay_seconds=1e9),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+        )
         assert _rendered(got.extractions) == _rendered(want.extractions)
         assert got.flagged_intervals == want.flagged_intervals

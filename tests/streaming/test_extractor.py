@@ -133,13 +133,10 @@ class TestConfigKnobs:
         # close() is idempotent
         s.close()
 
-    def test_borrowed_extractor_not_closed(self, tiny_flows):
-        from repro.core.pipeline import AnomalyExtractor
+    def test_stream_summary_import_path(self):
+        # The historical import path of the stream summary still
+        # resolves to the canonical class.
+        from repro.core.session import StreamExtraction as Canonical
+        from repro.streaming import StreamExtraction
 
-        with AnomalyExtractor(_config(jobs=2, backend="thread")) as extractor:
-            streamer = extractor.session()
-            streamer.close()  # must NOT close the borrowed engine pool
-            assert streamer.config is extractor.config
-            # The borrowed bank still works after the streamer is closed.
-            report = extractor.detector_bank.observe(tiny_flows)
-            assert report.flow_count == len(tiny_flows)
+        assert StreamExtraction is Canonical
