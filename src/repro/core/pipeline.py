@@ -346,6 +346,8 @@ class AnomalyExtractor:
                 span.set_attribute("selected", result.prefilter.selected_flows)
                 span.set_attribute("min_support", result.mining.min_support)
                 span.set_attribute("itemsets", len(result.mining.itemsets))
+                span.set_attribute("frequent", len(result.mining.all_frequent))
+                span.set_attribute("levels", result.mining.max_size)
         if result is not None:
             ins.extractions.inc()
             ins.itemsets.inc(len(result.mining.itemsets))

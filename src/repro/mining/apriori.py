@@ -8,16 +8,22 @@ frequent item-sets.
 
 Two support-counting backends are provided:
 
-* ``"vertical"`` (default) - each frequent item-set carries its sorted
-  tidset; a candidate's support is the length of the intersection of
-  the two joined parents' tidsets.  Same counts, vectorized.
+* ``"vertical"`` (default) - bit-packed tidsets.  A level is one
+  ``(item-sets, ceil(n / 64))`` uint64 matrix whose row order is the
+  level's key order (:meth:`TransactionSet.bitmaps` builds level 1); a
+  block of candidates is counted with one AND of the two joined
+  parents' rows and one ``np.bitwise_count`` row sum, and the rows that
+  reach the support are carried forward as the next level
+  (:func:`~repro.mining.transactions.joined_blocks`).  A level costs a
+  handful of numpy calls, not one set intersection per candidate.
 * ``"horizontal"`` - literal per-candidate scan over the transaction
-  matrix; the reference used by the test suite.
+  matrix (:meth:`TransactionSet.support_of`); the reference the test
+  suite compares the vertical backend against, order included.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import groupby
 
 import numpy as np
 
@@ -25,43 +31,51 @@ from repro.errors import MiningError
 from repro.mining.items import FEATURE_SHIFT
 from repro.mining.maximal import filter_maximal
 from repro.mining.result import MiningResult, build_result
-from repro.mining.transactions import TRANSACTION_WIDTH, TransactionSet
+from repro.mining.transactions import (
+    TRANSACTION_WIDTH,
+    TransactionSet,
+    joined_blocks,
+)
 
 _COUNTING_BACKENDS = ("vertical", "horizontal")
 
 
 def _generate_candidates(
     level: list[tuple[int, ...]],
-    frequent: set[tuple[int, ...]],
-) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
     """F_(k) x F_(k) join with Apriori subset pruning.
 
-    Returns ``(candidate, parent_a, parent_b)`` triples where the
-    parents share the k-1 prefix; parents are needed by the vertical
-    backend to intersect tidsets.
+    ``level`` must be non-empty and in sorted order, which every level
+    is: level 1 is sorted by item and a join of a sorted level emits its
+    candidates sorted.  Returns the candidates and, for each, the positions in
+    ``level`` of the two parents that share its k-1 prefix - the rows
+    the vertical backend ANDs.
     """
-    candidates = []
-    level_sorted = sorted(level)
-    n = len(level_sorted)
-    for i in range(n):
-        a = level_sorted[i]
-        prefix = a[:-1]
-        for j in range(i + 1, n):
-            b = level_sorted[j]
-            if b[:-1] != prefix:
-                break  # sorted order: no further joins share the prefix
-            # Items of one feature are mutually exclusive within a
-            # transaction; a candidate holding two of them has support 0.
-            if (a[-1] >> FEATURE_SHIFT) == (b[-1] >> FEATURE_SHIFT):
-                continue
-            candidate = a + (b[-1],)
-            # Apriori pruning: every k-subset must be frequent.
-            if all(
-                subset in frequent
-                for subset in combinations(candidate, len(candidate) - 1)
-            ):
-                candidates.append((candidate, a, b))
-    return candidates
+    frequent = set(level)
+    candidates: list[tuple[int, ...]] = []
+    parents: list[tuple[int, int]] = []
+    # Apriori pruning: every k-subset must be frequent.  The two that
+    # drop one of the last two items are the parents themselves.
+    drops = range(len(level[0]) - 1)
+    # Sorted order puts the item-sets sharing a k-1 prefix side by side.
+    for _, group in groupby(enumerate(level), key=lambda row: row[1][:-1]):
+        rows = list(group)
+        features = [items[-1] >> FEATURE_SHIFT for _, items in rows]
+        for x, (i, a) in enumerate(rows):
+            for y in range(x + 1, len(rows)):
+                # Items of one feature are mutually exclusive within a
+                # transaction; a candidate holding two has support 0.
+                if features[y] == features[x]:
+                    continue
+                j, b = rows[y]
+                candidate = a + (b[-1],)
+                for drop in drops:
+                    if candidate[:drop] + candidate[drop + 1:] not in frequent:
+                        break
+                else:
+                    candidates.append(candidate)
+                    parents.append((i, j))
+    return candidates, parents
 
 
 def apriori(
@@ -79,8 +93,8 @@ def apriori(
         maximal_only: emit only maximal item-sets (the paper's
             modification); when False, ``itemsets`` holds every
             frequent item-set.
-        counting: "vertical" (tidset intersection) or "horizontal"
-            (literal scan).
+        counting: "vertical" (bit-packed tidsets, AND + popcount) or
+            "horizontal" (literal scan, the test reference).
         max_size: optional cap on item-set size (defaults to the
             transaction width, 7).
 
@@ -99,44 +113,38 @@ def apriori(
             f"max_size must be in [1, {TRANSACTION_WIDTH}]: {max_size}"
         )
 
-    all_frequent: dict[tuple[int, ...], int] = {}
-
     # Round 1: frequent single items.
     item_support = transactions.frequent_items(min_support)
-    level: dict[tuple[int, ...], int] = {
+    all_frequent: dict[tuple[int, ...], int] = {
         (item,): support for item, support in sorted(item_support.items())
     }
-    all_frequent.update(level)
+    level = list(all_frequent)
 
     vertical = counting == "vertical"
-    tid_cache: dict[tuple[int, ...], np.ndarray] = {}
-    if vertical and level:
-        singles = transactions.tidsets([items[0] for items in level])
-        tid_cache = {(item,): tids for item, tids in singles.items()}
+    if vertical:
+        bits = transactions.bitmaps([items[0] for items in level])
 
     size = 1
     while level and size < max_size:
-        frequent_keys = set(level)
-        candidates = _generate_candidates(list(level), frequent_keys)
-        next_level: dict[tuple[int, ...], int] = {}
-        next_cache: dict[tuple[int, ...], np.ndarray] = {}
-        for candidate, parent_a, parent_b in candidates:
-            if vertical:
-                tids = np.intersect1d(
-                    tid_cache[parent_a], tid_cache[parent_b],
-                    assume_unique=True,
-                )
-                support = len(tids)
-                if support >= min_support:
-                    next_level[candidate] = support
-                    next_cache[candidate] = tids
-            else:
-                support = transactions.support_of(candidate)
-                if support >= min_support:
-                    next_level[candidate] = support
-        all_frequent.update(next_level)
-        level = next_level
-        tid_cache = next_cache
+        candidates, parents = _generate_candidates(level)
+        if not candidates:
+            break
+        if vertical:
+            supports: list[int] = []
+            reached = []
+            for joined, counts in joined_blocks(bits, np.array(parents)):
+                supports += counts.tolist()
+                reached.append(joined[counts >= min_support])
+            bits = np.concatenate(reached)
+        else:
+            supports = [transactions.support_of(c) for c in candidates]
+        found = {
+            candidate: support
+            for candidate, support in zip(candidates, supports)
+            if support >= min_support
+        }
+        all_frequent.update(found)
+        level = list(found)
         size += 1
 
     maximal = filter_maximal(all_frequent)

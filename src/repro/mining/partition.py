@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import MiningError
 from repro.mining.maximal import filter_maximal
 from repro.mining.result import MiningResult, build_result
-from repro.mining.transactions import TransactionSet
+from repro.mining.transactions import TransactionSet, joined_blocks
 
 
 def partition_transactions(
@@ -79,8 +79,32 @@ def merge_candidates(
 def count_candidates(
     shard: TransactionSet, candidates: Sequence[tuple[int, ...]]
 ) -> dict[tuple[int, ...], int]:
-    """Exact support of every candidate on one shard."""
-    return {items: shard.support_of(items) for items in candidates}
+    """Exact support of every candidate on one shard.
+
+    One bit-packed view of the candidates' distinct items serves them
+    all: a candidate's support is the popcount of the AND of its items'
+    rows, taken a block of same-sized candidates at a time
+    (:meth:`TransactionSet.support_of` is the per-candidate reference).
+    """
+    distinct = sorted({item for items in candidates for item in items})
+    row_of = {item: row for row, item in enumerate(distinct)}
+    bits = shard.bitmaps(distinct)
+    counts = dict.fromkeys(candidates, 0)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for items in counts:
+        by_size.setdefault(len(items), []).append(items)
+    for size, group in by_size.items():
+        if size == 0:
+            counts[()] = len(shard)  # every transaction holds nothing
+            continue
+        rows = np.array([[row_of[item] for item in items] for items in group])
+        supports = [
+            support
+            for _, block in joined_blocks(bits, rows)
+            for support in block.tolist()
+        ]
+        counts.update(zip(group, supports))
+    return counts
 
 
 def merge_results(

@@ -275,6 +275,13 @@ SPANS["stage.detection"] += (
     "binid_rounds (bin-identification cleaning rounds, summed over "
     "those clones)."
 )
+SPANS["stage.mining"] += (
+    " Attributes: flows; when it produced an extraction also selected "
+    "(flows the prefilter kept), min_support, itemsets (maximal "
+    "item-sets reported) and the two numbers that explain its cost: "
+    "frequent (every frequent item-set the miner counted) and levels "
+    "(the largest item-set size, i.e. Apriori passes)."
+)
 
 #: Every span-event name, keyed by name (RPR007, like SPANS).
 EVENTS: dict[str, str] = {

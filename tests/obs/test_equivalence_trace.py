@@ -155,6 +155,36 @@ class TestDetectionSpanExplainsAlarm:
             )
 
 
+class TestMiningSpanExplainsCost:
+    def test_span_attributes_match_the_stored_result(self, ddos_trace):
+        """"Why was this close slow": a stage.mining span carries the
+        number of frequent item-sets the miner counted and how many
+        levels it climbed - and they are the result's own numbers, the
+        same with the tracer on or off."""
+        def run(tracer):
+            return api.extract(
+                ddos_trace.flows, _config(),
+                interval_seconds=ddos_trace.interval_seconds, seed=1,
+                tracer=tracer,
+            ).extractions
+
+        tracer = Tracer()
+        traced, untraced = run(tracer), run(None)
+        spans = [
+            s for s in tracer.spans
+            if s.name == "stage.mining" and "itemsets" in s.attributes
+        ]
+        assert len(spans) == len(traced) == len(untraced) >= 1
+        for span, on, off in zip(spans, traced, untraced):
+            assert on.mining.all_frequent == off.mining.all_frequent
+            assert list(on.mining.all_frequent) == list(off.mining.all_frequent)
+            assert span.attributes["selected"] == on.prefilter.selected_flows
+            assert span.attributes["min_support"] == on.mining.min_support
+            assert span.attributes["itemsets"] == len(on.mining.itemsets)
+            assert span.attributes["frequent"] == len(on.mining.all_frequent)
+            assert span.attributes["levels"] == on.mining.max_size >= 1
+
+
 class TestFleetTraceTree:
     def test_session_roots_nest_under_fleet_run(self, ddos_trace):
         tracer = Tracer()

@@ -7,16 +7,26 @@ item-set families hold (anti-monotonicity, downward closure,
 maximality).
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.mining.transactions as transactions_module
 from repro.flows.table import FlowTable
 from repro.mining.apriori import apriori
 from repro.mining.eclat import eclat
 from repro.mining.fpgrowth import fpgrowth
+from repro.mining.items import (
+    FEATURE_SHIFT,
+    VALUE_MASK,
+    FrequentItemset,
+    itemsets_sorted,
+)
 from repro.mining.maximal import filter_maximal, is_maximal_in
-from repro.mining.transactions import TransactionSet
+from repro.mining.partition import count_candidates
+from repro.mining.transactions import TRANSACTION_WIDTH, TransactionSet
 from tests.mining.reference import brute_force_frequent, brute_force_maximal
 
 
@@ -115,3 +125,146 @@ def test_higher_support_yields_subset(transactions, low, delta):
     assert set(strict) <= set(loose)
     for items, support in strict.items():
         assert loose[items] == support
+
+
+# ----------------------------------------------------------------------
+# The bit-packed vertical view against the horizontal reference
+# ----------------------------------------------------------------------
+#: Transaction counts around the 64-bit word boundary, then a few words.
+WORD_EDGES = st.sampled_from([0, 1, 63, 64, 65])
+
+
+@st.composite
+def tagged_matrices(draw):
+    """``(n, 7)`` matrices of column-tagged items, built directly (not
+    through a flow table) so values reach both ends of the 48 bits."""
+    n = draw(WORD_EDGES | st.integers(min_value=2, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    matrix = np.empty((n, TRANSACTION_WIDTH), dtype=np.int64)
+    for col in range(TRANSACTION_WIDTH):
+        pool = np.unique(
+            np.concatenate(
+                ([0, VALUE_MASK], rng.integers(0, VALUE_MASK, 3))
+            )
+        )[: draw(st.integers(min_value=1, max_value=5))]
+        matrix[:, col] = (col << FEATURE_SHIFT) | rng.choice(pool, n)
+    return TransactionSet(matrix), rng
+
+
+def _popcounts(bits):
+    return np.bitwise_count(bits).sum(axis=1).tolist()
+
+
+def _some_itemsets(transactions, rng, count=12):
+    """Item-sets worth counting: sub-rows (support >= 1), items mixed
+    across rows (often support 0), two items of one feature (always 0),
+    a repeated item, and the empty set."""
+    matrix = transactions.matrix
+    if len(matrix) == 0:
+        return [(), (3 << FEATURE_SHIFT,)]
+    itemsets = [()]
+    for _ in range(count):
+        width = int(rng.integers(1, TRANSACTION_WIDTH + 1))
+        cols = np.sort(rng.choice(TRANSACTION_WIDTH, width, replace=False))
+        same_row = matrix[rng.integers(len(matrix)), cols]
+        any_rows = matrix[rng.integers(len(matrix), size=width), cols]
+        itemsets += [tuple(same_row.tolist()), tuple(any_rows.tolist())]
+    first, other = int(matrix[0, 0]), int(matrix[0, 0]) ^ 1
+    itemsets += [(first, other), (first, first)]
+    return itemsets
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=tagged_matrices())
+def test_bitmaps_are_the_tidsets_bit_for_bit(drawn):
+    transactions, _ = drawn
+    n = len(transactions)
+    items, counts = transactions.item_supports()
+    # A column holds at most five distinct values: one of six is absent.
+    absent = next(
+        item
+        for item in range(6 << FEATURE_SHIFT, (6 << FEATURE_SHIFT) + 6)
+        if item not in items
+    )
+    wanted = items.tolist() + [absent]
+    bits = transactions.bitmaps(wanted)
+    assert bits.dtype == np.uint64
+    assert bits.shape == (len(wanted), -(-n // 64))
+    unpacked = np.unpackbits(
+        bits.view(np.uint8), axis=1, bitorder="little"
+    ).astype(bool)
+    assert not unpacked[:, n:].any()  # pad bits are zero
+    for row, item in zip(unpacked, wanted):
+        assert (row[:n] == transactions.contains_mask((item,))).all()
+    assert _popcounts(bits) == [
+        transactions.support_of((item,)) for item in wanted
+    ]
+    assert _popcounts(bits)[:-1] == counts.tolist()
+    assert not bits[-1].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=tagged_matrices())
+def test_and_of_rows_counts_any_itemset(drawn):
+    transactions, rng = drawn
+    for itemset in _some_itemsets(transactions, rng):
+        if not itemset:
+            continue
+        joined = np.bitwise_and.reduce(transactions.bitmaps(itemset), axis=0)
+        assert int(np.bitwise_count(joined).sum()) == transactions.support_of(
+            itemset
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=tagged_matrices())
+def test_count_candidates_equals_support_of(drawn):
+    transactions, rng = drawn
+    candidates = _some_itemsets(transactions, rng)
+    expected = {c: transactions.support_of(c) for c in candidates}
+    counted = count_candidates(transactions, candidates)
+    assert counted == expected
+    assert list(counted) == list(expected)  # candidate order is kept
+    with mock.patch.object(transactions_module, "BLOCK_BYTES", 1):
+        assert count_candidates(transactions, candidates) == expected
+
+
+def _signature(result):
+    return (
+        list(result.all_frequent.items()),
+        result.itemsets,
+        result.level_stats,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    drawn=tagged_matrices(),
+    min_support=st.integers(min_value=1, max_value=40),
+    maximal_only=st.booleans(),
+)
+def test_backends_and_brute_force_agree_order_included(
+    drawn, min_support, maximal_only
+):
+    transactions, _ = drawn
+    vertical = apriori(
+        transactions, min_support, maximal_only, counting="vertical"
+    )
+    horizontal = apriori(
+        transactions, min_support, maximal_only, counting="horizontal"
+    )
+    assert _signature(vertical) == _signature(horizontal)
+    # Apriori's order is level by level, each level sorted.
+    brute = brute_force_frequent(transactions, min_support)
+    ordered = sorted(brute, key=lambda items: (len(items), items))
+    assert list(vertical.all_frequent) == ordered
+    assert vertical.all_frequent == brute
+    kept = brute_force_maximal(brute) if maximal_only else brute
+    assert vertical.itemsets == itemsets_sorted(
+        [FrequentItemset(items, support) for items, support in kept.items()]
+    )
+    # One candidate (and one item of the view) per block: a level
+    # spanning many blocks is the same level.
+    with mock.patch.object(transactions_module, "BLOCK_BYTES", 1):
+        blocked = apriori(transactions, min_support, maximal_only)
+    assert _signature(blocked) == _signature(vertical)
