@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Fleet mode: two monitored links, one engine, one incident ranking.
+"""Fleet mode: two monitored links, one incident ranking.
 
 The paper defines its Fig. 3 pipeline per monitored link.  A backbone
 operator has many links, so this example runs TWO of them as one fleet:
 a synthetic capture carrying a DDoS is hash-sharded by destination IP
-(``route="dst_ip%2"``) across two named pipelines that share a single
-worker pool, each pipeline persists its reports to its own incident
-store, and the final query merges and re-ranks every link's incidents
+(``route="dst_ip%2"``) across two named pipelines, each pipeline
+persists its reports to its own incident store, and the final query merges and re-ranks every link's incidents
 into one fleet-wide triage list - the attack surfaces at the top with
 the link it happened on.
 

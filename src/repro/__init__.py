@@ -33,7 +33,6 @@ from repro.core import (
     ExtractionResult,
     IncidentSettings,
     MiningSettings,
-    ParallelSettings,
     StreamingSettings,
     TraceExtraction,
     suggest_min_support,
@@ -69,7 +68,6 @@ __all__ = [
     "AnomalyExtractor",
     "ExtractionConfig",
     "MiningSettings",
-    "ParallelSettings",
     "StreamingSettings",
     "IncidentSettings",
     "Registry",

@@ -9,7 +9,7 @@ Eight verbs cover the paper's workflow end to end:
 * :func:`session` - the push-based execution surface underneath both:
   feed chunks, collect results, finish;
 * :func:`open_fleet` - N named pipelines (one per link/router) behind
-  one router and one shared worker pool;
+  one router;
 * :func:`open_store` - open/create a persistent incident store;
 * :func:`rank` - correlate and rank a store's reports into triaged
   incidents;
@@ -25,7 +25,7 @@ dict, or a path to a TOML run config, plus flat keyword overrides::
     import repro.api as repro
 
     result = repro.extract("trace.npz", min_support=500)
-    result = repro.extract("trace.csv", config="run.toml", jobs=4)
+    result = repro.extract("trace.csv", config="run.toml", miner="eclat")
     summary = repro.stream("trace.csv", config="run.toml")
     for entry in repro.rank("incidents.db", top=5):
         print(entry.render())
@@ -51,7 +51,6 @@ from repro.core.config import (
     FleetSettings,
     IncidentSettings,
     MiningSettings,
-    ParallelSettings,
     RunConfig,
     ServiceSettings,
     StreamingSettings,
@@ -149,7 +148,6 @@ __all__ = [
     "ExtractionConfig",
     "DetectorConfig",
     "MiningSettings",
-    "ParallelSettings",
     "StreamingSettings",
     "IncidentSettings",
     "ExtractionResult",
@@ -295,8 +293,8 @@ def session(
     execution surface.
 
     The session owns a freshly built :class:`AnomalyExtractor`, so
-    closing it (use it as a context manager) releases the worker pool
-    and the incident store even when a mid-feed chunk raised::
+    closing it (use it as a context manager) releases the incident
+    store even when a mid-feed chunk raised::
 
         with repro.session(mode="stream", min_support=500) as s:
             for chunk in repro.iter_csv("trace.csv"):
@@ -364,7 +362,7 @@ def extract(
         tracer: optional :class:`Tracer` the run records spans into
             (see :func:`tracer`).
         **overrides: flat or grouped config fields, e.g.
-            ``min_support=500``, ``miner="fpgrowth"``, ``jobs=4``.
+            ``min_support=500``, ``miner="fpgrowth"``.
 
     Returns:
         The :class:`TraceExtraction` with one
@@ -466,7 +464,7 @@ def open_fleet(
     **overrides: object,
 ) -> FleetManager:
     """Open a :class:`FleetManager`: N named pipelines, one router,
-    one shared worker pool, per-pipeline incident stores.
+    per-pipeline incident stores.
 
     ``config`` is the base pipeline every link starts from - a ready
     :class:`ExtractionConfig`, a nested dict, or a TOML run config.  A
@@ -495,7 +493,7 @@ def open_fleet(
         route / store_dir / mode / interval_seconds / origin / seed /
             keep_reports: see :class:`FleetManager`.
         **overrides: flat or grouped base-config fields
-            (``min_support=500``, ``jobs=4``, ...).
+            (``min_support=500``, ``miner="eclat"``, ...).
     """
     run = RunConfig.load(config, **overrides)
     base, settings = run.base, run.fleet

@@ -46,7 +46,7 @@ Examples:
     repro-extract generate --intervals 8 --out trace.npz
     repro-extract detect trace.npz
     repro-extract extract trace.npz --min-support 500
-    repro-extract extract trace.npz --config run.toml --jobs 4
+    repro-extract extract trace.npz --config run.toml
     repro-extract stream trace.csv --min-support 500
     cat trace.csv | repro-extract stream - --window 4
     repro-extract stream trace.csv --store incidents.db

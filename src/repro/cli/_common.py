@@ -25,7 +25,6 @@ from repro.core.config import RunConfig
 from repro.errors import ConfigError, TraceFormatError
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
-from repro.parallel import EXECUTOR_BACKENDS
 from repro.registry import feature_sets, miners
 
 
@@ -157,7 +156,7 @@ def add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", default=None, metavar="RUN.TOML",
         help="declarative run config (TOML with [detector]/[mining]/"
-        "[parallel]/[streaming]/[incidents]/[obs] tables, plus the "
+        "[streaming]/[incidents]/[obs] tables, plus the "
         "[fleet]/[service]/[federation] run tables: one file serves "
         "every verb); explicit command-line flags override file values",
     )
@@ -272,7 +271,7 @@ def add_trace_args(parser: argparse.ArgumentParser) -> None:
         "--trace", default=None, metavar="PATH", dest="trace_out",
         action=TrackedAction,
         help="record a span trace (per-interval stage timings, "
-        "assembler events, worker shards) and write it to PATH when "
+        "assembler events) and write it to PATH when "
         "the run completes; '-' writes to stdout",
     )
     parser.add_argument(
@@ -296,16 +295,6 @@ def write_trace(tracer, config) -> None:
     )
 
 
-def add_parallel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=positive_int, default=1,
-                        action=TrackedAction,
-                        help="worker count; > 1 enables the parallel "
-                        "partitioned engine")
-    parser.add_argument("--backend", choices=EXECUTOR_BACKENDS,
-                        default="thread", action=TrackedAction,
-                        help="executor backend used when --jobs > 1")
-
-
 # ----------------------------------------------------------------------
 # Config resolution
 # ----------------------------------------------------------------------
@@ -319,9 +308,6 @@ _CONFIG_DESTS: dict[str, tuple[str, str]] = {
     "min_support": ("mining", "min_support"),
     "prefilter": ("mining", "prefilter_mode"),
     "miner": ("mining", "miner"),
-    "jobs": ("parallel", "jobs"),
-    "backend": ("parallel", "backend"),
-    "partitions": ("parallel", "partitions"),
     "window": ("streaming", "window_intervals"),
     "max_delay": ("streaming", "max_delay_seconds"),
     "max_pending": ("streaming", "max_pending_intervals"),

@@ -1,6 +1,5 @@
 """``repro-extract detect`` - run the histogram detector bank: the
-argv shell over the bank a :func:`repro.api.session` builds (serial,
-or on the parallel engine with ``--jobs``)."""
+argv shell over the bank a :func:`repro.api.session` builds."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ from repro.cli._common import (
     add_config_arg,
     add_detector_args,
     add_format_arg,
-    add_parallel_args,
     run_config,
 )
 
@@ -22,7 +20,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     det.add_argument("trace")
     add_config_arg(det)
     add_detector_args(det)
-    add_parallel_args(det)
     add_format_arg(det)
     det.set_defaults(func=run)
 

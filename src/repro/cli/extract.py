@@ -7,16 +7,13 @@ import argparse
 
 from repro import api
 from repro.cli._common import (
-    TrackedAction,
     add_config_arg,
     add_detector_args,
     add_format_arg,
     add_metrics_args,
     add_mining_args,
-    add_parallel_args,
     add_store_arg,
     add_trace_args,
-    positive_int,
     run_config,
     write_metrics,
     write_trace,
@@ -29,11 +26,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     add_config_arg(ext)
     add_detector_args(ext)
     add_mining_args(ext)
-    add_parallel_args(ext)
-    ext.add_argument("--partitions", type=positive_int, default=None,
-                     action=TrackedAction,
-                     help="transaction shards per mining call "
-                     "(default: one per worker)")
     add_format_arg(ext)
     add_store_arg(ext)
     add_metrics_args(ext)

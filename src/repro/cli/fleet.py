@@ -23,7 +23,6 @@ from repro.cli._common import (
     add_format_arg,
     add_metrics_args,
     add_mining_args,
-    add_parallel_args,
     add_trace_args,
     check_streamable,
     chunk_source,
@@ -51,7 +50,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     add_config_arg(fleet)
     add_detector_args(fleet)
     add_mining_args(fleet)
-    add_parallel_args(fleet)
     fleet.add_argument("--chunk-rows", type=positive_int,
                        default=DEFAULT_CHUNK_ROWS,
                        help="flows parsed per chunk (bounds parser memory)")

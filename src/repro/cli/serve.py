@@ -27,7 +27,6 @@ from repro.cli._common import (
     add_detector_args,
     add_fleet_args,
     add_mining_args,
-    add_parallel_args,
     fleet_options,
     positive_int,
     run_config,
@@ -43,7 +42,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     add_config_arg(serve)
     add_detector_args(serve)
     add_mining_args(serve)
-    add_parallel_args(serve)
     serve.add_argument("--resume", default=False, action="store_true",
                        help="restore the fleet from the configured "
                        "checkpoint file and continue that run "

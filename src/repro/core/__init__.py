@@ -5,7 +5,6 @@ from repro.core.config import (
     ExtractionConfig,
     IncidentSettings,
     MiningSettings,
-    ParallelSettings,
     ParameterRow,
     StreamingSettings,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "TABLE3_PARAMETERS",
     "ExtractionConfig",
     "MiningSettings",
-    "ParallelSettings",
     "StreamingSettings",
     "IncidentSettings",
     "ParameterRow",

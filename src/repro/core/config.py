@@ -7,7 +7,6 @@ mirror the pipeline's stages:
   (:class:`~repro.detection.detector.DetectorConfig`) plus the
   monitored ``features``;
 * ``mining`` - :class:`MiningSettings` (support, prefilter, miner);
-* ``parallel`` - :class:`ParallelSettings` (jobs, backend, partitions);
 * ``streaming`` - :class:`StreamingSettings` (window, lateness,
   retention);
 * ``incidents`` - :class:`IncidentSettings` (store path, correlation
@@ -18,7 +17,7 @@ through :meth:`~ExtractionConfig.to_dict` /
 :meth:`~ExtractionConfig.from_dict`, loads from a TOML run config via
 :meth:`~ExtractionConfig.from_toml` (the CLI's ``--config run.toml``),
 and rejects unknown keys with did-you-mean hints.  The pre-redesign
-flat surface - ``ExtractionConfig(min_support=500, jobs=4)``,
+flat surface - ``ExtractionConfig(min_support=500, miner="eclat")``,
 ``config.min_support`` - keeps working through kwarg translation and
 read-only properties.
 
@@ -80,37 +79,6 @@ class MiningSettings:
         # here and only import when the pipeline actually mines.
         if self.miner not in miners:
             miners.get(self.miner)  # raises RegistryError with choices
-
-
-@dataclass(frozen=True, slots=True)
-class ParallelSettings:
-    """The partitioned engine (:mod:`repro.parallel`).
-
-    Attributes:
-        jobs: worker count; ``jobs > 1`` routes detection and mining
-            through the engine.
-        backend: executor backend for ``jobs > 1`` ("serial", "thread",
-            or "process").
-        partitions: transaction shards per mining call (``None`` = one
-            per worker).
-    """
-
-    jobs: int = 1
-    backend: str = "thread"
-    partitions: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1: {self.jobs}")
-        from repro.parallel.executor import EXECUTOR_BACKENDS
-
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {EXECUTOR_BACKENDS}"
-            )
-        if self.partitions is not None and self.partitions < 1:
-            raise ConfigError(f"partitions must be >= 1: {self.partitions}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,9 +236,6 @@ _FLAT_FIELDS: dict[str, tuple[str, str]] = {
     "prefilter_mode": ("mining", "prefilter_mode"),
     "maximal_only": ("mining", "maximal_only"),
     "miner": ("mining", "miner"),
-    "jobs": ("parallel", "jobs"),
-    "backend": ("parallel", "backend"),
-    "partitions": ("parallel", "partitions"),
     "window_intervals": ("streaming", "window_intervals"),
     "max_delay_seconds": ("streaming", "max_delay_seconds"),
     "max_pending_intervals": ("streaming", "max_pending_intervals"),
@@ -286,7 +251,6 @@ _FLAT_FIELDS: dict[str, tuple[str, str]] = {
 
 _GROUP_TYPES: dict[str, type] = {
     "mining": MiningSettings,
-    "parallel": ParallelSettings,
     "streaming": StreamingSettings,
     "incidents": IncidentSettings,
     "obs": ObsSettings,
@@ -429,7 +393,7 @@ class ExtractionConfig:
     override the group they belong to::
 
         ExtractionConfig(mining=MiningSettings(min_support=500))
-        ExtractionConfig(min_support=500, jobs=4)          # legacy flat
+        ExtractionConfig(min_support=500, miner="eclat")   # legacy flat
         ExtractionConfig(mining={"min_support": 500})      # dict groups
 
     Flat reads (``config.min_support``, ``config.incident_jaccard``,
@@ -443,7 +407,6 @@ class ExtractionConfig:
             or any mix of names / :class:`Feature` members / custom
             features.
         mining: :class:`MiningSettings`.
-        parallel: :class:`ParallelSettings`.
         streaming: :class:`StreamingSettings`.
         incidents: :class:`IncidentSettings`.
         obs: :class:`ObsSettings`.
@@ -452,7 +415,6 @@ class ExtractionConfig:
     detector: DetectorConfig
     features: tuple[Feature, ...]
     mining: MiningSettings
-    parallel: ParallelSettings
     streaming: StreamingSettings
     incidents: IncidentSettings
     obs: ObsSettings
@@ -462,7 +424,6 @@ class ExtractionConfig:
         detector: DetectorConfig | Mapping | None = None,
         features: object = None,
         mining: MiningSettings | Mapping | None = None,
-        parallel: ParallelSettings | Mapping | None = None,
         streaming: StreamingSettings | Mapping | None = None,
         incidents: IncidentSettings | Mapping | None = None,
         obs: ObsSettings | Mapping | None = None,
@@ -470,7 +431,6 @@ class ExtractionConfig:
     ):
         groups: dict[str, object] = {
             "mining": self._coerce_group("mining", mining),
-            "parallel": self._coerce_group("parallel", parallel),
             "streaming": self._coerce_group("streaming", streaming),
             "incidents": self._coerce_group("incidents", incidents),
             "obs": self._coerce_group("obs", obs),
@@ -553,18 +513,6 @@ class ExtractionConfig:
         return self.mining.miner
 
     @property
-    def jobs(self) -> int:
-        return self.parallel.jobs
-
-    @property
-    def backend(self) -> str:
-        return self.parallel.backend
-
-    @property
-    def partitions(self) -> int | None:
-        return self.parallel.partitions
-
-    @property
     def window_intervals(self) -> int:
         return self.streaming.window_intervals
 
@@ -618,7 +566,6 @@ class ExtractionConfig:
             "detector": self.detector,
             "features": self.features,
             "mining": self.mining,
-            "parallel": self.parallel,
             "streaming": self.streaming,
             "incidents": self.incidents,
             "obs": self.obs,

@@ -171,17 +171,8 @@ def default_observers(
 class AnomalyExtractor:
     """End-to-end online/offline anomaly extraction.
 
-    When the config asks for more than one worker (``jobs > 1``) the
-    extractor builds a :class:`~repro.parallel.engine.ParallelEngine`
-    and routes both parallel stages - the per-feature detector bank and
-    the item-set mining (partitioned SON) - through its shared executor.
-    Results are identical to the serial path; call :meth:`close` (or use
-    the extractor as a context manager) to release the pool.
-
-    ``engine`` lends an existing engine instead: the extractor routes
-    through it regardless of ``config.jobs`` but never closes it - that
-    is how a :class:`~repro.fleet.manager.FleetManager` shares one
-    worker pool across every pipeline of the fleet.
+    Call :meth:`close` (or use the extractor as a context manager) to
+    release the incident store a ``config.store_path`` opens.
 
     ``metrics`` attaches a :class:`~repro.obs.metrics.MetricsRegistry`;
     omitted, the extractor builds one when ``config.obs.enabled`` is
@@ -201,17 +192,21 @@ class AnomalyExtractor:
         self,
         config: ExtractionConfig | None = None,
         seed: int = 0,
-        engine: object | None = None,
         metrics: MetricsRegistry | None = None,
         pipeline: str = "default",
         tracer=None,
     ):
         self.config = config or ExtractionConfig()
         # Registry before any resource: instrument bundles are handed
-        # to the store and engine at construction time.
+        # to the store at construction time.
         metrics, tracer = default_observers([self.config], metrics, tracer)
         self._metrics, self._tracer = metrics, tracer
         self._instruments = PipelineInstruments(metrics, pipeline)
+        # The bank first: it holds no resource, so if it fails to build
+        # there is no store connection to leak.
+        self._bank = DetectorBank(
+            self.config.detector, features=self.config.features, seed=seed
+        )
         self._store = None
         if self.config.store_path is not None:
             from repro.incidents.store import IncidentStore
@@ -222,29 +217,6 @@ class AnomalyExtractor:
                 quiet_gap=self.config.incident_quiet_gap,
                 metrics=metrics,
             )
-        self._engine = engine
-        self._owns_engine = engine is None
-        try:
-            if engine is None and self.config.jobs > 1:
-                from repro.parallel.engine import ParallelEngine
-
-                self._engine = ParallelEngine(
-                    backend=self.config.backend,
-                    jobs=self.config.jobs,
-                    partitions=self.config.partitions,
-                    metrics=metrics,
-                )
-            # The one engine-or-serial choice: every bank is built here.
-            self._bank = (
-                DetectorBank if self._engine is None else self._engine.bank
-            )(self.config.detector, features=self.config.features, seed=seed)
-        except BaseException:
-            # Engine/bank construction failed after the store connection
-            # was already opened: don't leak it (WAL sidecars keep the
-            # file locked on some platforms).
-            if self._store is not None:
-                self._store.close()
-            raise
 
     @property
     def detector_bank(self) -> DetectorBank:
@@ -269,29 +241,15 @@ class AnomalyExtractor:
         return self._tracer
 
     @property
-    def engine(self):
-        """The parallel engine, or None on the serial path."""
-        return self._engine
-
-    @property
     def store(self):
         """The :class:`~repro.incidents.store.IncidentStore` opened via
         ``config.store_path``, or None."""
         return self._store
 
     def close(self) -> None:
-        """Release the parallel engine's worker pool and the report
-        store (idempotent).  A borrowed engine (the fleet's shared
-        pool) is left running for its owner to close."""
-        try:
-            if self._engine is not None and self._owns_engine:
-                self._engine.close()
-        finally:
-            # The store must close even when pool shutdown raises
-            # (e.g. a broken process pool) - same symmetry as the
-            # __init__ cleanup.
-            if self._store is not None:
-                self._store.close()
+        """Release the report store (idempotent)."""
+        if self._store is not None:
+            self._store.close()
 
     def __enter__(self) -> "AnomalyExtractor":
         return self
@@ -380,13 +338,6 @@ class AnomalyExtractor:
 
     def _mine(self, flows: FlowTable, min_support: int) -> MiningResult:
         transactions = TransactionSet.from_flows(flows)
-        if self._engine is not None:
-            return self._engine.mine(
-                transactions,
-                max(1, min_support),
-                maximal_only=self.config.maximal_only,
-                local_miner=self.config.miner,
-            )
         miner = miners.get(self.config.miner)
         # An empty prefilter output (e.g. intersection mode on a
         # multi-stage anomaly) flows through the same call and yields an

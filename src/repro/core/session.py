@@ -34,10 +34,9 @@ digests: count-min single-item supports).
 Sessions are context managers.  Created via
 :meth:`AnomalyExtractor.session` they *borrow* the extractor (closing
 the session leaves it open); created via :func:`repro.api.session`
-they *own* it, and ``close()`` releases the extractor's worker pool and
-incident store even when a mid-feed chunk raised (the ``with`` block
-guarantees the call, and :meth:`AnomalyExtractor.close` chains the two
-releases in ``try``/``finally``).
+they *own* it, and ``close()`` releases the extractor's incident store
+even when a mid-feed chunk raised (the ``with`` block guarantees the
+call).
 """
 
 from __future__ import annotations
@@ -394,10 +393,9 @@ class ExtractionSession(IntervalSpine):
             summary = s.finish()
 
     Args:
-        extractor: the :class:`AnomalyExtractor` whose detector bank,
-            engine, and store the session drives - and owns:
-            :meth:`close` releases them (:func:`open_session` builds
-            both together).
+        extractor: the :class:`AnomalyExtractor` whose detector bank
+            and store the session drives - and owns: :meth:`close`
+            releases them (:func:`open_session` builds both together).
         mode: "batch" (results at :meth:`finish`, whole-trace
             windowing) or "stream" (incremental results from
             :meth:`feed`, watermark windowing).
@@ -539,9 +537,9 @@ class ExtractionSession(IntervalSpine):
     def close(self) -> None:
         """Release the session's resources (idempotent).
 
-        The session closes its extractor, which releases the parallel
-        worker pool and the incident store in ``try``/``finally`` - so
-        both are freed even when one release raises, and even when the
+        The session closes its metrics sink and its extractor (which
+        releases the incident store) in ``try``/``finally`` - so both
+        are freed even when one release raises, and even when the
         session is being torn down because a mid-feed chunk raised.
         """
         if self._closed:
@@ -804,7 +802,6 @@ def open_session(
     config: ExtractionConfig,
     *,
     seed: int = 0,
-    engine: object | None = None,
     metrics: MetricsRegistry | None = None,
     tracer: AnyTracer | None = None,
     pipeline: str = "default",
@@ -818,7 +815,6 @@ def open_session(
     extractor = AnomalyExtractor(
         config,
         seed=seed,
-        engine=engine,
         metrics=metrics,
         pipeline=pipeline,
         tracer=tracer,

@@ -143,8 +143,7 @@ class DetectorBank:
 
     @property
     def reports(self) -> list[IntervalReport]:
-        """Per-interval reports observed so far (copy; shared by
-        :class:`~repro.parallel.bank.ParallelDetectorBank`)."""
+        """Per-interval reports observed so far (copy)."""
         return list(self._reports)
 
     def clear_reports(self) -> None:
@@ -157,7 +156,7 @@ class DetectorBank:
     def detection_run(self) -> DetectionRun:
         """Snapshot the bank's reports and detectors as a
         :class:`DetectionRun` (the single construction point shared by
-        the batch, parallel, and streaming drivers)."""
+        the batch and streaming drivers)."""
         return DetectionRun(
             config=self.config,
             features=self.features,

@@ -7,7 +7,7 @@ anywhere::
     layer 1  flows, sketch, detection, mining,
              anomalies, traffic, analysis   (domain)
     layer 2  core                           (orchestration)
-    layer 3  streaming, parallel, incidents, sinks
+    layer 3  streaming, incidents, sinks
     layer 4  fleet, service, api, cli, devtools, __main__,
              repro (package root)
 
@@ -34,7 +34,7 @@ LAYERS: dict[str, int] = {
     "flows": 1, "sketch": 1, "detection": 1, "mining": 1,
     "anomalies": 1, "traffic": 1, "analysis": 1,
     "core": 2,
-    "streaming": 3, "parallel": 3, "incidents": 3, "sinks": 3,
+    "streaming": 3, "incidents": 3, "sinks": 3,
     "fleet": 4, "service": 4, "api": 4, "cli": 4, "devtools": 4,
     "federation": 4, "__main__": 4,
 }

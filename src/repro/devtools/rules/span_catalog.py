@@ -3,8 +3,8 @@
 The trace surface is an operator contract just like the metric
 surface: dashboards, the Chrome-trace goldens, and the ``explain``
 narrative all key on span and event names.  So every
-``tracer.span(...)`` / ``worker_span(...)`` outside :mod:`repro.obs`
-uses a literal name catalogued in
+``tracer.span(...)`` outside :mod:`repro.obs` uses a literal name
+catalogued in
 :data:`repro.obs.instruments.SPANS`, and every ``tracer.event(...)`` /
 ``span.add_event(...)`` a literal name from
 :data:`repro.obs.instruments.EVENTS` - the same discipline RPR002
@@ -23,9 +23,6 @@ from repro.obs.instruments import EVENTS, SPANS
 
 #: Attribute calls whose literal first argument must be a SPANS name.
 _SPAN_METHODS = frozenset({"span"})
-
-#: Name calls (the cross-process helper) governed by SPANS too.
-_SPAN_FUNCTIONS = frozenset({"worker_span"})
 
 #: Attribute calls whose literal first argument must be an EVENTS name.
 _EVENT_METHODS = frozenset({"event", "add_event"})
@@ -75,10 +72,6 @@ class SpanCatalogRule(Rule):
                 yield from self._check(
                     module, node, f".{func.attr}()", EVENTS, "EVENTS"
                 )
-        elif isinstance(func, ast.Name) and func.id in _SPAN_FUNCTIONS:
-            yield from self._check(
-                module, node, f"{func.id}()", SPANS, "SPANS"
-            )
 
     def _check(
         self,

@@ -5,10 +5,8 @@ runs N of them as one service: a :class:`FleetManager` owns one named
 :class:`~repro.core.session.ExtractionSession` per link, routes records
 by a key column / shard spec / registered router
 (:mod:`repro.fleet.routing`, pluggable via
-:data:`repro.registry.routers`), shares one
-:class:`~repro.parallel.engine.ParallelEngine` worker pool across every
-pipeline, keeps per-pipeline incident stores, and merges + re-ranks
-incidents fleet-wide.
+:data:`repro.registry.routers`), keeps per-pipeline incident stores,
+and merges + re-ranks incidents fleet-wide.
 
 Entry points: :func:`repro.api.open_fleet`, the ``repro-extract fleet``
 CLI subcommand, and declarative ``[fleet]`` / ``[fleet.pipelines.<name>]``

@@ -1,4 +1,4 @@
-"""Multi-pipeline fleet execution: N links, one engine.
+"""Multi-pipeline fleet execution: N links, one service.
 
 The paper defines its Fig. 3 pipeline per monitored link; a backbone
 operator runs it across many links and routers at once (HURRA ranks
@@ -7,9 +7,8 @@ across devices, Feremans et al. detect over a *network* of them).
 :class:`~repro.core.session.ExtractionSession` per link, routes
 incoming flow chunks to the right pipeline (a key column, a
 ``"dst_ip%N"`` shard, a registered router, or an explicit per-chunk
-tag), shares a single :class:`~repro.parallel.engine.ParallelEngine`
-worker pool across every pipeline, keeps one incident store per
-pipeline, and answers fleet-wide queries -
+tag), keeps one incident store per pipeline, and answers fleet-wide
+queries -
 :meth:`FleetManager.incidents` merges every store's correlated
 incidents and re-ranks them as one population, so the biggest event on
 *any* link lands on top.
@@ -41,7 +40,7 @@ from repro.core.session import (
 )
 from repro.errors import CheckpointError, ConfigError, ExtractionError
 from repro.fleet.routing import Router, resolve_route, route_indices
-from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
+from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, interval_index
 from repro.flows.table import FlowTable
 from repro.incidents.correlate import Incident, correlate
 from repro.incidents.rank import RankedIncident, rank_incidents
@@ -130,12 +129,7 @@ class FleetManager:
             ``obs.trace_path``, else the no-op
             :data:`~repro.obs.trace.NULL_TRACER` is used.
 
-    The fleet builds ONE shared worker pool: the maximum ``jobs``
-    across pipeline configs, on the backend/partitions of the first
-    config that asks for parallelism.  Every pipeline with
-    ``jobs > 1`` routes its detector fan-out and SON mining through
-    that pool; serial pipelines stay serial.  :meth:`close` releases
-    every store and the shared pool even when one of them fails to
+    :meth:`close` releases every store even when one of them fails to
     close (chained ``try``/``finally`` semantics, mirroring
     :meth:`AnomalyExtractor.close`).
     """
@@ -166,6 +160,7 @@ class FleetManager:
                     f"got {type(config).__name__}"
                 )
         self._names: tuple[str, ...] = tuple(pipelines)
+        self._origin, self._interval_seconds = origin, interval_seconds
         # Validate the route before any resource is acquired.
         self._router: Router | None = (
             resolve_route(route, len(self._names))
@@ -224,23 +219,12 @@ class FleetManager:
             "repro_fleet_ranking_seconds",
             "Wall-clock seconds per merged fleet-wide incidents() query.",
         )
-        self._engine = None
         self._sessions: dict[str, ExtractionSession] = {}
         self._results: dict[str, TraceExtraction | StreamExtraction] | None = (
             None
         )
         self._closed = False
         try:
-            parallel = [c for c in resolved.values() if c.jobs > 1]
-            if parallel:
-                from repro.parallel.engine import ParallelEngine
-
-                self._engine = ParallelEngine(
-                    backend=parallel[0].backend,
-                    jobs=max(c.jobs for c in parallel),
-                    partitions=parallel[0].partitions,
-                    metrics=metrics,
-                )
             # Build pipelines under the fleet root span so every
             # session's own root parents beneath it in the trace.
             with self._span.active():
@@ -248,7 +232,6 @@ class FleetManager:
                     self._sessions[name] = open_session(
                         config,
                         seed=seed,
-                        engine=self._engine if config.jobs > 1 else None,
                         metrics=metrics,
                         pipeline=name,
                         tracer=tracer,
@@ -259,8 +242,7 @@ class FleetManager:
                     )
         except BaseException:
             # The k-th pipeline failed to build (store locked, bad
-            # knob): the k-1 already-opened stores and the shared pool
-            # must not leak.
+            # knob): the k-1 already-opened stores must not leak.
             self.close()
             raise
 
@@ -271,12 +253,6 @@ class FleetManager:
     def names(self) -> tuple[str, ...]:
         """Pipeline names in declaration (= shard index) order."""
         return self._names
-
-    @property
-    def engine(self):
-        """The shared parallel engine, or None when every pipeline is
-        serial."""
-        return self._engine
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -324,6 +300,10 @@ class FleetManager:
         mode; batch-mode sessions return results at :meth:`finish`).
         """
         self._check_open("feed")
+        # A row with no interval index refuses the whole chunk before
+        # any pipeline takes its share, so every pipeline is left as it
+        # was.
+        interval_index(chunk.start, self._origin, self._interval_seconds)
         if pipeline is not None:
             session = self.session(pipeline)
             self._m_fed.inc(len(chunk))
@@ -527,11 +507,10 @@ class FleetManager:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release every pipeline (stores included) and the shared
-        worker pool (idempotent).
+        """Release every pipeline, stores included (idempotent).
 
         Every release is attempted even when an earlier one raises -
-        the fd/pool symmetry the single-pipeline
+        the fd symmetry the single-pipeline
         :meth:`AnomalyExtractor.close` guarantees, extended across the
         fleet; the first failure is re-raised once everything has been
         tried.
@@ -541,12 +520,9 @@ class FleetManager:
         self._closed = True
         self._span.end()
         first: BaseException | None = None
-        releases = [session.close for session in self._sessions.values()]
-        if self._engine is not None:
-            releases.append(self._engine.close)
-        for release in releases:
+        for session in self._sessions.values():
             try:
-                release()
+                session.close()
             except BaseException as exc:
                 if first is None:
                     first = exc

@@ -13,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FlowError
 from repro.flows.table import FlowTable
 
 #: Default interval length used throughout the evaluation (15 minutes).
 DEFAULT_INTERVAL_SECONDS = 900.0
+
+#: The half-open float range whose floors cast to int64 exactly.
+_INT64_LO = float(np.iinfo(np.int64).min)
+_INT64_HI = -_INT64_LO
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,10 +51,26 @@ class IntervalView:
 def interval_index(
     timestamps: np.ndarray, origin: float, interval_seconds: float
 ) -> np.ndarray:
-    """Vectorized mapping of timestamps to interval indices."""
+    """Vectorized mapping of timestamps to interval indices.
+
+    A timestamp whose index is not finite (NaN, an infinity) or does not
+    fit in int64 (``1e300``) is refused with :class:`FlowError` naming
+    the first such row - before the caller has buffered anything.
+    """
     if interval_seconds <= 0:
         raise ConfigError(f"interval length must be positive: {interval_seconds}")
-    return np.floor((timestamps - origin) / interval_seconds).astype(np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        quotient = np.floor((timestamps - origin) / interval_seconds)
+    # NaN fails both comparisons.
+    fits = (quotient >= _INT64_LO) & (quotient < _INT64_HI)
+    if not fits.all():
+        row = int(np.argmin(fits))
+        raise FlowError(
+            f"row {row}: start timestamp {float(timestamps[row])!r} has no "
+            f"interval index (origin {origin!r}, interval length "
+            f"{interval_seconds!r} s)"
+        )
+    return quotient.astype(np.int64)
 
 
 def iter_intervals(
@@ -77,7 +97,11 @@ def iter_intervals(
         return
     timestamps = trace.start
     if origin is None:
-        origin = float(timestamps.min())
+        # The earliest *finite* start: a NaN or infinite one is refused
+        # by interval_index under its own row number.
+        origin = float(
+            np.min(timestamps, initial=np.inf, where=np.isfinite(timestamps))
+        )
     indices = interval_index(timestamps, origin, interval_seconds)
     if indices.min() < 0:
         raise ConfigError(

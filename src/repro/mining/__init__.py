@@ -27,6 +27,7 @@ from repro.mining.partition import (
     merge_candidates,
     merge_results,
     partition_transactions,
+    son,
 )
 from repro.mining.result import LevelStats, MiningResult
 from repro.mining.rules import AssociationRule, derive_rules
@@ -34,32 +35,19 @@ from repro.mining.streaming import SlidingWindowMiner
 from repro.mining.topk import mine_top_k, support_for_top_k
 from repro.mining.transactions import TRANSACTION_WIDTH, TransactionSet
 
-
-def _son_miner(transactions, min_support, maximal_only=True, **kwargs):
-    """Partitioned SON miner (serial by default; see :mod:`repro.parallel`).
-
-    Imported lazily - :mod:`repro.parallel.son` imports the serial
-    miners from this package's submodules.
-    """
-    from repro.parallel.son import son
-
-    return son(
-        transactions, min_support, maximal_only=maximal_only, **kwargs
-    )
-
-
 # The built-in miners, by name, in :data:`repro.registry.miners`.
-from repro.registry import miners  # noqa: E402
+from repro.registry import miners
 
 miners.register("apriori", apriori, replace=True)
 miners.register("fpgrowth", fpgrowth, replace=True)
 miners.register("eclat", eclat, replace=True)
-miners.register("son", _son_miner, replace=True)
+miners.register("son", son, replace=True)
 
 __all__ = [
     "apriori",
     "fpgrowth",
     "eclat",
+    "son",
     "filter_closed",
     "closed_itemsets",
     "is_closed_in",

@@ -1,15 +1,16 @@
-"""Shard-aware partitioning and merging for distributed mining.
+"""SON two-pass partitioned frequent item-set mining.
 
-The SON two-pass scheme (Savasere-Omiecinski-Navathe; the "partition
-algorithm" family the paper's Section III-E points toward for scaling)
-splits the transaction set into shards, mines each shard with a
-proportionally scaled support threshold, and verifies the union of the
-locally frequent candidates with one exact global counting pass.  This
-module holds the algorithm-agnostic pieces: splitting a
+The Savasere-Omiecinski-Navathe scheme (the "partition algorithm"
+family the paper's Section III-E points toward for scaling) splits the
+transaction set into shards, mines each shard with a proportionally
+scaled support threshold, and verifies the union of the locally
+frequent candidates with one exact global counting pass.  :func:`son`
+runs both passes serially; the pieces it is built from - splitting a
 :class:`~repro.mining.transactions.TransactionSet` into shards, scaling
 the threshold, deduplicating candidate item-sets across shards, and
 merging per-shard exact counts back into a canonical, re-ranked
-:class:`~repro.mining.result.MiningResult`.
+:class:`~repro.mining.result.MiningResult` - are public for callers
+that shard elsewhere.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import MiningError
+from repro.mining.apriori import apriori
 from repro.mining.maximal import filter_maximal
 from repro.mining.result import MiningResult, build_result
 from repro.mining.transactions import TransactionSet, joined_blocks
@@ -138,4 +140,47 @@ def merge_results(
         maximal=kept,
         n_transactions=n_transactions,
         min_support=min_support,
+    )
+
+
+def son(
+    transactions: TransactionSet,
+    min_support: int,
+    maximal_only: bool = True,
+    partitions: int = 1,
+) -> MiningResult:
+    """Mine frequent item-sets with the partitioned two-pass scheme.
+
+    1. **Candidate pass** - mine each of ``partitions`` shards with
+       :func:`~repro.mining.apriori.apriori` at the proportionally
+       scaled threshold :func:`local_min_support`; every globally
+       frequent item-set is locally frequent in at least one shard, so
+       the union of the local answers is a candidate superset.
+    2. **Counting pass** - count the exact global support of every
+       candidate with :func:`count_candidates` per shard and keep those
+       meeting ``min_support``.
+
+    The output is identical - same item-sets, same supports - to
+    running ``apriori`` on the unpartitioned input (the property suite
+    asserts it); only the ``algorithm`` tag ("son") differs.  One shard
+    (the default, and what the registered miner uses) degenerates to
+    apriori plus a verification pass.
+    """
+    if min_support < 1:
+        raise MiningError(f"min_support must be >= 1: {min_support}")
+    n = len(transactions)
+    shards = partition_transactions(transactions, partitions)
+    candidates = merge_candidates(
+        apriori(
+            shard,
+            local_min_support(min_support, len(shard), n),
+            maximal_only=False,
+        ).all_frequent
+        for shard in shards
+    )
+    return merge_results(
+        [count_candidates(shard, candidates) for shard in shards],
+        n_transactions=n,
+        min_support=min_support,
+        maximal_only=maximal_only,
     )

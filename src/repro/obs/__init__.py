@@ -16,9 +16,8 @@ counters; this package is that groundwork, dependency-free:
   one snapshot per processed interval to JSONL;
 * :mod:`repro.obs.trace` - :class:`~repro.obs.trace.Tracer` /
   :class:`~repro.obs.trace.Span` span trees with the
-  :data:`~repro.obs.trace.NULL_TRACER` no-op, carrier-based
-  cross-process propagation, and JSONL / Chrome trace-event / text
-  exporters;
+  :data:`~repro.obs.trace.NULL_TRACER` no-op and JSONL / Chrome
+  trace-event / text exporters;
 * :mod:`repro.obs.log` - stdlib loggers under the ``repro.*``
   namespace with ``key=value`` extras.
 
@@ -52,13 +51,10 @@ from repro.obs.trace import (
     Span,
     SpanEvent,
     Tracer,
-    current_span,
-    inject,
     render_trace,
     render_trace_chrome,
     render_trace_jsonl,
     render_trace_text,
-    worker_span,
 )
 
 __all__ = [
@@ -80,9 +76,7 @@ __all__ = [
     "Span",
     "SpanEvent",
     "Tracer",
-    "current_span",
     "get_logger",
-    "inject",
     "kv",
     "render_json",
     "render_prometheus",
@@ -92,5 +86,4 @@ __all__ = [
     "render_trace_text",
     "snapshot",
     "time_stage",
-    "worker_span",
 ]

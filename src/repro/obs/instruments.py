@@ -119,19 +119,6 @@ CATALOG: dict[str, InstrumentSpec] = {
         "CSV rows rejected as malformed (ragged, non-numeric, "
         "non-finite timestamp).",
     ),
-    # -- parallel executor -------------------------------------------------
-    "repro_parallel_tasks_total": InstrumentSpec(
-        "counter", ("backend",),
-        "Tasks dispatched through the parallel executor.",
-    ),
-    "repro_parallel_busy_seconds_total": InstrumentSpec(
-        "counter", ("backend",),
-        "Wall-clock seconds the executor spent inside map calls.",
-    ),
-    "repro_parallel_jobs": InstrumentSpec(
-        "gauge", ("backend",),
-        "Configured worker count of the parallel executor.",
-    ),
     # -- fleet -------------------------------------------------------------
     "repro_fleet_fed_rows_total": InstrumentSpec(
         "counter", (),
@@ -229,11 +216,6 @@ SPANS: dict[str, str] = {
         "parents under it."
     ),
     "fleet.rank": "One merged fleet-wide incident ranking query.",
-    "mining.shard": (
-        "One SON partition processed by a worker (thread or process); "
-        "parents under the interval that dispatched it via the "
-        "carrier."
-    ),
     "service.request": (
         "One HTTP request handled by the extraction daemon "
         "(attributes: method, route, status)."

@@ -19,8 +19,8 @@ Design constraints (the tentpole's contract):
   same events serialize identically (the test suite's equivalence
   lever).
 * **Thread-safe.**  Each instrument family carries one lock guarding
-  its child map and values; the parallel detector bank and thread
-  executor update counters from worker threads.
+  its child map and values, so instruments may be updated from any
+  thread.
 
 Labelled instruments follow the parent/child model: the registry hands
 out the *family* (``registry.counter(name, help, ("pipeline",))``) and

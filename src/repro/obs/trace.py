@@ -17,11 +17,7 @@ tracing is off and extraction output is byte-identical either way.
 
 Propagation is ambient: entering a span (or its :meth:`Span.active`
 context) sets a :mod:`contextvars` variable, and new spans parent to
-the current one by default.  Crossing a process boundary, the parent
-side captures a *carrier* dict with :func:`inject` and the worker
-records a plain-dict span under :func:`worker_span`; the parent
-adopts the finished records back into its tracer with
-:meth:`Tracer.adopt`.  Span and event names come from the shared
+the current one by default.  Span and event names come from the shared
 catalog in :mod:`repro.obs.instruments` (``SPANS`` / ``EVENTS``),
 enforced by the RPR007 lint rule.
 """
@@ -32,7 +28,7 @@ import contextlib
 import json
 import threading
 import time
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping
 from contextvars import ContextVar, Token
 from typing import Union
 
@@ -44,13 +40,10 @@ __all__ = [
     "Span",
     "SpanEvent",
     "Tracer",
-    "current_span",
-    "inject",
     "render_trace",
     "render_trace_chrome",
     "render_trace_jsonl",
     "render_trace_text",
-    "worker_span",
 ]
 
 #: Attribute values a span records (JSON-representable scalars).
@@ -201,8 +194,7 @@ class Tracer:
 
     Span/trace ids are deterministic per-tracer hex counters (stable
     test fixtures, zero entropy cost); the clock is injectable for the
-    same reason and defaults to :func:`time.time` so worker-recorded
-    spans from other processes land on a coherent axis.
+    same reason and defaults to :func:`time.time`.
     """
 
     enabled = True
@@ -261,38 +253,6 @@ class Tracer:
         span = _CURRENT.get()
         if span is not None and span.tracer is self:
             span.add_event(name, **attributes)
-
-    def adopt(
-        self, records: Sequence[Mapping[str, object] | None]
-    ) -> list[Span]:
-        """Fold worker-recorded span dicts (see :func:`worker_span`)
-        back into this tracer, assigning fresh span ids."""
-        adopted: list[Span] = []
-        for record in records:
-            if record is None:
-                continue
-            raw_attrs = record.get("attributes")
-            attributes: dict[str, AttrValue] = (
-                dict(raw_attrs) if isinstance(raw_attrs, Mapping) else {}
-            )
-            start = record.get("start")
-            end = record.get("end")
-            with self._lock:
-                self._next_span_id += 1
-                span = Span(
-                    self,
-                    str(record["trace_id"]),
-                    f"{self._next_span_id:08x}",
-                    str(record["parent_id"]),
-                    str(record["name"]),
-                    attributes,
-                    float(start) if isinstance(start, (int, float)) else 0.0,
-                )
-                if isinstance(end, (int, float)):
-                    span.end_time = float(end)
-                self._spans.append(span)
-            adopted.append(span)
-        return adopted
 
 
 class NullSpan:
@@ -359,11 +319,6 @@ class NullTracer:
     def event(self, name: str, **attributes: AttrValue) -> None:
         return None
 
-    def adopt(
-        self, records: Sequence[Mapping[str, object] | None]
-    ) -> list[Span]:
-        return []
-
 
 #: The shared no-op span (one instance; identity-comparable).
 NULL_SPAN = NullSpan()
@@ -375,55 +330,6 @@ NULL_TRACER = NullTracer()
 #: What instrumented signatures accept.
 AnyTracer = Union[Tracer, NullTracer]
 AnySpan = Union[Span, NullSpan]
-
-
-# ----------------------------------------------------------------------
-# Context propagation
-def current_span() -> Span | None:
-    """The ambient active span, if any (never a :class:`NullSpan`)."""
-    return _CURRENT.get()
-
-
-def inject() -> dict[str, str] | None:
-    """Capture the ambient span as a picklable carrier dict for a
-    worker on the far side of a thread/process boundary; ``None`` when
-    tracing is off (workers then skip recording entirely)."""
-    span = _CURRENT.get()
-    if span is None:
-        return None
-    return {"trace_id": span.trace_id, "span_id": span.span_id}
-
-
-@contextlib.contextmanager
-def worker_span(
-    name: str,
-    carrier: Mapping[str, str] | None,
-    clock: Callable[[], float] = time.time,
-    **attributes: AttrValue,
-) -> Iterator[dict[str, object] | None]:
-    """Record a span on the worker side of a carrier (see
-    :func:`inject`).
-
-    Workers - possibly separate processes - cannot touch the parent's
-    tracer, so this yields a plain dict record (or ``None`` when the
-    carrier is ``None``, i.e. tracing is off) that travels back with
-    the task result; the parent folds it in with :meth:`Tracer.adopt`.
-    """
-    if carrier is None:
-        yield None
-        return
-    record: dict[str, object] = {
-        "trace_id": carrier["trace_id"],
-        "parent_id": carrier["span_id"],
-        "name": name,
-        "attributes": dict(attributes),
-        "start": clock(),
-        "end": None,
-    }
-    try:
-        yield record
-    finally:
-        record["end"] = clock()
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +405,7 @@ def render_trace_text(tracer: AnyTracer) -> str:
     by_id: dict[str, Span] = {span.span_id: span for span in spans}
     roots: list[Span] = []
     for span in spans:
-        # A worker span whose parent was never adopted renders at root.
+        # A span whose parent this tracer never recorded renders at root.
         if span.parent_id is None or span.parent_id not in by_id:
             roots.append(span)
         else:

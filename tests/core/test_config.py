@@ -25,9 +25,6 @@ class TestExtractionConfig:
             dict(prefilter_mode="both"),
             dict(features=()),
             dict(miner="magic"),
-            dict(jobs=0),
-            dict(backend="gpu"),
-            dict(partitions=0),
             dict(incident_jaccard=0.0),
             dict(incident_jaccard=1.5),
             dict(incident_quiet_gap=0),
@@ -61,17 +58,15 @@ class TestExtractionConfig:
         with pytest.raises(IncidentError, match="closed"):
             len(extractor.store)
 
-    def test_parallel_defaults(self):
-        config = ExtractionConfig()
-        assert config.jobs == 1
-        assert config.backend == "thread"
-        assert config.partitions is None
-
-    def test_parallel_knobs(self):
-        config = ExtractionConfig(jobs=4, backend="process", partitions=8)
-        assert config.jobs == 4
-        assert config.backend == "process"
-        assert config.partitions == 8
+    @pytest.mark.parametrize(
+        "knob", ["jobs", "backend", "partitions", "parallel"]
+    )
+    def test_removed_parallel_knobs_refused(self, knob):
+        with pytest.raises(
+            ConfigError, match=f"unknown config field '{knob}'"
+        ):
+            ExtractionConfig(**{knob: 4})
+        assert not hasattr(ExtractionConfig(), knob)
 
     def test_son_miner_accepted(self):
         assert ExtractionConfig(miner="son").miner == "son"

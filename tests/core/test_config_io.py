@@ -8,7 +8,6 @@ from repro.core import (
     ExtractionConfig,
     IncidentSettings,
     MiningSettings,
-    ParallelSettings,
     StreamingSettings,
 )
 from repro.detection.detector import DetectorConfig
@@ -22,10 +21,12 @@ def canonical(config: ExtractionConfig) -> str:
 
 class TestConstruction:
     def test_flat_and_nested_spellings_equivalent(self):
-        flat = ExtractionConfig(min_support=500, jobs=4, miner="eclat")
+        flat = ExtractionConfig(
+            min_support=500, miner="eclat", window_intervals=4
+        )
         nested = ExtractionConfig(
             mining=MiningSettings(min_support=500, miner="eclat"),
-            parallel=ParallelSettings(jobs=4),
+            streaming=StreamingSettings(window_intervals=4),
         )
         assert flat == nested
 
@@ -78,13 +79,13 @@ class TestConstruction:
     def test_replace_flat_nested_and_groups(self):
         base = ExtractionConfig(min_support=100)
         derived = base.replace(
-            jobs=2, streaming={"window_intervals": 4}
+            miner="eclat", streaming={"window_intervals": 4}
         )
         assert derived.min_support == 100
-        assert derived.jobs == 2
+        assert derived.miner == "eclat"
         assert derived.window_intervals == 4
         # the original is untouched (frozen value semantics)
-        assert base.jobs == 1
+        assert base.miner == "apriori"
 
     def test_dataclasses_replace_still_works(self):
         import dataclasses
@@ -118,9 +119,8 @@ class TestDictRoundTrip:
                 features="endpoints",
                 min_support=123,
                 miner="fpgrowth",
-                jobs=4,
-                backend="process",
-                partitions=8,
+                prefilter_mode="intersection",
+                maximal_only=False,
                 window_intervals=3,
                 max_delay_seconds=5.0,
                 max_pending_intervals=10,
@@ -179,7 +179,7 @@ class TestDictRoundTrip:
             ({"mining": {"min_support": "lots"}}, "must be int"),
             ({"mining": {"min_support": True}}, "must be int"),
             ({"streaming": {"keep_extractions": 1}}, "must be bool"),
-            ({"parallel": {"backend": 7}}, "must be str"),
+            ({"mining": {"miner": 7}}, "must be str"),
             ({"detector": {"multiplier": "big"}}, "must be float"),
             ({"mining": "nope"}, "table of keys"),
             ("nope", "mapping of sections"),
@@ -214,10 +214,7 @@ class TestTomlRoundTrip:
             [mining]
             min_support = 123
             miner = "fpgrowth"
-
-            [parallel]
-            jobs = 4
-            partitions = 8
+            maximal_only = false
 
             [streaming]
             window_intervals = 3
@@ -235,8 +232,7 @@ class TestTomlRoundTrip:
             features=("srcIP", "dstIP", "dstPort"),
             min_support=123,
             miner="fpgrowth",
-            jobs=4,
-            partitions=8,
+            maximal_only=False,
             window_intervals=3,
             max_delay_seconds=5.0,
             keep_extractions=False,

@@ -127,20 +127,16 @@ class TestOfflinePipeline:
 
 
 class TestSatelliteFixes:
-    def test_reports_property_on_both_banks(self, tiny_flows):
+    def test_reports_property_is_a_copy(self, tiny_flows):
         from repro.detection.manager import DetectorBank
-        from repro.parallel.bank import ParallelDetectorBank
 
-        for bank in (
-            DetectorBank(DetectorConfig(bins=64), seed=0),
-            ParallelDetectorBank(DetectorConfig(bins=64), seed=0),
-        ):
-            assert bank.reports == []
-            bank.observe(tiny_flows)
-            assert len(bank.reports) == 1
-            # A copy, not the live list.
-            bank.reports.clear()
-            assert len(bank.reports) == 1
+        bank = DetectorBank(DetectorConfig(bins=64), seed=0)
+        assert bank.reports == []
+        bank.observe(tiny_flows)
+        assert len(bank.reports) == 1
+        # A copy, not the live list.
+        bank.reports.clear()
+        assert len(bank.reports) == 1
 
     def test_batch_detection_uses_public_reports(self, tiny_flows):
         with api.session(
@@ -211,28 +207,17 @@ class TestSuggestMinSupport:
 
 
 class TestInitCleanup:
-    def test_engine_init_failure_closes_store(self, tmp_path, monkeypatch):
-        """A store opened via config.store_path must not leak its
-        SQLite connection when engine construction fails afterwards."""
-        import repro.parallel.engine as engine_mod
-        from repro.incidents.store import IncidentStore
+    def test_bank_init_failure_opens_no_store(self, tmp_path, monkeypatch):
+        """The bank is built before config.store_path is opened, so a
+        bank that refuses to build leaves no SQLite connection (or
+        file) behind."""
+        import repro.core.pipeline as pipeline_mod
 
-        closed = []
-        real_close = IncidentStore.close
+        def exploding_bank(*args, **kwargs):
+            raise RuntimeError("no bank")
 
-        def tracking_close(self):
-            closed.append(self)
-            real_close(self)
-
-        monkeypatch.setattr(IncidentStore, "close", tracking_close)
-
-        def exploding_engine(**kwargs):
-            raise RuntimeError("no worker pool")
-
-        monkeypatch.setattr(engine_mod, "ParallelEngine", exploding_engine)
-        config = ExtractionConfig(
-            store_path=str(tmp_path / "inc.db"), jobs=2
-        )
-        with pytest.raises(RuntimeError, match="no worker pool"):
-            AnomalyExtractor(config)
-        assert len(closed) == 1
+        monkeypatch.setattr(pipeline_mod, "DetectorBank", exploding_bank)
+        path = tmp_path / "inc.db"
+        with pytest.raises(RuntimeError, match="no bank"):
+            AnomalyExtractor(ExtractionConfig(store_path=str(path)))
+        assert not path.exists()

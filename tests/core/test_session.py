@@ -5,8 +5,8 @@
 criteria: a batch session fed a whole trace (in one piece or arbitrary
 chunks) equals `api.extract` byte-for-byte, a chunk-fed stream session
 driven incrementally (feed / flush / result) equals one that is fed
-and finished, and `close()` releases the owned extractor's store and
-worker pool even when a mid-feed chunk raised.
+and finished, and `close()` releases the owned extractor's store even
+when a mid-feed chunk raised.
 """
 
 import numpy as np
@@ -187,8 +187,8 @@ class TestSessionLifecycle:
 
 
 class TestLeakRegression:
-    """ISSUE 5 satellite: `close()` must release the store and the
-    worker pool even when a mid-feed chunk raises."""
+    """`close()` must release the store even when a mid-feed chunk
+    raises."""
 
     def _poisoned_chunk(self):
         from repro.flows.table import FlowTable
@@ -199,41 +199,32 @@ class TestLeakRegression:
             [1], [2], [3], [4], [6], [1], [40], start=[1e12]
         )
 
-    def test_mid_feed_raise_releases_store_and_pool(self, tmp_path):
+    def test_mid_feed_raise_releases_store(self, tmp_path):
         db = str(tmp_path / "leak.db")
         with pytest.raises(ConfigError):
             with api.session(
-                _config(jobs=2, backend="thread", store_path=db),
+                _config(store_path=db),
                 mode="stream",
                 interval_seconds=INTERVAL_SECONDS,
             ) as session:
                 session.feed(self._poisoned_chunk())
         store = session.extractor.store
-        engine = session.extractor.engine
         assert session.closed
         assert store is not None and store._conn is None
-        assert engine is not None and engine.executor._closed
 
     def test_owning_session_close_is_try_finally(self, tmp_path):
-        """A pool that fails to shut down must not leak the store
-        (mirrors AnomalyExtractor.close semantics on the new path)."""
+        """A metrics sink that fails to close must not leak the store."""
         db = str(tmp_path / "chain.db")
-        session = api.session(
-            _config(jobs=2, backend="thread", store_path=db),
-            mode="batch",
-        )
-        engine = session.extractor.engine
+        session = api.session(_config(store_path=db), mode="batch")
         store = session.extractor.store
 
         def boom():
-            raise RuntimeError("pool shutdown failed")
+            raise RuntimeError("sink close failed")
 
-        session.extractor._engine = type("E", (), {"close": staticmethod(boom)})()
-        session.extractor._owns_engine = True
-        with pytest.raises(RuntimeError, match="pool shutdown failed"):
+        session._metrics_sink = type("S", (), {"close": staticmethod(boom)})()
+        with pytest.raises(RuntimeError, match="sink close failed"):
             session.close()
         assert store._conn is None  # store released despite the raise
-        engine.close()  # release the real pool the test detached
 
     def test_construction_failure_closes_store(self, tmp_path):
         db = str(tmp_path / "ctor.db")

@@ -22,8 +22,8 @@ from repro.obs.metrics import MetricsRegistry
 
 SRC = Path(repro.__file__).parent
 
-#: Where the primitives themselves live (and their own fan-out).
-ALLOWED = ("detection/", "parallel/", "incidents/", "sinks.py")
+#: Where the primitives themselves live.
+ALLOWED = ("detection/", "incidents/", "sinks.py")
 
 #: The step's home and its two input implementations.
 EXPECTED = {

@@ -12,9 +12,9 @@ def instrument(registry):
         "Flows dropped by the assembler, split by reason.",
         ("pipeline", "reason"),
     )
-    jobs = registry.gauge(
-        "repro_parallel_jobs",
-        "Configured worker count of the parallel executor.",
-        ("backend",),
+    pending = registry.gauge(
+        "repro_assembler_pending_intervals",
+        "Intervals currently held open by the assembler.",
+        ("pipeline",),
     )
-    return flows, late, jobs
+    return flows, late, pending

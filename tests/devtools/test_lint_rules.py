@@ -111,9 +111,8 @@ class TestRuleDetails:
         )
         assert any("needs a literal catalogued name" in m for m in messages)
         assert any("instruments.EVENTS" in m for m in messages)
-        assert any(
-            "worker_span() name 'shard.wrong'" in m for m in messages
-        )
+        # A keyword name is checked like a positional one.
+        assert any(".span() name 'shard.wrong'" in m for m in messages)
 
 
 class TestLayeringTrees:

@@ -268,39 +268,19 @@ class TestFeeding:
 
 
 # ----------------------------------------------------------------------
-# Shared engine + lifecycle (ISSUE 5 satellite: no leaks)
+# Lifecycle (ISSUE 5 satellite: no leaks)
 # ----------------------------------------------------------------------
-class TestSharedEngine:
-    def test_one_pool_shared_across_pipelines(self):
-        cfg = _config(jobs=2, backend="thread")
-        with FleetManager(
-            {"a": cfg, "b": cfg, "c": cfg}, route="dst_ip",
-            interval_seconds=INTERVAL_SECONDS,
-        ) as fleet:
-            assert fleet.engine is not None
-            for name in fleet.names:
-                assert fleet.extractor(name).engine is fleet.engine
-        assert fleet.engine.executor._closed
-
-    def test_serial_pipelines_build_no_pool(self):
-        with FleetManager(
-            {"a": _config(), "b": _config()}, route="dst_ip",
-            interval_seconds=INTERVAL_SECONDS,
-        ) as fleet:
-            assert fleet.engine is None
-
+class TestLifecycle:
     def test_close_releases_everything_despite_failures(self, tmp_path):
-        cfg = _config(jobs=2, backend="thread")
+        cfg = _config()
         fleet = FleetManager(
             {"a": cfg, "b": cfg}, route="dst_ip",
             interval_seconds=INTERVAL_SECONDS,
             store_dir=str(tmp_path / "stores"),
         )
         stores = [fleet.extractor(n).store for n in fleet.names]
-        engine = fleet.engine
-        # Poison the FIRST session's close: the second store and the
-        # shared pool must still be released, and the failure must
-        # surface.
+        # Poison the FIRST session's close: the second store must still
+        # be released, and the failure must surface.
         first = fleet.session("a")
         original_close = first.close
 
@@ -312,12 +292,11 @@ class TestSharedEngine:
         with pytest.raises(RuntimeError, match="store close failed"):
             fleet.close()
         assert all(store._conn is None for store in stores)
-        assert engine.executor._closed
 
     def test_mid_feed_raise_releases_fleet(self, tmp_path):
         from repro.flows.table import FlowTable
 
-        cfg = _config(jobs=2, backend="thread")
+        cfg = _config()
         poisoned = FlowTable.from_arrays(
             [1], [2], [3], [4], [6], [1], [40], start=[1e12]
         )
@@ -330,7 +309,6 @@ class TestSharedEngine:
                 fleet.feed(poisoned)
         for name in fleet.names:
             assert fleet.extractor(name).store._conn is None
-        assert fleet.engine.executor._closed
 
     def test_store_dir_gets_one_db_per_pipeline(self, tmp_path, tiny_flows):
         store_dir = tmp_path / "stores"

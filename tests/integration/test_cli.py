@@ -688,7 +688,7 @@ class TestThirdPartyMinerCLI:
             )
 
 
-class TestParallelFlags:
+class TestSonMiner:
     @pytest.fixture(scope="class")
     def anomalous_trace(self, tmp_path_factory, ddos_trace):
         from repro.flows import write_npz
@@ -701,39 +701,10 @@ class TestParallelFlags:
         "--bins", "128", "--training", "8", "--min-support", "60",
     ]
 
-    def test_jobs_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["extract", "t.npz", "--jobs", "4", "--backend", "process"]
-        )
-        assert args.jobs == 4
-        assert args.backend == "process"
-        assert args.partitions is None
-
-    def test_detect_with_jobs(self, anomalous_trace, capsys):
-        code = main(
-            ["detect", anomalous_trace, "--bins", "128", "--training", "8",
-             "--jobs", "2"]
-        )
-        assert code == 0
-        assert "alarms" in capsys.readouterr().out
-
-    def test_extract_jobs_matches_serial(self, anomalous_trace, capsys):
-        assert main(
-            ["extract", anomalous_trace, *self._EXTRACT_ARGS, "--jobs", "1"]
-        ) == 0
+    def test_extract_son_miner(self, anomalous_trace, capsys):
+        assert main(["extract", anomalous_trace, *self._EXTRACT_ARGS]) == 0
         serial = capsys.readouterr().out
         assert "interval" in serial
-        assert main(
-            ["extract", anomalous_trace, *self._EXTRACT_ARGS,
-             "--jobs", "4", "--backend", "thread"]
-        ) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_extract_son_miner(self, anomalous_trace, capsys):
-        assert main(
-            ["extract", anomalous_trace, *self._EXTRACT_ARGS, "--jobs", "1"]
-        ) == 0
-        serial = capsys.readouterr().out
         assert main(
             ["extract", anomalous_trace, *self._EXTRACT_ARGS,
              "--miner", "son"]

@@ -1,11 +1,11 @@
 """One way down: a CLI verb is argv -> one ``repro.api`` call ->
 printing.
 
-A verb that wires its own engine, fleet, federator, registry or tracer
-is a second implementation of its library twin, and the two drift
-(``api.serve`` once had no default route while ``serve`` did).  These
-guards keep the constructors - and the decisions that used to be
-copied next to them - in one place each.
+A verb that wires its own extractor, fleet, federator, registry or
+tracer is a second implementation of its library twin, and the two
+drift (``api.serve`` once had no default route while ``serve`` did).
+These guards keep the constructors - and the decisions that used to
+be copied next to them - in one place each.
 """
 
 import ast
@@ -19,7 +19,6 @@ SRC = Path(repro.__file__).parent
 BUILDERS = {
     "FleetManager",
     "AnomalyExtractor",
-    "ParallelEngine",
     "DetectorBank",
     "Federator",
     "open_federator",

@@ -194,6 +194,14 @@ MISTAKES = {
         "[detector]\nmultiplier = nan\n",
         "multiplier must be finite and > 0: nan",
     ),
+    # The parallel engine is gone: its table is refused, not ignored.
+    "parallel-removed": (
+        "[parallel]\njobs = 2\n", "unknown config section 'parallel'"
+    ),
+    "pipeline-parallel-removed": (
+        "[fleet.pipelines.a.parallel]\njobs = 2\n",
+        "[fleet.pipelines.a]: unknown config section 'parallel'",
+    ),
 }
 
 CLI_VERBS = {
@@ -324,3 +332,32 @@ class TestLayeringOrder:
         with pytest.raises(ConfigError) as refusal:
             RunConfig.load(path, min_support=0)
         assert path not in str(refusal.value)
+
+
+# ----------------------------------------------------------------------
+# (e) the removed parallel knobs are refused by the strict readers
+# ----------------------------------------------------------------------
+#: Every verb that took a parallel flag, and the flags it took.
+REMOVED_FLAGS = [
+    (verb, flag)
+    for verb in ("detect", "extract", "fleet", "serve")
+    for flag in (["--jobs", "2"], ["--backend", "thread"])
+] + [("extract", ["--partitions", "2"])]
+
+
+@pytest.mark.parametrize("verb, flag", REMOVED_FLAGS)
+def test_removed_flag_exits_2(verb, flag, trace, capsys):
+    # The parser alone: were a flag accepted again, main() would run the
+    # verb (serve would bind a port and block) instead of failing here.
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args([*CLI_VERBS[verb](trace), *flag])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("knob", ["jobs", "backend", "partitions"])
+def test_removed_keyword_is_refused(knob, trace):
+    with pytest.raises(ConfigError, match=f"unknown config field '{knob}'"):
+        api.extract(trace[0], **{knob: 4})

@@ -1,4 +1,4 @@
-"""Unit tests for the shard partition/merge layer."""
+"""Unit tests for the shard partition/merge layer and the SON miner."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,10 @@ from repro.mining.partition import (
     merge_candidates,
     merge_results,
     partition_transactions,
+    son,
 )
 from repro.mining.transactions import TransactionSet
+from repro.registry import miners
 
 
 class TestPartition:
@@ -109,3 +111,67 @@ class TestMerge:
         frequent = apriori(transactions, 2, maximal_only=False).all_frequent
         counts = count_candidates(transactions, sorted(frequent))
         assert counts == frequent
+
+
+def _itemset_pairs(result):
+    return [(s.items, s.support) for s in result.itemsets]
+
+
+class TestSon:
+    """SON: identical item-sets and supports to ``apriori`` on every
+    fixture and partition count; only the ``algorithm`` tag differs."""
+
+    def test_matches_apriori_on_table2(self, table2_small):
+        transactions = TransactionSet.from_flows(table2_small.flows)
+        reference = apriori(transactions, table2_small.min_support)
+        result = son(transactions, table2_small.min_support, partitions=4)
+        assert result.all_frequent == reference.all_frequent
+        assert _itemset_pairs(result) == _itemset_pairs(reference)
+
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 4, 5, 100])
+    def test_partition_count_is_invisible(self, tiny_flows, partitions):
+        transactions = TransactionSet.from_flows(tiny_flows)
+        reference = apriori(transactions, 2)
+        result = son(transactions, 2, partitions=partitions)
+        assert result.all_frequent == reference.all_frequent
+        assert _itemset_pairs(result) == _itemset_pairs(reference)
+
+    def test_level_stats_match(self, tiny_flows):
+        transactions = TransactionSet.from_flows(tiny_flows)
+        reference = apriori(transactions, 2)
+        result = son(transactions, 2, partitions=3)
+        assert result.level_stats == reference.level_stats
+
+    def test_non_maximal_output(self, tiny_flows):
+        transactions = TransactionSet.from_flows(tiny_flows)
+        reference = apriori(transactions, 2, maximal_only=False)
+        result = son(transactions, 2, maximal_only=False, partitions=2)
+        assert _itemset_pairs(result) == _itemset_pairs(reference)
+
+    def test_empty_transactions(self):
+        empty = TransactionSet(np.empty((0, 7), dtype=np.int64))
+        result = son(empty, 5, partitions=3)
+        assert result.itemsets == []
+        assert result.all_frequent == {}
+        assert result.n_transactions == 0
+
+    def test_support_above_input_size(self, tiny_flows):
+        transactions = TransactionSet.from_flows(tiny_flows)
+        result = son(transactions, len(transactions) + 1, partitions=2)
+        assert result.itemsets == []
+
+    def test_algorithm_tag(self, tiny_flows):
+        transactions = TransactionSet.from_flows(tiny_flows)
+        assert son(transactions, 2).algorithm == "son"
+
+    def test_invalid_support_rejected(self, tiny_flows):
+        transactions = TransactionSet.from_flows(tiny_flows)
+        with pytest.raises(MiningError, match="min_support"):
+            son(transactions, 0)
+
+    def test_registered_in_miners(self, tiny_flows):
+        transactions = TransactionSet.from_flows(tiny_flows)
+        reference = apriori(transactions, 2)
+        assert miners.get("son") is son
+        result = miners.get("son")(transactions, 2)
+        assert result.all_frequent == reference.all_frequent

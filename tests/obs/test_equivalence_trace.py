@@ -3,8 +3,7 @@
 The NULL_TRACER discipline mirrors the metrics one - instrumented code
 never branches on whether tracing is enabled, so enabling a tracer may
 never change what the pipeline extracts, in batch, stream, or fleet
-mode.  Plus the cross-process contract: mining shards record worker
-spans that the parent adopts under the right trace.
+mode.
 """
 
 import numpy as np
@@ -14,10 +13,7 @@ from repro.core.config import ExtractionConfig
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.fleet.manager import FleetManager
-from repro.mining.transactions import TransactionSet
 from repro.obs.trace import Tracer
-from repro.parallel.executor import get_executor
-from repro.parallel.son import son
 
 CHUNK_ROWS = 517
 
@@ -211,41 +207,3 @@ class TestFleetTraceTree:
         intervals = [s for s in spans if s.name == "session.interval"]
         assert intervals
         assert all(s.parent_id in session_ids for s in intervals)
-
-
-class TestCrossProcessPropagation:
-    def test_mining_shards_adopt_under_ambient_span(self, table2_small):
-        transactions = TransactionSet.from_flows(table2_small.flows)
-        tracer = Tracer()
-        with get_executor("process", jobs=2) as executor:
-            with tracer.span("session.run") as root:
-                traced = son(
-                    transactions,
-                    table2_small.min_support,
-                    partitions=3,
-                    executor=executor,
-                )
-            untraced = son(
-                transactions,
-                table2_small.min_support,
-                partitions=3,
-                executor=executor,
-            )
-        # Tracing never changes the mining result.
-        assert traced.all_frequent == untraced.all_frequent
-        shards = [s for s in tracer.spans if s.name == "mining.shard"]
-        # Phase 1 (mine) + phase 2 (count), one record per shard each.
-        assert len(shards) == 6
-        assert {s.attributes["phase"] for s in shards} == {"mine", "count"}
-        assert all(s.trace_id == root.trace_id for s in shards)
-        assert all(s.parent_id == root.span_id for s in shards)
-        assert all(s.end_time is not None for s in shards)
-
-    def test_untraced_son_records_nothing(self, table2_small):
-        transactions = TransactionSet.from_flows(table2_small.flows)
-        with get_executor("process", jobs=2) as executor:
-            result = son(
-                transactions, table2_small.min_support,
-                partitions=2, executor=executor,
-            )
-        assert result.itemsets  # ran fine with no ambient span

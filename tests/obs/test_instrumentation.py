@@ -244,33 +244,3 @@ class TestStoreInstrumentation:
                     seed=1, sink=store,
                 )
         assert _value(registry, refusals) == 1
-
-
-class TestParallelInstrumentation:
-    def test_metered_executor_counts_tasks_and_busy_time(self):
-        registry = MetricsRegistry()
-        config = _config(jobs=2, backend="thread")
-        with AnomalyExtractor(
-            config, seed=1, metrics=registry
-        ) as extractor:
-            assert extractor.engine is not None
-        registry2 = MetricsRegistry()
-        from repro.parallel.engine import ParallelEngine
-        from repro.parallel.executor import MeteredExecutor
-
-        with ParallelEngine(
-            jobs=2, backend="thread", metrics=registry2
-        ) as engine:
-            assert isinstance(engine._executor, MeteredExecutor)
-            results = engine._executor.map(lambda x: x * 2, [1, 2, 3])
-        assert list(results) == [2, 4, 6]
-        tasks = "repro_parallel_tasks_total"
-        assert _value(registry2, tasks, "thread") == 3
-        for family in registry2.families():
-            if family.name == "repro_parallel_busy_seconds_total":
-                assert family.labels("thread").value >= 0.0
-                break
-        else:
-            raise AssertionError(
-                "repro_parallel_busy_seconds_total not registered"
-            )

@@ -1,4 +1,4 @@
-"""Span tracer unit contract: ids, propagation, adoption, exporters."""
+"""Span tracer unit contract: ids, propagation, exporters."""
 
 import json
 import os
@@ -9,13 +9,10 @@ from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
     Tracer,
-    current_span,
-    inject,
     render_trace,
     render_trace_chrome,
     render_trace_jsonl,
     render_trace_text,
-    worker_span,
 )
 
 GOLDEN = os.path.join(
@@ -61,11 +58,10 @@ class TestSpanLifecycle:
     def test_with_block_parents_and_ends(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("session.run") as root:
-            assert current_span() is root
             child = tracer.span("stage.binning")
             assert child.parent_id == root.span_id
             assert child.trace_id == root.trace_id
-        assert current_span() is None
+        assert tracer.span("fleet.run").parent_id is None  # root left
         assert root.end_time is not None
         assert child.end_time is None  # never entered, still open
 
@@ -90,9 +86,8 @@ class TestSpanLifecycle:
         tracer = Tracer(clock=FakeClock())
         root = tracer.span("session.run")
         with root.active():
-            assert current_span() is root
             child = tracer.span("stage.binning")
-        assert current_span() is None
+        assert tracer.span("fleet.run").parent_id is None  # root left
         assert root.end_time is None
         assert child.parent_id == root.span_id
 
@@ -130,55 +125,18 @@ class TestNullObjects:
         with NULL_TRACER.span("x") as span:
             span.set_attribute("k", 1)
             span.add_event("e")
-            assert current_span() is None
+            # The null span never becomes anyone's ambient parent.
+            assert Tracer().span("session.run").parent_id is None
         assert span.active() is span
         with span.active():
             pass
         assert NULL_TRACER.spans == ()
-        assert NULL_TRACER.adopt([{"trace_id": "t"}]) == []
 
     def test_null_exports_are_empty(self):
         assert render_trace_jsonl(NULL_TRACER) == ""
         assert render_trace_text(NULL_TRACER) == ""
         doc = json.loads(render_trace_chrome(NULL_TRACER))
         assert doc["traceEvents"] == []
-
-
-class TestCarrierPropagation:
-    def test_inject_requires_an_active_span(self):
-        assert inject() is None
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("session.run") as root:
-            carrier = inject()
-        assert carrier == {
-            "trace_id": root.trace_id, "span_id": root.span_id,
-        }
-
-    def test_worker_span_none_carrier_is_a_noop(self):
-        with worker_span("mining.shard", None) as record:
-            assert record is None
-
-    def test_worker_record_round_trips_through_adopt(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("session.run") as root:
-            carrier = inject()
-        worker_clock = FakeClock(start=200.0)
-        with worker_span(
-            "mining.shard", carrier, clock=worker_clock, shard=2
-        ) as record:
-            pass
-        assert record["end"] == 200.5
-        adopted = tracer.adopt([record, None])
-        assert len(adopted) == 1
-        span = adopted[0]
-        assert span.trace_id == root.trace_id
-        assert span.parent_id == root.span_id
-        assert span.name == "mining.shard"
-        assert span.attributes == {"shard": 2}
-        assert (span.start_time, span.end_time) == (200.0, 200.5)
-        # Adopted spans render nested under their parent.
-        text = render_trace_text(tracer)
-        assert "  mining.shard" in text
 
 
 class TestExporters:

@@ -25,7 +25,7 @@ from repro.mining.items import (
     itemsets_sorted,
 )
 from repro.mining.maximal import filter_maximal, is_maximal_in
-from repro.mining.partition import count_candidates
+from repro.mining.partition import count_candidates, son
 from repro.mining.transactions import TRANSACTION_WIDTH, TransactionSet
 from tests.mining.reference import brute_force_frequent, brute_force_maximal
 
@@ -68,6 +68,23 @@ def test_three_miners_agree(transactions, min_support):
     f = fpgrowth(transactions, min_support).all_frequent
     e = eclat(transactions, min_support).all_frequent
     assert a == f == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    transactions=transaction_sets(),
+    min_support=support_strategy,
+    partitions=st.integers(min_value=1, max_value=6),
+)
+def test_son_equals_apriori_at_any_partition_count(
+    transactions, min_support, partitions
+):
+    reference = apriori(transactions, min_support)
+    result = son(transactions, min_support, partitions=partitions)
+    assert result.all_frequent == reference.all_frequent
+    assert [(s.items, s.support) for s in result.itemsets] == [
+        (s.items, s.support) for s in reference.itemsets
+    ]
 
 
 @settings(max_examples=40, deadline=None)

@@ -223,33 +223,6 @@ class TestThirdPartyMiner:
         finally:
             miners.unregister("toy-cfg-test")
 
-    def test_custom_miner_as_son_local_miner(self, table2_small):
-        from repro.mining import TransactionSet, apriori
-        from repro.parallel.son import son
-
-        miners.register("toy-son-test", toy_miner)
-        try:
-            transactions = TransactionSet.from_flows(table2_small.flows)
-            expected = apriori(transactions, table2_small.min_support)
-            got = son(
-                transactions,
-                table2_small.min_support,
-                partitions=3,
-                local_miner="toy-son-test",
-            )
-            assert got.itemsets == expected.itemsets
-        finally:
-            miners.unregister("toy-son-test")
-
-    def test_son_rejects_itself_as_local_miner(self, table2_small):
-        from repro.errors import MiningError
-        from repro.mining import TransactionSet
-        from repro.parallel.son import son
-
-        transactions = TransactionSet.from_flows(table2_small.flows)
-        with pytest.raises(MiningError, match="own local miner"):
-            son(transactions, 10, local_miner="son")
-
 
 class TestReaderRegistry:
     def test_read_trace_dispatches_by_extension(self, tmp_path, ddos_trace):

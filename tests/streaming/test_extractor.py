@@ -127,9 +127,11 @@ class TestConfigKnobs:
         with pytest.raises(ConfigError):
             ExtractionConfig(max_pending_intervals=0)
 
-    def test_context_manager_closes_owned_extractor(self):
-        with api.session(_config(jobs=2, backend="thread")) as s:
-            assert s.extractor.engine is not None
+    def test_context_manager_closes_owned_extractor(self, tmp_path):
+        db = str(tmp_path / "owned.db")
+        with api.session(_config(store_path=db)) as s:
+            assert s.extractor.store._conn is not None
+        assert s.extractor.store._conn is None
         # close() is idempotent
         s.close()
 
