@@ -264,14 +264,9 @@ class IntervalDigest:
                     strict=True,
                 )
             ]
-            merged = CountMinSketch(
-                width=self.schema.cm_width,
-                depth=self.schema.cm_depth,
-                seed=self._countmin[name].seed,
+            countmin[name] = self._countmin[name].merged(
+                other._countmin[name]
             )
-            merged.merge(self._countmin[name])
-            merged.merge(other._countmin[name])
-            countmin[name] = merged
         return IntervalDigest(
             schema=self.schema,
             interval=self.interval,

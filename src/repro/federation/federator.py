@@ -124,9 +124,8 @@ class MergedInterval:
     ) -> ExtractionResult | None:
         supports: dict[tuple[int, ...], int] = {}
         for feature, values in metadata.values.items():
-            sketch = self.digest.countmin(feature)
-            for value in values.tolist():
-                support = sketch.estimate(value)
+            estimates = self.digest.countmin(feature).estimate_array(values)
+            for value, support in zip(values.tolist(), estimates.tolist()):
                 if support >= self._min_support:
                     supports[(encode_item(feature, value),)] = support
         if not supports:

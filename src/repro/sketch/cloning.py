@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.sketch.distinct import sorted_distinct
-from repro.sketch.hashing import HashFamily
+from repro.sketch.hashing import HashFamily, hash_rows
 from repro.sketch.histogram import HashedHistogram, HistogramSnapshot
 
 
@@ -24,8 +24,8 @@ class CloneSet:
     def __init__(self, clones: int, bins: int, seed: int = 0):
         if clones < 1:
             raise ConfigError(f"need at least one clone: {clones}")
-        family = HashFamily(bins=bins, seed=seed)
-        self._histograms = [HashedHistogram(fn) for fn in family.take(clones)]
+        self._hashes = HashFamily(bins=bins, seed=seed).take(clones)
+        self._histograms = [HashedHistogram(fn) for fn in self._hashes]
 
     def __len__(self) -> int:
         return len(self._histograms)
@@ -53,9 +53,13 @@ class CloneSet:
         self, distinct: np.ndarray, run_lengths: np.ndarray
     ) -> None:
         """Feed a column already in ``sorted_distinct`` form to every
-        clone: one sort per column, however many clones bin it."""
-        for histogram in self._histograms:
-            histogram.update_distinct(distinct, run_lengths)
+        clone: one sort and one hash pass per column, however many
+        clones bin it."""
+        if distinct.size == 0:
+            return
+        rows = hash_rows(self._hashes, distinct)
+        for histogram, bins in zip(self._histograms, rows, strict=True):
+            histogram.update_binned(bins, distinct, run_lengths)
 
     def snapshots(self) -> list[HistogramSnapshot]:
         """Freeze every clone's interval state."""

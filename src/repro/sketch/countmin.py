@@ -15,7 +15,13 @@ import numpy as np
 
 from repro.errors import ConfigError, SketchError
 from repro.sketch.distinct import sorted_distinct
-from repro.sketch.hashing import HashFamily
+from repro.sketch.hashing import (
+    HashFamily,
+    UniversalHash,
+    checked_key,
+    checked_keys,
+    hash_rows,
+)
 from repro.state import count, integer, pack_array, packed, read_fields
 
 _DOCUMENT = {
@@ -43,9 +49,13 @@ class CountMinSketch:
         seed: int = 0,
         *,
         table: np.ndarray | None = None,
+        total: int = 0,
     ):
         """``table`` adopts a ready ``(depth, width)`` int64 counter
-        array (a decoded document) instead of allocating zeros."""
+        array (a decoded document, a merge) with its ``total`` instead
+        of allocating zeros.  The ``depth`` hash functions are drawn on
+        the first update or query: a decoded or merged sketch that is
+        only re-encoded never draws them."""
         if width < 1:
             raise ConfigError(f"width must be >= 1: {width}")
         if depth < 1:
@@ -53,14 +63,13 @@ class CountMinSketch:
         self._width = width
         self._depth = depth
         self._seed = seed
-        family = HashFamily(bins=width, seed=seed)
-        self._hashes = family.take(depth)
+        self._drawn: list[UniversalHash] | None = None
         self._table = (
             np.zeros((depth, width), dtype=np.int64)
             if table is None
             else table
         )
-        self._total = 0
+        self._total = total
 
     @classmethod
     def from_error_bounds(
@@ -94,12 +103,20 @@ class CountMinSketch:
         """Total count of all updates (N)."""
         return self._total
 
+    def _hashes(self) -> list[UniversalHash]:
+        """The row hash functions, drawn from the seed on first use."""
+        if self._drawn is None:
+            family = HashFamily(bins=self._width, seed=self._seed)
+            self._drawn = family.take(self._depth)
+        return self._drawn
+
     def update(self, value: int, count: int = 1) -> None:
         """Add ``count`` occurrences of ``value``."""
         if count < 0:
             raise ConfigError("count-min does not support decrements")
-        for row, hash_fn in enumerate(self._hashes):
-            self._table[row, hash_fn(value)] += count
+        key = np.array([checked_key(value)], dtype=np.uint64)
+        bins = hash_rows(self._hashes(), key)[:, 0]
+        self._table[np.arange(self._depth), bins] += count
         self._total += count
 
     def update_array(self, values: np.ndarray) -> None:
@@ -112,38 +129,51 @@ class CountMinSketch:
         """Add ``run_lengths[i]`` occurrences of ``distinct[i]`` (a
         column in :func:`~repro.sketch.distinct.sorted_distinct` form).
 
-        Each distinct value is hashed once per row; the run lengths are
-        integer-valued float64, so the weighted ``bincount`` is exact
-        and casts back to the table's int64 without rounding.
+        Every row hashes the distinct values in one
+        :func:`~repro.sketch.hashing.hash_rows` pass and one weighted
+        ``bincount`` over ``row * width + bin`` scatters them all; the
+        run lengths are integer-valued float64, so the sums are exact
+        and cast back to the table's int64 without rounding.
         """
         if distinct.size == 0:
             return
-        for row, hash_fn in enumerate(self._hashes):
-            bins = hash_fn.hash_array(distinct)
-            self._table[row] += np.bincount(
-                bins, weights=run_lengths, minlength=self._width
-            ).astype(np.int64)
+        cells = hash_rows(self._hashes(), distinct)
+        cells += np.arange(0, self._table.size, self._width)[:, None]
+        self._table += (
+            np.bincount(
+                cells.reshape(-1),
+                weights=np.tile(run_lengths, self._depth),
+                minlength=self._table.size,
+            )
+            .astype(np.int64)
+            .reshape(self._depth, self._width)
+        )
         self._total += int(run_lengths.sum())
 
     def estimate(self, value: int) -> int:
         """Point query: an upper bound on the true count of ``value``."""
-        return int(
-            min(
-                self._table[row, hash_fn(value)]
-                for row, hash_fn in enumerate(self._hashes)
-            )
-        )
+        key = np.array([checked_key(value)], dtype=np.uint64)
+        return int(self.estimate_array(key)[0])
+
+    def estimate_array(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`estimate` of every entry of ``values`` as int64: one
+        hash pass over all rows and a min down each column."""
+        bins = hash_rows(self._hashes(), checked_keys(values))
+        return np.take_along_axis(self._table, bins, axis=1).min(axis=0)
 
     def heavy_hitters(
         self, candidates: np.ndarray, threshold: int
     ) -> list[tuple[int, int]]:
         """Return (value, estimate) for candidates estimated above
         ``threshold``, sorted by decreasing estimate."""
-        hits = []
-        for value in np.asarray(candidates, dtype=np.uint64):
-            est = self.estimate(int(value))
-            if est >= threshold:
-                hits.append((int(value), est))
+        keys = checked_keys(candidates).astype(np.uint64, copy=False)
+        hits = [
+            (value, est)
+            for value, est in zip(
+                keys.tolist(), self.estimate_array(keys).tolist()
+            )
+            if est >= threshold
+        ]
         hits.sort(key=lambda pair: (-pair[1], pair[0]))
         return hits
 
@@ -159,6 +189,15 @@ class CountMinSketch:
             and self._seed == other._seed
         )
 
+    def _refuse_incompatible(self, other: "CountMinSketch") -> None:
+        if not self.compatible_with(other):
+            raise SketchError(
+                f"cannot merge count-min sketches with different "
+                f"parameters: width/depth/seed "
+                f"{self._width}/{self._depth}/{self._seed} vs "
+                f"{other._width}/{other._depth}/{other._seed}"
+            )
+
     def merge(self, other: "CountMinSketch") -> None:
         """Fold ``other``'s counts into this sketch, in place.
 
@@ -169,15 +208,21 @@ class CountMinSketch:
         width/depth/seed would add counts of *unrelated* cells and
         silently fabricate frequencies, so it is refused outright.
         """
-        if not self.compatible_with(other):
-            raise SketchError(
-                f"cannot merge count-min sketches with different "
-                f"parameters: width/depth/seed "
-                f"{self._width}/{self._depth}/{self._seed} vs "
-                f"{other._width}/{other._depth}/{other._seed}"
-            )
+        self._refuse_incompatible(other)
         self._table += other._table
         self._total += other._total
+
+    def merged(self, other: "CountMinSketch") -> "CountMinSketch":
+        """:meth:`merge` into a new sketch, leaving both inputs as
+        they are; refused on the same terms."""
+        self._refuse_incompatible(other)
+        return CountMinSketch(
+            self._width,
+            self._depth,
+            self._seed,
+            table=self._table + other._table,
+            total=self._total + other._total,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-safe document for this sketch.
@@ -213,8 +258,10 @@ class CountMinSketch:
                 f"count-min table has {flat.size} cells, expected "
                 f"{depth}x{width}"
             )
-        sketch = cls(
-            width, depth, fields["seed"], table=flat.reshape(depth, width)
+        return cls(
+            width,
+            depth,
+            fields["seed"],
+            table=flat.reshape(depth, width),
+            total=total,
         )
-        sketch._total = total
-        return sketch

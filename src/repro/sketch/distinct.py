@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sketch.hashing import checked_keys
+
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
     """Index of the first element of every run of equal neighbours
@@ -33,14 +35,15 @@ def sorted_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sorted ascending, duplicate-free (the array numpy's ``unique``
     yields); ``counts`` is the float64 run length of each distinct
     value - integer-valued, so adding it into a float64 histogram is
-    exact.
+    exact.  A signed column holding a negative value is refused with
+    :class:`~repro.errors.SketchError` (see ``checked_keys``).
     """
-    vals = np.asarray(values)
+    vals = checked_keys(values)
     if vals.size == 0:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64)
     # Unsigned columns sort in their own (narrower, faster) dtype: the
-    # widening below keeps the order.  Anything else is cast first so
-    # the order is the uint64 order callers see.
+    # widening below keeps the order.  Anything else (non-negative by
+    # now) is cast first so the order is the uint64 order callers see.
     if vals.dtype.kind != "u":
         vals = vals.astype(np.uint64)
     ordered = np.sort(vals, axis=None)

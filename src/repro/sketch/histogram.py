@@ -101,7 +101,16 @@ class HashedHistogram:
         """
         if distinct.size == 0:
             return
-        bins = self._hash.hash_array(distinct)
+        self.update_binned(
+            self._hash.hash_array(distinct), distinct, run_lengths
+        )
+
+    def update_binned(
+        self, bins: np.ndarray, distinct: np.ndarray, run_lengths: np.ndarray
+    ) -> None:
+        """:meth:`update_distinct` with ``bins`` - this histogram's hash
+        of ``distinct`` - already computed (a clone set hashes all its
+        clones in one :func:`~repro.sketch.hashing.hash_rows` call)."""
         self._counts += np.bincount(
             bins, weights=run_lengths, minlength=self.bins
         )
