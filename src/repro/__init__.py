@@ -50,11 +50,6 @@ from repro.errors import (
 )
 from repro.flows import FlowRecord, FlowTable
 from repro.mining import FrequentItemset, TransactionSet, apriori, eclat, fpgrowth
-from repro.registry import Registry
-
-# Import for the registration side effect: the built-in report sinks
-# must be resolvable through repro.registry.sinks.
-import repro.sinks  # noqa: F401  (isort: skip)
 
 try:
     # Single source of truth: the installed distribution's version
@@ -70,7 +65,6 @@ __all__ = [
     "MiningSettings",
     "StreamingSettings",
     "IncidentSettings",
-    "Registry",
     "ExtractionReport",
     "ExtractionResult",
     "TraceExtraction",

@@ -31,10 +31,9 @@ dict, or a path to a TOML run config, plus flat keyword overrides::
         print(entry.render())
 
 The names re-exported here (and the four verbs) are the supported
-surface; internals may move between modules, these stay.  Extension
-points resolve through :mod:`repro.registry`, so a third-party miner,
-reader, feature set, or sink registered there is selectable from this
-facade without touching ``repro`` internals.
+surface; internals may move between modules, these stay.  ``miners``,
+``feature_sets``, ``readers`` and ``routers`` are the built-in tables a
+name in a config resolves against.
 """
 
 from __future__ import annotations
@@ -72,7 +71,12 @@ from repro.core.session import (
     run_session,
 )
 from repro.detection.detector import DetectorConfig
-from repro.detection.features import CustomFeature, Feature, resolve_features
+from repro.detection.features import (
+    CustomFeature,
+    Feature,
+    feature_sets,
+    resolve_features,
+)
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -96,8 +100,8 @@ from repro.federation.tier import (
     read_digest_files,
 )
 from repro.fleet.manager import FleetIncident, FleetManager
-from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
-from repro.flows.io import DEFAULT_CHUNK_ROWS, iter_csv, read_trace
+from repro.fleet.routing import DEFAULT_ROUTE_COLUMN, routers
+from repro.flows.io import DEFAULT_CHUNK_ROWS, iter_csv, read_trace, readers
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.incidents.provenance import (
@@ -107,6 +111,7 @@ from repro.incidents.provenance import (
 from repro.incidents.rank import RankedIncident, rank_incidents  # noqa: F401
 from repro.incidents.store import IncidentStore
 from repro.incidents.store import open_store as _open_store
+from repro.mining import miners
 from repro.obs.export import render_json, render_prometheus  # noqa: F401
 from repro.obs.log import get_logger
 from repro.obs.metrics import (
@@ -117,14 +122,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.sink import MetricsSink
 from repro.obs.trace import NULL_TRACER, Tracer, render_trace
-from repro.registry import (
-    Registry,
-    feature_sets,
-    miners,
-    readers,
-    routers,
-    sinks,
-)
 
 __all__ = [
     "extract",
@@ -181,11 +178,9 @@ __all__ = [
     "explain_incident",
     "IncidentProvenance",
     "get_logger",
-    "Registry",
     "miners",
     "feature_sets",
     "readers",
-    "sinks",
     "routers",
     "ReproError",
     "ConfigError",
@@ -347,9 +342,8 @@ def extract(
     """Run the full batch pipeline (Fig. 3) over a trace.
 
     Args:
-        trace: a :class:`FlowTable` or a path handled by the trace
-            reader registry (".npz", ".csv", or any registered
-            extension).
+        trace: a :class:`FlowTable` or a ``.npz`` / ``.csv`` path
+            (:func:`read_trace`).
         config: config object / nested dict / TOML path (see
             :func:`resolve_config`).
         interval_seconds: measurement interval length ``L``.

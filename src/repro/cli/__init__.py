@@ -35,9 +35,7 @@ subcommand:
 The pipeline subcommands (``detect``, ``extract``, ``stream``,
 ``incidents``) accept ``--config run.toml``, a declarative
 :class:`~repro.core.config.ExtractionConfig` in TOML; explicit
-command-line flags override file values.  Choice lists (``--miner``,
-``--features``) are driven by :mod:`repro.registry`, so registered
-third-party extensions are selectable without CLI changes.
+command-line flags override file values.
 
 ``detect``, ``extract`` and ``stream`` accept ``--format json`` for
 machine-readable output (one JSON document per alarmed interval).

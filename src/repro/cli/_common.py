@@ -6,9 +6,9 @@ Three concerns live here so every subcommand module stays small:
   the user actually typed, which is what lets ``--config run.toml``
   merge correctly: explicit flags override file values, file values
   override flag defaults.
-* **Registry-driven choices** - ``--miner`` and ``--features`` take
-  their choice lists from :mod:`repro.registry`, so a registered
-  third-party extension is selectable without touching the CLI.
+* **Table-driven choices** - ``--miner`` and ``--features`` take
+  their choice lists from :data:`repro.mining.miners` and
+  :data:`repro.detection.features.feature_sets`.
 * **Declarative run configs** - :func:`run_config` loads the
   :class:`~repro.core.config.RunConfig` for a subcommand from the
   layered sources.
@@ -22,10 +22,11 @@ import signal
 from typing import Any
 
 from repro.core.config import RunConfig
+from repro.detection.features import feature_sets
 from repro.errors import ConfigError, TraceFormatError
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
-from repro.registry import feature_sets, miners
+from repro.mining import miners
 
 
 class GracefulInterrupt(Exception):
@@ -174,10 +175,9 @@ def add_detector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--training", type=int, default=96,
                         action=TrackedAction)
     parser.add_argument("--features", default=None,
-                        choices=sorted(feature_sets.names()),
+                        choices=sorted(feature_sets),
                         action=TrackedAction,
-                        help="monitored feature set (registered via "
-                        "repro.registry.feature_sets; default: the "
+                        help="monitored feature set (default: the "
                         "paper's five detectors)")
 
 
@@ -186,10 +186,9 @@ def add_mining_args(parser: argparse.ArgumentParser) -> None:
                         action=TrackedAction)
     parser.add_argument("--prefilter", choices=("union", "intersection"),
                         default="union", action=TrackedAction)
-    parser.add_argument("--miner", choices=sorted(miners.names()),
+    parser.add_argument("--miner", choices=sorted(miners),
                         default="apriori", action=TrackedAction,
-                        help="frequent item-set miner (any name "
-                        "registered via repro.registry.miners)")
+                        help="frequent item-set miner")
 
 
 def add_fleet_args(parser: argparse.ArgumentParser) -> None:
@@ -204,7 +203,7 @@ def add_fleet_args(parser: argparse.ArgumentParser) -> None:
                         "[fleet.pipelines.<name>] sections in --config")
     parser.add_argument("--route", default=None, metavar="SPEC",
                         help="routing spec: a flow column ('dst_ip'), a "
-                        "'column%%N' shard, or a registered router "
+                        "'column%%N' shard, or a named router ('hash:COLUMN') "
                         f"(default: {DEFAULT_ROUTE_COLUMN} hash-sharded "
                         "over the pipelines)")
 

@@ -41,7 +41,9 @@ from dataclasses import dataclass
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature, resolve_features
 from repro.errors import ConfigError
+from repro.mining import miners
 from repro.obs.metrics import DEFAULT_BUCKETS
+from repro.registry import lookup
 
 _PREFILTER_MODES = ("union", "intersection")
 
@@ -55,9 +57,8 @@ class MiningSettings:
         prefilter_mode: "union" (the paper's choice) or "intersection"
             (the ablation).
         maximal_only: emit only maximal item-sets.
-        miner: any name registered with :data:`repro.registry.miners`
-            ("apriori" - the paper - "fpgrowth", "eclat", "son", or a
-            plugin).
+        miner: a :data:`repro.mining.miners` name ("apriori" - the
+            paper - "fpgrowth", "eclat" or "son").
     """
 
     min_support: int = 5_000
@@ -73,12 +74,7 @@ class MiningSettings:
                 f"prefilter_mode must be one of {_PREFILTER_MODES}: "
                 f"{self.prefilter_mode}"
             )
-        from repro.registry import miners
-
-        # Membership, not load: entry-point miners validate by name
-        # here and only import when the pipeline actually mines.
-        if self.miner not in miners:
-            miners.get(self.miner)  # raises RegistryError with choices
+        lookup("miner", miners, self.miner)
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,7 +399,7 @@ class ExtractionConfig:
     Attributes:
         detector: per-feature histogram detector settings (C, m, V, ...).
         features: monitored features (paper: the five of Section II-E);
-            accepts a registered feature-set name ("paper", "all", ...)
+            accepts a feature-set name ("paper", "all", ...)
             or any mix of names / :class:`Feature` members / custom
             features.
         mining: :class:`MiningSettings`.
@@ -599,8 +595,7 @@ class ExtractionConfig:
                     f"cannot serialize custom feature "
                     f"{feature.short_name!r}: only built-in features "
                     f"round-trip through to_dict/from_toml (keep "
-                    f"custom-feature configs in code, or register a "
-                    f"feature set and construct from its name)"
+                    f"custom-feature configs in code)"
                 )
         detector["features"] = [f.short_name for f in self.features]
         data["detector"] = detector

@@ -30,13 +30,14 @@ from repro.detection.manager import DetectionRun, DetectorBank
 from repro.detection.metadata import Metadata
 from repro.errors import ExtractionError
 from repro.flows.table import FlowTable
+from repro.mining import miners
 from repro.mining.items import FrequentItemset
 from repro.mining.result import MiningResult
 from repro.mining.transactions import TransactionSet
 from repro.obs.instruments import PipelineInstruments
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, time_stage
 from repro.obs.trace import NULL_TRACER, AnyTracer, Tracer
-from repro.registry import miners
+from repro.registry import lookup
 
 
 @runtime_checkable
@@ -45,8 +46,8 @@ class ReportSink(Protocol):
 
     :class:`~repro.incidents.store.IncidentStore` is the canonical
     implementation; a bare ``list``-backed collector satisfies it too
-    (``append`` is the whole contract).  Named implementations live in
-    :mod:`repro.sinks` and register with :data:`repro.registry.sinks`.
+    (``append`` is the whole contract).  :mod:`repro.sinks` holds the
+    in-memory and fan-out implementations.
     """
 
     def append(self, report: ExtractionReport) -> object: ...
@@ -338,7 +339,7 @@ class AnomalyExtractor:
 
     def _mine(self, flows: FlowTable, min_support: int) -> MiningResult:
         transactions = TransactionSet.from_flows(flows)
-        miner = miners.get(self.config.miner)
+        miner = lookup("miner", miners, self.config.miner)
         # An empty prefilter output (e.g. intersection mode on a
         # multi-stage anomaly) flows through the same call and yields an
         # empty-but-valid mining result.

@@ -65,10 +65,11 @@ from repro.flows.stream import (
     iter_intervals,
 )
 from repro.flows.table import FlowTable
+from repro.mining import miners
 from repro.mining.streaming import SlidingWindowMiner
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.obs.trace import AnyTracer
-from repro.registry import miners
+from repro.registry import lookup
 from repro.state import count, listof, mapping, optional, read_fields, text
 
 if TYPE_CHECKING:
@@ -321,7 +322,7 @@ class FlowInterval:
 
     Detection bins the flows; extraction prefilters them by the voted
     meta-data and mines item-sets - each alarmed interval on its own
-    through the extractor's registered miner, or, when the session runs
+    through the configured miner, or, when the session runs
     a sliding window (``window_intervals > 1``), the suspicious flows of
     the last N intervals together.
     """
@@ -508,7 +509,7 @@ class ExtractionSession(IntervalSpine):
                 self._window_miner = SlidingWindowMiner(
                     window=self.config.window_intervals,
                     min_support=self.config.min_support,
-                    miner=miners.get(self.config.miner),
+                    miner=lookup("miner", miners, self.config.miner),
                     maximal_only=self.config.maximal_only,
                 )
 

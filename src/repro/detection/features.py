@@ -5,11 +5,11 @@ source IP, destination IP, source port, destination port, and packets
 per flow.  The mining step additionally uses protocol and byte counts,
 so the full seven-feature enum lives here and both layers share it.
 
-Feature *sets* are named through the :data:`repro.registry.feature_sets`
-registry ("paper", "all", ...), and :func:`resolve_features` turns any
-spec - a registered name, feature names, :class:`Feature` members, or
-duck-compatible :class:`CustomFeature` objects - into the tuple
-:class:`~repro.detection.manager.DetectorBank` consumes.
+Feature *sets* are named in :data:`feature_sets` ("paper", "all", ...),
+and :func:`resolve_features` turns any spec - a set name, feature names,
+:class:`Feature` members, or duck-compatible :class:`CustomFeature`
+objects - into the tuple :class:`~repro.detection.manager.DetectorBank`
+consumes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.flows.table import FlowTable
+from repro.registry import lookup
 
 
 class Feature(enum.Enum):
@@ -115,9 +116,8 @@ class CustomFeature:
             transform=lambda values: values >> np.uint64(8),
         )
 
-    Register tuples of features (enum and custom mixed freely) with
-    :data:`repro.registry.feature_sets` to make them selectable by
-    name.
+    Pass a tuple of features (enum and custom mixed freely) wherever a
+    feature spec goes.
     """
 
     short_name: str
@@ -155,28 +155,26 @@ FeatureLike = Feature | CustomFeature
 def resolve_features(spec: object) -> tuple[FeatureLike, ...]:
     """Normalize a feature spec into a tuple of feature objects.
 
-    Accepts a registered feature-set name (via
-    :data:`repro.registry.feature_sets`), a single feature name, or an
+    Accepts a :data:`feature_sets` name, a single feature name, or an
     iterable mixing :class:`Feature` members, names, and
     :class:`CustomFeature` objects.  Unknown set names raise
-    :class:`~repro.errors.RegistryError` listing the registered sets.
+    :class:`~repro.errors.RegistryError` listing the sets; a repeated
+    ``short_name`` raises :class:`~repro.errors.ConfigError` (one
+    detector per name: the bank and its checkpoint key on it).
     """
     if spec is None:
         return DETECTOR_FEATURES
     if isinstance(spec, (Feature, CustomFeature)):
         return (spec,)
     if isinstance(spec, str):
-        from repro.registry import feature_sets
-
-        if spec in feature_sets:
-            return tuple(feature_sets.get(spec))
-        try:
-            return (parse_feature(spec),)
-        except ConfigError:
-            # Not a single feature either: report the richer error,
-            # listing the registered set names.
-            feature_sets.get(spec)  # raises RegistryError
-            raise  # pragma: no cover - get() always raises above
+        if spec not in feature_sets:
+            try:
+                return (parse_feature(spec),)
+            except ConfigError:
+                # Not a single feature either: report the richer error,
+                # listing the set names.
+                pass
+        return lookup("feature set", feature_sets, spec)
     if isinstance(spec, Iterable):
         resolved = []
         for item in spec:
@@ -189,26 +187,28 @@ def resolve_features(spec: object) -> tuple[FeatureLike, ...]:
                 resolved.append(item)
             else:
                 raise ConfigError(f"not a feature: {item!r}")
+        seen: set[str] = set()
+        for feature in resolved:
+            if feature.short_name in seen:
+                raise ConfigError(
+                    f"feature {feature.short_name!r} is monitored twice"
+                )
+            seen.add(feature.short_name)
         return tuple(resolved)
     raise ConfigError(f"cannot resolve features from {spec!r}")
 
 
-def _register_builtin_sets() -> None:
-    from repro.registry import feature_sets
-
+#: The named feature sets a config or ``--features`` can select.
+feature_sets: dict[str, tuple[FeatureLike, ...]] = {
     # "paper": the five detectors of Section II-E (the default bank).
-    feature_sets.register("paper", DETECTOR_FEATURES, replace=True)
-    feature_sets.register("detector", DETECTOR_FEATURES, replace=True)
+    "paper": DETECTOR_FEATURES,
+    "detector": DETECTOR_FEATURES,
     # "all": every mining feature, for ablations that also watch
     # protocol and byte counts.
-    feature_sets.register("all", MINING_FEATURES, replace=True)
-    feature_sets.register("mining", MINING_FEATURES, replace=True)
+    "all": MINING_FEATURES,
+    "mining": MINING_FEATURES,
     # "endpoints": the address/port features only (no volume counts).
-    feature_sets.register(
-        "endpoints",
-        (Feature.SRC_IP, Feature.DST_IP, Feature.SRC_PORT, Feature.DST_PORT),
-        replace=True,
-    )
-
-
-_register_builtin_sets()
+    "endpoints": (
+        Feature.SRC_IP, Feature.DST_IP, Feature.SRC_PORT, Feature.DST_PORT
+    ),
+}

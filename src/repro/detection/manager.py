@@ -123,7 +123,7 @@ class DetectorBank:
         features: tuple[Feature, ...] | str | None = DETECTOR_FEATURES,
         seed: int = 0,
     ):
-        # Accepts a registered feature-set name ("paper", "all", ...),
+        # Accepts a feature-set name ("paper", "all", ...),
         # feature names, Feature members, or custom feature objects -
         # see repro.detection.features.resolve_features.
         features = resolve_features(features)

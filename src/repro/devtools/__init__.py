@@ -12,8 +12,6 @@ RPR001    error-envelope       sqlite operations stay inside the
 RPR002    metric-catalog       metric names/label schemas come from
                                ``repro.obs.instruments.CATALOG``; no
                                branching on ``registry.enabled``
-RPR003    registry-discipline  no direct indexing of extension registries;
-                               lookups go through ``Registry.get``
 RPR004    layering             the import graph respects the layer order
                                and stays acyclic
 RPR005    lock-discipline      shared ``self._*`` state in lock-carrying

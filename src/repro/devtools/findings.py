@@ -41,7 +41,7 @@ def parse_noqa(source: str) -> dict[int, frozenset[str] | None]:
 
     A value of ``None`` means every code is suppressed on that line
     (bare ``# repro: noqa``); otherwise the frozenset holds the
-    uppercase codes listed in ``# repro: noqa[RPR001, RPR003]``.
+    uppercase codes listed in ``# repro: noqa[RPR001, RPR004]``.
     """
     suppressions: dict[int, frozenset[str] | None] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):

@@ -7,14 +7,12 @@ from repro.devtools.rules.envelope import ErrorEnvelopeRule
 from repro.devtools.rules.layering import LayeringRule
 from repro.devtools.rules.locking import LockDisciplineRule
 from repro.devtools.rules.metrics_catalog import MetricCatalogRule
-from repro.devtools.rules.registry_discipline import RegistryDisciplineRule
 from repro.devtools.rules.span_catalog import SpanCatalogRule
 
 #: Every built-in rule class, in code order.
 DEFAULT_RULES = (
     ErrorEnvelopeRule,
     MetricCatalogRule,
-    RegistryDisciplineRule,
     LayeringRule,
     LockDisciplineRule,
     ApiSurfaceRule,
@@ -34,7 +32,6 @@ __all__ = [
     "LayeringRule",
     "LockDisciplineRule",
     "MetricCatalogRule",
-    "RegistryDisciplineRule",
     "SpanCatalogRule",
     "rules_by_code",
 ]

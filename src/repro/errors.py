@@ -24,11 +24,11 @@ class ConfigError(ReproError):
 
 
 class RegistryError(ConfigError):
-    """Unknown or conflicting name in an extension registry.
+    """Unknown or non-string name for a built-in table entry (a miner,
+    feature set or fleet router; see :func:`repro.registry.lookup`).
 
-    Subclasses :class:`ConfigError`: an unknown miner/reader/sink name
-    is a configuration mistake, and pre-registry code that caught
-    ``ConfigError`` keeps working.
+    Subclasses :class:`ConfigError`: a bad name is a configuration
+    mistake, and code that catches ``ConfigError`` sees it.
     """
 
 

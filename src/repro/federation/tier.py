@@ -23,7 +23,7 @@ from repro.errors import FederationError
 from repro.federation.collector import Collector
 from repro.federation.digest import IntervalDigest, read_digests
 from repro.federation.federator import FederatedInterval, Federator
-from repro.fleet.routing import resolve_route, route_indices
+from repro.fleet.routing import Router, resolve_route, route_indices
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.incidents.rank import RankedIncident
@@ -67,12 +67,12 @@ class FederationResult:
 def split_trace(
     trace: FlowTable,
     sites: tuple[str, ...],
-    route: str,
+    route: str | Router,
 ) -> dict[str, FlowTable]:
     """Split one combined trace into per-site traces by a fleet
-    routing spec (``"column"``, ``"column%N"``, or a registered
-    router) - the multi-PoP capture file read back as if each site
-    had recorded its own share."""
+    routing spec (``"column"``, ``"column%N"``, a named router, or a
+    router callable) - the multi-PoP capture file read back as if each
+    site had recorded its own share."""
     if not sites:
         raise FederationError("need at least one site to split into")
     indices = route_indices(

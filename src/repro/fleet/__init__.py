@@ -3,9 +3,8 @@
 The paper's Fig. 3 pipeline is defined per monitored link; this package
 runs N of them as one service: a :class:`FleetManager` owns one named
 :class:`~repro.core.session.ExtractionSession` per link, routes records
-by a key column / shard spec / registered router
-(:mod:`repro.fleet.routing`, pluggable via
-:data:`repro.registry.routers`), keeps per-pipeline incident stores,
+by a key column / shard spec / router callable
+(:mod:`repro.fleet.routing`), keeps per-pipeline incident stores,
 and merges + re-ranks incidents fleet-wide.
 
 Entry points: :func:`repro.api.open_fleet`, the ``repro-extract fleet``

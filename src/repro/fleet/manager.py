@@ -6,7 +6,7 @@ across devices, Feremans et al. detect over a *network* of them).
 :class:`FleetManager` is that operating mode: it owns one named
 :class:`~repro.core.session.ExtractionSession` per link, routes
 incoming flow chunks to the right pipeline (a key column, a
-``"dst_ip%N"`` shard, a registered router, or an explicit per-chunk
+``"dst_ip%N"`` shard, a named router, or an explicit per-chunk
 tag), keeps one incident store per pipeline, and answers fleet-wide
 queries -
 :meth:`FleetManager.incidents` merges every store's correlated

@@ -7,9 +7,7 @@ by those indices and feeds every pipeline exactly its own share - in
 arrival order, which is what makes a fleet pipeline's output identical
 to a solo run over the same subset.
 
-Routers resolve through :data:`repro.registry.routers`, so third-party
-routing strategies plug in like miners and sinks.  A registered entry
-is a *factory*::
+Named routers live in :data:`routers`; an entry is a *factory*::
 
     factory(arg: str | None, n_pipelines: int) -> router
     router(table: FlowTable) -> numpy integer array of len(table)
@@ -20,10 +18,10 @@ and :func:`resolve_route` accepts four spellings:
 * ``"dst_ip%4"`` - shard by ``dst_ip`` modulo 4 (the count must match
   the fleet's pipeline count; it exists so run configs fail loudly
   when the two drift apart);
-* ``"hash:dst_ip"`` / any ``"name:arg"`` - a registered factory with
-  an argument;
-* ``"dst_ip"`` - a bare registered router name, or a flow column
-  (shorthand for hash-sharding on it over every pipeline).
+* ``"hash:dst_ip"`` / any ``"name:arg"`` - a named factory with an
+  argument;
+* ``"dst_ip"`` - a bare router name, or a flow column (shorthand for
+  hash-sharding on it over every pipeline).
 """
 
 from __future__ import annotations
@@ -34,11 +32,12 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.flows.table import ALL_COLUMNS, FlowTable
+from repro.registry import lookup
 
 #: The router contract: one pipeline index per row.
 Router = Callable[[FlowTable], np.ndarray]
 
-#: A registered router factory.
+#: A named router factory.
 RouterFactory = Callable[[str | None, int], Router]
 
 #: Route of a run that names none but cannot take per-chunk tags (the
@@ -72,6 +71,10 @@ def hash_router(arg: str | None, n_pipelines: int) -> Router:
     return route
 
 
+#: Router factories by name.
+routers: dict[str, RouterFactory] = {"hash": hash_router}
+
+
 def resolve_route(spec: str | Router, n_pipelines: int) -> Router:
     """Turn a route spec into a router callable (see module docstring).
 
@@ -89,11 +92,9 @@ def resolve_route(spec: str | Router, n_pipelines: int) -> Router:
         raise ConfigError(
             f"route must be a string spec or a callable, got {spec!r}"
         )
-    from repro.registry import routers
-
     if ":" in spec:
         name, _, arg = spec.partition(":")
-        return routers.get(name)(arg or None, n_pipelines)
+        return lookup("fleet router", routers, name)(arg or None, n_pipelines)
     if "%" in spec:
         column, _, count = spec.partition("%")
         try:
@@ -108,15 +109,15 @@ def resolve_route(spec: str | Router, n_pipelines: int) -> Router:
                 f"route {spec!r} shards into {declared} pipelines but "
                 f"the fleet has {n_pipelines}"
             )
-        return routers.get("hash")(column, n_pipelines)
+        return hash_router(column, n_pipelines)
     if spec in routers:
-        return routers.get(spec)(None, n_pipelines)
+        return routers[spec](None, n_pipelines)
     if spec in ALL_COLUMNS:
-        return routers.get("hash")(spec, n_pipelines)
+        return hash_router(spec, n_pipelines)
     raise ConfigError(
         f"unknown route {spec!r}: expected a flow column "
         f"({', '.join(ALL_COLUMNS)}), 'column%N', or a registered "
-        f"router ({', '.join(sorted(routers.names())) or 'none'})"
+        f"router ({', '.join(sorted(routers))})"
     )
 
 
@@ -124,7 +125,7 @@ def route_indices(
     router: Router, table: FlowTable, n_pipelines: int, misrouted=None
 ) -> np.ndarray:
     """``router``'s pipeline index per row of ``table``, validated: a
-    router is third-party code, and anything but one integer in
+    router may be caller code, and anything but one integer in
     ``[0, n_pipelines)`` per row (which would silently match no
     pipeline) raises :class:`ConfigError`.  Out-of-range rows are first
     counted into ``misrouted`` (the fleet's counter), when given."""
@@ -152,15 +153,7 @@ def route_indices(
     return indices
 
 
-def _register_builtin_routers() -> None:
-    from repro.registry import routers
-
-    routers.register("hash", hash_router, replace=True)
-
-
-_register_builtin_routers()
-
 __all__ = [
     "DEFAULT_ROUTE_COLUMN", "Router", "RouterFactory",
-    "hash_router", "resolve_route", "route_indices",
+    "hash_router", "resolve_route", "route_indices", "routers",
 ]

@@ -250,34 +250,24 @@ def read_npz(path: str | os.PathLike[str]) -> FlowTable:
         return FlowTable({name: archive[name] for name in ALL_COLUMNS})
 
 
-def _register_builtin_readers() -> None:
-    from repro.registry import readers
-
-    readers.register(".csv", read_csv, replace=True)
-    readers.register(".npz", read_npz, replace=True)
-
-
-_register_builtin_readers()
+#: Trace readers by file extension: ``reader(path) -> FlowTable``.
+readers = {".csv": read_csv, ".npz": read_npz}
 
 
 def read_trace(path: str | os.PathLike[str]) -> FlowTable:
-    """Read a trace by file extension via the reader registry.
+    """Read a trace by file extension via :data:`readers`.
 
-    The one dispatch point shared by the CLI and the API facade.  New
-    formats plug in by registering ``reader(path) -> FlowTable`` under
-    their extension with :data:`repro.registry.readers` (or a
-    ``repro.readers`` entry point); unknown extensions raise
-    :class:`TraceFormatError` listing the readable ones.
+    The one dispatch point shared by the CLI and the API facade; unknown
+    extensions raise :class:`TraceFormatError` listing the readable
+    ones.
     """
-    from repro.registry import readers
-
     extension = os.path.splitext(os.fspath(path))[1].lower()
     if extension not in readers:
-        known = ", ".join(readers.names()) or "none registered"
         raise TraceFormatError(
-            f"{path}: unknown trace format (expected one of: {known})"
+            f"{path}: unknown trace format (expected one of: "
+            f"{', '.join(sorted(readers))})"
         )
-    return readers.get(extension)(path)
+    return readers[extension](path)
 
 
 def iter_csv_records(path: str | os.PathLike[str]) -> Iterator[FlowRecord]:

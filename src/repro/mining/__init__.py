@@ -35,15 +35,12 @@ from repro.mining.streaming import SlidingWindowMiner
 from repro.mining.topk import mine_top_k, support_for_top_k
 from repro.mining.transactions import TRANSACTION_WIDTH, TransactionSet
 
-# The built-in miners, by name, in :data:`repro.registry.miners`.
-from repro.registry import miners
-
-miners.register("apriori", apriori, replace=True)
-miners.register("fpgrowth", fpgrowth, replace=True)
-miners.register("eclat", eclat, replace=True)
-miners.register("son", son, replace=True)
+#: The miners a config names: ``miner(transactions, min_support,
+#: maximal_only=True) -> MiningResult``.
+miners = {"apriori": apriori, "fpgrowth": fpgrowth, "eclat": eclat, "son": son}
 
 __all__ = [
+    "miners",
     "apriori",
     "fpgrowth",
     "eclat",

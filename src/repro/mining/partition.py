@@ -163,7 +163,7 @@ def son(
     The output is identical - same item-sets, same supports - to
     running ``apriori`` on the unpartitioned input (the property suite
     asserts it); only the ``algorithm`` tag ("son") differs.  One shard
-    (the default, and what the registered miner uses) degenerates to
+    (the default, and what ``miners["son"]`` runs) degenerates to
     apriori plus a verification pass.
     """
     if min_support < 1:

@@ -22,9 +22,8 @@ __all__ = ["MetricsSink"]
 class MetricsSink:
     """Write one metrics snapshot per processed interval as JSONL.
 
-    Owns (and closes) the handle only when constructed from a path,
-    mirroring :class:`~repro.sinks.JsonlSink`; use as a context manager
-    or call :meth:`close`.
+    Owns (and closes) the handle only when constructed from a path; use
+    as a context manager or call :meth:`close`.
 
     Args:
         target: path or open text handle for the JSONL stream.

@@ -5,45 +5,17 @@ The pipeline pushes every alarmed interval's
 :class:`~repro.core.pipeline.ReportSink` protocol (``append``), plus the
 optional :class:`~repro.core.pipeline.IntervalSink` extension
 (``note_interval``) for sinks that track incident lifecycle and must see
-clean intervals pass.
+clean intervals pass.  The incident store is the persistent sink; this
+module holds the two in-process ones:
 
-This module provides the built-in implementations and registers their
-factories with :data:`repro.registry.sinks`:
-
-* ``"memory"`` - :class:`MemorySink`, collects reports in a list;
-* ``"jsonl"`` - :class:`JsonlSink`, one JSON document per report to a
-  file or handle;
-* ``"store"`` - opens an
-  :class:`~repro.incidents.store.IncidentStore` (SQLite);
-* ``"null"`` - :class:`NullSink`, drops everything (counter only);
-* ``"tee"`` - :class:`TeeSink`, fans one report stream out to several
-  sinks.
-
-Third-party sinks register a factory under ``repro.sinks`` entry points
-or at runtime; ``repro.registry.sinks["name"](...)`` builds one.
+* :class:`MemorySink` - collects reports in a list;
+* :class:`TeeSink` - fans one report stream out to several sinks.
 """
 
 from __future__ import annotations
 
-import os
-from typing import IO
-
 from repro.core.pipeline import notify_sink_interval
 from repro.core.report import ExtractionReport
-
-
-class NullSink:
-    """Drops every report; counts what passed through."""
-
-    def __init__(self) -> None:
-        self.appended = 0
-        self.last_interval: int | None = None
-
-    def append(self, report: ExtractionReport) -> None:
-        self.appended += 1
-
-    def note_interval(self, interval: int) -> None:
-        self.last_interval = interval
 
 
 class MemorySink:
@@ -66,36 +38,6 @@ class MemorySink:
         return iter(self.reports)
 
 
-class JsonlSink:
-    """Writes one JSON document per report to a path or open handle.
-
-    Owns (and closes) the handle only when constructed from a path; use
-    as a context manager or call :meth:`close`.
-    """
-
-    def __init__(self, target: str | os.PathLike[str] | IO[str]):
-        self._owns_handle = isinstance(target, (str, os.PathLike))
-        self._handle: IO[str] = (
-            open(target, "w") if self._owns_handle else target
-        )
-        self.appended = 0
-
-    def append(self, report: ExtractionReport) -> None:
-        self._handle.write(report.to_json())
-        self._handle.write("\n")
-        self.appended += 1
-
-    def close(self) -> None:
-        if self._owns_handle:
-            self._handle.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class TeeSink:
     """Fans one report stream out to several sinks.
 
@@ -108,10 +50,6 @@ class TeeSink:
     def __init__(self, *sinks: object):
         self._sinks = sinks
 
-    @property
-    def sinks(self) -> tuple[object, ...]:
-        return self._sinks
-
     def append(self, report: ExtractionReport) -> None:
         for sink in self._sinks:
             sink.append(report)
@@ -121,23 +59,4 @@ class TeeSink:
             notify_sink_interval(sink, interval)
 
 
-def _open_store_sink(path: str, **kwargs: object):
-    """Factory for the "store" sink: an incident store at ``path``."""
-    from repro.incidents.store import IncidentStore
-
-    return IncidentStore(path, **kwargs)
-
-
-def _register_builtin_sinks() -> None:
-    from repro.registry import sinks
-
-    sinks.register("null", NullSink, replace=True)
-    sinks.register("memory", MemorySink, replace=True)
-    sinks.register("jsonl", JsonlSink, replace=True)
-    sinks.register("tee", TeeSink, replace=True)
-    sinks.register("store", _open_store_sink, replace=True)
-
-
-_register_builtin_sinks()
-
-__all__ = ["NullSink", "MemorySink", "JsonlSink", "TeeSink"]
+__all__ = ["MemorySink", "TeeSink"]

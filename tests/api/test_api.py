@@ -3,15 +3,8 @@
 import pytest
 
 import repro.api as api
-from repro.registry import miners
 
 _DETECTOR = {"bins": 256, "training_intervals": 16}
-
-
-def toy_miner(transactions, min_support, maximal_only=True, **kwargs):
-    from repro.mining import apriori
-
-    return apriori(transactions, min_support, maximal_only=maximal_only)
 
 
 @pytest.fixture(scope="module")
@@ -80,23 +73,6 @@ class TestExtract:
         )
         for extraction in tightened.extractions:
             assert extraction.mining.min_support == 10_000
-
-    def test_third_party_miner_no_internal_edits(self, ddos_trace):
-        miners.register("toy-api-test", toy_miner)
-        try:
-            expected = api.extract(
-                ddos_trace.flows, detector=_DETECTOR, min_support=300,
-                seed=1, interval_seconds=900.0,
-            )
-            got = api.extract(
-                ddos_trace.flows, detector=_DETECTOR, min_support=300,
-                seed=1, interval_seconds=900.0, miner="toy-api-test",
-            )
-            assert [e.render() for e in got.extractions] == [
-                e.render() for e in expected.extractions
-            ]
-        finally:
-            miners.unregister("toy-api-test")
 
     def test_bad_config_type(self):
         from repro.errors import ConfigError
@@ -176,4 +152,4 @@ class TestCuratedSurface:
         assert "apriori" in api.miners
         assert "paper" in api.feature_sets
         assert ".csv" in api.readers
-        assert "memory" in api.sinks
+        assert "hash" in api.routers

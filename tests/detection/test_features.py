@@ -58,3 +58,31 @@ class TestParseFeature:
         for feature in Feature:
             assert parse_feature(feature.value) is feature
             assert parse_feature(feature.short_name) is feature
+
+
+class TestRepeatedFeatures:
+    """One detector per short name: the bank and its checkpoint key on
+    it, so a repeat would silently collapse or lose a detector."""
+
+    def test_repeated_name_refused(self):
+        from repro.core import ExtractionConfig
+
+        with pytest.raises(ConfigError, match="'srcIP'"):
+            ExtractionConfig(features=["srcIP", "srcIP", "dstPort"])
+
+    def test_custom_feature_shadowing_a_builtin_refused(self):
+        from repro.detection.features import CustomFeature
+        from repro.detection.manager import DetectorBank
+
+        with pytest.raises(ConfigError, match="'srcIP'"):
+            DetectorBank(
+                features=[CustomFeature("srcIP", "dst_ip"), Feature.SRC_IP]
+            )
+
+    def test_toml_list_with_a_repeat_refused(self, tmp_path):
+        from repro.core import ExtractionConfig
+
+        path = tmp_path / "run.toml"
+        path.write_text('[detector]\nfeatures = ["dstIP", "dst_ip"]\n')
+        with pytest.raises(ConfigError, match="'dstIP'"):
+            ExtractionConfig.from_toml(path)

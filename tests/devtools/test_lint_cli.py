@@ -11,19 +11,19 @@ from repro.devtools.cli import main
 from repro.devtools.findings import JSON_SCHEMA_VERSION
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-RPR003_VIOLATION = os.path.join(FIXTURES, "rpr003_violation.py")
-RPR003_CLEAN = os.path.join(FIXTURES, "rpr003_clean.py")
+RPR001_VIOLATION = os.path.join(FIXTURES, "rpr001_violation.py")
+RPR001_CLEAN = os.path.join(FIXTURES, "rpr001_clean.py")
 
 
 class TestExitCodes:
     def test_clean_run_exits_zero(self, capsys):
-        assert main([RPR003_CLEAN]) == 0
+        assert main([RPR001_CLEAN]) == 0
         assert capsys.readouterr().out == ""
 
     def test_findings_exit_one(self, capsys):
-        assert main([RPR003_VIOLATION]) == 1
+        assert main([RPR001_VIOLATION]) == 1
         out = capsys.readouterr().out
-        assert ": RPR003 " in out
+        assert ": RPR001 " in out
         assert "2 finding(s) in 1 file(s)" in out
 
     def test_missing_path_exits_two(self, capsys):
@@ -38,38 +38,39 @@ class TestExitCodes:
 
     def test_unknown_rule_code_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([RPR003_VIOLATION, "--select", "RPR999"])
+            main([RPR001_VIOLATION, "--select", "RPR999"])
         assert excinfo.value.code == 2
         assert "unknown rule code" in capsys.readouterr().err
 
 
 class TestSelection:
     def test_select_limits_the_ruleset(self, capsys):
-        assert main([RPR003_VIOLATION, "--select", "RPR001"]) == 0
-        assert main([RPR003_VIOLATION, "--select", "RPR003"]) == 1
+        assert main([RPR001_VIOLATION, "--select", "RPR002"]) == 0
+        assert main([RPR001_VIOLATION, "--select", "RPR001"]) == 1
         capsys.readouterr()
 
     def test_ignore_drops_a_rule(self, capsys):
-        assert main([RPR003_VIOLATION, "--ignore", "RPR003"]) == 0
+        assert main([RPR001_VIOLATION, "--ignore", "RPR001"]) == 0
         capsys.readouterr()
 
     def test_list_rules_prints_the_table(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPR001", "RPR002", "RPR003",
-                     "RPR004", "RPR005", "RPR006"):
+        for code in ("RPR001", "RPR002", "RPR004", "RPR005", "RPR006",
+                     "RPR007"):
             assert code in out
+        assert "RPR003" not in out
 
 
 class TestTextFormat:
     def test_rows_carry_path_position_and_code(self, capsys):
-        main([RPR003_VIOLATION])
+        main([RPR001_VIOLATION])
         first = capsys.readouterr().out.splitlines()[0]
         location, _, rest = first.partition(": ")
         path, line, col = location.rsplit(":", 2)
-        assert path.endswith("rpr003_violation.py")
+        assert path.endswith("rpr001_violation.py")
         assert line.isdigit() and col.isdigit()
-        assert rest.startswith("RPR003 ")
+        assert rest.startswith("RPR001 ")
 
 
 class TestJsonFormat:
@@ -82,7 +83,7 @@ class TestJsonFormat:
         return payload
 
     def test_schema_keys_and_finding_shape(self, capsys):
-        report = self._report(capsys, RPR003_VIOLATION)
+        report = self._report(capsys, RPR001_VIOLATION)
         assert set(report) == {
             "version", "checked_files", "rules", "findings", "counts",
             "_exit",
@@ -96,25 +97,25 @@ class TestJsonFormat:
             assert isinstance(finding["col"], int)
 
     def test_counts_match_findings(self, capsys):
-        report = self._report(capsys, RPR003_VIOLATION)
-        assert report["counts"] == {"RPR003": 2}
+        report = self._report(capsys, RPR001_VIOLATION)
+        assert report["counts"] == {"RPR001": 2}
         assert len(report["findings"]) == 2
 
     def test_rules_reflect_selection(self, capsys):
         report = self._report(
-            capsys, RPR003_VIOLATION, "--select", "RPR001,RPR003"
+            capsys, RPR001_VIOLATION, "--select", "RPR001,RPR002"
         )
-        assert report["rules"] == ["RPR001", "RPR003"]
+        assert report["rules"] == ["RPR001", "RPR002"]
 
     def test_clean_run_still_emits_a_report(self, capsys):
-        report = self._report(capsys, RPR003_CLEAN)
+        report = self._report(capsys, RPR001_CLEAN)
         assert report["_exit"] == 0
         assert report["findings"] == []
         assert report["counts"] == {}
 
     def test_output_is_deterministic(self, capsys):
-        main([RPR003_VIOLATION, "--format", "json"])
+        main([RPR001_VIOLATION, "--format", "json"])
         first = capsys.readouterr().out
-        main([RPR003_VIOLATION, "--format", "json"])
+        main([RPR001_VIOLATION, "--format", "json"])
         second = capsys.readouterr().out
         assert first == second

@@ -11,8 +11,8 @@ class TestParseNoqa:
         assert parse_noqa("x = 1  # repro: noqa\n") == {1: None}
 
     def test_coded_noqa_normalises_case_and_whitespace(self):
-        noqa = parse_noqa("y = 2  # repro: noqa[rpr001,  RPR003]\n")
-        assert noqa == {1: frozenset({"RPR001", "RPR003"})}
+        noqa = parse_noqa("y = 2  # repro: noqa[rpr001,  RPR004]\n")
+        assert noqa == {1: frozenset({"RPR001", "RPR004"})}
 
     def test_lines_are_one_based(self):
         noqa = parse_noqa("a = 1\nb = 2  # repro: noqa[RPR002]\n")
@@ -30,31 +30,31 @@ class TestParseNoqa:
 class TestSuppressionScope:
     def test_wrong_code_does_not_suppress(self, tmp_path):
         source = (
-            "from repro.registry import miners\n"
+            "import sqlite3\n"
             "\n"
             "\n"
-            "def lookup(name):\n"
-            "    return miners[name]  # repro: noqa[RPR001]\n"
+            "def connect(path):\n"
+            "    return sqlite3.connect(path)  # repro: noqa[RPR002]\n"
         )
         path = tmp_path / "wrong_code.py"
         path.write_text(source)
         result = lint_paths([str(path)])
-        assert [f.code for f in result.findings] == ["RPR003"]
+        assert [f.code for f in result.findings] == ["RPR001"]
 
     def test_suppression_is_per_line(self, tmp_path):
         source = (
-            "from repro.registry import miners\n"
+            "import sqlite3\n"
             "\n"
             "\n"
-            "def lookup(name):\n"
-            "    first = miners[name]  # repro: noqa[RPR003]\n"
-            "    second = miners[name]\n"
+            "def connect(path):\n"
+            "    first = sqlite3.connect(path)  # repro: noqa[RPR001]\n"
+            "    second = sqlite3.connect(path)\n"
             "    return first, second\n"
         )
         path = tmp_path / "per_line.py"
         path.write_text(source)
         result = lint_paths([str(path)])
-        assert [(f.code, f.line) for f in result.findings] == [("RPR003", 6)]
+        assert [(f.code, f.line) for f in result.findings] == [("RPR001", 6)]
 
 
 class TestParseErrors:
@@ -78,13 +78,13 @@ class TestParseErrors:
 class TestResultShape:
     def test_findings_sort_by_position(self, tmp_path):
         source = (
-            "from repro.registry import miners, readers\n"
+            "import sqlite3\n"
             "\n"
             "\n"
-            "def lookup(name):\n"
-            "    reader = readers[name]\n"
-            "    miner = miners[name]\n"
-            "    return miner, reader\n"
+            "def query(path):\n"
+            "    conn = sqlite3.connect(path)\n"
+            "    conn.execute('SELECT 1')\n"
+            "    return conn\n"
         )
         path = tmp_path / "ordering.py"
         path.write_text(source)
@@ -95,6 +95,5 @@ class TestResultShape:
         (tmp_path / "empty.py").write_text("x = 1\n")
         result = lint_paths([str(tmp_path)])
         assert result.rules == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007",
+            "RPR001", "RPR002", "RPR004", "RPR005", "RPR006", "RPR007",
         ]

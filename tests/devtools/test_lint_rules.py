@@ -28,7 +28,6 @@ def lint_fixture(target: str, code: str, root: str | None = None):
 FLAT_CASES = [
     ("RPR001", "rpr001", 2),
     ("RPR002", "rpr002", 5),
-    ("RPR003", "rpr003", 2),
     ("RPR005", "rpr005", 2),
     ("RPR007", "rpr007", 5),
 ]
@@ -82,14 +81,6 @@ class TestRuleDetails:
         assert any("catalogued with labels" in m for m in messages)
         assert any("literal catalogued metric name" in m for m in messages)
         assert any("NULL_REGISTRY discipline" in m for m in messages)
-
-    def test_rpr003_names_the_registry(self):
-        path = os.path.join(FIXTURES, "rpr003_violation.py")
-        messages = [
-            f.message for f in lint_fixture(path, "RPR003").findings
-        ]
-        assert any("miners[...]" in m for m in messages)
-        assert any("readers[...]" in m for m in messages)
 
     def test_rpr005_names_class_method_and_attribute(self):
         path = os.path.join(FIXTURES, "rpr005_violation.py")

@@ -28,6 +28,5 @@ def test_every_rule_runs_over_the_whole_tree():
     # The walk really covered the package, devtools included.
     assert result.checked_files > 100
     assert result.rules == [
-        "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-        "RPR007",
+        "RPR001", "RPR002", "RPR004", "RPR005", "RPR006", "RPR007",
     ]

@@ -43,16 +43,11 @@ class TestSplitTrace:
         applies here too."""
         import numpy as np
 
-        from repro.registry import routers
+        def halfway(table):
+            return np.full(len(table), 0.5)
 
-        routers.register(
-            "halfway", lambda arg, n: lambda table: np.full(len(table), 0.5)
-        )
-        try:
-            with pytest.raises(ConfigError, match="integer pipeline indices"):
-                split_trace(ddos_trace.flows, ("a", "b"), "halfway")
-        finally:
-            routers.unregister("halfway")
+        with pytest.raises(ConfigError, match="integer pipeline indices"):
+            split_trace(ddos_trace.flows, ("a", "b"), halfway)
 
 
 def _federate(traces, fed_config, **kwargs):

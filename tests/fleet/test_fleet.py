@@ -18,7 +18,6 @@ from repro.core.config import ExtractionConfig, FleetSettings
 from repro.detection.detector import DetectorConfig
 from repro.errors import ConfigError, ExtractionError, RegistryError
 from repro.fleet import FleetManager, resolve_route
-from repro.registry import routers
 
 INTERVAL_SECONDS = 900.0
 
@@ -82,16 +81,6 @@ class TestRouting:
         router = resolve_route(lambda table: table.protocol % 2, 2)
         assert np.array_equal(router(tiny_flows), tiny_flows.protocol % 2)
 
-    def test_registered_plugin_router(self, tiny_flows):
-        @routers.register("evens-test")
-        def evens(arg, n_pipelines):
-            return lambda table: np.zeros(len(table), dtype=np.int64)
-
-        try:
-            router = resolve_route("evens-test", 5)
-            assert router(tiny_flows).tolist() == [0] * len(tiny_flows)
-        finally:
-            routers.unregister("evens-test")
 
 
 # ----------------------------------------------------------------------

@@ -595,92 +595,7 @@ class TestFeaturesFlag:
             )
 
 
-def _toy_cli_miner(transactions, min_support, maximal_only=True, **kwargs):
-    from repro.mining import apriori
-
-    return apriori(transactions, min_support, maximal_only=maximal_only)
-
-
 class TestThirdPartyMinerCLI:
-    _FLAGS = [
-        "--bins", "256", "--training", "16", "--min-support", "300",
-    ]
-
-    @pytest.fixture(scope="class")
-    def trace_npz(self, tmp_path_factory, ddos_trace):
-        from repro.flows import write_npz
-
-        path = tmp_path_factory.mktemp("plugin-cli") / "trace.npz"
-        write_npz(ddos_trace.flows, str(path))
-        return str(path)
-
-    def test_runtime_registered_miner_selectable(self, trace_npz, capsys):
-        """Acceptance: a miner registered via repro.registry (no edits
-        under src/repro/) is selectable from the CLI."""
-        from repro.registry import miners
-
-        assert main(
-            ["--seed", "1", "extract", trace_npz, *self._FLAGS]
-        ) == 0
-        reference = capsys.readouterr().out
-        miners.register("toyminer", _toy_cli_miner)
-        try:
-            assert main(
-                ["--seed", "1", "extract", trace_npz, *self._FLAGS,
-                 "--miner", "toyminer"]
-            ) == 0
-            assert capsys.readouterr().out == reference
-        finally:
-            miners.unregister("toyminer")
-
-    def test_entry_point_miner_end_to_end(
-        self, trace_npz, capsys, monkeypatch
-    ):
-        """An entry-point-style plugin miner resolves through
-        `repro-extract extract --miner <name>` without registration
-        calls in this process."""
-        import importlib.metadata
-
-        from repro.registry import miners
-
-        class _EntryPoint:
-            name = "epminer"
-            value = "tests.integration.test_cli:_toy_cli_miner"
-
-            def load(self):
-                return _toy_cli_miner
-
-        real = importlib.metadata.entry_points
-
-        def fake_entry_points(*, group):
-            if group == "repro.miners":
-                return [_EntryPoint()]
-            return real(group=group)
-
-        assert main(
-            ["--seed", "1", "extract", trace_npz, *self._FLAGS]
-        ) == 0
-        reference = capsys.readouterr().out
-
-        monkeypatch.setattr(
-            importlib.metadata, "entry_points", fake_entry_points
-        )
-        miners.refresh()
-        try:
-            assert "epminer" in miners.names()
-            assert main(
-                ["--seed", "1", "extract", trace_npz, *self._FLAGS,
-                 "--miner", "epminer"]
-            ) == 0
-            assert capsys.readouterr().out == reference
-        finally:
-            # Drop the cached entry-point load and rescan without the
-            # patched metadata so later tests see only the built-ins.
-            monkeypatch.undo()
-            miners.refresh()
-            if "epminer" in dict(miners):
-                miners.unregister("epminer")
-
     def test_unknown_miner_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -59,19 +59,6 @@ class TestExamples:
         assert "ROC sweep" in out
         assert "recommendation" in out
 
-    def test_custom_plugin(self, capsys):
-        from repro.registry import miners
-
-        try:
-            out = _run("custom_plugin.py", capsys)
-        finally:
-            # runpy re-executes the module; drop its registration so a
-            # repeated run (or another test) can register again.
-            if "two-shard" in dict(miners):
-                miners.unregister("two-shard")
-        assert "two-shard" in out
-        assert "identical to the built-in apriori report: True" in out
-
     def test_run_toml_example_loads(self):
         from repro.core import ExtractionConfig
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MiningError
+from repro.mining import miners
 from repro.mining.apriori import apriori
 from repro.mining.partition import (
     count_candidates,
@@ -14,7 +15,6 @@ from repro.mining.partition import (
     son,
 )
 from repro.mining.transactions import TransactionSet
-from repro.registry import miners
 
 
 class TestPartition:

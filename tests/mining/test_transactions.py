@@ -7,9 +7,9 @@ from repro.detection.features import Feature
 from repro.errors import MiningError
 from repro.flows.io import iter_csv_handle
 from repro.flows.table import FlowTable
+from repro.mining import miners
 from repro.mining.items import FEATURE_SHIFT, VALUE_MASK, encode_item
 from repro.mining.transactions import TRANSACTION_WIDTH, TransactionSet
-from repro.registry import miners
 
 
 @pytest.fixture()

@@ -1,180 +1,133 @@
-"""Unit tests for the generic extension registry and its instances."""
+"""The built-in name tables, their refusals, and the report sinks."""
 
-import importlib.metadata
+from types import MappingProxyType
 
 import pytest
 
-from repro.errors import ConfigError, RegistryError
-from repro.registry import Registry, feature_sets, miners, readers, sinks
+import repro.api as api
+from repro.core import ExtractionConfig
+from repro.detection.features import (
+    DETECTOR_FEATURES,
+    MINING_FEATURES,
+    feature_sets,
+)
+from repro.errors import ConfigError, RegistryError, TraceFormatError
+from repro.fleet import resolve_route
+from repro.fleet.routing import routers
+from repro.flows import read_trace, write_csv, write_npz
+from repro.flows.io import readers
+from repro.mining import apriori, eclat, fpgrowth, miners, son
+from repro.registry import lookup
 
 
-def toy_miner(transactions, min_support, maximal_only=True, **kwargs):
-    """A 'third-party' miner: delegates to apriori (same output)."""
-    from repro.mining import apriori
+def _read_pcap(tmp_path):
+    path = tmp_path / "t.pcap"
+    path.write_text("x")
+    return read_trace(str(path))
 
-    return apriori(transactions, min_support, maximal_only=maximal_only)
+
+# (entry point, error type, fragments the refusal must carry)
+REFUSALS = {
+    "miner": (
+        lambda tmp_path: ExtractionConfig(miner="aprioro"),
+        RegistryError,
+        ("unknown miner 'aprioro'", "did you mean 'apriori'",
+         "available: apriori, eclat, fpgrowth, son"),
+    ),
+    "feature set": (
+        lambda tmp_path: ExtractionConfig(features="papr"),
+        RegistryError,
+        ("unknown feature set 'papr'", "did you mean 'paper'"),
+    ),
+    "trace reader": (
+        _read_pcap,
+        TraceFormatError,
+        ("unknown trace format", ".csv", ".npz"),
+    ),
+    "fleet router": (
+        lambda tmp_path: resolve_route("nope:dst_ip", 2),
+        RegistryError,
+        ("unknown fleet router 'nope'", "available: hash"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSALS))
+def test_unknown_name_is_refused_with_the_choices(kind, tmp_path):
+    entry, error, fragments = REFUSALS[kind]
+    with pytest.raises(error) as excinfo:
+        entry(tmp_path)
+    for fragment in fragments:
+        assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", [None, 5, ["apriori"]])
+def test_non_string_miner_name_is_a_registry_error(name):
+    for build in (
+        lambda: api.resolve_config(None, miner=name),
+        lambda: ExtractionConfig(miner=name),
+    ):
+        with pytest.raises(RegistryError) as excinfo:
+            build()
+        message = str(excinfo.value)
+        assert "miner name must be a string" in message
+        assert type(name).__name__ in message
+
+
+def test_registry_error_is_config_error():
+    with pytest.raises(ConfigError):
+        ExtractionConfig(miner="nope")
+
+
+def test_api_miners_are_the_mining_functions():
+    assert api.miners == {
+        "apriori": apriori, "eclat": eclat, "fpgrowth": fpgrowth, "son": son,
+    }
 
 
 class TestRegistry:
+    """:func:`repro.registry.lookup` over any name table."""
+
     def test_register_and_get(self):
-        reg = Registry("thing")
-        reg.register("a", 1)
-        assert reg.get("a") == 1
-        assert reg["a"] == 1
-
-    def test_decorator_registration(self):
-        reg = Registry("thing")
-
-        @reg.register("fn")
-        def fn():
-            return 42
-
-        assert reg["fn"] is fn
-        assert fn() == 42  # decorator returns the function unchanged
-
-    def test_duplicate_name_rejected(self):
-        reg = Registry("thing")
-        reg.register("a", 1)
-        with pytest.raises(RegistryError, match="already registered"):
-            reg.register("a", 2)
-        assert reg["a"] == 1
-
-    def test_duplicate_with_replace_allowed(self):
-        reg = Registry("thing")
-        reg.register("a", 1)
-        reg.register("a", 2, replace=True)
-        assert reg["a"] == 2
-
-    def test_setitem_overwrites_like_a_dict(self):
-        reg = Registry("thing")
-        reg["a"] = 1
-        reg["a"] = 2
-        assert reg["a"] == 2
+        sentinel = object()
+        assert lookup("thing", {"a": sentinel}, "a") is sentinel
 
     def test_unknown_name_lists_choices(self):
-        reg = Registry("widget")
-        reg.register("alpha", 1)
-        reg.register("beta", 2)
         with pytest.raises(RegistryError) as excinfo:
-            reg.get("gamma")
+            lookup("widget", {"alpha": 1, "beta": 2}, "gamma")
         message = str(excinfo.value)
         assert "unknown widget 'gamma'" in message
-        assert "alpha" in message and "beta" in message
+        assert "available: alpha, beta" in message
 
     def test_unknown_name_did_you_mean(self):
-        reg = Registry("widget")
-        reg.register("apriori", 1)
         with pytest.raises(RegistryError, match="did you mean 'apriori'"):
-            reg.get("aprioro")
+            lookup("widget", {"apriori": 1}, "aprioro")
 
     def test_registry_error_is_config_error(self):
-        reg = Registry("thing")
         with pytest.raises(ConfigError):
-            reg.get("nope")
+            lookup("thing", {}, "nope")
 
     def test_mapping_protocol(self):
-        reg = Registry("thing")
-        reg.register("b", 2)
-        reg.register("a", 1)
-        assert "a" in reg
-        assert "c" not in reg
-        assert 7 not in reg  # non-string keys never match
-        assert sorted(reg) == ["a", "b"]
-        assert len(reg) == 2
-        assert dict(reg) == {"a": 1, "b": 2}
+        table = MappingProxyType({"b": 2, "a": 1})
+        assert lookup("thing", table, "a") == 1
+        with pytest.raises(RegistryError, match="available: a, b"):
+            lookup("thing", table, "c")
 
     def test_get_with_default(self):
-        reg = Registry("thing")
-        assert reg.get("missing", None) is None
-
-    def test_unregister(self):
-        reg = Registry("thing")
-        reg.register("a", 1)
-        reg.unregister("a")
-        assert "a" not in reg
-        with pytest.raises(RegistryError):
-            reg.unregister("a")
+        # The benchmark workloads read miners with a plain ``.get``.
+        assert api.miners.get("missing") is None
+        assert api.miners.get("apriori") is api.miners["apriori"]
 
     def test_invalid_name_rejected(self):
-        reg = Registry("thing")
-        with pytest.raises(RegistryError):
-            reg.register("", 1)
-        with pytest.raises(RegistryError):
-            reg.register(None, 1)
-
-
-class _FakeEntryPoint:
-    def __init__(self, name, obj=None, error=None):
-        self.name = name
-        self.value = f"fake.module:{name}"
-        self._obj = obj
-        self._error = error
-
-    def load(self):
-        if self._error is not None:
-            raise self._error
-        return self._obj
-
-
-class TestEntryPointDiscovery:
-    def _patched(self, monkeypatch, group, entry_points):
-        def fake_entry_points(*, group: str):
-            return entry_points if group == "plugins.test" else []
-
-        monkeypatch.setattr(
-            importlib.metadata, "entry_points", fake_entry_points
-        )
-
-    def test_entry_point_resolves_and_caches(self, monkeypatch):
-        sentinel = object()
-        self._patched(
-            monkeypatch, "plugins.test",
-            [_FakeEntryPoint("ep", obj=sentinel)],
-        )
-        reg = Registry("thing", entry_point_group="plugins.test")
-        assert "ep" in reg.names()
-        assert reg["ep"] is sentinel
-        # Cached: a second lookup works even after the scan is gone.
-        monkeypatch.setattr(
-            importlib.metadata, "entry_points", lambda *, group: []
-        )
-        assert reg["ep"] is sentinel
-
-    def test_entry_point_names_listed_in_errors(self, monkeypatch):
-        self._patched(
-            monkeypatch, "plugins.test",
-            [_FakeEntryPoint("ep", obj=1)],
-        )
-        reg = Registry("thing", entry_point_group="plugins.test")
-        with pytest.raises(RegistryError, match="ep"):
-            reg.get("unknown")
-
-    def test_broken_entry_point_surfaces_as_registry_error(
-        self, monkeypatch
-    ):
-        self._patched(
-            monkeypatch, "plugins.test",
-            [_FakeEntryPoint("broken", error=ImportError("no module"))],
-        )
-        reg = Registry("thing", entry_point_group="plugins.test")
-        with pytest.raises(RegistryError, match="failed to load"):
-            reg.get("broken")
-
-    def test_refresh_rescans(self, monkeypatch):
-        reg = Registry("thing", entry_point_group="plugins.test")
-        assert reg.names() == []
-        self._patched(
-            monkeypatch, "plugins.test",
-            [_FakeEntryPoint("late", obj=3)],
-        )
-        assert reg.names() == []  # scan is cached...
-        reg.refresh()
-        assert reg.names() == ["late"]  # ...until refreshed
+        with pytest.raises(RegistryError, match="unknown thing ''"):
+            lookup("thing", {"a": 1}, "")
+        with pytest.raises(RegistryError, match="string, got NoneType"):
+            lookup("thing", {"a": 1}, None)
 
 
 class TestBuiltinRegistries:
     def test_miners_builtins(self):
-        assert {"apriori", "fpgrowth", "eclat", "son"} <= set(miners)
+        assert set(miners) == {"apriori", "fpgrowth", "eclat", "son"}
 
     def test_miners_reads_like_a_mapping(self):
         assert callable(miners["apriori"])
@@ -182,52 +135,46 @@ class TestBuiltinRegistries:
         assert sorted(miners)
 
     def test_feature_set_builtins(self):
-        from repro.detection.features import (
-            DETECTOR_FEATURES,
-            MINING_FEATURES,
-        )
-
         assert tuple(feature_sets["paper"]) == DETECTOR_FEATURES
         assert tuple(feature_sets["all"]) == MINING_FEATURES
         assert "endpoints" in feature_sets
 
     def test_reader_builtins(self):
-        assert {".csv", ".npz"} <= set(readers)
+        assert set(readers) == {".csv", ".npz"}
 
-    def test_sink_builtins(self):
-        assert {"null", "memory", "jsonl", "tee", "store"} <= set(sinks)
+    def test_router_builtins(self):
+        assert set(routers) == {"hash"}
 
 
-class TestThirdPartyMiner:
-    def test_runtime_registered_miner_mines(self, table2_small):
-        from repro.mining import TransactionSet, apriori
+@pytest.mark.parametrize("name", sorted(miners))
+def test_builtin_miner_resolves(name):
+    config = ExtractionConfig(miner=name)
+    assert config.miner == name
+    assert lookup("miner", miners, config.miner) is miners[name]
 
-        miners.register("toy-reg-test", toy_miner)
-        try:
-            transactions = TransactionSet.from_flows(table2_small.flows)
-            expected = apriori(transactions, table2_small.min_support)
-            got = miners["toy-reg-test"](
-                transactions, table2_small.min_support
-            )
-            assert got.itemsets == expected.itemsets
-        finally:
-            miners.unregister("toy-reg-test")
 
-    def test_custom_miner_valid_in_config(self):
-        from repro.core import ExtractionConfig
+@pytest.mark.parametrize("name", sorted(feature_sets))
+def test_builtin_feature_set_resolves(name):
+    features = ExtractionConfig(features=name).features
+    assert features == tuple(feature_sets[name])
 
-        miners.register("toy-cfg-test", toy_miner)
-        try:
-            config = ExtractionConfig(miner="toy-cfg-test")
-            assert config.miner == "toy-cfg-test"
-        finally:
-            miners.unregister("toy-cfg-test")
+
+@pytest.mark.parametrize("suffix", sorted(readers))
+def test_builtin_reader_resolves(suffix, tmp_path, tiny_flows):
+    path = str(tmp_path / f"t{suffix}")
+    {".csv": write_csv, ".npz": write_npz}[suffix](tiny_flows, path)
+    assert len(read_trace(path)) == len(tiny_flows)
+
+
+@pytest.mark.parametrize("name", sorted(routers))
+def test_builtin_router_resolves(name, tiny_flows):
+    route = resolve_route(f"{name}:dst_ip", 2)
+    expected = tiny_flows.column("dst_ip") % 2
+    assert route(tiny_flows).tolist() == expected.tolist()
 
 
 class TestReaderRegistry:
     def test_read_trace_dispatches_by_extension(self, tmp_path, ddos_trace):
-        from repro.flows import read_trace, write_csv, write_npz
-
         npz = tmp_path / "t.npz"
         csv = tmp_path / "t.csv"
         write_npz(ddos_trace.flows, str(npz))
@@ -236,37 +183,19 @@ class TestReaderRegistry:
         assert len(read_trace(str(csv))) == len(ddos_trace.flows)
 
     def test_unknown_extension_lists_known(self, tmp_path):
-        from repro.errors import TraceFormatError
-        from repro.flows import read_trace
-
-        path = tmp_path / "t.pcap"
-        path.write_text("x")
         with pytest.raises(TraceFormatError) as excinfo:
-            read_trace(str(path))
+            _read_pcap(tmp_path)
         message = str(excinfo.value)
         assert "unknown trace format" in message
         assert ".csv" in message and ".npz" in message
-
-    def test_custom_reader_plugs_in(self, tmp_path, tiny_flows):
-        from repro.flows import read_trace, write_csv
-
-        csv_path = tmp_path / "t.weird"
-        write_csv(tiny_flows, str(csv_path))
-
-        from repro.flows.io import read_csv
-
-        readers.register(".weird", read_csv)
-        try:
-            assert len(read_trace(str(csv_path))) == len(tiny_flows)
-        finally:
-            readers.unregister(".weird")
 
 
 class TestSinks:
     def test_memory_sink_collects_and_notes(self):
         from repro.core.pipeline import notify_sink_interval
+        from repro.sinks import MemorySink
 
-        sink = sinks["memory"]()
+        sink = MemorySink()
         assert len(sink) == 0
         notify_sink_interval(sink, 7)
         assert sink.last_interval == 7
@@ -281,11 +210,10 @@ class TestSinks:
 
     def test_interval_sink_protocol(self):
         from repro.core.pipeline import IntervalSink, ReportSink
-        from repro.sinks import MemorySink, NullSink
+        from repro.sinks import MemorySink
 
         assert isinstance(MemorySink(), ReportSink)
         assert isinstance(MemorySink(), IntervalSink)
-        assert isinstance(NullSink(), IntervalSink)
         assert not isinstance([], IntervalSink)
 
     def test_incident_store_satisfies_interval_sink(self, tmp_path):
@@ -302,22 +230,3 @@ class TestSinks:
         tee = TeeSink(a, b)
         tee.note_interval(5)
         assert a.last_interval == 5
-
-    def test_jsonl_sink_writes_documents(self, tmp_path, ddos_trace):
-        import json
-
-        import repro.api as api
-        from repro.sinks import JsonlSink
-
-        path = tmp_path / "reports.jsonl"
-        with JsonlSink(str(path)) as sink:
-            api.extract(
-                ddos_trace.flows,
-                detector={"bins": 256, "training_intervals": 16},
-                min_support=300,
-                seed=1,
-                sink=sink,
-            )
-        lines = path.read_text().strip().splitlines()
-        assert lines
-        assert all(json.loads(line)["interval"] >= 0 for line in lines)
