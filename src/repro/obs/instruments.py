@@ -8,8 +8,8 @@ interval step, extractor, and assembler increment pre-resolved children.
 :data:`CATALOG` is the machine-readable registry of every metric the
 library emits - name, instrument kind, label schema, and help text.
 It is the single source the bundle below builds from, and the
-contract ``repro-lint`` rule RPR002 enforces: any
-``registry.counter/gauge/histogram`` call outside this module must
+contract ``tests/invariants/test_catalog_hygiene.py`` holds: any
+``registry.counter/gauge/histogram`` call outside this package must
 use a catalogued name with the catalogued label schema, so the
 exported surface never drifts silently.
 
@@ -35,7 +35,8 @@ class InstrumentSpec(NamedTuple):
 
 
 #: Every metric the library emits, keyed by name.  Adding a metric
-#: means adding it here first; RPR002 rejects uncatalogued names.
+#: means adding it here first; the catalog guard rejects uncatalogued
+#: names.
 CATALOG: dict[str, InstrumentSpec] = {
     # -- core pipeline -----------------------------------------------------
     "repro_intervals_processed_total": InstrumentSpec(
@@ -200,8 +201,8 @@ CATALOG: dict[str, InstrumentSpec] = {
 
 
 #: Every span name the tracer emits, keyed by name.  Adding a span
-#: means adding it here first; RPR007 rejects uncatalogued names, so
-#: the trace vocabulary stays as closed as the metric surface.
+#: means adding it here first; the catalog guard rejects uncatalogued
+#: names, so the trace vocabulary stays as closed as the metric surface.
 SPANS: dict[str, str] = {
     "session.run": (
         "One extraction session, construction to close (the root of a "
@@ -265,7 +266,7 @@ SPANS["stage.mining"] += (
     "(the largest item-set size, i.e. Apriori passes)."
 )
 
-#: Every span-event name, keyed by name (RPR007, like SPANS).
+#: Every span-event name, keyed by name (guarded like SPANS).
 EVENTS: dict[str, str] = {
     "assembler.watermark": (
         "The assembler's event-time watermark advanced (attribute: "

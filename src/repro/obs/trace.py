@@ -19,7 +19,7 @@ Propagation is ambient: entering a span (or its :meth:`Span.active`
 context) sets a :mod:`contextvars` variable, and new spans parent to
 the current one by default.  Span and event names come from the shared
 catalog in :mod:`repro.obs.instruments` (``SPANS`` / ``EVENTS``),
-enforced by the RPR007 lint rule.
+enforced by ``tests/invariants/test_catalog_hygiene.py``.
 """
 
 from __future__ import annotations

@@ -91,21 +91,30 @@ async def read_request(
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
             raise ServiceError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ServiceError(
+                f"conflicting Content-Length headers {headers[name]!r} "
+                f"and {value!r}"
+            )
+        headers[name] = value
     if "transfer-encoding" in headers:
         raise ServiceError(
             "chunked transfer encoding is not supported; send a "
             "Content-Length body"
         )
     length_text = headers.get("content-length", "0")
+    # RFC 9110 8.6: 1*DIGIT - no sign, no underscores, no whitespace.
+    # int() still refuses a digit string past sys.get_int_max_str_digits().
     try:
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ValueError(length_text)
         length = int(length_text)
-    except ValueError as exc:
+    except ValueError:
         raise ServiceError(
-            f"malformed Content-Length {length_text!r}"
-        ) from exc
-    if length < 0:
-        raise ServiceError(f"negative Content-Length {length}")
+            f"malformed Content-Length {length_text[:32]!r}: want a "
+            f"non-negative decimal integer"
+        ) from None
     if length > max_body:
         raise ServiceError(
             f"request body of {length} bytes exceeds the configured "

@@ -144,10 +144,6 @@ class TestStoreAndRank:
 
 
 class TestCuratedSurface:
-    def test_stable_names_importable(self):
-        for name in api.__all__:
-            assert hasattr(api, name), name
-
     def test_registries_reachable(self):
         assert "apriori" in api.miners
         assert "paper" in api.feature_sets

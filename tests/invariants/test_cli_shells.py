@@ -9,11 +9,8 @@ be copied next to them - in one place each.
 """
 
 import ast
-from pathlib import Path
 
-import repro
-
-SRC = Path(repro.__file__).parent
+from tests.invariants.source import sources, walk
 
 #: What ``repro.api`` builds on a verb's behalf.
 BUILDERS = {
@@ -27,11 +24,11 @@ BUILDERS = {
 }
 
 
-def _called_names(path: Path) -> set[str]:
+def _called_names(path: str) -> set[str]:
     """Terminal names of everything ``path`` calls: ``Tracer()`` and
     ``trace.Tracer()`` both yield ``Tracer``."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in walk(sources()[path]):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
@@ -43,19 +40,17 @@ def _called_names(path: Path) -> set[str]:
 
 def _callers(*names: str, skip: tuple[str, ...] = ()) -> list[str]:
     return [
-        path.relative_to(SRC).as_posix()
-        for path in sorted(SRC.rglob("*.py"))
-        if not path.relative_to(SRC).as_posix().startswith(skip)
-        and _called_names(path) & set(names)
+        path
+        for path in sources()
+        if not path.startswith(skip) and _called_names(path) & set(names)
     ]
 
 
 def test_no_cli_module_builds_what_the_api_builds():
     built = {
-        path.relative_to(SRC).as_posix(): sorted(
-            _called_names(path) & BUILDERS
-        )
-        for path in sorted((SRC / "cli").rglob("*.py"))
+        path: sorted(_called_names(path) & BUILDERS)
+        for path in sources()
+        if path.startswith("cli/")
     }
     assert {module: names for module, names in built.items() if names} == {}
 
@@ -66,15 +61,16 @@ def test_the_observer_default_is_decided_once():
     by ``api.metrics()`` / ``api.tracer()`` (the caller asking for a
     fresh one) - nowhere else."""
     assert _callers("MetricsRegistry", "Tracer", skip=("obs/",)) == [
-        "api.py", "core/pipeline.py",
+        "api.py",
+        "core/pipeline.py",
     ]
 
 
 def test_wire_digests_are_parsed_by_one_reader():
     parsers = [
-        path.relative_to(SRC).as_posix()
-        for path in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        path
+        for path, text in sources().items()
+        for node in walk(text)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "from_json"
@@ -82,9 +78,7 @@ def test_wire_digests_are_parsed_by_one_reader():
         and node.func.value.id == "IntervalDigest"
     ]
     assert parsers == ["federation/digest.py"]
-    assert _callers("read_digests") == [
-        "federation/tier.py", "service/app.py",
-    ]
+    assert _callers("read_digests") == ["federation/tier.py", "service/app.py"]
 
 
 def test_detect_opens_no_files(tmp_path, capsys):

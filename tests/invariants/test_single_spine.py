@@ -8,19 +8,16 @@ drives a detector bank, pushes a report into a sink, or ages a sink.
 """
 
 import ast
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 import repro.api as api
 from repro.core.config import ExtractionConfig
 from repro.detection.detector import DetectorConfig
 from repro.federation import Collector, Federator, split_trace
 from repro.obs.metrics import MetricsRegistry
-
-SRC = Path(repro.__file__).parent
+from tests.invariants.source import sources, walk
 
 #: Where the primitives themselves live.
 ALLOWED = ("detection/", "incidents/", "sinks.py")
@@ -43,8 +40,8 @@ def _receiver(node: ast.expr) -> str:
     return ""
 
 
-def _spine_calls(tree: ast.AST):
-    for node in ast.walk(tree):
+def _spine_calls(nodes):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -57,30 +54,26 @@ def _spine_calls(tree: ast.AST):
             yield "bank.observe_snapshots"
         elif func.attr == "observe" and "bank" in receiver:
             yield "bank.observe"
-        elif func.attr == "append" and (
-            "sink" in receiver or "store" in receiver
-        ):
+        elif func.attr == "append" and ("sink" in receiver or "store" in receiver):
             yield "sink.append"
 
 
 def test_one_call_site_per_spine_primitive():
     found: dict[str, list[str]] = {kind: [] for kind in EXPECTED}
-    for path in sorted(SRC.rglob("*.py")):
-        relative = path.relative_to(SRC).as_posix()
-        if relative.startswith(ALLOWED):
+    for path, text in sources().items():
+        if path.startswith(ALLOWED):
             continue
-        for kind in _spine_calls(ast.parse(path.read_text())):
-            found[kind].append(relative)
+        for kind in _spine_calls(walk(text)):
+            found[kind].append(path)
     assert found == EXPECTED
 
 
 def test_federator_builds_no_bank_and_no_report():
     """The federator is a source: the detector bank and the report
     document are the step's to build."""
-    tree = ast.parse((SRC / "federation" / "federator.py").read_text())
     constructed = {
         node.func.id
-        for node in ast.walk(tree)
+        for node in walk(sources()["federation/federator.py"])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert not constructed & {"DetectorBank", "ExtractionReport"}
@@ -91,9 +84,7 @@ def test_federator_builds_no_bank_and_no_report():
 # ----------------------------------------------------------------------
 #: Unanimous 5-of-5 voting: on the DDoS trace two of the three alarms
 #: vote no value at all, the gate the inputs used to count differently.
-DETECTOR = DetectorConfig(
-    clones=5, bins=256, vote_threshold=5, training_intervals=16
-)
+DETECTOR = DetectorConfig(clones=5, bins=256, vote_threshold=5, training_intervals=16)
 INTERVAL_SECONDS = 900.0
 
 
@@ -177,23 +168,16 @@ def _stage_counts(registry, pipeline):
 @pytest.mark.parametrize("drive", [_one_shot, _windowed, _digest])
 def test_interval_metrics_mean_one_thing(ddos_trace, drive):
     registry = MetricsRegistry()
-    pipeline, alarm_intervals, intervals, flows = drive(
-        ddos_trace, registry
-    )
+    pipeline, alarm_intervals, intervals, flows = drive(ddos_trace, registry)
     # The trace must exercise the gate the inputs used to disagree on:
     # an alarm with empty meta-data is still an alarmed interval.
     extractions = _counter(registry, "repro_extractions_total", pipeline)
     assert len(alarm_intervals) > extractions >= 1
 
-    assert _counter(
-        registry, "repro_intervals_alarmed_total", pipeline
-    ) == len(alarm_intervals)
-    assert _counter(
-        registry, "repro_intervals_processed_total", pipeline
-    ) == intervals
-    assert _counter(
-        registry, "repro_flows_processed_total", pipeline
-    ) == flows
+    alarmed = _counter(registry, "repro_intervals_alarmed_total", pipeline)
+    assert alarmed == len(alarm_intervals)
+    assert _counter(registry, "repro_intervals_processed_total", pipeline) == intervals
+    assert _counter(registry, "repro_flows_processed_total", pipeline) == flows
     stages = _stage_counts(registry, pipeline)
     assert stages["detection"] == intervals
     assert stages["triage"] == 0  # no sink attached

@@ -10,11 +10,8 @@ keep the reading - and the two encodings the documents share - in
 """
 
 import ast
-from pathlib import Path
 
-import repro
-
-SRC = Path(repro.__file__).parent
+from tests.invariants.source import sources, walk
 
 #: ``core/config.py`` reads run *configs* (TOML tables checked against
 #: dataclass fields by ``_check_table``), not state documents.
@@ -22,10 +19,9 @@ EXEMPT = ("core/config.py",)
 
 
 def _modules():
-    for path in sorted(SRC.rglob("*.py")):
-        name = path.relative_to(SRC).as_posix()
+    for name, text in sources().items():
         if name not in EXEMPT:
-            yield name, ast.parse(path.read_text())
+            yield name, walk(text)
 
 
 def _reads_outside_read_fields(function: ast.FunctionDef) -> list[int]:
@@ -66,10 +62,11 @@ def _reads_outside_read_fields(function: ast.FunctionDef) -> list[int]:
 
 def test_decoders_read_their_document_through_read_fields():
     decoders, offenders = 0, {}
-    for name, tree in _modules():
-        for node in ast.walk(tree):
+    for name, nodes in _modules():
+        for node in nodes:
             if isinstance(node, ast.FunctionDef) and node.name in (
-                "from_state", "from_dict",
+                "from_state",
+                "from_dict",
             ):
                 decoders += 1
                 lines = _reads_outside_read_fields(node)
@@ -83,8 +80,8 @@ def test_the_shared_encodings_are_defined_once():
     owners = {
         function: [
             name
-            for name, tree in _modules()
-            for node in ast.walk(tree)
+            for name, nodes in _modules()
+            for node in nodes
             if isinstance(node, ast.FunctionDef) and node.name == function
         ]
         for function in ("pack_array", "unpack_array", "canonical_json")
@@ -96,10 +93,9 @@ def test_the_shared_encodings_are_defined_once():
         ("service/checkpoint.py", "write_checkpoint"),
         ("federation/digest.py", "to_json"),
     ):
-        tree = ast.parse((SRC / module).read_text())
         (body,) = [
             node
-            for node in ast.walk(tree)
+            for node in walk(sources()[module])
             if isinstance(node, ast.FunctionDef) and node.name == function
         ]
         called = {

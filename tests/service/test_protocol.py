@@ -79,9 +79,27 @@ class TestReadRequest:
                 b"Transfer-Encoding: chunked\r\n\r\n"
             )
 
-    def test_malformed_content_length(self):
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            b"Content-Length: ten\r\n",
+            b"Content-Length: 1_0\r\n",
+            b"Content-Length: +3\r\n",
+            b"Content-Length: 3\r\nContent-Length: 5\r\n",
+            # Past int()'s digit limit: still a 400, not a raw ValueError.
+            b"Content-Length: " + b"9" * 5000 + b"\r\n",
+        ],
+    )
+    def test_malformed_content_length(self, headers):
         with pytest.raises(ServiceError, match="Content-Length"):
-            parse(b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n")
+            parse(b"POST / HTTP/1.1\r\n" + headers + b"\r\nabcdefghij")
+
+    def test_repeated_equal_content_length_is_one_length(self):
+        request = parse(
+            b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"content-length: 3\r\n\r\nabc"
+        )
+        assert request.body == b"abc"
 
     def test_negative_content_length(self):
         with pytest.raises(ServiceError, match="negative"):
