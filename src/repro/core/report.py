@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any
 from repro.detection.features import Feature
 from repro.errors import ExtractionError, MiningError
 from repro.mining.items import FrequentItemset, format_item
-from repro.state import count, finite, listof, read_fields, text
+from repro.state import canonical_json, count, finite, listof, read_fields, text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import ExtractionResult
@@ -226,10 +226,9 @@ class ExtractionReport:
         )
 
     def to_json(self) -> str:
-        """Canonical (sorted keys, no whitespace) JSON - stable enough
-        for the byte-for-byte store replay guarantee."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        """Canonical JSON (:func:`~repro.state.canonical_json`) - stable
+        enough for the byte-for-byte store replay guarantee."""
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ExtractionReport":

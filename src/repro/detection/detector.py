@@ -136,9 +136,7 @@ class FeatureObservation:
         return sum(1 for clone in self.clones if clone.alarm)
 
 
-#: One clone's checkpointed reference histogram (``prev[c]``) and
-#: calibration (``thresholds[c]``).
-_REFERENCE = record(counts=packed(np.float64), observed=packed(np.uint64))
+#: One clone's checkpointed calibration (``thresholds[c]``).
 _CALIBRATION = record(sigma=finite, multiplier=finite)
 
 
@@ -156,10 +154,10 @@ class HistogramDetector:
             config.clones, config.bins, seed=clone_seed(seed, feature)
         )
         self._interval = -1
-        self._prev: list[HistogramSnapshot | None] = [None] * config.clones
+        # What the next interval reads: each clone's previous bin
+        # counts and KL, and (until calibrated) its training diffs.
+        self._prev: list[np.ndarray | None] = [None] * config.clones
         self._prev_kl = [0.0] * config.clones
-        self._kl_series: list[list[float]] = [[] for _ in range(config.clones)]
-        self._diff_series: list[list[float]] = [[] for _ in range(config.clones)]
         self._training_diffs: list[list[float]] = [[] for _ in range(config.clones)]
         self._thresholds: list[AlarmThreshold | None] = [None] * config.clones
 
@@ -183,40 +181,28 @@ class HistogramDetector:
             )
         return thr
 
-    def kl_series(self, clone: int) -> np.ndarray:
-        return np.asarray(self._kl_series[clone], dtype=np.float64)
-
-    def diff_series(self, clone: int) -> np.ndarray:
-        return np.asarray(self._diff_series[clone], dtype=np.float64)
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
         """JSON-safe snapshot of the detector's cross-interval state.
 
-        The clone hash functions are NOT serialized: they derive
-        deterministically from ``(seed, feature)`` at construction, so
-        a restored detector rebuilds them and only the learned state -
-        reference snapshots, KL/diff series, calibration - travels in
-        the checkpoint.  The bulky per-clone histograms use the packed
-        array encoding (bit-exact and cheap to serialize, which the
-        per-batch service checkpoint needs).
+        Only what the next interval reads travels: each clone's previous
+        bin counts and KL, its training diffs until it calibrates, and
+        its calibration - so the document stops growing once training
+        ends.  The clone hash functions are NOT serialized: they derive
+        deterministically from ``(seed, feature)`` at construction, and
+        a restored detector rebuilds them.  The per-clone counts use the
+        packed array encoding (bit-exact and cheap to serialize, which
+        the per-batch service checkpoint needs).
         """
         return {
             "interval": self._interval,
             "prev": [
-                None
-                if snap is None
-                else {
-                    "counts": pack_array(snap.counts),
-                    "observed": pack_array(snap.observed),
-                }
-                for snap in self._prev
+                None if counts is None else pack_array(counts)
+                for counts in self._prev
             ],
             "prev_kl": list(self._prev_kl),
-            "kl_series": [list(series) for series in self._kl_series],
-            "diff_series": [list(series) for series in self._diff_series],
             "training_diffs": [
                 list(series) for series in self._training_diffs
             ],
@@ -240,43 +226,45 @@ class HistogramDetector:
         fields = read_fields(
             "detector checkpoint state", state, CheckpointError,
             interval=integer(-1),
-            prev=per_clone(optional(_REFERENCE)),
+            prev=per_clone(optional(packed(np.float64))),
             prev_kl=per_clone(finite),
-            kl_series=per_clone(listof(finite)),
-            diff_series=per_clone(listof(finite)),
             training_diffs=per_clone(listof(finite)),
             thresholds=per_clone(optional(_threshold)),
         )
-        prev: list[HistogramSnapshot | None] = []
-        for c, arrays in enumerate(fields["prev"]):
-            if arrays is None:
-                prev.append(None)
-                continue
-            try:
-                restored = HistogramSnapshot(
-                    hash_fn=self._clones[c].hash_fn, **arrays
-                )
-            except ConfigError as exc:
-                raise CheckpointError(
-                    f"malformed clone {c} snapshot in detector "
-                    f"checkpoint: {exc}"
-                ) from exc
+        interval, bins = fields["interval"], self.config.bins
+        for c, counts in enumerate(fields["prev"]):
             # The next interval's KL divides by these counts: refuse
             # here what the kernel would refuse one interval into the
-            # resumed run (NaN fails the first test, inf the second).
-            if not (restored.counts.min() >= 0 and restored.total < np.inf):
+            # resumed run (NaN fails the second test, inf the third).
+            if counts is not None and not (
+                len(counts) == bins
+                and counts.min() >= 0
+                and counts.sum() < np.inf
+            ):
                 raise CheckpointError(
-                    f"malformed clone {c} snapshot in detector "
-                    f"checkpoint: bin counts must be non-negative with "
-                    f"a finite total (min {restored.counts.min()}, "
-                    f"total {restored.total})"
+                    f"malformed clone {c} reference counts in detector "
+                    f"checkpoint: need {bins} non-negative bin counts "
+                    f"with a finite total, got {len(counts)} summing to "
+                    f"{counts.sum()}"
                 )
-            prev.append(restored)
-        self._interval = fields["interval"]
-        self._prev = prev
+        # A clone keeps one training diff per interval from the third
+        # on until it calibrates, and none after.
+        calibrated = interval + 1 >= self.config.training_intervals
+        expected = 0 if calibrated else max(0, interval - 1)
+        for c, (diffs, thr) in enumerate(
+            zip(fields["training_diffs"], fields["thresholds"])
+        ):
+            if (thr is not None) != calibrated or len(diffs) != expected:
+                raise CheckpointError(
+                    f"malformed detector checkpoint state: clone {c} at "
+                    f"interval {interval} holds {len(diffs)} training "
+                    f"diffs and {'no' if thr is None else 'a'} threshold, "
+                    f"which {self.config.training_intervals} training "
+                    f"intervals do not leave"
+                )
+        self._interval = interval
+        self._prev = fields["prev"]
         self._prev_kl = fields["prev_kl"]
-        self._kl_series = fields["kl_series"]
-        self._diff_series = fields["diff_series"]
         self._training_diffs = fields["training_diffs"]
         self._thresholds = fields["thresholds"]
 
@@ -326,7 +314,7 @@ class HistogramDetector:
         if scored:
             rows = kl_rows(
                 np.stack([snapshots[c].counts for c, _ in scored]),
-                np.stack([prev.counts for _, prev in scored]),
+                np.stack([prev for _, prev in scored]),
                 cfg.pseudocount,
             )
             for (c, _), kl in zip(scored, rows.tolist()):
@@ -337,8 +325,6 @@ class HistogramDetector:
             prev = self._prev[c]
             kl = kls[c]
             diff = 0.0 if prev is None else kl - self._prev_kl[c]
-            self._kl_series[c].append(kl)
-            self._diff_series[c].append(diff)
 
             alarm = False
             bins: tuple[int, ...] = ()
@@ -354,13 +340,14 @@ class HistogramDetector:
                         np.asarray(self._training_diffs[c]),
                         multiplier=cfg.multiplier,
                     )
+                    self._training_diffs[c] = []
             else:
                 threshold = self._thresholds[c]
                 if threshold.is_alarm(diff) and prev is not None:
                     alarm = True
                     bin_id = identify_anomalous_bins(
                         snapshot.counts,
-                        prev.counts,
+                        prev,
                         threshold,
                         previous_kl=self._prev_kl[c],
                         pseudocount=cfg.pseudocount,
@@ -378,7 +365,7 @@ class HistogramDetector:
                     bin_identification=bin_id,
                 )
             )
-            self._prev[c] = snapshot
+            self._prev[c] = snapshot.counts
             self._prev_kl[c] = kl
 
         voted = vote(

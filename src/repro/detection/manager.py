@@ -10,6 +10,7 @@ the prefilter consumes.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.detection.features import (
     resolve_features,
 )
 from repro.detection.metadata import Metadata
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import CheckpointError, ConfigError, ExtractionError
 from repro.flows.stream import iter_intervals
 from repro.flows.table import FlowTable
 from repro.sketch.histogram import HistogramSnapshot
@@ -64,7 +65,9 @@ class IntervalReport:
 
 @dataclass
 class DetectionRun:
-    """Result of driving a detector bank over a full trace."""
+    """Result of driving a detector bank over a full trace.  Every
+    series and mask below is read off ``reports``, so a run resumed
+    mid-stream covers exactly the intervals it observed."""
 
     config: DetectorConfig
     features: tuple[Feature, ...]
@@ -76,17 +79,37 @@ class DetectionRun:
         return len(self.reports)
 
     def report(self, interval: int) -> IntervalReport:
-        return self.reports[interval]
+        """The report of interval index ``interval``."""
+        reports = self.reports
+        at = bisect.bisect_left(reports, interval, key=lambda r: r.interval)
+        if at < len(reports) and reports[at].interval == interval:
+            return reports[at]
+        held = f"{reports[0].interval}-{reports[-1].interval}" if reports else "none"
+        raise ExtractionError(
+            f"interval {interval} is not in this detection run, which "
+            f"holds intervals {held}"
+        )
 
     def alarm_intervals(self) -> list[int]:
         """Intervals (post-training) in which any detector alarmed."""
         return [r.interval for r in self.reports if r.alarm]
 
+    def _series(self, feature: Feature, clone: int, what: str) -> np.ndarray:
+        return np.array(
+            [
+                getattr(r.observations[feature].clones[clone], what)
+                for r in self.reports
+            ],
+            dtype=np.float64,
+        )
+
     def kl_series(self, feature: Feature, clone: int = 0) -> np.ndarray:
-        return self.detectors[feature].kl_series(clone)
+        """One clone's KL distance per report."""
+        return self._series(feature, clone, "kl")
 
     def diff_series(self, feature: Feature, clone: int = 0) -> np.ndarray:
-        return self.detectors[feature].diff_series(clone)
+        """One clone's KL first difference per report."""
+        return self._series(feature, clone, "diff")
 
     def sigma(self, feature: Feature, clone: int = 0) -> float:
         return self.detectors[feature].threshold(clone).sigma
@@ -94,14 +117,15 @@ class DetectionRun:
     def alarms_at_multiplier(
         self, feature: Feature, clone: int, multiplier: float
     ) -> np.ndarray:
-        """Recompute the alarm mask for an arbitrary threshold multiplier
-        from the stored first-difference series (the ROC sweep primitive;
-        intervals before training completion never alarm)."""
+        """Recompute the alarm mask (one entry per report) for an
+        arbitrary threshold multiplier from the reported first
+        differences (the ROC sweep primitive; training intervals never
+        alarm)."""
         detector = self.detectors[feature]
         threshold = detector.threshold(clone).with_multiplier(multiplier)
-        diffs = detector.diff_series(clone)
-        mask = threshold.alarms(diffs)
-        mask[: self.config.training_intervals] = False
+        mask = threshold.alarms(self.diff_series(feature, clone))
+        intervals = np.array([r.interval for r in self.reports], dtype=int)
+        mask[intervals < self.config.training_intervals] = False
         return mask
 
     def interval_alarm_mask(
@@ -148,7 +172,7 @@ class DetectorBank:
 
     def clear_reports(self) -> None:
         """Drop the stored per-interval reports (detector state - the
-        trained histograms and KL series - is untouched).  Long-running
+        reference counts and calibration - is untouched).  Long-running
         streams call this to keep memory bounded when no post-hoc
         :class:`DetectionRun` is needed."""
         self._reports.clear()

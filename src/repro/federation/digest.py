@@ -2,9 +2,12 @@
 
 A digest is everything one vantage point says about one measurement
 interval, expressed purely in mergeable sketches: per monitored
-feature, the ``C`` histogram-clone snapshots the detector bank needs
-for entropy/KL detection, plus a count-min sketch for support
-estimation of the voted meta-data values.  Digests are the *unit of
+feature, the set of values observed, the ``C`` clone histograms over
+it that the detector bank needs for KL detection, and a count-min
+sketch for support estimation of the voted meta-data values.  The
+observed set is a fact about the feature's interval, not about any one
+binning, so it is written once per feature and every decoded clone
+shares the one array.  Digests are the *unit of
 inter-site communication*: collectors ship them, the federator merges
 them, and nothing O(flows) ever crosses a site boundary.
 
@@ -31,10 +34,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import DETECTOR_FEATURES, Feature
 from repro.errors import FederationError, SketchError
 from repro.sketch.countmin import CountMinSketch
+from repro.sketch.distinct import sorted_union
+from repro.sketch.hashing import UniversalHash
 from repro.sketch.histogram import HistogramSnapshot
 from repro.state import (
     canonical_json,
@@ -42,6 +49,8 @@ from repro.state import (
     integer,
     listof,
     mapping,
+    pack_array,
+    packed,
     read_fields,
     record,
     text,
@@ -50,8 +59,9 @@ from repro.state import (
 #: Schema version of the digest wire document.  Bump it whenever the
 #: digest payload changes shape; foreign versions are rejected, never
 #: migrated silently (the same discipline as service checkpoints -
-#: see CONTRIBUTING).
-DIGEST_VERSION = 1
+#: see CONTRIBUTING).  Version 2 carries one ``observed`` array per
+#: feature instead of one per clone.
+DIGEST_VERSION = 2
 
 #: Default count-min geometry: width 2048 bounds the point-query error
 #: at eps = e/2048 (about 0.13% of the merged interval's flow count)
@@ -136,6 +146,22 @@ _SCHEMA_KINDS = {
     "features": _NAMES,
 }
 
+_HASH = record(a=integer(1), b=count, bins=integer(1))
+#: One clone of a feature document: its hash function and bin counts.
+_CLONE = record(
+    hash=lambda block: UniversalHash(**_HASH(block)),
+    counts=packed(np.float64),
+)
+
+
+def _clone_doc(snap: HistogramSnapshot) -> dict[str, Any]:
+    """The inverse of :data:`_CLONE`."""
+    fn = snap.hash_fn
+    return {
+        "hash": {"a": fn.a, "b": fn.b, "bins": fn.bins},
+        "counts": pack_array(snap.counts),
+    }
+
 
 def federation_features(
     features: tuple[Feature, ...] | str | None,
@@ -203,6 +229,15 @@ class IntervalDigest:
                     f"{len(snapshots[name])} clone snapshots, schema "
                     f"declares {schema.clones}"
                 )
+            seen = snapshots[name][0].observed
+            if any(
+                s.observed is not seen and not np.array_equal(s.observed, seen)
+                for s in snapshots[name]
+            ):
+                raise FederationError(
+                    f"feature {name!r} clones disagree on the observed "
+                    f"values; a digest holds one observed set per feature"
+                )
         self.schema = schema
         self.interval = interval
         self.sites = tuple(sorted(sites))
@@ -231,9 +266,10 @@ class IntervalDigest:
         """Combine two digests of the same interval into one.
 
         Exact, order-invariant, and associative: histogram counts and
-        count-min cells add, observed-value sets union, flow counts
-        sum, site sets union (kept sorted).  Refuses mismatched sketch
-        schemas (:class:`~repro.errors.SketchError`), different
+        count-min cells add, each feature's observed set is unioned once
+        for all its clones, flow counts sum, site sets union (kept
+        sorted).  Refuses mismatched sketch schemas or clone hash
+        functions (:class:`~repro.errors.SketchError`), different
         intervals, and overlapping site sets - each of which would
         double-count or fabricate traffic.
         """
@@ -256,13 +292,21 @@ class IntervalDigest:
         snapshots: dict[str, list[HistogramSnapshot]] = {}
         countmin: dict[str, CountMinSketch] = {}
         for name in self.schema.features:
-            snapshots[name] = [
-                mine.merge(theirs)
-                for mine, theirs in zip(
-                    self._snapshots[name],
-                    other._snapshots[name],
-                    strict=True,
+            clones = list(zip(self._snapshots[name], other._snapshots[name]))
+            # Different hash functions count different events per bin.
+            if any(mine.hash_fn != theirs.hash_fn for mine, theirs in clones):
+                raise SketchError(
+                    f"cannot merge feature {name!r} clones binned by "
+                    f"different hash functions"
                 )
+            observed = sorted_union(
+                clones[0][0].observed, clones[0][1].observed
+            )
+            snapshots[name] = [
+                HistogramSnapshot(
+                    mine.hash_fn, mine.counts + theirs.counts, observed
+                )
+                for mine, theirs in clones
             ]
             countmin[name] = self._countmin[name].merged(
                 other._countmin[name]
@@ -289,9 +333,8 @@ class IntervalDigest:
             "flow_count": self.flow_count,
             "features": {
                 name: {
-                    "clones": [
-                        snap.to_dict() for snap in self._snapshots[name]
-                    ],
+                    "observed": pack_array(self._snapshots[name][0].observed),
+                    "clones": [_clone_doc(snap) for snap in self._snapshots[name]],
                     "countmin": self._countmin[name].to_dict(),
                 }
                 for name in self.schema.features
@@ -330,33 +373,48 @@ class IntervalDigest:
         )
         schema, flow_count = fields["schema"], fields["flow_count"]
         sketches = record(
-            clones=listof(HistogramSnapshot.from_dict, length=schema.clones),
+            observed=packed(np.uint64),
+            clones=listof(_CLONE, length=schema.clones),
             countmin=CountMinSketch.from_dict,
         )
         payload = read_fields(
             "digest features", fields["features"], FederationError,
             **dict.fromkeys(schema.features, sketches),
         )
-        snapshots = {name: payload[name]["clones"] for name in payload}
+        snapshots: dict[str, list[HistogramSnapshot]] = {}
         countmin = {name: payload[name]["countmin"] for name in payload}
         for name in schema.features:
-            for snap in snapshots[name]:
-                if snap.bins != schema.bins:
+            observed = payload[name]["observed"]
+            # Merging unions observed sets as sorted runs.
+            if np.any(observed[1:] <= observed[:-1]):
+                raise FederationError(
+                    f"feature {name!r} observed values are not sorted "
+                    f"and distinct"
+                )
+            observed.setflags(write=False)
+            snapshots[name] = []
+            for clone in payload[name]["clones"]:
+                hash_fn, counts = clone["hash"], clone["counts"]
+                if hash_fn.bins != schema.bins or len(counts) != schema.bins:
                     raise FederationError(
-                        f"feature {name!r} snapshot has {snap.bins} "
-                        f"bins, schema declares {schema.bins}"
+                        f"feature {name!r} clone hashes into "
+                        f"{hash_fn.bins} bins and carries {len(counts)} "
+                        f"counts, schema declares {schema.bins} bins"
                     )
                 # Every flow lands in exactly one bin of every clone.
                 # NaN fails the second test (NaN != anything); left in,
                 # it would turn the clone's KL into NaN, which the
                 # alarm threshold reads as "no alarm".
-                if snap.counts.min() < 0 or snap.total != flow_count:
+                if counts.min() < 0 or counts.sum() != flow_count:
                     raise FederationError(
                         f"self-contradictory payload: feature {name!r} "
-                        f"clone counts (min {snap.counts.min()}, total "
-                        f"{snap.total}) do not describe "
+                        f"clone counts (min {counts.min()}, total "
+                        f"{counts.sum()}) do not describe "
                         f"{flow_count} flows"
                     )
+                snapshots[name].append(
+                    HistogramSnapshot(hash_fn, counts, observed)
+                )
             cm = countmin[name]
             if cm.width != schema.cm_width or cm.depth != schema.cm_depth:
                 raise FederationError(

@@ -41,7 +41,10 @@ from repro.state import canonical_json, count, mapping, read_fields
 #: migrated silently (CONTRIBUTING documents the discipline).
 #: Version 2 added the optional ``federation`` block (buffered interval
 #: digests + the federator's detector bank) for federated daemons.
-CHECKPOINT_VERSION = 2
+#: Version 3 keeps only what the next interval reads per detector clone
+#: (previous counts, previous KL, training diffs until calibrated) and
+#: buffers digests in their version-2 wire form.
+CHECKPOINT_VERSION = 3
 
 #: What every checkpoint document carries beside its version (a
 #: federated daemon's also has a ``federation`` block).

@@ -9,21 +9,11 @@ them (paper Section II-C, step 2).
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.errors import ConfigError, SketchError
+from repro.errors import ConfigError
 from repro.sketch.distinct import sorted_distinct, sorted_union
 from repro.sketch.hashing import UniversalHash
-from repro.state import count, integer, pack_array, packed, read_fields, record
-
-_HASH = record(a=integer(1), b=count, bins=integer(1))
-_DOCUMENT = {
-    "hash": lambda block: UniversalHash(**_HASH(block)),
-    "counts": packed(np.float64),
-    "observed": packed(np.uint64),
-}
 
 
 def _values_in_bins(
@@ -147,9 +137,10 @@ class HashedHistogram:
 class HistogramSnapshot:
     """Immutable state of a :class:`HashedHistogram` at interval end.
 
-    Snapshots are what the detector stores as the reference (previous
-    interval) distribution and what the bin-identification algorithm
-    manipulates.
+    Snapshots are what a clone set hands the detector each interval and
+    what a federation digest carries per clone.  The ``C`` clones of a
+    feature share one read-only observed set: it is a property of the
+    feature's interval, not of any one binning.
     """
 
     __slots__ = ("hash_fn", "_counts", "_observed")
@@ -167,9 +158,9 @@ class HistogramSnapshot:
         # An observed set that is already read-only is shared, not
         # copied: the clones of a feature all hold the one array
         # ``sorted_distinct`` produced for the interval.
-        seen = np.asarray(observed, dtype=np.uint64)
-        if seen.flags.writeable:
-            seen = seen.copy()
+        seen = np.asarray(observed)
+        if seen.dtype != np.uint64 or seen.flags.writeable:
+            seen = seen.astype(np.uint64)
             seen.setflags(write=False)
         self._observed = seen
 
@@ -189,76 +180,6 @@ class HistogramSnapshot:
     def total(self) -> float:
         return float(self._counts.sum())
 
-    def distribution(self, pseudocount: float = 0.0) -> np.ndarray:
-        """Normalized (optionally smoothed) bin distribution."""
-        if pseudocount < 0:
-            raise ConfigError(f"pseudocount must be >= 0: {pseudocount}")
-        smoothed = self._counts + pseudocount
-        total = smoothed.sum()
-        if total == 0:
-            return np.full(self.bins, 1.0 / self.bins)
-        return smoothed / total
-
     def values_in_bins(self, bins: np.ndarray | list[int]) -> np.ndarray:
         """Observed feature values hashing into any of ``bins``."""
         return _values_in_bins(self.hash_fn, self._observed, bins)
-
-    def with_counts(self, counts: np.ndarray) -> "HistogramSnapshot":
-        """Copy of this snapshot with replaced counts (used by the
-        iterative bin-cleaning simulation)."""
-        return HistogramSnapshot(self.hash_fn, counts, self._observed)
-
-    # ------------------------------------------------------------------
-    # Federation: merge + canonical wire form
-    # ------------------------------------------------------------------
-    def merge(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        """Combine two snapshots of the *same* hash function.
-
-        Bin counts add cell-wise and the observed-value sets union, so
-        the result is byte-identical to a snapshot taken over the
-        concatenated flow streams (counts are integer-valued float64,
-        addition is exact; the sorted union is the same array either
-        way).  That exactness - not an approximation - is what the
-        federated detection-equivalence tests assert.  Snapshots binned
-        by different hash functions count different events per bin, so
-        merging them is refused.
-        """
-        if self.hash_fn != other.hash_fn:
-            raise SketchError(
-                f"cannot merge histogram snapshots with different hash "
-                f"functions: {self.hash_fn} vs {other.hash_fn}"
-            )
-        return HistogramSnapshot(
-            hash_fn=self.hash_fn,
-            counts=self._counts + other._counts,
-            observed=sorted_union(self._observed, other._observed),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical JSON-safe document (checkpoint-document
-        discipline: identical state renders identical bytes)."""
-        return {
-            "hash": {
-                "a": self.hash_fn.a,
-                "b": self.hash_fn.b,
-                "bins": self.hash_fn.bins,
-            },
-            "counts": pack_array(self._counts),
-            "observed": pack_array(self._observed),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "HistogramSnapshot":
-        """Rebuild a snapshot from :meth:`to_dict` output."""
-        fields = read_fields(
-            "histogram snapshot document", doc, SketchError, **_DOCUMENT
-        )
-        hash_fn, counts = fields["hash"], fields["counts"]
-        if len(counts) != hash_fn.bins:
-            raise SketchError(
-                f"histogram snapshot has {len(counts)} counts, "
-                f"expected {hash_fn.bins} bins"
-            )
-        return cls(
-            hash_fn=hash_fn, counts=counts, observed=fields["observed"]
-        )

@@ -35,10 +35,10 @@ Kind = Callable[[Any], Any]
 
 
 def canonical_json(doc: Any) -> str:
-    """The byte-stable rendering of a state document: sorted keys,
-    minimal separators, no ASCII escaping (state payloads are base64
-    buffers, numbers and identifier keys - ASCII either way, and
-    skipping the escape pass is measurably faster)."""
+    """The byte-stable rendering of a state document or report: sorted
+    keys, minimal separators, no ASCII escaping (non-ASCII text, such
+    as a custom feature's name, stays UTF-8; skipping the escape pass
+    is measurably faster)."""
     return json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )

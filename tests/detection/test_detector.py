@@ -1,10 +1,13 @@
 """Unit tests for the per-feature histogram detector."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.detection.detector import DetectorConfig, HistogramDetector
 from repro.detection.features import Feature
+from repro.detection.manager import DetectorBank
 from repro.errors import CheckpointError, ConfigError
 from repro.flows.table import FlowTable
 from repro.state import pack_array, unpack_array
@@ -99,12 +102,30 @@ class TestTrainingPhase:
             assert not obs.alarm
 
     def test_series_lengths_track_intervals(self, config, rng):
-        detector = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        bank = DetectorBank(config, features=(Feature.DST_PORT,), seed=1)
         for _ in range(5):
+            bank.observe(_interval(_baseline_ports(rng), rng))
+        run = bank.detection_run()
+        assert len(run.kl_series(Feature.DST_PORT, 0)) == 5
+        assert len(run.diff_series(Feature.DST_PORT, 0)) == 5
+        assert bank.detectors[Feature.DST_PORT].interval == 4
+
+    def test_state_stops_growing_once_calibrated(self, config, rng):
+        """Training diffs are dropped at calibration and no per-interval
+        series is kept, so the checkpointed state has one size from the
+        end of training on."""
+        detector = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        sizes = []
+        for _ in range(config.training_intervals + 6):
             detector.observe(_interval(_baseline_ports(rng), rng))
-        assert len(detector.kl_series(0)) == 5
-        assert len(detector.diff_series(0)) == 5
-        assert detector.interval == 4
+            state = detector.to_state()
+            sizes.append(len(json.dumps(state["training_diffs"])))
+        assert detector.trained
+        assert state["training_diffs"] == [[]] * config.clones
+        assert set(state) == {
+            "interval", "prev", "prev_kl", "training_diffs", "thresholds",
+        }
+        assert len(set(sizes[config.training_intervals - 1:])) == 1
 
 
 class TestDetection:
@@ -213,9 +234,9 @@ class TestRestoreRefusesCorruptCounts:
     def test_corrupt_counts_refused_naming_the_clone(
         self, config, state, bad, recwarn
     ):
-        counts = unpack_array(state["prev"][1]["counts"]).astype(np.float64)
+        counts = unpack_array(state["prev"][1]).astype(np.float64)
         counts[7] = bad
-        state["prev"][1]["counts"] = pack_array(counts)
+        state["prev"][1] = pack_array(counts)
         fresh = HistogramDetector(Feature.DST_PORT, config, seed=1)
         with pytest.raises(CheckpointError, match="clone 1 .*non-negative"):
             fresh.from_state(state)

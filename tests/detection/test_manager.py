@@ -1,11 +1,17 @@
 """Unit tests for the detector bank."""
 
+import json
+
+import numpy as np
 import pytest
 
+from repro.api import resolve_config
+from repro.core.session import open_session
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import DETECTOR_FEATURES, Feature
 from repro.detection.manager import DetectorBank
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExtractionError
+from repro.flows.stream import iter_intervals
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +74,102 @@ class TestDetectorBank:
 
     def test_flow_counts_recorded(self, run):
         assert run.report(24).flow_count > 0
+
+    def test_series_read_off_the_reports(self, run):
+        for feature in run.features:
+            for clone in range(run.config.clones):
+                assert run.kl_series(feature, clone).tolist() == [
+                    r.observations[feature].clones[clone].kl
+                    for r in run.reports
+                ]
+
+    def test_alarms_at_configured_multiplier_are_the_live_alarms(self, run):
+        """The ROC primitive, evaluated at the detector's own
+        multiplier, reproduces every clone's live alarm decision."""
+        assert any(r.alarm for r in run.reports)
+        for feature in run.features:
+            for clone in range(run.config.clones):
+                mask = run.alarms_at_multiplier(
+                    feature, clone, run.config.multiplier
+                )
+                assert mask.tolist() == [
+                    r.observations[feature].clones[clone].alarm
+                    for r in run.reports
+                ]
+
+    def test_unknown_interval_refused_naming_the_range(self, run):
+        with pytest.raises(ExtractionError, match="holds intervals 0-29"):
+            run.report(30)
+
+
+class TestDetectionRunAfterRestore:
+    """A stream session restored after 15 closed intervals and fed 9
+    more holds the reports of intervals 15-23 only: the run is indexed
+    by interval, and every series and mask covers those 9 reports."""
+
+    @pytest.fixture(scope="class")
+    def resumed(self, ddos_trace):
+        config = resolve_config(
+            None,
+            min_support=10_000,
+            detector=DetectorConfig(
+                clones=3, bins=256, vote_threshold=3, training_intervals=8
+            ),
+        )
+        views = list(
+            iter_intervals(
+                ddos_trace.flows, ddos_trace.interval_seconds, origin=0.0,
+                include_empty=True,
+            )
+        )
+
+        def session():
+            return open_session(
+                config, mode="stream",
+                interval_seconds=ddos_trace.interval_seconds,
+            )
+
+        first = session()
+        for view in views[:16]:
+            first.feed(view.flows)
+        state = json.loads(json.dumps(first.to_state()))
+        whole = first.result().detection
+        first.close()
+        second = session()
+        second.from_state(state)
+        for view in views[16:25]:
+            second.feed(view.flows)
+        run = second.result().detection
+        second.close()
+        return whole, run
+
+    def test_reports_cover_the_resumed_intervals(self, resumed):
+        _, run = resumed
+        assert [r.interval for r in run.reports] == list(range(15, 24))
+
+    def test_report_is_looked_up_by_interval(self, resumed):
+        _, run = resumed
+        assert run.report(16).interval == 16
+        with pytest.raises(ExtractionError, match="holds intervals 15-23"):
+            run.report(3)
+
+    def test_masks_match_the_reports(self, resumed):
+        _, run = resumed
+        assert run.interval_alarm_mask(3.0).shape == (9,)
+        for feature in run.features:
+            assert run.kl_series(feature).shape == (9,)
+
+    def test_training_mask_reads_interval_indices(self, resumed):
+        """Every resumed interval is past training: none is masked."""
+        _, run = resumed
+        mask = run.alarms_at_multiplier(Feature.DST_IP, 0, 1e-9)
+        diffs = run.diff_series(Feature.DST_IP, 0)
+        assert mask.tolist() == (diffs > 0).tolist()
+
+    def test_pre_restore_run_still_masks_training(self, resumed):
+        whole, _ = resumed
+        mask = whole.interval_alarm_mask(1e-9)
+        assert not mask[: whole.config.training_intervals].any()
+        assert np.array_equal(
+            [r.interval for r in whole.reports], np.arange(15)
+        )

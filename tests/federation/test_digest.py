@@ -11,6 +11,7 @@ The two halves of the digest contract:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 from repro.errors import FederationError, SketchError
 from repro.federation import DIGEST_VERSION, IntervalDigest, split_trace
+from repro.sketch.histogram import HistogramSnapshot
 from repro.state import pack_array, unpack_array
 
 ATTACK = 24
@@ -97,7 +99,11 @@ class TestWireFormat:
             ('"flow_count":', '"flow_count":NaN,"was":', "flow_count"),
             ('"seed":0', '"seed":"0"', "schema.*seed"),
             ('"sites":["east"]', '"sites":"east"', "sites"),
-            ('"version":1', '"version":true', "wire version"),
+            (
+                f'"version":{DIGEST_VERSION}',
+                '"version":true',
+                "wire version",
+            ),
         ],
     )
     def test_no_field_is_coerced(self, east24, find, put, names):
@@ -120,6 +126,70 @@ class TestWireFormat:
         doc = copy.deepcopy(east24.to_dict())
         doc["schema"]["bins"] = doc["schema"]["bins"] // 2
         with pytest.raises(FederationError, match="schema declares"):
+            IntervalDigest.from_dict(doc)
+
+    def test_clone_hash_bins_contradiction_refused(self, east24):
+        doc = copy.deepcopy(east24.to_dict())
+        clone = doc["features"]["dstIP"]["clones"][0]
+        clone["hash"]["bins"] *= 2
+        with pytest.raises(FederationError, match="schema declares"):
+            IntervalDigest.from_dict(doc)
+
+    def test_missing_clone_counts_refused(self, east24):
+        doc = copy.deepcopy(east24.to_dict())
+        del doc["features"]["dstIP"]["clones"][0]["counts"]
+        with pytest.raises(
+            FederationError, match=r"dstIP\.clones\[0\]\.counts is missing"
+        ):
+            IntervalDigest.from_dict(doc)
+
+    def test_one_observed_set_per_feature(self, east24):
+        """The observed values are a fact about the feature's interval,
+        so the document states them once; the clones carry only their
+        hash function and counts."""
+        for name, feature in east24.to_dict()["features"].items():
+            assert sorted(feature) == ["clones", "countmin", "observed"], name
+            for clone in feature["clones"]:
+                assert sorted(clone) == ["counts", "hash"], name
+
+    def test_decoded_clones_share_one_observed_array(self, east24):
+        again = IntervalDigest.from_json(east24.to_json())
+        for feature in again.schema.features:
+            snaps = again._snapshots[feature]
+            assert all(s.observed is snaps[0].observed for s in snaps)
+            assert not snaps[0].observed.flags.writeable
+
+    def test_per_clone_observed_document_refused(self, east24):
+        """A version-1 document (one ``observed`` per clone) is refused
+        by its version, and without it by its shape."""
+        doc = copy.deepcopy(east24.to_dict())
+        for feature in doc["features"].values():
+            observed = feature.pop("observed")
+            for clone in feature["clones"]:
+                clone["observed"] = observed
+        doc["version"] = 1
+        with pytest.raises(FederationError, match="wire version 1 != 2"):
+            IntervalDigest.from_dict(doc)
+        doc["version"] = DIGEST_VERSION
+        with pytest.raises(FederationError, match="observed is missing"):
+            IntervalDigest.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            pytest.param(lambda v: v[::-1], id="descending"),
+            pytest.param(lambda v: np.repeat(v, 2), id="repeated"),
+        ],
+    )
+    def test_unsorted_observed_refused(self, east24, spoil):
+        """Merging unions observed sets as sorted runs; a set that is
+        not sorted and distinct would merge into a wrong back-map."""
+        doc = copy.deepcopy(east24.to_dict())
+        feature = doc["features"]["dstIP"]
+        observed = unpack_array(feature["observed"])
+        assert observed.size > 1
+        feature["observed"] = pack_array(spoil(observed))
+        with pytest.raises(FederationError, match="sorted and distinct"):
             IntervalDigest.from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -199,6 +269,36 @@ class TestMergeAlgebra:
         with pytest.raises(SketchError, match="incompatible"):
             east24.merge(foreign)
 
+    def test_bins_mismatch_refused(self, east24, collector_factory, fed_config):
+        coarse = dataclasses.replace(fed_config, bins=fed_config.bins // 2)
+        foreign = collector_factory("west", config=coarse).empty_digest(
+            ATTACK
+        )
+        with pytest.raises(SketchError, match="incompatible"):
+            east24.merge(foreign)
+
+    def test_clone_hash_mismatch_refused(self, east24, west24):
+        """Same schema, different clone hash: the bins count different
+        events, and adding them would fabricate a histogram."""
+        doc = copy.deepcopy(west24.to_dict())
+        doc["features"]["srcPort"]["clones"][2]["hash"]["a"] += 1
+        foreign = IntervalDigest.from_dict(doc)
+        with pytest.raises(SketchError, match="different hash functions"):
+            east24.merge(foreign)
+
+    def test_observed_union_taken_once_per_feature(self, east24, west24):
+        merged = east24.merge(west24)
+        for feature in merged.schema.features:
+            snaps = merged._snapshots[feature]
+            assert all(s.observed is snaps[0].observed for s in snaps)
+            assert np.array_equal(
+                snaps[0].observed,
+                np.union1d(
+                    east24._snapshots[feature][0].observed,
+                    west24._snapshots[feature][0].observed,
+                ),
+            )
+
 
 class TestConstruction:
     def _parts(self, digest):
@@ -244,6 +344,17 @@ class TestConstruction:
             if key != name
         }
         with pytest.raises(FederationError, match="missing sketches"):
+            IntervalDigest(**parts)
+
+    def test_clones_disagreeing_on_observed_refused(self, east24):
+        parts = self._parts(east24)
+        name = east24.schema.features[0]
+        clones = list(parts["snapshots"][name])
+        clones[1] = HistogramSnapshot(
+            clones[1].hash_fn, clones[1].counts, clones[1].observed[1:]
+        )
+        parts["snapshots"] = {**parts["snapshots"], name: clones}
+        with pytest.raises(FederationError, match="disagree on the observed"):
             IntervalDigest(**parts)
 
     def test_wrong_clone_count_refused(self, east24):

@@ -1,11 +1,12 @@
 """Unit tests for the SQLite-backed incident store."""
 
+import json
 import sqlite3
 
 import pytest
 
 from repro.core.report import ExtractionReport, TriagedItemset
-from repro.detection.features import Feature
+from repro.detection.features import CustomFeature, Feature
 from repro.errors import IncidentError
 from repro.incidents.store import (
     IncidentStore,
@@ -14,6 +15,7 @@ from repro.incidents.store import (
     parse_itemset_key,
 )
 from repro.mining.items import FrequentItemset, encode_item
+from repro.state import canonical_json
 
 VICTIM = encode_item(Feature.DST_IP, 42)
 PORT80 = encode_item(Feature.DST_PORT, 80)
@@ -76,6 +78,32 @@ class TestAppendAndQuery:
         assert [r.to_json() for r in got] == [
             REPORT_A.to_json(), REPORT_B.to_json()
         ]
+
+    def test_non_ascii_feature_name_round_trips(self, tmp_path):
+        """Reports render through the one canonical JSON writer, which
+        keeps non-ASCII text as UTF-8; the store holds it and reads the
+        same report back, byte for byte."""
+        feature = CustomFeature("Zielport\u00b7\u00fc", "dst_port")
+        report = make_report(
+            7, [((VICTIM,), 90, "suspicious")],
+            alarmed=("dstIP", feature.short_name),
+        )
+        text = report.to_json()
+        assert feature.short_name in text
+        assert text == canonical_json(report.to_dict())
+        path = str(tmp_path / "utf8.db")
+        with IncidentStore(path) as store:
+            store.append(report)
+        with IncidentStore(path) as store:
+            (again,) = store.reports()
+        assert again == report
+        assert again.to_json() == text
+
+    def test_ascii_rendering_unchanged(self):
+        """An ASCII report renders the bytes the stores already hold."""
+        assert REPORT_A.to_json() == json.dumps(
+            REPORT_A.to_dict(), sort_keys=True, separators=(",", ":")
+        )
 
     def test_len_counts_reports(self, store):
         assert len(store) == 0

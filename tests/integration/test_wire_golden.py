@@ -1,11 +1,13 @@
 """Golden bytes of the digest and checkpoint wire formats.
 
-The hashes below were recorded at the commit *before* the sketch layer
-moved from ``np.union1d``/``np.add.at`` to one sort per column
-(ISSUE 16).  They are the proof that the rewrite changed no wire byte -
-so no ``DIGEST_VERSION`` / ``CHECKPOINT_VERSION`` bump - and they pin
-both formats from here on: a change that moves any of them must bump
-the matching version and re-record.
+The hashes below were recorded under ``DIGEST_VERSION`` 2 and
+``CHECKPOINT_VERSION`` 3: a digest states each feature's observed set
+once, and a detector checkpoints only its previous counts, previous
+KL, training diffs and calibration.  The decoded content - clone
+counts, observed sets, count-min cells, reference counts - is the
+same as under the versions before.  The hashes pin both formats: a
+change that moves any of them must bump the matching version and
+re-record.
 
 Every hashed byte is integer-derived (bin counts, observed values,
 count-min cells, pending rows).  The checkpoint is taken after the
@@ -37,13 +39,13 @@ SITES = ("north", "east", "south", "west")
 DETECTOR = DetectorConfig(training_intervals=6, bins=256)
 
 GOLDEN_COLLECTOR_DIGEST = (
-    "4a8a9a06c0b0e77477ccfc638aaa5d072d995a645f937418c4ffd78b58ed48da"
+    "ef36438d2983533be7107e1c993880a9c0854967451b546cb04a5fe3baabb42a"
 )
 GOLDEN_MERGED_DIGEST = (
-    "6fac3762c78fd2f522dab8a469c16d7ea1d45ff03b6e8275f0e5b666f6eac115"
+    "678de83470fe05fd6c978842ed6ad4fd93ab504983c6d2a772272bc7a7a1134a"
 )
 GOLDEN_FLEET_CHECKPOINT = (
-    "68e313be5f96a26a580faab6f720932e2c4812a010266686aeab64588432e1bf"
+    "aae1afcee940f5c6c031b88025dc19ac839c4cd1f17dbae9e3292642531fbdc6"
 )
 
 

@@ -72,7 +72,7 @@ def test_decoders_read_their_document_through_read_fields():
                 lines = _reads_outside_read_fields(node)
                 if lines:
                     offenders[f"{name}:{node.name}"] = lines
-    assert decoders == 14  # eight from_state, six from_dict
+    assert decoders == 13  # eight from_state, five from_dict
     assert offenders == {}
 
 

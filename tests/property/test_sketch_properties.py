@@ -13,14 +13,15 @@ Four contracts, over random value streams and hash seeds:
   per-item probability ``delta = e^-depth`` - asserted as a violation
   fraction well under a loose multiple of delta.
 * **Merge exactness.**  Merging sketches over split streams is
-  byte-identical to sketching the concatenated stream, for both
-  count-min tables and histogram snapshots.  Consequently the merged
+  byte-identical to sketching the concatenated stream, for count-min
+  tables and for interval digests (whose clones share one observed
+  set, merged once per feature).  Consequently the merged
   entropy *equals* the concatenated-trace entropy (drift bound: zero,
   up to float rounding); binning itself can only lose entropy
   (data-processing inequality), which bounds binned against exact
   value entropy.
 * **Canonical wire stability.**  ``to_dict -> from_dict -> to_dict``
-  is byte-stable for CountMinSketch and HistogramSnapshot.
+  is byte-stable for CountMinSketch and IntervalDigest.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.detection.features import Feature
+from repro.federation.digest import DigestSchema, IntervalDigest
 from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.distinct import sorted_distinct, sorted_union
@@ -72,6 +75,29 @@ def make_snapshot(values: np.ndarray, seed: int):
     histogram = HashedHistogram(hash_fn)
     histogram.update(values)
     return histogram.snapshot()
+
+
+#: A one-feature, three-clone digest schema over the test geometry.
+SCHEMA = DigestSchema(
+    seed=0, clones=3, bins=BINS, cm_width=CM_WIDTH, cm_depth=CM_DEPTH,
+    features=("dstPort",),
+)
+
+
+def make_digest(values: np.ndarray, seed: int, site: str) -> IntervalDigest:
+    clones = CloneSet(SCHEMA.clones, BINS, seed=seed)
+    clones.update(values)
+    sketch = CountMinSketch(width=CM_WIDTH, depth=CM_DEPTH, seed=seed)
+    sketch.update_array(values)
+    return IntervalDigest(
+        SCHEMA, 0, (site,), len(values),
+        snapshots={"dstPort": clones.snapshots()},
+        countmin={"dstPort": sketch},
+    )
+
+
+def clones_of(digest: IntervalDigest):
+    return digest.clone_snapshots(Feature.DST_PORT)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +201,7 @@ def test_cloneset_any_chunking_equals_one_update(values, cuts, seed):
     for one, many in zip(whole.snapshots(), pieces.snapshots(), strict=True):
         assert np.array_equal(many.counts, one.counts)
         assert np.array_equal(many.observed, one.observed)
-        assert canonical(many.to_dict()) == canonical(one.to_dict())
+        assert many.hash_fn == one.hash_fn
         assert one.total == len(values)
 
 
@@ -256,13 +282,19 @@ def test_countmin_merge_equals_concatenated(values, seed, fraction):
     seed=seeds,
     fraction=st.floats(min_value=0.0, max_value=1.0),
 )
-def test_snapshot_merge_equals_concatenated(values, seed, fraction):
+def test_digest_merge_equals_concatenated(values, seed, fraction):
     head, tail = split_at(values, fraction)
-    merged = make_snapshot(head, seed).merge(make_snapshot(tail, seed))
-    whole = make_snapshot(values, seed)
-    assert np.array_equal(merged.counts, whole.counts)
-    assert np.array_equal(merged.observed, whole.observed)
-    assert canonical(merged.to_dict()) == canonical(whole.to_dict())
+    merged = make_digest(head, seed, "a").merge(make_digest(tail, seed, "b"))
+    whole = make_digest(values, seed, "whole")
+    for mine, theirs in zip(clones_of(merged), clones_of(whole), strict=True):
+        assert np.array_equal(mine.counts, theirs.counts)
+        assert np.array_equal(mine.observed, theirs.observed)
+    # The union is taken once per feature: every clone holds it.
+    first = clones_of(merged)[0].observed
+    assert all(snap.observed is first for snap in clones_of(merged))
+    assert canonical(merged.to_dict()["features"]) == canonical(
+        whole.to_dict()["features"]
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,9 +308,10 @@ def test_merged_entropy_drift_is_zero(values, seed, fraction):
     concatenated-trace entropy by exactly nothing (counts add as exact
     float64 integers), modulo float rounding in the log."""
     head, tail = split_at(values, fraction)
-    merged = make_snapshot(head, seed).merge(make_snapshot(tail, seed))
-    whole = make_snapshot(values, seed)
-    assert abs(entropy(merged.counts) - entropy(whole.counts)) < 1e-12
+    merged = make_digest(head, seed, "a").merge(make_digest(tail, seed, "b"))
+    whole = make_digest(values, seed, "whole")
+    for mine, theirs in zip(clones_of(merged), clones_of(whole), strict=True):
+        assert abs(entropy(mine.counts) - entropy(theirs.counts)) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,10 +343,12 @@ def test_countmin_wire_byte_stable(values, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(values=values_arrays, seed=seeds)
-def test_snapshot_wire_byte_stable(values, seed):
-    snapshot = make_snapshot(values, seed)
-    doc = snapshot.to_dict()
-    again = type(snapshot).from_dict(doc)
+def test_digest_wire_byte_stable(values, seed):
+    digest = make_digest(values, seed, "a")
+    doc = digest.to_dict()
+    again = IntervalDigest.from_dict(json.loads(canonical(doc)))
     assert canonical(again.to_dict()) == canonical(doc)
-    assert np.array_equal(again.counts, snapshot.counts)
-    assert np.array_equal(again.observed, snapshot.observed)
+    for mine, theirs in zip(clones_of(again), clones_of(digest), strict=True):
+        assert mine.hash_fn == theirs.hash_fn
+        assert np.array_equal(mine.counts, theirs.counts)
+        assert np.array_equal(mine.observed, theirs.observed)

@@ -4,7 +4,10 @@ Three documents cross a boundary this build did not necessarily write:
 the service checkpoint (``read_checkpoint`` -> ``restore_fleet`` ->
 ``Federator.from_state``), a collector's digest line
 (``IntervalDigest.from_json``) and a stored report row
-(``IncidentStore`` reads).  For each, every scalar leaf is replaced, one
+(``IncidentStore`` reads).  One detector's state is also swept on its
+own, mid-training and calibrated, so each leaf of the per-clone state
+(``prev`` counts, ``prev_kl``, ``training_diffs``, ``thresholds``) is
+hit in both phases.  For each, every scalar leaf is replaced, one
 at a time, by every value of :data:`ALPHABET` (exhaustively - the run
 is deterministic) and by leaves hypothesis draws.  A mutation must end
 
@@ -60,7 +63,6 @@ from repro.service.checkpoint import (
     restore_fleet,
 )
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.histogram import HistogramSnapshot
 from repro.state import canonical_json, unpack_array
 from repro.streaming.assembler import IntervalAssembler
 
@@ -417,6 +419,12 @@ def checkpoint_case(config, chunks, wires, tmp_path_factory):
     assert session["window_miner"]["batches"], "no window batches"
     assert doc["federation"]["pending"], "no buffered digest"
     assert doc["federation"]["reports"], "no federated report"
+    # Detector state holds reference counts only; an observed set rides
+    # the checkpoint only inside a buffered digest.
+    for state in (doc["fleet"], doc["federation"]["bank"]):
+        text = canonical_json(state)
+        for dropped in ('"observed"', '"kl_series"', '"diff_series"'):
+            assert dropped not in text
     return boundary, doc
 
 
@@ -477,8 +485,78 @@ def test_digest_line_arbitrary_leaves(digest_doc, data):
     assert failure is None, failure
 
 
+def test_digest_sweep_covers_every_feature_leaf(digest_doc):
+    """The feature document states the observed set once, beside each
+    clone's hash and counts: the sweep mutates every one of them."""
+    leaves = {dotted(path) for path in leaf_paths(digest_doc)}
+    feature = f"features.{FEATURES[0]}"
+    expected = {f"{feature}.observed.dtype", f"{feature}.observed.data"}
+    for c in range(DETECTOR.clones):
+        clone = f"{feature}.clones.{c}"
+        expected |= {f"{clone}.hash.{key}" for key in ("a", "b", "bins")}
+        expected |= {f"{clone}.counts.dtype", f"{clone}.counts.data"}
+    assert expected <= leaves
+    assert not any(
+        leaf.startswith(f"{feature}.clones.") and ".observed" in leaf
+        for leaf in leaves
+    )
+
+
 # ----------------------------------------------------------------------
-# (c) one stored report row
+# (c) one detector's state, in training and calibrated
+# ----------------------------------------------------------------------
+class DetectorStateBoundary(Boundary):
+    error = CheckpointError
+
+    def __init__(self, config, next_chunk):
+        super().__init__()
+        self.config = config
+        self.next_chunk = next_chunk
+
+    def restore(self, doc):
+        detector = HistogramDetector(Feature.DST_PORT, self.config, seed=1)
+        detector.from_state(doc)
+        return detector
+
+    def state_of(self, live):
+        return live.to_state()
+
+    def advance(self, live) -> None:
+        live.observe(self.next_chunk)
+
+
+#: Five training intervals: four fed chunks leave two diffs per clone.
+TRAINING = DetectorConfig(
+    training_intervals=5, vote_threshold=2, clones=2, bins=64
+)
+
+
+@pytest.fixture(scope="module", params=["training", "calibrated"])
+def detector_case(request, chunks):
+    config = TRAINING if request.param == "training" else DETECTOR
+    detector = HistogramDetector(Feature.DST_PORT, config, seed=1)
+    for chunk in chunks[:4]:
+        detector.observe(chunk)
+    doc = json_round_trip(detector.to_state())
+    assert set(doc) == {
+        "interval", "prev", "prev_kl", "training_diffs", "thresholds",
+    }
+    if request.param == "training":
+        assert [len(d) for d in doc["training_diffs"]] == [2, 2]
+    else:
+        assert doc["training_diffs"] == [[], []]
+    return DetectorStateBoundary(config, chunks[4]), doc
+
+
+def test_detector_state_sweep(detector_case):
+    boundary, doc = detector_case
+    failures = boundary.sweep(doc)
+    assert not failures, "\n".join(failures)
+    assert boundary.tally["refused"] > 0
+
+
+# ----------------------------------------------------------------------
+# (d) one stored report row
 # ----------------------------------------------------------------------
 class StoreRowBoundary(Boundary):
     error = IncidentError
@@ -609,7 +687,6 @@ def _documents(checkpoint_case, digest_doc):
     return {
         DigestSchema: (digest_doc["schema"], DigestSchema.to_dict),
         IntervalDigest: (digest_doc, IntervalDigest.to_dict),
-        HistogramSnapshot: (feature["clones"][0], HistogramSnapshot.to_dict),
         CountMinSketch: (feature["countmin"], CountMinSketch.to_dict),
         TriagedItemset: (report["itemsets"][0], TriagedItemset.to_dict),
         ExtractionReport: (report, ExtractionReport.to_dict),
@@ -620,8 +697,8 @@ def _documents(checkpoint_case, digest_doc):
 @pytest.mark.parametrize(
     "cls",
     [
-        DigestSchema, IntervalDigest, HistogramSnapshot, CountMinSketch,
-        TriagedItemset, ExtractionReport, FlowTable,
+        DigestSchema, IntervalDigest, CountMinSketch, TriagedItemset,
+        ExtractionReport, FlowTable,
     ],
     ids=lambda cls: cls.__name__,
 )

@@ -125,12 +125,16 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             snap.observed[0] = 5
 
-    def test_with_counts_replaces(self, histogram):
-        histogram.update(np.array([1], dtype=np.uint64))
-        snap = histogram.snapshot()
-        new = snap.with_counts(np.zeros(snap.bins))
-        assert new.total == 0.0
-        assert np.array_equal(new.observed, snap.observed)
+    def test_snapshot_shares_a_read_only_observed_array(self, histogram):
+        """The clones of a feature hold one observed set: a read-only
+        array is adopted as it is, not copied."""
+        observed = np.array([1, 2], dtype=np.uint64)
+        observed.setflags(write=False)
+        snaps = [
+            HistogramSnapshot(histogram.hash_fn, np.zeros(histogram.bins), observed)
+            for _ in range(3)
+        ]
+        assert all(snap.observed is observed for snap in snaps)
 
     def test_length_mismatch_rejected(self, histogram):
         with pytest.raises(ConfigError):
@@ -139,10 +143,3 @@ class TestSnapshot:
                 counts=np.zeros(3),
                 observed=np.array([], dtype=np.uint64),
             )
-
-    def test_distribution_matches_histogram(self, histogram):
-        histogram.update(np.arange(20, dtype=np.uint64))
-        snap = histogram.snapshot()
-        assert np.allclose(
-            snap.distribution(0.5), histogram.distribution(0.5)
-        )

@@ -1,9 +1,10 @@
-"""Merge-compatibility guards and wire-document validation.
+"""Count-min merge-compatibility guards and wire-document validation.
 
 Merging sketches with mismatched geometry or hash streams would add
 counts of unrelated cells - silently fabricating traffic - so every
 mismatch must be refused with a typed :class:`SketchError` before any
-state changes.
+state changes.  The histogram clones' guards live with the digest that
+carries them (``tests/federation/test_digest.py``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import pytest
 
 from repro.errors import SketchError
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.hashing import HashFamily
-from repro.sketch.histogram import HashedHistogram
 
 VALUES = np.arange(50, dtype=np.uint64)
 
@@ -23,12 +22,6 @@ def make_sketch(width=64, depth=3, seed=0) -> CountMinSketch:
     sketch = CountMinSketch(width=width, depth=depth, seed=seed)
     sketch.update_array(VALUES)
     return sketch
-
-
-def make_snapshot(bins=32, seed=0):
-    histogram = HashedHistogram(HashFamily(bins=bins, seed=seed).take(1)[0])
-    histogram.update(VALUES)
-    return histogram.snapshot()
 
 
 class TestCountMinGuards:
@@ -102,25 +95,3 @@ class TestCountMinGuards:
         assert restored.to_dict() == sketch.to_dict()
         restored.update_array(VALUES)  # an owned, writable table
         assert restored.estimate(int(VALUES[0])) == 2
-
-
-class TestSnapshotGuards:
-    def test_different_hash_refused(self):
-        with pytest.raises(SketchError, match="different hash"):
-            make_snapshot(seed=0).merge(make_snapshot(seed=1))
-
-    def test_different_bins_refused(self):
-        with pytest.raises(SketchError, match="different hash"):
-            make_snapshot(bins=32).merge(make_snapshot(bins=64))
-
-    def test_from_dict_counts_length_refused(self):
-        doc = make_snapshot().to_dict()
-        doc["hash"]["bins"] = doc["hash"]["bins"] * 2
-        with pytest.raises(SketchError, match="expected"):
-            type(make_snapshot()).from_dict(doc)
-
-    def test_from_dict_missing_field_refused(self):
-        doc = make_snapshot().to_dict()
-        del doc["counts"]
-        with pytest.raises(SketchError, match="malformed"):
-            type(make_snapshot()).from_dict(doc)
