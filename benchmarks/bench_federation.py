@@ -1,36 +1,32 @@
-"""Federation overhead: what shipping sketches instead of flows costs.
+"""Federation overhead: what shipping digests instead of flows costs.
 
-ISSUE 10 acceptance bench: the federation tier replaces O(flows)
-inter-site transfer with O(sketch) interval digests, so three numbers
-decide whether the design holds:
+The federation tier replaces O(flows) inter-site transfer with
+interval digests - per feature, the distinct values and their flow
+counts - so two numbers decide whether the design holds:
 
 1. **Digest size and merge latency vs. collector count.**  One trace
    is hash-sharded across 1/2/4/8 collectors; each configuration
    reports total wire bytes and the federator's merge+detect wall
    clock.  The merged view is exact, so the released alarms must be
    *identical* across every collector count (asserted).
-2. **Sketch state vs. O(flows).**  Per-interval digest wire bytes
+2. **Digest state vs. O(flows).**  Per-interval digest wire bytes
    against the raw flow-table bytes of the same interval - the
    compression the wire format actually delivers at this scale.
-   Sketch size is constant in flow count, so the ratio improves as
-   intervals grow; the assertion only pins the measured scale.
-3. **Precision@k.**  Top-k heavy hitters by merged count-min estimate
-   against exact top-k by true count on the attack interval - the
-   support fidelity the federated extraction path rides on.
+   A digest grows with the distinct values of an interval, not its
+   flows, so the ratio improves as repeated values pile up.
+
+Supports are exact value counts, so there is no estimate fidelity left
+to measure (the count-min precision@k section went with the sketch).
 """
 
 import time
-
-import numpy as np
 
 import pytest
 
 from repro.anomalies import DDoSInjector, EventSchedule
 from repro.detection.detector import DetectorConfig
-from repro.detection.features import Feature
 from repro.federation import Federator, split_trace
 from repro.federation.collector import Collector
-from repro.flows.stream import iter_intervals
 from repro.flows.table import ALL_COLUMNS
 from repro.traffic.generator import TraceGenerator
 from repro.traffic.profiles import switch_like
@@ -40,10 +36,7 @@ FLOWS_PER_INTERVAL = 2000
 TRAINING_INTERVALS = 16
 ATTACK_INTERVAL = 20
 COLLECTOR_COUNTS = (1, 2, 4, 8)
-CM_WIDTH = 1024
-CM_DEPTH = 4
 MIN_SUPPORT = 400
-TOP_K = 10
 INTERVAL_SECONDS = 900.0
 
 
@@ -82,13 +75,9 @@ def _federate(flows, n_collectors):
     config = _detector()
     started = time.perf_counter()
     per_site = {
-        site: Collector(
-            site=site,
-            config=config,
-            seed=0,
-            cm_width=CM_WIDTH,
-            cm_depth=CM_DEPTH,
-        ).run(parts[site], INTERVAL_SECONDS, origin=0.0)
+        site: Collector(site=site, config=config, seed=0).run(
+            parts[site], INTERVAL_SECONDS, origin=0.0
+        )
         for site in sites
     }
     collect_seconds = time.perf_counter() - started
@@ -102,8 +91,6 @@ def _federate(flows, n_collectors):
         sites=sites,
         config=config,
         seed=0,
-        cm_width=CM_WIDTH,
-        cm_depth=CM_DEPTH,
         interval_seconds=INTERVAL_SECONDS,
         min_support=MIN_SUPPORT,
     )
@@ -131,8 +118,7 @@ def test_digest_size_and_merge_latency_vs_collectors(trace, report):
     lines = [
         "",
         f"Federation - digest size / merge latency vs. collector count "
-        f"({len(flows)} flows, {N_INTERVALS} intervals, "
-        f"count-min {CM_DEPTH}x{CM_WIDTH})",
+        f"({len(flows)} flows, {N_INTERVALS} intervals)",
     ]
     metrics = {}
     baseline_alarms = None
@@ -168,13 +154,7 @@ def test_digest_size_and_merge_latency_vs_collectors(trace, report):
 def test_sketch_state_vs_flow_state(trace, report):
     flows = trace.flows
     flow_bytes = sum(flows.column(c).nbytes for c in ALL_COLUMNS)
-    collector = Collector(
-        site="pop0",
-        config=_detector(),
-        seed=0,
-        cm_width=CM_WIDTH,
-        cm_depth=CM_DEPTH,
-    )
+    collector = Collector(site="pop0", config=_detector(), seed=0)
     digests = collector.run(flows, INTERVAL_SECONDS, origin=0.0)
     wire_bytes = sum(
         len(d.to_json().encode("utf-8")) for d in digests
@@ -184,63 +164,15 @@ def test_sketch_state_vs_flow_state(trace, report):
     ratio = per_interval_flows / per_interval_digest
     report(
         "",
-        f"Federation - sketch state vs. O(flows) "
+        f"Federation - digest state vs. O(flows) "
         f"({FLOWS_PER_INTERVAL} flows/interval)",
         f"  flow table:  {per_interval_flows / 1e3:8.1f} kB/interval",
         f"  digest wire: {per_interval_digest / 1e3:8.1f} kB/interval",
-        f"  flow/digest ratio: {ratio:.2f}x (the digest is constant "
-        f"in flow count, so the ratio grows with interval size)",
+        f"  flow/digest ratio: {ratio:.2f}x (the digest grows with "
+        f"distinct values, not flows)",
         federation_state={
             "flow_bytes_per_interval": round(per_interval_flows),
             "digest_bytes_per_interval": round(per_interval_digest),
             "compression_ratio": round(ratio, 2),
         },
     )
-
-
-def test_precision_at_k_merged_vs_exact(trace, report):
-    flows = trace.flows
-    sites = ("popA", "popB")
-    parts = split_trace(flows, sites, "src_ip%2")
-    config = _detector()
-    digests = {
-        site: Collector(
-            site=site,
-            config=config,
-            seed=0,
-            cm_width=CM_WIDTH,
-            cm_depth=CM_DEPTH,
-        ).run(parts[site], INTERVAL_SECONDS, origin=0.0)
-        for site in sites
-    }
-    merged = digests["popA"][ATTACK_INTERVAL].merge(
-        digests["popB"][ATTACK_INTERVAL]
-    )
-    attack_flows = next(
-        view.flows
-        for view in iter_intervals(
-            flows, INTERVAL_SECONDS, origin=0.0
-        )
-        if view.index == ATTACK_INTERVAL
-    )
-    lines = ["", f"Federation - precision@{TOP_K} merged vs. exact"]
-    metrics = {}
-    for feature in (Feature.DST_IP, Feature.SRC_IP):
-        values = feature.extract(attack_flows)
-        unique, truth = np.unique(values, return_counts=True)
-        sketch = merged.countmin(feature)
-        estimates = np.array(
-            [sketch.estimate(int(v)) for v in unique]
-        )
-        exact_top = set(unique[np.argsort(-truth)[:TOP_K]].tolist())
-        merged_top = set(
-            unique[np.argsort(-estimates)[:TOP_K]].tolist()
-        )
-        precision = len(exact_top & merged_top) / TOP_K
-        assert precision >= 0.6
-        lines.append(
-            f"  {feature.short_name:>6}: precision@{TOP_K} "
-            f"{precision:4.2f} over {len(unique)} candidates"
-        )
-        metrics[feature.short_name] = precision
-    report(*lines, federation_precision_at_k=metrics)

@@ -742,9 +742,10 @@ def federate(
     """Federate multiple vantage points' traces into one global view.
 
     Each site's trace is summarized interval-by-interval into mergeable
-    sketch digests (histogram clones + count-min, O(sketch) per site,
-    not O(flows)); one federator merges every interval across sites,
-    runs the KL detectors over the merged view, and turns alarmed
+    digests (each feature's distinct values and their flow counts,
+    O(distinct values) per site, not O(flows)); one federator merges
+    every interval across sites, runs the KL detectors over the clone
+    histograms derived from the merged view, and turns alarmed
     intervals into triaged, ranked incidents - the offline shape of the
     ``repro-extract federate`` workflow::
 
@@ -767,8 +768,9 @@ def federate(
         config: config object / nested dict / TOML path (see
             :func:`resolve_config`); dict/TOML may carry a
             ``[federation]`` table (:class:`FederationSettings`) whose
-            ``sites`` / ``route`` / sketch-geometry keys become the
-            defaults the keyword arguments here override.
+            ``sites`` / ``route`` / ``min_support`` /
+            ``straggler_grace`` keys become the defaults the keyword
+            arguments here override.
         sites: site names for the single-trace form (overrides
             ``[federation] sites``); ignored when ``traces`` is a
             mapping, refused with digest files.
@@ -778,8 +780,9 @@ def federate(
         interval_seconds / origin / seed: the shared interval grid and
             hash seed - identical at every site by construction here;
             live collectors must agree on them out of band.
-        min_support: support floor for merged count-min item-sets
-            (overrides ``[federation] min_support``).
+        min_support: support floor for merged single-item sets, read
+            as exact flow counts (overrides ``[federation]
+            min_support``).
         straggler_grace: release an interval once this many later
             intervals have been seen, merging whatever arrived
             (overrides ``[federation] straggler_grace``).

@@ -320,8 +320,6 @@ _CONFIG_DESTS: dict[str, tuple[str, str]] = {
     "checkpoint": ("service", "checkpoint_path"),
     "checkpoint_every": ("service", "checkpoint_every"),
     "checkpoint_sync": ("service", "checkpoint_sync"),
-    "cm_width": ("federation", "cm_width"),
-    "cm_depth": ("federation", "cm_depth"),
 }
 
 

@@ -12,9 +12,9 @@ Two actions mirror the deployment's two roles:
   bank over the merged view - and prints the released intervals plus
   the global incident ranking.
 
-Digest files collected under different sketch parameters (width,
-depth, seed, clone geometry) are refused with exit code 2: merging
-incompatible sketches would silently corrupt the counts.
+Digest files collected under different sketch parameters (seed,
+clone geometry, features) are refused with exit code 2: merging
+them would bin the counts by different hash functions.
 
 Examples:
     repro-extract federate collect east.npz --site pop-east \\
@@ -30,7 +30,6 @@ import argparse
 import json
 
 from repro.cli._common import (
-    TrackedAction,
     add_config_arg,
     add_detector_args,
     add_format_arg,
@@ -60,7 +59,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                          "stdout)")
     add_config_arg(collect)
     add_detector_args(collect)
-    _add_sketch_args(collect)
     collect.add_argument("--origin", type=float, default=0.0,
                          help="timestamp of interval 0 (every site "
                          "must use the same value: the interval grid "
@@ -77,7 +75,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                        "collect', one or more sites")
     add_config_arg(merge)
     add_detector_args(merge)
-    _add_sketch_args(merge)
     merge.add_argument("--origin", type=float, default=0.0,
                        help="timestamp of interval 0 (must match the "
                        "collectors')")
@@ -90,9 +87,9 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     # extraction has its own support floor and no miner to configure.
     merge.add_argument("--min-support", dest="fed_min_support",
                        type=positive_int, default=None,
-                       help="support floor for merged count-min "
-                       "item-sets (default: [federation] min_support, "
-                       "else 5000)")
+                       help="support floor: a voted value's exact "
+                       "flow count over the merged interval (default: "
+                       "[federation] min_support, else 5000)")
     merge.add_argument("--store", default=None, metavar="PATH",
                        help="append the federation's extraction "
                        "reports to a SQLite incident store at PATH")
@@ -106,19 +103,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     merge.set_defaults(func=run_merge)
 
 
-def _add_sketch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cm-width", type=positive_int, default=None,
-                        action=TrackedAction,
-                        help="count-min sketch width (columns; "
-                        "support error <= e/width * N; default: "
-                        "[federation] cm_width, else 2048)")
-    parser.add_argument("--cm-depth", type=positive_int, default=None,
-                        action=TrackedAction,
-                        help="count-min sketch depth (rows; error "
-                        "probability e^-depth; default: [federation] "
-                        "cm_depth, else 4)")
-
-
 def run_collect(args: argparse.Namespace) -> int:
     import sys
 
@@ -126,14 +110,11 @@ def run_collect(args: argparse.Namespace) -> int:
     from repro.flows import read_trace
 
     run = run_config(args)
-    settings = run.federation
     collector = Collector(
         site=args.site,
         config=run.base.detector,
         features=run.base.features,
         seed=args.seed,
-        cm_width=settings.cm_width,
-        cm_depth=settings.cm_depth,
     )
     trace = read_trace(args.trace)
     digests = collector.run(

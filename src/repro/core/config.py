@@ -948,7 +948,6 @@ class FederationSettings:
         [federation]
         sites = ["pop-a", "pop-b"]
         straggler_grace = 2
-        cm_width = 2048
 
     Attributes:
         sites: the vantage points whose digests the federator expects
@@ -957,10 +956,8 @@ class FederationSettings:
             into per-site traces (same vocabulary as ``[fleet] route``).
         straggler_grace: intervals of lead the watermark allows before
             an incomplete interval is force-released.
-        cm_width: count-min width (support-estimate error eps = e/width
-            of the merged interval's flow count).
-        cm_depth: count-min depth (failure probability delta = e^-depth).
-        min_support: support floor for digest-mined item-sets; its own
+        min_support: support floor for digest-mined item-sets (a voted
+            value's exact flow count in the merged interval); its own
             key - ``[mining] min_support`` does *not* apply.  ``None``
             leaves the choice to the federator builder
             (:func:`repro.federation.tier.open_federator`: 5,000).
@@ -971,8 +968,6 @@ class FederationSettings:
     sites: tuple[str, ...] = ()
     route: str | None = None
     straggler_grace: int = 2
-    cm_width: int = 2048
-    cm_depth: int = 4
     min_support: int | None = None
     store_path: str | None = None
 
@@ -990,14 +985,6 @@ class FederationSettings:
             raise ConfigError(
                 f"[federation] straggler_grace must be >= 1: "
                 f"{self.straggler_grace}"
-            )
-        if self.cm_width < 1:
-            raise ConfigError(
-                f"[federation] cm_width must be >= 1: {self.cm_width}"
-            )
-        if self.cm_depth < 1:
-            raise ConfigError(
-                f"[federation] cm_depth must be >= 1: {self.cm_depth}"
             )
         if self.min_support is not None and self.min_support < 1:
             raise ConfigError(

@@ -16,8 +16,8 @@ push (under the resume floor), incident ageing (``note_interval``) and
 detector-report retention.  What *is* input-specific hides behind the
 two-method :class:`IntervalInput` protocol: :class:`FlowInterval` here
 (raw flows: prefilter + item-set mining) and
-:class:`~repro.federation.federator.MergedInterval` (merged sketch
-digests: count-min single-item supports).
+:class:`~repro.federation.federator.MergedInterval` (merged digests:
+exact single-item supports).
 
 :class:`ExtractionSession` adds the two flow *sources* on top:
 

@@ -1,33 +1,35 @@
 """Interval digests - the federation wire format.
 
 A digest is everything one vantage point says about one measurement
-interval, expressed purely in mergeable sketches: per monitored
-feature, the set of values observed, the ``C`` clone histograms over
-it that the detector bank needs for KL detection, and a count-min
-sketch for support estimation of the voted meta-data values.  The
-observed set is a fact about the feature's interval, not about any one
-binning, so it is written once per feature and every decoded clone
-shares the one array.  Digests are the *unit of
-inter-site communication*: collectors ship them, the federator merges
-them, and nothing O(flows) ever crosses a site boundary.
+interval: per monitored feature, the sorted distinct values observed
+and the exact number of flows carrying each.  Everything the federator
+needs follows from those two arrays.  The ``C`` clone histograms the
+detector bank scores are a hash-binning of the counts (the clone hash
+functions derive from the schema, exactly as the detectors' own do),
+the bin->values back-map reads the observed values, and a voted
+value's support is its count.  Digests are the *unit of inter-site
+communication*: collectors ship them, the federator merges them, and
+nothing O(flows) ever crosses a site boundary.
 
 Two properties carry the subsystem's correctness contract:
 
-* **Exact mergeability.**  Histogram counts and count-min tables over
-  identical hash streams are linear, so merging digests cell-wise is
+* **Exact mergeability.**  A merge unions the observed values and adds
+  the counts of a value both sides saw, so merging digests is
   byte-identical to digesting the concatenated flow streams - merge
   order and grouping cannot matter (``tests/federation`` asserts both
-  byte-for-byte).
+  byte-for-byte).  The clone histograms derived from a merged digest
+  equal the sum of the per-site histograms, bin for bin.
 * **Versioned refusal.**  The canonical-JSON wire document carries a
   schema version plus the sketch compatibility keys (seed, clones,
-  bins, count-min width/depth, feature list).  Any mismatch is refused
-  with a typed error - merging incompatible sketches would silently
-  fabricate counts, the exact failure mode the
-  :class:`~repro.errors.SketchError` guard exists to prevent.
+  bins, feature list).  Any mismatch is refused with a typed error -
+  merging incompatible digests would silently fabricate counts, the
+  exact failure mode the :class:`~repro.errors.SketchError` guard
+  exists to prevent.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
 from collections.abc import Iterable
@@ -36,12 +38,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.detection.detector import DetectorConfig
+from repro.detection.detector import DetectorConfig, clone_seed
 from repro.detection.features import DETECTOR_FEATURES, Feature
 from repro.errors import FederationError, SketchError
-from repro.sketch.countmin import CountMinSketch
-from repro.sketch.distinct import sorted_union
-from repro.sketch.hashing import UniversalHash
+from repro.sketch.distinct import union_counts
+from repro.sketch.hashing import HashFamily, UniversalHash, hash_rows
 from repro.sketch.histogram import HistogramSnapshot
 from repro.state import (
     canonical_json,
@@ -59,27 +60,33 @@ from repro.state import (
 #: Schema version of the digest wire document.  Bump it whenever the
 #: digest payload changes shape; foreign versions are rejected, never
 #: migrated silently (the same discipline as service checkpoints -
-#: see CONTRIBUTING).  Version 2 carries one ``observed`` array per
-#: feature instead of one per clone.
-DIGEST_VERSION = 2
+#: see CONTRIBUTING).  Version 3 carries each feature's observed values
+#: and their exact flow counts; the clone histograms and the count-min
+#: sketch of version 2 are derived from them or gone.
+DIGEST_VERSION = 3
 
-#: Default count-min geometry: width 2048 bounds the point-query error
-#: at eps = e/2048 (about 0.13% of the merged interval's flow count)
-#: and depth 4 bounds the failure probability at delta = e^-4 (about
-#: 1.8%); see ``CountMinSketch.from_error_bounds``.
+# The count-min geometry and seed below no longer shape a digest.  The
+# perf ledger's replay (``benchmarks/perf/workloads.py``) is their last
+# importer; they leave with ROADMAP item 2.
 DEFAULT_CM_WIDTH = 2048
 DEFAULT_CM_DEPTH = 4
 
 
 def countmin_seed(seed: int, feature: Feature) -> int:
-    """Seed of the per-feature count-min hash family under ``seed``.
-
-    Offset into a range disjoint from :func:`clone_seed`'s feature
-    salts so the count-min rows never reuse a clone's hash stream
-    (correlated streams would correlate their collision errors).
-    """
+    """Seed of the per-feature count-min hash family under ``seed``
+    (offset past :func:`clone_seed`'s feature salts)."""
     salt = zlib.crc32(feature.value.encode()) & 0xFFFF
     return seed * 131 + 0x10000 + salt
+
+
+@functools.lru_cache(maxsize=64)
+def _clone_hashes(
+    seed: int, clones: int, bins: int, feature: Feature
+) -> tuple[UniversalHash, ...]:
+    """The clone hash functions of ``feature``'s detector under
+    ``seed`` - the family a :class:`~repro.sketch.cloning.CloneSet`
+    seeded with :func:`clone_seed` draws."""
+    return tuple(HashFamily(bins, seed=clone_seed(seed, feature)).take(clones))
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,42 +94,35 @@ class DigestSchema:
     """The sketch compatibility keys every digest of a federation shares.
 
     Two digests merge only when their schemas are equal: equal seeds
-    and geometry make the underlying hash streams identical, which is
-    what makes cell-wise merging exact.
+    and geometry make the derived clone hash functions identical, which
+    is what makes merged detection exact.
     """
 
     seed: int
     clones: int
     bins: int
-    cm_width: int
-    cm_depth: int
     features: tuple[str, ...]
 
     @classmethod
     def build(
-        cls,
-        config: DetectorConfig,
-        features: tuple[Feature, ...],
-        seed: int,
-        cm_width: int,
-        cm_depth: int,
+        cls, config: DetectorConfig, features: tuple[Feature, ...], seed: int
     ) -> "DigestSchema":
         return cls(
             seed=seed,
             clones=config.clones,
             bins=config.bins,
-            cm_width=cm_width,
-            cm_depth=cm_depth,
             features=tuple(f.short_name for f in features),
         )
+
+    def clone_hashes(self, feature: Feature) -> tuple[UniversalHash, ...]:
+        """``feature``'s clone hash functions, drawn once per schema."""
+        return _clone_hashes(self.seed, self.clones, self.bins, feature)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "seed": self.seed,
             "clones": self.clones,
             "bins": self.bins,
-            "cm_width": self.cm_width,
-            "cm_depth": self.cm_depth,
             "features": list(self.features),
         }
 
@@ -141,26 +141,19 @@ _SCHEMA_KINDS = {
     "seed": count,
     "clones": integer(1),
     "bins": integer(1),
-    "cm_width": integer(1),
-    "cm_depth": integer(1),
     "features": _NAMES,
 }
 
-_HASH = record(a=integer(1), b=count, bins=integer(1))
-#: One clone of a feature document: its hash function and bin counts.
-_CLONE = record(
-    hash=lambda block: UniversalHash(**_HASH(block)),
-    counts=packed(np.float64),
-)
+#: One feature document: its sorted distinct values and their counts.
+_FEATURE = record(observed=packed(np.uint64), counts=packed(np.int64))
 
 
-def _clone_doc(snap: HistogramSnapshot) -> dict[str, Any]:
-    """The inverse of :data:`_CLONE`."""
-    fn = snap.hash_fn
-    return {
-        "hash": {"a": fn.a, "b": fn.b, "bins": fn.bins},
-        "counts": pack_array(snap.counts),
-    }
+def _total(counts: np.ndarray) -> int:
+    """The exact sum of positive ``counts`` (an int64 sum wraps past
+    2^63, which a crafted document could aim at ``flow_count``)."""
+    if counts.size == 0 or counts.size * int(counts.max()) < 1 << 63:
+        return int(counts.sum())
+    return sum(counts.tolist())
 
 
 def federation_features(
@@ -188,16 +181,15 @@ def federation_features(
 
 
 class IntervalDigest:
-    """One interval's sketch summary from one or more vantage points.
+    """One interval's value counts from one or more vantage points.
 
-    Immutable by convention: :meth:`merge` returns a new digest, and
-    the snapshot/count-min payloads are never mutated in place.
+    ``value_counts`` maps each feature's short name to ``(observed,
+    counts)``: the sorted distinct uint64 values of the interval and
+    the int64 number of flows carrying each.  Immutable: both arrays
+    are made read-only, and :meth:`merge` returns a new digest.
     """
 
-    __slots__ = (
-        "schema", "interval", "sites", "flow_count",
-        "_snapshots", "_countmin",
-    )
+    __slots__ = ("schema", "interval", "sites", "flow_count", "_values")
 
     def __init__(
         self,
@@ -205,8 +197,7 @@ class IntervalDigest:
         interval: int,
         sites: tuple[str, ...],
         flow_count: int,
-        snapshots: dict[str, list[HistogramSnapshot]],
-        countmin: dict[str, CountMinSketch],
+        value_counts: dict[str, tuple[np.ndarray, np.ndarray]],
     ) -> None:
         if interval < 0:
             raise FederationError(f"interval must be >= 0: {interval}")
@@ -218,60 +209,75 @@ class IntervalDigest:
             raise FederationError(
                 f"flow count must be >= 0: {flow_count}"
             )
+        values: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in schema.features:
-            if name not in snapshots or name not in countmin:
+            if name not in value_counts:
                 raise FederationError(
-                    f"digest missing sketches for feature {name!r}"
+                    f"digest missing value counts for feature {name!r}"
                 )
-            if len(snapshots[name]) != schema.clones:
+            observed, counts = value_counts[name]
+            if len(observed) != len(counts):
                 raise FederationError(
-                    f"feature {name!r} carries "
-                    f"{len(snapshots[name])} clone snapshots, schema "
-                    f"declares {schema.clones}"
+                    f"feature {name!r} carries {len(counts)} counts for "
+                    f"{len(observed)} observed values"
                 )
-            seen = snapshots[name][0].observed
-            if any(
-                s.observed is not seen and not np.array_equal(s.observed, seen)
-                for s in snapshots[name]
-            ):
-                raise FederationError(
-                    f"feature {name!r} clones disagree on the observed "
-                    f"values; a digest holds one observed set per feature"
-                )
+            observed.setflags(write=False)
+            counts.setflags(write=False)
+            values[name] = (observed, counts)
         self.schema = schema
         self.interval = interval
         self.sites = tuple(sorted(sites))
         self.flow_count = flow_count
-        self._snapshots = snapshots
-        self._countmin = countmin
+        self._values = values
 
     # ------------------------------------------------------------------
-    def clone_snapshots(self, feature: Feature) -> list[HistogramSnapshot]:
-        """The per-clone histogram snapshots of one feature."""
-        return list(self._snapshots[feature.short_name])
+    def supports(self, feature: Feature, values: np.ndarray) -> np.ndarray:
+        """The exact flow count of each of ``values`` (0 for a value
+        this interval did not observe)."""
+        observed, counts = self._values[feature.short_name]
+        wanted = np.asarray(values, dtype=np.uint64)
+        if observed.size == 0:
+            return np.zeros(wanted.size, dtype=np.int64)
+        at = np.minimum(np.searchsorted(observed, wanted), observed.size - 1)
+        return np.where(observed[at] == wanted, counts[at], 0)
 
-    def countmin(self, feature: Feature) -> CountMinSketch:
-        """The count-min support estimator of one feature."""
-        return self._countmin[feature.short_name]
+    def clone_snapshots(self, feature: Feature) -> list[HistogramSnapshot]:
+        """The ``C`` clone histograms of one feature, binned from its
+        counts by the schema's clone hash functions; they share the
+        one observed array."""
+        observed, counts = self._values[feature.short_name]
+        hashes = self.schema.clone_hashes(feature)
+        bins = self.schema.bins
+        if observed.size == 0:
+            return [
+                HistogramSnapshot(fn, np.zeros(bins), observed)
+                for fn in hashes
+            ]
+        rows = hash_rows(hashes, observed)
+        return [
+            HistogramSnapshot(
+                fn, np.bincount(row, weights=counts, minlength=bins), observed
+            )
+            for fn, row in zip(hashes, rows, strict=True)
+        ]
 
     def snapshots_by_feature(
         self, features: tuple[Feature, ...]
     ) -> dict[Feature, list[HistogramSnapshot]]:
-        """Key the snapshot payload by :class:`Feature` for the
-        detector bank (wire documents key by short name)."""
+        """Key the clone snapshots by :class:`Feature` for the detector
+        bank (wire documents key by short name)."""
         return {feature: self.clone_snapshots(feature) for feature in features}
 
     # ------------------------------------------------------------------
     def merge(self, other: "IntervalDigest") -> "IntervalDigest":
         """Combine two digests of the same interval into one.
 
-        Exact, order-invariant, and associative: histogram counts and
-        count-min cells add, each feature's observed set is unioned once
-        for all its clones, flow counts sum, site sets union (kept
-        sorted).  Refuses mismatched sketch schemas or clone hash
-        functions (:class:`~repro.errors.SketchError`), different
-        intervals, and overlapping site sets - each of which would
-        double-count or fabricate traffic.
+        Exact, order-invariant, and associative: each feature's
+        observed values are unioned and the counts of a shared value
+        added, flow counts sum, site sets union (kept sorted).  Refuses
+        mismatched sketch schemas (:class:`~repro.errors.SketchError`),
+        different intervals, and overlapping site sets - each of which
+        would double-count or fabricate traffic.
         """
         if self.schema != other.schema:
             raise SketchError(
@@ -289,35 +295,15 @@ class IntervalDigest:
                 f"sites {sorted(overlap)} appear in both digests; "
                 f"merging would double-count their traffic"
             )
-        snapshots: dict[str, list[HistogramSnapshot]] = {}
-        countmin: dict[str, CountMinSketch] = {}
-        for name in self.schema.features:
-            clones = list(zip(self._snapshots[name], other._snapshots[name]))
-            # Different hash functions count different events per bin.
-            if any(mine.hash_fn != theirs.hash_fn for mine, theirs in clones):
-                raise SketchError(
-                    f"cannot merge feature {name!r} clones binned by "
-                    f"different hash functions"
-                )
-            observed = sorted_union(
-                clones[0][0].observed, clones[0][1].observed
-            )
-            snapshots[name] = [
-                HistogramSnapshot(
-                    mine.hash_fn, mine.counts + theirs.counts, observed
-                )
-                for mine, theirs in clones
-            ]
-            countmin[name] = self._countmin[name].merged(
-                other._countmin[name]
-            )
         return IntervalDigest(
             schema=self.schema,
             interval=self.interval,
             sites=tuple(sorted(set(self.sites) | set(other.sites))),
             flow_count=self.flow_count + other.flow_count,
-            snapshots=snapshots,
-            countmin=countmin,
+            value_counts={
+                name: union_counts(*self._values[name], *other._values[name])
+                for name in self.schema.features
+            },
         )
 
     # ------------------------------------------------------------------
@@ -333,11 +319,10 @@ class IntervalDigest:
             "flow_count": self.flow_count,
             "features": {
                 name: {
-                    "observed": pack_array(self._snapshots[name][0].observed),
-                    "clones": [_clone_doc(snap) for snap in self._snapshots[name]],
-                    "countmin": self._countmin[name].to_dict(),
+                    "observed": pack_array(observed),
+                    "counts": pack_array(counts),
                 }
-                for name in self.schema.features
+                for name, (observed, counts) in self._values.items()
             },
         }
 
@@ -349,7 +334,8 @@ class IntervalDigest:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "IntervalDigest":
-        """Rebuild a digest, refusing foreign wire versions."""
+        """Rebuild a digest, refusing foreign wire versions and value
+        counts that do not describe ``flow_count`` flows."""
         if not isinstance(doc, dict):
             raise FederationError(
                 f"digest must be a JSON object, got {type(doc).__name__}"
@@ -372,64 +358,42 @@ class IntervalDigest:
             features=mapping,
         )
         schema, flow_count = fields["schema"], fields["flow_count"]
-        sketches = record(
-            observed=packed(np.uint64),
-            clones=listof(_CLONE, length=schema.clones),
-            countmin=CountMinSketch.from_dict,
-        )
         payload = read_fields(
             "digest features", fields["features"], FederationError,
-            **dict.fromkeys(schema.features, sketches),
+            **dict.fromkeys(schema.features, _FEATURE),
         )
-        snapshots: dict[str, list[HistogramSnapshot]] = {}
-        countmin = {name: payload[name]["countmin"] for name in payload}
-        for name in schema.features:
-            observed = payload[name]["observed"]
+        digest = cls(
+            schema=schema,
+            interval=fields["interval"],
+            sites=fields["sites"],
+            flow_count=flow_count,
+            value_counts={
+                name: (payload[name]["observed"], payload[name]["counts"])
+                for name in schema.features
+            },
+        )
+        for name, (observed, counts) in digest._values.items():
             # Merging unions observed sets as sorted runs.
             if np.any(observed[1:] <= observed[:-1]):
                 raise FederationError(
                     f"feature {name!r} observed values are not sorted "
                     f"and distinct"
                 )
-            observed.setflags(write=False)
-            snapshots[name] = []
-            for clone in payload[name]["clones"]:
-                hash_fn, counts = clone["hash"], clone["counts"]
-                if hash_fn.bins != schema.bins or len(counts) != schema.bins:
-                    raise FederationError(
-                        f"feature {name!r} clone hashes into "
-                        f"{hash_fn.bins} bins and carries {len(counts)} "
-                        f"counts, schema declares {schema.bins} bins"
-                    )
-                # Every flow lands in exactly one bin of every clone.
-                # NaN fails the second test (NaN != anything); left in,
-                # it would turn the clone's KL into NaN, which the
-                # alarm threshold reads as "no alarm".
-                if counts.min() < 0 or counts.sum() != flow_count:
-                    raise FederationError(
-                        f"self-contradictory payload: feature {name!r} "
-                        f"clone counts (min {counts.min()}, total "
-                        f"{counts.sum()}) do not describe "
-                        f"{flow_count} flows"
-                    )
-                snapshots[name].append(
-                    HistogramSnapshot(hash_fn, counts, observed)
-                )
-            cm = countmin[name]
-            if cm.width != schema.cm_width or cm.depth != schema.cm_depth:
+            # An observed value was seen in at least one flow, and
+            # every flow carries exactly one value of every feature.
+            if counts.size and counts.min() < 1:
                 raise FederationError(
-                    f"feature {name!r} count-min is "
-                    f"{cm.depth}x{cm.width}, schema declares "
-                    f"{schema.cm_depth}x{schema.cm_width}"
+                    f"feature {name!r} counts must be positive flow "
+                    f"counts: minimum {counts.min()}"
                 )
-        return cls(
-            schema=schema,
-            interval=fields["interval"],
-            sites=fields["sites"],
-            flow_count=flow_count,
-            snapshots=snapshots,
-            countmin=countmin,
-        )
+            total = _total(counts)
+            if total != flow_count:
+                raise FederationError(
+                    f"self-contradictory payload: feature {name!r} "
+                    f"counts total {total} flows, the digest declares "
+                    f"{flow_count}"
+                )
+        return digest
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "IntervalDigest":

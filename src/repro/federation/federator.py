@@ -3,7 +3,7 @@
 The "fleet-of-fleets" tier above per-link pipelines: collectors at each
 site ship :class:`~repro.federation.digest.IntervalDigest` documents,
 and the :class:`Federator` aligns them on interval index, merges each
-interval's digests (exact cell-wise sketch addition), and hands each
+interval's digests (exact value-count addition), and hands each
 merged interval to the pipeline's one interval step
 (:meth:`~repro.core.session.IntervalSpine.step`) as a
 :class:`MergedInterval` - so the network-wide anomaly that no single
@@ -12,8 +12,8 @@ link sees clearly still trips the KL detectors.  The federator is a
 stream assembler: detection, gating, counters, report construction,
 the store push and incident ageing are the step's, shared with every
 single-site run.  Only the input is digest-specific: voted meta-data
-values become single-item frequent item-sets whose supports come from
-the merged count-min sketches.
+values become single-item frequent item-sets whose supports are their
+exact flow counts in the merged digest.
 
 Straggler policy: an interval is released as soon as every expected
 site has reported, or - watermark - once ``straggler_grace`` later
@@ -41,12 +41,7 @@ from repro.detection.manager import DetectorBank, IntervalReport
 from repro.detection.metadata import Metadata
 from repro.errors import CheckpointError, FederationError, SketchError
 from repro.federation.collector import Collector
-from repro.federation.digest import (
-    DEFAULT_CM_DEPTH,
-    DEFAULT_CM_WIDTH,
-    DigestSchema,
-    IntervalDigest,
-)
+from repro.federation.digest import DigestSchema, IntervalDigest
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.incidents.correlate import correlate
@@ -69,7 +64,7 @@ from repro.streaming.assembler import IntervalAssembler
 #: reasoning as the assembler's guard on flow timestamps.
 MAX_GAP_INTERVALS = IntervalAssembler.DEFAULT_MAX_GAP_INTERVALS
 
-FEDERATED_ALGORITHM = "federated-countmin"
+FEDERATED_ALGORITHM = "federated-exact"
 FEDERATED_PREFILTER = "federated-vote"
 
 
@@ -92,13 +87,13 @@ class FederatedInterval:
 class MergedInterval:
     """One interval's merged digest: the sketch-view step input.
 
-    Detection runs over the merged histogram-clone snapshots without
-    ever materializing flows.  Extraction is digest-only mining: each
-    voted meta-data value becomes a single-item item-set whose support
-    is the merged count-min estimate (an upper bound within eps*N of
-    truth); estimates below ``min_support`` are discarded just like the
-    miners' support floor.  Multi-item conjunctions need the flows and
-    are deliberately out of digest scope.
+    Detection runs over the clone snapshots derived from the merged
+    value counts without ever materializing flows.  Extraction is
+    digest-only mining: each voted meta-data value becomes a
+    single-item item-set whose support is its exact merged flow count;
+    supports below ``min_support`` are discarded just like the miners'
+    support floor.  Multi-item conjunctions need the flows and are
+    deliberately out of digest scope.
     """
 
     def __init__(self, digest: IntervalDigest, min_support: int) -> None:
@@ -124,8 +119,8 @@ class MergedInterval:
     ) -> ExtractionResult | None:
         supports: dict[tuple[int, ...], int] = {}
         for feature, values in metadata.values.items():
-            estimates = self.digest.countmin(feature).estimate_array(values)
-            for value, support in zip(values.tolist(), estimates.tolist()):
+            counts = self.digest.supports(feature, values)
+            for value, support in zip(values.tolist(), counts.tolist()):
                 if support >= self._min_support:
                     supports[(encode_item(feature, value),)] = support
         if not supports:
@@ -136,7 +131,7 @@ class MergedInterval:
             metadata=metadata,
             # Digest-only extraction never materializes flows; 0
             # selected keeps the field honest rather than guessing
-            # from estimates.
+            # from single-item supports.
             prefilter=PrefilterResult(
                 flows=FlowTable.empty(),
                 mode=FEDERATED_PREFILTER,
@@ -166,8 +161,6 @@ class Federator:
         config: DetectorConfig | None = None,
         features: tuple[Feature, ...] | str | None = None,
         seed: int = 0,
-        cm_width: int = DEFAULT_CM_WIDTH,
-        cm_depth: int = DEFAULT_CM_DEPTH,
         interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
         origin: float = 0.0,
         min_support: int = 5_000,
@@ -211,8 +204,6 @@ class Federator:
             config=self.config,
             features=features,
             seed=seed,
-            cm_width=cm_width,
-            cm_depth=cm_depth,
         )
         self.features = self._reference.features
         # The step, instrumented as pipeline "federation".  Nothing

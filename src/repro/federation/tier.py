@@ -36,8 +36,8 @@ _T = TypeVar("_T")
 #: Support floor of a federator built from a run config that names no
 #: ``[federation] min_support``.  Deliberately not the base config's
 #: ``[mining] min_support``: that floor is sized for one link's
-#: prefiltered flows, this one for count-min estimates over every
-#: site's merged interval.
+#: prefiltered flows, this one for a voted value's exact flow count
+#: over every site's merged interval (no prefilter narrows it).
 DEFAULT_MIN_SUPPORT = 5_000
 
 
@@ -128,8 +128,6 @@ def federate_traces(
                 config=federator.config,
                 features=federator.features,
                 seed=schema.seed,
-                cm_width=schema.cm_width,
-                cm_depth=schema.cm_depth,
                 tracer=tracer,
             )
             digests.extend(
@@ -169,8 +167,6 @@ def open_federator(
     *,
     sites: Sequence[str] | None = None,
     store: IncidentStore | str | os.PathLike[str] | None = None,
-    cm_width: int | None = None,
-    cm_depth: int | None = None,
     straggler_grace: int | None = None,
     min_support: int | None = None,
     seed: int = 0,
@@ -186,9 +182,9 @@ def open_federator(
     :func:`repro.api.serve` (and so ``repro-extract federate merge``
     and ``serve``).  ``base`` supplies the detector
     geometry, the features and the incident-correlation knobs;
-    ``settings`` the ``[federation]`` table.  ``sites``, ``store`` and
-    the four sketch/support knobs override the table when not ``None``
-    (explicit flags and keyword arguments).  A ``store`` given as an
+    ``settings`` the ``[federation]`` table.  ``sites``, ``store``,
+    ``straggler_grace`` and ``min_support`` override the table when not
+    ``None`` (explicit flags and keyword arguments).  A ``store`` given as an
     open :class:`IncidentStore` stays the caller's to close; a path -
     the argument's or ``[federation] store_path`` - is opened here and
     closed when the block exits.
@@ -207,8 +203,6 @@ def open_federator(
             config=base.detector,
             features=base.features,
             seed=seed,
-            cm_width=pick(cm_width, settings.cm_width),
-            cm_depth=pick(cm_depth, settings.cm_depth),
             interval_seconds=interval_seconds,
             origin=origin,
             min_support=pick(

@@ -184,7 +184,7 @@ CATALOG: dict[str, InstrumentSpec] = {
     "repro_federation_merge_seconds": InstrumentSpec(
         "histogram", (),
         "Wall-clock seconds to merge one interval's digests and run "
-        "the interval step (detection, count-min extraction, store "
+        "the interval step (detection, single-item extraction, store "
         "push) over the merged view.",
     ),
     "repro_federation_intervals_merged_total": InstrumentSpec(

@@ -43,8 +43,9 @@ from repro.state import canonical_json, count, mapping, read_fields
 #: digests + the federator's detector bank) for federated daemons.
 #: Version 3 keeps only what the next interval reads per detector clone
 #: (previous counts, previous KL, training diffs until calibrated) and
-#: buffers digests in their version-2 wire form.
-CHECKPOINT_VERSION = 3
+#: buffers digests in their version-2 wire form.  Version 4 buffers
+#: digests in their version-3 wire form (per-feature value counts).
+CHECKPOINT_VERSION = 4
 
 #: What every checkpoint document carries beside its version (a
 #: federated daemon's also has a ``federation`` block).

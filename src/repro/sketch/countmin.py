@@ -5,6 +5,11 @@ projections, but sketches target stream *summarization* while cloning
 targets random *binning*.  We provide Count-Min as a substrate because it
 shares the hashing infrastructure and is the natural tool for the
 heavy-hitter cross-checks used in our tests and examples.
+
+No runtime path uses it any more: federation digests carry exact value
+counts (digest version 3).  The perf ledger's replay
+(``benchmarks/perf/workloads.py``) is its last importer; it leaves with
+ROADMAP item 2.
 """
 
 from __future__ import annotations

@@ -74,3 +74,32 @@ def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = merged[_run_starts(merged)]
     union.setflags(write=False)
     return union
+
+
+def union_counts(
+    a: np.ndarray,
+    a_counts: np.ndarray,
+    b: np.ndarray,
+    b_counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sorted_union` of two ``sorted_distinct`` columns, with
+    the counts of a value both sides hold added.
+
+    One stable argsort merges the two sorted runs; the counts follow
+    the same order and ``reduceat`` adds each run of equal values.  An
+    empty side returns the other as is, like :func:`sorted_union`.
+    """
+    if a.size == 0:
+        return b, b_counts
+    if b.size == 0:
+        return a, a_counts
+    merged = np.concatenate((a, b))
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    starts = _run_starts(merged)
+    union = merged[starts]
+    counts = np.concatenate((a_counts, b_counts))[order]
+    counts = np.add.reduceat(counts, starts)
+    union.setflags(write=False)
+    counts.setflags(write=False)
+    return union, counts

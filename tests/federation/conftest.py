@@ -21,10 +21,6 @@ from repro.flows.stream import iter_intervals
 #: intervals left to federate.
 TRAINING_INTERVALS = 16
 BINS = 256
-#: Narrow count-min keeps digests small; eps = e/512 of an interval's
-#: flow count still separates the planted attack from the noise floor.
-CM_WIDTH = 512
-CM_DEPTH = 4
 SITES = ("east", "west")
 MIN_SUPPORT = 300
 INTERVAL_SECONDS = 900.0
@@ -47,9 +43,7 @@ def collector_factory(fed_config):
     """Collectors pre-wired to the federation's shared schema."""
 
     def make(site: str, **kwargs) -> Collector:
-        defaults = dict(
-            config=fed_config, seed=0, cm_width=CM_WIDTH, cm_depth=CM_DEPTH
-        )
+        defaults = dict(config=fed_config, seed=0)
         defaults.update(kwargs)
         return Collector(site=site, **defaults)
 
@@ -65,8 +59,6 @@ def federator_factory(fed_config):
             sites=SITES,
             config=fed_config,
             seed=0,
-            cm_width=CM_WIDTH,
-            cm_depth=CM_DEPTH,
             interval_seconds=INTERVAL_SECONDS,
             min_support=MIN_SUPPORT,
         )

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.detection.features import parse_feature
 from repro.errors import FederationError
 from repro.federation import Collector
 
@@ -32,15 +34,27 @@ class TestDeterminism:
         assert features_doc(east) == features_doc(west)
         assert east.schema == west.schema
 
-    def test_seed_changes_the_schema_and_the_bytes(
+    def test_seed_changes_the_schema_and_the_clones_not_the_counts(
         self, attack_flows, collector_factory
     ):
+        """Value counts are a fact about the flows; the seed picks the
+        clone hash functions the federator bins them with."""
         base = collector_factory("east").summarize(attack_flows, ATTACK)
         other = collector_factory("east", seed=1).summarize(
             attack_flows, ATTACK
         )
         assert base.schema != other.schema
-        assert features_doc(base) != features_doc(other)
+        assert base.to_json() != other.to_json()
+        assert features_doc(base) == features_doc(other)
+        for feature in base.schema.features:
+            feature = parse_feature(feature)
+            mine = base.clone_snapshots(feature)
+            theirs = other.clone_snapshots(feature)
+            assert mine[0].hash_fn != theirs[0].hash_fn
+            assert any(
+                not np.array_equal(m.counts, t.counts)
+                for m, t in zip(mine, theirs, strict=True)
+            )
 
 
 class TestEmptyDigest:
@@ -52,7 +66,8 @@ class TestEmptyDigest:
             for snap in empty.clone_snapshots(feature):
                 assert snap.total == 0.0
                 assert len(snap.observed) == 0
-            assert empty.countmin(feature).total == 0
+            observed, counts = empty._values[feature.short_name]
+            assert observed.size == counts.size == 0
 
     def test_empty_digest_is_merge_identity(
         self, site_digests, collector_factory

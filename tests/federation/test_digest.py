@@ -17,12 +17,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.detection.detector import clone_seed
+from repro.detection.features import DETECTOR_FEATURES
 from repro.errors import FederationError, SketchError
 from repro.federation import DIGEST_VERSION, IntervalDigest, split_trace
-from repro.sketch.histogram import HistogramSnapshot
+from repro.flows.stream import iter_intervals
+from repro.sketch.cloning import CloneSet
 from repro.state import pack_array, unpack_array
 
 ATTACK = 24
+FEATURES = DETECTOR_FEATURES
 
 
 @pytest.fixture(scope="module")
@@ -115,70 +119,76 @@ class TestWireFormat:
         with pytest.raises(FederationError, match=names):
             IntervalDigest.from_json(wire.replace(find, put, 1))
 
-    def test_countmin_geometry_contradiction_refused(self, east24):
-        # Schema claims a wider sketch than the payload carries.
-        doc = copy.deepcopy(east24.to_dict())
-        doc["schema"]["cm_width"] = doc["schema"]["cm_width"] * 2
-        with pytest.raises(FederationError, match="schema declares"):
-            IntervalDigest.from_dict(doc)
-
-    def test_snapshot_bins_contradiction_refused(self, east24):
-        doc = copy.deepcopy(east24.to_dict())
-        doc["schema"]["bins"] = doc["schema"]["bins"] // 2
-        with pytest.raises(FederationError, match="schema declares"):
-            IntervalDigest.from_dict(doc)
-
-    def test_clone_hash_bins_contradiction_refused(self, east24):
-        doc = copy.deepcopy(east24.to_dict())
-        clone = doc["features"]["dstIP"]["clones"][0]
-        clone["hash"]["bins"] *= 2
-        with pytest.raises(FederationError, match="schema declares"):
-            IntervalDigest.from_dict(doc)
-
-    def test_missing_clone_counts_refused(self, east24):
-        doc = copy.deepcopy(east24.to_dict())
-        del doc["features"]["dstIP"]["clones"][0]["counts"]
-        with pytest.raises(
-            FederationError, match=r"dstIP\.clones\[0\]\.counts is missing"
-        ):
-            IntervalDigest.from_dict(doc)
-
-    def test_one_observed_set_per_feature(self, east24):
-        """The observed values are a fact about the feature's interval,
-        so the document states them once; the clones carry only their
-        hash function and counts."""
+    def test_one_value_count_document_per_feature(self, east24):
+        """A feature is stated as its observed values and their flow
+        counts; the clone histograms and the count-min are derived or
+        gone."""
         for name, feature in east24.to_dict()["features"].items():
-            assert sorted(feature) == ["clones", "countmin", "observed"], name
-            for clone in feature["clones"]:
-                assert sorted(clone) == ["counts", "hash"], name
+            assert sorted(feature) == ["counts", "observed"], name
+            observed = unpack_array(feature["observed"])
+            counts = unpack_array(feature["counts"])
+            assert len(observed) == len(counts) > 0
+            assert int(counts.sum()) == east24.flow_count
 
-    def test_decoded_clones_share_one_observed_array(self, east24):
+    def test_schema_carries_no_count_min_geometry(self, east24):
+        assert sorted(east24.to_dict()["schema"]) == [
+            "bins", "clones", "features", "seed",
+        ]
+
+    def test_derived_clones_share_one_observed_array(self, east24):
         again = IntervalDigest.from_json(east24.to_json())
-        for feature in again.schema.features:
-            snaps = again._snapshots[feature]
-            assert all(s.observed is snaps[0].observed for s in snaps)
-            assert not snaps[0].observed.flags.writeable
+        for feature in again.snapshots_by_feature(FEATURES).values():
+            assert all(s.observed is feature[0].observed for s in feature)
+            assert not feature[0].observed.flags.writeable
 
-    def test_per_clone_observed_document_refused(self, east24):
-        """A version-1 document (one ``observed`` per clone) is refused
-        by its version, and without it by its shape."""
+    def test_derived_clones_equal_a_clone_set_fed_the_column(
+        self, east24, site_flows
+    ):
+        """The clone histograms a digest derives are bin for bin the
+        ones a detector's own clone set builds from the flows."""
+        flows = next(
+            view.flows
+            for view in iter_intervals(site_flows["east"], 900.0, origin=0.0)
+            if view.index == ATTACK
+        )
+        schema = east24.schema
+        for feature in FEATURES:
+            clones = CloneSet(
+                schema.clones, schema.bins,
+                seed=clone_seed(schema.seed, feature),
+            )
+            clones.update(feature.extract(flows))
+            derived = east24.clone_snapshots(feature)
+            for mine, theirs in zip(
+                derived, clones.snapshots(), strict=True
+            ):
+                assert mine.hash_fn == theirs.hash_fn
+                assert np.array_equal(mine.counts, theirs.counts)
+                assert np.array_equal(mine.observed, theirs.observed)
+
+    def test_previous_version_document_refused(self, east24):
+        """A version-2 document (clone histograms and a count-min per
+        feature) is refused by its version, and without it by its
+        shape."""
         doc = copy.deepcopy(east24.to_dict())
         for feature in doc["features"].values():
-            observed = feature.pop("observed")
-            for clone in feature["clones"]:
-                clone["observed"] = observed
-        doc["version"] = 1
-        with pytest.raises(FederationError, match="wire version 1 != 2"):
+            del feature["counts"]
+            feature["clones"] = []
+            feature["countmin"] = {}
+        doc["version"] = 2
+        with pytest.raises(FederationError, match="wire version 2 != 3"):
             IntervalDigest.from_dict(doc)
         doc["version"] = DIGEST_VERSION
-        with pytest.raises(FederationError, match="observed is missing"):
+        with pytest.raises(FederationError, match="counts is missing"):
             IntervalDigest.from_dict(doc)
 
     @pytest.mark.parametrize(
         "spoil",
         [
             pytest.param(lambda v: v[::-1], id="descending"),
-            pytest.param(lambda v: np.repeat(v, 2), id="repeated"),
+            pytest.param(
+                lambda v: np.repeat(v, 2)[: v.size], id="repeated"
+            ),
         ],
     )
     def test_unsorted_observed_refused(self, east24, spoil):
@@ -193,37 +203,84 @@ class TestWireFormat:
             IntervalDigest.from_dict(doc)
 
     @pytest.mark.parametrize(
-        "tamper",
+        "tamper, reason",
         [
-            pytest.param(lambda c: c.__setitem__(0, float("nan")), id="nan"),
-            pytest.param(lambda c: c.__setitem__(0, -1.0), id="negative"),
             pytest.param(
-                lambda c: c.__setitem__(0, c[0] + 0.5), id="fractional"
+                lambda c: c.__setitem__(0, float("nan")),
+                "do not fit int64", id="nan",
             ),
             pytest.param(
-                lambda c: c.__setitem__(0, c[0] + 1.0), id="wrong-total"
+                # 0.5 flow moved between two values: total unchanged.
+                lambda c: (
+                    c.__setitem__(0, c[0] + 0.5),
+                    c.__setitem__(1, c[1] - 0.5),
+                ),
+                "do not fit int64", id="fractional",
             ),
             pytest.param(
-                # Sums to flow_count again, through a negative bin.
+                lambda c: (
+                    c.__setitem__(1, c[1] + c[0]), c.__setitem__(0, 0.0)
+                ),
+                "positive flow counts", id="zero",
+            ),
+            pytest.param(
+                # Sums to flow_count again, through a negative count.
                 lambda c: (
                     c.__setitem__(0, c[0] + c[1] + 1.0),
                     c.__setitem__(1, -1.0),
                 ),
-                id="negative-balanced",
+                "positive flow counts", id="negative-balanced",
+            ),
+            pytest.param(
+                lambda c: c.__setitem__(0, c[0] + 1.0),
+                "self-contradictory", id="wrong-total",
             ),
         ],
     )
-    def test_contradictory_clone_counts_refused(self, east24, tamper):
-        """A clone histogram that does not describe ``flow_count``
-        flows is refused at the wire edge: a NaN bin would make that
-        clone's KL NaN, and ``is_alarm(NaN)`` is a silent "no"."""
+    def test_contradictory_counts_refused(self, east24, tamper, reason):
+        """Counts that are not positive integers describing
+        ``flow_count`` flows are refused at the wire edge, naming the
+        feature: a fractional count would bin into fractional clone
+        histograms, a NaN one into a NaN KL, which the alarm threshold
+        reads as a silent "no"."""
         doc = copy.deepcopy(east24.to_dict())
-        clone = doc["features"]["dstIP"]["clones"][1]
-        counts = np.asarray(unpack_array(clone["counts"]), dtype=np.float64)
+        feature = doc["features"]["dstIP"]
+        counts = unpack_array(feature["counts"]).astype(np.float64)
         tamper(counts)
-        clone["counts"] = pack_array(counts)
-        with pytest.raises(FederationError, match="self-contradictory"):
+        feature["counts"] = pack_array(counts)
+        with pytest.raises(FederationError, match=reason) as refusal:
             IntervalDigest.from_json(json.dumps(doc))
+        assert "dstIP" in str(refusal.value)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_counts_length_mismatch_refused(self, east24, delta):
+        doc = copy.deepcopy(east24.to_dict())
+        feature = doc["features"]["srcPort"]
+        counts = unpack_array(feature["counts"])
+        if delta < 0:
+            counts = counts[:-1]
+        else:
+            counts = np.append(counts, 1)
+        feature["counts"] = pack_array(counts)
+        with pytest.raises(
+            FederationError, match=r"'srcPort' carries \d+ counts for"
+        ):
+            IntervalDigest.from_dict(doc)
+
+    def test_wrapping_total_refused(self, east24):
+        """An int64 sum wraps past 2^63; counts crafted to wrap onto
+        ``flow_count`` must not pass the total check."""
+        doc = copy.deepcopy(east24.to_dict())
+        feature = doc["features"]["dstPort"]
+        counts = unpack_array(feature["counts"]).astype(np.int64)
+        counts[0] += 1 << 62
+        counts[1] += 1 << 62
+        counts[2] += 1 << 62
+        counts[3] += 1 << 62
+        assert int(counts.sum()) == east24.flow_count  # wrapped
+        feature["counts"] = pack_array(counts)
+        with pytest.raises(FederationError, match="self-contradictory"):
+            IntervalDigest.from_dict(doc)
 
 
 class TestMergeAlgebra:
@@ -263,9 +320,7 @@ class TestMergeAlgebra:
             east24.merge(east24)
 
     def test_schema_mismatch_refused(self, east24, collector_factory):
-        foreign = collector_factory("west", cm_width=256).empty_digest(
-            ATTACK
-        )
+        foreign = collector_factory("west", seed=1).empty_digest(ATTACK)
         with pytest.raises(SketchError, match="incompatible"):
             east24.merge(foreign)
 
@@ -277,27 +332,34 @@ class TestMergeAlgebra:
         with pytest.raises(SketchError, match="incompatible"):
             east24.merge(foreign)
 
-    def test_clone_hash_mismatch_refused(self, east24, west24):
-        """Same schema, different clone hash: the bins count different
-        events, and adding them would fabricate a histogram."""
-        doc = copy.deepcopy(west24.to_dict())
-        doc["features"]["srcPort"]["clones"][2]["hash"]["a"] += 1
-        foreign = IntervalDigest.from_dict(doc)
-        with pytest.raises(SketchError, match="different hash functions"):
-            east24.merge(foreign)
-
-    def test_observed_union_taken_once_per_feature(self, east24, west24):
+    def test_counts_of_shared_values_add(self, east24, west24):
+        """The merged value counts are the per-site counts added on the
+        union of the observed values, and the clone histograms derived
+        from them are the per-site histograms added bin for bin."""
         merged = east24.merge(west24)
-        for feature in merged.schema.features:
-            snaps = merged._snapshots[feature]
-            assert all(s.observed is snaps[0].observed for s in snaps)
+        for feature in FEATURES:
+            observed, counts = merged._values[feature.short_name]
             assert np.array_equal(
-                snaps[0].observed,
+                observed,
                 np.union1d(
-                    east24._snapshots[feature][0].observed,
-                    west24._snapshots[feature][0].observed,
+                    east24._values[feature.short_name][0],
+                    west24._values[feature.short_name][0],
                 ),
             )
+            assert np.array_equal(
+                counts,
+                east24.supports(feature, observed)
+                + west24.supports(feature, observed),
+            )
+            snaps = merged.clone_snapshots(feature)
+            assert all(s.observed is observed for s in snaps)
+            for mine, east, west in zip(
+                snaps,
+                east24.clone_snapshots(feature),
+                west24.clone_snapshots(feature),
+                strict=True,
+            ):
+                assert np.array_equal(mine.counts, east.counts + west.counts)
 
 
 class TestConstruction:
@@ -307,8 +369,7 @@ class TestConstruction:
             interval=digest.interval,
             sites=digest.sites,
             flow_count=digest.flow_count,
-            snapshots=digest._snapshots,
-            countmin=digest._countmin,
+            value_counts=dict(digest._values),
         )
 
     def test_negative_interval_refused(self, east24):
@@ -335,33 +396,22 @@ class TestConstruction:
         with pytest.raises(FederationError, match="flow count"):
             IntervalDigest(**parts)
 
-    def test_missing_feature_sketches_refused(self, east24):
+    def test_missing_feature_counts_refused(self, east24):
         parts = self._parts(east24)
-        name = east24.schema.features[0]
-        parts["snapshots"] = {
-            key: value
-            for key, value in parts["snapshots"].items()
-            if key != name
-        }
-        with pytest.raises(FederationError, match="missing sketches"):
+        del parts["value_counts"][east24.schema.features[0]]
+        with pytest.raises(FederationError, match="missing value counts"):
             IntervalDigest(**parts)
 
-    def test_clones_disagreeing_on_observed_refused(self, east24):
+    def test_counts_not_aligned_with_observed_refused(self, east24):
         parts = self._parts(east24)
         name = east24.schema.features[0]
-        clones = list(parts["snapshots"][name])
-        clones[1] = HistogramSnapshot(
-            clones[1].hash_fn, clones[1].counts, clones[1].observed[1:]
-        )
-        parts["snapshots"] = {**parts["snapshots"], name: clones}
-        with pytest.raises(FederationError, match="disagree on the observed"):
+        observed, counts = parts["value_counts"][name]
+        parts["value_counts"][name] = (observed, counts[1:])
+        with pytest.raises(FederationError, match="counts for"):
             IntervalDigest(**parts)
 
-    def test_wrong_clone_count_refused(self, east24):
-        parts = self._parts(east24)
-        name = east24.schema.features[0]
-        trimmed = dict(parts["snapshots"])
-        trimmed[name] = trimmed[name][:-1]
-        parts["snapshots"] = trimmed
-        with pytest.raises(FederationError, match="clone snapshots"):
-            IntervalDigest(**parts)
+    def test_arrays_are_read_only(self, east24):
+        for feature in FEATURES:
+            observed, counts = east24._values[feature.short_name]
+            assert not observed.flags.writeable
+            assert not counts.flags.writeable

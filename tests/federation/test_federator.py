@@ -6,8 +6,8 @@ The headline assertions:
 * detection over merged digests is *exactly* the single-bank detection
   over the concatenated trace - same alarms, and the detector bank's
   serialized state is byte-identical;
-* merged count-min supports obey the one-sided ``eps * N`` guarantee
-  the extraction path relies on.
+* every reported single-item support is the exact flow count of its
+  value in the concatenated interval.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.federation.federator import (
     FEDERATED_PREFILTER,
 )
 from repro.incidents.store import open_store
+from repro.mining.items import decode_item
 
 SITES = ("east", "west")
 
@@ -97,28 +98,30 @@ class TestEquivalence:
             ddos_trace.flows
         )
 
-    def test_countmin_support_within_eps_n(
-        self, site_digests, attack_flows
-    ):
-        """One-sided count-min guarantee on the merged sketch: every
-        estimate is >= the true count, and exceeds it by more than
-        ``eps * N`` (eps = e/width) only with the documented per-item
-        probability delta = e^-depth (seeds are fixed, so the observed
-        violation count is deterministic)."""
+    def test_merged_supports_are_exact(self, site_digests, attack_flows):
+        """The merged digest's support of every value is its exact flow
+        count in the concatenated interval (the count-min of digest
+        version 2 could only bound it from above)."""
         merged = site_digests["east"][24].merge(site_digests["west"][24])
-        feature = Feature.DST_IP
-        sketch = merged.countmin(feature)
-        values = feature.extract(attack_flows)
-        assert sketch.total == len(values)
-        unique, truth = np.unique(values, return_counts=True)
-        estimates = np.array(
-            [sketch.estimate(int(v)) for v in unique]
-        )
-        assert np.all(estimates >= truth)
-        eps_n = np.e / sketch.width * sketch.total
-        violations = int(np.count_nonzero(estimates > truth + eps_n))
-        # delta = e^-4 ~ 1.8% per item; allow a loose 5% margin.
-        assert violations <= max(1, int(0.05 * len(unique)))
+        for feature in Feature:
+            if feature.short_name not in merged.schema.features:
+                continue
+            unique, truth = np.unique(
+                feature.extract(attack_flows), return_counts=True
+            )
+            assert np.array_equal(merged.supports(feature, unique), truth)
+            assert int(truth.sum()) == merged.flow_count
+
+    def test_reported_supports_are_exact_counts(
+        self, federated, attack_flows
+    ):
+        (report,) = [r for r in federated[0].reports if r.interval == 24]
+        for triaged in report.itemsets:
+            (item,) = triaged.itemset.items
+            feature, value = decode_item(item)
+            assert triaged.itemset.support == int(
+                np.count_nonzero(feature.extract(attack_flows) == value)
+            )
 
     def test_extraction_reports_are_digest_labelled(self, federated):
         fed, released = federated
@@ -205,7 +208,7 @@ class TestRefusals:
         self, collector_factory, federator_factory
     ):
         fed = federator_factory()
-        foreign = collector_factory("east", cm_width=256).empty_digest(0)
+        foreign = collector_factory("east", seed=1).empty_digest(0)
         with pytest.raises(SketchError, match="incompatible"):
             fed.add(foreign)
 
@@ -324,7 +327,7 @@ class TestResume:
         ]
 
     def test_schema_mismatch_refused(self, federator_factory):
-        narrow = federator_factory(cm_width=256)
+        narrow = federator_factory(seed=1)
         state = narrow.to_state()
         with pytest.raises(CheckpointError, match="schema"):
             federator_factory().from_state(state)

@@ -6,7 +6,7 @@ import pytest
 
 import repro.api as api
 from repro.core.config import RunConfig
-from repro.errors import IncidentError
+from repro.errors import ConfigError, IncidentError
 from repro.federation.tier import DEFAULT_MIN_SUPPORT, open_federator
 from repro.incidents.store import IncidentStore
 
@@ -35,22 +35,34 @@ def test_mining_min_support_does_not_reach_the_federator():
 
 
 def test_table_then_keyword_decide_each_knob():
-    run = _run(min_support=70, cm_width=512, straggler_grace=3)
+    run = _run(min_support=70, straggler_grace=3)
     with open_federator(run.base, run.federation) as federator:
         assert federator.sites == ("east", "west")
         assert federator.min_support == 70
         assert federator.straggler_grace == 3
-        assert federator.schema.cm_width == 512
         assert federator.schema.bins == 128  # the base detector geometry
         assert federator._jaccard == 0.8  # the base [incidents] knobs
     with open_federator(
         run.base, run.federation, sites=["solo"], min_support=9,
-        cm_width=64, straggler_grace=1,
+        straggler_grace=1, seed=4,
     ) as federator:
         assert federator.sites == ("solo",)
         assert federator.min_support == 9
         assert federator.straggler_grace == 1
-        assert federator.schema.cm_width == 64
+        assert federator.schema.seed == 4
+
+
+@pytest.mark.parametrize("knob", ["cm_width", "cm_depth"])
+def test_removed_count_min_knobs_are_refused(knob):
+    """Digests carry exact value counts, so the count-min geometry is
+    gone from ``[federation]``: the strict reader names the key."""
+    with pytest.raises(ConfigError, match=f"unknown key '{knob}'"):
+        _run(**{knob: 512})
+    with pytest.raises(TypeError, match=knob):
+        open_federator(_run().base, _run().federation, **{knob: 512})
+    empty = api.FlowTable.empty()
+    with pytest.raises(ConfigError, match=f"unknown config field '{knob}'"):
+        api.federate({"east": empty}, **{knob: 512})
 
 
 def test_a_path_store_is_opened_and_closed_here(tmp_path):

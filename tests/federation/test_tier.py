@@ -53,7 +53,7 @@ class TestSplitTrace:
 def _federate(traces, fed_config, **kwargs):
     return api.federate(
         traces,
-        {"federation": {"cm_width": 512, "cm_depth": 4}},
+        None,
         detector=fed_config,
         seed=0,
         interval_seconds=INTERVAL_SECONDS,

@@ -49,7 +49,7 @@ FEDERATION = """
 sites = ["east", "west"]
 route = "dst_ip%2"
 min_support = 60
-cm_width = 1024
+straggler_grace = 3
 """
 COMBINED = BASE + FLEET + SERVICE + FEDERATION
 
@@ -112,8 +112,9 @@ class TestCombinedFileEqualsOwnTables:
             ]) == 0
             digests.append(out.read_bytes())
         assert digests[0] == digests[1]
-        # [federation] cm_width reached the collector.
-        assert b'"cm_width":1024' in digests[0].replace(b" ", b"")
+        # The digests carry value counts, not a count-min geometry.
+        assert b'"counts":' in digests[0]
+        assert b"cm_width" not in digests[0]
 
     def test_api_extract_and_stream(self, trace, tmp_path):
         flows, _, csv = trace
@@ -170,8 +171,16 @@ MISTAKES = {
         "[service]\ncheckpoint_sync = 8\n",
         "checkpoint_sync must be a boolean",
     ),
-    "width-type": (
-        "[federation]\ncm_width = true\n", "cm_width must be an integer"
+    "grace-type": (
+        "[federation]\nstraggler_grace = true\n",
+        "straggler_grace must be an integer",
+    ),
+    # Digests carry exact value counts: the count-min geometry is gone.
+    "cm-width-removed": (
+        "[federation]\ncm_width = 1024\n", "unknown key 'cm_width'"
+    ),
+    "cm-depth-removed": (
+        "[federation]\ncm_depth = 4\n", "unknown key 'cm_depth'"
     ),
     "sites-type": (
         '[federation]\nsites = "a"\n', "sites must be a list of names"
@@ -335,14 +344,20 @@ class TestLayeringOrder:
 
 
 # ----------------------------------------------------------------------
-# (e) the removed parallel knobs are refused by the strict readers
+# (e) the removed parallel and count-min knobs are refused by the
+# strict readers
 # ----------------------------------------------------------------------
-#: Every verb that took a parallel flag, and the flags it took.
+#: Every verb that took a parallel or count-min flag, and the flags it
+#: took.
 REMOVED_FLAGS = [
     (verb, flag)
     for verb in ("detect", "extract", "fleet", "serve")
     for flag in (["--jobs", "2"], ["--backend", "thread"])
-] + [("extract", ["--partitions", "2"])]
+] + [("extract", ["--partitions", "2"])] + [
+    (verb, flag)
+    for verb in ("collect", "merge")
+    for flag in (["--cm-width", "512"], ["--cm-depth", "4"])
+]
 
 
 @pytest.mark.parametrize("verb, flag", REMOVED_FLAGS)

@@ -1,16 +1,18 @@
 """Golden bytes of the digest and checkpoint wire formats.
 
-The hashes below were recorded under ``DIGEST_VERSION`` 2 and
-``CHECKPOINT_VERSION`` 3: a digest states each feature's observed set
-once, and a detector checkpoints only its previous counts, previous
-KL, training diffs and calibration.  The decoded content - clone
-counts, observed sets, count-min cells, reference counts - is the
-same as under the versions before.  The hashes pin both formats: a
-change that moves any of them must bump the matching version and
-re-record.
+The hashes below were recorded under ``DIGEST_VERSION`` 3 and
+``CHECKPOINT_VERSION`` 4: a digest states each feature's observed
+values and their exact flow counts, and a detector checkpoints only
+its previous counts, previous KL, training diffs and calibration.  The
+decoded content - the clone counts derived from the value counts,
+observed sets, reference counts - is the same as under the versions
+before; only the count-min cells of version 2 became exact counts.
+The checkpoint file differs from its version-3 bytes in its version
+number alone.  The hashes pin both formats: a change that moves any
+of them must bump the matching version and re-record.
 
-Every hashed byte is integer-derived (bin counts, observed values,
-count-min cells, pending rows).  The checkpoint is taken after the
+Every hashed byte is integer-derived (value counts, observed values,
+pending rows).  The checkpoint is taken after the
 first closed interval on purpose: the detectors already hold their
 reference snapshots, but no KL distance has been computed yet, so the
 file carries no ``log2`` result whose last bit depends on the host's
@@ -39,13 +41,13 @@ SITES = ("north", "east", "south", "west")
 DETECTOR = DetectorConfig(training_intervals=6, bins=256)
 
 GOLDEN_COLLECTOR_DIGEST = (
-    "ef36438d2983533be7107e1c993880a9c0854967451b546cb04a5fe3baabb42a"
+    "2e14928ca9678adf14e75d42fed01add1942191b7c185d4d8ad5c9221425ff28"
 )
 GOLDEN_MERGED_DIGEST = (
-    "678de83470fe05fd6c978842ed6ad4fd93ab504983c6d2a772272bc7a7a1134a"
+    "8f5e0fde5959692cefb9ad3473f4a732e2cc9e12c75f565ce9694cfa65a8e79e"
 )
 GOLDEN_FLEET_CHECKPOINT = (
-    "aae1afcee940f5c6c031b88025dc19ac839c4cd1f17dbae9e3292642531fbdc6"
+    "a2db26239b53f2a2c9824e6c808ba639e7be8db02f18c9e2588ff6eb72518c33"
 )
 
 
@@ -55,9 +57,7 @@ def worm_flows():
 
 
 def _outbreak_digest(site: str, flows) -> IntervalDigest:
-    collector = Collector(
-        site, config=DETECTOR, seed=0, cm_width=512, cm_depth=4
-    )
+    collector = Collector(site, config=DETECTOR, seed=0)
     digests = collector.run(flows, INTERVAL_SECONDS, origin=0.0)
     return digests[OUTBREAK_INTERVAL]
 

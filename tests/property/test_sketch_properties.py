@@ -14,8 +14,10 @@ Four contracts, over random value streams and hash seeds:
   fraction well under a loose multiple of delta.
 * **Merge exactness.**  Merging sketches over split streams is
   byte-identical to sketching the concatenated stream, for count-min
-  tables and for interval digests (whose clones share one observed
-  set, merged once per feature).  Consequently the merged
+  tables and for interval digests (per-feature value counts, merged in
+  any order or grouping).  The clone histograms a digest derives equal
+  a clone set fed the column, and its supports are the exact value
+  counts.  Consequently the merged
   entropy *equals* the concatenated-trace entropy (drift bound: zero,
   up to float rounding); binning itself can only lose entropy
   (data-processing inequality), which bounds binned against exact
@@ -33,11 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.detection.detector import clone_seed
 from repro.detection.features import Feature
 from repro.federation.digest import DigestSchema, IntervalDigest
 from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.distinct import sorted_distinct, sorted_union
+from repro.sketch.distinct import sorted_distinct, sorted_union, union_counts
 from repro.sketch.hashing import HashFamily
 from repro.sketch.histogram import HashedHistogram
 
@@ -77,22 +80,15 @@ def make_snapshot(values: np.ndarray, seed: int):
     return histogram.snapshot()
 
 
-#: A one-feature, three-clone digest schema over the test geometry.
-SCHEMA = DigestSchema(
-    seed=0, clones=3, bins=BINS, cm_width=CM_WIDTH, cm_depth=CM_DEPTH,
-    features=("dstPort",),
-)
-
-
 def make_digest(values: np.ndarray, seed: int, site: str) -> IntervalDigest:
-    clones = CloneSet(SCHEMA.clones, BINS, seed=seed)
-    clones.update(values)
-    sketch = CountMinSketch(width=CM_WIDTH, depth=CM_DEPTH, seed=seed)
-    sketch.update_array(values)
+    """A one-feature, three-clone digest of ``values`` under ``seed``."""
+    schema = DigestSchema(
+        seed=seed, clones=3, bins=BINS, features=("dstPort",)
+    )
+    distinct, run_lengths = sorted_distinct(values)
     return IntervalDigest(
-        SCHEMA, 0, (site,), len(values),
-        snapshots={"dstPort": clones.snapshots()},
-        countmin={"dstPort": sketch},
+        schema, 0, (site,), len(values),
+        value_counts={"dstPort": (distinct, run_lengths.astype(np.int64))},
     )
 
 
@@ -159,6 +155,18 @@ def test_sorted_distinct_widens_narrow_columns(values):
     assert distinct.dtype == np.uint64
     assert np.array_equal(distinct, unique)
     assert np.array_equal(run_lengths, counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=edge_arrays, b=edge_arrays)
+def test_union_counts_equals_unique_of_the_concatenation(a, b):
+    union, counts = union_counts(
+        *np.unique(a, return_counts=True), *np.unique(b, return_counts=True)
+    )
+    unique, truth = np.unique(np.concatenate((a, b)), return_counts=True)
+    assert union.dtype == np.uint64
+    assert np.array_equal(union, unique)
+    assert np.array_equal(counts, truth)
 
 
 @settings(max_examples=200, deadline=None)
@@ -352,3 +360,57 @@ def test_digest_wire_byte_stable(values, seed):
         assert mine.hash_fn == theirs.hash_fn
         assert np.array_equal(mine.counts, theirs.counts)
         assert np.array_equal(mine.observed, theirs.observed)
+
+
+# ----------------------------------------------------------------------
+# Derived clones and exact supports
+# ----------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(values=values_arrays, seed=seeds)
+def test_derived_clones_equal_a_clone_set(values, seed):
+    """The clone histograms a digest derives from its value counts are
+    bin for bin a detector's clone set fed the column."""
+    clones = CloneSet(3, BINS, seed=clone_seed(seed, Feature.DST_PORT))
+    clones.update(values)
+    for mine, theirs in zip(
+        clones_of(make_digest(values, seed, "a")), clones.snapshots(),
+        strict=True,
+    ):
+        assert mine.hash_fn == theirs.hash_fn
+        assert np.array_equal(mine.counts, theirs.counts)
+        assert np.array_equal(mine.observed, theirs.observed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=values_arrays, probe=values_arrays, seed=seeds)
+def test_supports_are_exact_counts(values, probe, seed):
+    digest = make_digest(values, seed, "a")
+    truth = [int(np.count_nonzero(values == v)) for v in probe.tolist()]
+    assert digest.supports(Feature.DST_PORT, probe).tolist() == truth
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=values_arrays,
+    seed=seeds,
+    cuts=st.tuples(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+def test_digest_merge_commutes_and_associates_byte_for_byte(
+    values, seed, cuts
+):
+    lo, hi = sorted(int(len(values) * cut) for cut in cuts)
+    a, b, c = (
+        make_digest(part, seed, site)
+        for part, site in (
+            (values[:lo], "a"), (values[lo:hi], "b"), (values[hi:], "c")
+        )
+    )
+    left = a.merge(b).merge(c).to_json()
+    assert a.merge(b.merge(c)).to_json() == left
+    assert c.merge(a).merge(b).to_json() == left
+    assert b.merge(a).merge(c).to_json() == left
+    whole = make_digest(values, seed, "whole").to_dict()["features"]
+    assert canonical(json.loads(left)["features"]) == canonical(whole)

@@ -62,7 +62,6 @@ from repro.service.checkpoint import (
     read_checkpoint,
     restore_fleet,
 )
-from repro.sketch.countmin import CountMinSketch
 from repro.state import canonical_json, unpack_array
 from repro.streaming.assembler import IntervalAssembler
 
@@ -160,8 +159,7 @@ def wires(chunks):
     lines = {}
     for k, site in enumerate(SITES):
         collector = Collector(
-            site, config=DETECTOR, features=FEATURES, seed=0,
-            cm_width=64, cm_depth=2,
+            site, config=DETECTOR, features=FEATURES, seed=0
         )
         lines[site] = [
             collector.summarize(
@@ -184,8 +182,7 @@ def build_fleet(config, store_dir) -> FleetManager:
 def build_federator() -> Federator:
     return Federator(
         SITES, config=DETECTOR, features=FEATURES, seed=0,
-        cm_width=64, cm_depth=2, interval_seconds=INTERVAL_SECONDS,
-        min_support=30,
+        interval_seconds=INTERVAL_SECONDS, min_support=30,
     )
 
 
@@ -486,20 +483,18 @@ def test_digest_line_arbitrary_leaves(digest_doc, data):
 
 
 def test_digest_sweep_covers_every_feature_leaf(digest_doc):
-    """The feature document states the observed set once, beside each
-    clone's hash and counts: the sweep mutates every one of them."""
+    """The feature document is the observed values and their counts:
+    the sweep mutates each leaf of both, and nothing else is left in
+    it (no clone histograms, no count-min)."""
     leaves = {dotted(path) for path in leaf_paths(digest_doc)}
     feature = f"features.{FEATURES[0]}"
-    expected = {f"{feature}.observed.dtype", f"{feature}.observed.data"}
-    for c in range(DETECTOR.clones):
-        clone = f"{feature}.clones.{c}"
-        expected |= {f"{clone}.hash.{key}" for key in ("a", "b", "bins")}
-        expected |= {f"{clone}.counts.dtype", f"{clone}.counts.data"}
-    assert expected <= leaves
-    assert not any(
-        leaf.startswith(f"{feature}.clones.") and ".observed" in leaf
-        for leaf in leaves
-    )
+    assert {
+        leaf for leaf in leaves if leaf.startswith(f"{feature}.")
+    } == {
+        f"{feature}.{array}.{part}"
+        for array in ("observed", "counts")
+        for part in ("dtype", "data")
+    }
 
 
 # ----------------------------------------------------------------------
@@ -681,13 +676,11 @@ def test_from_state_is_a_fixed_point(
 def _documents(checkpoint_case, digest_doc):
     """One real document per ``from_dict`` / classmethod decoder."""
     _, doc = checkpoint_case
-    feature = digest_doc["features"][FEATURES[0]]
     report = doc["federation"]["reports"][0]
     pending = doc["fleet"]["pipelines"]["linkA"]["session"]["assembler"]
     return {
         DigestSchema: (digest_doc["schema"], DigestSchema.to_dict),
         IntervalDigest: (digest_doc, IntervalDigest.to_dict),
-        CountMinSketch: (feature["countmin"], CountMinSketch.to_dict),
         TriagedItemset: (report["itemsets"][0], TriagedItemset.to_dict),
         ExtractionReport: (report, ExtractionReport.to_dict),
         FlowTable: (pending["pending"][0][1][0], FlowTable.to_state),
@@ -697,8 +690,8 @@ def _documents(checkpoint_case, digest_doc):
 @pytest.mark.parametrize(
     "cls",
     [
-        DigestSchema, IntervalDigest, CountMinSketch, TriagedItemset,
-        ExtractionReport, FlowTable,
+        DigestSchema, IntervalDigest, TriagedItemset, ExtractionReport,
+        FlowTable,
     ],
     ids=lambda cls: cls.__name__,
 )

@@ -137,7 +137,7 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="JSON object"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 4, "3", None])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, "4", None])
     def test_schema_version_mismatch_rejected(self, tmp_path, version):
         """Any version other than CHECKPOINT_VERSION is refused up
         front - resume state is replayed into live detectors, and a

@@ -29,8 +29,6 @@ from repro.service.supervisor import resume_sequence
 from repro.state import pack_array, unpack_array
 
 SITES = ("east", "west")
-CM_WIDTH = 256
-CM_DEPTH = 3
 INTERVAL_SECONDS = 10.0
 
 
@@ -65,8 +63,6 @@ def site_wire(service_config, service_chunks):
             config=service_config.detector,
             features=service_config.features,
             seed=0,
-            cm_width=CM_WIDTH,
-            cm_depth=CM_DEPTH,
         )
         wires[site] = [
             collector.summarize(chunk, i).to_json()
@@ -81,8 +77,6 @@ def make_federator(service_config, **kwargs) -> Federator:
         config=service_config.detector,
         features=service_config.features,
         seed=0,
-        cm_width=CM_WIDTH,
-        cm_depth=CM_DEPTH,
         interval_seconds=INTERVAL_SECONDS,
         min_support=40,
     )
@@ -158,8 +152,6 @@ class TestDigestRoute:
                 config=service_config.detector,
                 features=service_config.features,
                 seed=0,
-                cm_width=CM_WIDTH,
-                cm_depth=CM_DEPTH,
             )
             for site in SITES
         }
@@ -232,9 +224,7 @@ class TestDigestRefusals:
             site="east",
             config=service_config.detector,
             features=service_config.features,
-            seed=0,
-            cm_width=CM_WIDTH * 2,
-            cm_depth=CM_DEPTH,
+            seed=1,
         ).empty_digest(0)
         status, body, _ = fed_app.handle(req(
             "POST", "/digest", body=foreign.to_json().encode()
@@ -242,17 +232,27 @@ class TestDigestRefusals:
         assert status == 400
         assert "incompatible" in json.loads(body)["error"]
 
-    def test_nan_clone_count_refused_before_anything_applies(
-        self, fed_app, site_wire
+    @pytest.mark.parametrize(
+        "value, wording",
+        [
+            (np.nan, "do not fit int64"),
+            (0.5, "do not fit int64"),
+            (-1.0, "positive flow counts"),
+        ],
+        ids=["nan", "fraction", "negative"],
+    )
+    def test_bad_value_count_refused_before_anything_applies(
+        self, fed_app, site_wire, value, wording
     ):
-        """A digest whose clone histogram carries a NaN bin gets the
-        typed 400 envelope; the good line ahead of it in the same body
-        is not applied either."""
+        """A digest whose value counts are not positive integers gets
+        the typed 400 envelope naming the feature; the good line ahead
+        of it in the same body is not applied either."""
         doc = json.loads(site_wire["west"][0])
-        clone = doc["features"][next(iter(doc["features"]))]["clones"][0]
-        counts = np.asarray(unpack_array(clone["counts"]), dtype=np.float64)
-        counts[0] = np.nan
-        clone["counts"] = pack_array(counts)
+        name = next(iter(doc["features"]))
+        feature = doc["features"][name]
+        counts = np.asarray(unpack_array(feature["counts"]), dtype=np.float64)
+        counts[0] = value
+        feature["counts"] = pack_array(counts)
         before = fed_app.federator.to_state()
         body = (site_wire["east"][0] + "\n" + json.dumps(doc)).encode()
         status, payload, _ = fed_app.handle(req(
@@ -261,7 +261,7 @@ class TestDigestRefusals:
         assert status == 400
         error = json.loads(payload)["error"]
         assert error.startswith("digest:2:")
-        assert "self-contradictory" in error
+        assert wording in error and name in error
         assert fed_app.sequence == 0
         assert fed_app.federator.to_state() == before
 
@@ -272,10 +272,9 @@ class TestDigestRefusals:
             ('"interval":0', '"interval":0.5', "interval"),
             ('"interval":0', '"interval":true', "interval"),
             ('"flow_count":', '"flow_count":NaN,"was":', "flow_count"),
-            # 300 bytes declaring a 7 TiB count-min table.
-            (f'"depth":{CM_DEPTH}', '"depth":10000', "cm_depth"),
+            ('"bins":', '"bins":0,"was":', "bins"),
         ],
-        ids=["overflow", "fraction", "bool", "nan", "oversized"],
+        ids=["overflow", "fraction", "bool", "nan", "zero-bins"],
     )
     def test_coerced_field_is_a_typed_400_naming_it(
         self, fed_app, site_wire, find, put, names
@@ -285,15 +284,7 @@ class TestDigestRefusals:
         connection), ``0.5`` and ``true`` were read as interval 0/1."""
         line = site_wire["west"][0]
         assert find in line
-        line = line.replace(find, put)
-        if names == "cm_depth":
-            line = line.replace(
-                f'"cm_depth":{CM_DEPTH}', '"cm_depth":10000'
-            ).replace(
-                f'"width":{CM_WIDTH}', '"width":100000000'
-            ).replace(
-                f'"cm_width":{CM_WIDTH}', '"cm_width":100000000'
-            )
+        line = line.replace(find, put, 1)
         before = fed_app.federator.to_state()
         body = (site_wire["east"][0] + "\n" + line).encode()
         status, payload, _ = fed_app.handle(req(
@@ -302,7 +293,7 @@ class TestDigestRefusals:
         error = json.loads(payload)["error"]
         assert status == 400, error
         assert error.startswith("digest:2: malformed digest")
-        assert names in error or "cells" in error
+        assert names in error
         assert fed_app.sequence == 0
         assert fed_app.federator.to_state() == before
 

@@ -156,7 +156,7 @@ class TestCheckpointCannotBeWritten:
         common = dict(
             config=service_config.detector,
             features=service_config.features,
-            seed=0, cm_width=64, cm_depth=2,
+            seed=0,
         )
         fleet = FleetManager(
             {"linkA": service_config}, route="dst_ip",
