@@ -258,6 +258,8 @@ class IntervalSpine:
                 report = interval_input.observe(bank)
                 span.set_attribute("flows", report.flow_count)
                 span.set_attribute("alarm", report.alarm)
+                span.set_attribute("bin_s", report.bin_s)
+                span.set_attribute("score_s", report.score_s)
                 if report.alarm:
                     # Why this close took longer than a clean one: how
                     # many clones ran a bin identification, and how

@@ -10,15 +10,21 @@ voting to produce the per-feature meta-data.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.detection.binid import BinIdentification, identify_anomalous_bins
 from repro.detection.features import Feature
-from repro.detection.kl import DEFAULT_PSEUDOCOUNT, kl_rows
+from repro.detection.kl import (
+    DEFAULT_PSEUDOCOUNT,
+    divergence_rows,
+    smooth_rows,
+)
 from repro.detection.threshold import (
     DEFAULT_MULTIPLIER,
     AlarmThreshold,
@@ -27,8 +33,10 @@ from repro.detection.threshold import (
 from repro.detection.voting import vote
 from repro.errors import CheckpointError, ConfigError, SketchError
 from repro.flows.table import FlowTable
-from repro.sketch.cloning import CloneSet
-from repro.sketch.histogram import HistogramSnapshot
+from repro.sketch.cloning import clone_counts
+from repro.sketch.distinct import sorted_distinct
+from repro.sketch.hashing import HashFamily, HashMatrix, UniversalHash
+from repro.sketch.histogram import HistogramSnapshot, values_in_bins
 from repro.state import (
     finite,
     integer,
@@ -47,12 +55,24 @@ def clone_seed(seed: int, feature: Feature) -> int:
     Distinct features must use distinct hash streams even with the same
     run seed, otherwise clones of different detectors correlate.
     zlib.crc32 is stable across processes (unlike built-in str hashing,
-    which PYTHONHASHSEED randomizes).  Federated collectors call this
-    too, so remote clone sets bin *identically* to the federator's
-    detectors - the precondition for exact merged detection.
+    which PYTHONHASHSEED randomizes).  A federation digest schema draws
+    through it too (:func:`clone_hashes`), so merged value counts bin
+    *identically* to a solo detector's - the precondition for exact
+    merged detection.
     """
     feature_salt = zlib.crc32(feature.value.encode()) & 0xFFFF
     return seed * 131 + feature_salt
+
+
+@functools.lru_cache(maxsize=64)
+def clone_hashes(
+    seed: int, feature: Feature, clones: int, bins: int
+) -> HashMatrix:
+    """``feature``'s ``C`` clone hash functions under run ``seed``, as
+    a one-column :class:`~repro.sketch.hashing.HashMatrix`: the one
+    draw a detector and a federation digest schema share."""
+    family = HashFamily(bins, seed=clone_seed(seed, feature))
+    return HashMatrix([family.take(clones)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,13 +170,15 @@ class HistogramDetector:
     def __init__(self, feature: Feature, config: DetectorConfig, seed: int = 0):
         self.feature = feature
         self.config = config
-        self._clones = CloneSet(
-            config.clones, config.bins, seed=clone_seed(seed, feature)
-        )
+        self._hashes = clone_hashes(seed, feature, config.clones, config.bins)
         self._interval = -1
         # What the next interval reads: each clone's previous bin
         # counts and KL, and (until calibrated) its training diffs.
         self._prev: list[np.ndarray | None] = [None] * config.clones
+        # The previous counts as the KL reads them, smoothed and
+        # normalised (``smooth_rows``): the current histograms of one
+        # interval are the reference of the next.
+        self._reference: tuple[np.ndarray, np.ndarray] | None = None
         self._prev_kl = [0.0] * config.clones
         self._training_diffs: list[list[float]] = [[] for _ in range(config.clones)]
         self._thresholds: list[AlarmThreshold | None] = [None] * config.clones
@@ -166,6 +188,11 @@ class HistogramDetector:
     def interval(self) -> int:
         """Index of the last observed interval (-1 before any)."""
         return self._interval
+
+    @property
+    def hash_fns(self) -> tuple[UniversalHash, ...]:
+        """Clone ``c``'s hash function is ``hash_fns[c]``."""
+        return self._hashes.columns[0]
 
     @property
     def trained(self) -> bool:
@@ -262,8 +289,22 @@ class HistogramDetector:
                     f"which {self.config.training_intervals} training "
                     f"intervals do not leave"
                 )
+        # The carried reference is derived from the raw counts, never
+        # stored: ``smooth_rows`` of the same rows is the same bits.
+        prev = fields["prev"]
+        reference = None
+        if any(counts is not None for counts in prev):
+            rows = [np.zeros(bins) if c is None else c for c in prev]
+            try:
+                reference = smooth_rows(np.stack(rows), self.config.pseudocount)
+            except ConfigError as exc:
+                raise CheckpointError(
+                    f"malformed reference counts in detector "
+                    f"checkpoint: {exc}"
+                ) from exc
         self._interval = interval
-        self._prev = fields["prev"]
+        self._prev = prev
+        self._reference = reference
         self._prev_kl = fields["prev_kl"]
         self._training_diffs = fields["training_diffs"]
         self._thresholds = fields["thresholds"]
@@ -271,22 +312,18 @@ class HistogramDetector:
     # ------------------------------------------------------------------
     def observe(self, flows: FlowTable) -> FeatureObservation:
         """Process one measurement interval and return the observation."""
-        values = self.feature.extract(flows)
-        self._clones.reset()
-        self._clones.update(values)
-        return self.observe_snapshots(self._clones.snapshots())
+        observed, counts = sorted_distinct(self.feature.extract(flows))
+        (block,) = clone_counts(self._hashes, [(observed, counts)])
+        return self.observe_binned(block, (observed,) * self.config.clones)
 
     def observe_snapshots(
         self, snapshots: list[HistogramSnapshot]
     ) -> FeatureObservation:
         """Process one interval given per-clone histogram snapshots.
 
-        This is the sketch-backed entry point: :meth:`observe` calls it
-        with snapshots taken locally, and the federation layer calls it
-        with snapshots *merged* from remote collectors.  The snapshots
-        must use this detector's own clone hash functions (same order),
-        otherwise the KL reference series would mix incompatible
-        binnings - hence the refusal.
+        The snapshots must use this detector's own clone hash functions
+        (same order), otherwise the KL reference series would mix
+        incompatible binnings - hence the refusal.
         """
         cfg = self.config
         if len(snapshots) != cfg.clones:
@@ -295,34 +332,53 @@ class HistogramDetector:
                 f"{len(snapshots)} clone snapshots, detector runs "
                 f"{cfg.clones} clones"
             )
-        for c, snapshot in enumerate(snapshots):
-            if snapshot.hash_fn != self._clones[c].hash_fn:
+        for c, (snapshot, fn) in enumerate(zip(snapshots, self.hash_fns)):
+            if snapshot.hash_fn != fn:
                 raise SketchError(
                     f"feature {self.feature.short_name}: clone {c} "
                     f"snapshot was binned by a different hash function "
                     f"than this detector's clone (check seed/clones/"
                     f"bins compatibility)"
                 )
+        block = np.stack([snapshot.counts for snapshot in snapshots])
+        block.setflags(write=False)
+        return self.observe_binned(
+            block, [snapshot.observed for snapshot in snapshots]
+        )
+
+    def observe_binned(
+        self, counts: np.ndarray, observed: Sequence[np.ndarray]
+    ) -> FeatureObservation:
+        """Process one interval given its ``(C, m)`` read-only clone
+        histograms, binned by :attr:`hash_fns`, and each clone's
+        observed values (the bin->values back-map).
+
+        Every clone with a reference is scored against the smoothed
+        histogram the previous interval carried forward - the bits
+        ``kl_rows`` would recompute from the previous counts, since
+        ``smooth_rows`` treats each row alone.
+        """
+        cfg = self.config
+        # Smoothing validates the counts: refuse before any state moves.
+        current = smooth_rows(counts, cfg.pseudocount)
         self._interval += 1
 
-        # One stacked KL for the feature: every clone that has a
-        # reference, against its own previous counts.
         kls = [0.0] * cfg.clones
-        scored = [
-            (c, prev) for c, prev in enumerate(self._prev) if prev is not None
-        ]
+        scored = [c for c, prev in enumerate(self._prev) if prev is not None]
         if scored:
-            rows = kl_rows(
-                np.stack([snapshots[c].counts for c, _ in scored]),
-                np.stack([prev for _, prev in scored]),
-                cfg.pseudocount,
+            assert self._reference is not None  # set with the counts
+            rows = slice(None) if len(scored) == cfg.clones else scored
+            distances = divergence_rows(
+                current[0][rows],
+                current[1][rows],
+                self._reference[0][rows],
+                self._reference[1][rows],
             )
-            for (c, _), kl in zip(scored, rows.tolist()):
+            for c, kl in zip(scored, distances.tolist()):
                 kls[c] = kl
 
         clone_results: list[CloneObservation] = []
-        for c, snapshot in enumerate(snapshots):
-            prev = self._prev[c]
+        for c, prev in enumerate(self._prev):
             kl = kls[c]
             diff = 0.0 if prev is None else kl - self._prev_kl[c]
 
@@ -346,14 +402,16 @@ class HistogramDetector:
                 if threshold.is_alarm(diff) and prev is not None:
                     alarm = True
                     bin_id = identify_anomalous_bins(
-                        snapshot.counts,
+                        counts[c],
                         prev,
                         threshold,
                         previous_kl=self._prev_kl[c],
                         pseudocount=cfg.pseudocount,
                     )
                     bins = bin_id.bins
-                    suspicious = snapshot.values_in_bins(list(bins))
+                    suspicious = values_in_bins(
+                        self.hash_fns[c], observed[c], bins
+                    )
             clone_results.append(
                 CloneObservation(
                     clone_index=c,
@@ -365,8 +423,9 @@ class HistogramDetector:
                     bin_identification=bin_id,
                 )
             )
-            self._prev[c] = snapshot.counts
             self._prev_kl[c] = kl
+        self._prev = list(counts)
+        self._reference = current
 
         voted = vote(
             [clone.suspicious_values for clone in clone_results],

@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.flows.table import FlowTable
 from repro.registry import lookup
+from repro.sketch.distinct import sorted_distinct
 
 
 class Feature(enum.Enum):
@@ -196,6 +197,21 @@ def resolve_features(spec: object) -> tuple[FeatureLike, ...]:
             seen.add(feature.short_name)
         return tuple(resolved)
     raise ConfigError(f"cannot resolve features from {spec!r}")
+
+
+def value_counts(
+    flows: FlowTable, features: Iterable[FeatureLike]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """One interval's summary per feature, keyed by short name: the
+    sorted distinct values and the int64 number of flows carrying each
+    - one sort per column.  A collector ships it as a digest and a
+    detector bank bins it, so a solo run is the one-site federation
+    minus the wire."""
+    summary = {}
+    for feature in features:
+        distinct, run_lengths = sorted_distinct(feature.extract(flows))
+        summary[feature.short_name] = (distinct, run_lengths.astype(np.int64))
+    return summary
 
 
 #: The named feature sets a config or ``--features`` can select.

@@ -12,11 +12,13 @@ unspecified; we use additive smoothing so the distance stays finite
 (documented in DESIGN.md).
 
 The detector's distance is computed in exactly one place,
-:func:`kl_rows`, a stack of histograms at a time; each row of its
-result is bit-identical to scoring that histogram alone, which is what
-lets callers batch (clones of a feature, rounds of a bin
-identification) without moving a checkpointed ``kl_series`` value or
-an alarm decision.
+:func:`kl_rows` - a stack of histograms at a time, as the composition
+of :func:`smooth_rows` and :func:`divergence_rows` - and each row of
+its result is bit-identical to scoring that histogram alone, which is
+what lets callers batch (clones of a feature, rounds of a bin
+identification) and carry a smoothed histogram forward as the next
+interval's reference without moving a checkpointed ``kl_series``
+value or an alarm decision.
 """
 
 from __future__ import annotations
@@ -57,6 +59,68 @@ def kl_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * ratios))
 
 
+def smooth_rows(
+    counts: np.ndarray, pseudocount: float = DEFAULT_PSEUDOCOUNT
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first half of :func:`kl_rows`: every row of a stack of bin
+    counts Laplace-smoothed and normalised, and each row's smoothed
+    total (``(R, 1)``; ``(1,)`` for one ``(m,)`` histogram).
+
+    Counts must be non-negative with a finite total per row; anything
+    else (NaN included) is a :class:`ConfigError` raised before the
+    division, so numpy never warns.  A row whose smoothed total is 0
+    (an empty histogram at ``pseudocount == 0``) normalises to NaN,
+    which :func:`divergence_rows` reads through its total.  A detector
+    keeps this pair for the interval's histograms and hands it back as
+    the next interval's reference - the same bits :func:`kl_rows`
+    would recompute from the raw counts.
+    """
+    if not pseudocount >= 0:
+        raise ConfigError(f"pseudocount must be >= 0: {pseudocount}")
+    # A fresh C-ordered array whatever the layout of the input: the
+    # row sums below must run over a contiguous axis, and the in-place
+    # division must not write into the caller's counts.
+    rows = np.add(counts, pseudocount, dtype=np.float64, order="C")
+    # Nothing below may warn: what numpy would warn about is either
+    # refused (a total that overflows, inf - inf) or has a defined
+    # answer (an empty histogram, read through its total).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        totals = rows.sum(axis=-1, keepdims=True)
+        # NaN fails the first comparison, inf the second.
+        if rows.size and not (rows.min() >= 0 and totals.max() < np.inf):
+            raise ConfigError(
+                "bin counts must be non-negative with a finite total"
+            )
+        rows /= totals
+    return rows, totals
+
+
+def divergence_rows(
+    current: np.ndarray,
+    current_totals: np.ndarray,
+    reference: np.ndarray,
+    reference_totals: np.ndarray,
+) -> np.ndarray:
+    """The second half of :func:`kl_rows`: the KL distance (bits) of
+    every row of ``current`` against the matching row of ``reference``
+    (or against its one row), both as :func:`smooth_rows` returns them.
+    Neither input is written."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.log2(current / reference)
+        terms *= current
+    distances = terms.sum(axis=-1)
+    if np.isnan(distances).any():
+        # A NaN has one source: a bin that is exactly 0 once normalised
+        # (pseudocount 0, or a smoothed count that underflows), where
+        # 0 * log2(0 / q) is 0 by convention, or a histogram that is
+        # empty altogether.
+        terms[current == 0] = 0.0
+        empty = (current_totals == 0) | (reference_totals == 0)
+        terms[empty.ravel()] = 0.0
+        distances = terms.sum(axis=-1)
+    return distances
+
+
 def kl_rows(
     current: np.ndarray,
     reference: np.ndarray,
@@ -66,9 +130,12 @@ def kl_rows(
 
     ``current`` is ``(R, m)``; ``reference`` is ``(R, m)`` (row ``i``
     is scored against row ``i``) or ``(m,)`` (every row against the one
-    reference).  This is the only KL arithmetic of the detection layer:
-    the detector scores a feature's ``C`` clones in one call and the
-    bin identification a block of cleaning rounds in one call.
+    reference).  This is the only KL arithmetic of the detection layer,
+    the composition of its two halves :func:`smooth_rows` and
+    :func:`divergence_rows`: the bin identification scores a block of
+    cleaning rounds in one call, and the detector scores a feature's
+    ``C`` clones with the halves, carrying each interval's smoothed
+    histograms forward as the next one's reference.
 
     **Bit-identity contract.**  Row ``i`` of the result is bit for bit
     what a one-row call on ``current[i]`` returns, whatever else is in
@@ -93,50 +160,21 @@ def kl_rows(
     """
     if not pseudocount >= 0:
         raise ConfigError(f"pseudocount must be >= 0: {pseudocount}")
-    # Fresh C-ordered arrays whatever the layout of the inputs: the
-    # row sums below must run over a contiguous axis, and the in-place
-    # steps must not write into the caller's counts.
-    cur = np.add(current, pseudocount, dtype=np.float64, order="C")
-    ref = np.add(reference, pseudocount, dtype=np.float64, order="C")
-    if cur.ndim != 2:
+    shape = np.shape(current)
+    if len(shape) != 2:
         raise ConfigError(
-            f"need a (rows, bins) stack of counts, got shape {cur.shape}"
+            f"need a (rows, bins) stack of counts, got shape {shape}"
         )
-    if ref.shape not in (cur.shape, cur.shape[1:]):
-        raise ConfigError(f"shape mismatch: {cur.shape} vs {ref.shape}")
-    if cur.size == 0:
-        return np.zeros(len(cur))
-    # Nothing below may warn: what numpy would warn about is either
-    # refused (a total that overflows, inf - inf) or has a defined
-    # answer (an empty bin, handled after the sum).
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cur_total = cur.sum(axis=-1, keepdims=True)
-        ref_total = ref.sum(axis=-1, keepdims=True)
-        # The one refusal per stack: NaN fails the first two
-        # comparisons, inf the last two.
-        if not (
-            cur.min() >= 0
-            and ref.min() >= 0
-            and cur_total.max() < np.inf
-            and ref_total.max() < np.inf
-        ):
-            raise ConfigError(
-                "bin counts must be non-negative with a finite total"
-            )
-        cur /= cur_total
-        ref /= ref_total
-        terms = np.log2(cur / ref)
-        terms *= cur
-    distances = terms.sum(axis=-1)
-    if np.isnan(distances).any():
-        # After the refusal above a NaN has one source: a bin that is
-        # exactly 0 once normalised (pseudocount 0, or a smoothed count
-        # that underflows), where 0 * log2(0 / q) is 0 by convention,
-        # or a histogram that is empty altogether.
-        terms[cur == 0] = 0.0
-        terms[((cur_total == 0) | (ref_total == 0)).ravel()] = 0.0
-        distances = terms.sum(axis=-1)
-    return distances
+    if np.shape(reference) not in (shape, shape[1:]):
+        raise ConfigError(
+            f"shape mismatch: {shape} vs {np.shape(reference)}"
+        )
+    if 0 in shape:
+        return np.zeros(shape[0])
+    return divergence_rows(
+        *smooth_rows(current, pseudocount),
+        *smooth_rows(reference, pseudocount),
+    )
 
 
 def kl_from_counts(

@@ -11,6 +11,8 @@ the prefilter consumes.
 from __future__ import annotations
 
 import bisect
+import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +26,14 @@ from repro.detection.features import (
     DETECTOR_FEATURES,
     Feature,
     resolve_features,
+    value_counts,
 )
 from repro.detection.metadata import Metadata
 from repro.errors import CheckpointError, ConfigError, ExtractionError
 from repro.flows.stream import iter_intervals
 from repro.flows.table import FlowTable
+from repro.sketch.cloning import ValueCounts, clone_counts
+from repro.sketch.hashing import HashMatrix
 from repro.sketch.histogram import HistogramSnapshot
 from repro.state import listof, mapping, read_fields, text
 
@@ -40,6 +45,11 @@ class IntervalReport:
     interval: int
     observations: dict[Feature, FeatureObservation]
     flow_count: int
+    #: Seconds the bank spent binning the interval's value counts
+    #: (sorting the columns too, on the row path) and scoring the
+    #: clone histograms - what the ``stage.detection`` span reports.
+    bin_s: float = field(default=0.0, compare=False, repr=False)
+    score_s: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def alarm(self) -> bool:
@@ -159,6 +169,11 @@ class DetectorBank:
             feature: HistogramDetector(feature, self.config, seed=seed)
             for feature in features
         }
+        # Every feature's clone functions, one column each, drawn once:
+        # an interval bins all features with one hash and one bincount.
+        self._hashes = HashMatrix(
+            [detector.hash_fns for detector in self._detectors.values()]
+        )
         self._reports: list[IntervalReport] = []
 
     @property
@@ -231,26 +246,70 @@ class DetectorBank:
             detector.from_state(detectors[feature.short_name])
 
     def observe(self, flows: FlowTable) -> IntervalReport:
-        """Feed one interval to every detector."""
+        """Feed one interval to every detector: the interval's value
+        counts (one sort per column), then :meth:`observe_counts`."""
+        started = time.perf_counter()
+        return self._observe(
+            value_counts(flows, self.features), len(flows), started
+        )
+
+    def observe_counts(
+        self, counts: Mapping[str, ValueCounts], flow_count: int
+    ) -> IntervalReport:
+        """Feed one interval as each monitored feature's ``(observed,
+        counts)`` - its sorted distinct values and their flow counts,
+        keyed by short name (what
+        :func:`~repro.detection.features.value_counts` returns and a
+        merged federation digest carries).  ``flow_count`` is the
+        number of flows they summarize."""
+        return self._observe(counts, flow_count, time.perf_counter())
+
+    def _observe(
+        self,
+        counts: Mapping[str, ValueCounts],
+        flow_count: int,
+        started: float,
+    ) -> IntervalReport:
+        names = [feature.short_name for feature in self.features]
+        missing = [name for name in names if name not in counts]
+        if missing:
+            raise ConfigError(
+                f"interval value counts missing monitored features: "
+                f"{', '.join(missing)}"
+            )
+        columns = [counts[name] for name in names]
+        block = clone_counts(self._hashes, columns)
+        binned = time.perf_counter()
+        clones = self.config.clones
         observations = {
-            feature: detector.observe(flows)
-            for feature, detector in self._detectors.items()
+            feature: detector.observe_binned(rows, (observed,) * clones)
+            for (feature, detector), rows, (observed, _) in zip(
+                self._detectors.items(), block, columns, strict=True
+            )
         }
-        return self._record(observations, flow_count=len(flows))
+        return self._record(
+            observations,
+            flow_count=flow_count,
+            bin_s=binned - started,
+            score_s=time.perf_counter() - binned,
+        )
 
     def observe_snapshots(
         self,
         snapshots: dict[Feature, list[HistogramSnapshot]],
         flow_count: int,
     ) -> IntervalReport:
-        """Feed one interval of per-feature clone snapshots.
+        """Feed one interval of per-feature clone snapshots, checked
+        against each detector's hash functions, stacked, and scored
+        like :meth:`observe_counts` scores its binning.
 
-        The sketch-backed twin of :meth:`observe`: the federation layer
-        merges remote collectors' histogram snapshots and drives the
-        bank without ever materializing the flows.  ``snapshots`` must
-        cover every monitored feature; ``flow_count`` is the combined
-        flow count the snapshots summarize.
+        A thin adapter: since the federator feeds merged value counts
+        to :meth:`observe_counts`, the perf ledger's frozen replay
+        (``benchmarks/perf/workloads.py``) is its last caller.
+        ``snapshots`` must cover every monitored feature;
+        ``flow_count`` is the combined flow count they summarize.
         """
+        started = time.perf_counter()
         missing = [
             feature.short_name
             for feature in self.features
@@ -265,18 +324,26 @@ class DetectorBank:
             feature: detector.observe_snapshots(snapshots[feature])
             for feature, detector in self._detectors.items()
         }
-        return self._record(observations, flow_count=flow_count)
+        return self._record(
+            observations,
+            flow_count=flow_count,
+            score_s=time.perf_counter() - started,
+        )
 
     def _record(
         self,
         observations: dict[Feature, FeatureObservation],
         flow_count: int,
+        bin_s: float = 0.0,
+        score_s: float = 0.0,
     ) -> IntervalReport:
         interval = next(iter(observations.values())).interval
         report = IntervalReport(
             interval=interval,
             observations=observations,
             flow_count=flow_count,
+            bin_s=bin_s,
+            score_s=score_s,
         )
         self._reports.append(report)
         return report

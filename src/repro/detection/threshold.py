@@ -32,8 +32,11 @@ def mad_sigma(samples: np.ndarray) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or len(samples) == 0:
         raise ConfigError("need a non-empty 1-D sample array")
-    median = np.median(samples)
-    mad = np.median(np.abs(samples - median))
+    # Unsmoothed KL diffs can be infinite: a median of inf and -inf,
+    # or inf - inf, is NaN, which AlarmThreshold refuses - no warning.
+    with np.errstate(invalid="ignore"):
+        median = np.median(samples)
+        mad = np.median(np.abs(samples - median))
     return float(MAD_TO_SIGMA * mad)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detection.detector import DetectorConfig
-from repro.detection.features import Feature
+from repro.detection.features import Feature, value_counts
 from repro.federation.digest import (
     DigestSchema,
     IntervalDigest,
@@ -26,7 +26,6 @@ from repro.federation.digest import (
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, iter_intervals
 from repro.flows.table import FlowTable
 from repro.obs.trace import NULL_TRACER, AnyTracer, Tracer
-from repro.sketch.distinct import sorted_distinct
 
 
 class Collector:
@@ -55,20 +54,12 @@ class Collector:
         with self._tracer.span(
             "federation.summarize", site=self.site, interval=interval
         ):
-            value_counts = {}
-            for feature in self.features:
-                distinct, run_lengths = sorted_distinct(
-                    feature.extract(flows)
-                )
-                value_counts[feature.short_name] = (
-                    distinct, run_lengths.astype(np.int64)
-                )
             return IntervalDigest(
                 schema=self.schema,
                 interval=interval,
                 sites=(self.site,),
                 flow_count=len(flows),
-                value_counts=value_counts,
+                value_counts=value_counts(flows, self.features),
             )
 
     def empty_digest(self, interval: int) -> IntervalDigest:

@@ -29,7 +29,6 @@ Two properties carry the subsystem's correctness contract:
 
 from __future__ import annotations
 
-import functools
 import json
 import zlib
 from collections.abc import Iterable
@@ -38,11 +37,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.detection.detector import DetectorConfig, clone_seed
+from repro.detection.detector import DetectorConfig, clone_hashes
 from repro.detection.features import DETECTOR_FEATURES, Feature
 from repro.errors import FederationError, SketchError
+from repro.sketch.cloning import ValueCounts, clone_snapshots
 from repro.sketch.distinct import union_counts
-from repro.sketch.hashing import HashFamily, UniversalHash, hash_rows
+from repro.sketch.hashing import HashMatrix
 from repro.sketch.histogram import HistogramSnapshot
 from repro.state import (
     canonical_json,
@@ -74,19 +74,10 @@ DEFAULT_CM_DEPTH = 4
 
 def countmin_seed(seed: int, feature: Feature) -> int:
     """Seed of the per-feature count-min hash family under ``seed``
-    (offset past :func:`clone_seed`'s feature salts)."""
+    (offset past
+    :func:`~repro.detection.detector.clone_seed`'s feature salts)."""
     salt = zlib.crc32(feature.value.encode()) & 0xFFFF
     return seed * 131 + 0x10000 + salt
-
-
-@functools.lru_cache(maxsize=64)
-def _clone_hashes(
-    seed: int, clones: int, bins: int, feature: Feature
-) -> tuple[UniversalHash, ...]:
-    """The clone hash functions of ``feature``'s detector under
-    ``seed`` - the family a :class:`~repro.sketch.cloning.CloneSet`
-    seeded with :func:`clone_seed` draws."""
-    return tuple(HashFamily(bins, seed=clone_seed(seed, feature)).take(clones))
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,9 +105,10 @@ class DigestSchema:
             features=tuple(f.short_name for f in features),
         )
 
-    def clone_hashes(self, feature: Feature) -> tuple[UniversalHash, ...]:
-        """``feature``'s clone hash functions, drawn once per schema."""
-        return _clone_hashes(self.seed, self.clones, self.bins, feature)
+    def clone_hashes(self, feature: Feature) -> HashMatrix:
+        """``feature``'s clone hash functions - its detector's own
+        draw (:func:`~repro.detection.detector.clone_hashes`)."""
+        return clone_hashes(self.seed, feature, self.clones, self.bins)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -241,31 +233,28 @@ class IntervalDigest:
         at = np.minimum(np.searchsorted(observed, wanted), observed.size - 1)
         return np.where(observed[at] == wanted, counts[at], 0)
 
+    @property
+    def value_counts(self) -> dict[str, ValueCounts]:
+        """Each feature's ``(observed, counts)``, keyed by short name:
+        what a detector bank's ``observe_counts`` bins."""
+        return dict(self._values)
+
     def clone_snapshots(self, feature: Feature) -> list[HistogramSnapshot]:
         """The ``C`` clone histograms of one feature, binned from its
         counts by the schema's clone hash functions; they share the
         one observed array."""
-        observed, counts = self._values[feature.short_name]
-        hashes = self.schema.clone_hashes(feature)
-        bins = self.schema.bins
-        if observed.size == 0:
-            return [
-                HistogramSnapshot(fn, np.zeros(bins), observed)
-                for fn in hashes
-            ]
-        rows = hash_rows(hashes, observed)
-        return [
-            HistogramSnapshot(
-                fn, np.bincount(row, weights=counts, minlength=bins), observed
-            )
-            for fn, row in zip(hashes, rows, strict=True)
-        ]
+        return clone_snapshots(
+            self.schema.clone_hashes(feature),
+            *self._values[feature.short_name],
+        )
 
     def snapshots_by_feature(
         self, features: tuple[Feature, ...]
     ) -> dict[Feature, list[HistogramSnapshot]]:
-        """Key the clone snapshots by :class:`Feature` for the detector
-        bank (wire documents key by short name)."""
+        """Key the clone snapshots by :class:`Feature` for a detector
+        bank's ``observe_snapshots`` (wire documents key by short
+        name).  The federator bins :attr:`value_counts` instead; the
+        perf ledger's frozen replay is the last caller."""
         return {feature: self.clone_snapshots(feature) for feature in features}
 
     # ------------------------------------------------------------------

@@ -87,9 +87,9 @@ class FederatedInterval:
 class MergedInterval:
     """One interval's merged digest: the sketch-view step input.
 
-    Detection runs over the clone snapshots derived from the merged
-    value counts without ever materializing flows.  Extraction is
-    digest-only mining: each voted meta-data value becomes a
+    Detection bins the merged value counts (the summary a solo run
+    takes from its rows) without ever materializing flows.  Extraction
+    is digest-only mining: each voted meta-data value becomes a
     single-item item-set whose support is its exact merged flow count;
     supports below ``min_support`` are discarded just like the miners'
     support floor.  Multi-item conjunctions need the flows and are
@@ -105,9 +105,8 @@ class MergedInterval:
         self.alarmed_features: tuple[str, ...] = ()
 
     def observe(self, bank: DetectorBank) -> IntervalReport:
-        report = bank.observe_snapshots(
-            self.digest.snapshots_by_feature(bank.features),
-            flow_count=self.digest.flow_count,
+        report = bank.observe_counts(
+            self.digest.value_counts, flow_count=self.digest.flow_count
         )
         self.alarmed_features = tuple(
             f.short_name for f in report.alarmed_features

@@ -253,7 +253,11 @@ SPANS.update(
     }
 )
 SPANS["stage.detection"] += (
-    " Attributes: flows, alarm; on an alarmed interval also "
+    " Attributes: flows, alarm, bin_s (seconds spent binning the "
+    "interval's value counts into every feature's clone histograms, "
+    "column sorts included on the row path) and score_s (seconds "
+    "spent scoring them: KL, thresholds, bin identification, votes); "
+    "on an alarmed interval also "
     "alarm_votes (clones that alarmed, summed over features) and "
     "binid_rounds (bin-identification cleaning rounds, summed over "
     "those clones)."

@@ -62,8 +62,7 @@ def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Concatenate + stable sort is one merge of two sorted runs; the
     neighbour mask drops the values both sides hold.  When either side
     is empty the other is returned *as is* (no copy): a histogram's
-    first update of an interval adopts the incoming array, which is how
-    the ``C`` clones of a feature come to share one observed set.
+    first update of an interval adopts the incoming array.
     """
     if a.size == 0:
         return b

@@ -20,7 +20,8 @@ conditional subtract lands it in [0, p).  The key is folded that way
 once; the product ``a * x + b`` is assembled from 31/30-bit halves into
 a sum below ``2^63 + 2^61 + 2^32 < 2^64`` (bounds at each term) and
 folded once more.  A power-of-two ``m`` bins with ``& (m - 1)``; only
-other bin counts pay a ``% m``.
+other bin counts pay a ``% m``.  A :class:`HashMatrix` lets one call
+bin each value by its own column of functions.
 """
 
 from __future__ import annotations
@@ -71,10 +72,22 @@ def _fold(t: np.ndarray) -> np.ndarray:
 
 
 def hash_rows(
-    fns: Sequence[UniversalHash], values: np.ndarray
+    fns: Sequence[UniversalHash] | HashMatrix,
+    values: np.ndarray,
+    sizes: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Bin ``values`` by every function of ``fns`` in one pass:
-    ``out[i, j] == fns[i](values[j])`` as a ``(len(fns), n)`` int64.
+    """Bin ``values`` by rows of hash functions in one pass, as a
+    ``(rows, n)`` int64.
+
+    ``fns`` is either a sequence of functions, each applied to every
+    value (``out[i, j] == fns[i](values[j])``), or a :class:`HashMatrix`
+    whose columns bin consecutive runs of ``values``: the first
+    ``sizes[0]`` values by column 0's functions, the next ``sizes[1]``
+    by column 1's, and so on (``out[r, j] == fns.columns[k][r](
+    values[j])`` for the run ``k`` holding ``j``).  A detector bank
+    hashes every feature's values by that feature's clone functions in
+    one call.  A one-column matrix applies to every value, so it
+    needs no ``sizes``.
 
     With ``x = xH*2^31 + xL`` and ``a = aH*2^31 + aL`` (``xH, aH <
     2^30``; ``xL, aL < 2^31``):
@@ -86,10 +99,16 @@ def hash_rows(
     below 2^61, 2^61 + 2^32, 2^62 and (``b``) 2^61, so their sum fits
     uint64 exactly and one :func:`_fold` reduces it.
     """
+    if isinstance(fns, HashMatrix):
+        a, b = per_value(fns.a, sizes), per_value(fns.b, sizes)
+        bins = [fns.bins]
+    else:
+        a = np.array([[fn.a] for fn in fns], dtype=np.uint64)
+        b = np.array([[fn.b] for fn in fns], dtype=np.uint64)
+        bins = [fn.bins for fn in fns]
     x = _fold(np.array(values, dtype=np.uint64))
     x_hi = x >> np.uint64(31)
     x_lo = x & _LOW31
-    a = np.array([[fn.a] for fn in fns], dtype=np.uint64)
     a_hi = a >> np.uint64(31)
     a_lo = a & _LOW31
     total = (a_hi << np.uint64(1)) * x_hi
@@ -102,15 +121,66 @@ def hash_rows(
     middle >>= np.uint64(30)
     total += middle
     total += np.multiply(a_lo, x_lo, out=term)
-    total += np.array([[fn.b] for fn in fns], dtype=np.uint64)
+    total += b
     hashed = _fold(total)
-    bins = [fn.bins for fn in fns]
     width = np.array([[m] for m in bins], dtype=np.uint64)
     if all(m & (m - 1) == 0 for m in bins):
         hashed &= width - np.uint64(1)
     else:
         hashed %= width
     return hashed.view(np.int64)
+
+
+def per_value(matrix: np.ndarray, sizes: Sequence[int] | None) -> np.ndarray:
+    """Column ``k`` of a ``(R, K)`` matrix repeated for the ``sizes[k]``
+    values of run ``k``; a one-column matrix broadcasts as it is."""
+    if matrix.shape[1] == 1:
+        return matrix
+    if sizes is None:
+        raise ConfigError(
+            f"a {matrix.shape[1]}-column hash matrix needs the number of "
+            f"values of every column"
+        )
+    return np.repeat(matrix, sizes, axis=1)
+
+
+class HashMatrix:
+    """``K`` columns of ``R`` universal hash functions over one bin
+    count, with their parameters laid out as the ``(R, K)`` uint64
+    matrices :func:`hash_rows` reads.
+
+    Column ``k`` is one feature's ``R`` clone functions.  A matrix is
+    built once - per detector, detector bank, clone set or digest
+    schema - so an interval's hashing reads arrays, not Python objects.
+    """
+
+    __slots__ = ("columns", "bins", "a", "b")
+
+    def __init__(self, columns: Sequence[Sequence[UniversalHash]]):
+        self.columns = tuple(tuple(column) for column in columns)
+        if not self.columns or not self.columns[0]:
+            raise ConfigError("a hash matrix needs at least one function")
+        if len({len(column) for column in self.columns}) != 1:
+            raise ConfigError(
+                "every column of a hash matrix needs the same number "
+                "of functions"
+            )
+        bins = {fn.bins for column in self.columns for fn in column}
+        if len(bins) != 1:
+            raise ConfigError(
+                f"a hash matrix bins by one bin count, got {sorted(bins)}"
+            )
+        (self.bins,) = bins
+        self.a = self._parameter("a")
+        self.b = self._parameter("b")
+
+    def _parameter(self, name: str) -> np.ndarray:
+        matrix = np.array(
+            [[getattr(fn, name) for fn in column] for column in self.columns],
+            dtype=np.uint64,
+        ).T.copy()
+        matrix.setflags(write=False)
+        return matrix
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,7 @@ from repro.sketch.distinct import sorted_distinct, sorted_union
 from repro.sketch.hashing import UniversalHash
 
 
-def _values_in_bins(
+def values_in_bins(
     hash_fn: UniversalHash,
     observed: np.ndarray,
     bins: np.ndarray | list[int],
@@ -82,27 +82,18 @@ class HashedHistogram:
         """Add ``run_lengths[i]`` flows of feature value ``distinct[i]``.
 
         Takes a column in :func:`~repro.sketch.distinct.sorted_distinct`
-        form, so the ``C`` clones of a feature (and its count-min) share
-        one sort and each hashes a value once however many flows carry
-        it.  The run lengths are integer-valued float64: the weighted
+        form, so each value is hashed once however many flows carry it.
+        The run lengths are integer-valued float64: the weighted
         ``bincount`` adds up exactly what one ``+1.0`` per flow would.
         On the first update of an interval the histogram adopts
         ``distinct`` itself as its observed set (see ``sorted_union``).
         """
         if distinct.size == 0:
             return
-        self.update_binned(
-            self._hash.hash_array(distinct), distinct, run_lengths
-        )
-
-    def update_binned(
-        self, bins: np.ndarray, distinct: np.ndarray, run_lengths: np.ndarray
-    ) -> None:
-        """:meth:`update_distinct` with ``bins`` - this histogram's hash
-        of ``distinct`` - already computed (a clone set hashes all its
-        clones in one :func:`~repro.sketch.hashing.hash_rows` call)."""
         self._counts += np.bincount(
-            bins, weights=run_lengths, minlength=self.bins
+            self._hash.hash_array(distinct),
+            weights=run_lengths,
+            minlength=self.bins,
         )
         self._observed = sorted_union(self._observed, distinct)
 
@@ -116,7 +107,7 @@ class HashedHistogram:
         This is the bin->values back-map used after anomalous bins have
         been identified.
         """
-        return _values_in_bins(self._hash, self._observed, bins)
+        return values_in_bins(self._hash, self._observed, bins)
 
     def distribution(self, pseudocount: float = 0.0) -> np.ndarray:
         """Normalized bin distribution, optionally Laplace-smoothed."""
@@ -137,10 +128,11 @@ class HashedHistogram:
 class HistogramSnapshot:
     """Immutable state of a :class:`HashedHistogram` at interval end.
 
-    Snapshots are what a clone set hands the detector each interval and
-    what a federation digest carries per clone.  The ``C`` clones of a
-    feature share one read-only observed set: it is a property of the
-    feature's interval, not of any one binning.
+    Snapshots are what :func:`~repro.sketch.cloning.clone_snapshots`
+    freezes for a clone set or a digest, and what a detector's
+    ``observe_snapshots`` reads.  The ``C`` clones of a feature share
+    one read-only observed set: it is a property of the feature's
+    interval, not of any one binning.
     """
 
     __slots__ = ("hash_fn", "_counts", "_observed")
@@ -153,11 +145,15 @@ class HistogramSnapshot:
                 f"snapshot counts length {len(counts)} != bins {hash_fn.bins}"
             )
         self.hash_fn = hash_fn
-        self._counts = np.asarray(counts, dtype=np.float64).copy()
-        self._counts.setflags(write=False)
-        # An observed set that is already read-only is shared, not
-        # copied: the clones of a feature all hold the one array
-        # ``sorted_distinct`` produced for the interval.
+        # Arrays that are already read-only are shared, not copied: a
+        # clone's counts are a row of the read-only ``clone_counts``
+        # block, and the clones of a feature all hold the one observed
+        # array of the interval.
+        bins = np.asarray(counts)
+        if bins.dtype != np.float64 or bins.flags.writeable:
+            bins = bins.astype(np.float64)
+            bins.setflags(write=False)
+        self._counts = bins
         seen = np.asarray(observed)
         if seen.dtype != np.uint64 or seen.flags.writeable:
             seen = seen.astype(np.uint64)
@@ -182,4 +178,4 @@ class HistogramSnapshot:
 
     def values_in_bins(self, bins: np.ndarray | list[int]) -> np.ndarray:
         """Observed feature values hashing into any of ``bins``."""
-        return _values_in_bins(self.hash_fn, self._observed, bins)
+        return values_in_bins(self.hash_fn, self._observed, bins)

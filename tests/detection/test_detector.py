@@ -197,7 +197,7 @@ class TestDetection:
             "from repro.detection.features import Feature\n"
             "d = HistogramDetector(Feature.DST_PORT, "
             "DetectorConfig(training_intervals=2), seed=1)\n"
-            "print(d._clones[0].hash_fn.a)\n"
+            "print(d.hash_fns[0].a)\n"
         )
         outputs = {
             subprocess.run(
@@ -213,7 +213,7 @@ class TestDetection:
     def test_distinct_features_use_distinct_hash_streams(self, config):
         a = HistogramDetector(Feature.DST_PORT, config, seed=1)
         b = HistogramDetector(Feature.SRC_PORT, config, seed=1)
-        assert a._clones[0].hash_fn != b._clones[0].hash_fn
+        assert a.hash_fns[0] != b.hash_fns[0]
 
 
 class TestRestoreRefusesCorruptCounts:

@@ -6,12 +6,15 @@ never change what the pipeline extracts, in batch, stream, or fleet
 mode.
 """
 
+import time
+
 import numpy as np
 
 import repro.api as api
 from repro.core.config import ExtractionConfig
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
+from repro.federation import Collector, Federator, split_trace
 from repro.fleet.manager import FleetManager
 from repro.obs.trace import Tracer
 
@@ -149,6 +152,55 @@ class TestDetectionSpanExplainsAlarm:
             assert span.attributes["binid_rounds"] == sum(
                 clone.bin_identification.rounds for clone in clones
             )
+
+
+class TestDetectionSpanSplitsItsTime:
+    def _spans(self, tracer):
+        spans = [s for s in tracer.spans if s.name == "stage.detection"]
+        assert spans
+        return spans
+
+    def _assert_split(self, spans):
+        for span in spans:
+            bin_s = span.attributes["bin_s"]
+            score_s = span.attributes["score_s"]
+            assert bin_s > 0 and score_s > 0
+            assert bin_s + score_s <= span.duration
+
+    def test_batch_spans_carry_bin_and_score_seconds(self, ddos_trace):
+        """Where a close's detection time went: binning the value
+        counts (column sorts included) vs scoring the clones, both
+        timed inside the stage.detection span - on the bank's clock,
+        so the tracer runs on the same one."""
+        tracer = Tracer(clock=time.perf_counter)
+        result = api.extract(
+            ddos_trace.flows, _config(),
+            interval_seconds=ddos_trace.interval_seconds, seed=1,
+            tracer=tracer,
+        )
+        spans = self._spans(tracer)
+        assert len(spans) == result.detection.n_intervals
+        self._assert_split(spans)
+
+    def test_federated_spans_carry_bin_and_score_seconds(self, ddos_trace):
+        detector = _config().detector
+        sites = ("east", "west")
+        parts = split_trace(ddos_trace.flows, sites, "dst_ip%2")
+        tracer = Tracer(clock=time.perf_counter)
+        federator = Federator(
+            sites=sites, config=detector, seed=1,
+            interval_seconds=ddos_trace.interval_seconds, min_support=300,
+            tracer=tracer,
+        )
+        federator.add_all(
+            (digest, None)
+            for site in sites
+            for digest in Collector(site=site, config=detector, seed=1).run(
+                parts[site], ddos_trace.interval_seconds
+            )
+        )
+        federator.finish()
+        self._assert_split(self._spans(tracer))
 
 
 class TestMiningSpanExplainsCost:

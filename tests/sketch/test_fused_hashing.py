@@ -33,7 +33,7 @@ def test_clone_set_equals_per_clone_histograms(rng, bins):
         alone = HashedHistogram(fn)
         alone.update(values)
         assert np.array_equal(clone.counts, alone.counts)
-        assert np.array_equal(clone.observed_values(), alone.observed_values())
+        assert np.array_equal(clone.observed, alone.observed_values())
         expected = np.bincount(
             reference_hash_array(fn, values), minlength=bins
         )
