@@ -3,15 +3,14 @@
 Section II-B: "Maximal item-sets are desirable since they significantly
 reduce the number of item-sets to process by a human expert" - in the
 Table II example 191 frequent item-sets collapse into 15 maximal ones.
-This bench quantifies the report-size ladder on the same workload:
+This bench quantifies the report-size reduction on the same workload:
 
-    all frequent  >  closed (lossless)  >  maximal (the paper's choice)
+    all frequent  >  maximal (the paper's choice)
 
-and verifies the containment maximal subset-of closed subset-of frequent.
+and verifies the containment maximal subset-of frequent.
 """
 
 from repro.mining.apriori import apriori
-from repro.mining.closed import filter_closed
 from repro.mining.maximal import filter_maximal
 from repro.mining.transactions import TransactionSet
 from repro.traffic.scenarios import table2_interval
@@ -24,30 +23,23 @@ def test_ablation_report_size(benchmark, report):
     frequent = result.all_frequent
 
     sizes = benchmark.pedantic(
-        lambda: (
-            len(frequent),
-            len(filter_closed(frequent)),
-            len(filter_maximal(frequent)),
-        ),
+        lambda: (len(frequent), len(filter_maximal(frequent))),
         rounds=3,
         iterations=1,
     )
-    n_frequent, n_closed, n_maximal = sizes
+    n_frequent, n_maximal = sizes
 
     report(
         "",
         "Ablation - maximal-only output (paper Section II-B)",
         f"  all frequent item-sets: {n_frequent} (paper: 191)",
-        f"  closed item-sets:       {n_closed} (lossless compression)",
         f"  maximal item-sets:      {n_maximal} (paper: 15; what the "
         "operator reads)",
         f"  operator workload reduction: "
         f"{n_frequent / n_maximal:.1f}x via maximality",
     )
 
-    closed = filter_closed(frequent)
     maximal = filter_maximal(frequent)
-    assert set(maximal) <= set(closed) <= set(frequent)
+    assert set(maximal) <= set(frequent)
     # The paper's order-of-magnitude claim.
     assert n_maximal * 3 <= n_frequent
-    assert n_maximal <= n_closed

@@ -29,8 +29,7 @@ subcommand:
   explain <id>`` renders one ranked incident's full provenance
   (contributing intervals, per-feature detector votes, extraction
   context);
-* ``table2`` - regenerate the Table II running example at any scale;
-* ``topk`` - mine the k most frequent maximal item-sets of a trace.
+* ``table2`` - regenerate the Table II running example at any scale.
 
 The pipeline subcommands (``detect``, ``extract``, ``stream``,
 ``incidents``) accept ``--config run.toml``, a declarative
@@ -73,7 +72,6 @@ from repro.cli import (
     serve,
     stream,
     table2,
-    topk,
 )
 from repro.errors import ReproError
 
@@ -91,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
     for module in (generate, detect, extract, stream, fleet, serve,
-                   federate, incidents, table2, topk):
+                   federate, incidents, table2):
         module.add_parser(sub)
     return parser
 

@@ -7,7 +7,6 @@ from repro.detection.detector import (
     FeatureObservation,
     HistogramDetector,
 )
-from repro.detection.entropy import EntropyDetector, normalized_entropy
 from repro.detection.features import (
     DETECTOR_FEATURES,
     MINING_FEATURES,
@@ -43,8 +42,6 @@ __all__ = [
     "DetectorConfig",
     "FeatureObservation",
     "HistogramDetector",
-    "EntropyDetector",
-    "normalized_entropy",
     "DETECTOR_FEATURES",
     "MINING_FEATURES",
     "Feature",

@@ -115,9 +115,12 @@ class DetectorConfig:
             raise ConfigError(
                 f"multiplier must be finite and > 0: {self.multiplier}"
             )
-        if not 0 <= self.pseudocount < math.inf:
+        # Unsmoothed, a bin that gains flows over an empty reference
+        # bin scores an infinite KL: the training sigma turns NaN, or
+        # the checkpoint holds a distance its reader refuses.
+        if not 0 < self.pseudocount < math.inf:
             raise ConfigError(
-                f"pseudocount must be finite and >= 0: {self.pseudocount}"
+                f"pseudocount must be finite and > 0: {self.pseudocount}"
             )
 
 

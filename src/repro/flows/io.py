@@ -19,7 +19,6 @@ from itertools import islice
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.flows.record import FlowRecord
 from repro.flows.table import ALL_COLUMNS, ROW_DTYPE, FlowTable, fit_error
 from repro.obs.metrics import NULL_REGISTRY
 
@@ -269,16 +268,3 @@ def read_trace(path: str | os.PathLike[str]) -> FlowTable:
         )
     return readers[extension](path)
 
-
-def iter_csv_records(path: str | os.PathLike[str]) -> Iterator[FlowRecord]:
-    """Stream :class:`FlowRecord` rows from a CSV trace without loading the
-    whole file (useful for very large traces)."""
-    for chunk in iter_csv(path):
-        yield from chunk
-
-
-def records_to_csv(
-    records: Iterable[FlowRecord], path: str | os.PathLike[str]
-) -> None:
-    """Convenience wrapper: write an iterable of records as CSV."""
-    write_csv(FlowTable.from_records(records), path)

@@ -53,12 +53,6 @@ class MiningResult:
         """Largest frequent item-set size found (0 when none)."""
         return max((stats.size for stats in self.level_stats), default=0)
 
-    def frequent_of_size(self, size: int) -> int:
-        for stats in self.level_stats:
-            if stats.size == size:
-                return stats.found
-        return 0
-
     def summary_lines(self) -> list[str]:
         """Human-readable mining summary (used by reports and the CLI)."""
         lines = [

@@ -1,15 +1,15 @@
 """Sorted distinct values - the one sort the sketch layer pays per column.
 
-Every sketch of a feature column needs the same two facts about it:
-which values occur and how often.  Computing them is one ``np.sort``
-plus a neighbour-inequality mask; everything downstream (the ``C``
-clone histograms, the count-min rows, the observed-value back-map)
-then hashes each *distinct* value once and scatters its run length,
-instead of hashing every flow and re-deriving the distinct set per
-clone.  The helpers stay on sort + mask because numpy's own set
-routines (unique / union without ``return_counts``) take a
-hash-then-sort path on numpy >= 2.3 that is 12-15x slower at
-interval-sized inputs.
+Every summary of a feature column needs the same two facts about it:
+which values occur and how often.  :func:`sorted_distinct` computes
+them with one ``np.sort`` plus a neighbour-inequality mask, and
+:func:`union_counts` merges two such summaries (a digest merge, a
+clone set fed in chunks).  Everything downstream - the ``C`` clone
+histograms, the observed-value back-map - hashes each *distinct* value
+once and scatters its count, instead of hashing every flow.  The
+helpers stay on sort + mask because numpy's own set routines (unique /
+union without ``return_counts``) take a hash-then-sort path on numpy
+>= 2.3 that is 12-15x slower at interval-sized inputs.
 """
 
 from __future__ import annotations
@@ -56,37 +56,18 @@ def sorted_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, counts
 
 
-def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted union of two sorted duplicate-free uint64 arrays.
-
-    Concatenate + stable sort is one merge of two sorted runs; the
-    neighbour mask drops the values both sides hold.  When either side
-    is empty the other is returned *as is* (no copy): a histogram's
-    first update of an interval adopts the incoming array.
-    """
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
-    merged = np.concatenate((a, b))
-    merged.sort(kind="stable")
-    union = merged[_run_starts(merged)]
-    union.setflags(write=False)
-    return union
-
-
 def union_counts(
     a: np.ndarray,
     a_counts: np.ndarray,
     b: np.ndarray,
     b_counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sorted_union` of two ``sorted_distinct`` columns, with
-    the counts of a value both sides hold added.
+    """Sorted union of two ``sorted_distinct`` columns, with the
+    counts of a value both sides hold added.
 
     One stable argsort merges the two sorted runs; the counts follow
     the same order and ``reduceat`` adds each run of equal values.  An
-    empty side returns the other as is, like :func:`sorted_union`.
+    empty side returns the other as is (no copy).
     """
     if a.size == 0:
         return b, b_counts

@@ -1,10 +1,12 @@
-"""Hashed histograms - the per-clone data structure of the detector.
+"""Clone histogram snapshots and the bin->values back-map.
 
-A :class:`HashedHistogram` counts flows per bin, where the bin of a flow
-is the universal hash of one of its feature values.  It also retains the
-set of distinct feature values observed per interval so that anomalous
-bins can later be mapped back to the feature values that hashed into
-them (paper Section II-C, step 2).
+A :class:`HistogramSnapshot` is one clone's histogram of one
+interval: the flow count per bin, where the bin of a flow is the
+universal hash of one of its feature values, together with the
+interval's distinct feature values, so that anomalous bins can later
+be mapped back to the values that hashed into them (paper Section
+II-C, step 2).  :func:`~repro.sketch.cloning.clone_snapshots` derives
+them from an interval's value counts.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.sketch.distinct import sorted_distinct, sorted_union
 from repro.sketch.hashing import UniversalHash
 
 
@@ -33,100 +34,8 @@ def values_in_bins(
     return observed[np.isin(hash_fn.hash_array(observed), wanted)]
 
 
-class HashedHistogram:
-    """Histogram over ``m`` bins with a value->bin map for the current
-    interval.
-
-    The paper's clone keeps "a map of bins and corresponding feature
-    values"; we store the observed distinct values and compute their bins
-    on demand (the hash is deterministic), which is equivalent and
-    smaller.
-    """
-
-    __slots__ = ("_hash", "_counts", "_observed")
-
-    def __init__(self, hash_fn: UniversalHash):
-        self._hash = hash_fn
-        self._counts = np.zeros(hash_fn.bins, dtype=np.float64)
-        self._observed: np.ndarray = np.empty(0, dtype=np.uint64)
-
-    @property
-    def bins(self) -> int:
-        return self._hash.bins
-
-    @property
-    def hash_fn(self) -> UniversalHash:
-        return self._hash
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-bin flow counts for the current interval (read-only copy)."""
-        return self._counts.copy()
-
-    @property
-    def total(self) -> float:
-        return float(self._counts.sum())
-
-    def reset(self) -> None:
-        """Clear counts and the observed-value set for a new interval."""
-        self._counts[:] = 0.0
-        self._observed = np.empty(0, dtype=np.uint64)
-
-    def update(self, values: np.ndarray) -> None:
-        """Add one flow per entry of ``values`` (a feature column)."""
-        self.update_distinct(*sorted_distinct(values))
-
-    def update_distinct(
-        self, distinct: np.ndarray, run_lengths: np.ndarray
-    ) -> None:
-        """Add ``run_lengths[i]`` flows of feature value ``distinct[i]``.
-
-        Takes a column in :func:`~repro.sketch.distinct.sorted_distinct`
-        form, so each value is hashed once however many flows carry it.
-        The run lengths are integer-valued float64: the weighted
-        ``bincount`` adds up exactly what one ``+1.0`` per flow would.
-        On the first update of an interval the histogram adopts
-        ``distinct`` itself as its observed set (see ``sorted_union``).
-        """
-        if distinct.size == 0:
-            return
-        self._counts += np.bincount(
-            self._hash.hash_array(distinct),
-            weights=run_lengths,
-            minlength=self.bins,
-        )
-        self._observed = sorted_union(self._observed, distinct)
-
-    def observed_values(self) -> np.ndarray:
-        """Distinct feature values seen in the current interval."""
-        return self._observed.copy()
-
-    def values_in_bins(self, bins: np.ndarray | list[int]) -> np.ndarray:
-        """Observed feature values that hash into any of ``bins``.
-
-        This is the bin->values back-map used after anomalous bins have
-        been identified.
-        """
-        return values_in_bins(self._hash, self._observed, bins)
-
-    def distribution(self, pseudocount: float = 0.0) -> np.ndarray:
-        """Normalized bin distribution, optionally Laplace-smoothed."""
-        if pseudocount < 0:
-            raise ConfigError(f"pseudocount must be >= 0: {pseudocount}")
-        smoothed = self._counts + pseudocount
-        total = smoothed.sum()
-        if total == 0:
-            # Degenerate empty interval: fall back to uniform.
-            return np.full(self.bins, 1.0 / self.bins)
-        return smoothed / total
-
-    def snapshot(self) -> "HistogramSnapshot":
-        """Freeze the current interval state (counts + observed values)."""
-        return HistogramSnapshot(self._hash, self._counts, self._observed)
-
-
 class HistogramSnapshot:
-    """Immutable state of a :class:`HashedHistogram` at interval end.
+    """Immutable histogram of one clone at interval end.
 
     Snapshots are what :func:`~repro.sketch.cloning.clone_snapshots`
     freezes for a clone set or a digest, and what a detector's

@@ -152,7 +152,7 @@ configs = st.builds(
     bins=st.sampled_from((7, 64, 100)),
     training=st.sampled_from((2, 3, 5)),
     multiplier=st.sampled_from((0.5, 3.0)),
-    pseudocount=st.sampled_from((0.0, 0.5, 3.0)),
+    pseudocount=st.sampled_from((1e-3, 0.5, 3.0)),
 )
 
 
@@ -194,11 +194,7 @@ def test_bank_pass_equals_per_feature_path(
     assert _run(_bank_step(bank), tables) == expected
     assert adapted == expected[: len(adapted)]
 
-    # Resumed mid-stream from a JSON round-tripped checkpoint.  At
-    # pseudocount 0 a KL can be infinite, which a checkpoint does not
-    # hold (``finite`` fields), so only smoothed runs resume.
-    if config.pseudocount == 0:
-        return
+    # Resumed mid-stream from a JSON round-tripped checkpoint.
     cut = min(cut, len(tables))
     first = DetectorBank(config, FEATURES, seed=seed)
     head = _run(_bank_step(first), tables[:cut])
@@ -231,10 +227,15 @@ def test_negative_signed_key_is_refused_before_any_state_moves(clones):
         ReferenceDetector(signed, config, 1).observe(flows)
 
 
-def test_empty_intervals_at_pseudocount_zero_do_not_warn():
+@pytest.mark.parametrize("pseudocount", [1e-3, 0.5])
+def test_empty_intervals_do_not_warn(pseudocount):
+    """Empty intervals - the first two included, before any reference
+    exists - score without a numpy warning or an error, agree with the
+    per-feature path, and a checkpoint taken right after them resumes
+    to the same outcomes."""
     config = DetectorConfig(
-        clones=3, bins=64, vote_threshold=2, training_intervals=50,
-        pseudocount=0.0,
+        clones=3, bins=64, vote_threshold=2, training_intervals=3,
+        pseudocount=pseudocount,
     )
     tables = _trace(5, 10, 0.5)
     tables[0] = tables[1] = FlowTable.empty()
@@ -243,5 +244,10 @@ def test_empty_intervals_at_pseudocount_zero_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         observed = _run(_bank_step(bank), tables)
-    assert observed == _run(_reference_step(reference), tables)
-    assert all(isinstance(record, dict) for record in observed)
+        assert observed == _run(_reference_step(reference), tables)
+        assert all(isinstance(record, dict) for record in observed)
+        first = DetectorBank(config, FEATURES, seed=2)
+        head = _run(_bank_step(first), tables[:2])
+        resumed = DetectorBank(config, FEATURES, seed=2)
+        resumed.from_state(json.loads(json.dumps(first.to_state())))
+        assert head + _run(_bank_step(resumed), tables[2:]) == observed

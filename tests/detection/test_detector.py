@@ -77,8 +77,50 @@ class TestDetectorConfigNumericEdges:
         with pytest.raises(ConfigError, match=name):
             DetectorConfig(**kwargs)
 
-    def test_zero_pseudocount_stays_legal(self):
-        assert DetectorConfig(pseudocount=0.0).pseudocount == 0.0
+    def test_zero_pseudocount_refused(self):
+        """Unsmoothed, an empty bin that gains flows scores an infinite
+        KL, which neither the training sigma nor a checkpoint holds."""
+        with pytest.raises(ConfigError, match="pseudocount must be .* > 0"):
+            DetectorConfig(pseudocount=0.0)
+
+    def test_small_positive_pseudocount_accepted(self):
+        assert DetectorConfig(pseudocount=1e-9).pseudocount == 1e-9
+
+
+class TestBinsThatFill:
+    """An empty bin that gains flows: at the least smoothing a config
+    accepts, the KL stays finite, so training calibrates and the
+    checkpoint resumes."""
+
+    @pytest.fixture()
+    def config(self):
+        return DetectorConfig(
+            clones=3, bins=64, vote_threshold=2, training_intervals=3,
+            pseudocount=1e-3,
+        )
+
+    def test_training_calibrates(self, config, rng):
+        detector = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        detector.observe(_interval(np.full(50, 80), rng))
+        detector.observe(_interval(np.arange(1, 200), rng))
+        detector.observe(_interval(np.arange(1, 200), rng))
+        assert detector.trained
+        sigmas = [detector.threshold(c).sigma for c in range(config.clones)]
+        assert all(np.isfinite(sigmas))
+
+    def test_checkpoint_after_training_resumes(self, config, rng):
+        detector = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        for _ in range(config.training_intervals):
+            detector.observe(_interval(np.full(50, 80), rng))
+        detector.observe(_interval(np.arange(1, 200), rng))
+        state = json.loads(json.dumps(detector.to_state()))
+        assert all(np.isfinite(state["prev_kl"]))
+        resumed = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        resumed.from_state(state)
+        flows = _interval(np.arange(1, 200), rng)
+        after, expected = resumed.observe(flows), detector.observe(flows)
+        assert [c.kl for c in after.clones] == [c.kl for c in expected.clones]
+        assert after.voted_values.tolist() == expected.voted_values.tolist()
 
 
 class TestTrainingPhase:

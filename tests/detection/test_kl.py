@@ -1,9 +1,18 @@
 """Unit tests for the KL distance machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.detection.kl import first_difference, kl_distance, kl_from_counts
+from repro.detection.kl import (
+    divergence_rows,
+    first_difference,
+    kl_distance,
+    kl_from_counts,
+    kl_rows,
+    smooth_rows,
+)
 from repro.errors import ConfigError
 
 
@@ -72,6 +81,23 @@ class TestKlFromCounts:
         zeros = np.zeros(4)
         assert kl_from_counts(zeros, zeros, pseudocount=0.0) == 0.0
 
+    def test_empty_intervals_at_pseudocount_zero_do_not_warn(self):
+        """Unsmoothed rows of empty intervals - current, reference or
+        both - score 0 and the rest stay NaN-free, without a numpy
+        warning, against a stack or one broadcast reference."""
+        rng = np.random.default_rng(2)
+        current = rng.poisson(3.0, (6, 64)).astype(np.float64)
+        reference = rng.poisson(3.0, (6, 64)).astype(np.float64)
+        current[[0, 3]] = 0.0
+        reference[[1, 3]] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = kl_rows(current, reference, 0.0)
+            broadcast = kl_rows(current, reference[1], 0.0)
+        assert stacked[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+        assert broadcast.tolist() == [0.0] * 6
+        assert not np.isnan(stacked).any()
+
     def test_spike_grows_with_disruption(self):
         reference = np.full(16, 100.0)
         small = reference.copy(); small[0] += 200
@@ -89,6 +115,93 @@ class TestKlFromCounts:
     def test_negative_pseudocount_rejected(self):
         with pytest.raises(ConfigError):
             kl_from_counts(np.ones(2), np.ones(2), pseudocount=-1.0)
+
+
+class TestSmoothRows:
+    """The first half of ``kl_rows``: a histogram's smoothed distribution."""
+
+    def test_rows_sum_to_one(self, rng):
+        counts = rng.integers(0, 20, (3, 50)).astype(np.float64)
+        for pseudocount in (0.5, 1e-3):
+            rows, _ = smooth_rows(counts, pseudocount)
+            assert rows.sum(axis=-1) == pytest.approx([1.0, 1.0, 1.0])
+
+    def test_empty_histogram_smooths_to_uniform(self):
+        rows, totals = smooth_rows(np.zeros((1, 16)), 0.5)
+        assert np.allclose(rows, 1.0 / 16)
+        assert totals.tolist() == [[8.0]]
+
+    def test_totals_are_smoothed_row_sums(self):
+        counts = np.array([[1.0, 3.0], [0.0, 2.0]])
+        _, totals = smooth_rows(counts, 0.5)
+        assert totals.tolist() == [[5.0], [3.0]]
+        _, one = smooth_rows(np.array([1.0, 3.0]), 0.5)
+        assert one.tolist() == [5.0]
+
+    def test_counts_not_written(self):
+        counts = np.array([[2.0, 0.0, 6.0]])
+        smooth_rows(counts, 0.5)
+        assert counts.tolist() == [[2.0, 0.0, 6.0]]
+
+    def test_negative_pseudocount_rejected(self):
+        with pytest.raises(ConfigError, match="pseudocount"):
+            smooth_rows(np.ones((1, 4)), -0.1)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            smooth_rows(np.array([[1.0, -2.0]]), 0.5)
+
+    def test_nan_count_rejected(self):
+        with pytest.raises(ConfigError, match="finite total"):
+            smooth_rows(np.array([[1.0, np.nan]]), 0.5)
+
+    def test_empty_row_at_pseudocount_zero_has_zero_total(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, totals = smooth_rows(np.zeros((1, 4)), 0.0)
+        assert totals.tolist() == [[0.0]]
+        assert np.isnan(rows).all()
+
+
+class TestDivergenceRows:
+    """The second half of ``kl_rows``, over smoothed histograms."""
+
+    def test_composition_is_kl_rows(self, rng):
+        current = rng.poisson(4.0, (5, 32)).astype(np.float64)
+        reference = rng.poisson(4.0, (5, 32)).astype(np.float64)
+        halves = divergence_rows(
+            *smooth_rows(current, 0.5), *smooth_rows(reference, 0.5)
+        )
+        assert halves.tolist() == kl_rows(current, reference, 0.5).tolist()
+
+    def test_identical_rows_score_zero(self):
+        rows = smooth_rows(np.array([[3.0, 1.0, 0.0]]), 0.5)
+        assert divergence_rows(*rows, *rows).tolist() == [0.0]
+
+    def test_one_reference_row_scores_every_row(self, rng):
+        current = rng.poisson(4.0, (4, 16)).astype(np.float64)
+        reference = rng.poisson(4.0, 16).astype(np.float64)
+        scores = divergence_rows(
+            *smooth_rows(current, 0.5), *smooth_rows(reference, 0.5)
+        )
+        for row, score in zip(current, scores, strict=True):
+            assert score == kl_from_counts(row, reference, 0.5)
+
+    def test_inputs_not_written(self):
+        current = smooth_rows(np.array([[0.0, 4.0]]), 0.0)
+        reference = smooth_rows(np.array([[2.0, 2.0]]), 0.0)
+        kept = [array.copy() for array in (*current, *reference)]
+        divergence_rows(*current, *reference)
+        for array, copy in zip((*current, *reference), kept, strict=True):
+            assert np.array_equal(array, copy)
+
+    def test_empty_current_bin_contributes_nothing(self):
+        # D([0, 1] || [1/2, 1/2]) = log2(2) = 1 bit.
+        scores = divergence_rows(
+            *smooth_rows(np.array([[0.0, 4.0]]), 0.0),
+            *smooth_rows(np.array([[2.0, 2.0]]), 0.0),
+        )
+        assert scores.tolist() == [1.0]
 
 
 class TestFirstDifference:

@@ -7,10 +7,8 @@ from repro.errors import TraceFormatError
 from repro.flows.io import (
     iter_csv,
     iter_csv_handle,
-    iter_csv_records,
     read_csv,
     read_npz,
-    records_to_csv,
     write_csv,
     write_npz,
 )
@@ -68,16 +66,17 @@ class TestCsv:
             handle.write("\n\n")
         assert read_csv(path) == tiny_flows
 
-    def test_iter_csv_records(self, tiny_flows, tmp_path):
+    def test_rows_read_back_as_flow_records(self, tiny_flows, tmp_path):
         path = tmp_path / "trace.csv"
         write_csv(tiny_flows, path)
-        records = list(iter_csv_records(path))
+        records = list(read_csv(path))
+        assert all(isinstance(record, FlowRecord) for record in records)
         assert records == list(tiny_flows)
 
-    def test_records_to_csv(self, tmp_path):
+    def test_records_written_through_a_table(self, tmp_path):
         records = [FlowRecord(1, 2, 3, 4, 6, 1, 40, start=0.5)]
         path = tmp_path / "records.csv"
-        records_to_csv(records, path)
+        write_csv(FlowTable.from_records(records), path)
         assert read_csv(path).row(0) == records[0]
 
 

@@ -79,18 +79,13 @@ class TestCommands:
         )
         assert code == 0
 
-    def test_topk_command(self, tmp_path, capsys):
-        out = tmp_path / "trace.npz"
-        main(
-            ["generate", "--intervals", "2", "--flows-per-interval", "300",
-             "--out", str(out)]
-        )
-        capsys.readouterr()
-        code = main(["topk", str(out), "-k", "5"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "top-5" in captured.out
-        assert "support" in captured.out
+    def test_unknown_verb_exits_2(self, capsys):
+        """``topk`` was a verb once; like any unknown verb it is an
+        argparse usage error now, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["topk", "x.csv"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'topk'" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         import subprocess

@@ -193,11 +193,11 @@ MISTAKES = {
     # interval into the run (or, for a NaN alarm level, never).
     "pseudocount-negative": (
         "[detector]\npseudocount = -1\n",
-        "pseudocount must be finite and >= 0: -1",
+        "pseudocount must be finite and > 0: -1",
     ),
     "pseudocount-nan": (
         "[detector]\npseudocount = nan\n",
-        "pseudocount must be finite and >= 0: nan",
+        "pseudocount must be finite and > 0: nan",
     ),
     "multiplier-nan": (
         "[detector]\nmultiplier = nan\n",

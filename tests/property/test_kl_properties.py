@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.detection.kl import first_difference, kl_distance, kl_from_counts
+from repro.detection.kl import (
+    first_difference,
+    kl_distance,
+    kl_from_counts,
+    smooth_rows,
+)
 
 counts_arrays = hnp.arrays(
     dtype=np.float64,
@@ -91,3 +96,25 @@ def test_first_difference_reconstructs_series(series):
     assert diffs[0] == 0.0
     reconstructed = series[0] + np.cumsum(diffs)
     assert np.allclose(reconstructed, series, rtol=1e-9, atol=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stack=st.integers(min_value=2, max_value=32).flatmap(
+        lambda n: hnp.arrays(
+            dtype=np.float64,
+            shape=st.tuples(st.integers(min_value=1, max_value=6), st.just(n)),
+            elements=st.floats(min_value=0.0, max_value=1e6),
+        )
+    ),
+    pseudocount=st.sampled_from((1e-3, 0.5, 3.0)),
+)
+def test_smooth_rows_stacked_equals_row_by_row(stack, pseudocount):
+    """A detector carries a stack of smoothed clone histograms forward
+    as the next reference: each row is the bits a one-row call gives,
+    whatever else is stacked with it."""
+    rows, totals = smooth_rows(stack, pseudocount)
+    for i, counts in enumerate(stack):
+        alone, total = smooth_rows(counts, pseudocount)
+        assert rows[i].tobytes() == alone.tobytes()
+        assert totals[i].tobytes() == total.tobytes()

@@ -26,8 +26,22 @@ from repro.mining.items import (
 )
 from repro.mining.maximal import filter_maximal, is_maximal_in
 from repro.mining.partition import count_candidates, son
+from repro.mining.streaming import SlidingWindowMiner
 from repro.mining.transactions import TRANSACTION_WIDTH, TransactionSet
 from tests.mining.reference import brute_force_frequent, brute_force_maximal
+
+
+def _dense_flows(rng, n, cardinality):
+    """``n`` flows whose every column draws from ``cardinality`` values."""
+    return FlowTable.from_arrays(
+        src_ip=rng.integers(0, cardinality, n),
+        dst_ip=rng.integers(0, cardinality, n),
+        src_port=rng.integers(0, cardinality, n),
+        dst_port=rng.integers(0, cardinality, n),
+        protocol=rng.integers(0, cardinality, n),
+        packets=rng.integers(1, cardinality + 1, n),
+        bytes_=rng.integers(40, 40 + cardinality, n),
+    )
 
 
 @st.composite
@@ -37,16 +51,7 @@ def transaction_sets(draw):
     cardinality = draw(st.integers(min_value=1, max_value=5))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
-    flows = FlowTable.from_arrays(
-        src_ip=rng.integers(0, cardinality, n),
-        dst_ip=rng.integers(0, cardinality, n),
-        src_port=rng.integers(0, cardinality, n),
-        dst_port=rng.integers(0, cardinality, n),
-        protocol=rng.integers(0, cardinality, n),
-        packets=rng.integers(1, cardinality + 1, n),
-        bytes_=rng.integers(40, 40 + cardinality, n),
-    )
-    return TransactionSet.from_flows(flows)
+    return TransactionSet.from_flows(_dense_flows(rng, n, cardinality))
 
 
 support_strategy = st.integers(min_value=1, max_value=12)
@@ -87,6 +92,48 @@ def test_son_equals_apriori_at_any_partition_count(
     ]
 
 
+@st.composite
+def window_pushes(draw):
+    """A window of 1-4 intervals and the interval tables pushed through
+    it, empty ones included; each table is pushed whole or, as a
+    session does, pushed empty and then filled."""
+    window = draw(st.integers(min_value=1, max_value=4))
+    cardinality = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    sizes = draw(st.lists(st.integers(0, 15), min_size=1, max_size=8))
+    fills = draw(
+        st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes))
+    )
+    tables = [_dense_flows(rng, n, cardinality) for n in sizes]
+    return window, list(zip(tables, fills, strict=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=window_pushes(), min_support=st.integers(1, 8))
+def test_sliding_window_equals_apriori_of_the_window(drawn, min_support):
+    """After every push the window miner (Eclat over its batches, item
+    supports kept incrementally) answers what a fresh Apriori run over
+    the concatenation of the last ``window`` tables answers: every
+    frequent item-set, and the maximal ones."""
+    window, pushes = drawn
+    maximal = SlidingWindowMiner(window, min_support)
+    everything = SlidingWindowMiner(window, min_support, maximal_only=False)
+    for pushed, (flows, fill) in enumerate(pushes, start=1):
+        for miner in (maximal, everything):
+            if fill:
+                miner.push(FlowTable.empty())
+                miner.fill(flows)
+            else:
+                miner.push(flows)
+        inside = [table for table, _ in pushes[max(0, pushed - window):pushed]]
+        transactions = TransactionSet.from_flows(FlowTable.concat(inside))
+        reference = apriori(transactions, min_support, maximal_only=False)
+        assert everything.mine().all_frequent == reference.all_frequent
+        assert maximal.mine().itemsets == (
+            apriori(transactions, min_support).itemsets
+        )
+
+
 @settings(max_examples=40, deadline=None)
 @given(transactions=transaction_sets(), min_support=support_strategy)
 def test_counting_backends_agree(transactions, min_support):
@@ -115,6 +162,8 @@ def test_maximal_filter_is_correct(transactions, min_support):
     frequent = apriori(transactions, min_support).all_frequent
     maximal = filter_maximal(frequent)
     assert maximal == brute_force_maximal(frequent)
+    # Supports pass through the filter unchanged.
+    assert all(frequent[items] == s for items, s in maximal.items())
     for items in frequent:
         assert (items in maximal) == is_maximal_in(items, frequent)
 

@@ -2,11 +2,12 @@
 
 Four contracts, over random value streams and hash seeds:
 
-* **One sort per column.**  ``sorted_distinct`` / ``sorted_union`` are
-  ``np.unique(..., return_counts=True)`` / ``np.union1d`` (numpy's
-  routines stay here, in the test tree, as the reference), a clone set
-  fed a column in any chunking equals one fed the whole column, and
-  the count-min's distinct-value path equals the scalar update loop.
+* **One sort per column.**  ``sorted_distinct`` / ``union_counts`` are
+  ``np.unique(..., return_counts=True)`` of a column / of two
+  concatenated columns (numpy's routine stays here, in the test tree,
+  as the reference), a clone set fed a column in any chunking equals
+  one fed the whole column, and the count-min's distinct-value path
+  equals the scalar update loop.
 
 * **Count-min guarantee.**  Estimates never undercount, and overcount
   by more than ``eps * N`` (eps = e/width) only with the documented
@@ -38,11 +39,10 @@ from hypothesis.extra import numpy as hnp
 from repro.detection.detector import clone_seed
 from repro.detection.features import Feature
 from repro.federation.digest import DigestSchema, IntervalDigest
-from repro.sketch.cloning import CloneSet
+from repro.sketch.cloning import CloneSet, clone_counts, clone_snapshots
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.distinct import sorted_distinct, sorted_union, union_counts
-from repro.sketch.hashing import HashFamily
-from repro.sketch.histogram import HashedHistogram
+from repro.sketch.distinct import sorted_distinct, union_counts
+from repro.sketch.hashing import HashFamily, HashMatrix
 
 CM_WIDTH = 128
 CM_DEPTH = 4
@@ -74,10 +74,9 @@ def entropy(counts: np.ndarray) -> float:
 
 
 def make_snapshot(values: np.ndarray, seed: int):
-    hash_fn = HashFamily(bins=BINS, seed=seed).take(1)[0]
-    histogram = HashedHistogram(hash_fn)
-    histogram.update(values)
-    return histogram.snapshot()
+    hashes = HashMatrix([HashFamily(bins=BINS, seed=seed).take(1)])
+    (snapshot,) = clone_snapshots(hashes, *sorted_distinct(values))
+    return snapshot
 
 
 def make_digest(values: np.ndarray, seed: int, site: str) -> IntervalDigest:
@@ -167,15 +166,6 @@ def test_union_counts_equals_unique_of_the_concatenation(a, b):
     assert union.dtype == np.uint64
     assert np.array_equal(union, unique)
     assert np.array_equal(counts, truth)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=edge_arrays, b=edge_arrays)
-def test_sorted_union_equals_union1d(a, b):
-    left, right = np.unique(a), np.unique(b)
-    union = sorted_union(left, right)
-    assert union.dtype == np.uint64
-    assert np.array_equal(union, np.union1d(left, right))
 
 
 def chunked(values: np.ndarray, cuts: list[int]) -> list[np.ndarray]:
@@ -379,6 +369,39 @@ def test_derived_clones_equal_a_clone_set(values, seed):
         assert mine.hash_fn == theirs.hash_fn
         assert np.array_equal(mine.counts, theirs.counts)
         assert np.array_equal(mine.observed, theirs.observed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.lists(values_arrays, min_size=1, max_size=4),
+    clones=st.integers(min_value=1, max_value=3),
+    seed=seeds,
+)
+def test_feature_block_equals_one_call_per_feature(columns, clones, seed):
+    """Binning ``F`` features in one call is, row for row, binning each
+    feature alone by its own column of hash functions."""
+    family = HashFamily(bins=BINS, seed=seed)
+    hashes = HashMatrix([family.take(clones) for _ in columns])
+    value_counts = [sorted_distinct(column) for column in columns]
+    block = clone_counts(hashes, value_counts)
+    for f, column in enumerate(value_counts):
+        alone = clone_counts(HashMatrix([hashes.columns[f]]), [column])
+        assert np.array_equal(block[f], alone[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=values_arrays,
+    wanted=st.lists(st.integers(min_value=0, max_value=BINS - 1), max_size=8),
+    seed=seeds,
+)
+def test_back_map_answers_the_observed_values_in_the_bins(values, wanted, seed):
+    snapshot = make_snapshot(values, seed)
+    found = snapshot.values_in_bins(wanted)
+    expected = [
+        v for v in np.unique(values).tolist() if snapshot.hash_fn(v) in wanted
+    ]
+    assert found.tolist() == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,6 @@ from repro.errors import SketchError
 from repro.sketch.cloning import CloneSet
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.hashing import MERSENNE_PRIME, HashFamily, hash_rows
-from repro.sketch.histogram import HashedHistogram
 from tests.sketch.reference import reference_hash_array
 
 
@@ -30,10 +29,7 @@ def test_clone_set_equals_per_clone_histograms(rng, bins):
     clones = CloneSet(clones=4, bins=bins, seed=11)
     clones.update(values)
     for clone, fn in zip(clones, HashFamily(bins, seed=11).take(4)):
-        alone = HashedHistogram(fn)
-        alone.update(values)
-        assert np.array_equal(clone.counts, alone.counts)
-        assert np.array_equal(clone.observed, alone.observed_values())
+        assert np.array_equal(clone.observed, np.unique(values))
         expected = np.bincount(
             reference_hash_array(fn, values), minlength=bins
         )

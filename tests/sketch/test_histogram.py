@@ -1,145 +1,168 @@
-"""Unit tests for hashed histograms and snapshots."""
+"""Unit tests for clone histogram snapshots."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.sketch.hashing import HashFamily
-from repro.sketch.histogram import HashedHistogram, HistogramSnapshot
+from repro.sketch.cloning import clone_snapshots
+from repro.sketch.distinct import sorted_distinct
+from repro.sketch.hashing import HashFamily, HashMatrix
+from repro.sketch.histogram import HistogramSnapshot, values_in_bins
 
 
 @pytest.fixture()
-def histogram():
-    fn = HashFamily(bins=32, seed=7).fresh()
-    return HashedHistogram(fn)
+def hash_fn():
+    return HashFamily(bins=32, seed=7).fresh()
 
 
-class TestHashedHistogram:
-    def test_update_counts_total(self, histogram):
-        histogram.update(np.array([1, 2, 3, 1, 1], dtype=np.uint64))
-        assert histogram.total == 5.0
+def _snapshot(hash_fn, values):
+    """One clone's snapshot of an interval whose feature column is
+    ``values``."""
+    column = np.asarray(values, dtype=np.uint64)
+    hashes = HashMatrix([[hash_fn]])
+    (snap,) = clone_snapshots(hashes, *sorted_distinct(column))
+    return snap
 
-    def test_counts_land_in_hashed_bins(self, histogram):
-        histogram.update(np.array([42], dtype=np.uint64))
-        expected_bin = histogram.hash_fn(42)
-        assert histogram.counts[expected_bin] == 1.0
 
-    def test_observed_values_distinct(self, histogram):
-        histogram.update(np.array([5, 5, 6], dtype=np.uint64))
-        assert sorted(histogram.observed_values()) == [5, 6]
+class TestBinning:
+    """A clone's snapshot of an interval bins every flow by the hash of
+    its feature value."""
 
-    def test_reset_clears_state(self, histogram):
-        histogram.update(np.array([1, 2], dtype=np.uint64))
-        histogram.reset()
-        assert histogram.total == 0.0
-        assert len(histogram.observed_values()) == 0
+    def test_total_counts_every_flow(self, hash_fn):
+        assert _snapshot(hash_fn, [1, 2, 3, 1, 1]).total == 5.0
 
-    def test_update_empty_is_noop(self, histogram):
-        histogram.update(np.array([], dtype=np.uint64))
-        assert histogram.total == 0.0
+    def test_counts_land_in_hashed_bins(self, hash_fn):
+        snap = _snapshot(hash_fn, [42])
+        expected = np.zeros(hash_fn.bins)
+        expected[hash_fn(42)] = 1.0
+        assert np.array_equal(snap.counts, expected)
 
-    def test_values_in_bins_back_map(self, histogram):
-        values = np.arange(100, dtype=np.uint64)
-        histogram.update(values)
-        target_bin = histogram.hash_fn(17)
-        found = histogram.values_in_bins([target_bin])
-        assert 17 in found
-        assert all(histogram.hash_fn(int(v)) == target_bin for v in found)
+    def test_repeated_value_adds_its_flow_count(self, hash_fn):
+        snap = _snapshot(hash_fn, [9, 9, 9])
+        assert snap.counts[hash_fn(9)] == 3.0
 
-    def test_values_in_bins_empty_request(self, histogram):
-        histogram.update(np.array([1], dtype=np.uint64))
-        assert len(histogram.values_in_bins([])) == 0
+    def test_observed_values_distinct(self, hash_fn):
+        assert _snapshot(hash_fn, [5, 5, 6]).observed.tolist() == [5, 6]
 
-    def test_values_in_bins_range_checked(self, histogram):
-        histogram.update(np.array([1], dtype=np.uint64))
-        with pytest.raises(ConfigError):
-            histogram.values_in_bins([99])
+    def test_empty_interval_is_an_empty_snapshot(self, hash_fn):
+        snap = _snapshot(hash_fn, [])
+        assert snap.total == 0.0
+        assert snap.counts.tolist() == [0.0] * hash_fn.bins
+        assert snap.observed.size == 0
 
-    def test_distribution_sums_to_one(self, histogram):
-        histogram.update(np.arange(50, dtype=np.uint64))
-        assert histogram.distribution().sum() == pytest.approx(1.0)
-        assert histogram.distribution(pseudocount=0.5).sum() == pytest.approx(1.0)
+    def test_bins_follow_the_hash(self, hash_fn):
+        assert _snapshot(hash_fn, [1]).bins == hash_fn.bins == 32
 
-    def test_distribution_of_empty_histogram_is_uniform(self, histogram):
-        dist = histogram.distribution()
-        assert np.allclose(dist, 1.0 / histogram.bins)
 
-    def test_negative_pseudocount_rejected(self, histogram):
-        with pytest.raises(ConfigError):
-            histogram.distribution(pseudocount=-0.1)
+class TestValuesInBins:
+    """The bin->values back-map every snapshot answers through."""
 
-    def test_counts_property_is_copy(self, histogram):
-        histogram.update(np.array([1], dtype=np.uint64))
-        counts = histogram.counts
-        counts[:] = 0
-        assert histogram.total == 1.0
+    def test_back_map_is_complete(self, hash_fn):
+        observed = np.arange(100, dtype=np.uint64)
+        target = hash_fn(17)
+        found = values_in_bins(hash_fn, observed, [target])
+        expected = [v for v in range(100) if hash_fn(v) == target]
+        assert found.tolist() == expected
+
+    def test_several_bins_answer_their_union(self, hash_fn):
+        observed = np.arange(100, dtype=np.uint64)
+        bins = [hash_fn(3), hash_fn(50)]
+        found = values_in_bins(hash_fn, observed, np.array(bins))
+        expected = [v for v in range(100) if hash_fn(v) in bins]
+        assert found.tolist() == expected
+
+    def test_empty_request(self, hash_fn):
+        found = values_in_bins(hash_fn, np.arange(4, dtype=np.uint64), [])
+        assert found.dtype == np.uint64 and found.size == 0
+
+    def test_nothing_observed(self, hash_fn):
+        found = values_in_bins(hash_fn, np.empty(0, dtype=np.uint64), [0])
+        assert found.dtype == np.uint64 and found.size == 0
+
+    def test_range_checked(self, hash_fn):
+        observed = np.array([1], dtype=np.uint64)
+        with pytest.raises(ConfigError, match="out of range"):
+            values_in_bins(hash_fn, observed, [99])
 
 
 class TestSnapshot:
-    def test_snapshot_freezes_state(self, histogram):
-        histogram.update(np.array([1, 2, 3], dtype=np.uint64))
-        snap = histogram.snapshot()
-        histogram.reset()
-        assert snap.total == 3.0
-        assert len(snap.observed) == 3
+    def test_snapshot_freezes_state(self, hash_fn):
+        column = np.array([42, 1, 2, 3, 42], dtype=np.uint64)
+        snap = _snapshot(hash_fn, column)
+        assert snap.total == 5.0
+        assert snap.observed.tolist() == [1, 2, 3, 42]
+        expected = np.bincount(hash_fn.hash_array(column), minlength=32)
+        assert np.array_equal(snap.counts, expected)
 
-    def test_snapshot_counts_read_only(self, histogram):
-        histogram.update(np.array([1], dtype=np.uint64))
-        snap = histogram.snapshot()
+    def test_snapshot_counts_read_only(self, hash_fn):
+        snap = _snapshot(hash_fn, [1])
         with pytest.raises(ValueError):
             snap.counts[0] = 5
 
-    def test_snapshot_values_in_bins(self, histogram):
-        histogram.update(np.arange(64, dtype=np.uint64))
-        snap = histogram.snapshot()
+    def test_snapshot_values_in_bins(self, hash_fn):
+        snap = _snapshot(hash_fn, np.arange(64))
         bin_of_7 = snap.hash_fn(7)
-        assert 7 in snap.values_in_bins([bin_of_7])
+        found = snap.values_in_bins([bin_of_7])
+        assert 7 in found
+        assert all(hash_fn(int(v)) == bin_of_7 for v in found)
+        assert len(snap.values_in_bins([])) == 0
 
-    def test_snapshot_values_in_bins_range_checked(self, histogram):
-        """One back-map body: the snapshot refuses an out-of-range bin
-        like the live histogram does, instead of answering "nothing"."""
-        histogram.update(np.array([1], dtype=np.uint64))
-        snap = histogram.snapshot()
+    def test_snapshot_values_in_bins_range_checked(self, hash_fn):
+        """One back-map body: an out-of-range bin is refused instead of
+        answering "nothing"."""
+        snap = _snapshot(hash_fn, [1])
         with pytest.raises(ConfigError, match="out of range"):
-            snap.values_in_bins([histogram.bins])
+            snap.values_in_bins([hash_fn.bins])
         with pytest.raises(ConfigError, match="out of range"):
             snap.values_in_bins([-1])
 
-    def test_snapshot_survives_later_updates_and_reset(self, histogram):
-        histogram.update(np.array([3, 1, 3], dtype=np.uint64))
-        snap = histogram.snapshot()
+    def test_snapshot_survives_later_binnings(self, hash_fn):
+        snap = _snapshot(hash_fn, [3, 1, 3])
         counts, observed = snap.counts.copy(), snap.observed.copy()
-        histogram.update(np.array([9, 1], dtype=np.uint64))
-        histogram.reset()
-        histogram.update(np.array([4], dtype=np.uint64))
+        _snapshot(hash_fn, [9, 1])
+        _snapshot(hash_fn, [4])
         assert np.array_equal(snap.counts, counts)
         assert snap.observed.tolist() == observed.tolist() == [1, 3]
 
-    def test_snapshot_copies_a_writable_observed_array(self, histogram):
+    def test_snapshot_copies_a_writable_observed_array(self, hash_fn):
         observed = np.array([1, 2], dtype=np.uint64)
-        snap = HistogramSnapshot(
-            histogram.hash_fn, np.zeros(histogram.bins), observed
-        )
+        snap = HistogramSnapshot(hash_fn, np.zeros(hash_fn.bins), observed)
         observed[0] = 99
         assert snap.observed.tolist() == [1, 2]
         with pytest.raises(ValueError):
             snap.observed[0] = 5
 
-    def test_snapshot_shares_a_read_only_observed_array(self, histogram):
+    def test_snapshot_shares_a_read_only_observed_array(self, hash_fn):
         """The clones of a feature hold one observed set: a read-only
         array is adopted as it is, not copied."""
         observed = np.array([1, 2], dtype=np.uint64)
         observed.setflags(write=False)
         snaps = [
-            HistogramSnapshot(histogram.hash_fn, np.zeros(histogram.bins), observed)
+            HistogramSnapshot(hash_fn, np.zeros(hash_fn.bins), observed)
             for _ in range(3)
         ]
         assert all(snap.observed is observed for snap in snaps)
 
-    def test_length_mismatch_rejected(self, histogram):
+    def test_snapshot_shares_a_read_only_counts_row(self, hash_fn):
+        """A clone's counts are a row of the read-only binning block:
+        adopted as they are, not copied."""
+        counts = np.zeros(hash_fn.bins)
+        counts.setflags(write=False)
+        snap = HistogramSnapshot(hash_fn, counts, np.empty(0, np.uint64))
+        assert snap.counts is counts
+
+    def test_snapshot_copies_writable_counts_as_float64(self, hash_fn):
+        counts = np.ones(hash_fn.bins, dtype=np.int64)
+        snap = HistogramSnapshot(hash_fn, counts, np.empty(0, np.uint64))
+        counts[0] = 7
+        assert snap.counts.dtype == np.float64
+        assert snap.counts[0] == 1.0
+        assert not snap.counts.flags.writeable
+
+    def test_length_mismatch_rejected(self, hash_fn):
         with pytest.raises(ConfigError):
             HistogramSnapshot(
-                histogram.hash_fn,
+                hash_fn,
                 counts=np.zeros(3),
                 observed=np.array([], dtype=np.uint64),
             )
