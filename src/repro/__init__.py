@@ -33,8 +33,8 @@ from repro.core import (
     ExtractionResult,
     IncidentSettings,
     MiningSettings,
+    StreamExtraction,
     StreamingSettings,
-    TraceExtraction,
     suggest_min_support,
 )
 from repro.detection import DetectorBank, DetectorConfig, Feature, Metadata
@@ -67,7 +67,7 @@ __all__ = [
     "IncidentSettings",
     "ExtractionReport",
     "ExtractionResult",
-    "TraceExtraction",
+    "StreamExtraction",
     "suggest_min_support",
     "DetectorBank",
     "DetectorConfig",

@@ -2,8 +2,9 @@
 
 Eight verbs cover the paper's workflow end to end:
 
-* :func:`extract` - batch extraction over a trace (file or
-  :class:`~repro.flows.table.FlowTable`);
+* :func:`extract` - extraction over a stored trace (file or
+  :class:`~repro.flows.table.FlowTable`), fed to a session interval by
+  interval;
 * :func:`stream` - the same pipeline chunk-by-chunk with bounded
   memory;
 * :func:`session` - the push-based execution surface underneath both:
@@ -60,7 +61,6 @@ from repro.core.pipeline import (
     ExtractionResult,
     IntervalSink,
     ReportSink,
-    TraceExtraction,
     default_observers,
 )
 from repro.core.report import ExtractionReport, TriagedItemset
@@ -69,6 +69,7 @@ from repro.core.session import (
     StreamExtraction,
     open_session,
     run_session,
+    run_trace,
 )
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import (
@@ -80,6 +81,7 @@ from repro.detection.features import (
 from repro.errors import (
     CheckpointError,
     ConfigError,
+    ExtractionError,
     FederationError,
     ReproError,
     ServiceError,
@@ -148,7 +150,6 @@ __all__ = [
     "StreamingSettings",
     "IncidentSettings",
     "ExtractionResult",
-    "TraceExtraction",
     "StreamExtraction",
     "ExtractionReport",
     "TriagedItemset",
@@ -291,7 +292,7 @@ def session(
     closing it (use it as a context manager) releases the incident
     store even when a mid-feed chunk raised::
 
-        with repro.session(mode="stream", min_support=500) as s:
+        with repro.session(min_support=500) as s:
             for chunk in repro.iter_csv("trace.csv"):
                 for extraction in s.feed(chunk):
                     print(extraction.render())
@@ -300,9 +301,9 @@ def session(
     Args:
         config: config object / nested dict / TOML path (see
             :func:`resolve_config`).
-        mode: "batch" (results at ``finish()``, equivalent to
-            :func:`extract`) or "stream" (incremental results from
-            ``feed()``, equivalent to :func:`stream`).
+        mode: "stream", the one session mode (results from
+            ``feed()`` as intervals close); a stored trace runs
+            through :func:`extract`.
         interval_seconds / origin / seed / sink: as in :func:`extract`.
         keep_reports: retain per-interval detector reports (set False
             for unbounded streams).
@@ -314,12 +315,16 @@ def session(
             tracer unless ``[obs] trace_path`` is set).
         **overrides: flat or grouped config fields.
     """
+    if mode != "stream":
+        raise ExtractionError(
+            f"unknown session mode {mode!r}: a session streams; run a "
+            f"whole trace through api.extract"
+        )
     return open_session(
         resolve_config(config, **overrides),
         seed=seed,
         metrics=metrics,
         tracer=tracer,
-        mode=mode,
         interval_seconds=interval_seconds,
         origin=origin,
         sink=sink,
@@ -338,8 +343,12 @@ def extract(
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
     **overrides: object,
-) -> TraceExtraction:
-    """Run the full batch pipeline (Fig. 3) over a trace.
+) -> StreamExtraction:
+    """Run the full pipeline (Fig. 3) over a stored trace: a session
+    fed the trace's intervals in order.
+
+    Every interval is mined on its own and every extraction is kept,
+    whatever the config's ``[streaming]`` table says.
 
     Args:
         trace: a :class:`FlowTable` or a ``.npz`` / ``.csv`` path
@@ -359,24 +368,22 @@ def extract(
             ``min_support=500``, ``miner="fpgrowth"``.
 
     Returns:
-        The :class:`TraceExtraction` with one
+        The :class:`StreamExtraction` with one
         :class:`ExtractionResult` per alarmed interval.
     """
     flows = _load_flows(trace)
-    with session(
-        config,
-        mode="batch",
-        interval_seconds=interval_seconds,
-        origin=origin,
+    with open_session(
+        resolve_config(config, **overrides).replace(
+            streaming=StreamingSettings()
+        ),
         seed=seed,
-        sink=sink,
         metrics=metrics,
         tracer=tracer,
-        **overrides,
+        interval_seconds=interval_seconds,
+        origin=origin,
+        sink=sink,
     ) as opened:
-        result = run_session(opened, [flows])
-    assert isinstance(result, TraceExtraction)
-    return result
+        return run_trace(opened, flows)
 
 
 def stream(
@@ -399,11 +406,11 @@ def stream(
 
     ``source`` is a ``.csv`` path (streamed via
     :func:`~repro.flows.io.iter_csv`) or any iterable of
-    :class:`FlowTable` chunks.  With default settings the result is
-    batch-equivalent; see :func:`session` for the incremental API
-    (``feed`` / ``flush`` / ``finish``) and the retention knobs
-    (``keep_reports`` here, ``streaming.keep_extractions`` in the
-    config).
+    :class:`FlowTable` chunks.  With default settings a time-ordered
+    stream's result equals :func:`extract`'s; see :func:`session` for
+    the incremental API (``feed`` / ``flush`` / ``finish``) and the
+    retention knobs (``keep_reports`` here,
+    ``streaming.keep_extractions`` in the config).
 
     Returns:
         The :class:`StreamExtraction` summary (counters always
@@ -425,7 +432,6 @@ def stream(
         chunks = source
     with session(
         config,
-        mode="stream",
         interval_seconds=interval_seconds,
         origin=origin,
         seed=seed,
@@ -435,9 +441,7 @@ def stream(
         tracer=tracer,
         **overrides,
     ) as opened:
-        result = run_session(opened, chunks)
-    assert isinstance(result, StreamExtraction)
-    return result
+        return run_session(opened, chunks)
 
 
 def open_fleet(
@@ -448,7 +452,6 @@ def open_fleet(
     ) = None,
     route: str | None = None,
     store_dir: str | os.PathLike[str] | None = None,
-    mode: str = "stream",
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     origin: float = 0.0,
     seed: int = 0,
@@ -484,7 +487,7 @@ def open_fleet(
             a mapping of name -> per-pipeline section-override dict /
             :class:`ExtractionConfig` / ``None`` (= base).  ``None``
             uses the config file's ``[fleet.pipelines.*]`` tables.
-        route / store_dir / mode / interval_seconds / origin / seed /
+        route / store_dir / interval_seconds / origin / seed /
             keep_reports: see :class:`FleetManager`.
         **overrides: flat or grouped base-config fields
             (``min_support=500``, ``miner="eclat"``, ...).
@@ -536,7 +539,6 @@ def open_fleet(
         configs,
         route=route,
         store_dir=store_dir,
-        mode=mode,
         interval_seconds=interval_seconds,
         origin=origin,
         seed=seed,

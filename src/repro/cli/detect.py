@@ -29,7 +29,7 @@ def run(args: argparse.Namespace) -> int:
     # Detection persists nothing: no store, telemetry file or tracer is
     # opened, whatever the run config's [incidents]/[obs] tables say.
     with api.session(
-        run_config(args), mode="batch", seed=args.seed,
+        run_config(args), seed=args.seed,
         store_path=None, obs_enabled=False, trace_path=None,
     ) as session:
         run_ = session.extractor.detector_bank.run(

@@ -1,5 +1,6 @@
-"""``repro-extract extract`` - the full batch extraction pipeline: the
-argv shell over a batch-mode :func:`repro.api.session`."""
+"""``repro-extract extract`` - the full extraction pipeline over a
+stored trace: the argv shell over the session :func:`repro.api.extract`
+runs."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from repro.cli._common import (
     write_metrics,
     write_trace,
 )
+from repro.core.session import run_trace
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -38,12 +40,13 @@ def run(args: argparse.Namespace) -> int:
     run_cfg = run_config(args)
     with api.session(
         run_cfg,
-        mode="batch",
+        # What api.extract pins: every interval mined on its own, every
+        # extraction kept, whatever the config's [streaming] table says.
+        streaming=api.StreamingSettings(),
         seed=args.seed,
         interval_seconds=args.interval_seconds,
     ) as session:
-        session.feed(flows)
-        extractions = session.finish().extractions
+        extractions = run_trace(session, flows).extractions
     if args.format == "json":
         for extraction in extractions:
             # The report the store received, not a rebuilt one.

@@ -14,7 +14,6 @@ from repro.core.pipeline import (
     ExtractionResult,
     IntervalSink,
     ReportSink,
-    TraceExtraction,
     suggest_min_support,
 )
 from repro.core.prefilter import PrefilterResult, prefilter
@@ -27,7 +26,6 @@ from repro.core.report import (
     triage_all,
 )
 from repro.core.session import (
-    SESSION_MODES,
     ExtractionSession,
     StreamExtraction,
     run_session,
@@ -47,11 +45,9 @@ __all__ = [
     "ExtractionResult",
     "IntervalSink",
     "ReportSink",
-    "TraceExtraction",
     "suggest_min_support",
     "PrefilterResult",
     "prefilter",
-    "SESSION_MODES",
     "ExtractionSession",
     "StreamExtraction",
     "run_session",

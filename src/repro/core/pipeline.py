@@ -17,7 +17,7 @@ fashion").
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import Protocol, runtime_checkable
 
@@ -26,7 +26,7 @@ from repro.core.cost import cost_reduction
 from repro.core.prefilter import PrefilterResult, prefilter
 from repro.core.report import ExtractionReport, render_itemset_table
 from repro.detection.features import Feature
-from repro.detection.manager import DetectionRun, DetectorBank
+from repro.detection.manager import DetectorBank
 from repro.detection.metadata import Metadata
 from repro.errors import ExtractionError
 from repro.flows.table import FlowTable
@@ -122,27 +122,6 @@ class ExtractionResult:
             lines.append(f"alarmed features: {alarmed}")
         lines.append(render_itemset_table(self.mining.itemsets))
         return "\n".join(lines)
-
-
-@dataclass
-class TraceExtraction:
-    """Result of running the extractor over a whole trace."""
-
-    extractions: list[ExtractionResult] = field(default_factory=list)
-    detection: DetectionRun | None = None
-    #: Flows dropped as late.  Always 0 here - batch windowing sees the
-    #: whole trace at once - but mirrored from
-    #: :class:`~repro.core.session.StreamExtraction` so a caller holding
-    #: either result (``FleetManager.finish()`` returns one per
-    #: pipeline) reads the same counters.
-    late_dropped: int = 0
-    #: ``late_dropped == late_dropped_pre_origin + late_dropped_closed``.
-    late_dropped_pre_origin: int = 0
-    late_dropped_closed: int = 0
-
-    @property
-    def flagged_intervals(self) -> list[int]:
-        return [e.interval for e in self.extractions]
 
 
 def default_observers(

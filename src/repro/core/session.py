@@ -4,9 +4,9 @@ The paper's Fig. 3 is one pipeline, and this module holds its one
 per-interval orchestration - :meth:`IntervalSpine.step`::
 
     sources (closed intervals)        step                    sinks
-    batch windowing    --+                               +--> incident store
-    IntervalAssembler  --+--> detect -> gate -> extract -+--> JSONL / memory
-    Federator merge    --+        -> report -> age       +--> metrics trail
+    IntervalAssembler  --+--> detect -> gate -> extract -+--> incident store
+    Federator merge    --+        -> report -> age       +--> JSONL / memory
+                                                         +--> metrics trail
 
 The step owns everything that is not input-specific: the interval /
 flow / alarm / extraction counters, the ``stage.detection`` /
@@ -19,24 +19,17 @@ two-method :class:`IntervalInput` protocol: :class:`FlowInterval` here
 :class:`~repro.federation.federator.MergedInterval` (merged digests:
 exact single-item supports).
 
-:class:`ExtractionSession` adds the two flow *sources* on top:
+:class:`ExtractionSession` adds the flow *source* on top: chunks go
+through an :class:`~repro.streaming.assembler.IntervalAssembler`;
+completed intervals are stepped as the watermark releases them, results
+return from :meth:`feed` incrementally, and :meth:`finish` drains the
+tail and returns a :class:`StreamExtraction` summary.  A stored trace
+is the same run: :func:`repro.api.extract` feeds the session the
+trace's intervals in order.
 
-* ``mode="batch"`` - :meth:`ExtractionSession.feed` accumulates chunks;
-  :meth:`ExtractionSession.finish` windows the whole trace with
-  :func:`~repro.flows.stream.iter_intervals` and steps every interval,
-  returning a :class:`~repro.core.pipeline.TraceExtraction`.
-* ``mode="stream"`` - chunks go through an
-  :class:`~repro.streaming.assembler.IntervalAssembler`; completed
-  intervals are stepped as the watermark releases them, results return
-  from :meth:`feed` incrementally, and :meth:`finish` drains the tail
-  and returns a :class:`StreamExtraction` summary.
-
-Sessions are context managers.  Created via
-:meth:`AnomalyExtractor.session` they *borrow* the extractor (closing
-the session leaves it open); created via :func:`repro.api.session`
-they *own* it, and ``close()`` releases the extractor's incident store
-even when a mid-feed chunk raised (the ``with`` block guarantees the
-call).
+Sessions are context managers that *own* their extractor: ``close()``
+releases its incident store even when a mid-feed chunk raised (the
+``with`` block guarantees the call).
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ from repro.core.pipeline import (
     AnomalyExtractor,
     ExtractionResult,
     ReportSink,
-    TraceExtraction,
     notify_sink_interval,
 )
 from repro.core.prefilter import PrefilterResult, prefilter
@@ -75,13 +67,10 @@ from repro.state import count, listof, mapping, optional, read_fields, text
 if TYPE_CHECKING:
     from repro.streaming.assembler import IntervalAssembler
 
-#: The two execution modes a session can run in.
-SESSION_MODES = ("batch", "stream")
-
 
 @dataclass
 class StreamExtraction:
-    """Everything a finished (or flushed) streaming run produced."""
+    """Everything a finished (or flushed) run produced."""
 
     extractions: list[ExtractionResult] = field(default_factory=list)
     detection: DetectionRun | None = None
@@ -399,12 +388,9 @@ class ExtractionSession(IntervalSpine):
         extractor: the :class:`AnomalyExtractor` whose detector bank
             and store the session drives - and owns: :meth:`close`
             releases them (:func:`open_session` builds both together).
-        mode: "batch" (results at :meth:`finish`, whole-trace
-            windowing) or "stream" (incremental results from
-            :meth:`feed`, watermark windowing).
         interval_seconds: measurement interval length ``L``.
-        origin: time of interval 0 (streaming cannot infer it; the
-            batch drivers default to 0.0).
+        origin: time of interval 0 (a stream cannot infer it; the
+            drivers default to 0.0).
         sink: optional report sink (anything with
             ``append(ExtractionReport)``); defaults to the extractor's
             open incident store, when one is configured.
@@ -413,41 +399,37 @@ class ExtractionSession(IntervalSpine):
             :class:`~repro.detection.manager.DetectionRun`.  Set False
             for unbounded streams; memory stays flat and
             ``result().detection`` is ``None``.
-
-    In batch mode every interval is mined on its own (the
-    sliding-window knob only applies to streams) and every extraction
-    is retained regardless of ``streaming.keep_extractions`` (the
-    caller holds the whole trace in memory anyway).
     """
 
     def __init__(
         self,
         extractor: AnomalyExtractor,
-        mode: str = "stream",
         interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
         origin: float = 0.0,
         sink: ReportSink | None = None,
         keep_reports: bool = True,
     ):
-        if mode not in SESSION_MODES:
-            raise ExtractionError(
-                f"unknown session mode {mode!r}; "
-                f"choose from {SESSION_MODES}"
-            )
-        if mode == "batch" and interval_seconds <= 0:
-            raise ExtractionError(
-                f"interval length must be positive: {interval_seconds}"
-            )
-        self.mode = mode
+        # Imported lazily: repro.streaming itself imports this module,
+        # and a module-level import would close the cycle.
+        from repro.streaming.assembler import IntervalAssembler
+
         self.config = extractor.config
+        # Built first: it refuses a bad interval grid before the
+        # session opens a span or a telemetry file.
+        self.assembler: IntervalAssembler = IntervalAssembler(
+            interval_seconds,
+            origin=origin,
+            max_delay_seconds=self.config.max_delay_seconds,
+            max_pending_intervals=self.config.max_pending_intervals,
+            instruments=extractor.instruments,
+            tracer=extractor.tracer,
+        )
         # The run's root span: parents under the ambient span when one
         # is active (the fleet's root), else starts a new trace.  Ended
         # at finish()/close(), re-activated around every feed so the
         # per-interval trees nest under it.
         self._span = extractor.tracer.span(
-            "session.run",
-            mode=mode,
-            pipeline=extractor.instruments.pipeline,
+            "session.run", pipeline=extractor.instruments.pipeline
         )
         if sink is None:
             sink = extractor.store
@@ -473,18 +455,12 @@ class ExtractionSession(IntervalSpine):
             origin=origin,
             sink=sink,
             keep_reports=keep_reports,
-            # Batch mode retains everything.
-            keep_extractions=(
-                mode == "batch" or self.config.keep_extractions
-            ),
+            keep_extractions=self.config.keep_extractions,
         )
         self._closed = False
         self._finished = False
-        #: Batch mode: chunks held until :meth:`finish` windows them.
-        self._pending: list[FlowTable] = []
-        self.assembler: IntervalAssembler | None = None
-        #: Sliding-window state of the flow input (stream mode with
-        #: ``window_intervals > 1``): the miner, and the raw
+        #: Sliding-window state of the flow input
+        #: (``window_intervals > 1``): the miner, and the raw
         #: per-interval sizes of the current window, mirroring the
         #: miner's batches, so window-mode reports can state the true
         #: input-flow count.
@@ -494,26 +470,13 @@ class ExtractionSession(IntervalSpine):
         )
         self.windows_mined = 0
         self.windows_skipped = 0
-        if mode == "stream":
-            # Imported lazily: repro.streaming itself imports this
-            # module, and a module-level import would close the cycle.
-            from repro.streaming.assembler import IntervalAssembler
-
-            self.assembler = IntervalAssembler(
-                interval_seconds,
-                origin=origin,
-                max_delay_seconds=self.config.max_delay_seconds,
-                max_pending_intervals=self.config.max_pending_intervals,
-                instruments=extractor.instruments,
-                tracer=self._tracer,
+        if self.config.window_intervals > 1:
+            self._window_miner = SlidingWindowMiner(
+                window=self.config.window_intervals,
+                min_support=self.config.min_support,
+                miner=lookup("miner", miners, self.config.miner),
+                maximal_only=self.config.maximal_only,
             )
-            if self.config.window_intervals > 1:
-                self._window_miner = SlidingWindowMiner(
-                    window=self.config.window_intervals,
-                    min_support=self.config.min_support,
-                    miner=lookup("miner", miners, self.config.miner),
-                    maximal_only=self.config.maximal_only,
-                )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -571,19 +534,10 @@ class ExtractionSession(IntervalSpine):
     # Feeding
     # ------------------------------------------------------------------
     def feed(self, chunk: FlowTable) -> list[ExtractionResult]:
-        """Push one chunk of flows into the pipeline.
-
-        Stream mode returns the extractions of the intervals the chunk
-        completed (most chunks complete none or one); batch mode
-        accumulates and always returns ``[]`` - results come from
-        :meth:`finish`.
-        """
+        """Push one chunk of flows into the pipeline; returns the
+        extractions of the intervals the chunk completed (most chunks
+        complete none or one)."""
         self._check_open("feed")
-        if self.mode == "batch":
-            if len(chunk):
-                self._pending.append(chunk)
-            return []
-        assert self.assembler is not None
         with self._span.active(), time_stage(
             self._extractor.instruments.stage_binning
         ), self._tracer.span("stage.binning", rows=len(chunk)):
@@ -591,94 +545,36 @@ class ExtractionSession(IntervalSpine):
         return self._step_views(views)
 
     def flush(self) -> list[ExtractionResult]:
-        """Drain what can be drained without ending the session.
-
-        Stream mode emits the trailing intervals kept open by the
-        lateness allowance and returns their extractions.  Batch mode
-        returns ``[]`` and keeps accumulating: its windowing needs the
-        whole trace, and draining mid-run would re-window later feeds
-        from the origin, replaying already-observed intervals through
-        the detectors - batch results come from :meth:`finish`.
-        """
+        """Emit the trailing intervals kept open by the lateness
+        allowance and return their extractions, without ending the
+        session."""
         self._check_open("flush")
-        if self.mode == "batch":
-            return []
-        assert self.assembler is not None
         with self._span.active(), time_stage(
             self._extractor.instruments.stage_binning
         ), self._tracer.span("stage.binning", rows=0):
             views = self.assembler.flush()
         return self._step_views(views)
 
-    def finish(self) -> TraceExtraction | StreamExtraction:
+    def finish(self) -> StreamExtraction:
         """Flush, seal the session, and return the run's result.
 
-        Batch sessions return a :class:`TraceExtraction`, stream
-        sessions a :class:`StreamExtraction`.  Further :meth:`feed`
-        calls raise; :meth:`result` stays readable.
+        Further :meth:`feed` calls raise; :meth:`result` stays
+        readable.
         """
         self._check_open("finish")
-        if self.mode == "batch":
-            self._drain_batch()
-        else:
-            self.flush()
+        self.flush()
         self._finished = True
         self._span.end()
         return self.result()
 
-    def _drain_batch(self) -> list[ExtractionResult]:
-        if not self._pending:
-            return []
-        trace = (
-            self._pending[0]
-            if len(self._pending) == 1
-            else FlowTable.concat(self._pending)
-        )
-        self._pending = []
-        # The generator is consumed one view at a time - each interval's
-        # copied FlowTable dies before the next is built, so peak memory
-        # holds the trace plus ONE interval.
-        return self._step_views(
-            self._timed_views(
-                iter_intervals(
-                    trace,
-                    self.interval_seconds,
-                    origin=self.origin,
-                    include_empty=True,
-                )
-            )
-        )
-
-    def _timed_views(
-        self, views: Iterable[IntervalView]
-    ) -> Iterable[IntervalView]:
-        """Attribute generator-advance time (the batch path's windowing
-        work) to the ``binning`` stage, one observation per interval."""
-        binning = self._extractor.instruments.stage_binning
-        it = iter(views)
-        while True:
-            with time_stage(binning) as span, self._tracer.span(
-                "stage.binning"
-            ):
-                view = next(it, None)
-                if view is None:
-                    span.cancel()
-                    return
-            yield view
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def result(self) -> TraceExtraction | StreamExtraction:
+    def result(self) -> StreamExtraction:
         """Snapshot of the run so far (callable mid-stream)."""
         detection = None
         if self.keep_reports:
             detection = self._extractor.detector_bank.detection_run()
-        if self.mode == "batch":
-            return TraceExtraction(
-                extractions=list(self.extractions), detection=detection
-            )
-        assert self.assembler is not None
         return StreamExtraction(
             extractions=list(self.extractions),
             detection=detection,
@@ -696,7 +592,7 @@ class ExtractionSession(IntervalSpine):
     # Checkpointing
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
-        """JSON-safe snapshot of a stream session's resume state.
+        """JSON-safe snapshot of the session's resume state.
 
         Covers everything a resumed process needs to continue the
         stream byte-identically: the assembler's pending bins and
@@ -706,15 +602,10 @@ class ExtractionSession(IntervalSpine):
         serialized - they are post-hoc conveniences, and the durable
         record of emitted reports is the sink (incident store).
         """
-        if self.mode != "stream":
-            raise CheckpointError(
-                "only stream sessions checkpoint: batch mode holds the "
-                "whole trace and re-runs from scratch"
-            )
         self._check_open("checkpoint")
-        assert self.assembler is not None
         return {
-            "mode": self.mode,
+            # The one session mode; the document still names it.
+            "mode": "stream",
             "assembler": self.assembler.to_state(),
             "window_miner": (
                 None
@@ -730,7 +621,7 @@ class ExtractionSession(IntervalSpine):
 
     def from_state(self, state: dict) -> None:
         """Restore :meth:`to_state` data into this freshly built
-        session (same config, seed, mode, and windowing as the
+        session (same config, seed, and windowing as the
         checkpointed one).
 
         Restoring also arms the resume floor: reports for intervals the
@@ -740,11 +631,6 @@ class ExtractionSession(IntervalSpine):
         the store's re-ingest guard.
         """
         self._check_open("restore")
-        if self.mode != "stream":
-            raise CheckpointError(
-                "only stream sessions restore from a checkpoint"
-            )
-        assert self.assembler is not None
         if self.extraction_count or self.assembler.intervals_emitted or (
             self.assembler.flows_seen
         ):
@@ -813,8 +699,8 @@ def open_session(
     """Build an :class:`AnomalyExtractor` (``seed`` ... ``pipeline``
     are its constructor's) and the :class:`ExtractionSession` that owns
     it (``session`` holds the rest of its arguments).  If the session
-    refuses them - a bad mode or interval - the extractor and the store
-    it may have opened are closed, not leaked."""
+    refuses them - a bad interval grid - the extractor and the store it
+    may have opened are closed, not leaked."""
     extractor = AnomalyExtractor(
         config,
         seed=seed,
@@ -832,15 +718,32 @@ def open_session(
 def run_session(
     session: ExtractionSession,
     chunks: Iterable[FlowTable],
-) -> TraceExtraction | StreamExtraction:
+) -> StreamExtraction:
     """Feed a whole chunk iterable through ``session`` and finish it."""
     for chunk in chunks:
         session.feed(chunk)
     return session.finish()
 
 
+def run_trace(session: ExtractionSession, trace: FlowTable) -> StreamExtraction:
+    """Feed a stored trace through ``session`` one interval at a time,
+    in interval order, and finish it.  The trace is windowed before it
+    is fed, so no flow is ever late, whatever its row order."""
+    return run_session(
+        session,
+        (
+            view.flows
+            for view in iter_intervals(
+                trace,
+                session.interval_seconds,
+                origin=session.origin,
+                include_empty=False,
+            )
+        ),
+    )
+
+
 __all__ = [
-    "SESSION_MODES",
     "ExtractionSession",
     "FlowInterval",
     "IntervalInput",
@@ -848,4 +751,5 @@ __all__ = [
     "StreamExtraction",
     "open_session",
     "run_session",
+    "run_trace",
 ]

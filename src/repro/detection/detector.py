@@ -75,6 +75,12 @@ def clone_hashes(
     return HashMatrix([family.take(clones)])
 
 
+#: The least pseudocount :class:`DetectorConfig` accepts: any int64
+#: bin count over it stays below the float64 maximum, so the smoothed
+#: KL log ratio cannot overflow.
+MIN_PSEUDOCOUNT = float(np.iinfo(np.int64).max / np.finfo(np.float64).max)
+
+
 @dataclass(frozen=True, slots=True)
 class DetectorConfig:
     """Tuning knobs of one histogram detector (paper Table III).
@@ -121,6 +127,12 @@ class DetectorConfig:
         if not 0 < self.pseudocount < math.inf:
             raise ConfigError(
                 f"pseudocount must be finite and > 0: {self.pseudocount}"
+            )
+        if self.pseudocount < MIN_PSEUDOCOUNT:
+            raise ConfigError(
+                f"pseudocount {self.pseudocount} is below "
+                f"{MIN_PSEUDOCOUNT:.3g}: a flow count over it overflows "
+                f"the KL log ratio"
             )
 
 

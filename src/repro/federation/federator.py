@@ -8,8 +8,8 @@ merged interval to the pipeline's one interval step
 (:meth:`~repro.core.session.IntervalSpine.step`) as a
 :class:`MergedInterval` - so the network-wide anomaly that no single
 link sees clearly still trips the KL detectors.  The federator is a
-*source* of closed intervals, exactly like batch windowing and the
-stream assembler: detection, gating, counters, report construction,
+*source* of closed intervals, exactly like the stream assembler:
+detection, gating, counters, report construction,
 the store push and incident ageing are the step's, shared with every
 single-site run.  Only the input is digest-specific: voted meta-data
 values become single-item frequent item-sets whose supports are their

@@ -30,7 +30,6 @@ from repro.core.config import ExtractionConfig
 from repro.core.pipeline import (
     AnomalyExtractor,
     ExtractionResult,
-    TraceExtraction,
     default_observers,
 )
 from repro.core.session import (
@@ -100,8 +99,6 @@ class FleetManager:
         route: routing spec resolved by
             :func:`~repro.fleet.routing.resolve_route`; ``None`` means
             every :meth:`feed` must name its pipeline explicitly.
-        mode: session mode for every pipeline ("stream" - the
-            service default - or "batch").
         interval_seconds / origin / seed: as for a single session; the
             same seed drives every pipeline, so a fleet pipeline is
             reproducible against a solo run.
@@ -138,7 +135,6 @@ class FleetManager:
         self,
         pipelines: Mapping[str, ExtractionConfig],
         route: str | Router | None = None,
-        mode: str = "stream",
         interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
         origin: float = 0.0,
         seed: int = 0,
@@ -220,9 +216,7 @@ class FleetManager:
             "Wall-clock seconds per merged fleet-wide incidents() query.",
         )
         self._sessions: dict[str, ExtractionSession] = {}
-        self._results: dict[str, TraceExtraction | StreamExtraction] | None = (
-            None
-        )
+        self._results: dict[str, StreamExtraction] | None = None
         self._closed = False
         try:
             # Build pipelines under the fleet root span so every
@@ -235,7 +229,6 @@ class FleetManager:
                         metrics=metrics,
                         pipeline=name,
                         tracer=tracer,
-                        mode=mode,
                         interval_seconds=interval_seconds,
                         origin=origin,
                         keep_reports=keep_reports,
@@ -296,8 +289,7 @@ class FleetManager:
         With ``pipeline`` the whole chunk goes to that named session
         (the explicit-tag mode: one capture stream per link).  Without
         it the configured router splits the chunk row-by-row.  Returns
-        the per-pipeline extractions completed by this chunk (stream
-        mode; batch-mode sessions return results at :meth:`finish`).
+        the per-pipeline extractions completed by this chunk.
         """
         self._check_open("feed")
         # A row with no interval index refuses the whole chunk before
@@ -345,7 +337,7 @@ class FleetManager:
                 out[name] = chunk.select(mask)
         return out
 
-    def finish(self) -> dict[str, TraceExtraction | StreamExtraction]:
+    def finish(self) -> dict[str, StreamExtraction]:
         """Finish every session (idempotent) and return the
         per-pipeline results in declaration order."""
         self._check_open("finish")

@@ -23,7 +23,6 @@ from repro.flows.stream import (
     IntervalView,
     interval_of,
     iter_intervals,
-    split_intervals,
 )
 from repro.flows.table import ALL_COLUMNS, FEATURE_COLUMNS, FlowTable
 
@@ -48,6 +47,5 @@ __all__ = [
     "DEFAULT_INTERVAL_SECONDS",
     "IntervalView",
     "iter_intervals",
-    "split_intervals",
     "interval_of",
 ]

@@ -107,31 +107,23 @@ def iter_intervals(
         raise ConfigError(
             "origin is later than the earliest flow; intervals would be negative"
         )
-    last = int(indices.max())
     order = np.argsort(indices, kind="stable")
     sorted_idx = indices[order]
-    # Locate the contiguous run of rows for each interval via searchsorted.
-    boundaries = np.searchsorted(sorted_idx, np.arange(last + 2))
-    for k in range(last + 1):
-        lo, hi = boundaries[k], boundaries[k + 1]
-        if hi == lo and not include_empty:
-            continue
-        window = trace.select(order[lo:hi])
+    # The contiguous run of rows of each interval that has any: sized
+    # by the rows, not by the index span, so a far timestamp costs no
+    # memory here.
+    cuts = np.flatnonzero(np.diff(sorted_idx)) + 1
+    starts = np.concatenate(([0], cuts)).tolist()
+    stops = np.concatenate((cuts, [len(order)])).tolist()
+    runs = dict(zip(sorted_idx[starts].tolist(), zip(starts, stops)))
+    for k in range(int(sorted_idx[-1]) + 1) if include_empty else runs:
+        lo, hi = runs.get(k, (0, 0))
         yield IntervalView(
             index=k,
             start=origin + k * interval_seconds,
             end=origin + (k + 1) * interval_seconds,
-            flows=window,
+            flows=trace.select(order[lo:hi]),
         )
-
-
-def split_intervals(
-    trace: FlowTable,
-    interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
-    origin: float | None = None,
-) -> list[IntervalView]:
-    """Eager version of :func:`iter_intervals` (always includes empties)."""
-    return list(iter_intervals(trace, interval_seconds, origin))
 
 
 def interval_of(

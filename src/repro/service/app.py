@@ -604,9 +604,6 @@ class ServiceApp:
         for name in self.fleet.names:
             session = self.fleet.session(name)
             assembler = session.assembler
-            if assembler is None:
-                pipelines[name] = {"mode": "batch"}
-                continue
             watermark = assembler.watermark
             lag = watermark - (
                 assembler.next_interval * session.interval_seconds

@@ -21,8 +21,8 @@ memory.
 
 Within each interval, flows keep their arrival order - the same order
 :func:`iter_intervals` produces with its stable sort - which is what
-makes the streaming pipeline's output byte-identical to the batch path
-on the same trace.
+makes a chunked stream's output byte-identical to
+:func:`repro.api.extract` on the same trace.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class IntervalAssembler:
 
     Args:
         interval_seconds: window length ``L`` (paper default: 900 s).
-        origin: time of interval 0.  Unlike the batch path the origin
-            cannot default to the earliest flow (the stream has no
+        origin: time of interval 0.  Unlike :func:`iter_intervals`
+            the origin cannot default to the earliest flow (the stream has no
             "earliest" until it ends), so it must be known up front;
             the CLI and :func:`repro.api.stream` default to 0.0.
         max_delay_seconds: lateness allowance.  Interval ``k`` stays
@@ -330,7 +330,7 @@ class IntervalAssembler:
 
         Trailing records held back by the lateness allowance are
         released, so after ``flush`` the assembler has emitted exactly
-        the intervals the batch path would have produced.  The
+        the intervals :func:`iter_intervals` would have produced.  The
         assembler stays usable: later pushes for already-flushed
         intervals count as late drops.
         """

@@ -27,8 +27,7 @@ class TestExtract:
             detector=_DETECTOR, min_support=300, features="paper"
         )
         with ExtractionSession(
-            AnomalyExtractor(config, seed=1), mode="batch",
-            interval_seconds=900.0,
+            AnomalyExtractor(config, seed=1), interval_seconds=900.0,
         ) as session:
             expected = run_session(session, [ddos_trace.flows])
         got = api.extract(

@@ -140,7 +140,7 @@ class TestSatelliteFixes:
 
     def test_batch_detection_uses_public_reports(self, tiny_flows):
         with api.session(
-            _config(), mode="batch", interval_seconds=900.0, seed=0
+            _config(), interval_seconds=900.0, seed=0
         ) as session:
             result = run_session(session, [tiny_flows])
             public = session.extractor.detector_bank.reports

@@ -1,11 +1,16 @@
 """Unit tests for the per-feature histogram detector."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.detection.detector import DetectorConfig, HistogramDetector
+from repro.detection.detector import (
+    MIN_PSEUDOCOUNT,
+    DetectorConfig,
+    HistogramDetector,
+)
 from repro.detection.features import Feature
 from repro.detection.manager import DetectorBank
 from repro.errors import CheckpointError, ConfigError
@@ -70,6 +75,11 @@ class TestDetectorConfigNumericEdges:
             dict(pseudocount=float("inf")),
             dict(multiplier=float("nan")),
             dict(multiplier=float("inf")),
+            # Positive but below the floor: an int64 count over them
+            # overflows the KL log ratio, and training ends in a NaN
+            # sigma.
+            dict(pseudocount=5e-324),
+            dict(pseudocount=float(np.finfo(np.float64).tiny)),
         ],
     )
     def test_non_finite_or_negative_refused(self, kwargs):
@@ -85,12 +95,15 @@ class TestDetectorConfigNumericEdges:
 
     def test_small_positive_pseudocount_accepted(self):
         assert DetectorConfig(pseudocount=1e-9).pseudocount == 1e-9
+        floor = np.iinfo(np.int64).max / np.finfo(np.float64).max
+        assert MIN_PSEUDOCOUNT == floor
+        assert DetectorConfig(pseudocount=floor).pseudocount == floor
 
 
 class TestBinsThatFill:
-    """An empty bin that gains flows: at the least smoothing a config
-    accepts, the KL stays finite, so training calibrates and the
-    checkpoint resumes."""
+    """An empty bin that gains flows: at little smoothing, down to the
+    least a config accepts, the KL stays finite, so training calibrates
+    and the checkpoint resumes."""
 
     @pytest.fixture()
     def config(self):
@@ -121,6 +134,11 @@ class TestBinsThatFill:
         after, expected = resumed.observe(flows), detector.observe(flows)
         assert [c.kl for c in after.clones] == [c.kl for c in expected.clones]
         assert after.voted_values.tolist() == expected.voted_values.tolist()
+
+    def test_floor_pseudocount_calibrates_and_resumes(self, config, rng):
+        floor = dataclasses.replace(config, pseudocount=MIN_PSEUDOCOUNT)
+        self.test_training_calibrates(floor, rng)
+        self.test_checkpoint_after_training_resumes(floor, rng)
 
 
 class TestTrainingPhase:

@@ -125,8 +125,7 @@ class TestDetectionRunAfterRestore:
 
         def session():
             return open_session(
-                config, mode="stream",
-                interval_seconds=ddos_trace.interval_seconds,
+                config, interval_seconds=ddos_trace.interval_seconds
             )
 
         first = session()

@@ -15,7 +15,7 @@ import pytest
 
 import repro.api as api
 from repro.errors import FlowError
-from repro.flows.stream import interval_index, split_intervals
+from repro.flows.stream import interval_index, iter_intervals
 from repro.flows.table import FlowTable
 
 BAD = [np.nan, np.inf, -np.inf, 1e300, -1e300]
@@ -53,7 +53,7 @@ class TestRefused:
         else:
             match = "row 1: "
         with pytest.raises(FlowError, match=match):
-            split_intervals(table, INTERVAL, origin=origin)
+            list(iter_intervals(table, INTERVAL, origin=origin))
 
     def test_batch_extract(self, bad):
         with pytest.raises(FlowError, match="row 1: "):

@@ -1,10 +1,11 @@
 """One interval step: the guard that keeps the fork from coming back,
 and the proof that its metrics mean one thing for every input.
 
-The paper's Fig. 3 is one pipeline.  Every source of closed intervals
-- batch windowing, the stream assembler, the federator's merge - hands
-them to :meth:`repro.core.session.IntervalSpine.step`; nothing else
-drives a detector bank, pushes a report into a sink, or ages a sink.
+The paper's Fig. 3 is one pipeline.  Both sources of closed intervals
+- the stream assembler (fed chunks, or by ``api.extract`` a stored
+trace's intervals) and the federator's merge - hand them to
+:meth:`repro.core.session.IntervalSpine.step`; nothing else drives a
+detector bank, pushes a report into a sink, or ages a sink.
 """
 
 import ast

@@ -89,7 +89,7 @@ class TestMetricsOnVsOff:
 
     def test_obs_config_section_does_not_change_output(self, ddos_trace):
         with api.session(
-            _config(obs={"enabled": True}), mode="batch",
+            _config(obs={"enabled": True}),
             interval_seconds=ddos_trace.interval_seconds, seed=1,
         ) as session:
             on = run_session(session, [ddos_trace.flows])

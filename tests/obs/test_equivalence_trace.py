@@ -109,8 +109,7 @@ class TestTraceOnVsOff:
     def test_trace_path_config_does_not_change_output(self, ddos_trace):
         def run(config):
             with api.session(
-                config, mode="batch",
-                interval_seconds=ddos_trace.interval_seconds, seed=1,
+                config, interval_seconds=ddos_trace.interval_seconds, seed=1,
             ) as session:
                 result = run_session(session, [ddos_trace.flows])
                 return result, session.extractor.tracer.enabled

@@ -216,7 +216,7 @@ class TestStoreInstrumentation:
         registry = MetricsRegistry()
         config = _config(store_path=str(tmp_path / "inc.db"))
         with api.session(
-            config, mode="batch", seed=1, metrics=registry,
+            config, seed=1, metrics=registry,
             interval_seconds=ddos_trace.interval_seconds,
         ) as session:
             result = run_session(session, [ddos_trace.flows])

@@ -607,9 +607,7 @@ def test_report_row_arbitrary_leaves(row_case, data):
 # state -> bytes -> state -> bytes, once per stateful class
 # ----------------------------------------------------------------------
 def _session(config):
-    return open_session(
-        config, mode="stream", interval_seconds=INTERVAL_SECONDS
-    )
+    return open_session(config, interval_seconds=INTERVAL_SECONDS)
 
 
 def _detector():

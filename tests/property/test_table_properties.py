@@ -13,7 +13,7 @@ from repro.flows.io import (
     write_csv,
     write_npz,
 )
-from repro.flows.stream import split_intervals
+from repro.flows.stream import iter_intervals
 from repro.flows.table import ALL_COLUMNS, ROW_DTYPE, FlowTable
 
 
@@ -157,7 +157,7 @@ def test_concat_split_identity(table):
 def test_windowing_partitions_flows(table, interval):
     if len(table) == 0:
         return
-    views = split_intervals(table, interval, origin=0.0)
+    views = list(iter_intervals(table, interval, origin=0.0))
     assert sum(len(v) for v in views) == len(table)
     for view in views:
         if len(view):

@@ -10,6 +10,7 @@ from repro.core.config import ExtractionConfig
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.flows.io import iter_csv, write_csv
+from repro.flows.table import ALL_COLUMNS, FlowTable
 
 CHUNK_ROWS = 517  # deliberately misaligned with interval boundaries
 
@@ -136,3 +137,61 @@ class TestOutOfOrderEquivalence:
         )
         assert _rendered(got.extractions) == _rendered(want.extractions)
         assert got.flagged_intervals == want.flagged_intervals
+
+
+class TestClockStepBackwards:
+    """The exporter's clock steps back across an interval boundary
+    mid-capture: rows stamped after the step land in an interval the
+    stream has already emitted."""
+
+    #: The step: 600 s into interval 20 the clock jumps back 700 s, so
+    #: the next 100 s of traffic is stamped into interval 19.
+    STEP_AT, STEP_BACK = 20 * 900.0 + 600.0, 700.0
+
+    @pytest.fixture(scope="class")
+    def stepped(self, ddos_trace):
+        """The trace in arrival order with the step applied, and the
+        mask of the rows the step pushed back over the boundary."""
+        flows = ddos_trace.flows.sort_by_start()
+        after = flows.start >= self.STEP_AT
+        columns = {name: flows.column(name) for name in ALL_COLUMNS}
+        columns["start"] = np.where(
+            after, flows.start - self.STEP_BACK, flows.start
+        )
+        back = after & (columns["start"] < self.STEP_AT - 600.0)
+        return FlowTable(columns), back
+
+    def _reports(self, trace, **kwargs):
+        reports = []
+        result = api.extract(
+            trace, _config(), interval_seconds=900.0, seed=1,
+            sink=reports, **kwargs,
+        )
+        return result, [r.to_json() for r in reports]
+
+    def test_extract_keeps_every_row(self, stepped):
+        trace, back = stepped
+        result, _ = self._reports(trace)
+        assert back.sum() > 0
+        assert result.flows == len(trace)
+        assert result.late_dropped == 0
+
+    def test_stream_counts_the_stepped_rows_as_closed_late(self, stepped):
+        trace, back = stepped
+        reports = []
+        streamed = api.stream(
+            _chunked(trace, CHUNK_ROWS), _config(),
+            interval_seconds=900.0, seed=1, sink=reports,
+        )
+        assert streamed.late_dropped_closed == back.sum() > 0
+        assert streamed.late_dropped_pre_origin == 0
+        # What the stream did not drop, it reports exactly as
+        # extract does on the trace without the stepped-back rows.
+        want, want_reports = self._reports(trace.select(~back))
+        assert want_reports  # the DDoS still alarms after the step
+        assert [r.to_json() for r in reports] == want_reports
+        assert streamed.flagged_intervals == want.flagged_intervals
+        assert (
+            streamed.detection.alarm_intervals()
+            == want.detection.alarm_intervals()
+        )

@@ -12,7 +12,7 @@ import pytest
 import repro.api as api
 from repro.core import ExtractionConfig
 from repro.core.session import run_session
-from repro.flows import split_intervals
+from repro.flows import iter_intervals
 
 _CONFIG = dict(
     detector={"bins": 256, "training_intervals": 16},
@@ -21,7 +21,7 @@ _CONFIG = dict(
 
 
 def _chunks(trace):
-    return [view.flows for view in split_intervals(trace.flows, 900.0)]
+    return [view.flows for view in iter_intervals(trace.flows, 900.0)]
 
 
 class TestKeepExtractionsFalse:

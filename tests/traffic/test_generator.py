@@ -5,7 +5,7 @@ import pytest
 
 from repro.anomalies import DDoSInjector, EventSchedule
 from repro.errors import ConfigError
-from repro.flows.stream import split_intervals
+from repro.flows.stream import iter_intervals
 from repro.traffic.generator import TraceGenerator
 from repro.traffic.profiles import small_test
 
@@ -69,7 +69,7 @@ class TestGenerate:
             duration=899.0,
         )
         trace = generator.generate(3, schedule=schedule)
-        views = split_intervals(trace.flows, 900.0, origin=0.0)
+        views = list(iter_intervals(trace.flows, 900.0, origin=0.0))
         assert views[1].flows.anomalous_mask.sum() == 200
         assert views[0].flows.anomalous_mask.sum() == 0
 
