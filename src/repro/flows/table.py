@@ -257,12 +257,18 @@ class FlowTable:
 
     def select(self, mask_or_indices: np.ndarray) -> "FlowTable":
         """Return a new table with the rows selected by a boolean mask or an
-        integer index array."""
+        integer index array.
+
+        A mask is turned into row indices once: indexing each column by
+        the mask would scan it again per column.
+        """
         sel = np.asarray(mask_or_indices)
-        if sel.dtype == bool and len(sel) != len(self):
-            raise FlowError(
-                f"boolean mask length {len(sel)} != table length {len(self)}"
-            )
+        if sel.dtype == bool:
+            if len(sel) != len(self):
+                raise FlowError(
+                    f"boolean mask length {len(sel)} != table length {len(self)}"
+                )
+            sel = np.flatnonzero(sel)
         return FlowTable({name: col[sel] for name, col in self._cols.items()})
 
     def sort_by_start(self) -> "FlowTable":

@@ -31,14 +31,19 @@ def partition_transactions(
 ) -> list[TransactionSet]:
     """Split a transaction set into ``n_partitions`` contiguous shards.
 
-    Shards are row-contiguous views of near-equal size (within one row),
-    so concatenating them in order reproduces the input exactly.  Empty
-    shards (more partitions than transactions) are dropped.
+    Shards are row-contiguous views of near-equal size (within one row,
+    sized as ``np.array_split`` sizes them), so concatenating them in
+    order reproduces the input exactly.  Empty shards (more partitions
+    than transactions) are dropped.
     """
     if n_partitions < 1:
         raise MiningError(f"n_partitions must be >= 1: {n_partitions}")
-    parts = np.array_split(transactions.matrix, n_partitions)
-    return [TransactionSet(part) for part in parts if part.shape[0]]
+    parts = np.array_split(np.arange(len(transactions)), n_partitions)
+    return [
+        transactions.row_range(int(part[0]), int(part[-1]) + 1)
+        for part in parts
+        if part.size
+    ]
 
 
 def local_min_support(

@@ -1,12 +1,22 @@
 """Transaction sets: flows encoded for frequent item-set mining.
 
-A :class:`TransactionSet` is an ``(n, 7)`` int64 matrix - row = flow,
-column = feature, cell = encoded item.  By construction a transaction
-holds exactly one item per feature (transaction width 7, Section II-B),
-which bounds Apriori at seven passes.  The class also provides the two
-vertical views: bit-packed rows (:meth:`TransactionSet.bitmaps`), which
-Apriori and SON's counting pass AND and popcount, and sorted tidsets,
-which Eclat intersects.
+A :class:`TransactionSet` holds seven value columns - row = flow,
+column = feature - which :meth:`TransactionSet.from_flows` takes from
+the flow table as they are (read-only ``uint32`` for the address,
+port and protocol features; ``packets`` / ``bytes`` copied only when a
+value must be clipped to :data:`~repro.mining.items.VALUE_MASK`).  An
+item is a column's value tagged with its feature (:mod:`items`), so a
+transaction holds exactly one item per feature (transaction width 7,
+Section II-B), which bounds Apriori at seven passes.
+
+The level-1 work reads the columns at their native width: the item
+supports are one ``sorted_distinct`` per column, and the bit-packed
+rows (:meth:`TransactionSet.bitmaps`), which Apriori and SON's counting
+pass AND and popcount, compare each column against the untagged value.
+The ``(n, 7)`` int64 matrix of tagged items is derived from the
+columns on first access and cached; the row-scanning consumers (the
+sorted tidsets Eclat intersects, FP-Growth's tree build, horizontal
+Apriori, :meth:`TransactionSet.contains_mask`) read it.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from repro.detection.features import MINING_FEATURES
 from repro.errors import MiningError
 from repro.flows.table import FlowTable
 from repro.mining.items import FEATURE_SHIFT, VALUE_MASK, item_feature
+from repro.sketch.distinct import sorted_distinct
 
 #: Number of items per transaction (the seven flow features).
 TRANSACTION_WIDTH = len(MINING_FEATURES)
@@ -61,52 +72,115 @@ def joined_blocks(
 class TransactionSet:
     """Encoded transactions with vertical (tidset) support counting."""
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_columns", "_matrix")
+
+    _columns: tuple[np.ndarray, ...]
+    _matrix: np.ndarray | None
 
     def __init__(self, matrix: np.ndarray):
+        """Split an ``(n, 7)`` matrix of tagged items into its columns.
+
+        Every cell of column ``c`` must carry feature tag ``c``: the
+        columns hold untagged values and re-tag them by position, so a
+        cell of another feature (or a negative one) would otherwise
+        come back as a different item.
+        """
         matrix = np.asarray(matrix, dtype=np.int64)
         if matrix.ndim != 2 or matrix.shape[1] != TRANSACTION_WIDTH:
             raise MiningError(
                 f"transaction matrix must be (n, {TRANSACTION_WIDTH}); "
                 f"got {matrix.shape}"
             )
+        tags = matrix >> FEATURE_SHIFT
+        foreign = (tags != np.arange(TRANSACTION_WIDTH)).any(axis=0)
+        if foreign.any():
+            raise MiningError(
+                "transaction matrix column(s) "
+                f"{np.flatnonzero(foreign).tolist()} hold items of another "
+                "feature"
+            )
+        self._columns = tuple(
+            _frozen((matrix[:, col] & VALUE_MASK).astype(np.uint64))
+            for col in range(TRANSACTION_WIDTH)
+        )
+        self._matrix = _frozen(matrix.view())
+
+    @classmethod
+    def _of_columns(
+        cls, columns: Sequence[np.ndarray], matrix: np.ndarray | None = None
+    ) -> "TransactionSet":
+        self = cls.__new__(cls)
+        self._columns = tuple(columns)
         self._matrix = matrix
+        return self
 
     @classmethod
     def from_flows(cls, flows: FlowTable) -> "TransactionSet":
-        """Encode every flow of a table into a transaction row."""
-        n = len(flows)
-        matrix = np.empty((n, TRANSACTION_WIDTH), dtype=np.int64)
-        for feature, col in _FEATURE_INDEX.items():
-            # Clip in the column's unsigned domain, then tag: a byte
-            # count beyond 2^48 cannot occur with sane flows, but one
-            # >= 2^63 cast to int64 first would wrap negative, pass the
-            # clip and carry a garbage feature tag.
-            values = feature.extract(flows).astype(np.uint64)
-            np.minimum(values, VALUE_MASK, out=values)
-            values |= col << FEATURE_SHIFT
-            matrix[:, col] = values
-        return cls(matrix)
+        """Encode every flow of a table into a transaction row.
+
+        The table's columns are held as they are; a column whose dtype
+        can exceed :data:`VALUE_MASK` is copied and clipped there when
+        one of its values does (a byte count beyond 2^48 cannot occur
+        with sane flows, and every such value becomes the one clipped
+        item).
+        """
+        columns = []
+        for feature in MINING_FEATURES:
+            values = feature.extract(flows)
+            if (
+                np.iinfo(values.dtype).max > VALUE_MASK
+                and values.size
+                and values.max() > VALUE_MASK
+            ):
+                values = _frozen(
+                    np.minimum(values.astype(np.uint64), VALUE_MASK)
+                )
+            columns.append(values)
+        return cls._of_columns(columns)
 
     @property
     def matrix(self) -> np.ndarray:
+        """The ``(n, 7)`` int64 matrix of tagged items (read-only),
+        derived from the columns on first access."""
+        if self._matrix is None:
+            matrix = np.empty((len(self), TRANSACTION_WIDTH), dtype=np.int64)
+            for col, values in enumerate(self._columns):
+                matrix[:, col] = values
+                matrix[:, col] |= col << FEATURE_SHIFT
+            self._matrix = _frozen(matrix)
         return self._matrix
 
     def __len__(self) -> int:
-        return self._matrix.shape[0]
+        return len(self._columns[0])
+
+    def row_range(self, start: int, stop: int) -> "TransactionSet":
+        """Transactions ``start:stop`` as views of these columns."""
+        matrix = None if self._matrix is None else self._matrix[start:stop]
+        return self._of_columns(
+            [values[start:stop] for values in self._columns], matrix
+        )
 
     # ------------------------------------------------------------------
     # Item-level statistics
     # ------------------------------------------------------------------
     def item_supports(self) -> tuple[np.ndarray, np.ndarray]:
-        """All distinct items with their support counts.
+        """All distinct items, sorted, with their int64 support counts.
 
-        Feature tags make items of different features distinct even for
-        equal raw values, so a single unique over the flattened matrix
-        is correct.
+        One ``sorted_distinct`` per column at its native width; the
+        feature tag of column ``c`` orders its items after those of
+        every earlier column, so concatenating in column order keeps
+        the result sorted (the items and counts ``np.unique`` gives on
+        :attr:`matrix`).
         """
-        items, counts = np.unique(self._matrix, return_counts=True)
-        return items, counts
+        items: list[np.ndarray] = []
+        counts: list[np.ndarray] = []
+        for col, values in enumerate(self._columns):
+            distinct, runs = sorted_distinct(values)
+            tagged = distinct.astype(np.int64)
+            tagged |= col << FEATURE_SHIFT
+            items.append(tagged)
+            counts.append(runs.astype(np.int64))
+        return np.concatenate(items), np.concatenate(counts)
 
     def frequent_items(self, min_support: int) -> dict[int, int]:
         """{item: support} for items meeting the minimum support."""
@@ -125,7 +199,7 @@ class TransactionSet:
     def tidset(self, item: int) -> np.ndarray:
         """Sorted transaction indices containing ``item``."""
         col = _FEATURE_INDEX[item_feature(item)]
-        return np.nonzero(self._matrix[:, col] == item)[0]
+        return np.nonzero(self.matrix[:, col] == item)[0]
 
     def tidsets(self, items: list[int]) -> dict[int, np.ndarray]:
         """Tidsets for many items, grouped per feature column for speed."""
@@ -135,7 +209,7 @@ class TransactionSet:
             by_col.setdefault(col, []).append(int(item))
         result: dict[int, np.ndarray] = {}
         for col, col_items in by_col.items():
-            column = self._matrix[:, col]
+            column = self.matrix[:, col]
             order = np.argsort(column, kind="stable")
             sorted_col = column[order]
             for item in col_items:
@@ -165,16 +239,22 @@ class TransactionSet:
             return bits
         packed = bits.view(np.uint8)[:, : -(-n // 8)]
         columns = wanted >> FEATURE_SHIFT
+        values = wanted & VALUE_MASK
         block = max(1, BLOCK_BYTES // n)
-        for col in range(TRANSACTION_WIDTH):
-            rows = np.flatnonzero(columns == col)
+        for col, column in enumerate(self._columns):
+            # A value past the column's dtype would wrap in the cast
+            # below and match the wrong flows; no flow holds it.
+            rows = np.flatnonzero(
+                (columns == col) & (values <= np.iinfo(column.dtype).max)
+            )
             if rows.size == 0:
                 continue
-            column = np.ascontiguousarray(self._matrix[:, col])
+            column = np.ascontiguousarray(column)
+            native = values.astype(column.dtype)
             for lo in range(0, rows.size, block):
                 chunk = rows[lo:lo + block]
                 packed[chunk] = np.packbits(
-                    column == wanted[chunk, None], axis=1, bitorder="little"
+                    column == native[chunk, None], axis=1, bitorder="little"
                 )
         return bits
 
@@ -187,7 +267,7 @@ class TransactionSet:
         mask = np.ones(len(self), dtype=bool)
         for item in items:
             col = int(item) >> FEATURE_SHIFT
-            mask &= self._matrix[:, col] == item
+            mask &= self.matrix[:, col] == item
         return mask
 
     def support_of(self, items: tuple[int, ...]) -> int:
@@ -199,4 +279,9 @@ class TransactionSet:
     def rows_as_sets(self) -> list[frozenset[int]]:
         """Transactions as frozensets (for brute-force reference miners
         in the test suite; do not use on large inputs)."""
-        return [frozenset(int(x) for x in row) for row in self._matrix]
+        return [frozenset(int(x) for x in row) for row in self.matrix]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array

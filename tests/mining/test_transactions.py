@@ -25,6 +25,24 @@ class TestConstruction:
         with pytest.raises(MiningError):
             TransactionSet(np.zeros((3, 4), dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "cell", [encode_item(Feature.SRC_IP, 5), -1, 9 << FEATURE_SHIFT]
+    )
+    def test_cell_of_another_feature_rejected(self, transactions, cell):
+        """The columns re-tag values by position: a dst_port cell
+        holding a src_ip item (or a negative cell, or an unknown tag)
+        would silently turn into another item."""
+        matrix = transactions.matrix.copy()
+        matrix[2, 3] = cell
+        with pytest.raises(MiningError, match=r"\[3\]"):
+            TransactionSet(matrix)
+
+    def test_columns_are_the_tables_own(self, tiny_flows, transactions):
+        """No copy on encode: the miners read the table's columns."""
+        assert transactions._columns[0] is tiny_flows.src_ip
+        assert transactions._columns[6] is tiny_flows.bytes
+        assert not transactions.matrix.flags.writeable
+
     def test_items_decode_back_to_flow_values(self, transactions, tiny_flows):
         row = transactions.matrix[0]
         expected = [
@@ -186,6 +204,22 @@ class TestBitmaps:
         foreign = 99 << FEATURE_SHIFT  # no such feature column
         bits = transactions.bitmaps([absent, foreign, -1])
         assert bits.shape == (3, 1) and not bits.any()
+
+    def test_value_past_the_column_width_matches_nothing(self):
+        """A src_ip item of value 2^32 + 5 does not fit the uint32
+        column; a wrapping cast would match the flows with src_ip 5."""
+        flows = FlowTable.from_arrays(
+            src_ip=[5, 5, 6], dst_ip=[1] * 3, src_port=[2] * 3,
+            dst_port=[80] * 3, protocol=[6] * 3, packets=[1] * 3,
+            bytes_=[40] * 3,
+        )
+        transactions = TransactionSet.from_flows(flows)
+        wide = encode_item(Feature.SRC_IP, 2**32 + 5)
+        narrow = encode_item(Feature.SRC_IP, 5)
+        bits = transactions.bitmaps([wide, narrow])
+        assert not bits[0].any()
+        assert int(bits[1, 0]) == 0b011
+        assert transactions.support_of((wide,)) == 0
 
     def test_no_items_and_no_transactions(self, transactions):
         assert transactions.bitmaps([]).shape == (0, 1)

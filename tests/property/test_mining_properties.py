@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.mining.transactions as transactions_module
+from repro.detection.features import MINING_FEATURES
 from repro.flows.table import FlowTable
 from repro.mining.apriori import apriori
 from repro.mining.eclat import eclat
@@ -293,6 +294,99 @@ def test_count_candidates_equals_support_of(drawn):
     assert list(counted) == list(expected)  # candidate order is kept
     with mock.patch.object(transactions_module, "BLOCK_BYTES", 1):
         assert count_candidates(transactions, candidates) == expected
+
+
+# ----------------------------------------------------------------------
+# The column form against the tagged-int64 encode it replaced
+# ----------------------------------------------------------------------
+#: Cell values at the edges of the uint32 columns and of the 2^48 clip.
+WIDE_EDGES = (0, 2**32 - 1)
+COUNT_EDGES = (VALUE_MASK, VALUE_MASK + 1, 2**64 - 1)
+
+
+@st.composite
+def edge_flow_tables(draw):
+    """Flow tables around the word boundary whose columns each draw
+    from a few values - type edges among them - so item-sets recur."""
+    n = draw(WORD_EDGES | st.integers(min_value=2, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def column(edges, high):
+        picked = draw(st.lists(st.sampled_from(edges), max_size=3, unique=True))
+        pool = np.concatenate(
+            (
+                np.array(picked, dtype=np.uint64),
+                rng.integers(0, high, draw(st.integers(1, 3)), dtype=np.uint64),
+            )
+        )
+        return rng.choice(pool, n)
+
+    narrow = [column(WIDE_EDGES, 2**32) for _ in range(5)]
+    packets, bytes_ = (column(COUNT_EDGES, 2**64) for _ in range(2))
+    return FlowTable.from_arrays(*narrow, packets=packets, bytes_=bytes_)
+
+
+def _tagged_reference(flows):
+    """The tagged-int64 encode: clip each column in its unsigned
+    domain, tag it with its feature, one int64 matrix."""
+    matrix = np.empty((len(flows), TRANSACTION_WIDTH), dtype=np.int64)
+    for col, feature in enumerate(MINING_FEATURES):
+        values = feature.extract(flows).astype(np.uint64)
+        np.minimum(values, VALUE_MASK, out=values)
+        values |= col << FEATURE_SHIFT
+        matrix[:, col] = values
+    return matrix
+
+
+def _reference_bitmaps(matrix, items):
+    """One little-endian word row per item, from an equality scan."""
+    n = len(matrix)
+    bits = np.zeros((len(items), -(-n // 64)), dtype="<u8")
+    for row, item in enumerate(items):
+        packed = np.packbits((matrix == item).any(axis=1), bitorder="little")
+        bits.view(np.uint8)[row, : packed.size] = packed
+    return bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    flows=edge_flow_tables(),
+    min_support=st.integers(min_value=1, max_value=12),
+    partitions=st.integers(min_value=1, max_value=4),
+)
+def test_columns_equal_the_tagged_matrix_encode(flows, min_support, partitions):
+    reference = _tagged_reference(flows)
+    transactions = TransactionSet.from_flows(flows)
+    assert transactions.matrix.dtype == reference.dtype
+    assert np.array_equal(transactions.matrix, reference)
+
+    items, counts = np.unique(reference, return_counts=True)
+    got_items, got_counts = TransactionSet.from_flows(flows).item_supports()
+    assert (got_items.dtype, got_counts.dtype) == (items.dtype, counts.dtype)
+    assert np.array_equal(got_items, items)
+    assert np.array_equal(got_counts, counts)
+
+    # Present items, then absent ones: a neighbour value, a narrow
+    # column's value past 2^32 (wraps onto a present value if cast
+    # blindly), an unknown feature tag and a negative item.
+    wanted = items.tolist()
+    wanted += [item ^ 1 for item in wanted[:4]]
+    wanted += [
+        item + 2**32 for item in wanted if item >> FEATURE_SHIFT < 5
+    ][:4]
+    wanted += [TRANSACTION_WIDTH << FEATURE_SHIFT, -1]
+    bits = TransactionSet.from_flows(flows).bitmaps(wanted)
+    assert bits.dtype == np.uint64
+    assert np.array_equal(bits, _reference_bitmaps(reference, wanted))
+
+    expected = brute_force_frequent(TransactionSet(reference), min_support)
+    for miner in (apriori, eclat, fpgrowth):
+        mined = miner(TransactionSet.from_flows(flows), min_support)
+        assert mined.all_frequent == expected, miner.__name__
+    mined = son(
+        TransactionSet.from_flows(flows), min_support, partitions=partitions
+    )
+    assert mined.all_frequent == expected
 
 
 def _signature(result):

@@ -1,10 +1,11 @@
 """Property-based tests for FlowTable and interval windowing."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceFormatError
+from repro.errors import FlowError, TraceFormatError
 from repro.flows.io import (
     iter_csv,
     iter_csv_handle,
@@ -150,6 +151,39 @@ def test_concat_split_identity(table):
     first = table.select(np.arange(half))
     second = table.select(np.arange(half, len(table)))
     assert FlowTable.concat([first, second]) == table
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=flow_tables(), data=st.data())
+def test_select_equals_per_column_fancy_indexing(table, data):
+    """A mask (empty, full or drawn) or an index array (empty, drawn,
+    with duplicates) selects what indexing every column by it selects,
+    dtypes included, into read-only columns."""
+    n = len(table)
+    drawn_mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    drawn_rows = data.draw(
+        st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n)
+    )
+    rows = np.array(drawn_rows, dtype=np.intp)
+    selections = [
+        np.zeros(n, dtype=bool),
+        np.ones(n, dtype=bool),
+        np.array(drawn_mask, dtype=bool),
+        rows,
+        np.concatenate((rows, rows[::-1])),  # every row twice
+    ]
+    for sel in selections:
+        selected = table.select(sel)
+        for name in ALL_COLUMNS:
+            got, want = selected.column(name), table.column(name)[sel]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+    with pytest.raises(FlowError, match="mask length"):
+        table.select(np.ones(n + 1, dtype=bool))
+    if n:
+        with pytest.raises(FlowError, match="mask length"):
+            table.select(np.ones(n - 1, dtype=bool))
 
 
 @settings(max_examples=100, deadline=None)
