@@ -589,16 +589,8 @@ def rank(
     """
     if isinstance(store, (str, os.PathLike)):
         with _open_store(store, must_exist=True) as opened:
-            ranked = opened.incidents(
-                jaccard=jaccard, quiet_gap=quiet_gap, profile=profile
-            )
-    else:
-        ranked = store.incidents(
-            jaccard=jaccard, quiet_gap=quiet_gap, profile=profile
-        )
-    if top is not None:
-        ranked = ranked[:top]
-    return ranked
+            return opened.incidents(jaccard, quiet_gap, profile, top)
+    return store.incidents(jaccard, quiet_gap, profile, top)
 
 
 def serve(

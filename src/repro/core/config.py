@@ -93,13 +93,13 @@ class StreamingSettings:
             (``None`` = unbounded); exceeding it force-emits the
             oldest.
         keep_extractions: retain every
-            :class:`~repro.core.pipeline.ExtractionResult` (and its
-            report state) for the session's lifetime so
+            :class:`~repro.core.pipeline.ExtractionResult` for the
+            session's lifetime so
             :meth:`~repro.core.session.ExtractionSession.result`
             can return them all - linear in alarm count.  Set False for
-            genuinely unbounded noisy pipes: emitted extractions are
-            evicted after each chunk, memory stays flat, and summaries
-            use counters (the CLI ``stream`` default).
+            genuinely unbounded noisy pipes: each feed returns its
+            extractions and the session keeps none, memory stays flat,
+            and summaries use counters (the CLI ``stream`` default).
     """
 
     window_intervals: int = 1

@@ -47,7 +47,7 @@ class ReportSink(Protocol):
     :class:`~repro.incidents.store.IncidentStore` is the canonical
     implementation; a bare ``list``-backed collector satisfies it too
     (``append`` is the whole contract).  :mod:`repro.sinks` holds the
-    in-memory and fan-out implementations.
+    fan-out.
     """
 
     def append(self, report: ExtractionReport) -> object: ...

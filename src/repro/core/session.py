@@ -11,8 +11,8 @@ per-interval orchestration - :meth:`IntervalSpine.step`::
 The step owns everything that is not input-specific: the interval /
 flow / alarm / extraction counters, the ``stage.detection`` /
 ``stage.mining`` / ``stage.triage`` spans and histograms, the alarm and
-empty-meta-data gates, result and lazy-report bookkeeping, the sink
-push (under the resume floor), incident ageing (``note_interval``) and
+empty-meta-data gates, result retention, the report and its sink push
+(under the resume floor), incident ageing (``note_interval``) and
 detector-report retention.  What *is* input-specific hides behind the
 two-method :class:`IntervalInput` protocol: :class:`FlowInterval` here
 (raw flows: prefilter + item-set mining) and
@@ -86,8 +86,8 @@ class StreamExtraction:
     windows_skipped: int = 0
     #: Total extractions produced.  Always populated - with
     #: ``keep_extractions=False`` the ``extractions`` list stays empty
-    #: (emitted results are evicted to keep memory flat) and this
-    #: counter is the only record of how many there were.
+    #: (emitted results are not retained, so memory stays flat) and
+    #: this counter is the only record of how many there were.
     extraction_count: int = 0
     #: Late-drop split: flows predating interval 0 (misconfigured
     #: origin - no lateness tuning recovers them) vs flows whose
@@ -136,7 +136,7 @@ class IntervalSpine:
         keep_reports: retain per-interval detector reports in the bank;
             False drops them after each step so memory stays flat.
         keep_extractions: retain every :class:`ExtractionResult`; False
-            pins only the results of the most recent step batch.
+            retains none (each step still returns its own).
     """
 
     def __init__(
@@ -156,18 +156,7 @@ class IntervalSpine:
         self.keep_reports = keep_reports
         self.keep_extractions = keep_extractions
         self.extraction_count = 0
-        #: With ``keep_extractions=False``: the extractions emitted by
-        #: the most recent step batch (one feed/flush call, one
-        #: :meth:`step`), pinned until the next so the caller can
-        #: render them and ``report_for`` stays valid for exactly that
-        #: window (id-keyed state must never outlive its object).
-        self._recent: list[ExtractionResult] = []
         self.extractions: list[ExtractionResult] = []
-        #: Per-extraction report, keyed by object identity (safe:
-        #: ``extractions``/``_recent`` pin the objects): None until
-        #: :meth:`report_for` builds it.  Sink-less runs never pay for
-        #: reports nothing reads.
-        self._report_state: dict[int, ExtractionReport | None] = {}
         #: Set by :meth:`arm_resume_floor`: intervals at or below this
         #: index are already durable in the sink (persisted before the
         #: crash a checkpoint recovers from), so their re-processed
@@ -185,23 +174,17 @@ class IntervalSpine:
         return self._sink
 
     def report_for(self, extraction: ExtractionResult) -> ExtractionReport:
-        """The serializable report of an extraction this spine
-        produced (the very object the sink received, when a sink is
-        attached) - bounds cover the mined window, not just the
-        triggering interval.  Built lazily and cached, so runs whose
-        reports nothing reads never pay for their construction."""
-        key = id(extraction)
-        if key not in self._report_state:
+        """The serializable report of an extraction on this spine's
+        interval grid - equal to the one the sink received; bounds
+        cover the mined window, not just the triggering interval."""
+        if not isinstance(extraction, ExtractionResult):
             raise ExtractionError(
-                "unknown extraction: report_for only serves results "
-                "produced by this session"
+                f"unknown extraction: report_for takes an "
+                f"ExtractionResult, got {type(extraction).__name__}"
             )
-        report = self._report_state[key]
-        if report is None:
-            report = self._report_state[key] = ExtractionReport.from_result(
-                extraction, self.interval_seconds, self.origin
-            )
-        return report
+        return ExtractionReport.from_result(
+            extraction, self.interval_seconds, self.origin
+        )
 
     def arm_resume_floor(self) -> None:
         """Treat reports the durable sink already covers (its
@@ -223,20 +206,6 @@ class IntervalSpine:
         """Run one closed interval through detect -> gate -> extract ->
         report -> sink; returns its extraction, or None for a clean (or
         unusable-alarm) interval."""
-        self._evict_recent()
-        return self._advance(interval_input)
-
-    def _evict_recent(self) -> None:
-        """A new step batch begins: the previous one has been consumed,
-        so (``keep_extractions=False``) evict its extractions and their
-        report state - each result pins its prefiltered FlowTable."""
-        for old in self._recent:
-            self._report_state.pop(id(old), None)
-        self._recent.clear()
-
-    def _advance(
-        self, interval_input: IntervalInput
-    ) -> ExtractionResult | None:
         ins = self._extractor.instruments
         bank = self._extractor.detector_bank
         with self._tracer.span("session.interval") as interval_span:
@@ -288,9 +257,6 @@ class IntervalSpine:
                 self.extraction_count += 1
                 if self.keep_extractions:
                     self.extractions.append(extraction)
-                else:
-                    self._recent.append(extraction)
-                self._report_state[id(extraction)] = None
                 replayed = (
                     self._resume_floor is not None
                     and extraction.interval <= self._resume_floor
@@ -675,13 +641,11 @@ class ExtractionSession(IntervalSpine):
     def _step_views(
         self, views: Iterable[IntervalView]
     ) -> list[ExtractionResult]:
-        """Hand a source's closed intervals to the step, in order; one
-        call is one step batch (see ``_recent``)."""
-        self._evict_recent()
+        """Hand a source's closed intervals to the step, in order."""
         results = []
         with self._span.active():
             for view in views:
-                extraction = self._advance(FlowInterval(self, view.flows))
+                extraction = self.step(FlowInterval(self, view.flows))
                 if extraction is not None:
                     results.append(extraction)
         return results

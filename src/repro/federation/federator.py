@@ -15,6 +15,11 @@ single-site run.  Only the input is digest-specific: voted meta-data
 values become single-item frequent item-sets whose supports are their
 exact flow counts in the merged digest.
 
+The federator's reports have one home, its incident store - the
+caller's, or a private in-memory one: :attr:`Federator.reports` and
+:meth:`Federator.incidents` read it, and :meth:`Federator.to_state`
+carries no report, because the store is their durable record.
+
 Straggler policy: an interval is released as soon as every expected
 site has reported, or - watermark - once ``straggler_grace`` later
 intervals have been seen from anyone, whichever comes first.  Forced
@@ -44,7 +49,6 @@ from repro.federation.collector import Collector
 from repro.federation.digest import DigestSchema, IntervalDigest
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
-from repro.incidents.correlate import correlate
 from repro.incidents.rank import RankedIncident, rank_incidents
 from repro.incidents.store import IncidentStore
 from repro.mining.items import encode_item
@@ -164,8 +168,6 @@ class Federator:
         origin: float = 0.0,
         min_support: int = 5_000,
         straggler_grace: int = 2,
-        jaccard: float = 0.5,
-        quiet_gap: int = 2,
         store: IncidentStore | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -193,8 +195,12 @@ class Federator:
         self.origin = origin
         self.min_support = min_support
         self.straggler_grace = straggler_grace
-        self._jaccard = jaccard
-        self._quiet_gap = quiet_gap
+        #: The one holder of the federation's extraction reports: the
+        #: caller's store, else a private in-memory one (the fleet's
+        #: rule for a pipeline without a store path).
+        self.store = (
+            store if store is not None else IncidentStore(":memory:")
+        )
         # The reference collector pins the digest schema and fills
         # wholly-missing intervals with empty digests; its sentinel
         # site name never appears in released site lists.
@@ -220,7 +226,7 @@ class Federator:
             extractor,
             interval_seconds=interval_seconds,
             origin=origin,
-            sink=store,
+            sink=self.store,
             keep_reports=False,
             keep_extractions=False,
         )
@@ -230,7 +236,6 @@ class Federator:
         self._pending: dict[int, dict[str, IntervalDigest]] = {}
         self._next = 0
         self._max_seen = -1
-        self._reports: list[ExtractionReport] = []
         self._m_digests = catalogued(
             registry, "repro_federation_digests_total"
         )
@@ -265,8 +270,9 @@ class Federator:
 
     @property
     def reports(self) -> list[ExtractionReport]:
-        """Extraction reports of every alarmed released interval."""
-        return list(self._reports)
+        """Extraction reports of every alarmed released interval, as
+        the store holds them."""
+        return self.store.reports()
 
     # ------------------------------------------------------------------
     def _check_admissible(self, digest: IntervalDigest, cursor: int) -> None:
@@ -391,10 +397,9 @@ class Federator:
                 sites = merged.sites
             merged_input = MergedInterval(merged, self.min_support)
             extraction = self._spine.step(merged_input)
-        report = None
-        if extraction is not None:
-            report = self._spine.report_for(extraction)
-            self._reports.append(report)
+        report = (
+            None if extraction is None else self._spine.report_for(extraction)
+        )
         self._m_merged.inc()
         self._next = interval + 1
         self._max_seen = max(self._max_seen, interval)
@@ -412,20 +417,17 @@ class Federator:
         self, profile: str = "balanced", top: int | None = None
     ) -> list[RankedIncident]:
         """Correlate and rank the federation's extraction reports."""
-        population = correlate(
-            self._reports,
-            jaccard=self._jaccard,
-            quiet_gap=self._quiet_gap,
-            now=self._next - 1 if self._next > 0 else None,
+        return rank_incidents(
+            self.store.correlated(), profile=profile, top=top
         )
-        return rank_incidents(population, profile=profile, top=top)
 
     # ------------------------------------------------------------------
     # Checkpointing (same discipline as the fleet's to_state)
     # ------------------------------------------------------------------
     def to_state(self) -> dict[str, Any]:
-        """JSON-safe resume state: cursors, buffered digests, detector
-        bank, and the alarmed-interval reports."""
+        """JSON-safe resume state: cursors, buffered digests and the
+        detector bank.  The reports are not part of it: the store is
+        their durable record."""
         pending: list[list[Any]] = []
         for interval in sorted(self._pending):
             bucket = self._pending[interval]
@@ -444,7 +446,6 @@ class Federator:
             "max_seen": self._max_seen,
             "pending": pending,
             "bank": self._bank.to_state(),
-            "reports": [report.to_dict() for report in self._reports],
         }
 
     def from_state(self, state: dict[str, Any]) -> None:
@@ -468,7 +469,6 @@ class Federator:
                 )
             ),
             bank=mapping,
-            reports=listof(ExtractionReport.from_dict),
         )
         if fields["schema"] != self.schema:
             raise CheckpointError(
@@ -507,5 +507,4 @@ class Federator:
         self._pending = pending
         self._next = next_interval
         self._max_seen = max_seen
-        self._reports = fields["reports"]
         self._spine.arm_resume_floor()

@@ -186,8 +186,10 @@ def open_federator(
     ``straggler_grace`` and ``min_support`` override the table when not
     ``None`` (explicit flags and keyword arguments).  A ``store`` given as an
     open :class:`IncidentStore` stays the caller's to close; a path -
-    the argument's or ``[federation] store_path`` - is opened here and
-    closed when the block exits.
+    the argument's or ``[federation] store_path`` - is opened here with
+    the base ``[incidents]`` knobs and closed when the block exits.
+    Without either, the federator's store is a private ``:memory:`` one
+    (same knobs) that lives as long as the federator.
     """
 
     def pick(override: _T | None, configured: _T) -> _T:
@@ -195,8 +197,14 @@ def open_federator(
 
     target = store if store is not None else settings.store_path
     opened: IncidentStore | None = None
-    if target is not None and not isinstance(target, IncidentStore):
-        target = opened = open_store(os.fspath(target))
+    if not isinstance(target, IncidentStore):
+        target = open_store(
+            ":memory:" if target is None else os.fspath(target),
+            jaccard=base.incident_jaccard,
+            quiet_gap=base.incident_quiet_gap,
+        )
+        if target.path != ":memory:":
+            opened = target
     try:
         yield Federator(
             sites=tuple(sites) if sites is not None else settings.sites,
@@ -210,8 +218,6 @@ def open_federator(
                 pick(settings.min_support, DEFAULT_MIN_SUPPORT),
             ),
             straggler_grace=pick(straggler_grace, settings.straggler_grace),
-            jaccard=pick(base.incident_jaccard, 0.5),
-            quiet_gap=pick(base.incident_quiet_gap, 2),
             store=target,
             metrics=metrics,
             tracer=tracer,

@@ -41,7 +41,7 @@ from repro.errors import CheckpointError, ConfigError, ExtractionError
 from repro.fleet.routing import Router, resolve_route, route_indices
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, interval_index
 from repro.flows.table import FlowTable
-from repro.incidents.correlate import Incident, correlate
+from repro.incidents.correlate import Incident
 from repro.incidents.rank import RankedIncident, rank_incidents
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.state import count, mapping, optional, read_fields
@@ -470,16 +470,7 @@ class FleetManager:
         pipeline_of: dict[int, str] = {}
         for name, session in self._sessions.items():
             store = session.extractor.store
-            if store is None:
-                continue
-            for incident in correlate(
-                store.iter_reports(),
-                jaccard=store.jaccard if jaccard is None else jaccard,
-                quiet_gap=(
-                    store.quiet_gap if quiet_gap is None else quiet_gap
-                ),
-                now=store.last_interval(),
-            ):
+            for incident in store.correlated(jaccard, quiet_gap):
                 population.append(incident)
                 pipeline_of[id(incident)] = name
         # One population, so scores normalize across the whole fleet;

@@ -159,9 +159,11 @@ def rank_incidents(
     Ties break deterministically on (earlier first_seen, key), so the
     ordering is reproducible across runs and platforms.
     """
-    # Validate the profile even when there is nothing to rank - a
-    # typo'd --profile must error, not silently print "no incidents".
+    # Validate the knobs even when there is nothing to rank - a typo'd
+    # --profile must error, not silently print "no incidents".
     profile = resolve_profile(profile)
+    if top is not None and top < 1:
+        raise IncidentError(f"top must be >= 1: {top}")
     population = list(incidents)
     if not population:
         return []
@@ -184,8 +186,4 @@ def rank_incidents(
             -r.score, r.incident.first_seen, r.incident.key
         )
     )
-    if top is not None:
-        if top < 1:
-            raise IncidentError(f"top must be >= 1: {top}")
-        ranked = ranked[:top]
-    return ranked
+    return ranked if top is None else ranked[:top]

@@ -542,38 +542,52 @@ class IncidentStore:
     # ------------------------------------------------------------------
     # Convenience: the full incident view
     # ------------------------------------------------------------------
+    def correlated(
+        self,
+        jaccard: float | None = None,
+        quiet_gap: int | None = None,
+    ):
+        """Every stored report grouped into
+        :class:`~repro.incidents.correlate.Incident` objects - the one
+        place a report history is correlated, whatever run mode wrote
+        it.  ``jaccard``/``quiet_gap`` default to the values the store
+        was *written* with (the pipeline seeds them from
+        ``ExtractionConfig`` and they persist in ``store_meta``), else
+        0.5/2.
+        """
+        from repro.incidents.correlate import correlate
+
+        return correlate(
+            self.iter_reports(),
+            jaccard=self.jaccard if jaccard is None else jaccard,
+            quiet_gap=self.quiet_gap if quiet_gap is None else quiet_gap,
+            # Lifecycle states age against the last interval the
+            # pipeline processed, not merely the last that alarmed -
+            # otherwise a long-finished attack followed by clean
+            # traffic reads "active" forever.
+            now=self.last_interval(),
+        )
+
     def incidents(
         self,
         jaccard: float | None = None,
         quiet_gap: int | None = None,
         profile: str = "balanced",
+        top: int | None = None,
     ):
         """Correlate and rank everything in the store.
 
         Returns :class:`~repro.incidents.rank.RankedIncident` objects,
-        best first.  A convenience wrapper over
-        :func:`~repro.incidents.correlate.correlate` +
-        :func:`~repro.incidents.rank.rank_incidents` for CLI and
-        notebook use.  ``jaccard``/``quiet_gap`` default to the values
-        the store was *written* with (the pipeline seeds them from
-        ``ExtractionConfig`` and they persist in ``store_meta``), else
-        0.5/2.
+        best first (the ``top`` best, when given): :meth:`correlated`
+        ranked by :func:`~repro.incidents.rank.rank_incidents`, for CLI
+        and notebook use.
         """
-        from repro.incidents.correlate import correlate
         from repro.incidents.rank import rank_incidents
 
         with time_stage(self._m_query):
-            population = correlate(
-                self.iter_reports(),
-                jaccard=self.jaccard if jaccard is None else jaccard,
-                quiet_gap=self.quiet_gap if quiet_gap is None else quiet_gap,
-                # Lifecycle states age against the last interval the
-                # pipeline processed, not merely the last that alarmed
-                # - otherwise a long-finished attack followed by clean
-                # traffic reads "active" forever.
-                now=self.last_interval(),
+            return rank_incidents(
+                self.correlated(jaccard, quiet_gap), profile=profile, top=top
             )
-            return rank_incidents(population, profile=profile)
 
 
 def open_store(

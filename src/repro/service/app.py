@@ -95,8 +95,9 @@ class ServiceApp:
             the daemon also accepts ``POST /digest`` (per-site
             :class:`~repro.federation.digest.IntervalDigest` documents,
             one JSON object per line), its checkpoints carry the
-            federator's resume state, and ``/healthz`` reports the
-            federation posture.
+            federator's resume state (its reports stay in its store,
+            which must be durable when checkpointing), and
+            ``/healthz`` reports the federation posture.
     """
 
     def __init__(
@@ -127,6 +128,17 @@ class ServiceApp:
                         f"{':memory:' if store else 'no store'}; set "
                         f"store_dir/store_path or drop checkpoint_path"
                     )
+            # The federation's reports live only in its store: one in
+            # memory would lose every report made before a crash.
+            if (
+                federator is not None
+                and federator.store.path == ":memory:"
+            ):
+                raise ConfigError(
+                    "checkpointing a federated daemon requires a durable "
+                    "federation store, but the federator's is :memory:; "
+                    "set [federation] store_path or drop checkpoint_path"
+                )
         self.fleet = fleet
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
@@ -637,6 +649,6 @@ class ServiceApp:
                 "sites": list(self.federator.sites),
                 "next_interval": self.federator.next_interval,
                 "pending_intervals": self.federator.pending_intervals,
-                "reports": len(self.federator.reports),
+                "reports": len(self.federator.store),
             }
         return doc

@@ -45,7 +45,9 @@ from repro.state import canonical_json, count, mapping, read_fields
 #: (previous counts, previous KL, training diffs until calibrated) and
 #: buffers digests in their version-2 wire form.  Version 4 buffers
 #: digests in their version-3 wire form (per-feature value counts).
-CHECKPOINT_VERSION = 4
+#: Version 5 drops the federation block's ``reports``: the federation
+#: store is their one durable record, as each pipeline's store is.
+CHECKPOINT_VERSION = 5
 
 #: What every checkpoint document carries beside its version (a
 #: federated daemon's also has a ``federation`` block).

@@ -5,37 +5,16 @@ The pipeline pushes every alarmed interval's
 :class:`~repro.core.pipeline.ReportSink` protocol (``append``), plus the
 optional :class:`~repro.core.pipeline.IntervalSink` extension
 (``note_interval``) for sinks that track incident lifecycle and must see
-clean intervals pass.  The incident store is the persistent sink; this
-module holds the two in-process ones:
-
-* :class:`MemorySink` - collects reports in a list;
-* :class:`TeeSink` - fans one report stream out to several sinks.
+clean intervals pass.  The incident store is the sink that keeps
+reports (``IncidentStore(":memory:")`` in process), and a plain ``list``
+satisfies the protocol too; this module holds the fan-out,
+:class:`TeeSink`.
 """
 
 from __future__ import annotations
 
 from repro.core.pipeline import notify_sink_interval
 from repro.core.report import ExtractionReport
-
-
-class MemorySink:
-    """Collects reports in memory (``reports`` is a plain list)."""
-
-    def __init__(self) -> None:
-        self.reports: list[ExtractionReport] = []
-        self.last_interval: int | None = None
-
-    def append(self, report: ExtractionReport) -> None:
-        self.reports.append(report)
-
-    def note_interval(self, interval: int) -> None:
-        self.last_interval = interval
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def __iter__(self):
-        return iter(self.reports)
 
 
 class TeeSink:
@@ -59,4 +38,4 @@ class TeeSink:
             notify_sink_interval(sink, interval)
 
 
-__all__ = ["MemorySink", "TeeSink"]
+__all__ = ["TeeSink"]

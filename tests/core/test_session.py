@@ -19,7 +19,7 @@ from repro.core.session import StreamExtraction, run_session, run_trace
 from repro.detection.detector import DetectorConfig
 from repro.errors import ConfigError, ExtractionError
 from repro.flows.table import FlowTable
-from repro.sinks import MemorySink
+from repro.incidents.store import IncidentStore
 
 INTERVAL_SECONDS = 900.0
 
@@ -112,18 +112,19 @@ class TestWholeTraceSessionEquivalence:
         assert _rendered(result.extractions) == _rendered(batch.extractions)
 
     def test_sink_reports_byte_identical(self, ddos_trace):
-        direct, via_session = MemorySink(), MemorySink()
+        direct = IncidentStore(":memory:")
+        via_session = IncidentStore(":memory:")
         api.extract(
             ddos_trace.flows, _config(), interval_seconds=INTERVAL_SECONDS,
             seed=1, sink=direct,
         )
         with _session(sink=via_session) as session:
             result = run_session(session, [ddos_trace.flows])
-        assert [r.to_json() for r in via_session.reports] == [
-            r.to_json() for r in direct.reports
+        assert [r.to_json() for r in via_session.reports()] == [
+            r.to_json() for r in direct.reports()
         ]
-        assert via_session.last_interval == direct.last_interval
-        assert len(via_session.reports) == len(result.extractions)
+        assert via_session.last_interval() == direct.last_interval()
+        assert len(via_session) == len(result.extractions)
 
 
 class TestExtractPinsTheStreamingTable:

@@ -316,9 +316,7 @@ class TestResume:
             resumed.finish()
             assert [r.to_json() for r in store.reports()] == expected_rows
             assert store.last_interval() == 29
-        assert [r.to_json() for r in resumed.reports] == [
-            r.to_json() for r in baseline.reports
-        ]
+            assert [r.to_json() for r in resumed.reports] == expected_rows
         assert json.dumps(resumed.to_state(), sort_keys=True) == (
             json.dumps(baseline.to_state(), sort_keys=True)
         )

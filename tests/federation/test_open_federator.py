@@ -41,7 +41,7 @@ def test_table_then_keyword_decide_each_knob():
         assert federator.min_support == 70
         assert federator.straggler_grace == 3
         assert federator.schema.bins == 128  # the base detector geometry
-        assert federator._jaccard == 0.8  # the base [incidents] knobs
+        assert federator.store.jaccard == 0.8  # the base [incidents] knobs
     with open_federator(
         run.base, run.federation, sites=["solo"], min_support=9,
         straggler_grace=1, seed=4,

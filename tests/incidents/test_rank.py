@@ -4,6 +4,8 @@ from math import log1p
 
 import pytest
 
+import repro.api as api
+from repro.detection.features import Feature
 from repro.errors import IncidentError
 from repro.incidents.correlate import Incident
 from repro.incidents.rank import (
@@ -14,6 +16,9 @@ from repro.incidents.rank import (
     resolve_profile,
     score_incident,
 )
+from repro.incidents.store import IncidentStore
+from repro.mining.items import encode_item
+from tests.incidents.test_store import make_report
 
 
 def make_incident(
@@ -171,6 +176,26 @@ class TestRanking:
     def test_top_validation(self):
         with pytest.raises(IncidentError, match="top"):
             rank_incidents([make_incident()], top=0)
+
+    def test_top_validation_covers_an_empty_population(self):
+        with pytest.raises(IncidentError, match="top"):
+            rank_incidents([], top=0)
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_store_views_refuse_top_below_one(self, top):
+        """The store's views rank with ``top`` rather than slicing the
+        full ranking, where -1 would drop the last incident and 0 would
+        return nothing."""
+        with IncidentStore(":memory:") as store:
+            for interval, port in ((5, 80), (20, 443), (40, 22)):
+                item = encode_item(Feature.DST_PORT, port)
+                store.append(make_report(interval, [((item,), 300, "")]))
+            assert len(api.rank(store)) == 3
+            assert len(api.rank(store, top=2)) == 2
+            with pytest.raises(IncidentError, match="top must be >= 1"):
+                api.rank(store, top=top)
+            with pytest.raises(IncidentError, match="top must be >= 1"):
+                store.incidents(top=top)
 
     def test_scores_within_unit_interval(self):
         population = [

@@ -1,15 +1,17 @@
 """Golden bytes of the digest and checkpoint wire formats.
 
-The hashes below were recorded under ``DIGEST_VERSION`` 3 and
-``CHECKPOINT_VERSION`` 4: a digest states each feature's observed
-values and their exact flow counts, and a detector checkpoints only
-its previous counts, previous KL, training diffs and calibration.  The
-decoded content - the clone counts derived from the value counts,
-observed sets, reference counts - is the same as under the versions
-before; only the count-min cells of version 2 became exact counts.
-The checkpoint file differs from its version-3 bytes in its version
-number alone.  The hashes pin both formats: a change that moves any
-of them must bump the matching version and re-record.
+The digest hashes below were recorded under ``DIGEST_VERSION`` 3, the
+checkpoint hash under ``CHECKPOINT_VERSION`` 5.  A digest states each
+feature's observed values and their exact flow counts, and a detector
+checkpoints only its previous counts, previous KL, training diffs and
+calibration.  The decoded content - the clone counts derived from the
+value counts, observed sets, reference counts - is the same as under
+the versions before; only the count-min cells of version 2 became
+exact counts.  The checkpoint file differs from its version-3 and
+version-4 bytes in its version number alone: version 5 dropped the
+federation block's reports, which a fleet-only checkpoint never
+carried.  The hashes pin both formats: a change that moves any of them
+must bump the matching version and re-record.
 
 Every hashed byte is integer-derived (value counts, observed values,
 pending rows).  The checkpoint is taken after the
@@ -47,7 +49,7 @@ GOLDEN_MERGED_DIGEST = (
     "8f5e0fde5959692cefb9ad3473f4a732e2cc9e12c75f565ce9694cfa65a8e79e"
 )
 GOLDEN_FLEET_CHECKPOINT = (
-    "a2db26239b53f2a2c9824e6c808ba639e7be8db02f18c9e2588ff6eb72518c33"
+    "7e61d006adca4efae5f2011f77d5ae75d9e8acd551ec419e6dc9af631a4ba4c6"
 )
 
 

@@ -395,7 +395,8 @@ def checkpoint_case(config, chunks, wires, tmp_path_factory):
     """A 2-pipeline, windowed, federated daemon stopped mid-stream:
     the last fed interval is still pending in the assemblers, west's
     digest of it is still missing (east's is buffered), and both tiers
-    hold reports."""
+    hold reports.  Also returns the federation store's first report
+    document (the checkpoint carries none)."""
     tmp = tmp_path_factory.mktemp("fuzz")
     boundary = CheckpointBoundary(config, tmp, chunks, wires)
     fleet = build_fleet(config, boundary.stores)
@@ -409,24 +410,25 @@ def checkpoint_case(config, chunks, wires, tmp_path_factory):
         doc = json_round_trip(
             fleet_checkpoint(fleet, 5, federation=federator.to_state())
         )
+        reports = [report.to_dict() for report in federator.reports]
     finally:
         fleet.close()
     session = doc["fleet"]["pipelines"]["linkA"]["session"]
     assert session["assembler"]["pending"], "no pending chunk"
     assert session["window_miner"]["batches"], "no window batches"
     assert doc["federation"]["pending"], "no buffered digest"
-    assert doc["federation"]["reports"], "no federated report"
+    assert reports, "no federated report"
     # Detector state holds reference counts only; an observed set rides
     # the checkpoint only inside a buffered digest.
     for state in (doc["fleet"], doc["federation"]["bank"]):
         text = canonical_json(state)
         for dropped in ('"observed"', '"kl_series"', '"diff_series"'):
             assert dropped not in text
-    return boundary, doc
+    return boundary, doc, json_round_trip(reports[0])
 
 
 def test_checkpoint_document_sweep(checkpoint_case):
-    boundary, doc = checkpoint_case
+    boundary, doc, _ = checkpoint_case
     assert boundary.check(doc, ("sequence",), 5) is None  # the no-op
     failures = boundary.sweep(doc)
     assert not failures, "\n".join(failures)
@@ -440,7 +442,7 @@ def test_checkpoint_document_sweep(checkpoint_case):
 )
 @given(data=st.data())
 def test_checkpoint_document_arbitrary_leaves(checkpoint_case, data):
-    boundary, doc = checkpoint_case
+    boundary, doc, _ = checkpoint_case
     path = data.draw(st.sampled_from(sorted(leaf_paths(doc), key=dotted)))
     failure = boundary.check(doc, path, data.draw(LEAVES))
     assert failure is None, failure
@@ -575,8 +577,8 @@ class StoreRowBoundary(Boundary):
 
 @pytest.fixture(scope="module")
 def row_case(checkpoint_case, tmp_path_factory):
-    _, doc = checkpoint_case
-    report = ExtractionReport.from_dict(doc["federation"]["reports"][0])
+    _, _, report_doc = checkpoint_case
+    report = ExtractionReport.from_dict(report_doc)
     path = tmp_path_factory.mktemp("row") / "row.db"
     with IncidentStore(str(path)) as store:
         store.append(report)
@@ -673,8 +675,7 @@ def test_from_state_is_a_fixed_point(
 
 def _documents(checkpoint_case, digest_doc):
     """One real document per ``from_dict`` / classmethod decoder."""
-    _, doc = checkpoint_case
-    report = doc["federation"]["reports"][0]
+    _, doc, report = checkpoint_case
     pending = doc["fleet"]["pipelines"]["linkA"]["session"]["assembler"]
     return {
         DigestSchema: (digest_doc["schema"], DigestSchema.to_dict),

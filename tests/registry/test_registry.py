@@ -193,12 +193,12 @@ class TestReaderRegistry:
 class TestSinks:
     def test_memory_sink_collects_and_notes(self):
         from repro.core.pipeline import notify_sink_interval
-        from repro.sinks import MemorySink
+        from repro.incidents import IncidentStore
 
-        sink = MemorySink()
-        assert len(sink) == 0
-        notify_sink_interval(sink, 7)
-        assert sink.last_interval == 7
+        with IncidentStore(":memory:") as sink:
+            assert len(sink) == 0
+            notify_sink_interval(sink, 7)
+            assert sink.last_interval() == 7
 
     def test_plain_list_still_works_as_sink(self):
         from repro.core.pipeline import notify_sink_interval
@@ -210,10 +210,12 @@ class TestSinks:
 
     def test_interval_sink_protocol(self):
         from repro.core.pipeline import IntervalSink, ReportSink
-        from repro.sinks import MemorySink
+        from repro.incidents import IncidentStore
 
-        assert isinstance(MemorySink(), ReportSink)
-        assert isinstance(MemorySink(), IntervalSink)
+        with IncidentStore(":memory:") as store:
+            assert isinstance(store, ReportSink)
+            assert isinstance(store, IntervalSink)
+        assert isinstance([], ReportSink)
         assert not isinstance([], IntervalSink)
 
     def test_incident_store_satisfies_interval_sink(self, tmp_path):
@@ -224,9 +226,11 @@ class TestSinks:
             assert isinstance(store, IntervalSink)
 
     def test_tee_sink_fans_out(self):
-        from repro.sinks import MemorySink, TeeSink
+        from repro.incidents import IncidentStore
+        from repro.sinks import TeeSink
 
-        a, b = MemorySink(), []
-        tee = TeeSink(a, b)
-        tee.note_interval(5)
-        assert a.last_interval == 5
+        with IncidentStore(":memory:") as a:
+            b = []
+            tee = TeeSink(a, b)
+            tee.note_interval(5)
+            assert a.last_interval() == 5

@@ -17,7 +17,7 @@ import pytest
 
 import repro.api as api
 from repro.core.config import ServiceSettings
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigError
 from repro.federation import Collector, Federator
 from repro.fleet.manager import FleetManager
 from repro.incidents.store import open_store
@@ -318,7 +318,8 @@ class TestFederatedCheckpoint:
     ):
         path = str(tmp_path / "ckpt.json")
         fleet = make_fleet(service_config, store_dir=tmp_path / "stores")
-        federator = make_federator(service_config)
+        store = open_store(str(tmp_path / "federation.db"))
+        federator = make_federator(service_config, store=store)
         try:
             app = ServiceApp(
                 fleet,
@@ -342,6 +343,7 @@ class TestFederatedCheckpoint:
             assert doc["federation"] == federator.to_state()
         finally:
             fleet.close()
+            store.close()
 
         fresh = make_fleet(
             service_config, store_dir=tmp_path / "stores2"
@@ -443,23 +445,98 @@ class TestFederatedCheckpoint:
         finally:
             second.close()
 
+    def test_checkpointing_needs_a_durable_federation_store(
+        self, service_config, tmp_path
+    ):
+        """The checkpoint carries no reports, so a federator whose
+        store is in memory would lose them all at a crash."""
+        fleet = make_fleet(service_config, store_dir=tmp_path / "stores")
+        try:
+            with pytest.raises(
+                ConfigError, match=r"\[federation\] store_path"
+            ):
+                ServiceApp(
+                    fleet,
+                    checkpoint_path=str(tmp_path / "ckpt.json"),
+                    federator=make_federator(service_config),
+                )
+        finally:
+            fleet.close()
+        assert not (tmp_path / "ckpt.json").exists()
+
+    def test_resumed_checkpoint_rewrites_the_same_bytes(
+        self, service_config, service_chunks, site_wire, tmp_path
+    ):
+        """Checkpoint -> resume -> checkpoint is byte-stable for a
+        mid-stream session (an interval pending in its assembler) and a
+        federator holding a buffered digest: every packed array is
+        rewritten with the dtype and the values it was read with."""
+        path = tmp_path / "ckpt.json"
+        fed_db = str(tmp_path / "federation.db")
+        fleet = make_fleet(service_config, store_dir=tmp_path / "stores")
+        try:
+            with open_store(fed_db) as store:
+                app = ServiceApp(
+                    fleet,
+                    checkpoint_path=str(path),
+                    federator=make_federator(service_config, store=store),
+                )
+                for chunk in service_chunks[:6]:
+                    fleet.feed(chunk)
+                for i in range(5):
+                    for site in SITES[: 1 if i == 4 else 2]:
+                        status, body, _ = app.handle(req(
+                            "POST", "/digest",
+                            body=site_wire[site][i].encode(),
+                        ))
+                        assert status == 200, body
+        finally:
+            fleet.close()
+        written = path.read_bytes()
+        doc = json.loads(written)
+        session = doc["fleet"]["pipelines"]["linkA"]["session"]
+        assert session["assembler"]["pending"]
+        assert session["detectors"]["detectors"]
+        assert doc["federation"]["pending"]
+
+        again = tmp_path / "again.json"
+        fresh = make_fleet(service_config, store_dir=tmp_path / "stores")
+        try:
+            with open_store(fed_db) as store:
+                resumed = make_federator(service_config, store=store)
+                sequence = resume_sequence(
+                    fresh, self._settings(str(path)), resume=True,
+                    federator=resumed,
+                )
+                ServiceApp(
+                    fresh,
+                    checkpoint_path=str(again),
+                    sequence=sequence,
+                    federator=resumed,
+                ).checkpoint()
+        finally:
+            fresh.close()
+        assert again.read_bytes() == written
+
     def test_resume_refuses_orphaned_federation_state(
         self, service_config, site_wire, tmp_path
     ):
         path = str(tmp_path / "ckpt.json")
         fleet = make_fleet(service_config, store_dir=tmp_path / "stores")
+        store = open_store(str(tmp_path / "federation.db"))
         try:
             app = ServiceApp(
                 fleet,
                 checkpoint_path=path,
                 checkpoint_every=1,
-                federator=make_federator(service_config),
+                federator=make_federator(service_config, store=store),
             )
             app.handle(req(
                 "POST", "/digest", body=site_wire["east"][0].encode()
             ))
         finally:
             fleet.close()
+            store.close()
         fresh = make_fleet(
             service_config, store_dir=tmp_path / "stores2"
         )

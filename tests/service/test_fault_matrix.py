@@ -152,6 +152,7 @@ class TestCheckpointCannotBeWritten:
         self, service_config, disk_full, tmp_path
     ):
         from repro.federation import Collector, Federator
+        from repro.incidents import IncidentStore
 
         common = dict(
             config=service_config.detector,
@@ -162,11 +163,12 @@ class TestCheckpointCannotBeWritten:
             {"linkA": service_config}, route="dst_ip",
             interval_seconds=10.0, store_dir=tmp_path / "stores",
         )
+        store = IncidentStore(str(tmp_path / "stores" / "federation.db"))
         app = ServiceApp(
             fleet,
             checkpoint_path=str(tmp_path / "run.ckpt"),
             federator=Federator(
-                ("east",), interval_seconds=10.0, **common
+                ("east",), interval_seconds=10.0, store=store, **common
             ),
         )
         try:
@@ -180,6 +182,7 @@ class TestCheckpointCannotBeWritten:
             assert os.listdir(tmp_path) == ["stores"]
         finally:
             fleet.close()
+            store.close()
 
 
 class TestBugInsideAHandler:

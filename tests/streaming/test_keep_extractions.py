@@ -2,12 +2,12 @@
 
 Closes the ROADMAP open item: with both `keep_reports=False` and
 `keep_extractions=False` a noisy unbounded pipe holds no per-interval
-state for longer than one chunk round - emitted extractions (each
-pinning its prefiltered FlowTable) and their report state are evicted
-once the caller has had the chance to consume them.
+state: emitted extractions (each pinning its prefiltered FlowTable) are
+returned to the caller and never retained by the session.
 """
 
-import pytest
+import gc
+import weakref
 
 import repro.api as api
 from repro.core import ExtractionConfig
@@ -54,41 +54,43 @@ class TestKeepExtractionsFalse:
         assert summary.intervals == retained.intervals
         assert summary.flows == retained.flows
 
-    def test_state_evicted_after_next_chunk(self, ddos_trace):
-        from repro.errors import ExtractionError
-
+    def test_session_pins_no_emitted_extraction(self, ddos_trace):
         with api.session(
             ExtractionConfig(keep_extractions=False, **_CONFIG),
             seed=1, interval_seconds=900.0,
         ) as streamer:
-            emitted = []
-            for chunk in _chunks(ddos_trace):
-                results = streamer.feed(chunk)
-                for extraction in results:
-                    # Within the same round the report is available...
-                    assert streamer.report_for(extraction) is not None
-                emitted.extend(results)
+
+            def feed(chunk):
+                refs = []
+                for extraction in streamer.feed(chunk):
+                    # The report is built from the result alone...
+                    report = streamer.report_for(extraction)
+                    assert report.interval == extraction.interval
+                    refs.append(weakref.ref(extraction))
+                return refs
+
+            emitted = [
+                ref for chunk in _chunks(ddos_trace) for ref in feed(chunk)
+            ]
             streamer.flush()
+            assert emitted
             assert streamer.extractions == []
-            # ...but state does not accumulate across rounds: at most
-            # the last batch is pinned.
-            assert len(streamer._report_state) <= 1
-            first = emitted[0]
-            with pytest.raises(ExtractionError, match="unknown extraction"):
-                streamer.report_for(first)
+            # ...and once the caller drops a result, nothing the
+            # session holds keeps it alive.
+            gc.collect()
+            assert [ref() for ref in emitted] == [None] * len(emitted)
 
     def test_sink_still_receives_every_report(self, ddos_trace):
-        from repro.sinks import MemorySink
+        from repro.incidents import IncidentStore
 
-        sink = MemorySink()
-        with api.session(
+        with IncidentStore(":memory:") as sink, api.session(
             ExtractionConfig(keep_extractions=False, **_CONFIG),
             seed=1, interval_seconds=900.0, sink=sink,
         ) as streamer:
             result = run_session(streamer, _chunks(ddos_trace))
-        assert result.extraction_count > 0
-        assert len(sink.reports) == result.extraction_count
-        assert sink.last_interval == result.intervals - 1
+            assert result.extraction_count > 0
+            assert len(sink) == result.extraction_count
+            assert sink.last_interval() == result.intervals - 1
 
     def test_default_retains_for_batch_parity(self, ddos_trace):
         with api.session(
