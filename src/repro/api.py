@@ -40,6 +40,7 @@ name in a config resolves against.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, TextIO
@@ -682,8 +683,9 @@ def serve(
     # One registry - live whatever [obs] enabled says: /metrics is part
     # of the daemon's contract - and one tracer, for the fleet and the
     # federator alike.
+    live = dataclasses.replace(run.base.obs, enabled=True)
     registry, spans = default_observers(
-        [run.base.replace(obs_enabled=True)], metrics, tracer
+        [run.base.replace(obs=live)], metrics, tracer
     )
     shared: dict[str, Any] = {
         "interval_seconds": interval_seconds,
@@ -791,7 +793,12 @@ def federate(
             the detector group configures the clone geometry every
             site's digests must share.
     """
-    run = RunConfig.load(config, **overrides)
+    given = {"min_support": min_support, "straggler_grace": straggler_grace}
+    run = RunConfig.load(
+        config,
+        {"federation": {k: v for k, v in given.items() if v is not None}},
+        **overrides,
+    )
     settings = run.federation
     digests = None
     if isinstance(traces, Mapping):
@@ -836,8 +843,6 @@ def federate(
         settings,
         sites=site_names,
         store=store,
-        min_support=min_support,
-        straggler_grace=straggler_grace,
         seed=seed,
         interval_seconds=interval_seconds,
         origin=origin,

@@ -10,9 +10,9 @@ subcommand:
   report for every flagged interval;
 * ``stream`` - same pipeline, but chunk-by-chunk over a CSV file or
   stdin with bounded memory (reports print as intervals complete);
-* ``fleet`` - N named per-link pipelines behind one record router and
-  a shared worker pool; prints per-pipeline summaries and the merged
-  fleet-wide incident ranking;
+* ``fleet`` - N named per-link pipelines behind one record router;
+  prints per-pipeline summaries and the merged fleet-wide incident
+  ranking;
 * ``serve`` - run the fleet as a long-lived daemon: ``POST /ingest``
   and an optional TCP line socket feed it, ``GET /incidents`` serves
   the merged ranking, ``GET /metrics`` the Prometheus export, and a
@@ -31,10 +31,10 @@ subcommand:
   context);
 * ``table2`` - regenerate the Table II running example at any scale.
 
-The pipeline subcommands (``detect``, ``extract``, ``stream``,
-``incidents``) accept ``--config run.toml``, a declarative
-:class:`~repro.core.config.ExtractionConfig` in TOML; explicit
-command-line flags override file values.
+Every subcommand that runs or queries a pipeline accepts ``--config
+run.toml``, one declarative :class:`~repro.core.config.RunConfig` file
+for every verb; the flags typed override file values (each flag is
+one entry of :data:`repro.cli._common.CONFIG_FLAGS`).
 
 ``detect``, ``extract`` and ``stream`` accept ``--format json`` for
 machine-readable output (one JSON document per alarmed interval).

@@ -1,28 +1,31 @@
 """Shared CLI plumbing.
 
-Three concerns live here so every subcommand module stays small:
+Two concerns live here so every subcommand module stays small:
 
-* **Tracked arguments** - :class:`TrackedAction` records which options
-  the user actually typed, which is what lets ``--config run.toml``
-  merge correctly: explicit flags override file values, file values
-  override flag defaults.
-* **Table-driven choices** - ``--miner`` and ``--features`` take
-  their choice lists from :data:`repro.mining.miners` and
-  :data:`repro.detection.features.feature_sets`.
+* **One flag table** - :data:`CONFIG_FLAGS` declares every flag that
+  sets a run-config key; :func:`add_config_flags` derives each flag's
+  type, choices and shown default from the settings field it sets.
 * **Declarative run configs** - :func:`run_config` loads the
   :class:`~repro.core.config.RunConfig` for a subcommand from the
-  layered sources.
+  layered sources: ``--config`` file, then the flags typed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import signal
+import typing
 from typing import Any
 
-from repro.core.config import RunConfig
-from repro.detection.features import feature_sets
+from repro.core.config import (
+    PREFILTER_MODES,
+    TABLE_TYPES,
+    TRACE_FORMATS,
+    RunConfig,
+)
+from repro.detection.features import feature_sets, resolve_features
 from repro.errors import ConfigError, TraceFormatError
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
@@ -106,43 +109,6 @@ def chunk_source(
     return iter_csv(trace, chunk_rows=chunk_rows, metrics=metrics)
 
 
-# ----------------------------------------------------------------------
-# Explicit-flag tracking
-# ----------------------------------------------------------------------
-class TrackedAction(argparse.Action):
-    """``store`` semantics plus a record that the option was typed."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        _mark_explicit(namespace, self.dest)
-
-
-class TrackedTrueAction(argparse.Action):
-    """``store_true`` semantics plus the explicit record."""
-
-    def __init__(self, option_strings, dest, default=False, **kwargs):
-        kwargs.pop("nargs", None)
-        super().__init__(option_strings, dest, nargs=0, default=default,
-                         **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True)
-        _mark_explicit(namespace, self.dest)
-
-
-def _mark_explicit(namespace: argparse.Namespace, dest: str) -> None:
-    explicit = getattr(namespace, "_explicit", None)
-    if explicit is None:
-        explicit = set()
-        setattr(namespace, "_explicit", explicit)
-    explicit.add(dest)
-
-
-def explicit_dests(args: argparse.Namespace) -> set[str]:
-    """The option dests the user explicitly passed on the command line."""
-    return getattr(args, "_explicit", set())
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -166,29 +132,7 @@ def add_config_arg(parser: argparse.ArgumentParser) -> None:
 def add_detector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--interval-seconds", type=float,
                         default=DEFAULT_INTERVAL_SECONDS)
-    parser.add_argument("--clones", type=int, default=3,
-                        action=TrackedAction)
-    parser.add_argument("--bins", type=int, default=1024,
-                        action=TrackedAction)
-    parser.add_argument("--votes", type=int, default=3,
-                        action=TrackedAction)
-    parser.add_argument("--training", type=int, default=96,
-                        action=TrackedAction)
-    parser.add_argument("--features", default=None,
-                        choices=sorted(feature_sets),
-                        action=TrackedAction,
-                        help="monitored feature set (default: the "
-                        "paper's five detectors)")
-
-
-def add_mining_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-support", type=int, default=1000,
-                        action=TrackedAction)
-    parser.add_argument("--prefilter", choices=("union", "intersection"),
-                        default="union", action=TrackedAction)
-    parser.add_argument("--miner", choices=sorted(miners),
-                        default="apriori", action=TrackedAction,
-                        help="frequent item-set miner")
+    add_config_flags(parser, "detector")
 
 
 def add_fleet_args(parser: argparse.ArgumentParser) -> None:
@@ -216,14 +160,6 @@ def add_format_arg(
                         default="table",
                         help=f"output format: human-readable table or "
                         f"{json_help}")
-
-
-def add_store_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--store", default=None, metavar="PATH",
-                        action=TrackedAction,
-                        help="persist every alarmed interval's extraction report "
-                        "to a SQLite incident store at PATH (query it "
-                        "with 'repro-extract incidents PATH')")
 
 
 def add_metrics_args(parser: argparse.ArgumentParser) -> None:
@@ -265,23 +201,6 @@ def write_metrics(registry, args: argparse.Namespace) -> None:
     )
 
 
-def add_trace_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH", dest="trace_out",
-        action=TrackedAction,
-        help="record a span trace (per-interval stage timings, "
-        "assembler events) and write it to PATH when "
-        "the run completes; '-' writes to stdout",
-    )
-    parser.add_argument(
-        "--trace-format", choices=("jsonl", "chrome", "text"),
-        default=None, action=TrackedAction,
-        help="trace export format: one canonical-JSON span per line, "
-        "Chrome trace-event JSON (load in Perfetto), or a "
-        "human-readable span tree (default: jsonl)",
-    )
-
-
 def write_trace(tracer, config) -> None:
     """Export the run's trace to ``[obs] trace_path`` in ``[obs]
     trace_format`` - which is where ``--trace`` / ``--trace-format``
@@ -297,56 +216,172 @@ def write_trace(tracer, config) -> None:
 # ----------------------------------------------------------------------
 # Config resolution
 # ----------------------------------------------------------------------
-#: argparse dest -> the ``[section] key`` the flag sets.
-_CONFIG_DESTS: dict[str, tuple[str, str]] = {
-    "clones": ("detector", "clones"),
-    "bins": ("detector", "bins"),
-    "votes": ("detector", "vote_threshold"),
-    "training": ("detector", "training_intervals"),
-    "features": ("detector", "features"),
-    "min_support": ("mining", "min_support"),
-    "prefilter": ("mining", "prefilter_mode"),
-    "miner": ("mining", "miner"),
-    "window": ("streaming", "window_intervals"),
-    "max_delay": ("streaming", "max_delay_seconds"),
-    "max_pending": ("streaming", "max_pending_intervals"),
-    "keep_extractions": ("streaming", "keep_extractions"),
-    "store": ("incidents", "store_path"),
-    "trace_out": ("obs", "trace_path"),
-    "trace_format": ("obs", "trace_format"),
-    "host": ("service", "host"),
-    "port": ("service", "port"),
-    "ingest_port": ("service", "ingest_port"),
-    "checkpoint": ("service", "checkpoint_path"),
-    "checkpoint_every": ("service", "checkpoint_every"),
-    "checkpoint_sync": ("service", "checkpoint_sync"),
+#: ``"section.key"`` -> ``(flag, help)``: every flag that sets a
+#: run-config key, declared here and nowhere else.  The flag's dest is
+#: the name, its default ``None`` (unset: the ``--config`` file or the
+#: field default decides); type, choices and the default its help shows
+#: come from the settings field (:func:`add_config_flags`).
+CONFIG_FLAGS: dict[str, tuple[str, str]] = {
+    "detector.clones": ("--clones", "histogram clones per detector (C)"),
+    "detector.bins": ("--bins", "bins per histogram clone (m)"),
+    "detector.vote_threshold": (
+        "--votes", "clones that must agree on a feature value (V)",
+    ),
+    "detector.training_intervals": (
+        "--training", "intervals that calibrate each alarm threshold",
+    ),
+    "detector.features": ("--features", "monitored feature set"),
+    "mining.min_support": (
+        "--min-support", "minimum item-set support in flows (s)",
+    ),
+    "mining.prefilter_mode": (
+        "--prefilter", "how the voted meta-data selects flows to mine",
+    ),
+    "mining.miner": ("--miner", "frequent item-set miner"),
+    "streaming.window_intervals": (
+        "--window", "sliding mining window in intervals "
+        "(1 = mine each alarmed interval alone)",
+    ),
+    "streaming.max_delay_seconds": (
+        "--max-delay", "seconds an interval stays open for "
+        "out-of-order flows",
+    ),
+    "streaming.max_pending_intervals": (
+        "--max-pending", "cap on intervals buffered at once "
+        "(unset: unbounded)",
+    ),
+    "streaming.keep_extractions": (
+        "--keep-extractions", "retain every extraction result in memory "
+        "for the whole run (the library default; the CLI prints or "
+        "stores results as they complete and drops them, so unbounded "
+        "noisy pipes run flat without it)",
+    ),
+    "incidents.store_path": (
+        "--store", "persist every alarmed interval's extraction report "
+        "to a SQLite incident store at this path (query it with "
+        "'repro-extract incidents PATH')",
+    ),
+    "incidents.jaccard": (
+        "--jaccard", "item-set similarity threshold for merging "
+        "intervals into one incident (1.0 = exact only; unset: the "
+        "value the store was written with)",
+    ),
+    "incidents.quiet_gap": (
+        "--quiet-gap", "intervals of silence before an incident closes "
+        "(reappearance then opens a new one; unset: the value the "
+        "store was written with)",
+    ),
+    "obs.trace_path": (
+        "--trace", "record a span trace (per-interval stage timings, "
+        "assembler events) and write it to this path when the run "
+        "completes; '-' writes to stdout",
+    ),
+    "obs.trace_format": (
+        "--trace-format", "trace export format: one canonical-JSON span "
+        "per line, Chrome trace-event JSON (load in Perfetto), or a "
+        "human-readable span tree",
+    ),
+    "service.host": ("--host", "bind address"),
+    "service.port": ("--port", "HTTP port (0 = ephemeral)"),
+    "service.ingest_port": (
+        "--ingest-port", "enable the TCP line-ingest socket on this "
+        "port (each line one header-less CSV flow row)",
+    ),
+    "service.checkpoint_path": ("--checkpoint", "durable checkpoint file"),
+    "service.checkpoint_every": (
+        "--checkpoint-every", "accepted ingest batches between checkpoints",
+    ),
+    "service.checkpoint_sync": (
+        "--checkpoint-sync", "fsync every checkpoint write (power-loss "
+        "durability; kill-safe resume needs only the atomic rename)",
+    ),
+    "federation.straggler_grace": (
+        "--grace", "release an interval once this many later intervals "
+        "have been seen, merging whatever arrived",
+    ),
+    "federation.min_support": (
+        "--min-support", "support floor: a voted value's exact flow "
+        "count over the merged interval",
+    ),
+    "federation.store_path": (
+        "--store", "append the federation's extraction reports to a "
+        "SQLite incident store at this path",
+    ),
+}
+
+#: The choices a flag offers: the tuples and name tables the settings'
+#: own validation checks against.
+_CHOICES: dict[str, typing.Sequence[str]] = {
+    "detector.features": sorted(feature_sets),
+    "mining.prefilter_mode": PREFILTER_MODES,
+    "mining.miner": sorted(miners),
+    "obs.trace_format": TRACE_FORMATS,
 }
 
 
-def run_config(args: argparse.Namespace) -> RunConfig:
-    """The run config for a subcommand's parsed arguments.
+def config_field(name: str) -> tuple[type, object]:
+    """``(type, default)`` of the settings field a :data:`CONFIG_FLAGS`
+    name sets; an Optional annotation yields its non-``None`` type."""
+    section, key = name.split(".")
+    if name == "detector.features":
+        # Not a DetectorConfig field: the feature set the key names.
+        default = resolve_features(None)
+        return str, next(k for k, v in feature_sets.items() if v == default)
+    cls = TABLE_TYPES[section]
+    annotation = typing.get_type_hints(cls)[key]
+    kind = next(
+        (t for t in typing.get_args(annotation) if t is not type(None)),
+        annotation,
+    )
+    field = next(f for f in dataclasses.fields(cls) if f.name == key)
+    return kind, field.default
 
-    Without ``--config`` every flag value applies (defaults included) -
-    exactly the pre-redesign behavior.  With ``--config`` the TOML file
-    is the base and only flags the user explicitly typed override it.
-    Flags the subcommand doesn't define are simply absent from the
-    namespace and skipped (as are unset ``None`` defaults), so one
-    builder serves every verb.  The file is read, and all of it
-    validated, once - by :meth:`RunConfig.load`, which also layers the
-    ``[fleet.pipelines.*]`` tables over the flags.
-    """
-    path = getattr(args, "config", None)
-    chosen = explicit_dests(args) if path else None
-    flags: dict[str, dict[str, object]] = {}
-    for dest, (section, key) in _CONFIG_DESTS.items():
-        value = getattr(args, dest, None)
-        if value is None or (chosen is not None and dest not in chosen):
+
+def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the :data:`CONFIG_FLAGS` of each named section (``"mining"``)
+    or key (``"streaming.window_intervals"``), in table order."""
+    for name, (flag, text) in CONFIG_FLAGS.items():
+        if name not in names and name.split(".")[0] not in names:
             continue
-        flags.setdefault(section, {})[key] = value
+        kind, default = config_field(name)
+        if kind is bool:
+            parser.add_argument(
+                flag, dest=name, default=None, action="store_true",
+                help=text,
+            )
+            continue
+        if default is not None:
+            text += f" (default: {default})"
+        choices = _CHOICES.get(name)
+        if choices:
+            metavar = None
+        elif name.endswith("_path"):
+            metavar = "PATH"
+        else:
+            metavar = flag.lstrip("-").replace("-", "_").upper()
+        parser.add_argument(
+            flag, dest=name, default=None, choices=choices,
+            type=None if kind is str else kind, metavar=metavar, help=text,
+        )
+
+
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The run config for a subcommand's parsed arguments: the
+    ``--config`` file (if any), then every config flag that was typed -
+    an unset flag is ``None`` and leaves its key alone.  The file is
+    read, and all of it validated, once - by :meth:`RunConfig.load`,
+    which also layers the ``[fleet.pipelines.*]`` tables over the flags.
+    """
+    flags: dict[str, dict[str, object]] = {}
+    for name in CONFIG_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None:
+            section, key = name.split(".")
+            flags.setdefault(section, {})[key] = value
     if getattr(args, "metrics", None) is not None:
         # --metrics PATH turns the registry on; write_metrics has the path.
         flags.setdefault("obs", {})["enabled"] = True
-    return RunConfig.load(path, flags)
+    return RunConfig.load(getattr(args, "config", None), flags)
 
 
 def weak_retention(
@@ -359,7 +394,7 @@ def weak_retention(
     retention.  A keyword override sits below the
     ``[fleet.pipelines.<name>]`` tables, so a pipeline's own key wins.
     """
-    if "keep_extractions" in explicit_dests(args) or run.sets(
+    if getattr(args, "streaming.keep_extractions") or run.sets(
         "streaming", "keep_extractions"
     ):
         return {}

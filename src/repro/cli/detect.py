@@ -13,6 +13,7 @@ from repro.cli._common import (
     add_format_arg,
     run_config,
 )
+from repro.core.config import IncidentSettings, ObsSettings
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
@@ -30,7 +31,7 @@ def run(args: argparse.Namespace) -> int:
     # opened, whatever the run config's [incidents]/[obs] tables say.
     with api.session(
         run_config(args), seed=args.seed,
-        store_path=None, obs_enabled=False, trace_path=None,
+        incidents=IncidentSettings(), obs=ObsSettings(),
     ) as session:
         run_ = session.extractor.detector_bank.run(
             flows, args.interval_seconds, origin=0.0

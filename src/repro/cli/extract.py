@@ -9,12 +9,10 @@ import argparse
 from repro import api
 from repro.cli._common import (
     add_config_arg,
+    add_config_flags,
     add_detector_args,
     add_format_arg,
     add_metrics_args,
-    add_mining_args,
-    add_store_arg,
-    add_trace_args,
     run_config,
     write_metrics,
     write_trace,
@@ -27,11 +25,11 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     ext.add_argument("trace")
     add_config_arg(ext)
     add_detector_args(ext)
-    add_mining_args(ext)
+    add_config_flags(ext, "mining")
     add_format_arg(ext)
-    add_store_arg(ext)
+    add_config_flags(ext, "incidents.store_path")
     add_metrics_args(ext)
-    add_trace_args(ext)
+    add_config_flags(ext, "obs")
     ext.set_defaults(func=run)
 
 

@@ -31,6 +31,7 @@ import json
 
 from repro.cli._common import (
     add_config_arg,
+    add_config_flags,
     add_detector_args,
     add_format_arg,
     positive_int,
@@ -78,21 +79,9 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     merge.add_argument("--origin", type=float, default=0.0,
                        help="timestamp of interval 0 (must match the "
                        "collectors')")
-    merge.add_argument("--grace", type=positive_int, default=None,
-                       help="straggler grace: release an interval "
-                       "once this many later intervals have been "
-                       "seen, merging whatever arrived (default: "
-                       "[federation] straggler_grace, else 2)")
-    # dest is namespaced away from the shared mining dest: federated
-    # extraction has its own support floor and no miner to configure.
-    merge.add_argument("--min-support", dest="fed_min_support",
-                       type=positive_int, default=None,
-                       help="support floor: a voted value's exact "
-                       "flow count over the merged interval (default: "
-                       "[federation] min_support, else 5000)")
-    merge.add_argument("--store", default=None, metavar="PATH",
-                       help="append the federation's extraction "
-                       "reports to a SQLite incident store at PATH")
+    # Federated extraction has its own support floor (and store), and
+    # no miner to configure: [federation] flags, not [mining] ones.
+    add_config_flags(merge, "federation")
     merge.add_argument("--profile", default="balanced",
                        help="ranking weight profile "
                        "(balanced, volume, campaign)")
@@ -142,9 +131,6 @@ def run_merge(args: argparse.Namespace) -> int:
     result = api.federate(
         args.digests,
         run_config(args),
-        store=args.store,
-        straggler_grace=args.grace,
-        min_support=args.fed_min_support,
         seed=args.seed,
         interval_seconds=args.interval_seconds,
         origin=args.origin,

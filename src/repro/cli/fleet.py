@@ -1,8 +1,8 @@
 """``repro-extract fleet`` - route one trace across many pipelines.
 
 The argv shell over :func:`repro.api.open_fleet`: one Fig. 3 pipeline
-per monitored link, all behind a single router and one shared worker
-pool (:class:`~repro.fleet.manager.FleetManager`).
+per monitored link, all behind a single router
+(:class:`~repro.fleet.manager.FleetManager`).
 Per-pipeline reports land in per-pipeline incident stores
 (``--store-dir``, or in-memory stores for a one-shot run), and the
 final output is the fleet-wide merged incident ranking.
@@ -16,14 +16,12 @@ import json
 from repro import api
 from repro.cli._common import (
     GracefulInterrupt,
-    TrackedTrueAction,
     add_config_arg,
+    add_config_flags,
     add_detector_args,
     add_fleet_args,
     add_format_arg,
     add_metrics_args,
-    add_mining_args,
-    add_trace_args,
     check_streamable,
     chunk_source,
     fleet_options,
@@ -49,7 +47,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                        help="path to a .csv trace, or '-' for stdin")
     add_config_arg(fleet)
     add_detector_args(fleet)
-    add_mining_args(fleet)
+    add_config_flags(fleet, "mining")
     fleet.add_argument("--chunk-rows", type=positive_int,
                        default=DEFAULT_CHUNK_ROWS,
                        help="flows parsed per chunk (bounds parser memory)")
@@ -63,19 +61,14 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                        "(balanced, volume, campaign)")
     fleet.add_argument("--top", type=positive_int, default=None,
                        help="print only the K best-ranked fleet incidents")
-    fleet.add_argument("--keep-extractions", default=False,
-                       action=TrackedTrueAction,
-                       help="retain every extraction result in memory for "
-                       "the whole run (the library default; the CLI only "
-                       "reads counters and the incident stores, so "
-                       "unbounded noisy pipes run flat without it)")
+    add_config_flags(fleet, "streaming.keep_extractions")
     add_format_arg(
         fleet,
         json_help="one JSON document for the whole run (per-pipeline "
         "summaries + merged incident ranking)",
     )
     add_metrics_args(fleet)
-    add_trace_args(fleet)
+    add_config_flags(fleet, "obs")
     fleet.set_defaults(func=run)
 
 

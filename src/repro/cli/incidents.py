@@ -7,6 +7,7 @@ import json
 
 from repro.cli._common import (
     add_config_arg,
+    add_config_flags,
     add_format_arg,
     positive_int,
     run_config,
@@ -39,16 +40,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     inc.add_argument("--profile", default="balanced",
                      help="ranking weight profile "
                      "(balanced, volume, campaign)")
-    inc.add_argument("--jaccard", type=float, default=None,
-                     help="item-set similarity threshold for merging "
-                     "intervals into one incident (1.0 = exact only; "
-                     "default: the value the store was written with, "
-                     "else 0.5)")
-    inc.add_argument("--quiet-gap", type=positive_int, default=None,
-                     help="intervals of silence before an incident "
-                     "closes (reappearance then opens a new one; "
-                     "default: the value the store was written with, "
-                     "else 2)")
+    add_config_flags(inc, "incidents.jaccard", "incidents.quiet_gap")
     add_format_arg(inc, json_help="a single JSON array of incidents "
                    "(one JSON object with --show or explain)")
     inc.set_defaults(func=run)
@@ -62,18 +54,12 @@ def run(args: argparse.Namespace) -> int:
         raise IncidentError(
             "explain needs an incident id: incidents <db> explain <id>"
         )
-    # A run config's [incidents] knobs serve as defaults here too,
-    # below explicit flags (None = defer to the store's values).
-    base = run_config(args).base
-    jaccard, quiet_gap = args.jaccard, args.quiet_gap
-    if jaccard is None:
-        jaccard = base.incident_jaccard
-    if quiet_gap is None:
-        quiet_gap = base.incident_quiet_gap
+    # Unset [incidents] knobs (None) defer to the store's own values.
+    knobs = run_config(args).base.incidents
     with open_store(args.db, must_exist=True) as store:
         ranked = store.incidents(
-            jaccard=jaccard,
-            quiet_gap=quiet_gap,
+            jaccard=knobs.jaccard,
+            quiet_gap=knobs.quiet_gap,
             profile=args.profile,
         )
         if args.action == "explain":

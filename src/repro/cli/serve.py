@@ -21,14 +21,11 @@ import argparse
 
 from repro import api
 from repro.cli._common import (
-    TrackedAction,
-    TrackedTrueAction,
     add_config_arg,
+    add_config_flags,
     add_detector_args,
     add_fleet_args,
-    add_mining_args,
     fleet_options,
-    positive_int,
     run_config,
 )
 
@@ -41,49 +38,19 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     )
     add_config_arg(serve)
     add_detector_args(serve)
-    add_mining_args(serve)
+    add_config_flags(serve, "mining")
     serve.add_argument("--resume", default=False, action="store_true",
                        help="restore the fleet from the configured "
                        "checkpoint file and continue that run "
                        "mid-stream (cold start when no checkpoint "
                        "exists yet)")
-    serve.add_argument("--host", default=None, action=TrackedAction,
-                       help="bind address (default from [service] "
-                       "host, else 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=None,
-                       action=TrackedAction,
-                       help="HTTP port (0 = ephemeral; default from "
-                       "[service] port, else 8181)")
-    serve.add_argument("--ingest-port", type=int, default=None,
-                       action=TrackedAction,
-                       help="enable the TCP line-ingest socket on this "
-                       "port (each line one header-less CSV flow row)")
-    serve.add_argument("--checkpoint", default=None, metavar="PATH",
-                       action=TrackedAction,
-                       help="durable checkpoint file (overrides "
-                       "[service] checkpoint_path)")
-    serve.add_argument("--checkpoint-every", type=positive_int,
-                       default=None, metavar="N", action=TrackedAction,
-                       help="checkpoint every N accepted ingest "
-                       "batches (overrides [service] "
-                       "checkpoint_every)")
-    serve.add_argument("--checkpoint-sync", default=None,
-                       action=TrackedTrueAction,
-                       help="fsync every checkpoint write (power-loss "
-                       "durability; kill-safe resume needs only the "
-                       "default atomic rename)")
+    add_config_flags(serve, "service")
     add_fleet_args(serve)
     serve.add_argument("--store-dir", default=None, metavar="DIR",
                        help="directory of per-pipeline incident stores "
                        "(required for checkpointing: durable resume "
                        "needs durable stores)")
-    serve.add_argument("--keep-extractions", default=False,
-                       action=TrackedTrueAction,
-                       help="retain every extraction result in memory "
-                       "for the whole daemon lifetime (the library "
-                       "default; the service reads stores and "
-                       "counters, so long-lived daemons run flat "
-                       "without it)")
+    add_config_flags(serve, "streaming.keep_extractions")
     serve.set_defaults(func=run)
 
 

@@ -8,15 +8,11 @@ import argparse
 from repro import api
 from repro.cli._common import (
     GracefulInterrupt,
-    TrackedAction,
-    TrackedTrueAction,
     add_config_arg,
+    add_config_flags,
     add_detector_args,
     add_format_arg,
     add_metrics_args,
-    add_mining_args,
-    add_store_arg,
-    add_trace_args,
     check_streamable,
     chunk_source,
     interrupt_guard,
@@ -39,7 +35,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                         help="path to a .csv trace, or '-' for stdin")
     add_config_arg(stream)
     add_detector_args(stream)
-    add_mining_args(stream)
+    add_config_flags(stream, "mining")
     stream.add_argument("--chunk-rows", type=positive_int,
                         default=DEFAULT_CHUNK_ROWS,
                         help="flows parsed per chunk (bounds parser memory)")
@@ -47,28 +43,11 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                         help="timestamp of interval 0 (set this to the "
                         "capture start for traces with absolute/epoch "
                         "timestamps)")
-    stream.add_argument("--window", type=positive_int, default=1,
-                        action=TrackedAction,
-                        help="sliding mining window in intervals "
-                        "(1 = mine each alarmed interval alone)")
-    stream.add_argument("--max-delay", type=float, default=0.0,
-                        action=TrackedAction,
-                        help="seconds an interval stays open for "
-                        "out-of-order flows")
-    stream.add_argument("--max-pending", type=positive_int, default=None,
-                        action=TrackedAction,
-                        help="cap on intervals buffered at once "
-                        "(default: unbounded)")
-    stream.add_argument("--keep-extractions", default=False,
-                        action=TrackedTrueAction,
-                        help="retain every extraction result in memory "
-                        "for the whole run (the library default; the "
-                        "CLI prints results as they complete and drops "
-                        "them, so unbounded noisy pipes run flat)")
+    add_config_flags(stream, "streaming")
     add_format_arg(stream)
-    add_store_arg(stream)
+    add_config_flags(stream, "incidents.store_path")
     add_metrics_args(stream)
-    add_trace_args(stream)
+    add_config_flags(stream, "obs")
     stream.set_defaults(func=run)
 
 
@@ -126,7 +105,7 @@ def run(args: argparse.Namespace) -> int:
             f"(pre-origin {result.late_dropped_pre_origin}, "
             f"closed-interval {result.late_dropped_closed})"
         )
-    if session.config.window_intervals > 1:
+    if session.config.streaming.window_intervals > 1:
         summary += (
             f"; windows mined {result.windows_mined}, "
             f"skipped {result.windows_skipped}"

@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import difflib
+import functools
 import math
 import os
 import types
@@ -45,7 +46,12 @@ from repro.mining import miners
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.registry import lookup
 
-_PREFILTER_MODES = ("union", "intersection")
+#: ``[mining] prefilter_mode`` values: the paper's choice, then the
+#: ablation.
+PREFILTER_MODES = ("union", "intersection")
+
+#: ``[obs] trace_format`` values (:func:`repro.obs.trace.render_trace`).
+TRACE_FORMATS = ("jsonl", "chrome", "text")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,9 +75,9 @@ class MiningSettings:
     def __post_init__(self) -> None:
         if self.min_support < 1:
             raise ConfigError(f"min_support must be >= 1: {self.min_support}")
-        if self.prefilter_mode not in _PREFILTER_MODES:
+        if self.prefilter_mode not in PREFILTER_MODES:
             raise ConfigError(
-                f"prefilter_mode must be one of {_PREFILTER_MODES}: "
+                f"prefilter_mode must be one of {PREFILTER_MODES}: "
                 f"{self.prefilter_mode}"
             )
         lookup("miner", miners, self.miner)
@@ -198,12 +204,14 @@ class ObsSettings:
     trace_format: str | None = None
 
     def __post_init__(self) -> None:
-        if self.trace_format is not None and self.trace_format not in (
-            "jsonl", "chrome", "text",
+        if (
+            self.trace_format is not None
+            and self.trace_format not in TRACE_FORMATS
         ):
             raise ConfigError(
-                f"trace_format must be one of 'jsonl', 'chrome', "
-                f"'text': {self.trace_format!r}"
+                f"trace_format must be one of "
+                f"{', '.join(map(repr, TRACE_FORMATS))}: "
+                f"{self.trace_format!r}"
             )
         try:
             buckets = tuple(float(b) for b in self.histogram_buckets)
@@ -245,15 +253,14 @@ _FLAT_FIELDS: dict[str, tuple[str, str]] = {
     "trace_format": ("obs", "trace_format"),
 }
 
-_GROUP_TYPES: dict[str, type] = {
+#: Every pipeline section -> the dataclass whose fields are its keys.
+_SECTION_TYPES: dict[str, type] = {
+    "detector": DetectorConfig,
     "mining": MiningSettings,
     "streaming": StreamingSettings,
     "incidents": IncidentSettings,
     "obs": ObsSettings,
 }
-
-#: Every pipeline section -> the dataclass whose fields are its keys.
-_SECTION_TYPES: dict[str, type] = {"detector": DetectorConfig, **_GROUP_TYPES}
 
 #: to_dict/from_dict section order (fixed: byte-stable output).
 _SECTION_ORDER = tuple(_SECTION_TYPES)
@@ -296,12 +303,15 @@ def _check_type(
     ``TypeError`` deep inside validation.  Accepted coercion: int ->
     float (TOML writes ``5`` for five seconds).  ``bool`` is never a
     valid int (and vice versa) despite the subclass relationship.
+    ``None`` passes where the annotation is Optional: TOML cannot spell
+    it, but a Python caller unsets a key that way (``store_path=None``).
     """
     origin = typing.get_origin(annotation)
     if origin is typing.Union or origin is types.UnionType:
-        allowed = [
-            a for a in typing.get_args(annotation) if a is not type(None)
-        ]
+        options = typing.get_args(annotation)
+        if value is None and type(None) in options:
+            return None
+        allowed = [a for a in options if a is not type(None)]
     else:
         allowed = [annotation]
     for expected in allowed:
@@ -336,6 +346,13 @@ def _check_type(
     )
 
 
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    """``{field name: resolved annotation}`` of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
 def _check_table(
     section: str,
     raw: object,
@@ -353,15 +370,16 @@ def _check_table(
     (``features``, ``sites``, ``pipelines``) that the caller checks
     itself; they pass through untouched.  Every config surface - the
     pipeline sections, ``[fleet.pipelines.<name>]`` overrides and the
-    three run tables - is checked here and nowhere else.
+    three run tables, and the groups, ``detector`` mapping and flat
+    fields given to :class:`ExtractionConfig` - is checked here and
+    nowhere else.
     """
     if not isinstance(raw, Mapping):
         raise ConfigError(
             f"[{section}] must be a table of keys, "
             f"got {type(raw).__name__}"
         )
-    hints = typing.get_type_hints(cls)
-    spec = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    spec = _field_types(cls)
     checked: dict[str, object] = {}
     for key, value in raw.items():
         if key in own:
@@ -425,24 +443,13 @@ class ExtractionConfig:
         obs: ObsSettings | Mapping | None = None,
         **flat: object,
     ):
-        groups: dict[str, object] = {
-            "mining": self._coerce_group("mining", mining),
-            "streaming": self._coerce_group("streaming", streaming),
-            "incidents": self._coerce_group("incidents", incidents),
-            "obs": self._coerce_group("obs", obs),
+        given = {
+            "detector": detector,
+            "mining": mining,
+            "streaming": streaming,
+            "incidents": incidents,
+            "obs": obs,
         }
-        if detector is None:
-            detector = DetectorConfig()
-        elif isinstance(detector, Mapping):
-            known = {f.name for f in dataclasses.fields(DetectorConfig)}
-            for key in detector:
-                if key not in known:
-                    raise ConfigError(
-                        f"[detector] unknown key {key!r}"
-                        f"{_close_match_hint(str(key), sorted(known))}; "
-                        f"valid keys: {sorted(known)}"
-                    )
-            detector = DetectorConfig(**detector)
         overrides: dict[str, dict[str, object]] = {}
         for key, value in flat.items():
             target = _FLAT_FIELDS.get(key)
@@ -457,37 +464,26 @@ class ExtractionConfig:
                 )
             group, attr = target
             overrides.setdefault(group, {})[attr] = value
-        for group, changes in overrides.items():
-            groups[group] = dataclasses.replace(groups[group], **changes)
+        for section, cls in _SECTION_TYPES.items():
+            value = given[section]
+            if value is None:
+                value = cls()
+            elif isinstance(value, Mapping):
+                value = cls(**_check_table(section, value, cls))
+            elif not isinstance(value, cls):
+                raise ConfigError(
+                    f"{section} must be {cls.__name__} or a mapping, "
+                    f"got {type(value).__name__}"
+                )
+            if section in overrides:
+                value = dataclasses.replace(
+                    value, **_check_table(section, overrides[section], cls)
+                )
+            object.__setattr__(self, section, value)
         features = resolve_features(features)
         if not features:
             raise ConfigError("need at least one monitored feature")
-        object.__setattr__(self, "detector", detector)
         object.__setattr__(self, "features", tuple(features))
-        for group, value in groups.items():
-            object.__setattr__(self, group, value)
-
-    @staticmethod
-    def _coerce_group(name: str, value: object):
-        cls = _GROUP_TYPES[name]
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            known = {f.name for f in dataclasses.fields(cls)}
-            for key in value:
-                if key not in known:
-                    raise ConfigError(
-                        f"[{name}] unknown key {key!r}"
-                        f"{_close_match_hint(str(key), sorted(known))}; "
-                        f"valid keys: {sorted(known)}"
-                    )
-            return cls(**value)
-        raise ConfigError(
-            f"{name} must be {cls.__name__} or a mapping, "
-            f"got {type(value).__name__}"
-        )
 
     # ------------------------------------------------------------------
     # Flat read surface (pre-redesign compatibility)
@@ -958,9 +954,9 @@ class FederationSettings:
             an incomplete interval is force-released.
         min_support: support floor for digest-mined item-sets (a voted
             value's exact flow count in the merged interval); its own
-            key - ``[mining] min_support`` does *not* apply.  ``None``
-            leaves the choice to the federator builder
-            (:func:`repro.federation.tier.open_federator`: 5,000).
+            key - ``[mining] min_support`` does *not* apply: that floor
+            is sized for one link's prefiltered flows, this one for
+            every site's merged interval (no prefilter narrows it).
         store_path: optional incident store the federator appends
             alarmed-interval reports to.
     """
@@ -968,7 +964,7 @@ class FederationSettings:
     sites: tuple[str, ...] = ()
     route: str | None = None
     straggler_grace: int = 2
-    min_support: int | None = None
+    min_support: int = 5_000
     store_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -986,7 +982,7 @@ class FederationSettings:
                 f"[federation] straggler_grace must be >= 1: "
                 f"{self.straggler_grace}"
             )
-        if self.min_support is not None and self.min_support < 1:
+        if self.min_support < 1:
             raise ConfigError(
                 f"[federation] min_support must be >= 1: "
                 f"{self.min_support}"
@@ -1114,10 +1110,14 @@ class RunConfig:
         # Not the file's fault: flag and keyword refusals stay bare.
         if layer:
             given = dict(layer)
-            service = dataclasses.replace(service, **given.pop("service", {}))
-            federation = dataclasses.replace(
-                federation, **given.pop("federation", {})
-            )
+            service = dataclasses.replace(service, **_check_table(
+                "service", given.pop("service", {}), ServiceSettings,
+                run_table=True,
+            ))
+            federation = dataclasses.replace(federation, **_check_table(
+                "federation", given.pop("federation", {}),
+                FederationSettings, run_table=True,
+            ))
             base = apply_section_overrides(base, given)
         if overrides:
             base = base.replace(**overrides)
@@ -1136,6 +1136,17 @@ class RunConfig:
                 return False
             node = node[key]
         return True
+
+
+#: Every run-config table -> the dataclass whose fields are its keys.
+#: ``[detector] features`` is the one key that is not a field there: it
+#: builds :attr:`ExtractionConfig.features`.
+TABLE_TYPES: dict[str, type] = {
+    **_SECTION_TYPES,
+    "fleet": FleetSettings,
+    "service": ServiceSettings,
+    "federation": FederationSettings,
+}
 
 
 #: Every spelling of a run config that :meth:`RunConfig.load` - and so

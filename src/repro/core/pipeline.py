@@ -136,7 +136,7 @@ def default_observers(
     no-ops.  The extractor, the fleet and the daemon all decide here.
     """
     if metrics is None:
-        enabled = [c for c in configs if c.obs_enabled]
+        enabled = [c for c in configs if c.obs.enabled]
         metrics = (
             MetricsRegistry(buckets=enabled[0].obs.histogram_buckets)
             if enabled
@@ -152,7 +152,7 @@ class AnomalyExtractor:
     """End-to-end online/offline anomaly extraction.
 
     Call :meth:`close` (or use the extractor as a context manager) to
-    release the incident store a ``config.store_path`` opens.
+    release the incident store a ``config.incidents.store_path`` opens.
 
     ``metrics`` attaches a :class:`~repro.obs.metrics.MetricsRegistry`;
     omitted, the extractor builds one when ``config.obs.enabled`` is
@@ -188,13 +188,13 @@ class AnomalyExtractor:
             self.config.detector, features=self.config.features, seed=seed
         )
         self._store = None
-        if self.config.store_path is not None:
+        if self.config.incidents.store_path is not None:
             from repro.incidents.store import IncidentStore
 
             self._store = IncidentStore(
-                self.config.store_path,
-                jaccard=self.config.incident_jaccard,
-                quiet_gap=self.config.incident_quiet_gap,
+                self.config.incidents.store_path,
+                jaccard=self.config.incidents.jaccard,
+                quiet_gap=self.config.incidents.quiet_gap,
                 metrics=metrics,
             )
 
@@ -223,7 +223,7 @@ class AnomalyExtractor:
     @property
     def store(self):
         """The :class:`~repro.incidents.store.IncidentStore` opened via
-        ``config.store_path``, or None."""
+        ``config.incidents.store_path``, or None."""
         return self._store
 
     def close(self) -> None:
@@ -304,10 +304,9 @@ class AnomalyExtractor:
         :meth:`mining_stage`)."""
         if len(flows) == 0:
             raise ExtractionError("cannot extract from an empty interval")
-        selected = prefilter(flows, metadata, self.config.prefilter_mode)
-        support = (
-            min_support if min_support is not None else self.config.min_support
-        )
+        mining = self.config.mining
+        selected = prefilter(flows, metadata, mining.prefilter_mode)
+        support = min_support if min_support is not None else mining.min_support
         return ExtractionResult(
             interval=interval,
             metadata=metadata,
@@ -318,14 +317,14 @@ class AnomalyExtractor:
 
     def _mine(self, flows: FlowTable, min_support: int) -> MiningResult:
         transactions = TransactionSet.from_flows(flows)
-        miner = lookup("miner", miners, self.config.miner)
+        miner = lookup("miner", miners, self.config.mining.miner)
         # An empty prefilter output (e.g. intersection mode on a
         # multi-stage anomaly) flows through the same call and yields an
         # empty-but-valid mining result.
         return miner(
             transactions,
             max(1, min_support),
-            maximal_only=self.config.maximal_only,
+            maximal_only=self.config.mining.maximal_only,
         )
 
 

@@ -313,7 +313,7 @@ class FlowInterval:
                 interval=report.interval,
                 alarmed_features=report.alarmed_features,
             )
-        mode = session.config.prefilter_mode
+        mode = session.config.mining.prefilter_mode
         miner.fill(prefilter(self._flows, metadata, mode).flows)
         mining = miner.mine_if_candidates()
         if mining is None:
@@ -385,8 +385,8 @@ class ExtractionSession(IntervalSpine):
         self.assembler: IntervalAssembler = IntervalAssembler(
             interval_seconds,
             origin=origin,
-            max_delay_seconds=self.config.max_delay_seconds,
-            max_pending_intervals=self.config.max_pending_intervals,
+            max_delay_seconds=self.config.streaming.max_delay_seconds,
+            max_pending_intervals=self.config.streaming.max_pending_intervals,
             instruments=extractor.instruments,
             tracer=extractor.tracer,
         )
@@ -403,7 +403,7 @@ class ExtractionSession(IntervalSpine):
         # owned MetricsSink next to the report sink: one snapshot per
         # processed interval lands in the JSONL trail.
         self._metrics_sink = None
-        if self.config.obs_enabled and self.config.obs.jsonl_path:
+        if self.config.obs.enabled and self.config.obs.jsonl_path:
             from repro.obs.sink import MetricsSink
             from repro.sinks import TeeSink
 
@@ -421,7 +421,7 @@ class ExtractionSession(IntervalSpine):
             origin=origin,
             sink=sink,
             keep_reports=keep_reports,
-            keep_extractions=self.config.keep_extractions,
+            keep_extractions=self.config.streaming.keep_extractions,
         )
         self._closed = False
         self._finished = False
@@ -432,16 +432,16 @@ class ExtractionSession(IntervalSpine):
         #: input-flow count.
         self._window_miner: SlidingWindowMiner | None = None
         self._window_raw_flows: deque[int] = deque(
-            maxlen=self.config.window_intervals
+            maxlen=self.config.streaming.window_intervals
         )
         self.windows_mined = 0
         self.windows_skipped = 0
-        if self.config.window_intervals > 1:
+        if self.config.streaming.window_intervals > 1:
             self._window_miner = SlidingWindowMiner(
-                window=self.config.window_intervals,
-                min_support=self.config.min_support,
-                miner=lookup("miner", miners, self.config.miner),
-                maximal_only=self.config.maximal_only,
+                window=self.config.streaming.window_intervals,
+                min_support=self.config.mining.min_support,
+                miner=lookup("miner", miners, self.config.mining.miner),
+                maximal_only=self.config.mining.maximal_only,
             )
 
     # ------------------------------------------------------------------

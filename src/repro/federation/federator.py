@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.config import ExtractionConfig
+from repro.core.config import ExtractionConfig, FederationSettings
 from repro.core.pipeline import AnomalyExtractor, ExtractionResult
 from repro.core.prefilter import PrefilterResult
 from repro.core.report import ExtractionReport
@@ -166,8 +166,8 @@ class Federator:
         seed: int = 0,
         interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
         origin: float = 0.0,
-        min_support: int = 5_000,
-        straggler_grace: int = 2,
+        min_support: int = FederationSettings.min_support,
+        straggler_grace: int = FederationSettings.straggler_grace,
         store: IncidentStore | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,

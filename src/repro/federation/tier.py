@@ -15,7 +15,6 @@ import contextlib
 import os
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 from repro.core.config import ExtractionConfig, FederationSettings
 from repro.core.report import ExtractionReport
@@ -30,15 +29,6 @@ from repro.incidents.rank import RankedIncident
 from repro.incidents.store import IncidentStore, open_store
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-
-_T = TypeVar("_T")
-
-#: Support floor of a federator built from a run config that names no
-#: ``[federation] min_support``.  Deliberately not the base config's
-#: ``[mining] min_support``: that floor is sized for one link's
-#: prefiltered flows, this one for a voted value's exact flow count
-#: over every site's merged interval (no prefilter narrows it).
-DEFAULT_MIN_SUPPORT = 5_000
 
 
 @dataclass(frozen=True)
@@ -167,8 +157,6 @@ def open_federator(
     *,
     sites: Sequence[str] | None = None,
     store: IncidentStore | str | os.PathLike[str] | None = None,
-    straggler_grace: int | None = None,
-    min_support: int | None = None,
     seed: int = 0,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     origin: float = 0.0,
@@ -182,26 +170,22 @@ def open_federator(
     :func:`repro.api.serve` (and so ``repro-extract federate merge``
     and ``serve``).  ``base`` supplies the detector
     geometry, the features and the incident-correlation knobs;
-    ``settings`` the ``[federation]`` table.  ``sites``, ``store``,
-    ``straggler_grace`` and ``min_support`` override the table when not
-    ``None`` (explicit flags and keyword arguments).  A ``store`` given as an
+    ``settings`` the ``[federation]`` table, support floor and straggler
+    grace included.  ``sites`` and ``store`` override the table when
+    not ``None``.  A ``store`` given as an
     open :class:`IncidentStore` stays the caller's to close; a path -
     the argument's or ``[federation] store_path`` - is opened here with
     the base ``[incidents]`` knobs and closed when the block exits.
     Without either, the federator's store is a private ``:memory:`` one
     (same knobs) that lives as long as the federator.
     """
-
-    def pick(override: _T | None, configured: _T) -> _T:
-        return configured if override is None else override
-
     target = store if store is not None else settings.store_path
     opened: IncidentStore | None = None
     if not isinstance(target, IncidentStore):
         target = open_store(
             ":memory:" if target is None else os.fspath(target),
-            jaccard=base.incident_jaccard,
-            quiet_gap=base.incident_quiet_gap,
+            jaccard=base.incidents.jaccard,
+            quiet_gap=base.incidents.quiet_gap,
         )
         if target.path != ":memory:":
             opened = target
@@ -213,11 +197,8 @@ def open_federator(
             seed=seed,
             interval_seconds=interval_seconds,
             origin=origin,
-            min_support=pick(
-                min_support,
-                pick(settings.min_support, DEFAULT_MIN_SUPPORT),
-            ),
-            straggler_grace=pick(straggler_grace, settings.straggler_grace),
+            min_support=settings.min_support,
+            straggler_grace=settings.straggler_grace,
             store=target,
             metrics=metrics,
             tracer=tracer,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config import ExtractionConfig
 from repro.core.pipeline import (
@@ -168,13 +168,16 @@ class FleetManager:
         resolved: dict[str, ExtractionConfig] = {}
         store_owners: dict[str, str] = {}
         for name, config in pipelines.items():
-            if config.store_path is None:
-                path = (
+            store_path = config.incidents.store_path
+            if store_path is None:
+                store_path = (
                     os.path.join(os.fspath(store_dir), f"{name}.db")
                     if store_dir is not None
                     else ":memory:"
                 )
-                config = config.replace(store_path=path)
+                config = config.replace(
+                    incidents=replace(config.incidents, store_path=store_path)
+                )
             # Correlation is strictly per link; two pipelines writing
             # one store would interleave their reports, duplicate every
             # incident per pipeline tag in incidents(), and fight over
@@ -182,13 +185,13 @@ class FleetManager:
             # connection, so it never collides.)  Compare resolved
             # paths, not spellings - "shared.db" and "./shared.db" are
             # the same file.
-            if config.store_path != ":memory:":
-                resolved_path = os.path.realpath(config.store_path)
+            if store_path != ":memory:":
+                resolved_path = os.path.realpath(store_path)
                 owner = store_owners.setdefault(resolved_path, name)
                 if owner != name:
                     raise ConfigError(
                         f"pipelines {owner!r} and {name!r} share store "
-                        f"{config.store_path!r}; every pipeline needs "
+                        f"{store_path!r}; every pipeline needs "
                         f"its own store (use store_dir=)"
                     )
             resolved[name] = config

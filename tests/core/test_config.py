@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.api as api
 from repro.core.config import TABLE3_PARAMETERS, ExtractionConfig
 from repro.detection.detector import DetectorConfig
 from repro.errors import ConfigError
@@ -76,6 +77,70 @@ class TestExtractionConfig:
             detector=DetectorConfig(clones=5, bins=512, vote_threshold=4)
         )
         assert config.detector.clones == 5
+
+
+#: Python spellings of a wrong-type value -> the ``(section, key, value)``
+#: TOML would spell it as.
+PYTHON_SPELLINGS = [
+    (
+        lambda: ExtractionConfig(mining={"maximal_only": "no"}),
+        ("mining", "maximal_only", "no"),
+    ),
+    (
+        lambda: ExtractionConfig(mining={"min_support": "500"}),
+        ("mining", "min_support", "500"),
+    ),
+    (
+        lambda: ExtractionConfig(min_support="500"),
+        ("mining", "min_support", "500"),
+    ),
+    (
+        lambda: ExtractionConfig(detector={"bins": "64"}),
+        ("detector", "bins", "64"),
+    ),
+    (
+        lambda: ExtractionConfig(incidents={"jaccard": "0.5"}),
+        ("incidents", "jaccard", "0.5"),
+    ),
+    (
+        lambda: api.session(mining={"min_support": "500"}),
+        ("mining", "min_support", "500"),
+    ),
+]
+
+
+class TestPythonSpellingsAreTypeChecked:
+    """Mapping groups, a mapping ``detector`` and flat kwargs go through
+    the checker TOML values do, and are refused in the same words."""
+
+    @pytest.mark.parametrize(
+        "build, toml",
+        PYTHON_SPELLINGS,
+        ids=["maximal_only", "mining-group", "flat", "detector", "jaccard",
+             "api-session"],
+    )
+    def test_refused_like_toml(self, build, toml):
+        section, key, value = toml
+        with pytest.raises(ConfigError) as from_toml:
+            ExtractionConfig.from_dict({section: {key: value}})
+        with pytest.raises(ConfigError) as from_python:
+            build()
+        assert str(from_python.value) == str(from_toml.value)
+        assert str(from_python.value).startswith(f"[{section}] {key} must be")
+
+    def test_none_unsets_an_optional_key(self):
+        config = ExtractionConfig(store_path=None, max_pending_intervals=None)
+        assert config.incidents.store_path is None
+        assert config.streaming.max_pending_intervals is None
+        grouped = ExtractionConfig(
+            incidents={"store_path": None},
+            streaming={"max_pending_intervals": None},
+        )
+        assert grouped == config
+
+    def test_none_is_refused_where_the_key_is_not_optional(self):
+        with pytest.raises(ConfigError, match=r"\[mining\] min_support must"):
+            ExtractionConfig(min_support=None)
 
 
 class TestTable3:

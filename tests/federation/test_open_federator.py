@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.api as api
 from repro.core.config import RunConfig
 from repro.errors import ConfigError, IncidentError
-from repro.federation.tier import DEFAULT_MIN_SUPPORT, open_federator
+from repro.federation.tier import open_federator
 from repro.incidents.store import IncidentStore
 
 
@@ -23,12 +25,12 @@ def _run(**federation) -> RunConfig:
 def test_mining_min_support_does_not_reach_the_federator():
     """``[federation] min_support`` is its own key: a run config with
     ``[mining] min_support = 300`` and no federation floor federates at
-    the builder's 5,000, whichever verb builds it."""
+    the table's own 5,000, whichever verb builds it."""
     run = _run()
     assert run.base.min_support == 300
-    assert run.federation.min_support is None
+    assert run.federation.min_support == 5_000
     with open_federator(run.base, run.federation) as federator:
-        assert federator.min_support == DEFAULT_MIN_SUPPORT == 5_000
+        assert federator.min_support == 5_000
     empty = api.FlowTable.empty()
     result = api.federate({"east": empty, "west": empty}, run.sections)
     assert result.sites == ("east", "west")
@@ -42,9 +44,11 @@ def test_table_then_keyword_decide_each_knob():
         assert federator.straggler_grace == 3
         assert federator.schema.bins == 128  # the base detector geometry
         assert federator.store.jaccard == 0.8  # the base [incidents] knobs
+    settings = dataclasses.replace(
+        run.federation, min_support=9, straggler_grace=1
+    )
     with open_federator(
-        run.base, run.federation, sites=["solo"], min_support=9,
-        straggler_grace=1, seed=4,
+        run.base, settings, sites=["solo"], seed=4
     ) as federator:
         assert federator.sites == ("solo",)
         assert federator.min_support == 9

@@ -324,8 +324,8 @@ class TestLayeringOrder:
         ))
         assert flagged.base.min_support == 200
         assert self._supports(flagged) == {"a": 200, "b": 150}
-        # Without --config every flag default applies, typed or not.
-        assert run_config(parse(["fleet", "-"])).base.min_support == 1000
+        # Without --config an unset flag leaves the field default.
+        assert run_config(parse(["fleet", "-"])).base.min_support == 5000
 
     def test_api_overrides(self, tmp_path):
         path = _write(tmp_path, "run.toml", LAYERED)

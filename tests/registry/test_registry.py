@@ -5,7 +5,7 @@ from types import MappingProxyType
 import pytest
 
 import repro.api as api
-from repro.core import ExtractionConfig
+from repro.core import ExtractionConfig, MiningSettings
 from repro.detection.features import (
     DETECTOR_FEATURES,
     MINING_FEATURES,
@@ -63,14 +63,20 @@ def test_unknown_name_is_refused_with_the_choices(kind, tmp_path):
 
 @pytest.mark.parametrize("name", [None, 5, ["apriori"]])
 def test_non_string_miner_name_is_a_registry_error(name):
+    with pytest.raises(RegistryError) as excinfo:
+        MiningSettings(miner=name)
+    message = str(excinfo.value)
+    assert "miner name must be a string" in message
+    assert type(name).__name__ in message
+    # The flat spellings are type-checked like a TOML value first.
     for build in (
         lambda: api.resolve_config(None, miner=name),
         lambda: ExtractionConfig(miner=name),
     ):
-        with pytest.raises(RegistryError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             build()
         message = str(excinfo.value)
-        assert "miner name must be a string" in message
+        assert "[mining] miner must be str" in message
         assert type(name).__name__ in message
 
 

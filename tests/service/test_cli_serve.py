@@ -13,6 +13,7 @@ import time
 import urllib.request
 
 from repro.cli import build_parser, main
+from repro.cli._common import run_config
 
 
 def free_port() -> int:
@@ -30,17 +31,19 @@ class TestParser:
             "--store-dir", "stores",
         ])
         assert args.resume is True
-        assert args.port == 0
-        assert args.checkpoint == "x.ckpt"
-        assert args.checkpoint_every == 3
+        service = run_config(args).service
+        assert service.port == 0
+        assert service.checkpoint_path == "x.ckpt"
+        assert service.checkpoint_every == 3
         # only overrides [service] checkpoint_sync when passed
-        assert args.checkpoint_sync is None
+        assert getattr(args, "service.checkpoint_sync") is None
+        assert service.checkpoint_sync is False
 
     def test_checkpoint_sync_flag(self):
         args = build_parser().parse_args(
             ["serve", "--checkpoint-sync", "--pipelines", "1"]
         )
-        assert args.checkpoint_sync is True
+        assert run_config(args).service.checkpoint_sync is True
 
 
 class TestErrorPaths:
