@@ -31,10 +31,10 @@ dict, or a path to a TOML run config, plus flat keyword overrides::
     for entry in repro.rank("incidents.db", top=5):
         print(entry.render())
 
-The names re-exported here (and the four verbs) are the supported
-surface; internals may move between modules, these stay.  ``miners``,
-``feature_sets``, ``readers`` and ``routers`` are the built-in tables a
-name in a config resolves against.
+The names re-exported here (the eight verbs among them) are the
+supported surface; internals may move between modules, these stay.
+``miners``, ``feature_sets``, ``readers`` and ``routers`` are the
+built-in tables a name in a config resolves against.
 """
 
 from __future__ import annotations

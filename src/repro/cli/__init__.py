@@ -4,12 +4,10 @@ Subcommands mirror the workflow of the paper, one module per
 subcommand:
 
 * ``generate`` - synthesize a labelled trace to a CSV/NPZ file;
-* ``detect`` - run the histogram detector bank over a trace and list
-  alarmed intervals;
-* ``extract`` - run the full online pipeline and print the item-set
-  report for every flagged interval;
-* ``stream`` - same pipeline, but chunk-by-chunk over a CSV file or
-  stdin with bounded memory (reports print as intervals complete);
+* ``extract`` - run the full online pipeline over a ``.npz``/``.csv``
+  trace or stdin with bounded memory and print the item-set report for
+  every flagged interval as it completes (``--alarms-only``: list the
+  detector bank's alarmed intervals instead);
 * ``fleet`` - N named per-link pipelines behind one record router;
   prints per-pipeline summaries and the merged fleet-wide incident
   ranking;
@@ -36,24 +34,23 @@ run.toml``, one declarative :class:`~repro.core.config.RunConfig` file
 for every verb; the flags typed override file values (each flag is
 one entry of :data:`repro.cli._common.CONFIG_FLAGS`).
 
-``detect``, ``extract`` and ``stream`` accept ``--format json`` for
-machine-readable output (one JSON document per alarmed interval).
+``extract`` accepts ``--format json`` for machine-readable output (one
+JSON document per alarmed interval).
 
 Examples:
     repro-extract generate --intervals 8 --out trace.npz
-    repro-extract detect trace.npz
+    repro-extract extract trace.npz --alarms-only
     repro-extract extract trace.npz --min-support 500
     repro-extract extract trace.npz --config run.toml
-    repro-extract stream trace.csv --min-support 500
-    cat trace.csv | repro-extract stream - --window 4
-    repro-extract stream trace.csv --store incidents.db
+    cat trace.csv | repro-extract extract - --window 4
+    repro-extract extract trace.csv --store incidents.db
     repro-extract fleet trace.csv --pipelines 2 --route "dst_ip%2"
     repro-extract serve --config fleet.toml --resume
     repro-extract federate collect east.npz --site east --out east.jsonl
     repro-extract federate merge east.jsonl west.jsonl --top 5
     repro-extract incidents incidents.db --top 5 --format json
     repro-extract incidents incidents.db explain 1
-    repro-extract stream trace.csv --trace spans.jsonl
+    repro-extract extract trace.csv --trace spans.jsonl
     repro-extract table2 --scale 0.05
 """
 
@@ -63,14 +60,12 @@ import argparse
 import sys
 
 from repro.cli import (
-    detect,
     extract,
     federate,
     fleet,
     generate,
     incidents,
     serve,
-    stream,
     table2,
 )
 from repro.errors import ReproError
@@ -88,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
-    for module in (generate, detect, extract, stream, fleet, serve,
-                   federate, incidents, table2):
+    for module in (generate, extract, fleet, serve, federate, incidents,
+                   table2):
         module.add_parser(sub)
     return parser
 

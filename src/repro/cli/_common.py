@@ -26,8 +26,10 @@ from repro.core.config import (
     RunConfig,
 )
 from repro.detection.features import feature_sets, resolve_features
-from repro.errors import ConfigError, TraceFormatError
+from repro.errors import ConfigError
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
+from repro.flows import iter_csv, iter_csv_handle, iter_intervals, read_trace
+from repro.flows.io import DEFAULT_CHUNK_ROWS, trace_format
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.mining import miners
 
@@ -53,7 +55,7 @@ def interrupt_guard():
     """Convert SIGINT/SIGTERM inside the block into
     :class:`GracefulInterrupt`.
 
-    The streaming commands wrap only their *feed loop* in this guard:
+    The run verbs wrap only their *feed loop* in this guard:
     an interrupt then stops ingesting but still runs the flush, the
     summary, and the ``--store``/``--metrics``/``--trace`` writers, so
     a Ctrl-C'd overnight run keeps everything it extracted instead of
@@ -79,34 +81,40 @@ def interrupt_guard():
             signal.signal(signum, handler)  # type: ignore[arg-type]
 
 
-def check_streamable(trace: str, command: str = "stream") -> None:
-    """Refuse a trace the streaming subcommands cannot read
-    incrementally: anything but a ``.csv`` path or ``'-'`` for stdin
-    (incremental parsing is row-oriented).  The shells call this before
-    they open anything, so a refused run creates no store."""
-    if trace != "-" and not trace.endswith(".csv"):
-        raise TraceFormatError(
-            f"{trace}: {command} reads a .csv trace (or '-' for stdin)"
-        )
+def check_source(trace: str) -> None:
+    """Refuse a SOURCE the run verbs cannot read: anything but ``'-'``
+    (CSV on stdin) or a path :func:`~repro.flows.io.trace_format`
+    knows.  The shells call this before they open anything, so a
+    refused run creates no store."""
+    if trace != "-":
+        trace_format(trace)
 
 
-def chunk_source(
-    trace: str, chunk_rows: int, command: str = "stream", metrics=None
-):
-    """Chunked flow iterator for the streaming subcommands (see
-    :func:`check_streamable` for what ``trace`` may be).  ``metrics``
-    threads a registry through to the CSV parser's row counters."""
+def flow_chunks(args: argparse.Namespace, metrics):
+    """The flow chunks of a run verb's SOURCE (``args.trace``): a
+    ``.csv`` path or ``'-'`` parsed ``--chunk-rows`` lines at a time,
+    or a ``.npz`` read whole and fed interval by interval on the
+    ``--interval-seconds`` / ``--origin`` grid, so its row order never
+    matters.  ``metrics`` threads a registry through to the CSV
+    parser's row counters."""
     import sys
 
-    from repro.flows import iter_csv, iter_csv_handle
-
-    check_streamable(trace, command)
-    if trace == "-":
+    if args.trace == "-":
         return iter_csv_handle(
-            sys.stdin, chunk_rows=chunk_rows, name="<stdin>",
+            sys.stdin, chunk_rows=args.chunk_rows, name="<stdin>",
             metrics=metrics,
         )
-    return iter_csv(trace, chunk_rows=chunk_rows, metrics=metrics)
+    if trace_format(args.trace) == ".csv":
+        return iter_csv(args.trace, chunk_rows=args.chunk_rows, metrics=metrics)
+    return (
+        view.flows
+        for view in iter_intervals(
+            read_trace(args.trace),
+            args.interval_seconds,
+            origin=args.origin,
+            include_empty=False,
+        )
+    )
 
 
 def positive_int(text: str) -> int:
@@ -129,17 +137,31 @@ def add_config_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def add_source_args(parser: argparse.ArgumentParser) -> None:
+    """A run verb's SOURCE and ``--chunk-rows``: what
+    :func:`flow_chunks` reads."""
+    parser.add_argument("trace", metavar="SOURCE",
+                        help="a .csv or .npz trace, or '-' for CSV on stdin")
+    parser.add_argument("--chunk-rows", type=positive_int,
+                        default=DEFAULT_CHUNK_ROWS,
+                        help="flows parsed per chunk (bounds parser memory)")
+
+
 def add_detector_args(parser: argparse.ArgumentParser) -> None:
+    """The interval grid - ``--interval-seconds`` and ``--origin``
+    define it together - and the ``[detector]`` flags."""
     parser.add_argument("--interval-seconds", type=float,
                         default=DEFAULT_INTERVAL_SECONDS)
+    parser.add_argument("--origin", type=float, default=0.0,
+                        help="timestamp of interval 0 (set this to the "
+                        "capture start for traces with absolute/epoch "
+                        "timestamps; federated sites must share it)")
     add_config_flags(parser, "detector")
 
 
 def add_fleet_args(parser: argparse.ArgumentParser) -> None:
     """The pipeline-set flags ``fleet`` and ``serve`` share (see
     :func:`fleet_options`)."""
-    parser.add_argument("--origin", type=float, default=0.0,
-                        help="timestamp of interval 0")
     parser.add_argument("--pipelines", type=positive_int, default=None,
                         metavar="N",
                         help="run N generated pipelines (link0..linkN-1) "
@@ -387,7 +409,7 @@ def run_config(args: argparse.Namespace) -> RunConfig:
 def weak_retention(
     args: argparse.Namespace, run: RunConfig
 ) -> dict[str, bool]:
-    """The streaming verbs' weak ``keep_extractions=False`` default as
+    """The run verbs' weak ``keep_extractions=False`` default as
     an :mod:`repro.api` keyword override (they print or store results
     as they complete, so retention would only grow): empty when
     ``--keep-extractions`` or the base ``[streaming]`` key asks for

@@ -60,10 +60,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                          "stdout)")
     add_config_arg(collect)
     add_detector_args(collect)
-    collect.add_argument("--origin", type=float, default=0.0,
-                         help="timestamp of interval 0 (every site "
-                         "must use the same value: the interval grid "
-                         "is shared)")
     collect.set_defaults(func=run_collect)
 
     merge = fed_sub.add_parser(
@@ -76,9 +72,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                        "collect', one or more sites")
     add_config_arg(merge)
     add_detector_args(merge)
-    merge.add_argument("--origin", type=float, default=0.0,
-                       help="timestamp of interval 0 (must match the "
-                       "collectors')")
     # Federated extraction has its own support floor (and store), and
     # no miner to configure: [federation] flags, not [mining] ones.
     add_config_flags(merge, "federation")

@@ -22,8 +22,9 @@ from repro.cli._common import (
     add_fleet_args,
     add_format_arg,
     add_metrics_args,
-    check_streamable,
-    chunk_source,
+    add_source_args,
+    check_source,
+    flow_chunks,
     fleet_options,
     interrupt_guard,
     positive_int,
@@ -33,24 +34,19 @@ from repro.cli._common import (
 )
 from repro.errors import ConfigError
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
-from repro.flows.io import DEFAULT_CHUNK_ROWS
 from repro.obs.log import get_logger
 
 
 def add_parser(sub: argparse._SubParsersAction) -> None:
     fleet = sub.add_parser(
         "fleet",
-        help="multi-pipeline extraction: route a CSV trace or stdin "
+        help="multi-pipeline extraction: route a .csv/.npz trace or stdin "
         "('-') across N per-link pipelines",
     )
-    fleet.add_argument("trace",
-                       help="path to a .csv trace, or '-' for stdin")
+    add_source_args(fleet)
     add_config_arg(fleet)
     add_detector_args(fleet)
     add_config_flags(fleet, "mining")
-    fleet.add_argument("--chunk-rows", type=positive_int,
-                       default=DEFAULT_CHUNK_ROWS,
-                       help="flows parsed per chunk (bounds parser memory)")
     add_fleet_args(fleet)
     fleet.add_argument("--store-dir", default=None, metavar="DIR",
                        help="directory of per-pipeline incident stores "
@@ -84,12 +80,9 @@ def run(args: argparse.Namespace) -> int:
         # A one-shot run cannot tag chunks per link.
         options["route"] = DEFAULT_ROUTE_COLUMN
     # Before the fleet opens (and creates) its stores.
-    check_streamable(args.trace, "fleet")
+    check_source(args.trace)
     with api.open_fleet(run_cfg, **options) as fleet:
-        chunks = chunk_source(
-            args.trace, args.chunk_rows, command="fleet",
-            metrics=fleet.metrics,
-        )
+        chunks = flow_chunks(args, fleet.metrics)
         interrupted: GracefulInterrupt | None = None
         try:
             # Guard only the feed loop: an interrupt stops ingesting,

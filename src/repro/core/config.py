@@ -105,7 +105,7 @@ class StreamingSettings:
             can return them all - linear in alarm count.  Set False for
             genuinely unbounded noisy pipes: each feed returns its
             extractions and the session keeps none, memory stays flat,
-            and summaries use counters (the CLI ``stream`` default).
+            and summaries use counters (the CLI run verbs' default).
     """
 
     window_intervals: int = 1
@@ -1028,9 +1028,9 @@ class RunConfig:
     A deployment is described by one file - the pipeline sections
     (``[detector]``/``[mining]``/...) that build the base
     :class:`ExtractionConfig`, plus ``[fleet]``, ``[service]`` and
-    ``[federation]`` - and every verb (``extract``, ``stream``,
-    ``fleet``, ``serve``, ``federate``; the :mod:`repro.api` functions
-    of the same names) accepts that same file: all four parts are
+    ``[federation]`` - and every verb (``extract``, ``fleet``,
+    ``serve``, ``federate`` and the :mod:`repro.api` functions behind
+    them) accepts that same file: all four parts are
     validated, each verb uses its own.  :meth:`load` is the only place
     a run config is read, split, validated and path-prefixed.
 

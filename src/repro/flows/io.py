@@ -158,7 +158,7 @@ def iter_csv_handle(
 
     The workhorse behind :func:`iter_csv`; use it directly when the
     trace arrives on something that has no path, e.g.
-    ``repro-extract stream -`` reading from a shell pipeline (any
+    ``repro-extract extract -`` reading from a shell pipeline (any
     iterable of lines will do).  ``name`` labels error messages.
     ``chunk_rows`` lines at a time are decoded by numpy's text reader
     straight into columns; each yielded table holds the flows of one
@@ -253,12 +253,12 @@ def read_npz(path: str | os.PathLike[str]) -> FlowTable:
 readers = {".csv": read_csv, ".npz": read_npz}
 
 
-def read_trace(path: str | os.PathLike[str]) -> FlowTable:
-    """Read a trace by file extension via :data:`readers`.
+def trace_format(path: str | os.PathLike[str]) -> str:
+    """The :data:`readers` key of ``path``: its lower-cased extension.
 
-    The one dispatch point shared by the CLI and the API facade; unknown
-    extensions raise :class:`TraceFormatError` listing the readable
-    ones.
+    The one extension rule shared by the CLI and the API facade; an
+    unknown extension raises :class:`TraceFormatError` listing the
+    readable ones.
     """
     extension = os.path.splitext(os.fspath(path))[1].lower()
     if extension not in readers:
@@ -266,5 +266,10 @@ def read_trace(path: str | os.PathLike[str]) -> FlowTable:
             f"{path}: unknown trace format (expected one of: "
             f"{', '.join(sorted(readers))})"
         )
-    return readers[extension](path)
+    return extension
+
+
+def read_trace(path: str | os.PathLike[str]) -> FlowTable:
+    """Read a trace by file extension via :data:`readers`."""
+    return readers[trace_format(path)](path)
 

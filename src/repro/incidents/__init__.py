@@ -25,7 +25,7 @@ engines:
   key support, per-feature detector votes, extraction context) for
   the ``incidents <db> explain <id>`` narrative.
 
-CLI: ``repro-extract extract/stream --store PATH`` to persist,
+CLI: ``repro-extract extract --store PATH`` to persist,
 ``repro-extract incidents PATH`` to query, ``repro-extract incidents
 PATH explain ID`` to explain one ranked incident end to end.
 """

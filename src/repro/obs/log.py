@@ -10,7 +10,7 @@ redirections both see the output.
 :func:`kv` renders keyword fields as canonical ``key=value`` pairs for
 interval events::
 
-    log = get_logger("cli.stream")
+    log = get_logger("cli.extract")
     log.info("interval closed %s", kv(interval=7, flows=1200))
 
 Applications embedding the library can re-route everything the usual
@@ -62,7 +62,7 @@ def _configure_root() -> logging.Logger:
 def get_logger(name: str = "") -> logging.Logger:
     """A configured logger under the ``repro.*`` namespace.
 
-    ``get_logger("cli.stream")`` returns ``repro.cli.stream``; an empty
+    ``get_logger("cli.extract")`` returns ``repro.cli.extract``; an empty
     name (or ``"repro"`` itself) returns the namespace root.
     """
     root = _configure_root()

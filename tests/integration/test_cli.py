@@ -38,7 +38,7 @@ class TestCommands:
 
         code = main(
             [
-                "detect", str(out),
+                "extract", str(out), "--alarms-only",
                 "--bins", "64",
                 "--training", "3",
             ]
@@ -79,13 +79,15 @@ class TestCommands:
         )
         assert code == 0
 
-    def test_unknown_verb_exits_2(self, capsys):
-        """``topk`` was a verb once; like any unknown verb it is an
-        argparse usage error now, not a traceback."""
+    @pytest.mark.parametrize("verb", ["topk", "detect", "stream"])
+    def test_unknown_verb_exits_2(self, verb, capsys):
+        """``topk``, ``detect`` and ``stream`` were verbs once; like any
+        unknown verb each is an argparse usage error now, not a
+        traceback."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["topk", "x.csv"])
+            main([verb, "x.csv"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'topk'" in capsys.readouterr().err
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         import subprocess
@@ -101,19 +103,19 @@ class TestCommands:
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n")
-        code = main(["detect", str(bad)])
+        code = main(["extract", str(bad), "--alarms-only"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_extension_rejected(self, tmp_path, capsys):
         bad = tmp_path / "trace.pcap"
         bad.write_text("whatever")
-        code = main(["detect", str(bad)])
+        code = main(["extract", str(bad), "--alarms-only"])
         assert code == 2
         assert "unknown trace format" in capsys.readouterr().err
 
 
-class TestStreamCommand:
+class TestExtractSources:
     @pytest.fixture(scope="class")
     def csv_trace(self, tmp_path_factory, ddos_trace):
         from repro.flows import write_csv
@@ -126,21 +128,24 @@ class TestStreamCommand:
         "--bins", "256", "--training", "16", "--min-support", "300",
     ]
 
-    def test_stream_matches_extract(self, csv_trace, capsys):
+    def test_npz_matches_chunked_csv(self, csv_trace, tmp_path, capsys):
+        """A ``.npz`` fed interval by interval and the same trace as a
+        ``.csv`` parsed in chunks print the same reports and summary."""
+        from repro.flows import read_csv, write_npz
+
+        npz = tmp_path / "trace.npz"
+        write_npz(read_csv(csv_trace), str(npz))
         assert main(
-            ["--seed", "1", "extract", csv_trace, *self._STREAM_ARGS]
+            ["--seed", "1", "extract", str(npz), *self._STREAM_ARGS]
         ) == 0
-        batch = capsys.readouterr().out
-        assert "interval 24" in batch
+        whole = capsys.readouterr().out
+        assert "interval 24" in whole
+        assert whole.endswith(" extractions\n")
         assert main(
-            ["--seed", "1", "stream", csv_trace, *self._STREAM_ARGS,
+            ["--seed", "1", "extract", csv_trace, *self._STREAM_ARGS,
              "--chunk-rows", "700"]
         ) == 0
-        streamed = capsys.readouterr().out
-        # Identical reports, plus the trailing stream summary line.
-        body, summary, _ = streamed.rsplit("\n", 2)
-        assert body + "\n" == batch
-        assert "intervals" in summary
+        assert capsys.readouterr().out == whole
 
     def test_stream_from_stdin(self, csv_trace, capsys, monkeypatch):
         import io
@@ -149,25 +154,30 @@ class TestStreamCommand:
             "sys.stdin", io.StringIO(open(csv_trace).read())
         )
         assert main(
-            ["--seed", "1", "stream", "-", *self._STREAM_ARGS]
+            ["--seed", "1", "extract", "-", *self._STREAM_ARGS]
         ) == 0
         assert "interval 24" in capsys.readouterr().out
 
     def test_stream_window_flag(self, csv_trace, capsys):
         assert main(
-            ["--seed", "1", "stream", csv_trace, *self._STREAM_ARGS,
+            ["--seed", "1", "extract", csv_trace, *self._STREAM_ARGS,
              "--window", "3"]
         ) == 0
         out = capsys.readouterr().out
         assert "windows mined" in out
 
+    @pytest.mark.parametrize("suffix, flags", [
+        (".csv", []),
+        (".npz", []),
+        (".npz", ["--alarms-only"]),
+    ])
     def test_stream_origin_flag_for_absolute_timestamps(
-        self, csv_trace, tmp_path, capsys
+        self, suffix, flags, csv_trace, tmp_path, capsys
     ):
-        """Epoch-style timestamps need --origin; without it the gap
-        guard fails fast instead of grinding millions of empty
-        intervals."""
-        from repro.flows import read_csv, write_csv
+        """Epoch-style timestamps need --origin, whatever the source;
+        without it the gap guard fails fast instead of grinding
+        millions of empty intervals."""
+        from repro.flows import read_csv, write_csv, write_npz
         from repro.flows.table import ALL_COLUMNS, FlowTable
 
         flows = read_csv(csv_trace)
@@ -182,30 +192,52 @@ class TestStreamCommand:
                 for name in ALL_COLUMNS
             }
         )
-        path = tmp_path / "epoch.csv"
-        write_csv(shifted, str(path))
+        path = tmp_path / f"epoch{suffix}"
+        (write_csv if suffix == ".csv" else write_npz)(shifted, str(path))
 
-        assert main(["stream", str(path), *self._STREAM_ARGS]) == 2
+        assert main(["extract", str(path), *self._STREAM_ARGS, *flags]) == 2
         assert "max_gap_intervals" in capsys.readouterr().err
 
         assert main(
-            ["--seed", "1", "stream", str(path), *self._STREAM_ARGS,
-             "--origin", str(epoch)]
+            ["--seed", "1", "extract", str(path), *self._STREAM_ARGS,
+             *flags, "--origin", str(epoch)]
         ) == 0
         assert "interval 24" in capsys.readouterr().out
 
-    def test_stream_rejects_npz(self, tmp_path, capsys):
+    def test_reads_npz_and_refuses_unknown_source(self, tmp_path, capsys):
+        """``extract`` reads a ``.npz``; a source of no known format is
+        refused before the session creates its store."""
         from repro.flows import FlowTable, write_npz
 
         path = tmp_path / "trace.npz"
         write_npz(FlowTable.empty(), str(path))
-        assert main(["stream", str(path)]) == 2
-        assert "stream reads" in capsys.readouterr().err
+        assert main(["extract", str(path)]) == 0
+        assert "0 intervals, 0 flows" in capsys.readouterr().out
+
+        store = tmp_path / "s.db"
+        assert main(["extract", str(tmp_path / "x.txt"),
+                     "--store", str(store)]) == 2
+        assert "unknown trace format" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("flag", ["--store", "--metrics", "--trace"])
+    def test_alarms_only_refuses_file_outputs(self, flag, csv_trace,
+                                              tmp_path, capsys):
+        """``--alarms-only`` writes no file, so a typed output flag is
+        refused by name rather than ignored."""
+        out = tmp_path / "out"
+        assert main(
+            ["extract", csv_trace, "--alarms-only", flag, str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err
+        assert "--alarms-only" in err
+        assert not out.exists()
 
     def test_stream_malformed_input_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,trace\n1,2,3\n")
-        assert main(["stream", str(bad)]) == 2
+        assert main(["extract", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_stream_malformed_mid_file_nonzero_exit(
@@ -217,7 +249,7 @@ class TestStreamCommand:
         lines.append("1,2,3\n")  # ragged row after valid chunks
         bad.write_text("".join(lines))
         assert main(
-            ["stream", str(bad), *self._STREAM_ARGS, "--chunk-rows", "10"]
+            ["extract", str(bad), *self._STREAM_ARGS, "--chunk-rows", "10"]
         ) == 2
         assert "fields" in capsys.readouterr().err
 
@@ -235,8 +267,8 @@ class TestJsonFormat:
 
     def test_detect_json(self, trace_npz, capsys):
         assert main(
-            ["--seed", "1", "detect", trace_npz, "--bins", "256",
-             "--training", "16", "--format", "json"]
+            ["--seed", "1", "extract", trace_npz, "--alarms-only",
+             "--bins", "256", "--training", "16", "--format", "json"]
         ) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
@@ -280,7 +312,7 @@ class TestJsonFormat:
         path = tmp_path / "trace.csv"
         write_csv(ddos_trace.flows, str(path))
         assert main(
-            ["--seed", "1", "stream", str(path), *self._ARGS,
+            ["--seed", "1", "extract", str(path), *self._ARGS,
              "--format", "json"]
         ) == 0
         captured = capsys.readouterr()
@@ -448,7 +480,7 @@ class TestIncidentCommands:
         write_csv(ddos_trace.flows, str(csv))
         db = tmp_path / "stream.db"
         assert main(
-            ["--seed", "1", "stream", str(csv),
+            ["--seed", "1", "extract", str(csv),
              "--bins", "256", "--training", "16",
              "--min-support", "300", "--store", str(db)]
         ) == 0
@@ -528,7 +560,8 @@ class TestConfigFlag:
 
     def test_config_on_detect(self, trace_npz, run_toml, capsys):
         assert main(
-            ["--seed", "1", "detect", trace_npz, "--config", run_toml]
+            ["--seed", "1", "extract", trace_npz, "--alarms-only",
+             "--config", run_toml]
         ) == 0
         assert "alarms" in capsys.readouterr().out
 
@@ -540,7 +573,7 @@ class TestConfigFlag:
         csv = tmp_path / "trace.csv"
         write_csv(ddos_trace.flows, str(csv))
         assert main(
-            ["--seed", "1", "stream", str(csv), "--config", run_toml]
+            ["--seed", "1", "extract", str(csv), "--config", run_toml]
         ) == 0
         out = capsys.readouterr().out
         assert "interval 24" in out
@@ -577,7 +610,8 @@ class TestFeaturesFlag:
               "--flows-per-interval", "200", "--out", str(out)])
         capsys.readouterr()
         assert main(
-            ["detect", str(out), "--bins", "64", "--training", "3",
+            ["extract", str(out), "--alarms-only", "--bins", "64",
+             "--training", "3",
              "--features", "endpoints"]
         ) == 0
         out_text = capsys.readouterr().out
@@ -586,7 +620,7 @@ class TestFeaturesFlag:
     def test_unknown_feature_set_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["detect", "t.npz", "--features", "nope"]
+                ["extract", "t.npz", "--features", "nope"]
             )
 
 
@@ -783,7 +817,7 @@ class TestTraceFlag:
     def test_stream_trace_writes_jsonl(self, csv_trace, tmp_path, capsys):
         out = tmp_path / "spans.jsonl"
         assert main(
-            ["--seed", "1", "stream", csv_trace, *self._ARGS,
+            ["--seed", "1", "extract", csv_trace, *self._ARGS,
              "--trace", str(out)]
         ) == 0
         capsys.readouterr()
@@ -807,11 +841,11 @@ class TestTraceFlag:
         self, csv_trace, tmp_path, capsys
     ):
         assert main(
-            ["--seed", "1", "stream", csv_trace, *self._ARGS]
+            ["--seed", "1", "extract", csv_trace, *self._ARGS]
         ) == 0
         plain = capsys.readouterr().out
         assert main(
-            ["--seed", "1", "stream", csv_trace, *self._ARGS,
+            ["--seed", "1", "extract", csv_trace, *self._ARGS,
              "--trace", str(tmp_path / "spans.jsonl")]
         ) == 0
         traced = capsys.readouterr().out
@@ -833,7 +867,7 @@ class TestTraceFlag:
 
     def test_trace_to_stdout(self, csv_trace, capsys):
         assert main(
-            ["--seed", "1", "stream", csv_trace, *self._ARGS,
+            ["--seed", "1", "extract", csv_trace, *self._ARGS,
              "--format", "json", "--trace", "-", "--trace-format", "text"]
         ) == 0
         out = capsys.readouterr().out
@@ -871,7 +905,7 @@ class TestTraceFlag:
             f"[obs]\ntrace_path = '{out}'\ntrace_format = 'text'\n"
         )
         assert main(
-            ["--seed", "1", "stream", csv_trace, "--config", str(config)]
+            ["--seed", "1", "extract", csv_trace, "--config", str(config)]
         ) == 0
         capsys.readouterr()
         text = out.read_text()
@@ -884,6 +918,6 @@ class TestTraceFlag:
         config = tmp_path / "bad.toml"
         config.write_text("[obs]\ntrace_format = 'otlp'\n")
         assert main(
-            ["stream", csv_trace, "--config", str(config)]
+            ["extract", csv_trace, "--config", str(config)]
         ) == 2
         assert "trace_format" in capsys.readouterr().err

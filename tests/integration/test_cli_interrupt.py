@@ -1,4 +1,4 @@
-"""SIGINT/SIGTERM during stream/fleet feeds: flush, save, exit 128+n.
+"""SIGINT/SIGTERM during extract/fleet feeds: flush, save, exit 128+n.
 
 The guard (``repro.cli._common.interrupt_guard``) wraps only the feed
 loop, so an interrupted run still flushes the assembler, prints the
@@ -61,26 +61,24 @@ class TestGuard:
             pass
 
 
-class TestStreamInterrupt:
+class TestExtractInterrupt:
     def run_interrupted(
         self, csv_trace, tmp_path, monkeypatch, capsys, signum
     ):
-        from repro.cli import stream as stream_cli
+        from repro.cli import extract as extract_cli
 
-        original = stream_cli.chunk_source
+        original = extract_cli.flow_chunks
 
-        def patched(trace, chunk_rows, command="stream", metrics=None):
+        def patched(args, metrics=None):
             return interrupting_chunks(
-                original(trace, chunk_rows, metrics=metrics),
-                after=2,
-                signum=signum,
+                original(args, metrics), after=2, signum=signum
             )
 
-        monkeypatch.setattr(stream_cli, "chunk_source", patched)
+        monkeypatch.setattr(extract_cli, "flow_chunks", patched)
         store = tmp_path / "incidents.db"
         metrics = tmp_path / "metrics.prom"
         code = main([
-            "stream", csv_trace, *_ARGS,
+            "extract", csv_trace, *_ARGS,
             "--chunk-rows", "2000",
             "--store", str(store),
             "--metrics", str(metrics),
@@ -119,17 +117,14 @@ class TestFleetInterrupt:
     ):
         from repro.cli import fleet as fleet_cli
 
-        original = fleet_cli.chunk_source
+        original = fleet_cli.flow_chunks
 
-        def patched(trace, chunk_rows, command="fleet", metrics=None):
+        def patched(args, metrics=None):
             return interrupting_chunks(
-                original(trace, chunk_rows, command=command,
-                        metrics=metrics),
-                after=2,
-                signum=signal.SIGINT,
+                original(args, metrics), after=2, signum=signal.SIGINT
             )
 
-        monkeypatch.setattr(fleet_cli, "chunk_source", patched)
+        monkeypatch.setattr(fleet_cli, "flow_chunks", patched)
         store_dir = tmp_path / "stores"
         code = main([
             "fleet", csv_trace, *_ARGS,

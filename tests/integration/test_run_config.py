@@ -84,14 +84,13 @@ def _write(tmp_path, name: str, text: str) -> str:
 # (a) every verb accepts the combined file and behaves as with its own
 # ----------------------------------------------------------------------
 class TestCombinedFileEqualsOwnTables:
-    @pytest.mark.parametrize("verb, own", [
-        ("extract", BASE),
-        ("stream", BASE),
-        ("fleet", BASE + FLEET),
-    ])
-    def test_cli_output(self, verb, own, trace, tmp_path, capsys):
-        _, npz, csv = trace
-        source = npz if verb == "extract" else csv
+    @pytest.mark.parametrize("verb, source, own", [
+        ("extract", 1, BASE),
+        ("extract", 2, BASE),
+        ("fleet", 2, BASE + FLEET),
+    ], ids=["extract-npz", "extract-csv", "fleet"])
+    def test_cli_output(self, verb, source, own, trace, tmp_path, capsys):
+        source = trace[source]  # the .npz or the .csv path
         outputs = []
         for text in (own, COMBINED):
             config = _write(tmp_path, "run.toml", text)
@@ -214,9 +213,9 @@ MISTAKES = {
 }
 
 CLI_VERBS = {
-    "detect": lambda t: ["detect", t[1]],
+    "alarms-only": lambda t: ["extract", t[1], "--alarms-only"],
     "extract": lambda t: ["extract", t[1]],
-    "stream": lambda t: ["stream", t[2]],
+    "extract-csv": lambda t: ["extract", t[2]],
     "fleet": lambda t: ["fleet", t[2]],
     "serve": lambda t: ["serve"],
     "collect": lambda t: [
@@ -351,7 +350,7 @@ class TestLayeringOrder:
 #: took.
 REMOVED_FLAGS = [
     (verb, flag)
-    for verb in ("detect", "extract", "fleet", "serve")
+    for verb in ("alarms-only", "extract", "fleet", "serve")
     for flag in (["--jobs", "2"], ["--backend", "thread"])
 ] + [("extract", ["--partitions", "2"])] + [
     (verb, flag)

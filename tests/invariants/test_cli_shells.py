@@ -82,8 +82,9 @@ def test_wire_digests_are_parsed_by_one_reader():
 
 
 def test_detect_opens_no_files(tmp_path, capsys):
-    """``detect`` reaches the detector bank through a session, so the
-    run config's ``[incidents]`` / ``[obs]`` outputs must stay shut."""
+    """``extract --alarms-only`` reads the detector bank of a session,
+    so the run config's ``[incidents]`` / ``[obs]`` outputs must stay
+    shut."""
     from repro.cli import main
     from repro.flows import write_npz
     from repro.traffic import TraceGenerator, small_test
@@ -102,6 +103,8 @@ def test_detect_opens_no_files(tmp_path, capsys):
         f"jsonl_path = \"{outputs['metrics.jsonl']}\"\n"
         f"trace_path = \"{outputs['trace.jsonl']}\"\n"
     )
-    assert main(["detect", str(trace), "--config", str(config)]) == 0
+    assert main(
+        ["extract", str(trace), "--alarms-only", "--config", str(config)]
+    ) == 0
     assert "6 intervals" in capsys.readouterr().out
     assert [name for name, path in outputs.items() if path.exists()] == []

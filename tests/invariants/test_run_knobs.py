@@ -33,39 +33,8 @@ OPTION_STRINGS = {
         "--with-anomalies",
         "-h",
     ],
-    "detect": [
-        "--bins",
-        "--clones",
-        "--config",
-        "--features",
-        "--format",
-        "--help",
-        "--interval-seconds",
-        "--training",
-        "--votes",
-        "-h",
-    ],
     "extract": [
-        "--bins",
-        "--clones",
-        "--config",
-        "--features",
-        "--format",
-        "--help",
-        "--interval-seconds",
-        "--metrics",
-        "--metrics-format",
-        "--min-support",
-        "--miner",
-        "--prefilter",
-        "--store",
-        "--trace",
-        "--trace-format",
-        "--training",
-        "--votes",
-        "-h",
-    ],
-    "stream": [
+        "--alarms-only",
         "--bins",
         "--chunk-rows",
         "--clones",

@@ -48,7 +48,7 @@ def csv_trace(tmp_path_factory, ddos_trace):
 class TestStreamMetrics:
     def test_prom_to_stdout(self, csv_trace, capsys):
         assert main(
-            ["--seed", "1", "stream", csv_trace, *_ARGS, "--metrics", "-"]
+            ["--seed", "1", "extract", csv_trace, *_ARGS, "--metrics", "-"]
         ) == 0
         out = capsys.readouterr().out
         prom = out[out.index("# HELP"):]
@@ -61,7 +61,7 @@ class TestStreamMetrics:
     def test_prom_to_file(self, csv_trace, tmp_path, capsys):
         target = tmp_path / "metrics.prom"
         assert main(
-            ["--seed", "1", "stream", csv_trace, *_ARGS,
+            ["--seed", "1", "extract", csv_trace, *_ARGS,
              "--metrics", str(target)]
         ) == 0
         types = _prometheus_schema_check(target.read_text())
@@ -73,7 +73,7 @@ class TestStreamMetrics:
     def test_json_format(self, csv_trace, tmp_path):
         target = tmp_path / "metrics.json"
         assert main(
-            ["--seed", "1", "stream", csv_trace, *_ARGS,
+            ["--seed", "1", "extract", csv_trace, *_ARGS,
              "--metrics", str(target), "--metrics-format", "json"]
         ) == 0
         snap = json.loads(target.read_text())
@@ -83,7 +83,7 @@ class TestStreamMetrics:
 
     def test_no_flag_no_export(self, csv_trace, capsys):
         assert main(
-            ["--seed", "1", "stream", csv_trace, *_ARGS]
+            ["--seed", "1", "extract", csv_trace, *_ARGS]
         ) == 0
         assert "# HELP" not in capsys.readouterr().out
 
