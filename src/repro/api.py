@@ -68,7 +68,6 @@ from repro.core.report import ExtractionReport, TriagedItemset
 from repro.core.session import (
     ExtractionSession,
     StreamExtraction,
-    open_session,
     run_session,
     run_trace,
 )
@@ -87,7 +86,6 @@ from repro.errors import (
     ReproError,
     ServiceError,
     SketchError,
-    TraceFormatError,
 )
 from repro.federation import (
     Collector,
@@ -104,7 +102,14 @@ from repro.federation.tier import (
 )
 from repro.fleet.manager import FleetIncident, FleetManager
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN, routers
-from repro.flows.io import DEFAULT_CHUNK_ROWS, iter_csv, read_trace, readers
+from repro.flows.io import (
+    DEFAULT_CHUNK_ROWS,
+    flow_chunks,
+    iter_csv,
+    read_trace,
+    readers,
+    trace_format,
+)
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.incidents.provenance import (
@@ -123,7 +128,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     time_stage,
 )
-from repro.obs.sink import MetricsSink
 from repro.obs.trace import NULL_TRACER, Tracer, render_trace
 
 __all__ = [
@@ -169,7 +173,6 @@ __all__ = [
     "ReportSink",
     "IntervalSink",
     "MetricsRegistry",
-    "MetricsSink",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
     "time_stage",
@@ -289,7 +292,7 @@ def session(
     """Open a push-based :class:`ExtractionSession` - the redesigned
     execution surface.
 
-    The session owns a freshly built :class:`AnomalyExtractor`, so
+    The session is an :class:`AnomalyExtractor` with a flow source, so
     closing it (use it as a context manager) releases the incident
     store even when a mid-feed chunk raised::
 
@@ -321,7 +324,7 @@ def session(
             f"unknown session mode {mode!r}: a session streams; run a "
             f"whole trace through api.extract"
         )
-    return open_session(
+    return ExtractionSession(
         resolve_config(config, **overrides),
         seed=seed,
         metrics=metrics,
@@ -373,7 +376,7 @@ def extract(
         :class:`ExtractionResult` per alarmed interval.
     """
     flows = _load_flows(trace)
-    with open_session(
+    with ExtractionSession(
         resolve_config(config, **overrides).replace(
             streaming=StreamingSettings()
         ),
@@ -405,9 +408,10 @@ def stream(
 ) -> StreamExtraction:
     """Run the pipeline chunk-by-chunk with bounded memory.
 
-    ``source`` is a ``.csv`` path (streamed via
-    :func:`~repro.flows.io.iter_csv`) or any iterable of
-    :class:`FlowTable` chunks.  With default settings a time-ordered
+    ``source`` is any iterable of :class:`FlowTable` chunks, or a path
+    the CLI's run verbs read (:func:`~repro.flows.io.flow_chunks`): a
+    ``.csv`` streamed ``chunk_rows`` lines at a time, or a ``.npz`` fed
+    interval by interval.  With default settings a time-ordered
     stream's result equals :func:`extract`'s; see :func:`session` for
     the incremental API (``feed`` / ``flush`` / ``finish``) and the
     retention knobs (``keep_reports`` here,
@@ -418,19 +422,8 @@ def stream(
         populated; ``extractions`` empty when
         ``config.streaming.keep_extractions`` is False).
     """
-    if isinstance(source, (str, os.PathLike)):
-        # Streaming parses incrementally, which only the row-oriented
-        # CSV format supports; mirror the CLI's up-front rejection so a
-        # binary trace surfaces as a ReproError, not a decode crash.
-        if not os.fspath(source).endswith(".csv"):
-            raise TraceFormatError(
-                f"{source}: stream reads a .csv trace (pass a FlowTable "
-                f"chunk iterable for other sources, or use extract() "
-                f"for whole-file formats)"
-            )
-        chunks: Iterable[FlowTable] = iter_csv(source, chunk_rows=chunk_rows)
-    else:
-        chunks = source
+    if isinstance(source, (str, os.PathLike)) and os.fspath(source) != "-":
+        trace_format(source)  # refused before the store is created
     with session(
         config,
         interval_seconds=interval_seconds,
@@ -442,6 +435,13 @@ def stream(
         tracer=tracer,
         **overrides,
     ) as opened:
+        chunks = (
+            flow_chunks(
+                source, chunk_rows, interval_seconds, origin, opened.metrics
+            )
+            if isinstance(source, (str, os.PathLike))
+            else source
+        )
         return run_session(opened, chunks)
 
 
@@ -618,8 +618,9 @@ def serve(
 ) -> None:
     """Run a fleet as a long-lived extraction daemon (blocking).
 
-    Opens a :class:`FleetManager` exactly like :func:`open_fleet`, then
-    serves it over the stdlib HTTP/TCP service until SIGINT/SIGTERM:
+    Opens a :class:`FleetManager` like :func:`open_fleet`, whose
+    pipelines retain no extractions, then serves it over the stdlib
+    HTTP/TCP service until SIGINT/SIGTERM:
     ``POST /ingest`` and the optional TCP line socket feed the fleet,
     ``GET /incidents`` / ``GET /incidents/<id>`` serve the merged
     ranking and per-incident provenance, ``GET /metrics`` the
@@ -706,6 +707,11 @@ def serve(
             run, pipelines=pipelines, route=route, store_dir=store_dir,
             **shared,
         ))
+        # No route reads retained extractions (``/incidents`` reads the
+        # stores), so a daemon keeps none, whatever the config says: a
+        # months-long run must not grow by one result per alarm.
+        for name in fleet.names:
+            fleet.session(name).keep_extractions = False
         run_service(
             fleet, run.service, resume=resume, log=log, federator=federator
         )

@@ -28,7 +28,6 @@ from repro.core.config import (
 from repro.detection.features import feature_sets, resolve_features
 from repro.errors import ConfigError
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
-from repro.flows import iter_csv, iter_csv_handle, iter_intervals, read_trace
 from repro.flows.io import DEFAULT_CHUNK_ROWS, trace_format
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.mining import miners
@@ -90,33 +89,6 @@ def check_source(trace: str) -> None:
         trace_format(trace)
 
 
-def flow_chunks(args: argparse.Namespace, metrics):
-    """The flow chunks of a run verb's SOURCE (``args.trace``): a
-    ``.csv`` path or ``'-'`` parsed ``--chunk-rows`` lines at a time,
-    or a ``.npz`` read whole and fed interval by interval on the
-    ``--interval-seconds`` / ``--origin`` grid, so its row order never
-    matters.  ``metrics`` threads a registry through to the CSV
-    parser's row counters."""
-    import sys
-
-    if args.trace == "-":
-        return iter_csv_handle(
-            sys.stdin, chunk_rows=args.chunk_rows, name="<stdin>",
-            metrics=metrics,
-        )
-    if trace_format(args.trace) == ".csv":
-        return iter_csv(args.trace, chunk_rows=args.chunk_rows, metrics=metrics)
-    return (
-        view.flows
-        for view in iter_intervals(
-            read_trace(args.trace),
-            args.interval_seconds,
-            origin=args.origin,
-            include_empty=False,
-        )
-    )
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -139,7 +111,7 @@ def add_config_arg(parser: argparse.ArgumentParser) -> None:
 
 def add_source_args(parser: argparse.ArgumentParser) -> None:
     """A run verb's SOURCE and ``--chunk-rows``: what
-    :func:`flow_chunks` reads."""
+    :func:`~repro.flows.io.flow_chunks` reads."""
     parser.add_argument("trace", metavar="SOURCE",
                         help="a .csv or .npz trace, or '-' for CSV on stdin")
     parser.add_argument("--chunk-rows", type=positive_int,
@@ -426,8 +398,7 @@ def weak_retention(
 def fleet_options(args: argparse.Namespace, run: RunConfig) -> dict[str, Any]:
     """The keyword arguments the ``fleet`` and ``serve`` shells hand
     :func:`repro.api.open_fleet` / :func:`repro.api.serve`, under the
-    command line's two policies: a fleet is configured in one place,
-    and results are not retained unless asked."""
+    command line's policy that a fleet is configured in one place."""
     if args.pipelines is not None and run.fleet.pipelines:
         raise ConfigError(
             "both --pipelines and [fleet.pipelines.<name>] sections "
@@ -440,5 +411,4 @@ def fleet_options(args: argparse.Namespace, run: RunConfig) -> dict[str, Any]:
         "interval_seconds": args.interval_seconds,
         "origin": args.origin,
         "seed": args.seed,
-        **weak_retention(args, run),
     }

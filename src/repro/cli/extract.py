@@ -1,6 +1,6 @@
 """``repro-extract extract`` - the full extraction pipeline over a
 trace file or stdin: the argv shell over a :func:`repro.api.session`
-fed the source's chunks (:func:`~repro.cli._common.flow_chunks`).
+fed the source's chunks (:func:`~repro.flows.io.flow_chunks`).
 Reports print as intervals complete; ``--alarms-only`` lists the
 detector bank's alarms instead."""
 
@@ -20,7 +20,6 @@ from repro.cli._common import (
     add_metrics_args,
     add_source_args,
     check_source,
-    flow_chunks,
     interrupt_guard,
     run_config,
     weak_retention,
@@ -29,6 +28,7 @@ from repro.cli._common import (
 )
 from repro.core.config import IncidentSettings, ObsSettings
 from repro.errors import ConfigError
+from repro.flows.io import flow_chunks
 from repro.obs.log import get_logger
 
 #: The flags that write a file, by argparse dest: ``--alarms-only``
@@ -108,7 +108,10 @@ def run(args: argparse.Namespace) -> int:
             # buffered interval, so --store/--metrics/--trace keep
             # everything extracted before the signal.
             with interrupt_guard():
-                for chunk in flow_chunks(args, session.metrics):
+                for chunk in flow_chunks(
+                    args.trace, args.chunk_rows, args.interval_seconds,
+                    args.origin, session.metrics,
+                ):
                     emit(session.feed(chunk))
         except GracefulInterrupt as exc:
             interrupted = exc

@@ -24,16 +24,17 @@ from repro.cli._common import (
     add_metrics_args,
     add_source_args,
     check_source,
-    flow_chunks,
     fleet_options,
     interrupt_guard,
     positive_int,
     run_config,
+    weak_retention,
     write_metrics,
     write_trace,
 )
 from repro.errors import ConfigError
 from repro.fleet.routing import DEFAULT_ROUTE_COLUMN
+from repro.flows.io import flow_chunks
 from repro.obs.log import get_logger
 
 
@@ -70,7 +71,9 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 
 def run(args: argparse.Namespace) -> int:
     run_cfg = run_config(args)
-    options = fleet_options(args, run_cfg)
+    options = {
+        **fleet_options(args, run_cfg), **weak_retention(args, run_cfg)
+    }
     if args.pipelines is None and not run_cfg.fleet.pipelines:
         raise ConfigError(
             "no pipelines configured: pass --pipelines N or add "
@@ -82,7 +85,10 @@ def run(args: argparse.Namespace) -> int:
     # Before the fleet opens (and creates) its stores.
     check_source(args.trace)
     with api.open_fleet(run_cfg, **options) as fleet:
-        chunks = flow_chunks(args, fleet.metrics)
+        chunks = flow_chunks(
+            args.trace, args.chunk_rows, args.interval_seconds, args.origin,
+            fleet.metrics,
+        )
         interrupted: GracefulInterrupt | None = None
         try:
             # Guard only the feed loop: an interrupt stops ingesting,
@@ -114,7 +120,7 @@ def run(args: argparse.Namespace) -> int:
 def _document(fleet, results, incidents) -> dict:
     doc = {"pipelines": {}, "incidents": [i.to_dict() for i in incidents]}
     for name, result in results.items():
-        store = fleet.extractor(name).store
+        store = fleet.session(name).store
         doc["pipelines"][name] = {
             "intervals": result.intervals,
             "flows": result.flows,

@@ -50,7 +50,6 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
                        help="directory of per-pipeline incident stores "
                        "(required for checkpointing: durable resume "
                        "needs durable stores)")
-    add_config_flags(serve, "streaming.keep_extractions")
     serve.set_defaults(func=run)
 
 

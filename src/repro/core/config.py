@@ -183,10 +183,9 @@ class ObsSettings:
         histogram_buckets: upper bucket bounds (seconds) for every
             timing histogram (``+Inf`` is implicit).  Must be strictly
             increasing and finite.
-        jsonl_path: when set (and metrics are enabled), the session
-            tees one canonical metrics snapshot per processed interval
-            to this JSONL file via
-            :class:`~repro.obs.sink.MetricsSink`.
+        jsonl_path: when set (and metrics are enabled), the
+            extractor's interval step writes one canonical metrics
+            snapshot per processed interval to this JSONL file.
         trace_path: when set, span tracing is on: the extractor builds
             a live :class:`~repro.obs.trace.Tracer` and the CLI writes
             the finished trace here (``-`` for stdout).  When unset

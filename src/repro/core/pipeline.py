@@ -6,19 +6,35 @@
         ->  flow prefiltering  ->  frequent item-set mining
         ->  maximal item-set report
 
-It operates online (an :class:`~repro.core.session.ExtractionSession`
-steps it one measurement interval at a time, alarm triggers extraction)
-or offline (``extract_with_metadata`` for post-mortem analysis of a
-flagged interval, as in Section II: "an administrator triggers the
-anomaly extraction process to analyze anomaly alarms in a post-mortem
-fashion").
+It operates online or offline (``extract_with_metadata`` for post-mortem
+analysis of a flagged interval, as in Section II: "an administrator
+triggers the anomaly extraction process to analyze anomaly alarms in a
+post-mortem fashion").  Online, every source of closed intervals hands
+them to the one per-interval step, :meth:`AnomalyExtractor.step`::
+
+    sources (closed intervals)        step                    sinks
+    IntervalAssembler  --+--> detect -> gate -> extract -+--> incident store
+    Federator merge    --+        -> report -> age       +--> caller's sink
+                                                         +--> [obs] jsonl_path
+
+The step owns everything that is not input-specific: the interval /
+flow / alarm / extraction counters, the ``stage.detection`` /
+``stage.mining`` / ``stage.triage`` spans and histograms, the alarm and
+empty-meta-data gates, result retention, the report and its sink push
+(under the resume floor), incident ageing (``note_interval``), the
+metrics trail and detector-report retention.  What *is* input-specific
+hides behind the two-method :class:`IntervalInput` protocol:
+:class:`~repro.core.session.FlowInterval` (raw flows: prefilter +
+item-set mining) and
+:class:`~repro.federation.federator.MergedInterval` (merged digests:
+exact single-item supports).
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-
 from typing import Protocol, runtime_checkable
 
 from repro.core.config import ExtractionConfig
@@ -26,9 +42,10 @@ from repro.core.cost import cost_reduction
 from repro.core.prefilter import PrefilterResult, prefilter
 from repro.core.report import ExtractionReport, render_itemset_table
 from repro.detection.features import Feature
-from repro.detection.manager import DetectorBank
+from repro.detection.manager import DetectorBank, IntervalReport
 from repro.detection.metadata import Metadata
 from repro.errors import ExtractionError
+from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
 from repro.flows.table import FlowTable
 from repro.mining import miners
 from repro.mining.items import FrequentItemset
@@ -46,8 +63,7 @@ class ReportSink(Protocol):
 
     :class:`~repro.incidents.store.IncidentStore` is the canonical
     implementation; a bare ``list``-backed collector satisfies it too
-    (``append`` is the whole contract).  :mod:`repro.sinks` holds the
-    fan-out.
+    (``append`` is the whole contract).
     """
 
     def append(self, report: ExtractionReport) -> object: ...
@@ -59,25 +75,33 @@ class IntervalSink(ReportSink, Protocol):
 
     Sinks holding incident lifecycle state (the incident store) need to
     see clean intervals pass - a report-free tail must still age
-    incidents toward quiet/closed.  The pipeline calls
-    ``note_interval`` through :func:`notify_sink_interval`, so plain
-    collectors that only implement ``append`` keep working.
+    incidents toward quiet/closed.  The step calls ``note_interval``
+    on sinks that implement it, so plain collectors that only
+    implement ``append`` keep working.
     """
 
     def note_interval(self, interval: int) -> object: ...
 
 
-def notify_sink_interval(sink: object, interval: int | None) -> None:
-    """Tell a sink how far the pipeline processed, if it cares.
+class IntervalInput(Protocol):
+    """One closed measurement interval, whatever form it arrived in.
 
-    The structural check against :class:`IntervalSink` replaces the old
-    ``getattr`` duck-typing: sinks opt in by implementing
-    ``note_interval``, and list-backed collectors are skipped.
+    The protocol hides a format and an algorithm: how the detector bank
+    gets to see the interval, and how an alarmed interval's voted
+    meta-data becomes item-sets.  Everything else about an interval is
+    :meth:`AnomalyExtractor.step`'s business.
     """
-    if interval is None or sink is None:
-        return
-    if isinstance(sink, IntervalSink):
-        sink.note_interval(interval)
+
+    def observe(self, bank: DetectorBank) -> IntervalReport:
+        """Run the detector bank over this interval."""
+        ...
+
+    def extract(
+        self, report: IntervalReport, metadata: Metadata
+    ) -> ExtractionResult | None:
+        """Mine the alarmed interval (``metadata`` is non-empty); None
+        when nothing clears the support floor."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -149,10 +173,13 @@ def default_observers(
 
 
 class AnomalyExtractor:
-    """End-to-end online/offline anomaly extraction.
+    """The pipeline of Fig. 3 for one link: the detector bank, the
+    miner, the report sink and the one per-interval step (:meth:`step`
+    online, :meth:`extract_with_metadata` post mortem).
 
     Call :meth:`close` (or use the extractor as a context manager) to
-    release the incident store a ``config.incidents.store_path`` opens.
+    release the incident store a ``config.incidents.store_path`` opens
+    and the metrics trail an ``[obs] jsonl_path`` opens.
 
     ``metrics`` attaches a :class:`~repro.obs.metrics.MetricsRegistry`;
     omitted, the extractor builds one when ``config.obs.enabled`` is
@@ -166,6 +193,15 @@ class AnomalyExtractor:
     one when ``config.obs.trace_path`` is set, else runs against the
     no-op :data:`~repro.obs.trace.NULL_TRACER` (same byte-identical
     invariant as metrics).
+
+    ``interval_seconds`` / ``origin`` are the interval grid of the
+    step's reports; ``sink`` is where they go (anything with
+    ``append(ExtractionReport)``; default: the incident store, when one
+    is configured).  ``keep_reports=False`` drops each interval's
+    detector report after the step, and
+    ``config.streaming.keep_extractions=False`` retains no
+    :class:`ExtractionResult` in :attr:`extractions`, so memory stays
+    flat (each step still returns its own).
     """
 
     def __init__(
@@ -175,6 +211,10 @@ class AnomalyExtractor:
         metrics: MetricsRegistry | None = None,
         pipeline: str = "default",
         tracer=None,
+        interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
+        origin: float = 0.0,
+        sink: ReportSink | None = None,
+        keep_reports: bool = True,
     ):
         self.config = config or ExtractionConfig()
         # Registry before any resource: instrument bundles are handed
@@ -187,7 +227,20 @@ class AnomalyExtractor:
         self._bank = DetectorBank(
             self.config.detector, features=self.config.features, seed=seed
         )
+        self.interval_seconds = interval_seconds
+        self.origin = origin
+        self.keep_reports = keep_reports
+        self.keep_extractions = self.config.streaming.keep_extractions
+        self.extraction_count = 0
+        self.extractions: list[ExtractionResult] = []
+        #: Set by :meth:`arm_resume_floor`: intervals at or below this
+        #: index are already durable in the sink (persisted before the
+        #: crash a checkpoint recovers from), so their re-processed
+        #: reports are recognized as replays and skipped instead of
+        #: tripping the store's re-ingest guard.
+        self._resume_floor: int | None = None
         self._store = None
+        self._trail = None
         if self.config.incidents.store_path is not None:
             from repro.incidents.store import IncidentStore
 
@@ -197,6 +250,15 @@ class AnomalyExtractor:
                 quiet_gap=self.config.incidents.quiet_gap,
                 metrics=metrics,
             )
+        self._sink = sink if sink is not None else self._store
+        obs = self.config.obs
+        if obs.enabled and obs.jsonl_path:
+            try:
+                # One metrics snapshot per processed interval.
+                self._trail = open(obs.jsonl_path, "w")
+            except BaseException:
+                self.close()
+                raise
 
     @property
     def detector_bank(self) -> DetectorBank:
@@ -226,16 +288,133 @@ class AnomalyExtractor:
         ``config.incidents.store_path``, or None."""
         return self._store
 
+    @property
+    def sink(self) -> ReportSink | None:
+        """The report sink the step pushes to (may be None)."""
+        return self._sink
+
     def close(self) -> None:
-        """Release the report store (idempotent)."""
-        if self._store is not None:
-            self._store.close()
+        """Release the metrics trail and the report store (idempotent),
+        the store even when closing the trail raised."""
+        try:
+            if self._trail is not None:
+                self._trail.close()
+        finally:
+            if self._store is not None:
+                self._store.close()
 
     def __enter__(self) -> "AnomalyExtractor":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    # ------------------------------------------------------------------
+    # Online operation: the one per-interval step
+    # ------------------------------------------------------------------
+    def report_for(self, extraction: ExtractionResult) -> ExtractionReport:
+        """The serializable report of an extraction on this extractor's
+        interval grid - equal to the one the sink received; bounds
+        cover the mined window, not just the triggering interval."""
+        if not isinstance(extraction, ExtractionResult):
+            raise ExtractionError(
+                f"unknown extraction: report_for takes an "
+                f"ExtractionResult, got {type(extraction).__name__}"
+            )
+        return ExtractionReport.from_result(
+            extraction, self.interval_seconds, self.origin
+        )
+
+    def arm_resume_floor(self) -> None:
+        """Treat reports the durable sink already covers (its
+        ``last_interval`` marker) as replays: a restored run re-fed
+        from its last checkpointed position continues mid-stream
+        instead of tripping the store's re-ingest guard."""
+        if self._store is not None:
+            self._resume_floor = self._store.last_interval()
+            return
+        last = getattr(self._sink, "last_interval", None)
+        marker = last() if callable(last) else None
+        self._resume_floor = None if marker is None else int(marker)
+
+    def step(self, interval_input: IntervalInput) -> ExtractionResult | None:
+        """Run one closed interval through detect -> gate -> extract ->
+        report -> sink; returns its extraction, or None for a clean (or
+        unusable-alarm) interval."""
+        ins = self._instruments
+        bank = self._bank
+        with self._tracer.span("session.interval") as interval_span:
+            ins.intervals.inc()
+            with time_stage(ins.stage_detection), self._tracer.span(
+                "stage.detection"
+            ) as span:
+                report = interval_input.observe(bank)
+                span.set_attribute("flows", report.flow_count)
+                span.set_attribute("alarm", report.alarm)
+                span.set_attribute("bin_s", report.bin_s)
+                span.set_attribute("score_s", report.score_s)
+                if report.alarm:
+                    # Why this close took longer than a clean one: how
+                    # many clones ran a bin identification, and how
+                    # many cleaning rounds those took together.
+                    observed = report.observations.values()
+                    span.set_attribute(
+                        "alarm_votes",
+                        sum(obs.alarm_votes for obs in observed),
+                    )
+                    span.set_attribute(
+                        "binid_rounds",
+                        sum(
+                            len(clone.bins)
+                            for obs in observed
+                            for clone in obs.clones
+                        ),
+                    )
+            ins.flows.inc(report.flow_count)
+            interval_span.set_attribute("interval", report.interval)
+            interval_span.set_attribute("flows", report.flow_count)
+            extraction = None
+            if report.alarm:
+                ins.alarmed.inc()
+                metadata = report.metadata()
+                # An alarm whose voted meta-data is empty cannot drive
+                # extraction; the paper's V-of-K voting intentionally
+                # trades these away.
+                if not metadata.is_empty():
+                    extraction = self.mining_stage(
+                        report.flow_count,
+                        lambda: interval_input.extract(report, metadata),
+                    )
+            if extraction is not None:
+                interval_span.set_attribute(
+                    "itemsets", len(extraction.itemsets)
+                )
+                self.extraction_count += 1
+                if self.keep_extractions:
+                    self.extractions.append(extraction)
+                replayed = (
+                    self._resume_floor is not None
+                    and extraction.interval <= self._resume_floor
+                )
+                if self._sink is not None and not replayed:
+                    # Triage = report construction + sink push.
+                    with time_stage(ins.stage_triage), self._tracer.span(
+                        "stage.triage"
+                    ):
+                        self._sink.append(self.report_for(extraction))
+            if not self.keep_reports:
+                bank.clear_reports()
+        # Clean intervals leave no report but must still age incidents.
+        if isinstance(self._sink, IntervalSink):
+            self._sink.note_interval(report.interval)
+        if self._trail is not None:
+            document = {
+                "interval": int(report.interval),
+                "metrics": self._metrics.snapshot(),
+            }
+            self._trail.write(json.dumps(document, sort_keys=True))
+            self._trail.write("\n")
+        return extraction
 
     # ------------------------------------------------------------------
     # Offline operation

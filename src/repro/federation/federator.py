@@ -5,7 +5,7 @@ site ship :class:`~repro.federation.digest.IntervalDigest` documents,
 and the :class:`Federator` aligns them on interval index, merges each
 interval's digests (exact value-count addition), and hands each
 merged interval to the pipeline's one interval step
-(:meth:`~repro.core.session.IntervalSpine.step`) as a
+(:meth:`~repro.core.pipeline.AnomalyExtractor.step`) as a
 :class:`MergedInterval` - so the network-wide anomaly that no single
 link sees clearly still trips the KL detectors.  The federator is a
 *source* of closed intervals, exactly like the stream assembler:
@@ -39,7 +39,6 @@ from repro.core.config import ExtractionConfig, FederationSettings
 from repro.core.pipeline import AnomalyExtractor, ExtractionResult
 from repro.core.prefilter import PrefilterResult
 from repro.core.report import ExtractionReport
-from repro.core.session import IntervalSpine
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature
 from repro.detection.manager import DetectorBank, IntervalReport
@@ -156,7 +155,7 @@ class MergedInterval:
 
 class Federator:
     """Merges per-site digests and steps each merged interval through
-    the shared pipeline spine."""
+    the shared pipeline step."""
 
     def __init__(
         self,
@@ -215,24 +214,24 @@ class Federator:
         # reads the per-interval detector reports or the extraction
         # list afterwards, so neither is retained: a daemon federating
         # for months stays flat.
-        extractor = AnomalyExtractor(
-            ExtractionConfig(detector=self.config, features=self.features),
+        self._extractor = AnomalyExtractor(
+            ExtractionConfig(
+                detector=self.config,
+                features=self.features,
+                keep_extractions=False,
+            ),
             seed=seed,
             metrics=metrics,
             pipeline="federation",
             tracer=tracer,
-        )
-        self._spine = IntervalSpine(
-            extractor,
             interval_seconds=interval_seconds,
             origin=origin,
             sink=self.store,
             keep_reports=False,
-            keep_extractions=False,
         )
-        self._bank = extractor.detector_bank
-        self._tracer = extractor.tracer
-        registry = extractor.metrics
+        self._bank = self._extractor.detector_bank
+        self._tracer = self._extractor.tracer
+        registry = self._extractor.metrics
         self._pending: dict[int, dict[str, IntervalDigest]] = {}
         self._next = 0
         self._max_seen = -1
@@ -396,9 +395,11 @@ class Federator:
             else:
                 sites = merged.sites
             merged_input = MergedInterval(merged, self.min_support)
-            extraction = self._spine.step(merged_input)
+            extraction = self._extractor.step(merged_input)
         report = (
-            None if extraction is None else self._spine.report_for(extraction)
+            None
+            if extraction is None
+            else self._extractor.report_for(extraction)
         )
         self._m_merged.inc()
         self._next = interval + 1
@@ -507,4 +508,4 @@ class Federator:
         self._pending = pending
         self._next = next_interval
         self._max_seen = max_seen
-        self._spine.arm_resume_floor()
+        self._extractor.arm_resume_floor()

@@ -27,22 +27,15 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from repro.core.config import ExtractionConfig
-from repro.core.pipeline import (
-    AnomalyExtractor,
-    ExtractionResult,
-    default_observers,
-)
-from repro.core.session import (
-    ExtractionSession,
-    StreamExtraction,
-    open_session,
-)
+from repro.core.pipeline import ExtractionResult, default_observers
+from repro.core.session import ExtractionSession, StreamExtraction
 from repro.errors import CheckpointError, ConfigError, ExtractionError
 from repro.fleet.routing import Router, resolve_route, route_indices
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, interval_index
 from repro.flows.table import FlowTable
 from repro.incidents.correlate import Incident
 from repro.incidents.rank import RankedIncident, rank_incidents
+from repro.obs.instruments import catalogued
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.state import count, mapping, optional, read_fields
 
@@ -200,24 +193,12 @@ class FleetManager:
         )
         self._metrics, self._tracer = metrics, tracer
         self._span = tracer.span("fleet.run", pipelines=len(self._names))
-        self._m_fed = metrics.counter(
-            "repro_fleet_fed_rows_total",
-            "Flow rows fed into the fleet (after router validation).",
+        self._m_fed = catalogued(metrics, "repro_fleet_fed_rows_total")
+        self._m_routed = catalogued(metrics, "repro_fleet_routed_rows_total")
+        self._m_misrouted = catalogued(
+            metrics, "repro_fleet_misrouted_rows_total"
         )
-        self._m_routed = metrics.counter(
-            "repro_fleet_routed_rows_total",
-            "Flow rows routed to each pipeline.",
-            ("pipeline",),
-        )
-        self._m_misrouted = metrics.counter(
-            "repro_fleet_misrouted_rows_total",
-            "Flow rows in chunks rejected because the router produced "
-            "out-of-range pipeline indices.",
-        )
-        self._m_ranking = metrics.histogram(
-            "repro_fleet_ranking_seconds",
-            "Wall-clock seconds per merged fleet-wide incidents() query.",
-        )
+        self._m_ranking = catalogued(metrics, "repro_fleet_ranking_seconds")
         self._sessions: dict[str, ExtractionSession] = {}
         self._results: dict[str, StreamExtraction] | None = None
         self._closed = False
@@ -226,7 +207,7 @@ class FleetManager:
             # session's own root parents beneath it in the trace.
             with self._span.active():
                 for name, config in resolved.items():
-                    self._sessions[name] = open_session(
+                    self._sessions[name] = ExtractionSession(
                         config,
                         seed=seed,
                         metrics=metrics,
@@ -270,10 +251,6 @@ class FleetManager:
                 f"fleet pipelines: {', '.join(self._names)}"
             )
         return self._sessions[pipeline]
-
-    def extractor(self, pipeline: str) -> AnomalyExtractor:
-        """The named pipeline's extractor (its store lives there)."""
-        return self.session(pipeline).extractor
 
     def _check_open(self, verb: str) -> None:
         if self._closed:
@@ -373,7 +350,7 @@ class FleetManager:
             )
         pipelines: dict[str, dict] = {}
         for name, session in self._sessions.items():
-            store = session.extractor.store
+            store = session.store
             pipelines[name] = {
                 "session": session.to_state(),
                 "store_last_interval": (
@@ -414,7 +391,7 @@ class FleetManager:
             marker = entry["store_last_interval"]
             if marker is None:
                 continue
-            store = self._sessions[name].extractor.store
+            store = self._sessions[name].store
             last = None if store is None else store.last_interval()
             if last is None or last < marker:
                 raise CheckpointError(
@@ -472,7 +449,7 @@ class FleetManager:
         population: list[Incident] = []
         pipeline_of: dict[int, str] = {}
         for name, session in self._sessions.items():
-            store = session.extractor.store
+            store = session.store
             for incident in store.correlated(jaccard, quiet_gap):
                 population.append(incident)
                 pipeline_of[id(incident)] = name

@@ -13,29 +13,26 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
 import numpy as np
 
 from repro.errors import TraceFormatError
+from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, iter_intervals
 from repro.flows.table import ALL_COLUMNS, ROW_DTYPE, FlowTable, fit_error
+from repro.obs.instruments import catalogued
 from repro.obs.metrics import NULL_REGISTRY
 
 
 def _io_counters(metrics):
     """(rows parsed, parse errors) counters from ``metrics`` (or no-ops)."""
     registry = metrics if metrics is not None else NULL_REGISTRY
-    rows = registry.counter(
-        "repro_io_rows_parsed_total",
-        "CSV flow rows parsed into chunks.",
+    return (
+        catalogued(registry, "repro_io_rows_parsed_total"),
+        catalogued(registry, "repro_io_parse_errors_total"),
     )
-    errors = registry.counter(
-        "repro_io_parse_errors_total",
-        "CSV rows rejected as malformed (ragged, non-numeric, "
-        "non-finite timestamp).",
-    )
-    return rows, errors
 
 _CSV_HEADER = list(ALL_COLUMNS)
 
@@ -273,3 +270,34 @@ def read_trace(path: str | os.PathLike[str]) -> FlowTable:
     """Read a trace by file extension via :data:`readers`."""
     return readers[trace_format(path)](path)
 
+
+
+def flow_chunks(
+    source: str | os.PathLike[str],
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
+    origin: float = 0.0,
+    metrics=None,
+) -> Iterator[FlowTable]:
+    """The flow chunks of a run's SOURCE: a ``.csv`` path or ``'-'``
+    (CSV on stdin) parsed ``chunk_rows`` lines at a time, or a ``.npz``
+    read whole and fed interval by interval on the ``interval_seconds``
+    / ``origin`` grid, so its row order never matters.  ``metrics``
+    threads a registry through to the CSV parser's row counters.  The
+    extension is read by :func:`trace_format`, so an unknown one raises
+    :class:`TraceFormatError` before anything is read."""
+    if os.fspath(source) == "-":
+        return iter_csv_handle(
+            sys.stdin, chunk_rows=chunk_rows, name="<stdin>", metrics=metrics
+        )
+    if trace_format(source) == ".csv":
+        return iter_csv(source, chunk_rows=chunk_rows, metrics=metrics)
+    return (
+        view.flows
+        for view in iter_intervals(
+            read_trace(source),
+            interval_seconds,
+            origin=origin,
+            include_empty=False,
+        )
+    )

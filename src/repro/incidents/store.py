@@ -24,6 +24,7 @@ from contextlib import contextmanager
 
 from repro.core.report import ExtractionReport
 from repro.errors import ExtractionError, IncidentError
+from repro.obs.instruments import catalogued
 from repro.obs.metrics import NULL_REGISTRY, time_stage
 
 #: Bump when the table layout changes; the store refuses to open a
@@ -94,18 +95,11 @@ class IncidentStore:
     ):
         self.path = path
         registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_appends = registry.counter(
-            "repro_store_appends_total",
-            "Reports persisted into the incident store.",
+        self._m_appends = catalogued(registry, "repro_store_appends_total")
+        self._m_refusals = catalogued(
+            registry, "repro_store_reingest_refusals_total"
         )
-        self._m_refusals = registry.counter(
-            "repro_store_reingest_refusals_total",
-            "Appends refused by the monotonic re-ingest guard.",
-        )
-        self._m_query = registry.histogram(
-            "repro_store_query_seconds",
-            "Wall-clock seconds per incidents() correlation query.",
-        )
+        self._m_query = catalogued(registry, "repro_store_query_seconds")
         # Validate and canonicalize explicit knobs BEFORE anything is
         # persisted: a bad (or non-canonically rendered, e.g.
         # quiet_gap=2.0 -> "2.0") value written into store_meta would
@@ -305,7 +299,7 @@ class IncidentStore:
         """Persist one report; returns its row id.
 
         This is the report-sink protocol consumed by the pipeline's
-        interval step (:meth:`~repro.core.session.IntervalSpine.step`),
+        interval step (:meth:`~repro.core.pipeline.AnomalyExtractor.step`),
         whatever source feeds it - batch, stream, fleet, or federation.
         The marker advances in the SAME transaction, so the re-ingest
         guard is armed atomically with the data it protects - which

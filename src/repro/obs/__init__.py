@@ -12,8 +12,6 @@ counters; this package is that groundwork, dependency-free:
   byte-stable canonical JSON snapshot;
 * :mod:`repro.obs.instruments` - the library's per-pipeline metric
   catalog, pre-bound for the hot paths;
-* :mod:`repro.obs.sink` - :class:`~repro.obs.sink.MetricsSink`, teeing
-  one snapshot per processed interval to JSONL;
 * :mod:`repro.obs.trace` - :class:`~repro.obs.trace.Tracer` /
   :class:`~repro.obs.trace.Span` span trees with the
   :data:`~repro.obs.trace.NULL_TRACER` no-op and JSONL / Chrome
@@ -42,7 +40,6 @@ from repro.obs.metrics import (
     NullRegistry,
     time_stage,
 )
-from repro.obs.sink import MetricsSink
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -68,7 +65,6 @@ __all__ = [
     "Histogram",
     "MetricsError",
     "MetricsRegistry",
-    "MetricsSink",
     "NullRegistry",
     "NullSpan",
     "NullTracer",

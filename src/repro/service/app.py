@@ -120,7 +120,7 @@ class ServiceApp:
             raise ConfigError(f"sequence must be >= 0: {sequence}")
         if checkpoint_path is not None:
             for name in fleet.names:
-                store = fleet.extractor(name).store
+                store = fleet.session(name).store
                 if store is None or store.path == ":memory:":
                     raise ConfigError(
                         f"checkpointing requires a durable incident "
@@ -596,7 +596,7 @@ class ServiceApp:
                 f"no incident {raw!r}; fleet has "
                 f"{have if have else 'none'}"
             )
-        store = self.fleet.extractor(pipeline).store
+        store = self.fleet.session(pipeline).store
         if store is None:
             raise ServiceError(
                 f"pipeline {pipeline!r} has no incident store to "

@@ -20,14 +20,14 @@ def trace_files(tmp_path_factory, ddos_trace):
 
 class TestExtract:
     def test_matches_pipeline_class(self, ddos_trace):
-        from repro import AnomalyExtractor, ExtractionConfig
+        from repro import ExtractionConfig
         from repro.core.session import ExtractionSession, run_session
 
         config = ExtractionConfig(
             detector=_DETECTOR, min_support=300, features="paper"
         )
         with ExtractionSession(
-            AnomalyExtractor(config, seed=1), interval_seconds=900.0,
+            config, seed=1, interval_seconds=900.0,
         ) as session:
             expected = run_session(session, [ddos_trace.flows])
         got = api.extract(
@@ -95,12 +95,33 @@ class TestStream:
         assert streamed.extraction_count == len(batch.extractions)
         assert streamed.late_dropped == 0
 
-    def test_stream_rejects_non_csv_paths(self, trace_files):
+    @pytest.mark.parametrize("name", ["T.CSV", "t.npz"])
+    def test_stream_reads_every_cli_source(self, ddos_trace, tmp_path, name):
+        """``api.stream`` reads a path the way ``repro extract`` does:
+        any case of ``.csv`` chunked, a ``.npz`` fed interval by
+        interval."""
+        from repro.flows import write_csv, write_npz
+
+        path = tmp_path / name
+        write = write_npz if name.endswith(".npz") else write_csv
+        write(ddos_trace.flows, str(path))
+        knobs = {"detector": _DETECTOR, "min_support": 300, "seed": 1}
+        batch = api.extract(ddos_trace.flows, **knobs)
+        streamed = api.stream(str(path), chunk_rows=700, **knobs)
+        assert streamed.flagged_intervals == batch.flagged_intervals
+        assert [e.render() for e in streamed.extractions] == [
+            e.render() for e in batch.extractions
+        ]
+
+    def test_stream_refuses_unknown_formats(self, tmp_path):
         from repro.errors import TraceFormatError
 
-        npz, _ = trace_files
-        with pytest.raises(TraceFormatError, match="reads a .csv"):
-            api.stream(npz)
+        path = tmp_path / "t.pcap"
+        path.write_text("x")
+        with pytest.raises(TraceFormatError, match="unknown trace format"):
+            api.stream(str(path), store_path=str(tmp_path / "s.db"))
+        # Refused before the session opened its store.
+        assert not (tmp_path / "s.db").exists()
 
     def test_stream_accepts_chunk_iterables(self, ddos_trace):
         chunks = [ddos_trace.flows]

@@ -143,7 +143,7 @@ class TestSatelliteFixes:
             _config(), interval_seconds=900.0, seed=0
         ) as session:
             result = run_session(session, [tiny_flows])
-            public = session.extractor.detector_bank.reports
+            public = session.detector_bank.reports
         assert len(result.detection.reports) == len(public) == 1
         assert all(
             ours is theirs

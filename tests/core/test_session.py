@@ -256,20 +256,20 @@ class TestLeakRegression:
                 interval_seconds=INTERVAL_SECONDS,
             ) as session:
                 session.feed(self._poisoned_chunk())
-        store = session.extractor.store
+        store = session.store
         assert session.closed
         assert store is not None and store._conn is None
 
     def test_owning_session_close_is_try_finally(self, tmp_path):
-        """A metrics sink that fails to close must not leak the store."""
+        """A metrics trail that fails to close must not leak the store."""
         db = str(tmp_path / "chain.db")
         session = api.session(_config(store_path=db))
-        store = session.extractor.store
+        store = session.store
 
         def boom():
             raise RuntimeError("sink close failed")
 
-        session._metrics_sink = type("S", (), {"close": staticmethod(boom)})()
+        session._trail = type("S", (), {"close": staticmethod(boom)})()
         with pytest.raises(RuntimeError, match="sink close failed"):
             session.close()
         assert store._conn is None  # store released despite the raise

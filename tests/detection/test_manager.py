@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import resolve_config
-from repro.core.session import open_session
+from repro.core.session import ExtractionSession
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import DETECTOR_FEATURES, Feature
 from repro.detection.manager import DetectorBank
@@ -124,7 +124,7 @@ class TestDetectionRunAfterRestore:
         )
 
         def session():
-            return open_session(
+            return ExtractionSession(
                 config, interval_seconds=ddos_trace.interval_seconds
             )
 

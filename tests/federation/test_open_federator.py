@@ -73,7 +73,7 @@ def test_a_path_store_is_opened_and_closed_here(tmp_path):
     path = tmp_path / "fed.db"
     run = _run(store_path=str(path))
     with open_federator(run.base, run.federation) as federator:
-        store = federator._spine.sink
+        store = federator._extractor.sink
         assert isinstance(store, IncidentStore) and store.path == str(path)
         assert store.reports() == []  # open
     assert path.exists()
@@ -87,6 +87,6 @@ def test_an_open_store_stays_the_callers(tmp_path):
         with open_federator(
             run.base, run.federation, store=mine
         ) as federator:
-            assert federator._spine.sink is mine
+            assert federator._extractor.sink is mine
         assert mine.reports() == []  # still open
     assert not (tmp_path / "unused.db").exists()

@@ -267,7 +267,7 @@ class TestLifecycle:
             interval_seconds=INTERVAL_SECONDS,
             store_dir=str(tmp_path / "stores"),
         )
-        stores = [fleet.extractor(n).store for n in fleet.names]
+        stores = [fleet.session(n).store for n in fleet.names]
         # Poison the FIRST session's close: the second store must still
         # be released, and the failure must surface.
         first = fleet.session("a")
@@ -297,7 +297,7 @@ class TestLifecycle:
             ) as fleet:
                 fleet.feed(poisoned)
         for name in fleet.names:
-            assert fleet.extractor(name).store._conn is None
+            assert fleet.session(name).store._conn is None
 
     def test_store_dir_gets_one_db_per_pipeline(self, tmp_path, tiny_flows):
         store_dir = tmp_path / "stores"
@@ -403,8 +403,8 @@ class TestOpenFleet:
             },
             route="dst_ip%2",
         ) as fleet:
-            hot = fleet.extractor("hot").config
-            cold = fleet.extractor("cold").config
+            hot = fleet.session("hot").config
+            cold = fleet.session("cold").config
             assert hot.min_support == 100
             assert cold.min_support == 300
 
@@ -424,6 +424,6 @@ class TestOpenFleet:
             _config(), pipelines=2, route="dst_ip%2", min_support=123,
         ) as fleet:
             assert all(
-                fleet.extractor(n).config.min_support == 123
+                fleet.session(n).config.min_support == 123
                 for n in fleet.names
             )

@@ -69,9 +69,9 @@ class TestExtractInterrupt:
 
         original = extract_cli.flow_chunks
 
-        def patched(args, metrics=None):
+        def patched(*args):
             return interrupting_chunks(
-                original(args, metrics), after=2, signum=signum
+                original(*args), after=2, signum=signum
             )
 
         monkeypatch.setattr(extract_cli, "flow_chunks", patched)
@@ -119,9 +119,9 @@ class TestFleetInterrupt:
 
         original = fleet_cli.flow_chunks
 
-        def patched(args, metrics=None):
+        def patched(*args):
             return interrupting_chunks(
-                original(args, metrics), after=2, signum=signal.SIGINT
+                original(*args), after=2, signum=signal.SIGINT
             )
 
         monkeypatch.setattr(fleet_cli, "flow_chunks", patched)

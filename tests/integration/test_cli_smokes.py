@@ -2,19 +2,32 @@
 
 Each test is one former CI smoke step, assertion for assertion: the
 exit codes, the refusal wording and the absence of a traceback (a
-traceback in-process is an exception escaping ``main``).
+traceback in-process is an exception escaping ``main``).  Only the
+``serve`` refusals run in a child process, under a timeout: their
+check is that no socket is ever bound.
 """
 
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
+import repro.api as api
 from repro.cli import main
+from repro.federation.digest import DIGEST_VERSION
+from repro.service.checkpoint import (
+    CHECKPOINT_VERSION,
+    fleet_checkpoint,
+    write_checkpoint,
+)
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -230,3 +243,220 @@ def test_metrics_smoke(tmp_path, capsys):
         "repro_stage_seconds",
     ):
         assert expected in types, f"missing {expected}"
+
+
+#: One deployment file, every verb: dry-run, replay, collect.
+DEPLOY_TOML = """\
+[detector]
+bins = 64
+training_intervals = 3
+
+[mining]
+min_support = 50
+
+[fleet]
+route = "dst_ip%2"
+
+[fleet.pipelines.upstream]
+
+[fleet.pipelines.peering.mining]
+min_support = 40
+
+[service]
+port = 0
+checkpoint_every = 2
+
+[federation]
+sites = ["east", "west"]
+min_support = 50
+"""
+
+
+@pytest.fixture(scope="module")
+def deploy(tmp_path_factory):
+    """The deployment file and its 6x300 trace, shared by the
+    run-config, resume refusal and federation store refusal smokes."""
+    root = tmp_path_factory.mktemp("deploy")
+    toml = root / "deploy.toml"
+    toml.write_text(DEPLOY_TOML)
+    trace = _generate(root / "deploy.csv", 6)
+    return toml, trace
+
+
+def _refused(capsys, argv, *fragments):
+    """Run ``argv`` in-process: exit 2, every fragment on stderr, no
+    traceback.  Returns stderr."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    for fragment in fragments:
+        assert fragment in err, (fragment, err)
+    assert "Traceback" not in err
+    return err
+
+
+def _serve_refused(*argv):
+    """``serve`` in a child process, under a timeout: a refusal must
+    come before any socket is bound, so a daemon that starts serving
+    fails the test instead of hanging it.  Returns stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", *map(str, argv)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def _collect(trace, site, out, toml):
+    return main([
+        "federate", "collect", trace, "--site", site, "--out", str(out),
+        "--config", str(toml),
+    ])
+
+
+def test_deployment_run_config_smoke(deploy, tmp_path, capsys, monkeypatch):
+    """Every verb reads the one deployment file; removed knobs, an
+    unknown digest key, a torn digest line, a typo in an unused table
+    and the removed ``topk`` verb are refused with exit 2."""
+    toml, trace = deploy
+    assert main(["extract", trace, "--config", str(toml)]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(trace).read_text()))
+    assert main(["extract", "-", "--config", str(toml)]) == 0
+    assert main(["fleet", trace, "--config", str(toml)]) == 0
+    east = tmp_path / "deploy-east.jsonl"
+    assert _collect(trace, "east", east, toml) == 0
+
+    # The removed parallel knobs are refused by name - a flag by
+    # argparse, a table by the config reader - with exit 2, ...
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as jobs:
+        main([
+            "extract", "--alarms-only", trace, "--config", str(toml),
+            "--jobs", "2",
+        ])
+    assert jobs.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "Traceback" not in err
+    parallel = tmp_path / "parallel.toml"
+    parallel.write_text(DEPLOY_TOML + "\n[parallel]\njobs = 2\n")
+    _refused(
+        capsys, ["extract", trace, "--config", str(parallel)],
+        "unknown config section 'parallel'",
+    )
+    # ... so is the count-min geometry digests no longer carry, ...
+    cm = tmp_path / "cm.toml"
+    cm.write_text(DEPLOY_TOML.replace(
+        'sites = ["east", "west"]\n', 'sites = ["east", "west"]\ncm_width = 1024\n'
+    ))
+    assert "\ncm_width = 1024\n" in cm.read_text()
+    _refused(
+        capsys,
+        ["federate", "collect", trace, "--site", "east",
+         "--out", str(tmp_path / "cm.jsonl"), "--config", str(cm)],
+        "unknown key 'cm_width'",
+    )
+    # ... a merge of both sites' digest files must name both, ...
+    west = tmp_path / "deploy-west.jsonl"
+    assert _collect(trace, "west", west, toml) == 0
+    capsys.readouterr()
+    assert main(
+        ["federate", "merge", str(east), str(west), "--config", str(toml)]
+    ) == 0
+    merged = capsys.readouterr().out
+    assert "east" in merged and "west" in merged
+    # ... and a truncated digest line is refused naming file:line.
+    lines = east.read_text().splitlines()
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(f"{lines[0]}\n{lines[1][:200]}\n")
+    _refused(
+        capsys, ["federate", "merge", str(torn), "--config", str(toml)],
+        f"{torn}:2: ",
+    )
+    # A typo in a table the verb does not use is still refused, with
+    # the file and a hint: exit 2, not a traceback.
+    typo = tmp_path / "typo.toml"
+    typo.write_text(DEPLOY_TOML.replace("\nport = 0\n", "\nprt = 0\n"))
+    _refused(
+        capsys, ["fleet", trace, "--config", str(typo)],
+        str(typo), "did you mean",
+    )
+    # The removed topk verb is an argparse refusal: exit 2.
+    with pytest.raises(SystemExit) as topk:
+        main(["topk", trace])
+    assert topk.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'topk'" in err and "Traceback" not in err
+
+
+def test_resume_refusal_smoke(deploy, tmp_path, capsys):
+    """A checkpoint of the previous schema version, a digest file of
+    the previous wire version and a checkpoint with a counter flipped
+    to a boolean are refused: exit 2, the versions or the field named."""
+    toml, trace = deploy
+    stores = tmp_path / "resume-stores"
+    # A checkpoint of the deployment's fleet, written the way the
+    # daemon writes it ...
+    checkpoint = tmp_path / "resume.ckpt"
+    with api.open_fleet(str(toml), store_dir=str(stores)) as fleet:
+        for chunk in api.iter_csv(trace):
+            fleet.feed(chunk)
+        write_checkpoint(str(checkpoint), fleet_checkpoint(fleet, 1))
+    # ... written under the previous schema version is refused at
+    # --resume, both versions named.
+    old, new = CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION
+    older = tmp_path / f"resume-v{old}.ckpt"
+    older.write_text(re.sub(
+        f'"version":{new}}}$', f'"version":{old}}}',
+        checkpoint.read_text(), flags=re.M,
+    ))
+    assert re.search(f'"version":{old}}}$', older.read_text(), re.M)
+    err = _serve_refused(
+        "--config", toml, "--store-dir", stores, "--checkpoint", older,
+        "--resume",
+    )
+    assert re.search(f"^error: .*version {old} != {new}", err, re.M)
+
+    # So is a digest file of the previous wire version at merge.
+    east = tmp_path / "deploy-east.jsonl"
+    assert _collect(trace, "east", east, toml) == 0
+    old, new = DIGEST_VERSION - 1, DIGEST_VERSION
+    digest = tmp_path / f"digest-v{old}.jsonl"
+    digest.write_text(re.sub(
+        f'"version":{new}}}$', f'"version":{old}}}',
+        east.read_text(), flags=re.M,
+    ))
+    assert re.search(f'"version":{old}}}$', digest.read_text(), re.M)
+    err = _refused(
+        capsys, ["federate", "merge", str(digest), "--config", str(toml)],
+    )
+    assert re.search(f"^error: .*version {old} != {new}", err, re.M)
+
+    # A current checkpoint with one counter flipped to a boolean is
+    # refused at --resume, before any socket is bound: the field named.
+    checkpoint.write_text(re.sub(
+        r'"flows_seen":[0-9]*', '"flows_seen":true', checkpoint.read_text()
+    ))
+    assert '"flows_seen":true' in checkpoint.read_text()
+    err = _serve_refused(
+        "--config", toml, "--store-dir", stores, "--checkpoint", checkpoint,
+        "--resume",
+    )
+    assert re.search("^error: ", err, re.M)
+    assert "flows_seen" in err
+
+
+def test_federation_store_refusal_smoke(deploy, tmp_path):
+    """The deployment federates but names no ``[federation]
+    store_path``: its reports would live in memory only, so
+    checkpointing it is refused before any socket is bound, and no
+    checkpoint file is written."""
+    toml, _ = deploy
+    checkpoint = tmp_path / "fed.ckpt"
+    err = _serve_refused(
+        "--config", toml, "--store-dir", tmp_path / "fed-stores",
+        "--checkpoint", checkpoint,
+    )
+    assert re.search(r"^error: .*\[federation\] store_path", err, re.M)
+    assert not checkpoint.exists()

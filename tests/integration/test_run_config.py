@@ -332,8 +332,8 @@ class TestLayeringOrder:
             "a": 200, "b": 150,
         }
         with api.open_fleet(path, min_support=200, route="dst_ip%2") as f:
-            assert f.extractor("a").config.min_support == 200
-            assert f.extractor("b").config.min_support == 150
+            assert f.session("a").config.min_support == 200
+            assert f.session("b").config.min_support == 150
 
     def test_a_flag_refusal_is_not_blamed_on_the_file(self, tmp_path):
         path = _write(tmp_path, "run.toml", LAYERED)

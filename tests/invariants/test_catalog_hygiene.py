@@ -6,6 +6,7 @@ on its names.  Both directions hold:
 
 * every ``.counter/.gauge/.histogram`` call outside ``obs/`` passes a
   literal ``CATALOG`` name with the catalogued kind and labels, every
+  ``catalogued(registry, name)`` a literal ``CATALOG`` name, every
   ``.span`` a literal ``SPANS`` name and every ``.event/.add_event`` a
   literal ``EVENTS`` name - and instrumented code never branches on
   ``registry.enabled`` (the disabled registry hands out no-op
@@ -48,6 +49,11 @@ def _calls(source: str, methods):
 
 def metric_violations(source: str) -> list[str]:
     found = []
+    for node in walk(source):
+        if isinstance(node, ast.Call) and terminal_name(node.func) == "catalogued":
+            name = _literal(node.args[1]) if len(node.args) > 1 else None
+            if name not in CATALOG:
+                found.append(f"{node.lineno}: catalogued({name!r}) is not catalogued")
     for line, kind, args in _calls(source, ("counter", "gauge", "histogram")):
         name = _literal(args.get("name"))
         labels = _literal(args["labelnames"]) if "labelnames" in args else ()
@@ -114,6 +120,12 @@ def test_spans_and_events_come_from_the_catalog():
             "has labels ('pipeline',), not ('site',)",
         ),
         (metric_violations, "if metrics.enabled:\n    pass", "branches on metrics"),
+        (
+            metric_violations,
+            'catalogued(r, "repro_bogus")',
+            "catalogued('repro_bogus') is not",
+        ),
+        (metric_violations, "catalogued(r, pick())", "catalogued(None) is not"),
         (trace_violations, 'tracer.span("made.up")', ".span('made.up') is not"),
         (trace_violations, "tracer.span(pick())", ".span(None) is not"),
         (trace_violations, 'tracer.event("made.up")', ".event('made.up') is not"),
@@ -142,6 +154,7 @@ def test_the_catalog_checkers(checker, snippet, violation):
         (trace_violations, 'span.add_event("assembler.late_drop")'),
         # Labels that are not a literal are left to the registry to check.
         (metric_violations, 'r.counter("repro_flows_processed_total", "h", LABELS)'),
+        (metric_violations, 'catalogued(registry, "repro_fleet_fed_rows_total")'),
         # Setting the flag and a non-registry ``.enabled`` are not branches.
         (metric_violations, "metrics.enabled = False"),
         (metric_violations, "if config.enabled:\n    pass"),

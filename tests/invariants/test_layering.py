@@ -17,7 +17,7 @@ LAYERS = [
     "errors obs registry state",
     "flows sketch detection mining anomalies traffic analysis",
     "core",
-    "streaming incidents sinks",
+    "streaming incidents",
     "fleet service federation api cli __main__",
 ]
 

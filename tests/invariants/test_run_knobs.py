@@ -99,7 +99,6 @@ OPTION_STRINGS = {
         "--host",
         "--ingest-port",
         "--interval-seconds",
-        "--keep-extractions",
         "--min-support",
         "--miner",
         "--origin",

@@ -4,8 +4,8 @@ and the proof that its metrics mean one thing for every input.
 The paper's Fig. 3 is one pipeline.  Both sources of closed intervals
 - the stream assembler (fed chunks, or by ``api.extract`` a stored
 trace's intervals) and the federator's merge - hand them to
-:meth:`repro.core.session.IntervalSpine.step`; nothing else drives a
-detector bank, pushes a report into a sink, or ages a sink.
+:meth:`repro.core.pipeline.AnomalyExtractor.step`; nothing else drives
+a detector bank, pushes a report into a sink, or ages a sink.
 """
 
 import ast
@@ -21,15 +21,15 @@ from repro.obs.metrics import MetricsRegistry
 from tests.invariants.source import sources, walk
 
 #: Where the primitives themselves live.
-ALLOWED = ("detection/", "incidents/", "sinks.py")
+ALLOWED = ("detection/", "incidents/")
 
 #: The step's home and its two input implementations.  A bank's
 #: ``observe_snapshots`` has no caller in the package.
 EXPECTED = {
     "bank.observe": ["core/session.py"],
     "bank.observe_counts": ["federation/federator.py"],
-    "sink.append": ["core/session.py"],
-    "notify_sink_interval": ["core/session.py"],
+    "sink.append": ["core/pipeline.py"],
+    "sink.note_interval": ["core/pipeline.py"],
 }
 
 
@@ -47,17 +47,16 @@ def _spine_calls(nodes):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "notify_sink_interval":
-            yield "notify_sink_interval"
         if not isinstance(func, ast.Attribute):
             continue
         receiver = _receiver(func.value).lower()
+        sink = "sink" in receiver or "store" in receiver
         if func.attr in ("observe_counts", "observe_snapshots"):
             yield f"bank.{func.attr}"
         elif func.attr == "observe" and "bank" in receiver:
             yield "bank.observe"
-        elif func.attr == "append" and ("sink" in receiver or "store" in receiver):
-            yield "sink.append"
+        elif func.attr in ("append", "note_interval") and sink:
+            yield f"sink.{func.attr}"
 
 
 def test_one_call_site_per_spine_primitive():

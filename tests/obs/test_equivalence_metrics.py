@@ -93,7 +93,7 @@ class TestMetricsOnVsOff:
             interval_seconds=ddos_trace.interval_seconds, seed=1,
         ) as session:
             on = run_session(session, [ddos_trace.flows])
-            assert session.extractor.metrics.enabled
+            assert session.metrics.enabled
         off = api.extract(
             ddos_trace.flows, _config(),
             interval_seconds=ddos_trace.interval_seconds, seed=1,

@@ -112,7 +112,7 @@ class TestTraceOnVsOff:
                 config, interval_seconds=ddos_trace.interval_seconds, seed=1,
             ) as session:
                 result = run_session(session, [ddos_trace.flows])
-                return result, session.extractor.tracer.enabled
+                return result, session.tracer.enabled
 
         on, traced = run(_config(obs={"trace_path": "unused.jsonl"}))
         off, untraced = run(_config())

@@ -220,7 +220,7 @@ class TestStoreInstrumentation:
             interval_seconds=ddos_trace.interval_seconds,
         ) as session:
             result = run_session(session, [ddos_trace.flows])
-            session.extractor.store.incidents()
+            session.store.incidents()
         assert len(result.extractions) > 0
         appends = "repro_store_appends_total"
         assert _value(registry, appends) == len(result.extractions)

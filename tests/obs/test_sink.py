@@ -1,45 +1,44 @@
-"""MetricsSink: interval-close snapshots teed to JSONL."""
+"""The ``[obs] jsonl_path`` trail: the interval step writes one metrics
+snapshot per processed interval."""
 
-import io
 import json
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sink import MetricsSink
+import numpy as np
+
+import repro.api as api
 
 
-def test_one_snapshot_per_interval(tmp_path):
-    registry = MetricsRegistry()
-    counter = registry.counter("repro_rows_total")
-    path = tmp_path / "metrics.jsonl"
-    with MetricsSink(path, registry) as sink:
-        counter.inc(10)
-        sink.note_interval(0)
-        counter.inc(5)
-        sink.note_interval(1)
-        assert sink.snapshots == 2
-    lines = path.read_text().splitlines()
-    docs = [json.loads(line) for line in lines]
-    assert [d["interval"] for d in docs] == [0, 1]
-    values = [
-        d["metrics"]["metrics"][0]["samples"][0]["value"] for d in docs
+def _config(path):
+    return api.ExtractionConfig(obs={"enabled": True, "jsonl_path": str(path)})
+
+
+def _processed(document):
+    (family,) = [
+        m for m in document["metrics"]["metrics"]
+        if m["name"] == "repro_intervals_processed_total"
     ]
-    assert values == [10, 15]
+    return family["samples"][0]["value"]
 
 
-def test_append_counts_reports_without_persisting_them(tmp_path):
-    registry = MetricsRegistry()
-    sink = MetricsSink(tmp_path / "metrics.jsonl", registry)
-    sink.append(object())
-    sink.append(object())
-    assert sink.appended == 2
-    sink.close()
-    assert (tmp_path / "metrics.jsonl").read_text() == ""
+def test_one_snapshot_per_interval_beside_the_store(tmp_path, tiny_flows):
+    path = tmp_path / "metrics.jsonl"
+    config = _config(path).replace(store_path=str(tmp_path / "s.db"))
+    # Six flows one second apart on a 2 s grid: intervals 0, 1 and 2.
+    with api.session(config, interval_seconds=2.0) as session:
+        session.feed(tiny_flows.select(np.arange(4)))
+        session.feed(tiny_flows.select(np.arange(4, 6)))
+        session.finish()
+        # The store still sees every interval pass.
+        assert session.store.last_interval() == 2
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [d["interval"] for d in docs] == [0, 1, 2]
+    # Each snapshot is taken once its interval has been processed.
+    assert [_processed(d) for d in docs] == [1, 2, 3]
 
 
-def test_borrowed_handle_not_closed():
-    handle = io.StringIO()
-    registry = MetricsRegistry()
-    with MetricsSink(handle, registry) as sink:
-        sink.note_interval(3)
-    assert not handle.closed
-    assert json.loads(handle.getvalue())["interval"] == 3
+def test_a_bare_extractor_opens_and_releases_the_trail(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    extractor = api.AnomalyExtractor(_config(path))
+    assert path.read_text() == ""
+    extractor.close()
+    assert extractor._trail.closed

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 
 from repro.api import resolve_config
 from repro.core.report import ExtractionReport, TriagedItemset
-from repro.core.session import open_session
+from repro.core.session import ExtractionSession
 from repro.detection.detector import DetectorConfig, HistogramDetector
 from repro.detection.features import Feature
 from repro.detection.manager import DetectorBank
@@ -609,7 +609,7 @@ def test_report_row_arbitrary_leaves(row_case, data):
 # state -> bytes -> state -> bytes, once per stateful class
 # ----------------------------------------------------------------------
 def _session(config):
-    return open_session(config, interval_seconds=INTERVAL_SECONDS)
+    return ExtractionSession(config, interval_seconds=INTERVAL_SECONDS)
 
 
 def _detector():

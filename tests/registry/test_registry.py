@@ -197,21 +197,14 @@ class TestReaderRegistry:
 
 
 class TestSinks:
-    def test_memory_sink_collects_and_notes(self):
-        from repro.core.pipeline import notify_sink_interval
-        from repro.incidents import IncidentStore
-
-        with IncidentStore(":memory:") as sink:
-            assert len(sink) == 0
-            notify_sink_interval(sink, 7)
-            assert sink.last_interval() == 7
-
-    def test_plain_list_still_works_as_sink(self):
-        from repro.core.pipeline import notify_sink_interval
-
+    def test_plain_list_still_works_as_sink(self, tiny_flows):
         collector = []
-        # Lists implement append but not note_interval: no error.
-        notify_sink_interval(collector, 3)
+        # Lists implement append but not note_interval: the step skips
+        # the note, no error.
+        with api.session(interval_seconds=2.0, sink=collector) as session:
+            session.feed(tiny_flows)
+            session.finish()
+        assert session.assembler.intervals_emitted == 3
         assert collector == []
 
     def test_interval_sink_protocol(self):
@@ -230,13 +223,3 @@ class TestSinks:
 
         with IncidentStore(str(tmp_path / "s.db")) as store:
             assert isinstance(store, IntervalSink)
-
-    def test_tee_sink_fans_out(self):
-        from repro.incidents import IncidentStore
-        from repro.sinks import TeeSink
-
-        with IncidentStore(":memory:") as a:
-            b = []
-            tee = TeeSink(a, b)
-            tee.note_interval(5)
-            assert a.last_interval() == 5

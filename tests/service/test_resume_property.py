@@ -54,7 +54,7 @@ def snapshot(fleet):
     stores = {
         name: [
             report.to_json()
-            for report in fleet.extractor(name).store.reports()
+            for report in fleet.session(name).store.reports()
         ]
         for name in fleet.names
     }

@@ -15,6 +15,8 @@ import repro.api as api
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.federation import Collector
+from repro.flows import write_csv
+from repro.flows.table import ALL_COLUMNS, FlowTable
 from repro.obs.trace import Tracer
 from repro.service.app import ServiceApp
 from repro.service.protocol import HttpRequest
@@ -135,3 +137,28 @@ def test_two_pipelines_and_no_route_shard_untagged_ingest(
     page = handed["metrics_page"]
     assert 'repro_fleet_routed_rows_total{pipeline="a"} 3' in page
     assert 'repro_fleet_routed_rows_total{pipeline="b"} 3' in page
+
+
+@SERVERS
+def test_a_daemon_keeps_no_extraction(serve, tmp_path, handed, service_chunks):
+    """No route reads retained extractions (``/incidents`` reads the
+    stores), so a daemon keeps none, whoever opened it."""
+    path = tmp_path / "run.toml"
+    path.write_text(
+        "[detector]\ntraining_intervals = 3\nvote_threshold = 2\n"
+        "[mining]\nmin_support = 40\n"
+    )
+    # The shared 10 s stream stretched onto the daemon's 900 s grid.
+    flows = FlowTable.concat(service_chunks)
+    flows = FlowTable({
+        **{name: flows.column(name) for name in ALL_COLUMNS},
+        "start": flows.column("start") * 90.0,
+    })
+    trace = tmp_path / "stream.csv"
+    write_csv(flows, str(trace))
+    handed["requests"].append(("POST", "/ingest", trace.read_bytes()))
+    serve(path)
+    fleet = handed["fleet"]
+    for name in fleet.names:
+        assert fleet.session(name).extraction_count >= 1
+        assert fleet.session(name).extractions == []

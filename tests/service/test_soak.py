@@ -131,7 +131,7 @@ def test_daemon_state_stays_flat(tmp_path):
     app = ServiceApp(
         fleet, checkpoint_path=str(checkpoint), checkpoint_every=1
     )
-    bank = fleet.extractor("linkA").detector_bank
+    bank = fleet.session("linkA").detector_bank
 
     def probe():
         return {
@@ -161,7 +161,7 @@ def test_daemon_state_stays_flat(tmp_path):
         # Every planted attack was reported (the last is still open),
         # and nothing else was.
         attacked = range(ATTACK_EVERY - 1, INTERVALS - 1, ATTACK_EVERY)
-        reported = set(fleet.extractor("linkA").store.intervals())
+        reported = set(fleet.session("linkA").store.intervals())
         assert reported == set(attacked)
     finally:
         fleet.close()

@@ -115,7 +115,7 @@ class TestKeepReports:
         assert dropped.detection is None
         assert kept.detection is not None
         # The bank really is empty - memory stays flat on long streams.
-        assert unbounded.extractor.detector_bank.reports == []
+        assert unbounded.detector_bank.reports == []
 
 
 class TestConfigKnobs:
@@ -130,8 +130,8 @@ class TestConfigKnobs:
     def test_context_manager_closes_owned_extractor(self, tmp_path):
         db = str(tmp_path / "owned.db")
         with api.session(_config(store_path=db)) as s:
-            assert s.extractor.store._conn is not None
-        assert s.extractor.store._conn is None
+            assert s.store._conn is not None
+        assert s.store._conn is None
         # close() is idempotent
         s.close()
 
