@@ -10,7 +10,10 @@ item-sets appear, rank by frequency).
 This example rebuilds the Table II interval - flooding on dstPort 7000
 plus the three most popular ports injected as FP pressure - and walks
 the support schedule, printing the report the operator reads and how
-the triage heuristic separates the flooding from the proxies.
+the triage heuristic separates the flooding from the proxies.  The
+trials run on one extractor, so only the first prefilters the interval
+and counts its items: the later ones reuse that selection and only
+re-mine it.
 
 Run:
     python examples/offline_forensics.py
@@ -51,6 +54,8 @@ def main() -> None:
     start = suggest_min_support(len(flows), fraction=0.03)
     print(f"\nsupport schedule starting at 3% of input = {start} flows")
 
+    # Same table, same meta-data: trials 2 and 3 re-mine trial 1's
+    # selection.
     for trial, support in enumerate((start, start // 2, start // 4), 1):
         result = extractor.extract_with_metadata(
             flows, metadata, min_support=support

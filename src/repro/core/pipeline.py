@@ -241,6 +241,9 @@ class AnomalyExtractor:
         self._resume_floor: int | None = None
         self._store = None
         self._trail = None
+        self._trial: (
+            tuple[FlowTable, Metadata, PrefilterResult, TransactionSet] | None
+        ) = None
         if self.config.incidents.store_path is not None:
             from repro.incidents.store import IncidentStore
 
@@ -296,6 +299,7 @@ class AnomalyExtractor:
     def close(self) -> None:
         """Release the metrics trail and the report store (idempotent),
         the store even when closing the trail raised."""
+        self._trial = None
         try:
             if self._trail is not None:
                 self._trail.close()
@@ -431,23 +435,56 @@ class AnomalyExtractor:
 
         ``min_support`` overrides the configured support (the paper
         recommends starting at 1-10% of the input flows and adjusting in
-        2-3 trials).
+        2-3 trials); it is checked like ``[mining] min_support``.
+        Trials reuse the selection: a trial on the same table object,
+        with equal meta-data and prefilter mode, re-mines the previous
+        trial's prefiltered flows and item supports; any other call
+        replaces them, and :meth:`close` drops them.
         """
-        result = self.mining_stage(
-            len(flows),
-            lambda: self.select_and_mine(
-                flows, metadata, interval, alarmed_features, min_support
-            ),
+        mining = self.config.mining
+        if min_support is None:
+            min_support = mining.min_support
+        else:
+            # The check every config spelling of the support goes through.
+            ExtractionConfig(mining={"min_support": min_support})
+        if len(flows) == 0:
+            raise ExtractionError("cannot extract from an empty interval")
+        last = self._trial
+        reused = (
+            last is not None
+            and last[0] is flows
+            and last[2].mode == mining.prefilter_mode
+            and last[1] == metadata
         )
-        assert result is not None  # select_and_mine always produces one
+        if not reused:
+            self._trial = None  # the old selection goes before the new one
+
+        def extract() -> ExtractionResult:
+            if self._trial is None:
+                selected = prefilter(flows, metadata, mining.prefilter_mode)
+                transactions = TransactionSet.from_flows(selected.flows)
+                self._trial = (flows, metadata.copy(), selected, transactions)
+            _, _, selected, transactions = self._trial
+            return ExtractionResult(
+                interval=interval,
+                metadata=metadata,
+                prefilter=selected,
+                mining=self._mine(transactions, min_support),
+                alarmed_features=alarmed_features,
+            )
+
+        result = self.mining_stage(len(flows), extract, reused=reused)
+        assert result is not None  # extract always produces one
         return result
 
     def mining_stage(
         self,
         flows: int,
         extract: Callable[[], ExtractionResult | None],
+        **attributes: bool,
     ) -> ExtractionResult | None:
-        """Run ``extract`` as the mining stage.
+        """Run ``extract`` as the mining stage (``attributes`` go on
+        its span).
 
         One ``stage.mining`` span and histogram sample per call, plus
         the extraction / item-set counters when it produced a result -
@@ -456,7 +493,7 @@ class AnomalyExtractor:
         """
         ins = self._instruments
         with time_stage(ins.stage_mining), self._tracer.span(
-            "stage.mining", flows=flows
+            "stage.mining", flows=flows, **attributes
         ) as span:
             result = extract()
             if result is not None:
@@ -476,7 +513,6 @@ class AnomalyExtractor:
         metadata: Metadata,
         interval: int = -1,
         alarmed_features: tuple[Feature, ...] = (),
-        min_support: int | None = None,
     ) -> ExtractionResult:
         """Prefilter ``flows`` by the meta-data and mine the suspicious
         ones (uninstrumented; callers run it inside
@@ -485,24 +521,24 @@ class AnomalyExtractor:
             raise ExtractionError("cannot extract from an empty interval")
         mining = self.config.mining
         selected = prefilter(flows, metadata, mining.prefilter_mode)
-        support = min_support if min_support is not None else mining.min_support
         return ExtractionResult(
             interval=interval,
             metadata=metadata,
             prefilter=selected,
-            mining=self._mine(selected.flows, support),
+            mining=self._mine(
+                TransactionSet.from_flows(selected.flows), mining.min_support
+            ),
             alarmed_features=alarmed_features,
         )
 
-    def _mine(self, flows: FlowTable, min_support: int) -> MiningResult:
-        transactions = TransactionSet.from_flows(flows)
+    def _mine(self, transactions: TransactionSet, min_support: int) -> MiningResult:
         miner = lookup("miner", miners, self.config.mining.miner)
         # An empty prefilter output (e.g. intersection mode on a
         # multi-stage anomaly) flows through the same call and yields an
         # empty-but-valid mining result.
         return miner(
             transactions,
-            max(1, min_support),
+            min_support,
             maximal_only=self.config.mining.maximal_only,
         )
 

@@ -31,11 +31,45 @@ class Metadata:
     values: dict[Feature, np.ndarray] = field(default_factory=dict)
 
     def add(self, feature: Feature, values: np.ndarray) -> None:
-        """Merge ``values`` into the set for ``feature``."""
-        arr = np.asarray(values, dtype=np.uint64)
+        """Merge ``values`` into the set for ``feature``.
+
+        Every value must be an integer in ``[0, 2^64)``: a negative,
+        fractional or too large one is refused with an
+        :class:`ExtractionError` naming the feature, instead of being
+        wrapped or truncated onto some other flow value.
+        """
+        arr = np.asarray(values)
+        if arr.dtype != np.uint64:
+            if arr.dtype.kind in "iu":
+                bad = arr < 0
+            elif arr.dtype.kind == "f":
+                bad = ~((arr >= 0) & (arr < 2.0**64) & (arr == np.floor(arr)))
+            else:
+                bad = np.ones(arr.shape, dtype=bool)
+            if bad.any():
+                raise ExtractionError(
+                    f"meta-data values of {feature.short_name} must be "
+                    f"integers in [0, 2^64): got {arr[bad].tolist()[0]!r}"
+                )
+            arr = arr.astype(np.uint64)
         if feature in self.values:
             arr = np.union1d(self.values[feature], arr)
         self.values[feature] = arr
+
+    def __eq__(self, other: object) -> bool:
+        """Equal when every feature holds the same values (a
+        :meth:`copy` equals its original until either is added to)."""
+        if not isinstance(other, Metadata):
+            return NotImplemented
+        return self.values.keys() == other.values.keys() and all(
+            np.array_equal(values, other.values[feature])
+            for feature, values in self.values.items()
+        )
+
+    def copy(self) -> "Metadata":
+        """An equal copy sharing no array with this one, so neither
+        changes with the other."""
+        return Metadata({f: np.array(v) for f, v in self.values.items()})
 
     def features(self) -> tuple[Feature, ...]:
         """Features that currently carry at least one value."""

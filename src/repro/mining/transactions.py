@@ -72,10 +72,11 @@ def joined_blocks(
 class TransactionSet:
     """Encoded transactions with vertical (tidset) support counting."""
 
-    __slots__ = ("_columns", "_matrix")
+    __slots__ = ("_columns", "_matrix", "_supports")
 
     _columns: tuple[np.ndarray, ...]
     _matrix: np.ndarray | None
+    _supports: tuple[np.ndarray, np.ndarray] | None
 
     def __init__(self, matrix: np.ndarray):
         """Split an ``(n, 7)`` matrix of tagged items into its columns.
@@ -104,6 +105,7 @@ class TransactionSet:
             for col in range(TRANSACTION_WIDTH)
         )
         self._matrix = _frozen(matrix.view())
+        self._supports = None
 
     @classmethod
     def _of_columns(
@@ -112,6 +114,7 @@ class TransactionSet:
         self = cls.__new__(cls)
         self._columns = tuple(columns)
         self._matrix = matrix
+        self._supports = None
         return self
 
     @classmethod
@@ -170,8 +173,11 @@ class TransactionSet:
         feature tag of column ``c`` orders its items after those of
         every earlier column, so concatenating in column order keeps
         the result sorted (the items and counts ``np.unique`` gives on
-        :attr:`matrix`).
+        :attr:`matrix`).  Computed once per set and read-only (a
+        :meth:`row_range` view computes its own).
         """
+        if self._supports is not None:
+            return self._supports
         items: list[np.ndarray] = []
         counts: list[np.ndarray] = []
         for col, values in enumerate(self._columns):
@@ -180,7 +186,11 @@ class TransactionSet:
             tagged |= col << FEATURE_SHIFT
             items.append(tagged)
             counts.append(runs.astype(np.int64))
-        return np.concatenate(items), np.concatenate(counts)
+        self._supports = (
+            _frozen(np.concatenate(items)),
+            _frozen(np.concatenate(counts)),
+        )
+        return self._supports
 
     def frequent_items(self, min_support: int) -> dict[int, int]:
         """{item: support} for items meeting the minimum support."""

@@ -267,7 +267,10 @@ SPANS["stage.mining"] += (
     "(flows the prefilter kept), min_support, itemsets (maximal "
     "item-sets reported) and the two numbers that explain its cost: "
     "frequent (every frequent item-set the miner counted) and levels "
-    "(the largest item-set size, i.e. Apriori passes)."
+    "(the largest item-set size, i.e. Apriori passes).  A post-mortem "
+    "trial (extract_with_metadata) also carries reused: true when it "
+    "re-mined the previous trial's selection instead of prefiltering "
+    "again."
 )
 
 #: Every span-event name, keyed by name (guarded like SPANS).

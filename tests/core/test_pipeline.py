@@ -10,8 +10,11 @@ from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature
 from repro.detection.metadata import Metadata
-from repro.errors import ExtractionError
+from repro.errors import ConfigError, ExtractionError
 from repro.flows.table import FlowTable
+from repro.mining import miners
+from repro.mining.transactions import TransactionSet
+from repro.obs.trace import Tracer
 
 
 def _config(min_support=300, prefilter="union"):
@@ -124,6 +127,137 @@ class TestOfflinePipeline:
         result = extractor.extract_with_metadata(table2_small.flows, meta)
         assert result.prefilter.selected_flows == 0
         assert result.itemsets == []
+
+    @pytest.mark.parametrize("miner", sorted(miners))
+    def test_support_sweep_equals_a_fresh_extractor_per_trial(
+        self, table2_small, miner
+    ):
+        """The operator's 2-3 trials on one extractor reuse the first
+        trial's selection and answer exactly what a fresh extractor
+        answers at each support."""
+        meta = _sweep_metadata()
+        config = ExtractionConfig(
+            detector=_config().detector, min_support=10**9, miner=miner
+        )
+        tracer = Tracer()
+        swept = AnomalyExtractor(config, seed=0, tracer=tracer)
+        for support in (200, 100, 50):
+            got = swept.extract_with_metadata(
+                table2_small.flows, meta, min_support=support
+            )
+            want = AnomalyExtractor(config, seed=0).extract_with_metadata(
+                table2_small.flows, meta, min_support=support
+            )
+            assert _outcome(got) == _outcome(want)
+            assert got.mining.itemsets
+        assert _reused(tracer) == [False, True, True]
+
+    def test_changed_inputs_are_selected_again(self, table2_small):
+        """An in-place ``Metadata.add``, a new table with equal columns
+        and the other prefilter mode each select afresh."""
+        flows = table2_small.flows
+        meta = _sweep_metadata()
+        # Two features, so the two modes select different flows.
+        meta.add(Feature.PROTOCOL, np.array([17], dtype=np.uint64))
+        tracer = Tracer()
+        extractor = AnomalyExtractor(
+            _config(min_support=50), seed=0, tracer=tracer
+        )
+
+        def trial(flows, meta, mode="union"):
+            fresh = AnomalyExtractor(_config(50, mode), seed=0)
+            want = fresh.extract_with_metadata(flows, meta)
+            got = extractor.extract_with_metadata(flows, meta)
+            assert _outcome(got) == _outcome(want)
+
+        trial(flows, meta)
+        meta.add(Feature.DST_PORT, np.array([80], dtype=np.uint64))
+        trial(flows, meta)
+        extractor.config = _config(min_support=50, prefilter="intersection")
+        trial(flows, meta, "intersection")
+        trial(FlowTable.concat([flows]), meta, "intersection")
+        assert _reused(tracer) == [False] * 4
+
+    def test_only_the_post_mortem_verb_holds_a_selection(
+        self, table2_small, tiny_flows
+    ):
+        with api.session(_config(), interval_seconds=900.0, seed=0) as session:
+            run_session(session, [tiny_flows])
+            assert session._trial is None
+        extractor = AnomalyExtractor(_config(min_support=50), seed=0)
+        extractor.extract_with_metadata(table2_small.flows, _sweep_metadata())
+        assert extractor._trial is not None
+        extractor.close()
+        assert extractor._trial is None
+
+    @pytest.mark.parametrize("bad", [0, -5, True, 2.5, "50"])
+    def test_min_support_override_checked_before_selection(
+        self, table2_small, bad
+    ):
+        """The override is held to ``[mining] min_support``'s check; a
+        refused value selects nothing (an empty table would otherwise
+        be the error) and leaves the kept selection alone."""
+        extractor = AnomalyExtractor(_config(min_support=50), seed=0)
+        with pytest.raises(ConfigError, match="min_support"):
+            extractor.extract_with_metadata(
+                FlowTable.empty(), Metadata(), min_support=bad
+            )
+        result = extractor.extract_with_metadata(
+            table2_small.flows, _sweep_metadata()
+        )
+        kept = extractor._trial
+        with pytest.raises(ConfigError, match="min_support"):
+            extractor.extract_with_metadata(
+                table2_small.flows, _sweep_metadata(), min_support=bad
+            )
+        assert extractor._trial is kept
+        assert result.mining.min_support == 50
+
+
+class TestItemSupportsMemo:
+    def test_read_only_and_computed_once(self, table2_small):
+        transactions = TransactionSet.from_flows(table2_small.flows)
+        items, counts = transactions.item_supports()
+        assert not items.flags.writeable and not counts.flags.writeable
+        again = transactions.item_supports()
+        assert again[0] is items and again[1] is counts
+
+    def test_row_range_views_compute_their_own(self, table2_small):
+        transactions = TransactionSet.from_flows(table2_small.flows)
+        whole = transactions.item_supports()
+        view = transactions.row_range(10, 500)
+        items, counts = view.item_supports()
+        want_items, want_counts = np.unique(view.matrix, return_counts=True)
+        assert items.tolist() == want_items.tolist()
+        assert counts.tolist() == want_counts.tolist()
+        assert counts.sum() == 490 * view.matrix.shape[1]
+        assert transactions.item_supports() is whole
+
+
+def _sweep_metadata():
+    meta = Metadata()
+    meta.add(Feature.DST_PORT, np.array([7000, 25], dtype=np.uint64))
+    return meta
+
+
+def _outcome(result):
+    """What a trial answers: the frequent item-sets in mining order,
+    the report and the prefilter's counts."""
+    return (
+        list(result.mining.all_frequent.items()),
+        result.itemsets,
+        result.prefilter.mode,
+        result.prefilter.input_flows,
+        result.prefilter.selected_flows,
+    )
+
+
+def _reused(tracer):
+    return [
+        span.attributes["reused"]
+        for span in tracer.spans
+        if span.name == "stage.mining"
+    ]
 
 
 class TestSatelliteFixes:

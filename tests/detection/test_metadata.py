@@ -27,6 +27,40 @@ class TestMetadata:
         meta.add(Feature.DST_PORT, np.array([25, 80]))
         assert meta.get(Feature.DST_PORT).tolist() == [25, 80]
 
+    @pytest.mark.parametrize(
+        "values, shown",
+        [
+            (np.array([-1, 80]), "-1"),  # wrapped to 2^64-1 before
+            (np.array([80.7]), "80.7"),  # truncated to port 80 before
+            ([-1], "-1"),  # a bare OverflowError before
+            ([2**64], str(2**64)),
+            ([float("nan")], "nan"),
+        ],
+    )
+    def test_add_refuses_values_no_flow_holds(self, values, shown):
+        meta = Metadata()
+        with pytest.raises(ExtractionError, match=rf"dstPort.*got {shown}"):
+            meta.add(Feature.DST_PORT, values)
+        assert meta.is_empty()
+
+    def test_add_keeps_integral_values(self):
+        meta = Metadata()
+        voted = np.array([2**64 - 1, 7], dtype=np.uint64)
+        meta.add(Feature.DST_IP, voted)
+        assert meta.get(Feature.DST_IP) is voted
+        meta.add(Feature.DST_PORT, np.array([80.0, 25.0]))
+        meta.add(Feature.SRC_PORT, [])
+        assert meta.get(Feature.DST_PORT).tolist() == [80, 25]
+        assert meta.get(Feature.DST_PORT).dtype == np.uint64
+        assert meta.get(Feature.SRC_PORT).dtype == np.uint64
+
+    def test_copy_is_equal_and_independent(self, metadata):
+        copy = metadata.copy()
+        assert copy == metadata
+        metadata.add(Feature.SRC_IP, np.array([11], dtype=np.uint64))
+        assert copy != metadata
+        assert copy.get(Feature.SRC_IP).tolist() == [10, 13]
+
     def test_get_missing_feature_empty(self):
         assert Metadata().get(Feature.SRC_IP).tolist() == []
 

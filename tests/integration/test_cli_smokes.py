@@ -22,7 +22,9 @@ import pytest
 import repro
 import repro.api as api
 from repro.cli import main
+from repro.federation import split_trace
 from repro.federation.digest import DIGEST_VERSION
+from repro.flows.io import read_trace, write_npz
 from repro.service.checkpoint import (
     CHECKPOINT_VERSION,
     fleet_checkpoint,
@@ -460,3 +462,103 @@ def test_federation_store_refusal_smoke(deploy, tmp_path):
     )
     assert re.search(r"^error: .*\[federation\] store_path", err, re.M)
     assert not checkpoint.exists()
+
+
+def _json_run(capsys, argv):
+    """Run ``argv`` in-process (exit 0) and parse its stdout."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_federation_smoke(anomalies, tmp_path, capsys):
+    """Two sites' digests merge to the concatenated capture's answer,
+    the federated stores replay to the live ranking (a clean tail ages
+    them), and digests of another sketch shape are refused with exit
+    2."""
+    flows = read_trace(anomalies)
+    parts = split_trace(flows, ("east", "west"), "dst_ip%2")
+    write_npz(parts["east"], tmp_path / "fed-east.npz")
+    write_npz(parts["west"], tmp_path / "fed-west.npz")
+    write_npz(flows, tmp_path / "fed-all.npz")
+    flags = ["--bins", "64", "--training", "16"]
+    for site in ("east", "west", "all"):
+        assert main([
+            "federate", "collect", str(tmp_path / f"fed-{site}.npz"),
+            "--site", site, "--out", str(tmp_path / f"{site}.jsonl"), *flags,
+        ]) == 0
+
+    def merge(run, *sites):
+        return _json_run(capsys, [
+            "federate", "merge", *(str(tmp_path / f"{s}.jsonl") for s in sites),
+            *flags, "--min-support", "50", "--format", "json",
+            "--store", str(tmp_path / f"fed-{run}.db"),
+        ])
+
+    merged = merge("merged", "east", "west")
+    single = merge("single", "all")
+    # A third run stops where a clean tail follows an attack, so the
+    # store has report-free intervals to age through.
+    reported = [entry["report"] is not None for entry in merged["intervals"]]
+    cut = max(
+        k for k in range(4, len(reported) + 1)
+        if any(reported[: k - 3]) and not any(reported[k - 3 : k])
+    )
+    for site in ("east", "west"):
+        # One digest per line, line k = interval k.
+        lines = (tmp_path / f"{site}.jsonl").read_text().splitlines(True)
+        (tmp_path / f"{site}-head.jsonl").write_text("".join(lines[:cut]))
+    head = merge("head", "east-head", "west-head")
+
+    assert merged["sites"] == ["east", "west"]
+    assert merged["digests"] == 2 * single["digests"]
+    alarmed = [i for i in merged["intervals"] if i["alarmed_features"]]
+    assert alarmed, "federated run never alarmed"
+    assert not any(i["stragglers"] for i in merged["intervals"])
+
+    # Merging is exact: detection and ranking over the merged sketches
+    # must match the concatenated-trace run.
+    def comparable(doc):
+        keys = ("interval", "flow_count", "alarmed_features", "report")
+        return [{key: entry[key] for key in keys} for entry in doc["intervals"]]
+
+    assert comparable(merged) == comparable(single)
+    assert json.dumps(merged["incidents"], sort_keys=True) == (
+        json.dumps(single["incidents"], sort_keys=True)
+    ), "merged ranking diverged from the concatenated run"
+    assert merged["incidents"], "no federated incidents ranked"
+
+    # A store written by the federator replays to the same lifecycle
+    # the live federator reported (a finished attack is closed in both,
+    # not "active" forever in the store).
+    def lifecycle(incidents):
+        return [(i["incident_id"], i["state"], i["last_seen"]) for i in incidents]
+
+    last = head["intervals"][-1]["interval"]
+    assert not any(
+        entry["report"] for entry in head["intervals"][-3:]
+    ), "head run lost its clean tail"
+    assert any(
+        i["state"] == "closed" and i["last_seen"] >= last - 8
+        for i in head["incidents"]
+    ), "no attack finished inside the head run's tail"
+    for run, doc in (("merged", merged), ("single", single), ("head", head)):
+        stored = _json_run(
+            capsys,
+            ["incidents", str(tmp_path / f"fed-{run}.db"), "--format", "json"],
+        )
+        assert lifecycle(stored) == lifecycle(doc["incidents"]), (
+            f"{run}: store replay disagrees with the live ranking"
+        )
+
+    # Digests collected under different sketch parameters must be
+    # refused with the exit-2 error contract, not merged.
+    assert main([
+        "federate", "collect", str(tmp_path / "fed-west.npz"),
+        "--site", "west", "--out", str(tmp_path / "west-narrow.jsonl"),
+        "--bins", "128", "--training", "16",
+    ]) == 0
+    assert main([
+        "federate", "merge", str(tmp_path / "east.jsonl"),
+        str(tmp_path / "west-narrow.jsonl"), *flags, "--min-support", "50",
+    ]) == 2

@@ -12,8 +12,11 @@ import numpy as np
 
 import repro.api as api
 from repro.core.config import ExtractionConfig
+from repro.core.pipeline import AnomalyExtractor
 from repro.core.session import run_session
 from repro.detection.detector import DetectorConfig
+from repro.detection.features import Feature
+from repro.detection.metadata import Metadata
 from repro.federation import Collector, Federator, split_trace
 from repro.fleet.manager import FleetManager
 from repro.obs.trace import Tracer
@@ -230,6 +233,34 @@ class TestMiningSpanExplainsCost:
             assert span.attributes["itemsets"] == len(on.mining.itemsets)
             assert span.attributes["frequent"] == len(on.mining.all_frequent)
             assert span.attributes["levels"] == on.mining.max_size >= 1
+            assert "reused" not in span.attributes  # online, no trials
+
+    def test_post_mortem_spans_say_which_trials_reused_the_selection(
+        self, table2_small
+    ):
+        """A trace shows which of the operator's support trials skipped
+        the selection: the first of a sweep selects, the rest reuse it,
+        and a trial on other meta-data selects again."""
+        metadata = Metadata()
+        metadata.add(Feature.DST_PORT, np.array([7000], dtype=np.uint64))
+        other = Metadata()
+        other.add(Feature.DST_PORT, np.array([25], dtype=np.uint64))
+        tracer = Tracer()
+        extractor = AnomalyExtractor(_config(), seed=0, tracer=tracer)
+        trials = [(metadata, 200), (metadata, 100), (other, 50), (other, 25)]
+        results = [
+            extractor.extract_with_metadata(
+                table2_small.flows, meta, min_support=support
+            )
+            for meta, support in trials
+        ]
+        spans = [s for s in tracer.spans if s.name == "stage.mining"]
+        assert [s.attributes["reused"] for s in spans] == [
+            False, True, False, True,
+        ]
+        for span, result in zip(spans, results, strict=True):
+            assert span.attributes["selected"] == result.prefilter.selected_flows
+            assert span.attributes["min_support"] == result.mining.min_support
 
 
 class TestFleetTraceTree:
