@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.flows import write_csv, write_npz
+from repro.flows.io import trace_format, writers
 from repro.traffic import TraceGenerator, switch_like
 
 
@@ -21,6 +21,7 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
 def run(args: argparse.Namespace) -> int:
     from repro.traffic.scenarios import two_week_schedule
 
+    write = writers[trace_format(args.out)]
     profile = switch_like(args.flows_per_interval)
     generator = TraceGenerator(profile, seed=args.seed)
     schedule = None
@@ -29,13 +30,10 @@ def run(args: argparse.Namespace) -> int:
             profile,
             scale=args.scale,
             seed=args.seed,
-            n_intervals=max(args.intervals, 200),
+            n_intervals=args.intervals,
         )
     trace = generator.generate(args.intervals, schedule=schedule)
-    if args.out.endswith(".npz"):
-        write_npz(trace.flows, args.out)
-    else:
-        write_csv(trace.flows, args.out)
+    write(trace.flows, args.out)
     print(
         f"wrote {len(trace.flows)} flows over {args.intervals} intervals "
         f"to {args.out}"

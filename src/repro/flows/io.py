@@ -14,6 +14,8 @@ import csv
 import math
 import os
 import sys
+import zipfile
+import zlib
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
@@ -43,23 +45,60 @@ _CSV_HEADER = list(ALL_COLUMNS)
 _WRITE_BLOCK_ROWS = 4096
 
 
+def _integer_cells(values: np.ndarray) -> np.ndarray:
+    """An integer column's decimal text as a ``(rows, width)`` uint8
+    matrix: digits right-aligned, NUL before them, and a negative
+    value's ``-`` in the first column (the NULs between go too)."""
+    negative = values < 0
+    sign = int(negative.any())
+    if sign:  # abs(-2**63) wraps to itself: exact as a uint64
+        values = np.abs(values).view(np.uint64)
+    cells = np.zeros((len(values), sign + len(str(int(values.max())))), np.uint8)
+    q, ten = values, values.dtype.type(10)
+    for col in range(cells.shape[1] - 1, sign - 1, -1):
+        live = q > 0
+        q, digit = np.divmod(q, ten)
+        cells[:, col] = np.where(live, digit + 48, 0)
+    cells[:, -1] |= 48  # a zero's one digit
+    cells[negative, 0] = ord("-")
+    return cells
+
+
 def write_csv(table: FlowTable, path: str | os.PathLike[str]) -> None:
     """Write a flow table to ``path`` as CSV with a header row.
 
-    The dialect is :mod:`csv`'s default (CRLF row terminator,
+    The bytes are :mod:`csv`'s default dialect (CRLF row terminator,
     nothing needs quoting); ``start`` is written with ``repr`` so it
-    reads back to the same float.
+    reads back to the same float.  A block of rows is one uint8
+    matrix: integer cells rendered with ``np.divmod``, NUL-padded,
+    ``start`` cells the one per-value ``repr``; the NULs are dropped on
+    the way out.  A non-finite ``start`` (which :func:`read_csv`
+    refuses) raises :class:`TraceFormatError` naming its row before
+    ``path`` is created.
     """
+    bad = np.flatnonzero(~np.isfinite(table.start))
+    if len(bad):
+        raise TraceFormatError(
+            f"{path}: row {bad[0]}: non-finite start timestamp "
+            f"{float(table.start[bad[0]])!r}"
+        )
     columns = [table.column(name) for name in ALL_COLUMNS]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(_CSV_HEADER) + "\r\n")
+    with open(path, "wb") as handle:
+        handle.write((",".join(_CSV_HEADER) + "\r\n").encode())
         for lo in range(0, len(table), _WRITE_BLOCK_ROWS):
-            cells = [
-                map(repr if name == "start" else str,
-                    column[lo:lo + _WRITE_BLOCK_ROWS].tolist())
-                for name, column in zip(ALL_COLUMNS, columns)
-            ]
-            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            parts: list[np.ndarray] = []
+            for name, column in zip(ALL_COLUMNS, columns):
+                block = column[lo:lo + _WRITE_BLOCK_ROWS]
+                if name == "start":
+                    text = np.array(list(map(repr, block.tolist())), "S")
+                    cells = text.view(np.uint8).reshape(len(block), -1)
+                else:
+                    cells = _integer_cells(block)
+                parts += [cells, np.full((len(block), 1), ord(","), np.uint8)]
+            parts[-1] = np.tile(np.frombuffer(b"\r\n", np.uint8), (len(block), 1))
+            matrix = np.hstack(parts)
+            # No cell holds a NUL byte: dropping the padding leaves the text.
+            handle.write(matrix[matrix != 0].tobytes())
 
 
 #: Rows per chunk yielded by :func:`iter_csv` (bounds parser memory).
@@ -230,32 +269,55 @@ def read_csv(path: str | os.PathLike[str]) -> FlowTable:
 
 
 def write_npz(table: FlowTable, path: str | os.PathLike[str]) -> None:
-    """Write a flow table to a compressed ``.npz`` archive."""
-    np.savez_compressed(
-        path, **{name: table.column(name) for name in ALL_COLUMNS}
-    )
+    """Write a flow table to a compressed ``.npz`` archive at ``path``
+    (opened here, so numpy appends no ``.npz`` to another spelling)."""
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle, **{name: table.column(name) for name in ALL_COLUMNS}
+        )
 
 
 def read_npz(path: str | os.PathLike[str]) -> FlowTable:
     """Read a flow table from a ``.npz`` archive written by
-    :func:`write_npz`."""
-    with np.load(path) as archive:
-        missing = [name for name in ALL_COLUMNS if name not in archive]
-        if missing:
-            raise TraceFormatError(f"{path}: archive missing columns {missing}")
-        return FlowTable({name: archive[name] for name in ALL_COLUMNS})
+    :func:`write_npz`.
+
+    A file that is not such an archive (CSV text, a truncated zip, a
+    bare ``.npy``) or lacks a column raises :class:`TraceFormatError`
+    naming ``path``.
+    """
+    # Opened here: numpy leaks its own handle when the zip is bad.
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a bare .npy array")
+            with archive:
+                missing = [n for n in ALL_COLUMNS if n not in archive]
+                if missing:
+                    raise TraceFormatError(
+                        f"{path}: archive missing columns {missing}"
+                    )
+                columns = {name: archive[name] for name in ALL_COLUMNS}
+        except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            raise TraceFormatError(
+                f"{path}: not a readable npz archive"
+            ) from exc
+    return FlowTable(columns)
 
 
-#: Trace readers by file extension: ``reader(path) -> FlowTable``.
+#: Trace readers and writers by file extension:
+#: ``reader(path) -> FlowTable``, ``writer(table, path)``.
 readers = {".csv": read_csv, ".npz": read_npz}
+writers = {".csv": write_csv, ".npz": write_npz}
 
 
 def trace_format(path: str | os.PathLike[str]) -> str:
-    """The :data:`readers` key of ``path``: its lower-cased extension.
+    """The :data:`readers` / :data:`writers` key of ``path``: its
+    lower-cased extension.
 
     The one extension rule shared by the CLI and the API facade; an
     unknown extension raises :class:`TraceFormatError` listing the
-    readable ones.
+    known ones.
     """
     extension = os.path.splitext(os.fspath(path))[1].lower()
     if extension not in readers:

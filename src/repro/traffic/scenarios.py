@@ -283,9 +283,11 @@ def two_week_schedule(
     anomalous intervals").  The first ``training_intervals`` intervals
     stay clean so detectors can estimate their thresholds.
     """
-    if n_intervals <= training_intervals + 40:
+    shortest = training_intervals + 41
+    if n_intervals < shortest:
         raise ConfigError(
-            "trace too short for the two-week schedule; increase n_intervals"
+            f"trace too short for the two-week schedule: {n_intervals} "
+            f"intervals (generate --intervals), need at least {shortest}"
         )
     rng = np.random.default_rng(seed)
     kinds: list[str] = []

@@ -1,7 +1,11 @@
 """Unit tests for trace serialization (CSV and NPZ)."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
 from repro.flows.io import (
@@ -13,7 +17,7 @@ from repro.flows.io import (
     write_npz,
 )
 from repro.flows.record import FlowRecord
-from repro.flows.table import ALL_COLUMNS, FlowTable
+from repro.flows.table import ALL_COLUMNS, ROW_DTYPE, FlowTable
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -379,3 +383,92 @@ class TestWriteCsvBytes:
         path = tmp_path / "empty.csv"
         write_csv(FlowTable.empty(), path)
         assert path.read_bytes() == (HEADER + "\r\n").encode()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_refused_before_the_file(self, tmp_path, bad):
+        """``read_csv`` refuses a non-finite start, so ``write_csv``
+        does not write one: the first such row is named and no file is
+        left behind."""
+        table = FlowTable.from_arrays(
+            [1] * 4, [2] * 4, [3] * 4, [4] * 4, [6] * 4, [1] * 4, [40] * 4,
+            start=[0.5, 1.5, bad, bad],
+        )
+        path = tmp_path / "t.csv"
+        with pytest.raises(
+            TraceFormatError, match=r"t\.csv: row 2: non-finite start"
+        ):
+            write_csv(table, path)
+        assert not path.exists()
+
+
+def _csv_writer_bytes(table):
+    """``TestWriteCsvBytes``'s golden: what ``csv.writer`` makes of the
+    header and each flow's Python values."""
+    import csv
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(ALL_COLUMNS)
+    writer.writerows(zip(*(table.column(n).tolist() for n in ALL_COLUMNS)))
+    return out.getvalue().encode()
+
+
+#: Starts whose shortest round-trip ``repr`` has an awkward shape.
+EDGE_STARTS = [5e-324, 1e16, 1e-05, -0.0, 0.0, 1e300, -2.5e-308, 0.1, 1e22]
+
+
+@st.composite
+def csv_tables(draw):
+    """Tables of 0 to 4,097 rows (block edges included) whose integer
+    columns are all zero, all at their dtype's maximum, spread over
+    every digit count (0, the minimum and the maximum planted) or on
+    the 9/10-digit edge, and whose starts are finite."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 4095, 4096, 4097]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in ALL_COLUMNS:
+        dtype = ROW_DTYPE[name]
+        if name == "start":
+            shape = draw(st.sampled_from(["edges", "bits", "uniform"]))
+            if shape == "uniform":
+                values = rng.uniform(0, 1.3e6, n)
+            else:
+                values = rng.choice(EDGE_STARTS, n)
+            if shape == "bits":
+                bits = rng.integers(0, 2**64, n, dtype=np.uint64)
+                finite = np.isfinite(bits.view(np.float64))
+                values[finite] = bits.view(np.float64)[finite]
+            columns[name] = values
+            continue
+        info = np.iinfo(dtype)
+        shape = draw(st.sampled_from(["zero", "max", "spread", "nine_ten"]))
+        if shape == "zero":
+            values = np.zeros(n, dtype)
+        elif shape == "max":
+            values = np.full(n, info.max, dtype)
+        elif shape == "spread":
+            values = rng.integers(
+                info.min, info.max, n, dtype=dtype, endpoint=True
+            ) >> rng.integers(0, info.bits, n).astype(dtype)
+            values[:3] = [info.min, 0, info.max][:n]
+        else:
+            values = rng.choice(
+                np.array([9, 99_999_999, 999_999_999, 10**9], dtype), n
+            )
+            if info.min < 0:
+                values *= rng.choice(np.array([-1, 1], dtype), n)
+        columns[name] = values
+    return FlowTable(columns)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(table=csv_tables())
+def test_write_csv_is_the_csv_writer_golden(table, tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(table, path)
+    assert path.read_bytes() == _csv_writer_bytes(table)
+    assert read_csv(path) == table

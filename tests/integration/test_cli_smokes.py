@@ -3,8 +3,9 @@
 Each test is one former CI smoke step, assertion for assertion: the
 exit codes, the refusal wording and the absence of a traceback (a
 traceback in-process is an exception escaping ``main``).  Only the
-``serve`` refusals run in a child process, under a timeout: their
-check is that no socket is ever bound.
+``serve`` runs are child processes, under timeouts: the refusals'
+check is that no socket is ever bound, the service smoke's is a real
+daemon over HTTP that is killed with ``SIGKILL`` and resumed.
 """
 
 import contextlib
@@ -12,9 +13,13 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import urllib.request
 import warnings
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -297,14 +302,17 @@ def _refused(capsys, argv, *fragments):
     return err
 
 
+#: A child process's environment: it imports the ``repro`` under test.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+
+
 def _serve_refused(*argv):
     """``serve`` in a child process, under a timeout: a refusal must
     come before any socket is bound, so a daemon that starts serving
     fails the test instead of hanging it.  Returns stderr."""
-    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "serve", *map(str, argv)],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -562,3 +570,168 @@ def test_federation_smoke(anomalies, tmp_path, capsys):
         "federate", "merge", str(tmp_path / "east.jsonl"),
         str(tmp_path / "west-narrow.jsonl"), *flags, "--min-support", "50",
     ]) == 2
+
+
+@contextlib.contextmanager
+def _daemon(root, tag, resume=False):
+    """A 2-pipeline ``serve`` daemon in a child process, checkpointing
+    before every ack: yields ``(proc, port)``.  A daemon that hangs is
+    killed after 120 s; one still running at the end is killed."""
+    cmd = [
+        sys.executable, "-m", "repro", "serve", *LARGE,
+        "--pipelines", "2", "--route", "dst_ip%2",
+        "--store-dir", str(root / f"service-stores-{tag}"),
+        "--checkpoint", str(root / f"service-{tag}.ckpt"),
+        "--checkpoint-every", "1", "--port", "0",
+    ]
+    if resume:
+        cmd.append("--resume")
+    proc = subprocess.Popen(cmd, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+    # The daemon announces its bound port on stderr; the rest of the
+    # pipe is drained in the background so later log lines can never
+    # block its event loop.
+    drain = threading.Thread(target=proc.stderr.read, daemon=True)
+    try:
+        line = proc.stderr.readline()
+        match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
+        assert match, f"no port announcement: {line!r}"
+        drain.start()
+        yield proc, int(match.group(1))
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=30)
+        if drain.is_alive():
+            drain.join(timeout=30)
+        proc.stderr.close()
+
+
+def _call(port, path, body=None):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}", data=body,
+        method="POST" if body is not None else "GET",
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return response.read()
+
+
+def _stop(proc):
+    """Drain the daemon gracefully: ``SIGTERM``, exit status 0."""
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=30) == 0
+
+
+def test_service_smoke(anomalies, tmp_path):
+    """Daemon round trip: ingest over HTTP, query, ``kill -9`` mid
+    stream, restart ``--resume``, and demand the merged ranking match
+    an uninterrupted daemon byte for byte."""
+    with open(anomalies) as handle:
+        header, *rows = handle.read().splitlines()
+    n_chunks = 8
+    per = (len(rows) + n_chunks - 1) // n_chunks
+    chunks = [
+        ("\n".join([header, *rows[i * per:(i + 1) * per]]) + "\n").encode()
+        for i in range(n_chunks)
+    ]
+
+    # Uninterrupted baseline daemon: feed everything, query all
+    # endpoints, drain gracefully.
+    with _daemon(tmp_path, "a") as (proc, port):
+        for i, chunk in enumerate(chunks):
+            ack = json.loads(_call(port, "/ingest", chunk))
+            assert ack["sequence"] == i + 1, ack
+            assert ack["checkpointed_sequence"] == i + 1, ack
+        listing = json.loads(_call(port, "/incidents"))
+        assert listing["count"] == len(listing["incidents"]) > 0
+        assert all(
+            "id" in e and "score" in e and "pipeline" in e
+            for e in listing["incidents"]
+        )
+        detail = json.loads(
+            _call(port, f"/incidents/{listing['incidents'][0]['id']}")
+        )
+        assert detail["provenance"], "detail had no provenance"
+        metrics = _call(port, "/metrics").decode()
+        assert "repro_service_requests_total" in metrics
+        assert "repro_service_ingest_rows_total" in metrics
+        health = json.loads(_call(port, "/healthz"))
+        assert health["sequence"] == n_chunks, health
+        baseline = listing["incidents"]
+        _stop(proc)
+
+    # Second daemon: kill -9 mid-stream.  The checkpoint (written
+    # before each ack at --checkpoint-every 1) is the only thing that
+    # survives.
+    with _daemon(tmp_path, "b") as (proc, port):
+        for chunk in chunks[:4]:
+            _call(port, "/ingest", chunk)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+
+    with _daemon(tmp_path, "b", resume=True) as (proc, port):
+        health = json.loads(_call(port, "/healthz"))
+        resumed = health["sequence"]
+        assert resumed == 4, health
+        for chunk in chunks[resumed:]:
+            _call(port, "/ingest", chunk)
+        merged = json.loads(_call(port, "/incidents"))["incidents"]
+        _stop(proc)
+    assert json.dumps(merged, sort_keys=True) == (
+        json.dumps(baseline, sort_keys=True)
+    ), "resumed ranking diverged from the uninterrupted run"
+
+
+def test_generate_picks_the_writer_by_extension(tmp_path, capsys):
+    """``generate --out`` follows the readers' extension rule: any case
+    of ``.npz`` is an npz archive that ``extract`` reads back, and an
+    unknown extension is refused before anything is generated."""
+    upper = _generate(tmp_path / "t.NPZ", 6)
+    assert zipfile.is_zipfile(upper)
+    assert os.listdir(tmp_path) == ["t.NPZ"]
+    assert main(["extract", upper, *SMALL]) == 0
+    pcap = tmp_path / "t.pcap"
+    capsys.readouterr()
+    assert main(["generate", "--intervals", "6", "--out", str(pcap)]) == 2
+    out, err = capsys.readouterr()
+    assert "unknown trace format (expected one of: .csv, .npz)" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not pcap.exists()
+
+
+def test_extract_refuses_a_file_that_is_not_npz(tmp_path, capsys):
+    """CSV bytes, a truncated zip and a non-zip under a ``.npz`` name
+    are each a typed refusal naming the file: exit 2, no traceback."""
+    archive = Path(_generate(tmp_path / "good.npz", 6)).read_bytes()
+    bad = tmp_path / "bad.npz"
+    for content in (
+        b"src_ip,dst_ip\r\n1,2\r\n",
+        archive[: len(archive) // 2],
+        bytes(range(256)),
+    ):
+        bad.write_bytes(content)
+        _refused(
+            capsys, ["extract", str(bad), *SMALL],
+            f"error: {bad}: not a readable npz archive",
+        )
+
+
+def test_generate_anomalies_on_a_short_trace(tmp_path, capsys):
+    """``--with-anomalies`` lays the two-week schedule over the
+    ``--intervals`` generated: 137 (the fewest) carry all 36 events,
+    136 are refused naming the flag and the minimum."""
+    argv = [
+        "generate", "--flows-per-interval", "100", "--scale", "0.01",
+        "--with-anomalies", "--intervals",
+    ]
+    capsys.readouterr()
+    assert main([*argv, "137", "--out", str(tmp_path / "t.npz")]) == 0
+    assert capsys.readouterr().out.count("  event ") == 36
+    _refused(
+        capsys, [*argv, "136", "--out", str(tmp_path / "u.npz")],
+        "--intervals", "at least 137",
+    )
+    assert not (tmp_path / "u.npz").exists()

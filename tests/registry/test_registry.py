@@ -15,7 +15,7 @@ from repro.errors import ConfigError, RegistryError, TraceFormatError
 from repro.fleet import resolve_route
 from repro.fleet.routing import routers
 from repro.flows import read_trace, write_csv, write_npz
-from repro.flows.io import readers
+from repro.flows.io import readers, writers
 from repro.mining import apriori, eclat, fpgrowth, miners, son
 from repro.registry import lookup
 
@@ -147,6 +147,8 @@ class TestBuiltinRegistries:
 
     def test_reader_builtins(self):
         assert set(readers) == {".csv", ".npz"}
+        # `generate --out` writes every format `trace_format` accepts.
+        assert set(writers) == set(readers)
 
     def test_router_builtins(self):
         assert set(routers) == {"hash"}
