@@ -20,8 +20,9 @@ Quickstart::
     for extraction in result.extractions:
         print(extraction.render())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+README.md maps every paper artifact to the module that reproduces it
+("Paper mapping") and holds the measured performance ("Performance");
+``benchmarks/bench_*.py`` assert the paper's tables and figures.
 """
 
 import importlib.metadata as _importlib_metadata

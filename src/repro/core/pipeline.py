@@ -359,20 +359,25 @@ class AnomalyExtractor:
                 span.set_attribute("score_s", report.score_s)
                 if report.alarm:
                     # Why this close took longer than a clean one: how
-                    # many clones ran a bin identification, and how
-                    # many cleaning rounds those took together.
+                    # many clones ran a bin identification, how many
+                    # cleaning rounds those took together, and how many
+                    # of the rounds the KL kernel scored exactly.
                     observed = report.observations.values()
+                    identified = [
+                        clone.bin_identification
+                        for obs in observed
+                        for clone in obs.clones
+                        if clone.bin_identification is not None
+                    ]
                     span.set_attribute(
                         "alarm_votes",
                         sum(obs.alarm_votes for obs in observed),
                     )
                     span.set_attribute(
-                        "binid_rounds",
-                        sum(
-                            len(clone.bins)
-                            for obs in observed
-                            for clone in obs.clones
-                        ),
+                        "binid_rounds", sum(i.rounds for i in identified)
+                    )
+                    span.set_attribute(
+                        "binid_scored", sum(i.scored for i in identified)
                     )
             ins.flows.inc(report.flow_count)
             interval_span.set_attribute("interval", report.interval)

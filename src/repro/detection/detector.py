@@ -36,7 +36,7 @@ from repro.flows.table import FlowTable
 from repro.sketch.cloning import clone_counts
 from repro.sketch.distinct import sorted_distinct
 from repro.sketch.hashing import HashFamily, HashMatrix, UniversalHash
-from repro.sketch.histogram import HistogramSnapshot, values_in_bins
+from repro.sketch.histogram import HistogramSnapshot
 from repro.state import (
     finite,
     integer,
@@ -328,8 +328,10 @@ class HistogramDetector:
     def observe(self, flows: FlowTable) -> FeatureObservation:
         """Process one measurement interval and return the observation."""
         observed, counts = sorted_distinct(self.feature.extract(flows))
-        (block,) = clone_counts(self._hashes, [(observed, counts)])
-        return self.observe_binned(block, (observed,) * self.config.clones)
+        (block,), (cells,) = clone_counts(self._hashes, [(observed, counts)])
+        return self.observe_binned(
+            block, (observed,) * self.config.clones, cells
+        )
 
     def observe_snapshots(
         self, snapshots: list[HistogramSnapshot]
@@ -358,15 +360,22 @@ class HistogramDetector:
         block = np.stack([snapshot.counts for snapshot in snapshots])
         block.setflags(write=False)
         return self.observe_binned(
-            block, [snapshot.observed for snapshot in snapshots]
+            block,
+            [snapshot.observed for snapshot in snapshots],
+            [snapshot.cells for snapshot in snapshots],
         )
 
     def observe_binned(
-        self, counts: np.ndarray, observed: Sequence[np.ndarray]
+        self,
+        counts: np.ndarray,
+        observed: Sequence[np.ndarray],
+        cells: Sequence[np.ndarray],
     ) -> FeatureObservation:
         """Process one interval given its ``(C, m)`` read-only clone
-        histograms, binned by :attr:`hash_fns`, and each clone's
-        observed values (the bin->values back-map).
+        histograms, binned by :attr:`hash_fns`, each clone's observed
+        values and their cells (``cells[c][j]`` is the bin of
+        ``observed[c][j]`` under clone ``c``: the bin->values back-map,
+        read only by an alarming clone).
 
         Every clone with a reference is scored against the smoothed
         histogram the previous interval carried forward - the bits
@@ -424,9 +433,10 @@ class HistogramDetector:
                         pseudocount=cfg.pseudocount,
                     )
                     bins = bin_id.bins
-                    suspicious = values_in_bins(
-                        self.hash_fns[c], observed[c], bins
-                    )
+                    if bins and observed[c].size:
+                        flagged = np.zeros(cfg.bins, dtype=bool)
+                        flagged[list(bins)] = True
+                        suspicious = observed[c][flagged[cells[c]]]
             clone_results.append(
                 CloneObservation(
                     clone_index=c,

@@ -9,7 +9,8 @@ interval's distribution (used as the reference, avoiding training):
 Coinciding distributions give 0; deviations give positive spikes at the
 start and end of an anomaly.  The paper leaves empty-bin handling
 unspecified; we use additive smoothing so the distance stays finite
-(documented in DESIGN.md).
+(``DetectorConfig.pseudocount``; :func:`kl_rows` states the edge
+cases).
 
 The detector's distance is computed in exactly one place,
 :func:`kl_rows` - a stack of histograms at a time, as the composition
@@ -75,23 +76,37 @@ def smooth_rows(
     the next interval's reference - the same bits :func:`kl_rows`
     would recompute from the raw counts.
     """
+    # Nothing below may warn: what numpy would warn about is either
+    # refused (a total that overflows, inf - inf) or has a defined
+    # answer (an empty histogram, read through its total).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows, totals = smoothed_counts(counts, pseudocount)
+        rows /= totals
+    return rows, totals
+
+
+def smoothed_counts(
+    counts: np.ndarray, pseudocount: float = DEFAULT_PSEUDOCOUNT
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first step of :func:`smooth_rows`: a fresh array of ``counts
+    + pseudocount`` and its row totals, before normalising - and the
+    detection layer's one refusal of counts (negative, NaN, or a total
+    that is not finite) and of a pseudocount below 0.  A total that
+    overflows is refused after numpy has warned about it: call this
+    under ``np.errstate(over="ignore", invalid="ignore")``, as
+    :func:`smooth_rows` does."""
     if not pseudocount >= 0:
         raise ConfigError(f"pseudocount must be >= 0: {pseudocount}")
     # A fresh C-ordered array whatever the layout of the input: the
     # row sums below must run over a contiguous axis, and the in-place
     # division must not write into the caller's counts.
     rows = np.add(counts, pseudocount, dtype=np.float64, order="C")
-    # Nothing below may warn: what numpy would warn about is either
-    # refused (a total that overflows, inf - inf) or has a defined
-    # answer (an empty histogram, read through its total).
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        totals = rows.sum(axis=-1, keepdims=True)
-        # NaN fails the first comparison, inf the second.
-        if rows.size and not (rows.min() >= 0 and totals.max() < np.inf):
-            raise ConfigError(
-                "bin counts must be non-negative with a finite total"
-            )
-        rows /= totals
+    totals = rows.sum(axis=-1, keepdims=True)
+    # NaN fails the first comparison, inf the second.
+    if rows.size and not (rows.min() >= 0 and totals.max() < np.inf):
+        raise ConfigError(
+            "bin counts must be non-negative with a finite total"
+        )
     return rows, totals
 
 
@@ -132,10 +147,11 @@ def kl_rows(
     is scored against row ``i``) or ``(m,)`` (every row against the one
     reference).  This is the only KL arithmetic of the detection layer,
     the composition of its two halves :func:`smooth_rows` and
-    :func:`divergence_rows`: the bin identification scores a block of
-    cleaning rounds in one call, and the detector scores a feature's
-    ``C`` clones with the halves, carrying each interval's smoothed
-    histograms forward as the next one's reference.
+    :func:`divergence_rows`.  Both callers use the halves: the detector
+    scores a feature's ``C`` clones, carrying each interval's smoothed
+    histograms forward as the next one's reference, and the bin
+    identification scores a block of cleaning rounds against a
+    reference it smoothed once.
 
     **Bit-identity contract.**  Row ``i`` of the result is bit for bit
     what a one-row call on ``current[i]`` returns, whatever else is in

@@ -278,13 +278,15 @@ class DetectorBank:
                 f"{', '.join(missing)}"
             )
         columns = [counts[name] for name in names]
-        block = clone_counts(self._hashes, columns)
+        block, cells = clone_counts(self._hashes, columns)
         binned = time.perf_counter()
         clones = self.config.clones
         observations = {
-            feature: detector.observe_binned(rows, (observed,) * clones)
-            for (feature, detector), rows, (observed, _) in zip(
-                self._detectors.items(), block, columns, strict=True
+            feature: detector.observe_binned(
+                rows, (observed,) * clones, binned_cells
+            )
+            for (feature, detector), rows, (observed, _), binned_cells in zip(
+                self._detectors.items(), block, columns, cells, strict=True
             )
         }
         return self._record(

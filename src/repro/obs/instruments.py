@@ -258,9 +258,10 @@ SPANS["stage.detection"] += (
     "column sorts included on the row path) and score_s (seconds "
     "spent scoring them: KL, thresholds, bin identification, votes); "
     "on an alarmed interval also "
-    "alarm_votes (clones that alarmed, summed over features) and "
+    "alarm_votes (clones that alarmed, summed over features), "
     "binid_rounds (bin-identification cleaning rounds, summed over "
-    "those clones)."
+    "those clones) and binid_scored (the rounds among them the KL "
+    "kernel scored exactly rather than the screen clearing them)."
 )
 SPANS["stage.mining"] += (
     " Attributes: flows; when it produced an extraction also selected "

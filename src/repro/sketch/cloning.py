@@ -18,6 +18,7 @@ are the ``F = 1`` calls.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from repro.sketch.hashing import (
     HashMatrix,
     checked_keys,
     hash_rows,
-    per_value,
 )
 from repro.sketch.histogram import HistogramSnapshot
 
@@ -39,10 +39,13 @@ ValueCounts = tuple[np.ndarray, np.ndarray]
 
 def clone_counts(
     hashes: HashMatrix, value_counts: Sequence[ValueCounts]
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Bin feature ``f``'s ``value_counts[f]`` by column ``f`` of
     ``hashes``: a read-only ``(F, C, m)`` float64 block whose
-    ``[f, c]`` row is clone ``c``'s histogram of feature ``f``.
+    ``[f, c]`` row is clone ``c``'s histogram of feature ``f``, and the
+    cells - per feature a read-only ``(C, n_f)`` int64 array whose
+    ``[c, j]`` entry is the bin clone ``c`` puts value ``j`` in (the
+    bin->values back-map, with no second hash).
 
     The values of all features are concatenated and hashed in one
     call, then scattered by one weighted ``bincount`` at offset ``(f*C
@@ -62,16 +65,21 @@ def clone_counts(
     values = checked_keys(np.concatenate([v for v, _ in value_counts]))
     weights = np.concatenate([counts for _, counts in value_counts])
     cells = hash_rows(hashes, values, sizes)
+    cells.setflags(write=False)
     # Row (f, c) of the block starts at (f*C + c)*m.
     starts = np.arange(0, features * clones * bins, bins)
-    cells += per_value(starts.reshape(features, clones).T, sizes)
+    flat = np.repeat(starts.reshape(features, clones).T, sizes, axis=1)
+    flat += cells
     block = np.bincount(
-        cells.ravel(),
+        flat.ravel(),
         weights=np.tile(weights, clones),
         minlength=features * clones * bins,
     ).reshape(features, clones, bins)
     block.setflags(write=False)
-    return block
+    return block, [
+        cells[:, end - size : end]
+        for size, end in zip(sizes, accumulate(sizes), strict=True)
+    ]
 
 
 def clone_snapshots(
@@ -79,10 +87,12 @@ def clone_snapshots(
 ) -> list[HistogramSnapshot]:
     """The ``C`` clone histograms of one feature (``hashes`` has one
     column), frozen as snapshots sharing the one observed array."""
-    (rows,) = clone_counts(hashes, [(observed, counts)])
+    (rows,), (cells,) = clone_counts(hashes, [(observed, counts)])
     return [
-        HistogramSnapshot(fn, row, observed)
-        for fn, row in zip(hashes.columns[0], rows, strict=True)
+        HistogramSnapshot(fn, row, observed, row_cells)
+        for fn, row, row_cells in zip(
+            hashes.columns[0], rows, cells, strict=True
+        )
     ]
 
 

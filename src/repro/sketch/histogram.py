@@ -41,13 +41,18 @@ class HistogramSnapshot:
     freezes for a clone set or a digest, and what a detector's
     ``observe_snapshots`` reads.  The ``C`` clones of a feature share
     one read-only observed set: it is a property of the feature's
-    interval, not of any one binning.
+    interval, not of any one binning.  ``cells`` (the bin of each
+    observed value) is the binning's own when it passes them.
     """
 
-    __slots__ = ("hash_fn", "_counts", "_observed")
+    __slots__ = ("hash_fn", "_counts", "_observed", "_cells")
 
     def __init__(
-        self, hash_fn: UniversalHash, counts: np.ndarray, observed: np.ndarray
+        self,
+        hash_fn: UniversalHash,
+        counts: np.ndarray,
+        observed: np.ndarray,
+        cells: np.ndarray | None = None,
     ):
         if len(counts) != hash_fn.bins:
             raise ConfigError(
@@ -68,6 +73,12 @@ class HistogramSnapshot:
             seen = seen.astype(np.uint64)
             seen.setflags(write=False)
         self._observed = seen
+        if cells is not None and len(cells) != len(seen):
+            raise ConfigError(
+                f"snapshot has {len(cells)} cells for {len(seen)} observed "
+                f"values"
+            )
+        self._cells = cells
 
     @property
     def counts(self) -> np.ndarray:
@@ -76,6 +87,16 @@ class HistogramSnapshot:
     @property
     def observed(self) -> np.ndarray:
         return self._observed
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The bin of each observed value: the ``cells`` row the
+        binning passed in, or hashed when first read."""
+        if self._cells is None:
+            cells = self.hash_fn.hash_array(self._observed)
+            cells.setflags(write=False)
+            self._cells = cells
+        return self._cells
 
     @property
     def bins(self) -> int:

@@ -70,8 +70,11 @@ class ReferenceDetector:
     clones that have a previous interval are scored by one ``kl_rows``
     call against those raw counts, re-smoothed every interval - where
     the bank bins every feature in one call and carries each interval's
-    smoothed histograms forward.  Threshold, bin identification and
-    voting are the library's own (each has its own reference above or
+    smoothed histograms forward.  An alarming clone's bins come from
+    :func:`reference_identify_bins` (no screen, no blocks) and its
+    values from the snapshot's hash back-map (no binning cells), so
+    the bank's alarm path is checked against one sharing neither
+    mechanism.  Threshold and voting are the library's own (each has
     its own tests)."""
 
     def __init__(self, feature, config, seed: int = 0):
@@ -92,7 +95,6 @@ class ReferenceDetector:
     def observe(self, flows):
         """``(clones, voted)``: per clone ``(kl, diff, alarm, bins,
         suspicious values)``, and the voted values."""
-        from repro.detection.binid import identify_anomalous_bins
         from repro.detection.kl import kl_rows
         from repro.detection.threshold import estimate_threshold
         from repro.detection.voting import vote
@@ -128,13 +130,13 @@ class ReferenceDetector:
                     self.training[c] = []
             elif self.thresholds[c].is_alarm(diff) and prev is not None:
                 alarm = True
-                bins = identify_anomalous_bins(
+                bins, _, _ = reference_identify_bins(
                     snapshot.counts,
                     prev,
-                    self.thresholds[c],
-                    previous_kl=self.prev_kl[c],
-                    pseudocount=cfg.pseudocount,
-                ).bins
+                    self.thresholds[c].value,
+                    self.prev_kl[c],
+                    cfg.pseudocount,
+                )
                 suspicious = snapshot.values_in_bins(list(bins))
             clones.append((kl, diff, alarm, bins, suspicious))
             self.prev[c] = snapshot.counts

@@ -5,10 +5,11 @@ value counts with one hash and one ``bincount`` and scores each clone
 against the smoothed histogram the previous interval carried forward.
 ``tests/detection/reference.py ReferenceDetector`` keeps the path it
 replaced - a ``CloneSet`` per feature, every clone re-scored by
-``kl_rows`` against its raw previous counts - and the bank's
-``observe_snapshots`` adapter is driven by those clone sets too.  All
-three must agree with ``==`` on every KL, difference, alarm, bin,
-suspicious value and vote; a bank resumed mid-stream from its
+``kl_rows`` against its raw previous counts, an alarm's bins found by
+the one-bin-per-round loop and mapped to values by re-hashing - and
+the bank's ``observe_snapshots`` adapter is driven by those clone sets
+too.  All three must agree with ``==`` on every KL, difference, alarm,
+bin, suspicious value and vote; a bank resumed mid-stream from its
 checkpoint (the carried reference rebuilt from the raw counts) must
 agree with them as well.
 """

@@ -1,9 +1,11 @@
 """Unit tests for iterative anomalous-bin identification (Fig. 5)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.detection.binid import identify_anomalous_bins
+from repro.detection.binid import BinIdentification, identify_anomalous_bins
 from repro.detection.kl import kl_from_counts
 from repro.detection.threshold import AlarmThreshold
 from repro.errors import DetectionError
@@ -114,3 +116,21 @@ class TestBinIdentification:
             identify_anomalous_bins(
                 np.ones(4), np.ones(5), _threshold(), previous_kl=0.0
             )
+
+    def test_result_is_a_frozen_value(self):
+        """Equality, hashing and pickling read the trace, which is
+        scored when first needed; attributes cannot be rebound."""
+        reference = np.full(64, 100.0)
+        current = reference.copy()
+        current[17] += 5000.0
+        first, second = (
+            identify_anomalous_bins(
+                current, reference, _threshold(), previous_kl=0.0
+            )
+            for _ in range(2)
+        )
+        assert first == second and hash(first) == hash(second)
+        assert pickle.loads(pickle.dumps(first)) == first
+        assert first != BinIdentification(first.bins, (), first.converged)
+        with pytest.raises(AttributeError, match="immutable"):
+            first.bins = ()

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.detection import binid
 from repro.detection.binid import identify_anomalous_bins
 from repro.detection.detector import (
+    MIN_PSEUDOCOUNT,
     DetectorConfig,
     HistogramDetector,
     clone_seed,
@@ -148,17 +149,18 @@ class TestKernelEqualsReference:
             kl_from_counts(np.ones((2, 4)), np.ones((2, 4)))
 
 
-def _disrupted(rng, bins, differing, steps=(100.0, 200.0, 300.0)):
+def _disrupted(rng, bins, differing, steps=(100.0, 200.0, 300.0), scale=1.0):
     """A reference histogram and a current one differing in exactly
     ``differing`` bins, by amounts drawn from a handful of values - so
-    ``|cur - ref|`` is full of ties and the order rests on the index."""
+    ``|cur - ref|`` is full of ties and the order rests on the index.
+    Counts stay below 1,200 times ``scale``."""
     reference = rng.poisson(400.0, bins).astype(np.float64) + 400.0
     current = reference.copy()
     where = rng.choice(bins, size=differing, replace=False)
     current[where] += rng.choice(steps, size=differing) * rng.choice(
         (-1.0, 1.0), size=differing
     )
-    return current, reference
+    return current * scale, reference * scale
 
 
 def _assert_equals_reference(
@@ -187,10 +189,10 @@ def _assert_equals_reference(
 def block_sizes(monkeypatch):
     """Rows of every block the identification hands the kernel."""
     sizes = []
-    real = binid.kl_rows
+    real = binid.divergence_rows
     monkeypatch.setattr(
         binid,
-        "kl_rows",
+        "divergence_rows",
         lambda block, *rest: sizes.append(len(block)) or real(block, *rest),
     )
     return sizes
@@ -200,25 +202,35 @@ class TestBinIdentificationEqualsReference:
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        bins=st.sampled_from((7, 64, 256)),
+        bins=st.sampled_from((7, 64, 256, 1024, 4096)),
         fraction=st.floats(min_value=0.0, max_value=1.0),
         stop_at=st.floats(min_value=0.0, max_value=1.0),
         max_rounds=st.sampled_from((0, 1, 3, None)),
+        pseudocount=st.sampled_from((MIN_PSEUDOCOUNT, 1e-3, 0.5, 7.0)),
+        scale=st.integers(min_value=0, max_value=29).map(lambda k: 2.0**k),
     )
     def test_any_stopping_round(
-        self, seed, bins, fraction, stop_at, max_rounds
+        self, seed, bins, fraction, stop_at, max_rounds, pseudocount, scale
     ):
         """The threshold is lifted from the full cleaning trace itself,
         so the scan stops mid-run at a round where ``excess ==
-        threshold`` exactly - the ``>`` / ``<=`` boundary."""
+        threshold`` exactly - the ``>`` / ``<=`` boundary, which the
+        screen must leave to the exact kernel.  Counts reach 2^40."""
         rng = np.random.default_rng(seed)
-        current, reference = _disrupted(rng, bins, int(fraction * bins))
+        current, reference = _disrupted(
+            rng, bins, int(fraction * bins), scale=scale
+        )
         _, full_trace, _ = reference_identify_bins(
-            current, reference, 0.0, 0.0, 0.5
+            current, reference, 0.0, 0.0, pseudocount
         )
         value = max(full_trace[int(stop_at * (len(full_trace) - 1))], 0.0)
         _assert_equals_reference(
-            current, reference, value, 0.0, max_rounds=max_rounds
+            current,
+            reference,
+            value,
+            0.0,
+            pseudocount=pseudocount,
+            max_rounds=max_rounds,
         )
 
     # Blocks cover rounds 0-3, 4-19, 20-83, then 128 at a time (the
@@ -262,13 +274,15 @@ class TestBinIdentificationEqualsReference:
         expected = identify_anomalous_bins(
             current, reference, threshold, previous_kl=0.0
         )
-        del block_sizes[:]
+        expected.kl_trace  # scored under the default budget
         monkeypatch.setattr(binid, "_BLOCK_ELEMENTS", 100)
         capped = identify_anomalous_bins(
             current, reference, threshold, previous_kl=0.0
         )
-        assert capped == expected
+        del block_sizes[:]
+        capped.kl_trace
         assert block_sizes == [1] * 41
+        assert capped == expected
 
     def test_kernel_is_called_once_per_block_not_per_round(self, block_sizes):
         rng = np.random.default_rng(3)
@@ -277,8 +291,42 @@ class TestBinIdentificationEqualsReference:
             current, reference, AlarmThreshold(0.0, 1.0), previous_kl=0.0
         )
         assert result.rounds == 300
-        # 301 scored rounds: 4 + 16 + 64 + 128 + the 89 that remain.
+        # Rounds 0-299 screen loud: only the stop is scored exactly.
+        assert block_sizes == [1] == [result.scored]
+        del block_sizes[:]
+        result.kl_trace
+        # 301 traced rounds: 4 + 16 + 64 + 128 + the 89 that remain.
         assert block_sizes == [4, 16, 64, 128, 89]
+
+    def test_one_round_stop_scores_one_row_and_no_trace(self, block_sizes):
+        """The screen clears the loud round 0, the kernel confirms the
+        quiet round 1 alone, and the trace waits until it is read."""
+        reference = np.full(64, 100.0)
+        current = reference.copy()
+        current[17] += 5000.0
+        result = identify_anomalous_bins(
+            current, reference, AlarmThreshold(0.01, 1.0), previous_kl=0.0
+        )
+        assert result.bins == (17,) and result.converged
+        assert block_sizes == [1] == [result.scored]
+        current[:] = 0.0  # the trace reads the identification's copies
+        assert len(result.kl_trace) == 2
+        assert block_sizes == [1, 2]
+        result.kl_trace
+        assert block_sizes == [1, 2]  # scored once
+
+    def test_screen_that_overflows_is_left_to_the_kernel(self):
+        """A bin of 1e306 over a near-empty reference bin overflows the
+        screen's ``a * log2(a / b)`` to inf, while the kernel's
+        normalised distance is a quiet ~7 bits: an infinite screen is
+        never loud, so round 0 is scored and stops the run."""
+        reference = np.full(8, 10.0)
+        reference[3] = 0.0
+        current = reference.copy()
+        current[3] = 1e306
+        result = _assert_equals_reference(current, reference, 100.0, 0.0)
+        assert result.bins == () and result.converged
+        assert 0 < result.kl_trace[0] < 100
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -384,6 +432,33 @@ class TestInvalidCountsAreATypedRefusal:
                 AlarmThreshold(0.01, 1.0),
                 previous_kl=0.0,
                 pseudocount=pseudocount,
+            )
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    @pytest.mark.parametrize("side", ["current", "reference"])
+    def test_refused_when_every_round_screens_loud(
+        self, monkeypatch, bad, side
+    ):
+        """A screen that clears every round hands the kernel nothing:
+        the histograms are refused before it runs."""
+        monkeypatch.setattr(
+            binid, "_screen", lambda smoothed, total, order, last, *_: np.ones(
+                last + 1, dtype=bool
+            )
+        )
+        good = np.full(8, 10.0)
+        poisoned = good.copy()
+        poisoned[5] = bad
+        current, reference = (
+            (poisoned, good) if side == "current" else (good, poisoned)
+        )
+        with pytest.raises(ConfigError, match="non-negative"):
+            identify_anomalous_bins(
+                current, reference, AlarmThreshold(0.01, 1.0), previous_kl=0.0
+            )
+        with pytest.raises(ConfigError, match="finite total"):
+            identify_anomalous_bins(
+                np.full(8, 1e308), good, AlarmThreshold(0.01, 1.0), 0.0
             )
 
     def test_total_overflowing_or_undefined_refused(self):

@@ -126,9 +126,10 @@ class TestTraceOnVsOff:
 class TestDetectionSpanExplainsAlarm:
     def test_alarmed_interval_carries_votes_and_rounds(self, ddos_trace):
         """"Why did this close take 12 ms": an alarmed interval's
-        stage.detection span says how many clones alarmed and how many
-        cleaning rounds their bin identifications ran; a clean
-        interval's span carries neither."""
+        stage.detection span says how many clones alarmed, how many
+        cleaning rounds their bin identifications ran and how many of
+        those the KL kernel scored; a clean interval's span carries
+        none of them."""
         tracer = Tracer()
         run = api.extract(
             ddos_trace.flows, _config(),
@@ -143,6 +144,7 @@ class TestDetectionSpanExplainsAlarm:
             if not report.alarm:
                 assert "alarm_votes" not in span.attributes
                 assert "binid_rounds" not in span.attributes
+                assert "binid_scored" not in span.attributes
                 continue
             clones = [
                 clone
@@ -154,6 +156,14 @@ class TestDetectionSpanExplainsAlarm:
             assert span.attributes["binid_rounds"] == sum(
                 clone.bin_identification.rounds for clone in clones
             )
+            scored = span.attributes["binid_scored"]
+            assert scored == sum(
+                clone.bin_identification.scored for clone in clones
+            )
+            # Each converged identification scores at least its stop;
+            # none scores more rounds than it ran, plus the stop.
+            assert len(clones) <= scored
+            assert scored <= span.attributes["binid_rounds"] + len(clones)
 
 
 class TestDetectionSpanSplitsItsTime:

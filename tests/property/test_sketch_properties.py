@@ -383,10 +383,11 @@ def test_feature_block_equals_one_call_per_feature(columns, clones, seed):
     family = HashFamily(bins=BINS, seed=seed)
     hashes = HashMatrix([family.take(clones) for _ in columns])
     value_counts = [sorted_distinct(column) for column in columns]
-    block = clone_counts(hashes, value_counts)
+    block, cells = clone_counts(hashes, value_counts)
     for f, column in enumerate(value_counts):
-        alone = clone_counts(HashMatrix([hashes.columns[f]]), [column])
-        assert np.array_equal(block[f], alone[0])
+        (rows,), (alone,) = clone_counts(HashMatrix([hashes.columns[f]]), [column])
+        assert np.array_equal(block[f], rows)
+        assert np.array_equal(cells[f], alone)
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,6 +403,10 @@ def test_back_map_answers_the_observed_values_in_the_bins(values, wanted, seed):
         v for v in np.unique(values).tolist() if snapshot.hash_fn(v) in wanted
     ]
     assert found.tolist() == expected
+    # The binning's cells answer the same question without a hash.
+    assert [snapshot.hash_fn(v) for v in snapshot.observed.tolist()] == (
+        snapshot.cells.tolist()
+    )
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,20 +22,32 @@ def _column(values):
 
 class TestCloneCounts:
     def test_block_shape_and_read_only(self):
-        block = clone_counts(_matrix(2, 3), [_column([1, 2]), _column([5])])
+        block, cells = clone_counts(
+            _matrix(2, 3), [_column([1, 2]), _column([5])]
+        )
         assert block.shape == (2, 3, 16)
         assert block.dtype == np.float64
         assert not block.flags.writeable
+        assert [c.shape for c in cells] == [(3, 2), (3, 1)]
+        assert all(c.dtype == np.int64 for c in cells)
+        assert not any(c.flags.writeable for c in cells)
 
     def test_each_row_is_its_clones_bincount(self, rng):
         values = rng.integers(0, 1000, 300).astype(np.uint64)
         hashes = _matrix(1, 4, bins=37)
-        (rows,) = clone_counts(hashes, [_column(values)])
-        for fn, row in zip(hashes.columns[0], rows, strict=True):
+        observed, counts = _column(values)
+        (rows,), (cells,) = clone_counts(hashes, [(observed, counts)])
+        for fn, row, row_cells in zip(
+            hashes.columns[0], rows, cells, strict=True
+        ):
             expected = np.bincount(
                 reference_hash_array(fn, values), minlength=37
             )
             assert np.array_equal(row, expected)
+            # The cells are each observed value's bin: the back-map.
+            assert np.array_equal(
+                row_cells, reference_hash_array(fn, observed)
+            )
 
     def test_features_binned_by_their_own_column(self, rng):
         columns = [
@@ -43,22 +55,28 @@ class TestCloneCounts:
             _column(rng.integers(0, 9, 40)),
         ]
         hashes = _matrix(2, 3)
-        block = clone_counts(hashes, columns)
+        block, cells = clone_counts(hashes, columns)
         for f, column in enumerate(columns):
-            alone = clone_counts(HashMatrix([hashes.columns[f]]), [column])
-            assert np.array_equal(block[f], alone[0])
+            (rows,), (alone,) = clone_counts(
+                HashMatrix([hashes.columns[f]]), [column]
+            )
+            assert np.array_equal(block[f], rows)
+            assert np.array_equal(cells[f], alone)
 
     def test_counts_weigh_each_value(self):
         hashes = _matrix(1, 2)
         values = np.array([4, 8], dtype=np.uint64)
-        (rows,) = clone_counts(hashes, [(values, np.array([3.0, 5.0]))])
+        (rows,), _ = clone_counts(hashes, [(values, np.array([3.0, 5.0]))])
         for fn, row in zip(hashes.columns[0], rows, strict=True):
             assert row[fn(4)] + row[fn(8)] == 8.0
             assert row.sum() == 8.0
 
     def test_empty_feature_gives_zero_rows(self):
-        block = clone_counts(_matrix(2, 2), [_column([]), _column([3, 3])])
+        block, cells = clone_counts(
+            _matrix(2, 2), [_column([]), _column([3, 3])]
+        )
         assert not block[0].any()
+        assert cells[0].shape == (2, 0)
         assert block[1].sum(axis=-1).tolist() == [2.0, 2.0]
 
     def test_feature_count_mismatch_refused(self):
@@ -80,11 +98,13 @@ class TestCloneSnapshots:
     def test_snapshot_counts_are_the_binning_rows(self):
         hashes = _matrix(1, 3)
         column = _column([7, 1, 7, 30])
-        (rows,) = clone_counts(hashes, [column])
+        (rows,), (cells,) = clone_counts(hashes, [column])
         snaps = clone_snapshots(hashes, *column)
-        for snap, row in zip(snaps, rows, strict=True):
+        for snap, row, row_cells in zip(snaps, rows, cells, strict=True):
             assert np.array_equal(snap.counts, row)
             assert snap.total == 4.0
+            assert snap.cells is not None
+            assert np.array_equal(snap.cells, row_cells)
 
     def test_snapshots_share_the_observed_array(self):
         observed, counts = _column([3, 9, 3])

@@ -166,3 +166,17 @@ class TestSnapshot:
                 counts=np.zeros(3),
                 observed=np.array([], dtype=np.uint64),
             )
+
+    def test_cells_are_the_binning_or_hashed_when_read(self, hash_fn):
+        """A snapshot holds each observed value's bin: the binning's own
+        cells, or - built by hand without them - hashed on first read."""
+        binned = _snapshot(hash_fn, [9, 1, 9, 40])
+        expected = hash_fn.hash_array(binned.observed).tolist()
+        assert binned.cells.tolist() == expected
+        by_hand = HistogramSnapshot(hash_fn, binned.counts, binned.observed)
+        assert by_hand.cells.tolist() == expected
+        assert not by_hand.cells.flags.writeable
+        with pytest.raises(ConfigError, match="2 cells for 3 observed"):
+            HistogramSnapshot(
+                hash_fn, binned.counts, binned.observed, np.zeros(2, np.int64)
+            )
