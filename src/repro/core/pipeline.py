@@ -254,6 +254,11 @@ class AnomalyExtractor:
                 metrics=metrics,
             )
         self._sink = sink if sink is not None else self._store
+        # Classified once: a runtime-Protocol isinstance scans the
+        # sink's attributes, too dear to repeat on every interval.
+        self._interval_sink: IntervalSink | None = (
+            self._sink if isinstance(self._sink, IntervalSink) else None
+        )
         obs = self.config.obs
         if obs.enabled and obs.jsonl_path:
             try:
@@ -414,8 +419,8 @@ class AnomalyExtractor:
             if not self.keep_reports:
                 bank.clear_reports()
         # Clean intervals leave no report but must still age incidents.
-        if isinstance(self._sink, IntervalSink):
-            self._sink.note_interval(report.interval)
+        if self._interval_sink is not None:
+            self._interval_sink.note_interval(report.interval)
         if self._trail is not None:
             document = {
                 "interval": int(report.interval),

@@ -136,6 +136,13 @@ class DetectorConfig:
             )
 
 
+#: The suspicious values of a clone, and the voted values of a feature,
+#: that found none: one shared read-only array, so a quiet interval
+#: allocates none.
+NO_VALUES = np.empty(0, dtype=np.uint64)
+NO_VALUES.setflags(write=False)
+
+
 @dataclass(frozen=True, slots=True)
 class CloneObservation:
     """Per-clone, per-interval detector output."""
@@ -145,9 +152,7 @@ class CloneObservation:
     diff: float
     alarm: bool
     bins: tuple[int, ...] = ()
-    suspicious_values: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.uint64)
-    )
+    suspicious_values: np.ndarray = field(default_factory=lambda: NO_VALUES)
     bin_identification: BinIdentification | None = None
 
 
@@ -408,7 +413,7 @@ class HistogramDetector:
 
             alarm = False
             bins: tuple[int, ...] = ()
-            suspicious = np.empty(0, dtype=np.uint64)
+            suspicious = NO_VALUES
             bin_id: BinIdentification | None = None
             if self._thresholds[c] is None:
                 # Training phase: accumulate genuine diffs (skip the
@@ -452,10 +457,12 @@ class HistogramDetector:
         self._prev = list(counts)
         self._reference = current
 
-        voted = vote(
-            [clone.suspicious_values for clone in clone_results],
-            cfg.vote_threshold,
-        )
+        voted = NO_VALUES
+        if any(clone.alarm for clone in clone_results):
+            voted = vote(
+                [clone.suspicious_values for clone in clone_results],
+                cfg.vote_threshold,
+            )
         return FeatureObservation(
             feature=self.feature,
             interval=self._interval,

@@ -60,10 +60,15 @@ def interval_index(
     if interval_seconds <= 0:
         raise ConfigError(f"interval length must be positive: {interval_seconds}")
     with np.errstate(invalid="ignore", over="ignore"):
-        quotient = np.floor((timestamps - origin) / interval_seconds)
-    # NaN fails both comparisons.
-    fits = (quotient >= _INT64_LO) & (quotient < _INT64_HI)
-    if not fits.all():
+        quotient = np.subtract(timestamps, origin)
+        np.divide(quotient, interval_seconds, out=quotient)
+        np.floor(quotient, out=quotient)
+    # NaN fails both comparisons, and min / max carry it through; the
+    # elementwise test runs only to name the row.
+    lowest = quotient.min(initial=np.inf)
+    highest = quotient.max(initial=-np.inf)
+    if not (lowest >= _INT64_LO and highest < _INT64_HI):
+        fits = (quotient >= _INT64_LO) & (quotient < _INT64_HI)
         row = int(np.argmin(fits))
         raise FlowError(
             f"row {row}: start timestamp {float(timestamps[row])!r} has no "
@@ -71,6 +76,46 @@ def interval_index(
             f"{interval_seconds!r} s)"
         )
     return quotient.astype(np.int64)
+
+
+def interval_runs(
+    indices: np.ndarray,
+) -> tuple[np.ndarray | None, list[int], list[int], list[int]]:
+    """Split rows into runs of one interval index each.
+
+    Runs come in increasing index order, rows in arrival order inside a
+    run (a stable sort).  Returns ``(order, keys, starts, stops)``: run
+    ``i`` has index ``keys[i]`` and holds rows
+    ``order[starts[i]:stops[i]]``.  Indices that never decrease - every
+    time-ordered trace or chunk - are their own stable sort, so
+    ``order`` is then None and run ``i`` is rows ``starts[i]:stops[i]``
+    (see :func:`take_run`).  ``indices`` must not be empty.
+    """
+    # Compared, not differenced: the difference of two far-apart int64
+    # indices can wrap and read as a step up.
+    order: np.ndarray | None = None
+    ordered = indices
+    if not (indices[:-1] <= indices[1:]).all():
+        order = np.argsort(indices, kind="stable")
+        ordered = indices[order]
+    elif indices[0] == indices[-1]:
+        # Never decreasing with equal ends: one run, the whole input.
+        return None, [int(indices[0])], [0], [len(indices)]
+    cuts = np.flatnonzero(ordered[:-1] != ordered[1:]) + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.concatenate((cuts, [len(ordered)]))
+    return order, ordered[starts].tolist(), starts.tolist(), stops.tolist()
+
+
+def take_run(
+    table: FlowTable, order: np.ndarray | None, lo: int, hi: int
+) -> FlowTable:
+    """The rows ``lo:hi`` of an :func:`interval_runs` split of
+    ``table``: shared with ``table`` when the split needed no sort,
+    copied out through the permutation when it did."""
+    if order is None:
+        return table.row_range(lo, hi)
+    return table.select(order[lo:hi])
 
 
 def iter_intervals(
@@ -89,7 +134,10 @@ def iter_intervals(
             detector time series stays contiguous.
 
     Yields:
-        :class:`IntervalView` in increasing interval order.
+        :class:`IntervalView` in increasing interval order.  On a trace
+        whose rows are in time order each view's flows share the
+        trace's memory (:meth:`FlowTable.row_range`); otherwise they
+        are copied out.
     """
     if interval_seconds <= 0:
         raise ConfigError(f"interval length must be positive: {interval_seconds}")
@@ -103,26 +151,22 @@ def iter_intervals(
             np.min(timestamps, initial=np.inf, where=np.isfinite(timestamps))
         )
     indices = interval_index(timestamps, origin, interval_seconds)
-    if indices.min() < 0:
+    order, keys, starts, stops = interval_runs(indices)
+    if keys[0] < 0:
         raise ConfigError(
             "origin is later than the earliest flow; intervals would be negative"
         )
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
     # The contiguous run of rows of each interval that has any: sized
     # by the rows, not by the index span, so a far timestamp costs no
     # memory here.
-    cuts = np.flatnonzero(np.diff(sorted_idx)) + 1
-    starts = np.concatenate(([0], cuts)).tolist()
-    stops = np.concatenate((cuts, [len(order)])).tolist()
-    runs = dict(zip(sorted_idx[starts].tolist(), zip(starts, stops)))
-    for k in range(int(sorted_idx[-1]) + 1) if include_empty else runs:
+    runs = dict(zip(keys, zip(starts, stops)))
+    for k in range(keys[-1] + 1) if include_empty else runs:
         lo, hi = runs.get(k, (0, 0))
         yield IntervalView(
             index=k,
             start=origin + k * interval_seconds,
             end=origin + (k + 1) * interval_seconds,
-            flows=trace.select(order[lo:hi]),
+            flows=take_run(trace, order, lo, hi),
         )
 
 

@@ -75,7 +75,10 @@ class FlowTable:
     """Immutable-by-convention columnar batch of flows.
 
     Construct with :meth:`from_arrays`, :meth:`from_records`, or
-    :meth:`concat`.  Columns are exposed as read-only numpy arrays.
+    :meth:`concat`.  Columns are exposed as read-only numpy arrays.  A
+    table cut from another by :meth:`row_range` shares its rows with
+    that table instead of copying them; neither can change, so the two
+    read as independent tables.
     """
 
     __slots__ = ("_cols", "_state_cache")
@@ -270,6 +273,23 @@ class FlowTable:
                 )
             sel = np.flatnonzero(sel)
         return FlowTable({name: col[sel] for name, col in self._cols.items()})
+
+    def row_range(self, lo: int, hi: int) -> "FlowTable":
+        """Rows ``lo:hi`` as a table sharing this table's memory.
+
+        Each column is a read-only slice of this table's column, so the
+        cut copies no row; the whole table is returned as itself.
+        """
+        if not 0 <= lo <= hi <= len(self):
+            raise FlowError(
+                f"row range {lo}:{hi} out of range for {len(self)} flows"
+            )
+        if lo == 0 and hi == len(self):
+            return self
+        table = FlowTable.__new__(FlowTable)
+        table._cols = {name: col[lo:hi] for name, col in self._cols.items()}
+        table._state_cache = None
+        return table
 
     def sort_by_start(self) -> "FlowTable":
         """Return a copy ordered by flow start time (stable)."""

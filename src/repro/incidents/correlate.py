@@ -33,12 +33,18 @@ INCIDENT_STATES = ("active", "quiet", "closed")
 
 
 def jaccard_items(a: Iterable[int], b: Iterable[int]) -> float:
-    """Jaccard similarity of two encoded item collections."""
-    sa, sb = set(a), set(b)
+    """Jaccard similarity of two encoded item collections.
+
+    A set ``b`` (an incident's items) is read as it is, not copied, and
+    the union is counted as ``|a| + |b| - |a & b|``: the same integer,
+    so the same float.
+    """
+    sa = set(a)
+    sb = b if isinstance(b, (set, frozenset)) else set(b)
     if not sa and not sb:
         return 1.0
-    union = len(sa | sb)
-    return len(sa & sb) / union
+    common = len(sa & sb)
+    return common / (len(sa) + len(sb) - common)
 
 
 @dataclass

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.errors import CheckpointError, ConfigError
 from repro.flows.stream import (
     DEFAULT_INTERVAL_SECONDS,
     IntervalView,
     interval_index,
+    interval_runs,
+    take_run,
 )
 from repro.flows.table import FlowTable
 from repro.obs.instruments import PipelineInstruments
@@ -237,9 +237,30 @@ class IntervalAssembler:
             "assembler checkpoint state", state, CheckpointError,
             **_STATE_KINDS,
         )
-        self._pending = dict(fields["pending"])
-        self._next_emit = fields["next_emit"]
-        self._highest_seen = fields["highest_seen"]
+        pending = dict(fields["pending"])
+        next_emit, highest_seen = fields["next_emit"], fields["highest_seen"]
+        # Each refusal is a document that would lose flows silently:
+        # a repeated interval's earlier rows, an interval behind the
+        # emit cursor that is never emitted, or one past the highest
+        # seen that no drain reaches.
+        if len(pending) != len(fields["pending"]):
+            raise CheckpointError(
+                "malformed assembler checkpoint state: pending names an "
+                "interval more than once"
+            )
+        if pending and min(pending) < next_emit:
+            raise CheckpointError(
+                f"malformed assembler checkpoint state: pending interval "
+                f"{min(pending)} is below next_emit {next_emit}"
+            )
+        if pending and max(pending) > highest_seen:
+            raise CheckpointError(
+                f"malformed assembler checkpoint state: pending interval "
+                f"{max(pending)} is above highest_seen {highest_seen}"
+            )
+        self._pending = pending
+        self._next_emit = next_emit
+        self._highest_seen = highest_seen
         watermark = fields["watermark"]
         self._watermark = -math.inf if watermark is None else watermark
         self.flows_seen = fields["flows_seen"]
@@ -267,21 +288,19 @@ class IntervalAssembler:
         indices = interval_index(
             timestamps, self.origin, self.interval_seconds
         )
-        if indices.min() < 0 and self.flows_seen == 0:
+        # One split into per-interval runs, arrival order kept inside
+        # each (the iter_intervals split): a time-ordered chunk is cut
+        # into row ranges of itself, only a disordered one is copied.
+        order, keys, starts, stops = interval_runs(indices)
+        if keys[0] < 0 and self.flows_seen == 0:
             raise ConfigError(
                 "origin is later than the earliest flow; intervals would "
                 "be negative"
             )
-        # One argsort pass splits the chunk into per-interval runs
-        # while preserving arrival order inside each interval (same
-        # stable-sort pattern as iter_intervals).
-        order = np.argsort(indices, kind="stable")
-        unique_ks, first = np.unique(indices[order], return_index=True)
-        boundaries = np.append(first, len(order))
         # Guard before buffering anything, so a rejected push leaves the
         # assembler untouched and the caller can drop the chunk and
         # continue.
-        k_max = int(unique_ks.max())
+        k_max = keys[-1]
         if (
             self.max_gap_intervals is not None
             and k_max - self._next_emit > self.max_gap_intervals
@@ -293,30 +312,32 @@ class IntervalAssembler:
                 f"check the stream's origin and timestamp units "
                 f"(epoch seconds vs milliseconds)"
             )
-        for i, k in enumerate(int(k) for k in unique_ks.tolist()):
-            rows = chunk.select(order[boundaries[i]: boundaries[i + 1]])
+        for k, lo, hi in zip(keys, starts, stops):
+            rows = hi - lo
             if k < self._next_emit:
                 if k < 0:
-                    self.late_dropped_pre_origin += len(rows)
-                    self._instruments.late_pre_origin.inc(len(rows))
+                    self.late_dropped_pre_origin += rows
+                    self._instruments.late_pre_origin.inc(rows)
                     self._tracer.event(
                         "assembler.late_drop",
                         reason="pre_origin",
-                        rows=len(rows),
+                        rows=rows,
                     )
                 else:
-                    self.late_dropped_closed += len(rows)
-                    self._instruments.late_closed.inc(len(rows))
+                    self.late_dropped_closed += rows
+                    self._instruments.late_closed.inc(rows)
                     self._tracer.event(
                         "assembler.late_drop",
                         reason="closed_interval",
-                        rows=len(rows),
+                        rows=rows,
                         interval=k,
                     )
                 continue
-            self._pending.setdefault(k, []).append(rows)
-            self.flows_seen += len(rows)
-            self._instruments.assembler_accepted.inc(len(rows))
+            self._pending.setdefault(k, []).append(
+                take_run(chunk, order, lo, hi)
+            )
+            self.flows_seen += rows
+            self._instruments.assembler_accepted.inc(rows)
             if k > self._highest_seen:
                 self._highest_seen = k
         advanced = max(self._watermark, float(timestamps.max()))

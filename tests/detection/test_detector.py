@@ -8,11 +8,13 @@ import pytest
 
 from repro.detection.detector import (
     MIN_PSEUDOCOUNT,
+    NO_VALUES,
     DetectorConfig,
     HistogramDetector,
 )
 from repro.detection.features import Feature
 from repro.detection.manager import DetectorBank
+from repro.detection.voting import vote
 from repro.errors import CheckpointError, ConfigError
 from repro.flows.table import FlowTable
 from repro.state import pack_array, unpack_array
@@ -302,3 +304,54 @@ class TestRestoreRefusesCorruptCounts:
             fresh.from_state(state)
         assert fresh.interval == -1  # nothing was restored
         assert not recwarn.list
+
+
+class TestQuietFeatureSkipsTheVote:
+    @staticmethod
+    def _spy(monkeypatch):
+        import repro.detection.detector as detector_module
+
+        calls = []
+
+        def counting_vote(value_sets, min_votes):
+            calls.append(len(value_sets))
+            return vote(value_sets, min_votes)
+
+        monkeypatch.setattr(detector_module, "vote", counting_vote)
+        return calls
+
+    def test_quiet_bank_pass_calls_vote_zero_times(
+        self, config, rng, monkeypatch
+    ):
+        calls = self._spy(monkeypatch)
+        bank = DetectorBank(config, seed=1)
+        flows = _interval(_baseline_ports(rng), rng)
+        for _ in range(config.training_intervals + 4):
+            report = bank.observe(flows)
+            assert not report.alarm
+        assert calls == []
+        for obs in report.observations.values():
+            assert obs.voted_values is NO_VALUES
+            assert not obs.voted_values.flags.writeable
+            assert all(c.suspicious_values is NO_VALUES for c in obs.clones)
+
+    def test_one_vote_per_alarmed_feature(self, config, rng, monkeypatch):
+        calls = self._spy(monkeypatch)
+        bank = DetectorBank(config, seed=1)
+        alarmed = 0
+        for _ in range(config.training_intervals + 12):
+            report = bank.observe(_interval(_baseline_ports(rng), rng))
+            alarmed += sum(o.alarm for o in report.observations.values())
+        assert len(calls) == alarmed
+
+    def test_alarmed_feature_still_votes(self, config, rng, monkeypatch):
+        calls = self._spy(monkeypatch)
+        detector = HistogramDetector(Feature.DST_PORT, config, seed=1)
+        for _ in range(config.training_intervals + 4):
+            detector.observe(_interval(_baseline_ports(rng), rng))
+        assert calls == []
+        ports = np.concatenate([_baseline_ports(rng), np.full(2000, 7000)])
+        obs = detector.observe(_interval(ports, rng))
+        assert obs.alarm
+        assert calls == [config.clones]
+        assert 7000 in obs.voted_values.tolist()

@@ -83,6 +83,22 @@ class TestSelection:
         assert len(picked) == 2
         assert picked.row(0) == tiny_flows.row(5)
 
+    def test_row_range_shares_rows(self, tiny_flows):
+        cut = tiny_flows.row_range(1, 4)
+        assert cut == tiny_flows.select(np.arange(1, 4))
+        assert cut.to_state() == tiny_flows.select(np.arange(1, 4)).to_state()
+        for name in ALL_COLUMNS:
+            column = cut.column(name)
+            assert np.shares_memory(column, tiny_flows.column(name))
+            assert not column.flags.writeable
+
+    def test_row_range_edges(self, tiny_flows):
+        assert tiny_flows.row_range(0, len(tiny_flows)) is tiny_flows
+        assert len(tiny_flows.row_range(3, 3)) == 0
+        for lo, hi in [(-1, 2), (4, 3), (0, 7)]:
+            with pytest.raises(FlowError, match="row range"):
+                tiny_flows.row_range(lo, hi)
+
     def test_sort_by_start(self):
         table = FlowTable.from_arrays(
             [1, 2, 3], [1, 1, 1], [1, 1, 1], [1, 1, 1],

@@ -1,6 +1,8 @@
 """Unit tests for cross-interval incident correlation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.features import Feature
 from repro.errors import IncidentError
@@ -32,6 +34,24 @@ class TestJaccard:
 
     def test_both_empty(self):
         assert jaccard_items((), ()) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 12), max_size=10),
+        b=st.lists(st.integers(0, 12), max_size=10),
+        b_as_set=st.booleans(),
+    )
+    def test_equals_the_set_algebra_formula(self, a, b, b_as_set):
+        """Duplicates in ``a``, empty sides, ``b`` as a set or not:
+        bit-identical to ``|A & B| / |A | B|``."""
+        sa, sb = set(a), set(b)
+        want = 1.0 if not sa | sb else len(sa & sb) / len(sa | sb)
+        assert jaccard_items(tuple(a), sb if b_as_set else b) == want
+
+    def test_set_argument_is_not_modified(self):
+        items = {1, 2, 3}
+        assert jaccard_items((2, 2, 5), items) == 0.25
+        assert items == {1, 2, 3}
 
 
 class TestExactMerging:

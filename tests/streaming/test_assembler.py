@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import CheckpointError, ConfigError
 from repro.flows.stream import iter_intervals
 from repro.flows.table import FlowTable
 from repro.streaming import IntervalAssembler
@@ -237,3 +237,39 @@ class TestBatchEquivalence:
             assert got.start == want.start
             assert got.end == want.end
             assert got.flows == want.flows
+
+
+class TestCheckpointRefusals:
+    """A restored document that would lose flows is refused, naming
+    the field, instead of emitting a wrong answer."""
+
+    @staticmethod
+    def _state():
+        asm = IntervalAssembler(interval_seconds=10.0, max_delay_seconds=100.0)
+        asm.push(_flows([1.0, 12.0, 25.0]))
+        state = asm.to_state()
+        assert [k for k, _ in state["pending"]] == [0, 1, 2]
+        return state
+
+    def test_round_trip_restores(self):
+        asm = IntervalAssembler(interval_seconds=10.0, max_delay_seconds=100.0)
+        asm.from_state(self._state())
+        assert [len(v) for v in asm.flush()] == [1, 1, 1]
+
+    def test_duplicate_pending_interval_refused(self):
+        state = self._state()
+        state["pending"].append(state["pending"][0])
+        with pytest.raises(CheckpointError, match="pending names an interval"):
+            IntervalAssembler(interval_seconds=10.0).from_state(state)
+
+    def test_pending_interval_below_next_emit_refused(self):
+        state = self._state()
+        state["next_emit"] = 1
+        with pytest.raises(CheckpointError, match="next_emit"):
+            IntervalAssembler(interval_seconds=10.0).from_state(state)
+
+    def test_pending_interval_above_highest_seen_refused(self):
+        state = self._state()
+        state["highest_seen"] = 1
+        with pytest.raises(CheckpointError, match="highest_seen"):
+            IntervalAssembler(interval_seconds=10.0).from_state(state)
