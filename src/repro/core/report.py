@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.detection.features import Feature
 from repro.errors import ExtractionError, MiningError
+from repro.flows.stream import check_grid
 from repro.mining.items import FrequentItemset, format_item
 from repro.state import canonical_json, count, finite, listof, read_fields, text
 
@@ -172,10 +173,7 @@ class ExtractionReport:
         mines the last N together), so they stay consistent with the
         window-wide flow counts and supports.
         """
-        if interval_seconds <= 0:
-            raise ExtractionError(
-                f"interval length must be positive: {interval_seconds}"
-            )
+        check_grid(interval_seconds, origin)
         end = origin + (result.interval + 1) * interval_seconds
         return cls(
             interval=result.interval,

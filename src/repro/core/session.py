@@ -440,11 +440,9 @@ def run_trace(session: ExtractionSession, trace: FlowTable) -> StreamExtraction:
         (
             view.flows
             for view in iter_intervals(
-                trace,
-                session.interval_seconds,
-                origin=session.origin,
-                include_empty=False,
+                trace, session.interval_seconds, origin=session.origin
             )
+            if len(view)
         ),
     )
 

@@ -357,8 +357,6 @@ class DetectorBank:
         origin: float = 0.0,
     ) -> DetectionRun:
         """Window ``trace`` and observe every interval in order."""
-        for view in iter_intervals(
-            trace, interval_seconds, origin=origin, include_empty=True
-        ):
+        for view in iter_intervals(trace, interval_seconds, origin=origin):
             self.observe(view.flows)
         return self.detection_run()

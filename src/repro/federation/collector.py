@@ -64,8 +64,9 @@ class Collector:
 
     def empty_digest(self, interval: int) -> IntervalDigest:
         """Digest of an interval with no flows (gap filler: keeps the
-        federated KL series contiguous, like ``include_empty`` does
-        for local detection)."""
+        federated KL series contiguous, like the empty views of
+        :func:`~repro.flows.stream.iter_intervals` do for local
+        detection)."""
         empty = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
         return IntervalDigest(
             schema=self.schema,
@@ -89,7 +90,5 @@ class Collector:
         """
         return [
             self.summarize(view.flows, view.index)
-            for view in iter_intervals(
-                trace, interval_seconds, origin=origin, include_empty=True
-            )
+            for view in iter_intervals(trace, interval_seconds, origin=origin)
         ]

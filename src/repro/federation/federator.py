@@ -46,7 +46,7 @@ from repro.detection.metadata import Metadata
 from repro.errors import CheckpointError, FederationError, SketchError
 from repro.federation.collector import Collector
 from repro.federation.digest import DigestSchema, IntervalDigest
-from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
+from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, check_gap, check_grid
 from repro.flows.table import FlowTable
 from repro.incidents.rank import RankedIncident, rank_incidents
 from repro.incidents.store import IncidentStore
@@ -56,17 +56,9 @@ from repro.obs.instruments import catalogued
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.obs.trace import Tracer
 from repro.state import count, integer, listof, mapping, read_fields, text, tupleof
-from repro.streaming.assembler import IntervalAssembler
 
 #: How the digest-only extraction path labels its reports; the normal
 #: pipeline writes prefilter/miner names here.
-#: The straggler watermark releases every interval between the cursor
-#: and the newest digest (empty ones included), so one digest claiming
-#: interval 10^12 - epoch seconds against ``origin=0``, or a hostile
-#: line - would release empty intervals forever.  Same bound, same
-#: reasoning as the assembler's guard on flow timestamps.
-MAX_GAP_INTERVALS = IntervalAssembler.DEFAULT_MAX_GAP_INTERVALS
-
 FEDERATED_ALGORITHM = "federated-exact"
 FEDERATED_PREFILTER = "federated-vote"
 
@@ -184,10 +176,7 @@ class Federator:
             raise FederationError(
                 f"straggler_grace must be >= 1: {straggler_grace}"
             )
-        if interval_seconds <= 0:
-            raise FederationError(
-                f"interval length must be positive: {interval_seconds}"
-            )
+        check_grid(interval_seconds, origin)
         self.sites = site_list
         self.config = config or DetectorConfig()
         self.interval_seconds = interval_seconds
@@ -294,13 +283,12 @@ class Federator:
                 f"federator has already released intervals below "
                 f"{cursor}"
             )
-        if digest.interval - cursor > MAX_GAP_INTERVALS:
-            raise FederationError(
-                f"digest for interval {digest.interval} jumps "
-                f"{digest.interval - cursor} intervals past the "
-                f"release cursor (> {MAX_GAP_INTERVALS}); check the "
-                f"collector's origin and interval length"
-            )
+        # The straggler watermark releases every interval up to the
+        # newest digest: the grid's gap bound, as on flows.
+        check_gap(
+            "digest", digest.interval, cursor, "the release cursor",
+            FederationError,
+        )
 
     def add(
         self, digest: IntervalDigest, wire_bytes: int | None = None

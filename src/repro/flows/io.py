@@ -357,9 +357,7 @@ def flow_chunks(
     return (
         view.flows
         for view in iter_intervals(
-            read_trace(source),
-            interval_seconds,
-            origin=origin,
-            include_empty=False,
+            read_trace(source), interval_seconds, origin=origin
         )
+        if len(view)
     )

@@ -3,25 +3,60 @@
 The detectors of the paper operate on fixed-length measurement intervals
 (Section II-C; 5–15 minutes in the evaluation).  This module slices a
 :class:`~repro.flows.table.FlowTable` spanning a long capture into a
-sequence of :class:`IntervalView` windows keyed by interval index.
+sequence of :class:`IntervalView` windows keyed by interval index, and
+owns the grid rule (:func:`check_grid`) and the gap bound
+(:func:`check_gap`) every other interval source calls.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, FlowError
+from repro.errors import ConfigError, FlowError, ReproError
 from repro.flows.table import FlowTable
 
 #: Default interval length used throughout the evaluation (15 minutes).
 DEFAULT_INTERVAL_SECONDS = 900.0
 
+#: How far an occupied interval may lie past the one before it (or past
+#: interval 0), since every interval between is emitted: ~2.8 years of
+#: 900 s intervals, far below the ~2M a mis-set origin produces.
+MAX_GAP_INTERVALS = 100_000
+
 #: The half-open float range whose floors cast to int64 exactly.
 _INT64_LO = float(np.iinfo(np.int64).min)
 _INT64_HI = -_INT64_LO
+
+
+def check_grid(interval_seconds: float, origin: float = 0.0) -> None:
+    """Refuse an interval grid no flow can be placed on: a length that
+    is not finite and positive, or an origin that is not finite."""
+    if not (math.isfinite(interval_seconds) and interval_seconds > 0):
+        raise ConfigError(
+            f"interval length must be finite and positive: {interval_seconds}"
+        )
+    if not math.isfinite(origin):
+        raise ConfigError(f"origin must be finite: {origin}")
+
+
+def check_gap(
+    subject: str, interval: int, cursor: int, past: str,
+    error: type[ReproError] = ConfigError,
+) -> None:
+    """Refuse ``subject`` at ``interval`` when it lies more than
+    :data:`MAX_GAP_INTERVALS` past ``cursor`` (named ``past``)."""
+    jump = interval - cursor
+    if jump > MAX_GAP_INTERVALS:
+        raise error(
+            f"{subject} at interval {interval} jumps {jump} intervals past "
+            f"{past} (> max_gap_intervals={MAX_GAP_INTERVALS}); check the "
+            f"origin, the interval length and the timestamp units (epoch "
+            f"seconds vs milliseconds)"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,18 +82,32 @@ class IntervalView:
     def __len__(self) -> int:
         return len(self.flows)
 
+    @classmethod
+    def on_grid(
+        cls, index: int, flows: FlowTable, interval_seconds: float,
+        origin: float,
+    ) -> IntervalView:
+        """View ``index`` of the grid: ``[origin + index * L, origin +
+        (index + 1) * L)``."""
+        return cls(
+            index,
+            origin + index * interval_seconds,
+            origin + (index + 1) * interval_seconds,
+            flows,
+        )
+
 
 def interval_index(
     timestamps: np.ndarray, origin: float, interval_seconds: float
 ) -> np.ndarray:
     """Vectorized mapping of timestamps to interval indices.
 
-    A timestamp whose index is not finite (NaN, an infinity) or does not
-    fit in int64 (``1e300``) is refused with :class:`FlowError` naming
-    the first such row - before the caller has buffered anything.
+    The grid is held to :func:`check_grid`.  A timestamp whose index is
+    not finite (NaN, an infinity) or does not fit in int64 (``1e300``)
+    is refused with :class:`FlowError` naming the first such row -
+    before the caller has buffered anything.
     """
-    if interval_seconds <= 0:
-        raise ConfigError(f"interval length must be positive: {interval_seconds}")
+    check_grid(interval_seconds, origin)
     with np.errstate(invalid="ignore", over="ignore"):
         quotient = np.subtract(timestamps, origin)
         np.divide(quotient, interval_seconds, out=quotient)
@@ -118,11 +167,18 @@ def take_run(
     return table.select(order[lo:hi])
 
 
+def _earliest_start(trace: FlowTable) -> float:
+    """The default origin: the earliest *finite* start (0.0 if none) -
+    a non-finite one is refused by :func:`interval_index` by row."""
+    timestamps = trace.start
+    lowest = np.min(timestamps, initial=np.inf, where=np.isfinite(timestamps))
+    return float(lowest) if lowest < np.inf else 0.0
+
+
 def iter_intervals(
     trace: FlowTable,
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     origin: float | None = None,
-    include_empty: bool = True,
 ) -> Iterator[IntervalView]:
     """Slice ``trace`` into consecutive fixed-length intervals.
 
@@ -130,44 +186,37 @@ def iter_intervals(
         trace: flows to window; they need not be sorted.
         interval_seconds: window length ``L`` (paper default: 900 s).
         origin: time of interval 0; defaults to the earliest flow start.
-        include_empty: also yield intervals that contain no flows, so the
-            detector time series stays contiguous.
 
     Yields:
-        :class:`IntervalView` in increasing interval order.  On a trace
-        whose rows are in time order each view's flows share the
-        trace's memory (:meth:`FlowTable.row_range`); otherwise they
-        are copied out.
+        :class:`IntervalView` for every interval from 0 to the last
+        occupied one, empty ones included, so the detector time series
+        stays contiguous.  On a trace whose rows are in time order each
+        view's flows share the trace's memory
+        (:meth:`FlowTable.row_range`); otherwise they are copied out.
+        The grid and the gaps are checked before the first view.
     """
-    if interval_seconds <= 0:
-        raise ConfigError(f"interval length must be positive: {interval_seconds}")
+    check_grid(interval_seconds, 0.0 if origin is None else origin)
     if len(trace) == 0:
         return
-    timestamps = trace.start
     if origin is None:
-        # The earliest *finite* start: a NaN or infinite one is refused
-        # by interval_index under its own row number.
-        origin = float(
-            np.min(timestamps, initial=np.inf, where=np.isfinite(timestamps))
-        )
-    indices = interval_index(timestamps, origin, interval_seconds)
+        origin = _earliest_start(trace)
+    indices = interval_index(trace.start, origin, interval_seconds)
     order, keys, starts, stops = interval_runs(indices)
     if keys[0] < 0:
         raise ConfigError(
             "origin is later than the earliest flow; intervals would be negative"
         )
-    # The contiguous run of rows of each interval that has any: sized
-    # by the rows, not by the index span, so a far timestamp costs no
-    # memory here.
+    # Sorted and non-negative, so no step wraps int64.
+    steps = np.diff(keys, prepend=0)
+    widest = int(steps.argmax())
+    previous = keys[widest] - int(steps[widest])
+    check_gap("flow", keys[widest], previous, f"interval {previous}")
+    # The contiguous run of rows of each interval that has any.
     runs = dict(zip(keys, zip(starts, stops)))
-    for k in range(keys[-1] + 1) if include_empty else runs:
+    for k in range(keys[-1] + 1):
         lo, hi = runs.get(k, (0, 0))
-        yield IntervalView(
-            index=k,
-            start=origin + k * interval_seconds,
-            end=origin + (k + 1) * interval_seconds,
-            flows=take_run(trace, order, lo, hi),
-        )
+        flows = take_run(trace, order, lo, hi)
+        yield IntervalView.on_grid(k, flows, interval_seconds, origin)
 
 
 def interval_of(
@@ -176,16 +225,15 @@ def interval_of(
     interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
     origin: float | None = None,
 ) -> IntervalView:
-    """Extract a single interval by index without walking the full trace."""
-    if interval_seconds <= 0:
-        raise ConfigError(f"interval length must be positive: {interval_seconds}")
+    """Extract a single interval by index without building the others:
+    the rows :func:`iter_intervals` puts in view ``index``."""
     if index < 0:
         raise ConfigError(f"interval index must be >= 0: {index}")
     if len(trace) == 0:
         raise ConfigError("cannot index intervals of an empty trace")
     if origin is None:
-        origin = float(trace.start.min())
-    lo = origin + index * interval_seconds
-    hi = lo + interval_seconds
-    mask = (trace.start >= lo) & (trace.start < hi)
-    return IntervalView(index=index, start=lo, end=hi, flows=trace.select(mask))
+        origin = _earliest_start(trace)
+    mask = interval_index(trace.start, origin, interval_seconds) == index
+    return IntervalView.on_grid(
+        index, trace.select(mask), interval_seconds, origin
+    )

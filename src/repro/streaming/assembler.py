@@ -33,6 +33,8 @@ from repro.errors import CheckpointError, ConfigError
 from repro.flows.stream import (
     DEFAULT_INTERVAL_SECONDS,
     IntervalView,
+    check_gap,
+    check_grid,
     interval_index,
     interval_runs,
     take_run,
@@ -60,6 +62,13 @@ _STATE_KINDS = {
 class IntervalAssembler:
     """Bin chunked flow records into completed measurement intervals.
 
+    The grid follows the rules of :func:`iter_intervals`:
+    :func:`~repro.flows.stream.check_grid` at construction, and
+    :func:`~repro.flows.stream.check_gap` on every push - a flow more
+    than ``MAX_GAP_INTERVALS`` past the emit cursor (epoch timestamps
+    against ``origin=0.0``, milliseconds for seconds) is refused
+    before anything is buffered.
+
     Args:
         interval_seconds: window length ``L`` (paper default: 900 s).
         origin: time of interval 0.  Unlike :func:`iter_intervals`
@@ -72,13 +81,6 @@ class IntervalAssembler:
         max_pending_intervals: maximum intervals held open at once;
             ``None`` means unbounded.  Exceeding it force-emits the
             oldest pending interval.
-        max_gap_intervals: sanity guard on untrusted input - a flow
-            whose interval index jumps more than this many intervals
-            past the emit cursor raises :class:`ConfigError` instead of
-            materializing millions of empty gap intervals (the classic
-            cause: epoch timestamps against the default ``origin=0.0``,
-            or milliseconds where seconds were expected).  ``None``
-            disables the guard.
         instruments: optional
             :class:`~repro.obs.instruments.PipelineInstruments` bundle;
             the assembler keeps its accepted/late-drop/backpressure
@@ -91,28 +93,16 @@ class IntervalAssembler:
             :data:`~repro.obs.trace.NULL_TRACER`.
     """
 
-    #: Default :attr:`max_gap_intervals`: ~2.8 years of 900 s intervals,
-    #: far past any real measurement gap but far below the ~2M-interval
-    #: explosion a mis-set origin produces.
-    DEFAULT_MAX_GAP_INTERVALS = 100_000
-
     def __init__(
         self,
         interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
         origin: float = 0.0,
         max_delay_seconds: float = 0.0,
         max_pending_intervals: int | None = None,
-        max_gap_intervals: int | None = DEFAULT_MAX_GAP_INTERVALS,
         instruments: PipelineInstruments | None = None,
         tracer=None,
     ):
-        if not math.isfinite(interval_seconds) or interval_seconds <= 0:
-            raise ConfigError(
-                f"interval length must be finite and positive: "
-                f"{interval_seconds}"
-            )
-        if not math.isfinite(origin):
-            raise ConfigError(f"origin must be finite: {origin}")
+        check_grid(interval_seconds, origin)
         if not math.isfinite(max_delay_seconds) or max_delay_seconds < 0:
             raise ConfigError(
                 f"max_delay_seconds must be finite and >= 0: "
@@ -122,11 +112,6 @@ class IntervalAssembler:
             raise ConfigError(
                 f"max_pending_intervals must be >= 1: {max_pending_intervals}"
             )
-        if max_gap_intervals is not None and max_gap_intervals < 1:
-            raise ConfigError(
-                f"max_gap_intervals must be >= 1: {max_gap_intervals}"
-            )
-        self.max_gap_intervals = max_gap_intervals
         self.interval_seconds = float(interval_seconds)
         self.origin = float(origin)
         self.max_delay_seconds = float(max_delay_seconds)
@@ -300,18 +285,7 @@ class IntervalAssembler:
         # Guard before buffering anything, so a rejected push leaves the
         # assembler untouched and the caller can drop the chunk and
         # continue.
-        k_max = keys[-1]
-        if (
-            self.max_gap_intervals is not None
-            and k_max - self._next_emit > self.max_gap_intervals
-        ):
-            raise ConfigError(
-                f"flow at interval {k_max} jumps "
-                f"{k_max - self._next_emit} intervals past the emit "
-                f"cursor (> max_gap_intervals={self.max_gap_intervals}); "
-                f"check the stream's origin and timestamp units "
-                f"(epoch seconds vs milliseconds)"
-            )
+        check_gap("flow", keys[-1], self._next_emit, "the emit cursor")
         for k, lo, hi in zip(keys, starts, stops):
             rows = hi - lo
             if k < self._next_emit:
@@ -394,11 +368,8 @@ class IntervalAssembler:
             flows = parts[0]
         else:
             flows = FlowTable.concat(parts)
-        view = IntervalView(
-            index=k,
-            start=self.origin + k * self.interval_seconds,
-            end=self.origin + (k + 1) * self.interval_seconds,
-            flows=flows,
+        view = IntervalView.on_grid(
+            k, flows, self.interval_seconds, self.origin
         )
         self._next_emit = k + 1
         self.intervals_emitted += 1

@@ -18,7 +18,7 @@ import numpy as np
 from repro.anomalies.base import InjectedEvent
 from repro.anomalies.schedule import EventSchedule, anomalous_interval_indices
 from repro.errors import ConfigError
-from repro.flows.stream import DEFAULT_INTERVAL_SECONDS
+from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, check_grid
 from repro.flows.table import FlowTable
 from repro.traffic.baseline import BaselineTrafficModel
 from repro.traffic.diurnal import interval_flow_count
@@ -93,10 +93,7 @@ class TraceGenerator:
         """
         if n_intervals < 1:
             raise ConfigError(f"need at least one interval: {n_intervals}")
-        if interval_seconds <= 0:
-            raise ConfigError(
-                f"interval length must be positive: {interval_seconds}"
-            )
+        check_grid(interval_seconds)
         rng = np.random.default_rng(self.seed + 0x7ACE)
         pieces: list[FlowTable] = []
         for k in range(n_intervals):

@@ -14,7 +14,7 @@ from repro.core.report import (
     triage_all,
 )
 from repro.detection.features import Feature
-from repro.errors import ExtractionError
+from repro.errors import ConfigError
 from repro.mining.items import FrequentItemset, encode_item
 
 
@@ -174,7 +174,7 @@ class TestExtractionReport:
         assert len(report.itemsets) == len(extraction.mining.itemsets)
 
     def test_from_result_rejects_bad_interval_length(self):
-        with pytest.raises(ExtractionError, match="positive"):
+        with pytest.raises(ConfigError, match="positive"):
             ExtractionReport.from_result(_FakeResult(), 0.0)
 
 

@@ -118,8 +118,7 @@ class TestDetectionRunAfterRestore:
         )
         views = list(
             iter_intervals(
-                ddos_trace.flows, ddos_trace.interval_seconds, origin=0.0,
-                include_empty=True,
+                ddos_trace.flows, ddos_trace.interval_seconds, origin=0.0
             )
         )
 

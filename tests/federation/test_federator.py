@@ -19,7 +19,12 @@ import pytest
 
 import repro.api as api
 from repro.detection.features import Feature
-from repro.errors import CheckpointError, FederationError, SketchError
+from repro.errors import (
+    CheckpointError,
+    ConfigError,
+    FederationError,
+    SketchError,
+)
 from repro.federation.federator import (
     FEDERATED_ALGORITHM,
     FEDERATED_PREFILTER,
@@ -235,7 +240,7 @@ class TestRefusals:
             federator_factory(min_support=0)
         with pytest.raises(FederationError, match="straggler_grace"):
             federator_factory(straggler_grace=0)
-        with pytest.raises(FederationError, match="interval length"):
+        with pytest.raises(ConfigError, match="interval length"):
             federator_factory(interval_seconds=0.0)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.flows.stream import (
+    MAX_GAP_INTERVALS,
     interval_index,
     interval_of,
     iter_intervals,
@@ -46,20 +47,24 @@ class TestIterIntervals:
         views = list(iter_intervals(table, 900.0))
         assert [len(v) for v in views] == [1, 0, 1]
 
-    def test_empty_intervals_can_be_skipped(self):
-        table = _table_with_starts([0.0, 2000.0])
-        views = list(iter_intervals(table, 900.0, include_empty=False))
-        assert [v.index for v in views] == [0, 2]
-
-    def test_far_timestamp_skipped_to_without_an_index_span_array(self):
-        """Without empties the windowing is sized by the rows: a
-        timestamp a billion intervals out is one more view, not a
-        billion-entry boundary array."""
+    def test_far_timestamp_refused_before_any_view(self):
+        """A timestamp a billion intervals out would be a billion empty
+        views: the gap bound refuses it before the first one."""
         table = _table_with_starts([0.0, 1e12, 5.0])
-        views = iter_intervals(table, 900.0, include_empty=False)
-        assert [(v.index, len(v)) for v in views] == [
-            (0, 2), (1_111_111_111, 1),
-        ]
+        views = iter_intervals(table, 900.0)
+        with pytest.raises(ConfigError, match="max_gap_intervals=100000"):
+            next(views)
+
+    def test_gap_bound_applies_between_occupied_intervals(self):
+        """Each occupied interval may lie up to MAX_GAP_INTERVALS past
+        the one before it, and the first up to that far past 0."""
+        step = MAX_GAP_INTERVALS * 900.0
+        table = _table_with_starts([step, 2 * step])
+        # Two jumps of exactly the bound: the first view comes out.
+        assert next(iter_intervals(table, 900.0, origin=0.0)).index == 0
+        late = _table_with_starts([0.0, step, 2 * step + 900.0])
+        with pytest.raises(ConfigError, match="past interval 100000"):
+            next(iter_intervals(late, 900.0, origin=0.0))
 
     def test_window_boundaries(self):
         table = _table_with_starts([0.0, 900.0])

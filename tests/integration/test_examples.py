@@ -1,8 +1,11 @@
-"""Smoke tests: the example scripts run to completion.
+"""Smoke tests: the example scripts import cleanly and run to completion.
 
-Each example is executed in-process via runpy so coverage and import
-state behave normally.  Only the fast examples run here; the two-week
-campaign is exercised by the benchmark suite instead.
+Every example is imported (its top level executed under a name other
+than ``__main__``), so a renamed or removed public name it uses fails
+here; importing runs nothing, because each guards ``main()``.  The
+fast examples are then executed in-process via runpy so coverage and
+import state behave normally; the two-week campaign is exercised by
+the benchmark suite instead.
 """
 
 import runpy
@@ -11,6 +14,15 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+@pytest.mark.parametrize(
+    "script", sorted(path.name for path in EXAMPLES.glob("*.py"))
+)
+def test_example_imports_without_running(script, capsys):
+    namespace = runpy.run_path(str(EXAMPLES / script), run_name="example")
+    assert callable(namespace["main"])
+    assert capsys.readouterr().out == ""
 
 
 def _run(script: str, capsys) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointError, ConfigError
-from repro.flows.stream import iter_intervals
+from repro.flows.stream import MAX_GAP_INTERVALS, iter_intervals
 from repro.flows.table import FlowTable
 from repro.streaming import IntervalAssembler
 
@@ -158,22 +158,14 @@ class TestGapGuard:
         with pytest.raises(ConfigError, match="max_gap_intervals"):
             asm.push(_flows([1.7e12]))
 
-    def test_custom_gap_threshold(self):
-        asm = IntervalAssembler(interval_seconds=10.0, max_gap_intervals=5)
-        asm.push(_flows([0.0, 51.0]))  # jump of exactly 5: allowed
+    def test_gap_threshold(self):
+        # The allowance holds every interval open: the emit cursor
+        # stays at 0 and nothing is drained.
+        asm = IntervalAssembler(interval_seconds=10.0, max_delay_seconds=1e9)
+        # A jump of exactly MAX_GAP_INTERVALS: allowed.
+        asm.push(_flows([1.0, MAX_GAP_INTERVALS * 10.0 + 1.0]))
         with pytest.raises(ConfigError, match="jumps"):
-            asm.push(_flows([200.0]))
-
-    def test_guard_can_be_disabled(self):
-        asm = IntervalAssembler(
-            interval_seconds=10.0, max_gap_intervals=None
-        )
-        done = asm.push(_flows([0.0, 75.0]))
-        assert [len(v) for v in done] == [1, 0, 0, 0, 0, 0, 0]
-
-    def test_guard_validated(self):
-        with pytest.raises(ConfigError):
-            IntervalAssembler(max_gap_intervals=0)
+            asm.push(_flows([(MAX_GAP_INTERVALS + 1) * 10.0 + 1.0]))
 
     def test_rejected_push_leaves_state_untouched(self):
         """A chunk mixing valid flows with an absurd timestamp must be
@@ -229,9 +221,7 @@ class TestBatchEquivalence:
                                                         len(trace)))))
             )
         views.extend(asm.flush())
-        expected = list(
-            iter_intervals(trace, 10.0, origin=0.0, include_empty=True)
-        )
+        expected = list(iter_intervals(trace, 10.0, origin=0.0))
         assert [v.index for v in views] == [v.index for v in expected]
         for got, want in zip(views, expected):
             assert got.start == want.start

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.flows.stream import interval_index, iter_intervals
+from repro.flows.stream import check_gap, interval_index, iter_intervals
 from repro.flows.table import FlowTable
 from repro.state import canonical_json
 from repro.streaming import IntervalAssembler
@@ -42,12 +42,9 @@ class ReferenceAssembler(IntervalAssembler):
         order = np.argsort(indices, kind="stable")
         unique_ks, first = np.unique(indices[order], return_index=True)
         boundaries = np.append(first, len(order))
-        k_max = int(unique_ks.max())
-        if (
-            self.max_gap_intervals is not None
-            and k_max - self._next_emit > self.max_gap_intervals
-        ):
-            raise ConfigError(f"flow at interval {k_max} jumps")
+        check_gap(
+            "flow", int(unique_ks.max()), self._next_emit, "the emit cursor"
+        )
         for i, k in enumerate(int(k) for k in unique_ks.tolist()):
             rows = chunk.select(order[boundaries[i]: boundaries[i + 1]])
             if k < self._next_emit:
@@ -146,18 +143,14 @@ def _interleaved(trace, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n=st.integers(1, 60),
-    include_empty=st.booleans(),
-)
-def test_iter_intervals_time_ordered_equals_shuffled(seed, n, include_empty):
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 60))
+def test_iter_intervals_time_ordered_equals_shuffled(seed, n):
     rng = np.random.default_rng(seed)
     trace = _flows(np.sort(rng.uniform(0.0, 90.0, n)))
     shuffled = _interleaved(trace, rng)
-    ordered = list(iter_intervals(trace, INTERVAL, 0.0, include_empty))
+    ordered = list(iter_intervals(trace, INTERVAL, 0.0))
     assert _emitted(ordered) == _emitted(
-        iter_intervals(shuffled, INTERVAL, 0.0, include_empty)
+        iter_intervals(shuffled, INTERVAL, 0.0)
     )
     for view in ordered:
         if len(view):
