@@ -6,11 +6,15 @@ Two formats are supported:
   with ``nfdump -o csv``-style exports after column mapping.
 * **NPZ** — compressed numpy archive, loss-less and fast; the native
   format for checkpointing generated traces.
+
+Every text source (CSV, the daemon's TCP lines, JSONL bodies) decodes
+through one batch decoder, :func:`iter_csv_lines`.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import sys
@@ -23,6 +27,7 @@ import numpy as np
 
 from repro.errors import TraceFormatError
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, iter_intervals
+from repro.flows.record import BASELINE_LABEL
 from repro.flows.table import ALL_COLUMNS, ROW_DTYPE, FlowTable, fit_error
 from repro.obs.instruments import catalogued
 from repro.obs.metrics import NULL_REGISTRY
@@ -163,7 +168,10 @@ def _refusal(
         return TraceFormatError(
             f"{where}: bad value: unterminated quoted cell"
         )
-    row = next(csv.reader(batch[lo:lo + 1]))
+    try:
+        row = next(csv.reader(batch[lo:lo + 1]))
+    except csv.Error:  # a bare CR inside the line
+        return TraceFormatError(f"{where}: bad value")
     if len(row) != len(ALL_COLUMNS):
         return TraceFormatError(
             f"{where}: expected {len(ALL_COLUMNS)} fields, got {len(row)}"
@@ -184,6 +192,38 @@ def _refusal(
     return TraceFormatError(f"{where}: bad value")
 
 
+def iter_csv_lines(
+    lines: Iterable[str],
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    name: str = "<stream>",
+    metrics=None,
+    first_line: int = 1,
+) -> Iterator[FlowTable]:
+    """Decode header-less CSV data lines (the first is physical line
+    ``first_line`` of ``name``) ``chunk_rows`` at a time, by numpy's
+    text reader straight into columns.  Each yielded table holds the
+    flows of one batch (empty lines carry none, and a batch of only
+    empty lines yields nothing); the first refused line raises
+    :class:`TraceFormatError` naming it.  ``metrics`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) counts parsed rows
+    and rejected batches."""
+    if chunk_rows < 1:
+        raise TraceFormatError(f"chunk_rows must be >= 1: {chunk_rows}")
+    m_rows, m_errors = _io_counters(metrics)
+    lines = iter(lines)
+    line_no = first_line
+    while batch := list(islice(lines, chunk_rows)):
+        try:
+            rows = _decode_rows(batch)
+        except ValueError as exc:
+            m_errors.inc()
+            raise _refusal(batch, line_no, name) from exc
+        line_no += len(batch)
+        if len(rows):
+            m_rows.inc(len(rows))
+            yield FlowTable.from_rows(rows)
+
+
 def iter_csv_handle(
     handle: Iterable[str],
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -195,11 +235,8 @@ def iter_csv_handle(
     The workhorse behind :func:`iter_csv`; use it directly when the
     trace arrives on something that has no path, e.g.
     ``repro-extract extract -`` reading from a shell pipeline (any
-    iterable of lines will do).  ``name`` labels error messages.
-    ``chunk_rows`` lines at a time are decoded by numpy's text reader
-    straight into columns; each yielded table holds the flows of one
-    such batch (empty lines carry none, and a batch of only empty
-    lines yields nothing).
+    iterable of lines will do).  ``name`` labels error messages.  The
+    header row is checked, then the rest goes to :func:`iter_csv_lines`.
 
     A malformed header, ragged row, non-numeric or out-of-range cell,
     or non-finite start raises :class:`TraceFormatError` naming the
@@ -208,33 +245,80 @@ def iter_csv_handle(
     ``+``, double-quoted cells, CRLF line ends and empty lines are
     accepted; digit-group underscores (``1_000``), non-ASCII digits,
     ``-0`` in an unsigned column and a quoted cell that spans lines
-    are not.  ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) counts parsed rows
-    and rejected rows.
+    are not.
     """
-    if chunk_rows < 1:
-        raise TraceFormatError(f"chunk_rows must be >= 1: {chunk_rows}")
-    m_rows, m_errors = _io_counters(metrics)
     lines = iter(handle)
     try:
         header = next(csv.reader([next(lines)]))
     except StopIteration as exc:
         raise TraceFormatError(f"{name}: empty trace file") from exc
+    except csv.Error:  # a bare CR inside the line: not the header
+        header = None
     if header != _CSV_HEADER:
         raise TraceFormatError(
             f"{name}: unexpected header {header!r}; expected {_CSV_HEADER!r}"
         )
-    line_no = 2
-    while batch := list(islice(lines, chunk_rows)):
-        try:
-            rows = _decode_rows(batch)
-        except ValueError as exc:
-            m_errors.inc()
-            raise _refusal(batch, line_no, name) from exc
-        line_no += len(batch)
-        if len(rows):
-            m_rows.inc(len(rows))
-            yield FlowTable.from_rows(rows)
+    yield from iter_csv_lines(lines, chunk_rows, name, metrics, first_line=2)
+
+
+class _Number(str):
+    """A JSON number's own text, decoded by the CSV cell rules."""
+
+
+def _jsonl_line(line: str) -> str:
+    """The CSV data line of one JSONL flow object (``""`` for a blank
+    line; an omitted ``label`` is the baseline).  ``ValueError`` words
+    what has no CSV equivalent."""
+    if not line.strip():
+        return ""
+    try:
+        record = json.loads(
+            line, parse_int=_Number, parse_float=_Number, parse_constant=_Number
+        )
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError("each line must be a flow object")
+    if missing := [c for c in ALL_COLUMNS if c not in record and c != "label"]:
+        raise ValueError(f"flow object missing keys {missing}")
+    if unknown := sorted(record.keys() - ALL_COLUMNS):
+        raise ValueError(f"flow object has unknown keys {unknown}")
+    cells = [record.get(c, _Number(BASELINE_LABEL)) for c in ALL_COLUMNS]
+    for column, cell in zip(ALL_COLUMNS, cells):
+        if type(cell) is not _Number:
+            raise ValueError(f"bad value: {column} is not a JSON number")
+    return ",".join(cells)
+
+
+def iter_jsonl_handle(
+    handle: Iterable[str],
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    name: str = "<stream>",
+    metrics=None,
+) -> Iterator[FlowTable]:
+    """Stream JSONL flow objects (one per line) from a text handle.
+
+    Each object becomes the CSV data line of its cells' JSON text for
+    :func:`iter_csv_lines`, so a row is accepted or refused exactly
+    like the same CSV row.  A line :func:`_jsonl_line` refuses raises
+    once the lines before it have decoded, and counts one parse error.
+    """
+    refused = []
+
+    def lines() -> Iterator[str]:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                yield _jsonl_line(line)
+            except ValueError as exc:
+                refused.append((line_no, exc))
+                return
+
+    yield from iter_csv_lines(lines(), chunk_rows, name, metrics)
+    if refused:
+        _, m_errors = _io_counters(metrics)
+        m_errors.inc()
+        line_no, exc = refused[0]
+        raise TraceFormatError(f"{name}:{line_no}: {exc}") from exc
 
 
 def iter_csv(
@@ -261,11 +345,7 @@ def read_csv(path: str | os.PathLike[str]) -> FlowTable:
     Raises :class:`TraceFormatError` on a malformed header or ragged rows.
     """
     chunks = list(iter_csv(path))
-    if not chunks:
-        return FlowTable.empty()
-    if len(chunks) == 1:
-        return chunks[0]
-    return FlowTable.concat(chunks)
+    return chunks[0] if len(chunks) == 1 else FlowTable.concat(chunks)
 
 
 def write_npz(table: FlowTable, path: str | os.PathLike[str]) -> None:

@@ -41,10 +41,9 @@ _DTYPES = {
     "label": np.int64,
 }
 
-#: One flow as a record: the structured dtype the text decoders
-#: (:mod:`repro.flows.io`, the service's JSONL ingest) fill a batch at
-#: a time, so a cell that does not fit its column is refused at the
-#: edge instead of wrapping.
+#: One flow as a record: the structured dtype :mod:`repro.flows.io`'s
+#: decoder fills a batch at a time, so a cell that does not fit its
+#: column is refused at the edge instead of wrapping.
 ROW_DTYPE = np.dtype([(name, _DTYPES[name]) for name in ALL_COLUMNS])
 
 _INT_BOUNDS = {
@@ -55,12 +54,8 @@ _INT_BOUNDS = {
 
 
 def fit_error(column: str, value: int) -> str | None:
-    """Why ``value`` cannot be stored in integer ``column``, or ``None``.
-
-    The text decoders word their out-of-range refusals with this, and
-    the JSONL one also decides with it: what numpy does with a Python
-    int that does not fit (raise or wrap) depends on its version.
-    """
+    """Why ``value`` cannot be stored in integer ``column``, or ``None``
+    (the text decoder words its out-of-range refusals with this)."""
     bounds = _INT_BOUNDS[column]
     if bounds.min <= value <= bounds.max:
         return None

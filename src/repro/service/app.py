@@ -2,7 +2,7 @@
 
 :class:`ServiceApp` owns everything between a parsed
 :class:`~repro.service.protocol.HttpRequest` and a status/body pair:
-route matching, ingest parsing (CSV and JSONL), digest ingest for
+route matching, CSV and JSONL ingest, digest ingest for
 federated daemons (``POST /digest``), the ingest sequence protocol,
 periodic checkpointing, the merged incident ranking, incident
 provenance, the Prometheus export, and the health probe.  Keeping it
@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import time
+from collections.abc import Iterable
 from typing import Any
-
-import numpy as np
 
 from repro.errors import (
     CheckpointError,
     ConfigError,
     FederationError,
+    FlowError,
     IncidentError,
     ReproError,
     ServiceError,
@@ -42,22 +41,17 @@ from repro.errors import (
 from repro.federation.digest import read_digests
 from repro.federation.federator import Federator
 from repro.fleet.manager import FleetManager
-from repro.flows.io import iter_csv_handle
-from repro.flows.table import (
-    ALL_COLUMNS,
-    ROW_DTYPE,
-    FlowTable,
-    fit_error,
-)
+from repro.flows.io import iter_csv_handle, iter_csv_lines, iter_jsonl_handle
+from repro.flows.table import FlowTable
 from repro.incidents.provenance import explain_incident
 from repro.obs.instruments import catalogued
 from repro.obs.log import get_logger
+from repro.registry import lookup
 from repro.service.checkpoint import fleet_checkpoint, write_checkpoint
 from repro.service.protocol import HttpRequest
 
-#: JSONL ingest: columns a record must carry ("label" defaults to the
-#: baseline, matching FlowTable.from_arrays).
-_REQUIRED_JSONL_KEYS = tuple(c for c in ALL_COLUMNS if c != "label")
+#: ``POST /ingest`` body decoders by ``?format=``.
+_INGEST_FORMATS = {"csv": iter_csv_handle, "jsonl": iter_jsonl_handle}
 
 _JSON_CONTENT = "application/json"
 
@@ -203,6 +197,7 @@ class ServiceApp:
             except (
                 ServiceError,
                 TraceFormatError,
+                FlowError,
                 ConfigError,
                 FederationError,
                 SketchError,
@@ -287,22 +282,19 @@ class ServiceApp:
     def _handle_ingest(
         self, request: HttpRequest
     ) -> tuple[int, bytes, str]:
-        fmt = request.query.get("format", "csv")
-        pipeline = request.query.get("pipeline")
+        decode = lookup(
+            "ingest format", _INGEST_FORMATS, request.query.get("format", "csv")
+        )
         try:
             text = request.body.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ServiceError(
                 f"ingest body is not valid UTF-8: {exc}"
             ) from exc
-        if fmt == "csv":
-            rows = self._feed_csv(text, pipeline)
-        elif fmt == "jsonl":
-            rows = self._feed_jsonl(text, pipeline)
-        else:
-            raise ServiceError(
-                f"unknown ingest format {fmt!r}; use csv or jsonl"
-            )
+        chunks = decode(
+            io.StringIO(text), self.chunk_rows, "ingest", self.fleet.metrics
+        )
+        rows = self._feed(chunks, request.query.get("pipeline"))
         sequence = self.batch_accepted(rows)
         return (
             200,
@@ -407,90 +399,22 @@ class ServiceApp:
         """Ingest header-less CSV rows (the TCP line protocol's batch
         unit); returns ``(rows, sequence)``.  The batch is parsed and
         fed atomically before the sequence advances - a malformed row
-        rejects the whole batch and the sequence stays put."""
-        text = "\n".join([",".join(ALL_COLUMNS), *lines]) + "\n"
-        rows = self._feed_csv(text, pipeline)
+        rejects the whole batch, naming its 1-based position in the
+        batch, and the sequence stays put."""
+        chunks = iter_csv_lines(
+            lines, self.chunk_rows, "ingest", self.fleet.metrics
+        )
+        rows = self._feed(chunks, pipeline)
         return rows, self.batch_accepted(rows)
 
-    def _feed(self, chunks: list[FlowTable], pipeline: str | None) -> int:
-        """Feed a fully decoded body.  Decoding finishes before the
-        first chunk is fed, so a refused body has fed nothing and the
-        client can resend it corrected without double-counting."""
-        for chunk in chunks:
-            self.fleet.feed(chunk, pipeline=pipeline)
-        return sum(map(len, chunks))
-
-    def _feed_csv(self, text: str, pipeline: str | None) -> int:
-        """Parse a CSV body (header required) and feed the fleet."""
-        chunks = list(
-            iter_csv_handle(
-                io.StringIO(text),
-                chunk_rows=self.chunk_rows,
-                name="ingest",
-                metrics=self.fleet.metrics,
-            )
-        )
-        return self._feed(chunks, pipeline)
-
-    def _feed_jsonl(self, text: str, pipeline: str | None) -> int:
-        """Parse a JSONL body (one flow object per line) and feed the
-        fleet in ``chunk_rows``-sized chunks.  Values land in the same
-        :data:`~repro.flows.table.ROW_DTYPE` record as a CSV row, so
-        both formats refuse the same out-of-range cells."""
-        lines = text.splitlines()
-        rows = np.empty(len(lines), dtype=ROW_DTYPE)
-        filled = 0
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ServiceError(
-                    f"ingest:{line_no}: invalid JSON: {exc}"
-                ) from exc
-            if not isinstance(record, dict):
-                raise ServiceError(
-                    f"ingest:{line_no}: each line must be a flow "
-                    f"object, got {type(record).__name__}"
-                )
-            missing = [
-                key for key in _REQUIRED_JSONL_KEYS if key not in record
-            ]
-            if missing:
-                raise ServiceError(
-                    f"ingest:{line_no}: flow object missing keys "
-                    f"{missing}"
-                )
-            try:
-                cells = {
-                    key: float(record[key]) if key == "start"
-                    else int(record.get(key, 0))
-                    for key in ALL_COLUMNS
-                }
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ServiceError(
-                    f"ingest:{line_no}: bad value: {exc}"
-                ) from exc
-            for key, value in cells.items():
-                if key == "start":
-                    if not math.isfinite(value):
-                        raise ServiceError(
-                            f"ingest:{line_no}: non-finite start "
-                            f"timestamp {record['start']!r}"
-                        )
-                elif why := fit_error(key, value):
-                    raise ServiceError(
-                        f"ingest:{line_no}: bad value: {why}"
-                    )
-            rows[filled] = tuple(cells.values())
-            filled += 1
-        rows = rows[:filled]
-        chunks = [
-            FlowTable.from_rows(rows[lo:lo + self.chunk_rows])
-            for lo in range(0, filled, self.chunk_rows)
-        ]
-        return self._feed(chunks, pipeline)
+    def _feed(self, chunks: Iterable[FlowTable], pipeline: str | None) -> int:
+        """Decode a whole body, then feed it.  Decoding finishes before
+        the first chunk is fed, so a refused body has fed nothing and
+        the client can resend it corrected without double-counting."""
+        tables = list(chunks)
+        for table in tables:
+            self.fleet.feed(table, pipeline=pipeline)
+        return sum(map(len, tables))
 
     # ------------------------------------------------------------------
     # Checkpointing

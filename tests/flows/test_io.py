@@ -1,6 +1,8 @@
-"""Unit tests for trace serialization (CSV and NPZ)."""
+"""Unit tests for trace serialization (CSV and NPZ) and decoding (CSV
+and JSONL)."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.errors import TraceFormatError
 from repro.flows.io import (
     iter_csv,
     iter_csv_handle,
+    iter_jsonl_handle,
     read_csv,
     read_npz,
     write_csv,
@@ -339,6 +342,83 @@ class TestBatchDecoder:
             next(chunks)
         rows = metrics.counter("repro_io_rows_parsed_total", "")
         assert rows.value == 4
+
+
+GOOD_OBJECT = dict(zip(ALL_COLUMNS, [1, 2, 3, 4, 6, 1, 40, 0.5, -1]))
+
+
+def jsonl(*lines):
+    return [
+        line if isinstance(line, str) else json.dumps(line) + "\n"
+        for line in lines
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+class TestJsonlDecoder:
+    """JSONL objects decode as the CSV data line of their cells, so
+    only what has no CSV spelling is the JSON layer's to refuse."""
+
+    def test_omitted_label_is_the_baseline(self):
+        unlabelled = {k: v for k, v in GOOD_OBJECT.items() if k != "label"}
+        (table,) = iter_jsonl_handle(jsonl(unlabelled, GOOD_OBJECT))
+        assert table.label.tolist() == [-1, -1]
+        assert table == FlowTable.concat(
+            list(iter_csv_handle([HEADER, GOOD_ROW, GOOD_ROW]))
+        )
+
+    @pytest.mark.parametrize("key,value,message", [
+        # Refused by the CSV cell rules, worded as for a CSV row.
+        ("packets", 1.9, r"bad value$"),
+        ("packets", 1.0, r"bad value$"),
+        ("packets", 2**64, r"bad value: packets=18446744073709551616 does"),
+        ("src_port", -3, r"bad value: src_port=-3 does not fit uint32$"),
+        ("start", float("nan"), r"non-finite start timestamp 'NaN'$"),
+        ("start", float("-inf"), r"non-finite start timestamp '-Infinity'$"),
+        # Cells with no CSV spelling, and keys no column has.
+        ("packets", True, r"bad value: packets is not a JSON number$"),
+        ("packets", "7", r"bad value: packets is not a JSON number$"),
+        ("start", "1e3", r"bad value: start is not a JSON number$"),
+        ("bytes", None, r"bad value: bytes is not a JSON number$"),
+        ("bytes", [40], r"bad value: bytes is not a JSON number$"),
+        ("flags", 2, r"flow object has unknown keys \['flags'\]$"),
+    ])
+    def test_refusal_names_the_physical_line(self, key, value, message):
+        metrics = MetricsRegistry()
+        lines = jsonl(GOOD_OBJECT, "\n", "  \r\n", {**GOOD_OBJECT, key: value})
+        with pytest.raises(TraceFormatError, match=rf"^t:4: {message}"):
+            list(iter_jsonl_handle(lines, name="t", metrics=metrics))
+        assert metrics.counter("repro_io_parse_errors_total", "").value == 1
+
+    @pytest.mark.parametrize("line,message", [
+        ("{not json}", r"invalid JSON: "),
+        ("[1, 2]", r"each line must be a flow object$"),
+        ("7", r"each line must be a flow object$"),
+        ('{"src_ip": 1}', r"flow object missing keys \['dst_ip', "),
+    ])
+    def test_json_layer_refusals(self, line, message):
+        with pytest.raises(TraceFormatError, match=rf"^t:2: {message}"):
+            list(iter_jsonl_handle(jsonl(GOOD_OBJECT, line), name="t"))
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 65536])
+    def test_the_first_refused_line_is_named(self, chunk_rows):
+        """A JSON-level refusal waits for the lines before it, so an
+        earlier cell refusal in the same batch is the one reported."""
+        lines = jsonl(
+            GOOD_OBJECT, {**GOOD_OBJECT, "packets": 1.5},
+            {**GOOD_OBJECT, "packets": True},
+        )
+        with pytest.raises(TraceFormatError, match=r"^t:2: bad value$"):
+            list(iter_jsonl_handle(lines, chunk_rows=chunk_rows, name="t"))
+
+    def test_number_text_is_kept(self):
+        """A cell is the JSON number's own text: exponent and long
+        decimal starts decode as the same CSV cells would."""
+        record = {**GOOD_OBJECT, "start": 0}
+        text = json.dumps(record).replace('"start": 0', '"start": 1E3')
+        long_decimal = text.replace("1E3", "0.1000000000000000055")
+        (table,) = iter_jsonl_handle([text, long_decimal])
+        assert table.start.tolist() == [1000.0, 0.1]
 
 
 class TestWriteCsvBytes:

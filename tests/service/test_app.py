@@ -313,8 +313,29 @@ class TestIngest:
         status, _, _ = served.handle(req(
             "POST", "/ingest", body=b"not,a,flow\n1,2,3\n"
         ))
-        assert status in (400, 500)
+        assert status == 400
         assert served.sequence == before
+
+    def test_refused_tcp_batch_names_the_row_in_its_batch(self, served):
+        """No header is sent on the line socket, so none is counted:
+        the second row of a batch is line 2."""
+        good = "1,2,3,4,6,1,40,0.5,0"
+        before = served.sequence
+        with pytest.raises(TraceFormatError, match=r"^ingest:2: bad value$"):
+            served.ingest_lines([good, "1,2,3,4,6,1.5,40,0.5,0"])
+        assert served.sequence == before
+
+    def test_start_with_no_interval_index_400(self, served):
+        """A start the fleet's grid cannot index is bad input (400),
+        refused before any pipeline takes a row."""
+        before = (served.sequence, served.health()["pipelines"])
+        status, body, _ = served.handle(req(
+            "POST", "/ingest",
+            body=f"{','.join(ALL_COLUMNS)}\n1,2,3,4,6,1,40,1e300,0\n".encode(),
+        ))
+        assert status == 400
+        assert "no interval index" in json.loads(body)["error"]
+        assert before == (served.sequence, served.health()["pipelines"])
 
 
 class TestQueries:
