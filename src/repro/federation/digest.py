@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,7 +41,7 @@ from repro.detection.detector import DetectorConfig, clone_hashes
 from repro.detection.features import DETECTOR_FEATURES, Feature
 from repro.errors import FederationError, SketchError
 from repro.sketch.cloning import ValueCounts, clone_snapshots
-from repro.sketch.distinct import union_counts
+from repro.sketch.distinct import union_all
 from repro.sketch.hashing import HashMatrix
 from repro.sketch.histogram import HistogramSnapshot
 from repro.state import (
@@ -135,6 +135,10 @@ _SCHEMA_KINDS = {
     "bins": integer(1),
     "features": _NAMES,
 }
+
+#: A packed array's ``data`` member as rendered with the payload left
+#: out (:meth:`IntervalDigest.to_json` splices the payload back in).
+_EMPTY_DATA = '"data":""'
 
 #: One feature document: its sorted distinct values and their counts.
 _FEATURE = record(observed=packed(np.uint64), counts=packed(np.int64))
@@ -259,39 +263,52 @@ class IntervalDigest:
 
     # ------------------------------------------------------------------
     def merge(self, other: "IntervalDigest") -> "IntervalDigest":
-        """Combine two digests of the same interval into one.
+        """The two-digest :meth:`merge_all`."""
+        return IntervalDigest.merge_all((self, other))
+
+    @staticmethod
+    def merge_all(digests: Sequence["IntervalDigest"]) -> "IntervalDigest":
+        """Combine one or more digests of the same interval into one.
 
         Exact, order-invariant, and associative: each feature's
         observed values are unioned and the counts of a shared value
-        added, flow counts sum, site sets union (kept sorted).  Refuses
-        mismatched sketch schemas (:class:`~repro.errors.SketchError`),
-        different intervals, and overlapping site sets - each of which
-        would double-count or fabricate traffic.
+        added (one k-way :func:`~repro.sketch.distinct.union_all` per
+        feature), flow counts sum, site sets union (kept sorted).
+        Refuses mismatched sketch schemas
+        (:class:`~repro.errors.SketchError`), different intervals, and
+        overlapping site sets - each of which would double-count or
+        fabricate traffic.  One digest is returned as is.
         """
-        if self.schema != other.schema:
-            raise SketchError(
-                f"cannot merge digests with incompatible sketch "
-                f"parameters: {self.schema} vs {other.schema}"
-            )
-        if self.interval != other.interval:
-            raise FederationError(
-                f"cannot merge digests of different intervals: "
-                f"{self.interval} vs {other.interval}"
-            )
-        overlap = set(self.sites) & set(other.sites)
-        if overlap:
-            raise FederationError(
-                f"sites {sorted(overlap)} appear in both digests; "
-                f"merging would double-count their traffic"
-            )
+        first = digests[0]
+        sites: set[str] = set()
+        for digest in digests:
+            if digest.schema != first.schema:
+                raise SketchError(
+                    f"cannot merge digests with incompatible sketch "
+                    f"parameters: {first.schema} vs {digest.schema}"
+                )
+            if digest.interval != first.interval:
+                raise FederationError(
+                    f"cannot merge digests of different intervals: "
+                    f"{first.interval} vs {digest.interval}"
+                )
+            overlap = sites.intersection(digest.sites)
+            if overlap:
+                raise FederationError(
+                    f"sites {sorted(overlap)} appear in more than one "
+                    f"digest; merging would double-count their traffic"
+                )
+            sites.update(digest.sites)
+        if len(digests) == 1:
+            return first
         return IntervalDigest(
-            schema=self.schema,
-            interval=self.interval,
-            sites=tuple(sorted(set(self.sites) | set(other.sites))),
-            flow_count=self.flow_count + other.flow_count,
+            schema=first.schema,
+            interval=first.interval,
+            sites=tuple(sites),
+            flow_count=sum(digest.flow_count for digest in digests),
             value_counts={
-                name: union_counts(*self._values[name], *other._values[name])
-                for name in self.schema.features
+                name: union_all([digest._values[name] for digest in digests])
+                for name in first.schema.features
             },
         )
 
@@ -318,8 +335,28 @@ class IntervalDigest:
     def to_json(self) -> str:
         """Canonical JSON rendering: byte-stable for identical state
         (sorted keys, minimal separators), so digests diff and replay
-        like checkpoint documents."""
-        return canonical_json(self.to_dict())
+        like checkpoint documents.
+
+        Exactly ``canonical_json(self.to_dict())``, in one pass over
+        the small part: the document is rendered with every packed
+        array's ``data`` left empty, and the base64 payloads - which
+        need no escape - are spliced into those slots, in the sorted
+        key order the rendering put them in.
+        """
+        doc = self.to_dict()
+        payloads: list[str] = []
+        for name in sorted(doc["features"]):
+            for key in ("counts", "observed"):
+                array = doc["features"][name][key]
+                payloads.append(array["data"])
+                array["data"] = ""
+        # Only a packed array renders an empty "data" member: every
+        # quote inside a rendered string is escaped.
+        slots = canonical_json(doc).split(_EMPTY_DATA)
+        body = [slots[0]]
+        for payload, rest in zip(payloads, slots[1:]):
+            body += ('"data":"', payload, '"', rest)
+        return "".join(body)
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "IntervalDigest":

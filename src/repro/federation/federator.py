@@ -145,6 +145,16 @@ class MergedInterval:
         )
 
 
+def _distinct(bucket: dict[str, IntervalDigest]) -> dict[str, IntervalDigest]:
+    """Each digest of an interval's bucket once, under the first of its
+    sites in sorted order: a multi-site digest sits in the bucket once
+    per site it covers."""
+    first: dict[int, str] = {}
+    for site in sorted(bucket):
+        first.setdefault(id(bucket[site]), site)
+    return {site: bucket[site] for site in first.values()}
+
+
 class Federator:
     """Merges per-site digests and steps each merged interval through
     the shared pipeline step."""
@@ -367,21 +377,14 @@ class Federator:
                 )
                 for site in missing:
                     self._m_stragglers.labels(site).inc()
-            merged: IntervalDigest | None = None
-            # Deduplicate: a multi-site digest sits in the bucket once
-            # per site it covers.
-            seen: set[int] = set()
-            for site in sorted(bucket):
-                digest = bucket[site]
-                if id(digest) in seen:
-                    continue
-                seen.add(id(digest))
-                merged = digest if merged is None else merged.merge(digest)
-            if merged is None:
-                merged = self._reference.empty_digest(interval)
-                sites: tuple[str, ...] = ()
+            if bucket:
+                merged = IntervalDigest.merge_all(
+                    list(_distinct(bucket).values())
+                )
+                sites: tuple[str, ...] = merged.sites
             else:
-                sites = merged.sites
+                merged = self._reference.empty_digest(interval)
+                sites = ()
             merged_input = MergedInterval(merged, self.min_support)
             extraction = self._extractor.step(merged_input)
         report = (
@@ -419,15 +422,10 @@ class Federator:
         their durable record."""
         pending: list[list[Any]] = []
         for interval in sorted(self._pending):
-            bucket = self._pending[interval]
-            entries: list[list[Any]] = []
-            seen: set[int] = set()
-            for site in sorted(bucket):
-                digest = bucket[site]
-                if id(digest) in seen:
-                    continue
-                seen.add(id(digest))
-                entries.append([site, digest.to_dict()])
+            entries = [
+                [site, digest.to_dict()]
+                for site, digest in _distinct(self._pending[interval]).items()
+            ]
             pending.append([interval, entries])
         return {
             "schema": self.schema.to_dict(),

@@ -23,7 +23,7 @@ does not change per-pipeline results
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from repro.core.config import ExtractionConfig
@@ -38,6 +38,7 @@ from repro.incidents.rank import RankedIncident, rank_incidents
 from repro.obs.instruments import catalogued
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.state import count, mapping, optional, read_fields
+from repro.streaming.assembler import PushCursor
 
 __all__ = ["FleetIncident", "FleetManager"]
 
@@ -269,27 +270,57 @@ class FleetManager:
         With ``pipeline`` the whole chunk goes to that named session
         (the explicit-tag mode: one capture stream per link).  Without
         it the configured router splits the chunk row-by-row.  Returns
-        the per-pipeline extractions completed by this chunk.
+        the per-pipeline extractions completed by this chunk.  A
+        refused chunk has fed no pipeline.
         """
+        (parts,) = self._admit([chunk], pipeline)
+        return self._feed_parts(chunk, parts)
+
+    def feed_all(
+        self, chunks: Sequence[FlowTable], pipeline: str | None = None
+    ) -> None:
+        """:meth:`feed` each chunk in turn, all or nothing: every chunk
+        is routed and checked against each pipeline's assembler, as the
+        chunks before it would leave it, before the first is fed - so
+        a refused batch has fed nothing."""
+        for chunk, parts in zip(chunks, self._admit(chunks, pipeline)):
+            self._feed_parts(chunk, parts)
+
+    def _admit(
+        self, chunks: Sequence[FlowTable], pipeline: str | None
+    ) -> list[dict[str, FlowTable]]:
+        """Each chunk's per-pipeline parts, every part checked by its
+        assembler against the cursor the earlier parts would leave."""
         self._check_open("feed")
-        # A row with no interval index refuses the whole chunk before
-        # any pipeline takes its share, so every pipeline is left as it
-        # was.
-        interval_index(chunk.start, self._origin, self._interval_seconds)
-        if pipeline is not None:
-            session = self.session(pipeline)
-            self._m_fed.inc(len(chunk))
-            self._m_routed.labels(pipeline).inc(len(chunk))
-            return {pipeline: session.feed(chunk)}
-        parts = self.route_chunk(chunk)
-        # Only now is the chunk known to be routable - counting earlier
-        # would break the conservation invariant
-        # sum(routed) == fed that the test suite holds.
+        cursors: dict[str, PushCursor] = {}
+        admitted = []
+        for chunk in chunks:
+            # A row with no interval index refuses the whole chunk
+            # before any pipeline takes its share.
+            interval_index(chunk.start, self._origin, self._interval_seconds)
+            if pipeline is not None:
+                self.session(pipeline)
+                parts = {pipeline: chunk}
+            else:
+                parts = self.route_chunk(chunk)
+            for name, part in parts.items():
+                cursors[name] = self._sessions[name].assembler.check(
+                    part, cursors.get(name)
+                )
+            admitted.append(parts)
+        return admitted
+
+    def _feed_parts(
+        self, chunk: FlowTable, parts: dict[str, FlowTable]
+    ) -> dict[str, list[ExtractionResult]]:
+        # Counted only once the chunk is admitted: counting earlier
+        # would break the conservation invariant sum(routed) == fed
+        # that the test suite holds.
         self._m_fed.inc(len(chunk))
         out: dict[str, list[ExtractionResult]] = {}
-        for name, routed in parts.items():
-            self._m_routed.labels(name).inc(len(routed))
-            out[name] = self._sessions[name].feed(routed)
+        for name, part in parts.items():
+            self._m_routed.labels(name).inc(len(part))
+            out[name] = self._sessions[name].feed(part)
         return out
 
     def route_chunk(self, chunk: FlowTable) -> dict[str, FlowTable]:

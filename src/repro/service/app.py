@@ -408,12 +408,12 @@ class ServiceApp:
         return rows, self.batch_accepted(rows)
 
     def _feed(self, chunks: Iterable[FlowTable], pipeline: str | None) -> int:
-        """Decode a whole body, then feed it.  Decoding finishes before
-        the first chunk is fed, so a refused body has fed nothing and
-        the client can resend it corrected without double-counting."""
+        """Decode a whole body, then feed it.  Decoding, and the fleet's
+        routing and checks of every table, finish before the first
+        table is fed, so a refused body has fed nothing and the client
+        can resend it corrected without double-counting."""
         tables = list(chunks)
-        for table in tables:
-            self.fleet.feed(table, pipeline=pipeline)
+        self.fleet.feed_all(tables, pipeline=pipeline)
         return sum(map(len, tables))
 
     # ------------------------------------------------------------------

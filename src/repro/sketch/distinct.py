@@ -3,16 +3,19 @@
 Every summary of a feature column needs the same two facts about it:
 which values occur and how often.  :func:`sorted_distinct` computes
 them with one ``np.sort`` plus a neighbour-inequality mask, and
-:func:`union_counts` merges two such summaries (a digest merge, a
-clone set fed in chunks).  Everything downstream - the ``C`` clone
-histograms, the observed-value back-map - hashes each *distinct* value
-once and scatters its count, instead of hashing every flow.  The
+:func:`union_all` merges ``k`` such summaries (an interval's site
+digests, a clone set fed in chunks) in one sort.  Everything
+downstream - the ``C`` clone histograms, the observed-value back-map -
+hashes each *distinct* value once and scatters its count, instead of
+hashing every flow.  The
 helpers stay on sort + mask because numpy's own set routines (unique /
 union without ``return_counts``) take a hash-then-sort path on numpy
 >= 2.3 that is 12-15x slower at interval-sized inputs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -56,30 +59,39 @@ def sorted_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, counts
 
 
+def union_all(
+    columns: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted union of ``k >= 1`` ``sorted_distinct`` columns, each a
+    ``(values, counts)`` pair, with the counts of a value several
+    columns hold added.
+
+    The columns are concatenated once and one stable argsort orders
+    them - timsort finds the ``k`` sorted runs and merges them - so the
+    counts follow the same order and one ``reduceat`` adds each run of
+    equal values.  When at most one column is non-empty it is returned
+    as is (no copy).
+    """
+    filled = [column for column in columns if column[0].size]
+    if len(filled) <= 1:
+        return filled[0] if filled else columns[-1]
+    merged = np.concatenate([values for values, _ in filled])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    starts = _run_starts(merged)
+    union = merged[starts]
+    counts = np.concatenate([counts for _, counts in filled])[order]
+    counts = np.add.reduceat(counts, starts)
+    union.setflags(write=False)
+    counts.setflags(write=False)
+    return union, counts
+
+
 def union_counts(
     a: np.ndarray,
     a_counts: np.ndarray,
     b: np.ndarray,
     b_counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted union of two ``sorted_distinct`` columns, with the
-    counts of a value both sides hold added.
-
-    One stable argsort merges the two sorted runs; the counts follow
-    the same order and ``reduceat`` adds each run of equal values.  An
-    empty side returns the other as is (no copy).
-    """
-    if a.size == 0:
-        return b, b_counts
-    if b.size == 0:
-        return a, a_counts
-    merged = np.concatenate((a, b))
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    starts = _run_starts(merged)
-    union = merged[starts]
-    counts = np.concatenate((a_counts, b_counts))[order]
-    counts = np.add.reduceat(counts, starts)
-    union.setflags(write=False)
-    counts.setflags(write=False)
-    return union, counts
+    """The two-column :func:`union_all`."""
+    return union_all(((a, a_counts), (b, b_counts)))

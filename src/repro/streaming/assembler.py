@@ -28,6 +28,7 @@ makes a chunked stream's output byte-identical to
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from repro.errors import CheckpointError, ConfigError
 from repro.flows.stream import (
@@ -57,6 +58,28 @@ _STATE_KINDS = {
     "backpressure_emits": count,
     "intervals_emitted": count,
 }
+
+
+class PushCursor(NamedTuple):
+    """What decides whether :meth:`IntervalAssembler.push` accepts a
+    chunk, and what an accepted push moves."""
+
+    next_emit: int
+    highest_seen: int
+    watermark: float
+    #: Whether any flow has been accepted (a pre-origin flow is then a
+    #: late drop, not a misconfigured origin).
+    started: bool
+
+
+def _guard(low: int, high: int, next_emit: int, started: bool) -> None:
+    """Refuse a chunk whose interval indices span ``low..high``."""
+    if low < 0 and not started:
+        raise ConfigError(
+            "origin is later than the earliest flow; intervals would "
+            "be negative"
+        )
+    check_gap("flow", high, next_emit, "the emit cursor")
 
 
 class IntervalAssembler:
@@ -277,15 +300,10 @@ class IntervalAssembler:
         # each (the iter_intervals split): a time-ordered chunk is cut
         # into row ranges of itself, only a disordered one is copied.
         order, keys, starts, stops = interval_runs(indices)
-        if keys[0] < 0 and self.flows_seen == 0:
-            raise ConfigError(
-                "origin is later than the earliest flow; intervals would "
-                "be negative"
-            )
         # Guard before buffering anything, so a rejected push leaves the
         # assembler untouched and the caller can drop the chunk and
         # continue.
-        check_gap("flow", keys[-1], self._next_emit, "the emit cursor")
+        _guard(keys[0], keys[-1], self._next_emit, self.flows_seen > 0)
         for k, lo, hi in zip(keys, starts, stops):
             rows = hi - lo
             if k < self._next_emit:
@@ -320,6 +338,37 @@ class IntervalAssembler:
             self._tracer.event("assembler.watermark", watermark=advanced)
         return self._drain()
 
+    def check(
+        self, chunk: FlowTable, cursor: PushCursor | None = None
+    ) -> PushCursor:
+        """Refuse ``chunk`` exactly as :meth:`push` would from
+        ``cursor`` (default: where this assembler stands), changing
+        nothing, and return the cursor that push would leave.  Chained,
+        it checks a batch of chunks before the first is pushed."""
+        at = self.cursor if cursor is None else cursor
+        if len(chunk) == 0:
+            return at
+        indices = interval_index(chunk.start, self.origin, self.interval_seconds)
+        low, high = int(indices.min()), int(indices.max())
+        _guard(low, high, at.next_emit, at.started)
+        next_emit, highest_seen = at.next_emit, max(at.highest_seen, high)
+        watermark = max(at.watermark, float(chunk.start.max()))
+        while next_emit <= highest_seen and any(
+            self._closes(next_emit, highest_seen, watermark)
+        ):
+            next_emit += 1
+        return PushCursor(
+            next_emit, highest_seen, watermark, at.started or high >= at.next_emit
+        )
+
+    @property
+    def cursor(self) -> PushCursor:
+        """Where this assembler stands (see :meth:`check`)."""
+        return PushCursor(
+            self._next_emit, self._highest_seen, self._watermark,
+            self.flows_seen > 0,
+        )
+
     def flush(self) -> list[IntervalView]:
         """Emit every pending interval (end of stream).
 
@@ -335,11 +384,8 @@ class IntervalAssembler:
     def _drain(self, force_all: bool = False) -> list[IntervalView]:
         completed: list[IntervalView] = []
         while self._next_emit <= self._highest_seen:
-            end = self.origin + (self._next_emit + 1) * self.interval_seconds
-            due = self._watermark >= end + self.max_delay_seconds
-            forced = (
-                self.max_pending_intervals is not None
-                and self.pending_intervals > self.max_pending_intervals
+            due, forced = self._closes(
+                self._next_emit, self._highest_seen, self._watermark
             )
             if not (due or forced or force_all):
                 break
@@ -352,6 +398,20 @@ class IntervalAssembler:
             completed.append(self._emit_next())
         self._update_gauges()
         return completed
+
+    def _closes(
+        self, k: int, highest_seen: int, watermark: float
+    ) -> tuple[bool, bool]:
+        """Whether pending interval ``k`` is due (the watermark passed
+        its end plus the lateness allowance) and whether backpressure
+        forces it out (more than ``max_pending_intervals`` open)."""
+        end = self.origin + (k + 1) * self.interval_seconds
+        due = watermark >= end + self.max_delay_seconds
+        forced = (
+            self.max_pending_intervals is not None
+            and highest_seen - k + 1 > self.max_pending_intervals
+        )
+        return due, forced
 
     def _update_gauges(self) -> None:
         ins = self._instruments

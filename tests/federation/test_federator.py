@@ -25,6 +25,7 @@ from repro.errors import (
     FederationError,
     SketchError,
 )
+from repro.federation import IntervalDigest
 from repro.federation.federator import (
     FEDERATED_ALGORITHM,
     FEDERATED_PREFILTER,
@@ -187,6 +188,33 @@ class TestStragglerPolicy:
         assert gap.stragglers == SITES
         assert gap.flow_count == 0
         assert released[1].sites == SITES
+
+    def test_multi_site_digest_is_merged_once(
+        self, site_digests, attack_flows, federator_factory,
+        collector_factory, monkeypatch,
+    ):
+        """A digest covering two sites fills both bucket slots; the
+        release merges the bucket's distinct digests in one call."""
+        calls = []
+        merge_all = IntervalDigest.merge_all
+
+        def spy(digests):
+            calls.append(list(digests))
+            return merge_all(digests)
+
+        both = site_digests["east"][0].merge(site_digests["west"][0])
+        north = collector_factory("north").summarize(
+            attack_flows.row_range(0, 100), 0
+        )
+        fed = federator_factory(sites=("east", "west", "north"))
+        monkeypatch.setattr(IntervalDigest, "merge_all", staticmethod(spy))
+        assert fed.add(both) == []
+        (released,) = fed.add(north)
+        # Sorted by first site: "east" (the pair), "north".
+        assert calls == [[both, north]]
+        assert released.sites == ("east", "north", "west")
+        assert released.stragglers == ()
+        assert released.flow_count == both.flow_count + north.flow_count
 
     def test_finish_flushes_pending(self, site_digests, federator_factory):
         fed = federator_factory()

@@ -338,6 +338,70 @@ class TestIngest:
         assert before == (served.sequence, served.health()["pipelines"])
 
 
+class TestRefusedBodyFeedsNothing:
+    """A body refused at feed time - by a pipeline's gap guard, an
+    unindexable start in a later table, or a fresh pipeline's origin
+    check - answers 400 having fed no pipeline: every table is routed
+    and checked against the cursor the earlier ones would leave before
+    the first is fed."""
+
+    @staticmethod
+    def body(*rows: tuple[float, int]) -> bytes:
+        lines = [",".join(ALL_COLUMNS)]
+        lines += [f"1,{dst},3,4,6,1,40,{start!r},0" for start, dst in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.fixture
+    def fleet(self, service_config):
+        fleet = FleetManager(
+            {"linkA": service_config, "linkB": service_config},
+            route="dst_ip%2",
+            interval_seconds=10.0,
+        )
+        yield fleet
+        fleet.close()
+
+    @pytest.mark.parametrize("chunk_rows,rows,refusal", [
+        # linkA takes the first row; linkB's row jumps 200,000
+        # intervals past its emit cursor.
+        (4096, [(5.0, 0), (2e6, 1)], "jumps 200000 intervals"),
+        (1, [(5.0, 0), (2e6, 1)], "jumps 200000 intervals"),
+        # The second table's start has no interval index.
+        (1, [(5.0, 0), (1e300, 0)], "no interval index"),
+        # linkB has accepted nothing: a pre-origin row is a bad origin.
+        (1, [(5.0, 0), (-5.0, 1)], "origin is later"),
+        # Measured from the cursor the second table leaves linkA at.
+        (1, [(5.0, 0), (15.0, 0), (1.5e6, 0)], "jumps 149999 intervals"),
+    ])
+    def test_refused_body_leaves_every_pipeline_as_it_was(
+        self, fleet, chunk_rows, rows, refusal
+    ):
+        app = ServiceApp(fleet, chunk_rows=chunk_rows)
+        warm = app.handle(req("POST", "/ingest", body=self.body((1.0, 0))))
+        assert warm[0] == 200
+        before = (app.sequence, app.health()["pipelines"])
+        status, body, _ = app.handle(
+            req("POST", "/ingest", body=self.body(*rows))
+        )
+        assert status == 400
+        assert refusal in json.loads(body)["error"]
+        assert before == (app.sequence, app.health()["pipelines"])
+
+    def test_a_later_table_is_checked_against_the_cursor_the_earlier_leave(
+        self, fleet
+    ):
+        """A pre-origin row after its pipeline's first accepted row is a
+        late drop, not a refusal, so the body is accepted as before."""
+        app = ServiceApp(fleet, chunk_rows=1)
+        status, _, _ = app.handle(req(
+            "POST", "/ingest", body=self.body((25.0, 1), (-5.0, 1), (5.0, 0))
+        ))
+        assert status == 200
+        linkB = app.health()["pipelines"]["linkB"]
+        assert (linkB["flows_seen"], linkB["late_dropped"]) == (1, 1)
+        assert app.health()["pipelines"]["linkA"]["flows_seen"] == 1
+
+
 class TestQueries:
     def test_incidents_listing(self, served):
         payload = body_of(served.handle(req("GET", "/incidents")))

@@ -43,8 +43,10 @@ class Recorder:
         self.metrics = MetricsRegistry()
         self.fed: list[FlowTable] = []
 
-    def feed(self, chunk: FlowTable, pipeline: str | None = None) -> None:
-        self.fed.append(chunk)
+    def feed_all(
+        self, chunks: list[FlowTable], pipeline: str | None = None
+    ) -> None:
+        self.fed.extend(chunks)
 
 
 @pytest.fixture(scope="module")
