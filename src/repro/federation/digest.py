@@ -29,6 +29,7 @@ Two properties carry the subsystem's correctness contract:
 
 from __future__ import annotations
 
+import itertools
 import json
 import zlib
 from collections.abc import Iterable, Sequence
@@ -51,7 +52,7 @@ from repro.state import (
     listof,
     mapping,
     pack_array,
-    packed,
+    packed_view,
     read_fields,
     record,
     text,
@@ -140,16 +141,91 @@ _SCHEMA_KINDS = {
 #: out (:meth:`IntervalDigest.to_json` splices the payload back in).
 _EMPTY_DATA = '"data":""'
 
-#: One feature document: its sorted distinct values and their counts.
-_FEATURE = record(observed=packed(np.uint64), counts=packed(np.int64))
+#: One feature document: its sorted distinct values and their counts,
+#: each left as sent until ``from_dict`` copies it into its column.
+_FEATURE = record(
+    observed=packed_view(np.uint64), counts=packed_view(np.int64)
+)
+
+#: Past this, an int64 sum of counts may wrap.
+_WRAP = 1 << 63
 
 
 def _total(counts: np.ndarray) -> int:
     """The exact sum of positive ``counts`` (an int64 sum wraps past
     2^63, which a crafted document could aim at ``flow_count``)."""
-    if counts.size == 0 or counts.size * int(counts.max()) < 1 << 63:
+    if counts.size == 0 or counts.size * int(counts.max()) < _WRAP:
         return int(counts.sum())
     return sum(counts.tolist())
+
+
+def _column(parts: list[np.ndarray], dtype: type) -> np.ndarray:
+    """``parts`` widened into one read-only ``dtype`` array."""
+    if not parts:
+        return np.empty(0, dtype)
+    column = np.concatenate(parts, dtype=dtype, casting="safe")
+    column.setflags(write=False)
+    return column
+
+
+def _aligned(name: str, observed: np.ndarray, counts: np.ndarray) -> None:
+    if len(observed) != len(counts):
+        raise FederationError(
+            f"feature {name!r} carries {len(counts)} counts for "
+            f"{len(observed)} observed values"
+        )
+
+
+def _check_feature(
+    name: str, observed: np.ndarray, counts: np.ndarray, flow_count: int
+) -> None:
+    """Refuse one feature's payload unless it is sorted, distinct,
+    positive counts of ``flow_count`` flows."""
+    # Merging unions observed sets as sorted runs.
+    if np.any(observed[1:] <= observed[:-1]):
+        raise FederationError(
+            f"feature {name!r} observed values are not sorted and distinct"
+        )
+    # An observed value was seen in at least one flow, and every flow
+    # carries exactly one value of every feature.
+    if counts.size and counts.min() < 1:
+        raise FederationError(
+            f"feature {name!r} counts must be positive flow counts: "
+            f"minimum {counts.min()}"
+        )
+    total = _total(counts)
+    if total != flow_count:
+        raise FederationError(
+            f"self-contradictory payload: feature {name!r} counts total "
+            f"{total} flows, the digest declares {flow_count}"
+        )
+
+
+def _columns_pass(
+    values: np.ndarray, counts: np.ndarray, ends: list[int], flow_count: int
+) -> bool:
+    """Whether every feature - the slice of ``values`` and ``counts``
+    up to its entry of ``ends`` - passes :func:`_check_feature`, decided
+    in one pass over the two columns.  ``False`` also when a total may
+    not be exact in int64; :func:`_check_feature` then decides."""
+    size = values.size
+    if flow_count >= _WRAP:
+        return False
+    if size == 0:
+        return flow_count == 0
+    # Ends never fall, so an empty feature repeats one (or ends at 0)
+    # - and cannot total flow_count > 0.
+    if len({0, *ends}) <= len(ends):
+        return False
+    rising = values[1:] > values[:-1]
+    # A feature's first value may sit below the previous feature's last.
+    rising[[end - 1 for end in ends[:-1]]] = True
+    if not rising.all() or counts.min() < 1:
+        return False
+    if size * int(counts.max()) >= _WRAP:
+        return False
+    totals = np.add.reduceat(counts, [0, *ends[:-1]])
+    return set(totals.tolist()) == {flow_count}
 
 
 def federation_features(
@@ -212,11 +288,7 @@ class IntervalDigest:
                     f"digest missing value counts for feature {name!r}"
                 )
             observed, counts = value_counts[name]
-            if len(observed) != len(counts):
-                raise FederationError(
-                    f"feature {name!r} carries {len(counts)} counts for "
-                    f"{len(observed)} observed values"
-                )
+            _aligned(name, observed, counts)
             observed.setflags(write=False)
             counts.setflags(write=False)
             values[name] = (observed, counts)
@@ -361,7 +433,13 @@ class IntervalDigest:
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "IntervalDigest":
         """Rebuild a digest, refusing foreign wire versions and value
-        counts that do not describe ``flow_count`` flows."""
+        counts that do not describe ``flow_count`` flows.
+
+        Every feature's observed values are copied into one uint64
+        column and its counts into one int64 column, in schema order,
+        and each feature keeps read-only views of its slices; the
+        checks run once over the two columns, and the features are
+        walked only to name the one that fails."""
         if not isinstance(doc, dict):
             raise FederationError(
                 f"digest must be a JSON object, got {type(doc).__name__}"
@@ -384,41 +462,35 @@ class IntervalDigest:
             features=mapping,
         )
         schema, flow_count = fields["schema"], fields["flow_count"]
+        names = schema.features
         payload = read_fields(
             "digest features", fields["features"], FederationError,
-            **dict.fromkeys(schema.features, _FEATURE),
+            **dict.fromkeys(names, _FEATURE),
         )
+        observed = [payload[name]["observed"] for name in names]
+        counts = [payload[name]["counts"] for name in names]
+        sizes = [part.size for part in observed]
+        if sizes != [part.size for part in counts]:
+            for name, values, tallies in zip(names, observed, counts):
+                _aligned(name, values, tallies)
+        ends = list(itertools.accumulate(sizes))
+        value_column = _column(observed, np.uint64)
+        count_column = _column(counts, np.int64)
         digest = cls(
             schema=schema,
             interval=fields["interval"],
             sites=fields["sites"],
             flow_count=flow_count,
             value_counts={
-                name: (payload[name]["observed"], payload[name]["counts"])
-                for name in schema.features
+                name: (value_column[start:end], count_column[start:end])
+                for name, start, end in zip(names, [0, *ends], ends)
             },
         )
-        for name, (observed, counts) in digest._values.items():
-            # Merging unions observed sets as sorted runs.
-            if np.any(observed[1:] <= observed[:-1]):
-                raise FederationError(
-                    f"feature {name!r} observed values are not sorted "
-                    f"and distinct"
-                )
-            # An observed value was seen in at least one flow, and
-            # every flow carries exactly one value of every feature.
-            if counts.size and counts.min() < 1:
-                raise FederationError(
-                    f"feature {name!r} counts must be positive flow "
-                    f"counts: minimum {counts.min()}"
-                )
-            total = _total(counts)
-            if total != flow_count:
-                raise FederationError(
-                    f"self-contradictory payload: feature {name!r} "
-                    f"counts total {total} flows, the digest declares "
-                    f"{flow_count}"
-                )
+        if not _columns_pass(value_column, count_column, ends, flow_count):
+            # Name the first feature that fails (or, past int64, sum
+            # the counts exactly and pass).
+            for name, (values, tallies) in digest._values.items():
+                _check_feature(name, values, tallies, flow_count)
         return digest
 
     @classmethod

@@ -16,7 +16,7 @@ The module also owns the two encodings those documents share:
 
 from __future__ import annotations
 
-import base64
+import binascii
 import itertools
 import json
 import math
@@ -185,13 +185,14 @@ def _narrowed(array: NDArray[Any]) -> NDArray[Any]:
     Integer columns narrow to the tightest dtype holding their value
     range (ports fit uint16, protocols uint8, ...) - exact by
     construction, since ``min_scalar_type`` covers ``[min, max]`` and
-    integer casts inside that range are lossless.  Float arrays
-    (histogram counts are float64 but integer-valued) narrow via a
-    cast-and-verify: the ``array_equal`` round trip through the narrow
-    dtype IS the correctness guarantee, so NaN, fractions, negatives,
-    and out-of-range values all fall back to the native rendering.
-    The checkpoint path calls this per array, so both paths stay at a
-    handful of numpy operations.
+    integer casts inside that range are lossless; an unsigned array
+    narrows on its maximum alone, since its minimum cannot widen the
+    rendering.  Float arrays (histogram counts are float64 but
+    integer-valued) narrow via a cast-and-verify: the ``array_equal``
+    round trip through the narrow dtype IS the correctness guarantee,
+    so NaN, fractions, negatives, and out-of-range values all fall
+    back to the native rendering.  The checkpoint path calls this per
+    array, so both paths stay at a handful of numpy operations.
     """
     if array.size < _NARROW_MIN_SIZE or array.dtype.kind not in "uif":
         return array
@@ -200,12 +201,11 @@ def _narrowed(array: NDArray[Any]) -> NDArray[Any]:
             narrowed = array.astype(np.uint32, casting="unsafe")
             if not np.array_equal(narrowed.astype(array.dtype), array):
                 return array
-        lo, hi = int(narrowed.min()), int(narrowed.max())
     else:
-        lo, hi = int(array.min()), int(array.max())
         narrowed = array
+    lo = 0 if narrowed.dtype.kind == "u" else int(narrowed.min())
     small = np.promote_types(
-        np.min_scalar_type(lo), np.min_scalar_type(hi)
+        np.min_scalar_type(lo), np.min_scalar_type(int(narrowed.max()))
     )
     if small.itemsize >= array.dtype.itemsize or small.kind not in "ui":
         return array
@@ -225,28 +225,27 @@ def pack_array(array: NDArray[Any]) -> dict[str, str]:
     Readers re-cast to their working dtype (:func:`packed`).
     """
     little = _narrowed(array)
-    little = little.astype(little.dtype.newbyteorder("<"), copy=False)
+    # base64 reads the contiguous little-endian buffer itself.
+    little = np.ascontiguousarray(little, little.dtype.newbyteorder("<"))
     return {
         "dtype": little.dtype.str,
-        "data": base64.b64encode(little.tobytes()).decode("ascii"),
+        "data": binascii.b2a_base64(little, newline=False).decode("ascii"),
     }
 
 
-def unpack_array(state: object) -> NDArray[Any]:
-    """Inverse of :func:`pack_array`; raises ``ValueError`` on
-    malformed input.
-
-    A plain flat list of numbers is also accepted (hand-written
-    states), making the packed form an encoding detail rather than a
-    schema requirement.
-    """
+def _payload(state: object) -> NDArray[Any]:
+    """The numbers a :func:`pack_array` document or a flat number list
+    holds - for a document, a read-only view of its decoded payload in
+    the tag's byte order; raises ``ValueError`` on malformed input."""
     if isinstance(state, Mapping):
         try:
             tag, data = state["dtype"], state["data"]
             if not (isinstance(tag, str) and isinstance(data, str)):
                 raise TypeError("dtype and data must be strings")
             dtype = np.dtype(tag)
-            raw = base64.b64decode(data, validate=True)
+            # Strict base64 read straight from the ASCII text (what
+            # ``b64decode(validate=True)`` runs after copying it).
+            raw = binascii.a2b_base64(data, strict_mode=True)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed packed array: {exc!r}") from exc
         if dtype.kind not in "uif" or len(raw) % dtype.itemsize:
@@ -254,11 +253,7 @@ def unpack_array(state: object) -> NDArray[Any]:
                 f"packed array buffer of {len(raw)} bytes does not "
                 f"divide into {dtype.str} numbers"
             )
-        # frombuffer views the read-only decode; astype to the native
-        # byte order yields an owned, platform-native array.
-        return np.frombuffer(raw, dtype=dtype).astype(
-            dtype.newbyteorder("="), copy=True
-        )
+        return np.frombuffer(raw, dtype)
     try:
         array = np.asarray(state)
     except ValueError as exc:  # ragged nesting
@@ -271,18 +266,39 @@ def unpack_array(state: object) -> NDArray[Any]:
     return array
 
 
-def packed(dtype: DTypeLike) -> Kind:
+def unpack_array(state: object) -> NDArray[Any]:
+    """Inverse of :func:`pack_array`: an owned, platform-native array;
+    raises ``ValueError`` on malformed input.
+
+    A plain flat list of numbers is also accepted (hand-written
+    states), making the packed form an encoding detail rather than a
+    schema requirement.
+    """
+    array = _payload(state)
+    return array.astype(array.dtype.newbyteorder("="))
+
+
+def packed_view(dtype: DTypeLike) -> Kind:
     """A :func:`pack_array` document (or a flat number list) holding
-    values that ``dtype`` represents exactly."""
+    values that ``dtype`` represents exactly, left as sent: a read-only
+    view of the decoded payload when ``dtype`` holds every value of its
+    tag (any width or byte order), else a verified cast to ``dtype``.
+    For a reader that copies the values into place itself."""
     target = np.dtype(dtype)
+    # np.can_cast costs more than the rest of a small array's read;
+    # only a few dozen numeric tags exist, so remember each answer.
+    safe: dict[np.dtype[Any], bool] = {}
 
     def kind(value: Any) -> NDArray[Any]:
         try:
-            array = unpack_array(value)
+            array = _payload(value)
         except ValueError as exc:
             raise _Refused(f": {exc}") from exc
-        if np.can_cast(array.dtype, target, "safe"):
-            return array.astype(target, copy=False)
+        fits = safe.get(array.dtype)
+        if fits is None:
+            fits = safe[array.dtype] = np.can_cast(array.dtype, target, "safe")
+        if fits:
+            return array
         with np.errstate(invalid="ignore"):
             cast = array.astype(target)
         if not np.array_equal(cast, array):
@@ -290,3 +306,10 @@ def packed(dtype: DTypeLike) -> Kind:
         return cast
 
     return kind
+
+
+def packed(dtype: DTypeLike) -> Kind:
+    """A :func:`packed_view`, copied into an owned ``dtype`` array."""
+    target = np.dtype(dtype)
+    view = packed_view(target)
+    return lambda value: view(value).astype(target)
