@@ -1,17 +1,13 @@
-"""Shared fixtures and reporting for the reproduction benchmarks.
+"""Reporting for the performance benches (``bench_<name>.py``).
 
-Every bench regenerates one table or figure of the paper.  Results are
-accumulated through the ``report`` fixture and printed in the terminal
-summary, so ``pytest benchmarks/ --benchmark-only`` shows the
-paper-vs-measured rows next to the timing table.
-
-Alongside the human report, every ``bench_<name>.py`` module that ran
-writes a machine-readable ``BENCH_<name>.json`` (to ``$BENCH_JSON_DIR``
-or the working directory): per-test wall-clock durations and outcomes,
-the module's uppercase parameter constants, the process peak RSS, and
-any structured metrics the bench passed to ``report(...)`` as keyword
-arguments.  These files seed the perf trajectory the columnar
-data-plane work will be measured against.
+Results are accumulated through the ``report`` fixture and printed in
+the terminal summary.  Every bench module that ran also writes a
+machine-readable ``BENCH_<name>.json`` (to ``$BENCH_JSON_DIR`` or the
+working directory): per-test wall-clock durations and outcomes, the
+module's uppercase parameter constants, the process peak RSS, and any
+structured metrics the bench passed to ``report(...)`` as keyword
+arguments.  The paper's tables and figures are tier-1 tests in
+``tests/paper/``.
 """
 
 from __future__ import annotations
@@ -21,14 +17,6 @@ import os
 import sys
 
 import pytest
-
-from repro.detection.detector import DetectorConfig
-from repro.detection.manager import DetectorBank
-from repro.traffic.scenarios import two_week_trace
-
-#: Scale notes shown next to every result.
-TWO_WEEK_FLOWS_PER_INTERVAL = 1500
-TWO_WEEK_EVENT_SCALE = 0.02
 
 _collected: list[str] = []
 #: bench name -> accumulated machine-readable record.
@@ -122,7 +110,7 @@ def pytest_sessionfinish(session, exitstatus):
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _collected:
-        terminalreporter.write_sep("=", "paper reproduction results")
+        terminalreporter.write_sep("=", "benchmark results")
         for line in _collected:
             terminalreporter.write_line(line)
     if _bench_tests:
@@ -133,61 +121,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             f"in {out_dir}"
         )
 
-
-#: Paper minimum supports 3000..10000 scaled by the event scale (0.02).
-SUPPORT_GRID = {60: 3000, 100: 5000, 140: 7000, 200: 10_000}
-
-
-@pytest.fixture(scope="session")
-def extraction_sweep(two_week):
-    """Offline extraction of every anomalous interval at each support.
-
-    Returns {support: [(interval, n_flows, itemsets, score), ...]} where
-    ``score`` is the ground-truth judgement - the raw material of
-    Fig. 9 (FP item-sets) and Fig. 10 (cost reduction).
-    """
-    from repro.analysis.metrics import judge_itemsets
-    from repro.core.prefilter import prefilter
-    from repro.flows.stream import interval_of
-    from repro.mining.apriori import apriori
-    from repro.mining.transactions import TransactionSet
-
-    trace = two_week["trace"]
-    run = two_week["run"]
-    sweep = {support: [] for support in SUPPORT_GRID}
-    for idx in sorted(trace.anomalous_intervals()):
-        metadata = run.report(idx).metadata()
-        if metadata.is_empty():
-            continue
-        interval = interval_of(trace.flows, idx, 900.0, origin=0.0)
-        selected = prefilter(interval.flows, metadata, "union")
-        transactions = TransactionSet.from_flows(selected.flows)
-        for support in SUPPORT_GRID:
-            result = apriori(transactions, support)
-            score = judge_itemsets(result.itemsets, interval.flows)
-            sweep[support].append(
-                (idx, len(interval.flows), result.itemsets, score)
-            )
-    return sweep
-
-
-@pytest.fixture(scope="session")
-def two_week():
-    """The Table IV / Fig. 6 / Fig. 9 / Fig. 10 workload.
-
-    Two weeks of 15-minute intervals (1344), 36 events in 31 distinct
-    anomalous intervals, flow volumes scaled ~1/15000 from the SWITCH
-    link (1500 baseline flows per interval, event sizes at 2% of the
-    paper's).  Detection runs once; all benches share the result.
-    """
-    trace = two_week_trace(
-        flows_per_interval=TWO_WEEK_FLOWS_PER_INTERVAL,
-        scale=TWO_WEEK_EVENT_SCALE,
-        seed=7,
-    )
-    config = DetectorConfig(
-        clones=3, bins=1024, vote_threshold=3, training_intervals=96
-    )
-    bank = DetectorBank(config, seed=1)
-    run = bank.run(trace.flows, trace.interval_seconds, origin=0.0)
-    return {"trace": trace, "run": run, "config": config}

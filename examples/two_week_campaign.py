@@ -7,7 +7,7 @@ runs the online pipeline over all 1344 intervals, and prints a per-class
 detection/extraction scorecard.
 
 This is the heaviest example (~60 s); it is the code path behind
-benchmarks/bench_table4_anomaly_census.py, bench_fig9 and bench_fig10.
+tests/paper/test_table4_anomaly_census.py, test_fig9 and test_fig10.
 
 Run:
     python examples/two_week_campaign.py

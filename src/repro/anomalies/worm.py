@@ -9,7 +9,7 @@ propagates in three flow-disjoint stages:
 
 Because the stages share no single flow, intersecting the per-stage
 meta-data yields the empty set while the union captures all three - the
-property exercised by ``benchmarks/bench_union_vs_intersection.py``.
+property exercised by ``tests/paper/test_ablation_union_vs_intersection.py``.
 """
 
 from __future__ import annotations

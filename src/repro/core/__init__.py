@@ -1,11 +1,9 @@
 """Core anomaly-extraction pipeline (the paper's contribution)."""
 
 from repro.core.config import (
-    TABLE3_PARAMETERS,
     ExtractionConfig,
     IncidentSettings,
     MiningSettings,
-    ParameterRow,
     StreamingSettings,
 )
 from repro.core.cost import CostCurvePoint, cost_curve, cost_reduction
@@ -32,12 +30,10 @@ from repro.core.session import (
 )
 
 __all__ = [
-    "TABLE3_PARAMETERS",
     "ExtractionConfig",
     "MiningSettings",
     "StreamingSettings",
     "IncidentSettings",
-    "ParameterRow",
     "CostCurvePoint",
     "cost_curve",
     "cost_reduction",

@@ -1154,54 +1154,3 @@ ConfigLike = (
     RunConfig | ExtractionConfig | Mapping | str | os.PathLike[str] | None
 )
 
-
-@dataclass(frozen=True, slots=True)
-class ParameterRow:
-    """One row of Table III."""
-
-    symbol: str
-    description: str
-    paper_range: str
-    repro_default: str
-
-
-#: Reproduction of Table III: parameters, descriptions, and the ranges
-#: used in Section III, plus this implementation's defaults.
-TABLE3_PARAMETERS = (
-    ParameterRow(
-        symbol="n",
-        description="number of histogram detectors (traffic features)",
-        paper_range="5 (srcIP, dstIP, srcPort, dstPort, #packets)",
-        repro_default="5",
-    ),
-    ParameterRow(
-        symbol="L",
-        description="measurement interval length",
-        paper_range="5, 10, 15 min",
-        repro_default="15 min (900 s)",
-    ),
-    ParameterRow(
-        symbol="k / m",
-        description="hash length k; bins per histogram m = 2^k",
-        paper_range="m in {512, 1024, 2048}",
-        repro_default="m = 1024",
-    ),
-    ParameterRow(
-        symbol="K (C)",
-        description="number of histogram clones per detector",
-        paper_range="1-25 (simulation); 3 (trace experiments)",
-        repro_default="3",
-    ),
-    ParameterRow(
-        symbol="V",
-        description="clones that must agree on a feature value (voting)",
-        paper_range="1-K; 3 (trace experiments)",
-        repro_default="3",
-    ),
-    ParameterRow(
-        symbol="s",
-        description="Apriori minimum support (flows)",
-        paper_range="3000-10000 (~1-10% of input flows)",
-        repro_default="scaled with workload",
-    ),
-)

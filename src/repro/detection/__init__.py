@@ -21,11 +21,7 @@ from repro.detection.kl import (
     kl_rows,
 )
 from repro.detection.manager import DetectionRun, DetectorBank, IntervalReport
-from repro.detection.metadata import (
-    TABLE1_DETECTORS,
-    DetectorDescription,
-    Metadata,
-)
+from repro.detection.metadata import Metadata
 from repro.detection.threshold import (
     DEFAULT_MULTIPLIER,
     MAD_TO_SIGMA,
@@ -54,8 +50,6 @@ __all__ = [
     "DetectionRun",
     "DetectorBank",
     "IntervalReport",
-    "TABLE1_DETECTORS",
-    "DetectorDescription",
     "Metadata",
     "DEFAULT_MULTIPLIER",
     "MAD_TO_SIGMA",

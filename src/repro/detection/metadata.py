@@ -4,8 +4,8 @@ Table I of the paper lists the meta-data different detector families can
 supply (histogram detectors: affected feature values; volume detectors:
 time span; PCA subspace: OD flow, ...).  This module defines the
 meta-data structure the extraction pipeline consumes - per-feature sets
-of suspicious values - together with union/intersection flow matching,
-and a registry reproducing Table I.
+of suspicious values - together with union/intersection flow matching
+(``tests/paper/test_table1_metadata.py`` holds Table I itself).
 """
 
 from __future__ import annotations
@@ -135,47 +135,6 @@ class Metadata:
             if len(values)
         )
         return f"Metadata({inner})"
-
-
-@dataclass(frozen=True, slots=True)
-class DetectorDescription:
-    """One row of the paper's Table I."""
-
-    detector: str
-    technique: str
-    metadata: str
-
-
-#: Reproduction of Table I: useful meta-data provided by well-known
-#: anomaly detectors.  The histogram-based detector of this library is
-#: the first row; the others are cited context.
-TABLE1_DETECTORS = (
-    DetectorDescription(
-        detector="Histogram-based detector (this work)",
-        technique="KL distance on hashed feature histograms",
-        metadata="affected feature values (IPs, ports, flow sizes)",
-    ),
-    DetectorDescription(
-        detector="Volume / SNMP detector (Lakhina et al. 2004)",
-        technique="PCA on link byte counts",
-        metadata="origin-destination flow carrying the anomaly",
-    ),
-    DetectorDescription(
-        detector="Entropy detector (Lakhina et al. 2005, Wagner 2005)",
-        technique="feature entropy time series",
-        metadata="feature distributions that changed",
-    ),
-    DetectorDescription(
-        detector="Sketch-based change detection (Krishnamurthy 2003)",
-        technique="count-min style forecasting per key",
-        metadata="hash bins / keys with forecast errors",
-    ),
-    DetectorDescription(
-        detector="Gamma-law sketch detector (Dewaele et al. 2007)",
-        technique="random projections + Gamma marginals",
-        metadata="anomalous source/destination addresses",
-    ),
-)
 
 
 def require_nonempty(metadata: Metadata, context: str) -> None:

@@ -31,7 +31,7 @@ closed-interval late-drop discipline.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -153,6 +153,17 @@ def _distinct(bucket: dict[str, IntervalDigest]) -> dict[str, IntervalDigest]:
     for site in sorted(bucket):
         first.setdefault(id(bucket[site]), site)
     return {site: bucket[site] for site in first.values()}
+
+
+def _check_unbuffered(digest: IntervalDigest, present: Collection[str]) -> None:
+    """Refuse ``digest`` when one of its sites is already ``present``
+    for its interval."""
+    for site in digest.sites:
+        if site in present:
+            raise FederationError(
+                f"duplicate digest from site {site!r} for "
+                f"interval {digest.interval}"
+            )
 
 
 class Federator:
@@ -310,12 +321,7 @@ class Federator:
         """
         self._check_admissible(digest, self._next)
         bucket = self._pending.setdefault(digest.interval, {})
-        for site in digest.sites:
-            if site in bucket:
-                raise FederationError(
-                    f"duplicate digest from site {site!r} for "
-                    f"interval {digest.interval}"
-                )
+        _check_unbuffered(digest, bucket)
         for site in digest.sites:
             bucket[site] = digest
             self._m_digests.labels(site).inc()
@@ -331,32 +337,62 @@ class Federator:
         (every site's interval ``i`` before anyone's ``i + 1``) and
         return what they released: the order a healthy deployment
         approximates, which keeps a replay - digest files, a request
-        body, per-site collector runs - free of stale refusals."""
+        body, per-site collector runs - free of stale refusals.
+
+        All or nothing: every digest is checked against the release
+        cursor and the buffer that the digests before it would leave
+        before the first is added, so a refused batch - with the error
+        the sequential :meth:`add` calls would raise - has buffered
+        and released nothing."""
+        ordered = sorted(digests, key=lambda pair: pair[0].interval)
+        self._admit([digest for digest, _ in ordered])
         released: list[FederatedInterval] = []
-        for digest, wire_bytes in sorted(
-            digests, key=lambda pair: pair[0].interval
-        ):
+        for digest, wire_bytes in ordered:
             released.extend(self.add(digest, wire_bytes=wire_bytes))
         return released
+
+    def _admit(self, digests: list[IntervalDigest]) -> None:
+        """Raise what :meth:`add` would raise on ``digests`` in turn,
+        without buffering or releasing any: the cursor and the buffered
+        sites move as the releases would move them."""
+        cursor, max_seen = self._next, self._max_seen
+        present: dict[int, set[str]] = {}
+        for digest in digests:
+            self._check_admissible(digest, cursor)
+            sites = present.setdefault(
+                digest.interval, set(self._pending.get(digest.interval, ()))
+            )
+            _check_unbuffered(digest, sites)
+            sites.update(digest.sites)
+            max_seen = max(max_seen, digest.interval)
+            while self._due(
+                cursor, max_seen, present.get(cursor, self._pending.get(cursor, ()))
+            ):
+                cursor += 1
 
     def finish(self) -> list[FederatedInterval]:
         """Flush every pending interval (end of stream)."""
         return self._drain(force=True)
 
+    def _due(
+        self, interval: int, max_seen: int, present: Collection[str]
+    ) -> bool:
+        """Whether the cursor's ``interval`` is released: every site is
+        ``present``, or ``straggler_grace`` later intervals were seen."""
+        return (
+            len(present) == len(self.sites)
+            or max_seen - interval >= self.straggler_grace
+        )
+
     def _drain(self, force: bool) -> list[FederatedInterval]:
         released: list[FederatedInterval] = []
-        while True:
-            if force:
-                if not self._pending:
-                    break
-            else:
-                bucket = self._pending.get(self._next)
-                complete = bucket is not None and len(bucket) == len(
-                    self.sites
-                )
-                overdue = self._max_seen - self._next >= self.straggler_grace
-                if not complete and not overdue:
-                    break
+        while (
+            self._pending
+            if force
+            else self._due(
+                self._next, self._max_seen, self._pending.get(self._next, ())
+            )
+        ):
             released.append(self._release(self._next))
         return released
 

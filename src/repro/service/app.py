@@ -319,15 +319,13 @@ class ServiceApp:
         accepted body advances the ingest sequence like an ingest
         batch, so digests land in the periodic checkpoints and a
         collector replays its stream from ``checkpointed_sequence``
-        after a daemon crash.  Malformed lines, foreign wire versions,
-        and digests whose sketch geometry contradicts their own schema
-        are refused (400) before any digest of the body is applied; a
+        after a daemon crash.  A refused body (400) applies nothing and
+        leaves the sequence where it was: malformed lines, foreign wire
+        versions and digests whose sketch geometry contradicts their
+        own schema are refused as the body is read, and a
         federator-level refusal (incompatible schema, unknown site,
-        stale or duplicate interval) also answers 400 but leaves the
-        body's earlier digests (it is applied interval-major) applied
-        and the sequence unadvanced -
-        collectors should ship one digest per request when they need
-        that boundary to be atomic.
+        stale or duplicate interval) before the first digest of the
+        body is buffered (:meth:`Federator.add_all`).
         """
         federator = self.federator
         if federator is None:

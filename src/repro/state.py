@@ -233,6 +233,28 @@ def pack_array(array: NDArray[Any]) -> dict[str, str]:
     }
 
 
+#: What a packed array tag of a kind no reader takes holds.
+_NON_NUMERIC_KINDS = dict(
+    b="boolean", c="complex", m="timedelta", M="datetime", O="object",
+    S="bytes", T="string", U="unicode", V="void",
+)
+
+#: The widths a flat list of Python ints is read at, in order.
+_INT_LIST_WIDTHS = (np.iinfo(np.int64), np.iinfo(np.uint64))
+
+
+def _int_list(values: list[int] | tuple[int, ...]) -> NDArray[Any]:
+    """``values`` as int64 when they fit, else as uint64 when they fit
+    (numpy alone reads a list mixing the two ranges as float64)."""
+    lo, hi = min(values), max(values)
+    for width in _INT_LIST_WIDTHS:
+        if width.min <= lo and hi <= width.max:
+            return np.array(values, width.dtype)
+    raise ValueError(
+        f"integer list spanning [{lo}, {hi}] fits neither int64 nor uint64"
+    )
+
+
 def _payload(state: object) -> NDArray[Any]:
     """The numbers a :func:`pack_array` document or a flat number list
     holds - for a document, a read-only view of its decoded payload in
@@ -248,12 +270,21 @@ def _payload(state: object) -> NDArray[Any]:
             raw = binascii.a2b_base64(data, strict_mode=True)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed packed array: {exc!r}") from exc
-        if dtype.kind not in "uif" or len(raw) % dtype.itemsize:
+        if dtype.kind not in "uif":
+            kind = _NON_NUMERIC_KINDS.get(dtype.kind, dtype.kind)
+            raise ValueError(f"packed array tag {dtype.str} is {kind}, not numeric")
+        if len(raw) % dtype.itemsize:
             raise ValueError(
                 f"packed array buffer of {len(raw)} bytes does not "
                 f"divide into {dtype.str} numbers"
             )
         return np.frombuffer(raw, dtype)
+    if (
+        isinstance(state, list | tuple)
+        and state
+        and all(type(value) is int for value in state)
+    ):
+        return _int_list(state)
     try:
         array = np.asarray(state)
     except ValueError as exc:  # ragged nesting

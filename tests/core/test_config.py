@@ -3,7 +3,7 @@
 import pytest
 
 import repro.api as api
-from repro.core.config import TABLE3_PARAMETERS, ExtractionConfig
+from repro.core.config import ExtractionConfig
 from repro.detection.detector import DetectorConfig
 from repro.errors import ConfigError
 
@@ -141,15 +141,3 @@ class TestPythonSpellingsAreTypeChecked:
     def test_none_is_refused_where_the_key_is_not_optional(self):
         with pytest.raises(ConfigError, match=r"\[mining\] min_support must"):
             ExtractionConfig(min_support=None)
-
-
-class TestTable3:
-    def test_covers_all_paper_parameters(self):
-        symbols = {row.symbol for row in TABLE3_PARAMETERS}
-        assert {"n", "L", "k / m", "K (C)", "V", "s"} <= symbols
-
-    def test_rows_have_descriptions_and_ranges(self):
-        for row in TABLE3_PARAMETERS:
-            assert row.description
-            assert row.paper_range
-            assert row.repro_default

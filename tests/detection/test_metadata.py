@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detection.features import Feature
-from repro.detection.metadata import (
-    TABLE1_DETECTORS,
-    Metadata,
-    require_nonempty,
-)
+from repro.detection.metadata import Metadata, require_nonempty
 from repro.errors import ExtractionError
 
 
@@ -121,12 +117,3 @@ class TestMetadata:
         require_nonempty(metadata, "test")  # no raise
         with pytest.raises(ExtractionError, match="no meta-data"):
             require_nonempty(Metadata(), "test")
-
-
-class TestTable1:
-    def test_histogram_detector_first_row(self):
-        assert "Histogram" in TABLE1_DETECTORS[0].detector
-        assert "feature values" in TABLE1_DETECTORS[0].metadata
-
-    def test_has_multiple_detector_families(self):
-        assert len(TABLE1_DETECTORS) >= 4

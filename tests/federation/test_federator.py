@@ -16,6 +16,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.api as api
 from repro.detection.features import Feature
@@ -23,6 +25,7 @@ from repro.errors import (
     CheckpointError,
     ConfigError,
     FederationError,
+    ReproError,
     SketchError,
 )
 from repro.federation import IntervalDigest
@@ -270,6 +273,61 @@ class TestRefusals:
             federator_factory(straggler_grace=0)
         with pytest.raises(ConfigError, match="interval length"):
             federator_factory(interval_seconds=0.0)
+
+
+class TestAddAll:
+    """``add_all`` is the sequential ``add`` calls, all or nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sequential_adds_or_nothing(
+        self, site_digests, federator_factory, data
+    ):
+        grace = data.draw(st.integers(1, 3))
+        done = data.draw(st.integers(0, 6))
+        buffered = data.draw(st.booleans())
+        body = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(("east", "west", "both")),
+                st.integers(max(0, done - 2), done + 3),
+            ),
+            min_size=1, max_size=6,
+        ))
+
+        def fresh():
+            fed = federator_factory(straggler_grace=grace)
+            for i in range(done):
+                for site in SITES:
+                    fed.add(site_digests[site][i])
+            if buffered:
+                fed.add(site_digests["east"][done])
+            return fed
+
+        def digest(site, i):
+            if site == "both":
+                return site_digests["east"][i].merge(site_digests["west"][i])
+            return site_digests[site][i]
+
+        pairs = [(digest(site, i), None) for site, i in body]
+        sequential, batch = fresh(), fresh()
+        before = json.dumps(batch.to_state(), sort_keys=True)
+        try:
+            expected = [
+                interval_doc(fi)
+                for d, _ in sorted(pairs, key=lambda pair: pair[0].interval)
+                for fi in sequential.add(d)
+            ]
+        except ReproError as exc:
+            with pytest.raises(ReproError) as refused:
+                batch.add_all(pairs)
+            assert type(refused.value) is type(exc)
+            assert str(refused.value) == str(exc)
+            assert json.dumps(batch.to_state(), sort_keys=True) == before
+        else:
+            assert [interval_doc(fi) for fi in batch.add_all(pairs)] == expected
+            assert json.dumps(batch.to_state(), sort_keys=True) == json.dumps(
+                sequential.to_state(), sort_keys=True
+            )
 
 
 class TestResume:

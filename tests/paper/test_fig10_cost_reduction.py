@@ -10,13 +10,11 @@ accordingly (~800-1200); the shape claims - monotone growth with s and
 saturation - are scale-free.
 """
 
-
-from conftest import SUPPORT_GRID
-
 from repro.core.cost import cost_curve
+from tests.paper.supports import SUPPORT_GRID
 
 
-def test_fig10_cost_reduction(benchmark, extraction_sweep, report):
+def test_fig10_cost_reduction(extraction_sweep):
     per_interval = {
         support: [
             (n_flows, len(itemsets))
@@ -26,30 +24,23 @@ def test_fig10_cost_reduction(benchmark, extraction_sweep, report):
         for support, rows in extraction_sweep.items()
     }
 
-    curve = benchmark(cost_curve, per_interval)
+    curve = cost_curve(per_interval)
 
-    report(
-        "",
-        "Fig. 10 - classification cost reduction R = |F| / |I| "
-        "(interval size ~1/750 of the paper's)",
-    )
-    for point in curve:
-        paper_support = SUPPORT_GRID[point.min_support]
-        report(
-            f"  s={point.min_support} (paper s={paper_support}): "
-            f"mean R={point.mean_reduction:.0f} "
-            f"mean item-sets={point.mean_itemsets:.1f} "
-            f"over {point.intervals} intervals "
-            f"(paper R: 600k-800k at full scale)"
-        )
+    found = "; ".join(
+        f"s={point.min_support} (paper s={SUPPORT_GRID[point.min_support]}): "
+        f"mean R={point.mean_reduction:.0f} "
+        f"mean item-sets={point.mean_itemsets:.1f} "
+        f"over {point.intervals} intervals"
+        for point in curve
+    ) + " (paper R: 600k-800k at full scale)"
 
     reductions = [p.mean_reduction for p in curve]
     # Monotone growth with minimum support (the Fig. 10 shape).
-    assert reductions == sorted(reductions)
+    assert reductions == sorted(reductions), found
     # Saturation: the relative gain of the last step is smaller than
     # the total dynamic range would suggest for linear growth.
-    assert reductions[-1] / reductions[0] < 5.0
+    assert reductions[-1] / reductions[0] < 5.0, found
     # Scale-adjusted magnitude: paper's 600k-800k / 750 ~ 800-1100.
-    assert 200 < reductions[-1] < 10_000
+    assert 200 < reductions[-1] < 10_000, found
     # The report stays small in absolute terms - the practical point.
-    assert curve[-1].mean_itemsets < 10
+    assert curve[-1].mean_itemsets < 10, found

@@ -16,29 +16,17 @@ from repro.analysis.voting_model import (
 BETA = 0.97
 
 
-def test_fig7_miss_probability_bound(benchmark, report):
-    grid = benchmark(fig7_grid, BETA, range(1, 26))
+def test_fig7_miss_probability_bound():
+    grid = fig7_grid(BETA, range(1, 26))
 
     v10 = p_anomalous_missed(BETA, 10, 10)
     v5 = p_anomalous_missed(BETA, 10, 5)
     mc = simulate_anomalous_miss(BETA, 10, 10, trials=200_000, seed=7)
 
-    report(
-        "",
-        "Fig. 7 - P(anomalous value missed) upper bound, beta=0.97",
-        f"  V=10, K=10: {v10:.3f} (paper: ~0.26 = 1 - 0.97^10)",
-        f"  V=5,  K=10: {v5:.2e} (paper: ~1e-7..1e-8)",
-        f"  Monte-Carlo (independent clones) V=K=10: {mc:.3f}",
-    )
-    for v in (1, 5, 10):
-        series = grid.get(v, [])
-        sample = [f"K={k}:{p:.2e}" for k, p in series if k in (5, 10, 15, 20, 25)]
-        report(f"  V={v}: " + ", ".join(sample))
-
     assert v10 <= 1.0
     assert abs(v10 - (1 - BETA**10)) < 1e-12
-    assert v5 < 1e-6
-    assert abs(mc - v10) < 0.01
+    assert v5 < 1e-6, f"V=5, K=10: {v5:.2e} (paper: ~1e-7..1e-8)"
+    assert abs(mc - v10) < 0.01, f"Monte-Carlo {mc:.3f} vs bound {v10:.3f}"
     # Monotone in V at fixed K=10.
     probs = [p_anomalous_missed(BETA, 10, v) for v in range(1, 11)]
     assert probs == sorted(probs)

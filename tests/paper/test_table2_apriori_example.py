@@ -15,11 +15,10 @@ surfaces on port 9022, and proxies A/B/C carry port 80.
 
 import pytest
 
-from repro.core.report import render_itemset_table
 from repro.detection.features import Feature
 from repro.mining.apriori import apriori
 from repro.mining.transactions import TransactionSet
-from repro.traffic.scenarios import TABLE2_PAPER_COUNTS, table2_interval
+from repro.traffic.scenarios import table2_interval
 
 SCALE = 0.1
 
@@ -32,35 +31,10 @@ def scenario():
     return table2_interval(scale=SCALE, seed=42)
 
 
-def test_table2_modified_apriori(benchmark, scenario, report):
+def test_table2_modified_apriori(scenario):
     transactions = TransactionSet.from_flows(scenario.flows)
 
-    result = benchmark.pedantic(
-        apriori,
-        args=(transactions, scenario.min_support),
-        rounds=3,
-        iterations=1,
-    )
-
-    report(
-        "",
-        "Table II - modified Apriori example "
-        f"(scale {SCALE}: {len(scenario.flows)} flows vs paper "
-        f"{TABLE2_PAPER_COUNTS['total']}; min support "
-        f"{scenario.min_support} vs paper {TABLE2_PAPER_COUNTS['min_support']})",
-    )
-    for stats in result.level_stats:
-        paper = PAPER_LEVELS.get(stats.size, "-")
-        report(
-            f"  {stats.size}-item-sets: found={stats.found} "
-            f"removed-as-non-maximal={stats.removed} kept={stats.kept} "
-            f"(paper found: {paper})"
-        )
-    report(
-        f"  maximal item-sets: {len(result.itemsets)} "
-        f"(paper: {PAPER_MAXIMAL})"
-    )
-    report(render_itemset_table(result.itemsets[:15]))
+    result = apriori(transactions, scenario.min_support)
 
     # Structural checks mirroring the paper's narrative.
     port7000 = [
@@ -95,26 +69,25 @@ def test_table2_modified_apriori(benchmark, scenario, report):
 
     # The headline claim: maximal output is an order of magnitude
     # smaller than the frequent family (paper: 15 of 191).
-    assert len(result.itemsets) <= len(result.all_frequent) / 3
+    found = (
+        f"{len(result.itemsets)} maximal of {len(result.all_frequent)} "
+        f"frequent (paper: {PAPER_MAXIMAL} of {sum(PAPER_LEVELS.values())})"
+    )
+    assert len(result.itemsets) <= len(result.all_frequent) / 3, found
     # Same magnitude as the paper's 15 item-sets.
-    assert 5 <= len(result.itemsets) <= 40
+    assert 5 <= len(result.itemsets) <= 40, found
 
 
-def test_table2_scales_with_input(benchmark, report):
+def test_table2_scales_with_input():
     """Same experiment at 5% scale - the report is scale-stable."""
     scenario = table2_interval(scale=0.05, seed=42)
     transactions = TransactionSet.from_flows(scenario.flows)
-    result = benchmark.pedantic(
-        apriori, args=(transactions, scenario.min_support), rounds=3,
-        iterations=1,
-    )
+    result = apriori(transactions, scenario.min_support)
     port7000 = [
         s for s in result.itemsets
         if s.as_dict().get(Feature.DST_PORT) == 7000
     ]
     assert port7000
-    assert 5 <= len(result.itemsets) <= 40
-    report(
-        f"  [scale-check] at scale 0.05: {len(result.itemsets)} maximal "
-        f"item-sets, flooding still surfaces"
+    assert 5 <= len(result.itemsets) <= 40, (
+        f"{len(result.itemsets)} maximal item-sets at scale 0.05"
     )

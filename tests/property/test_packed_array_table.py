@@ -118,6 +118,8 @@ CASES: dict[str, object] = {
     "list-u8-max": [0, U8_MAX],
     "list-two-to-63": [2**63],
     "list-beyond-u8": [2**64],
+    "list-both-ranges": [-1, 2**63],
+    "list-below-i8": [I8_MIN - 1],
     "list-integral-floats": [1.0, 2.0],
     "list-fractional": [1.5],
     "list-nan": [float("nan")],
@@ -404,130 +406,93 @@ EXPECTED: dict[str, dict[str, tuple]] = {
     "bool": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 2 bytes does not divide "
-            "into |b1 numbers",
+            "malformed case: array: packed array tag |b1 is boolean, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 2 bytes does not divide "
-            "into |b1 numbers",
+            "malformed case: array: packed array tag |b1 is boolean, not numeric",
         ),
-        "unpack_array": (
-            "ValueError",
-            "packed array buffer of 2 bytes does not divide into |b1 numbers",
-        ),
+        "unpack_array": ("ValueError", "packed array tag |b1 is boolean, not numeric"),
     },
     "complex": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 16 bytes does not divide "
-            "into <c16 numbers",
+            "malformed case: array: packed array tag <c16 is complex, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 16 bytes does not divide "
-            "into <c16 numbers",
+            "malformed case: array: packed array tag <c16 is complex, not numeric",
         ),
-        "unpack_array": (
-            "ValueError",
-            "packed array buffer of 16 bytes does not divide into <c16 numbers",
-        ),
+        "unpack_array": ("ValueError", "packed array tag <c16 is complex, not numeric"),
     },
     "unicode": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into <U2 numbers",
+            "malformed case: array: packed array tag <U2 is unicode, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into <U2 numbers",
+            "malformed case: array: packed array tag <U2 is unicode, not numeric",
         ),
-        "unpack_array": (
-            "ValueError",
-            "packed array buffer of 8 bytes does not divide into <U2 numbers",
-        ),
+        "unpack_array": ("ValueError", "packed array tag <U2 is unicode, not numeric"),
     },
     "bytes": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 2 bytes does not divide "
-            "into |S2 numbers",
+            "malformed case: array: packed array tag |S2 is bytes, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 2 bytes does not divide "
-            "into |S2 numbers",
+            "malformed case: array: packed array tag |S2 is bytes, not numeric",
         ),
-        "unpack_array": (
-            "ValueError",
-            "packed array buffer of 2 bytes does not divide into |S2 numbers",
-        ),
+        "unpack_array": ("ValueError", "packed array tag |S2 is bytes, not numeric"),
     },
     "object": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into |O numbers",
+            "malformed case: array: packed array tag |O is object, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into |O numbers",
+            "malformed case: array: packed array tag |O is object, not numeric",
         ),
-        "unpack_array": (
-            "ValueError",
-            "packed array buffer of 8 bytes does not divide into |O numbers",
-        ),
+        "unpack_array": ("ValueError", "packed array tag |O is object, not numeric"),
     },
     "datetime": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into <M8[s] numbers",
+            "malformed case: array: packed array tag <M8[s] is datetime, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into <M8[s] numbers",
+            "malformed case: array: packed array tag <M8[s] is datetime, not numeric",
         ),
         "unpack_array": (
             "ValueError",
-            "packed array buffer of 8 bytes does not divide into <M8[s] numbers",
+            "packed array tag <M8[s] is datetime, not numeric",
         ),
     },
     "void": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into |V8 numbers",
+            "malformed case: array: packed array tag |V8 is void, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into |V8 numbers",
+            "malformed case: array: packed array tag |V8 is void, not numeric",
         ),
-        "unpack_array": (
-            "ValueError",
-            "packed array buffer of 8 bytes does not divide into |V8 numbers",
-        ),
+        "unpack_array": ("ValueError", "packed array tag |V8 is void, not numeric"),
     },
     "structured": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into |V8 numbers",
+            "malformed case: array: packed array tag |V8 is void, not numeric",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: packed array buffer of 8 bytes does not divide "
-            "into |V8 numbers",
+            "malformed case: array: packed array tag |V8 is void, not numeric",
         ),
-        "unpack_array": (
-            "ValueError",
-            "packed array buffer of 8 bytes does not divide into |V8 numbers",
-        ),
+        "unpack_array": ("ValueError", "packed array tag |V8 is void, not numeric"),
     },
     "unknown-tag": {
         "packed-uint64": (
@@ -895,15 +860,12 @@ EXPECTED: dict[str, dict[str, tuple]] = {
         "unpack_array": ("<i8", [18446744073709551615, 0, 1]),
     },
     "list-u8-max": {
-        "packed-uint64": (
-            "ReproError",
-            "malformed case: array holds values that do not fit uint64",
-        ),
+        "packed-uint64": ("<u8", [0, 18446744073709551615]),
         "packed-int64": (
             "ReproError",
             "malformed case: array holds values that do not fit int64",
         ),
-        "unpack_array": ("<f8", [0, 4895412794951729152]),
+        "unpack_array": ("<u8", [0, 18446744073709551615]),
     },
     "list-two-to-63": {
         "packed-uint64": ("<u8", [9223372036854775808]),
@@ -916,18 +878,52 @@ EXPECTED: dict[str, dict[str, tuple]] = {
     "list-beyond-u8": {
         "packed-uint64": (
             "ReproError",
-            "malformed case: array: expected a packed array or a flat list of "
-            "numbers, got [18446744073709551616]",
+            "malformed case: array: integer list spanning [18446744073709551616, "
+            "18446744073709551616] fits neither int64 nor uint64",
         ),
         "packed-int64": (
             "ReproError",
-            "malformed case: array: expected a packed array or a flat list of "
-            "numbers, got [18446744073709551616]",
+            "malformed case: array: integer list spanning [18446744073709551616, "
+            "18446744073709551616] fits neither int64 nor uint64",
         ),
         "unpack_array": (
             "ValueError",
-            "expected a packed array or a flat list of numbers, got "
-            "[18446744073709551616]",
+            "integer list spanning [18446744073709551616, 18446744073709551616] fits "
+            "neither int64 nor uint64",
+        ),
+    },
+    "list-both-ranges": {
+        "packed-uint64": (
+            "ReproError",
+            "malformed case: array: integer list spanning [-1, 9223372036854775808] "
+            "fits neither int64 nor uint64",
+        ),
+        "packed-int64": (
+            "ReproError",
+            "malformed case: array: integer list spanning [-1, 9223372036854775808] "
+            "fits neither int64 nor uint64",
+        ),
+        "unpack_array": (
+            "ValueError",
+            "integer list spanning [-1, 9223372036854775808] fits neither int64 nor "
+            "uint64",
+        ),
+    },
+    "list-below-i8": {
+        "packed-uint64": (
+            "ReproError",
+            "malformed case: array: integer list spanning [-9223372036854775809, "
+            "-9223372036854775809] fits neither int64 nor uint64",
+        ),
+        "packed-int64": (
+            "ReproError",
+            "malformed case: array: integer list spanning [-9223372036854775809, "
+            "-9223372036854775809] fits neither int64 nor uint64",
+        ),
+        "unpack_array": (
+            "ValueError",
+            "integer list spanning [-9223372036854775809, -9223372036854775809] fits "
+            "neither int64 nor uint64",
         ),
     },
     "list-integral-floats": {

@@ -4,9 +4,9 @@ Real wire lines from two collectors are mutated byte by byte,
 truncated, spliced into each other, or replaced by random bytes.  Every
 body answers 200 or a typed 400 (a 500 is a bug), and a 400 applies
 nothing: the federator's resume state and ``/healthz`` are as they
-were.  Each body decodes to at most one digest, so a federator-level
-refusal (stale, duplicate) is atomic too - a body of several digests
-the federator refuses part-way is documented to keep its earlier ones.
+were.  A body of several digests that the federator refuses part-way
+(a repeated line, a line that the body's own releases make stale)
+buffers none of them either.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ def wire(service_config, service_chunks) -> list[bytes]:
     return lines
 
 
-@pytest.fixture(scope="module")
-def daemon(service_config):
+def open_daemon(service_config) -> ServiceApp:
     fleet = FleetManager(
         {"linkA": service_config},
         route="dst_ip",
@@ -60,16 +59,31 @@ def daemon(service_config):
         interval_seconds=INTERVAL_SECONDS,
         min_support=40,
     )
-    yield ServiceApp(fleet, federator=federator)
-    fleet.close()
+    return ServiceApp(fleet, federator=federator)
+
+
+@pytest.fixture(scope="module")
+def daemon(service_config):
+    app = open_daemon(service_config)
+    yield app
+    app.fleet.close()
 
 
 def post(app: ServiceApp, body: bytes) -> tuple[int, dict]:
+    """Post ``body``; a 400 must leave the federator's resume state and
+    ``/healthz`` as they were."""
+    before = (canonical_json(app.federator.to_state()), app.health())
     status, payload, _ = app.handle(HttpRequest(
         method="POST", target="/digest", path="/digest",
         query={}, headers={}, body=body,
     ))
-    return status, json.loads(payload)
+    answer = json.loads(payload)
+    assert status in (200, 400), answer
+    if status == 400:
+        assert "error" in answer
+        after = (canonical_json(app.federator.to_state()), app.health())
+        assert after == before
+    return status, answer
 
 
 @st.composite
@@ -110,11 +124,28 @@ def bodies(draw, wire: list[bytes]) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_any_body_is_answered_200_or_400(daemon, wire, data):
-    body = data.draw(bodies(wire))
-    before = (canonical_json(daemon.federator.to_state()), daemon.health())
-    status, answer = post(daemon, body)
-    assert status in (200, 400), answer
-    if status == 400:
-        assert "error" in answer
-        after = (canonical_json(daemon.federator.to_state()), daemon.health())
-        assert after == before
+    post(daemon, data.draw(bodies(wire)))
+
+
+@pytest.mark.parametrize(
+    ("lines", "refusal"),
+    [
+        # east 0 twice: the second copy is a duplicate.
+        ((0, 0), "duplicate digest from site 'east' for interval 0"),
+        # east 0 and west 0 release interval 0, so east 0 again is stale.
+        ((0, 4, 0), "stale digest for interval 0"),
+    ],
+    ids=["duplicated-good-line", "good-then-stale"],
+)
+def test_a_body_refused_part_way_buffers_nothing(
+    service_config, wire, lines, refusal
+):
+    app = open_daemon(service_config)
+    try:
+        status, answer = post(app, b"\n".join(wire[i] for i in lines))
+        assert status == 400
+        assert refusal in answer["error"]
+        assert app.federator.pending_intervals == 0
+        assert app.health()["sequence"] == 0
+    finally:
+        app.fleet.close()
