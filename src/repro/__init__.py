@@ -22,7 +22,7 @@ Quickstart::
 
 README.md maps every paper artifact to the module that reproduces it
 ("Paper mapping") and holds the measured performance ("Performance");
-``benchmarks/bench_*.py`` assert the paper's tables and figures.
+the tests in ``tests/paper/`` assert the paper's tables and figures.
 """
 
 import importlib.metadata as _importlib_metadata

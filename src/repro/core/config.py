@@ -876,14 +876,16 @@ class ServiceSettings:
             (plus one final write at graceful shutdown).  Size N to
             one or two measurement intervals of batches: a crash only
             re-replays the batches since the last write (which resume
-            absorbs exactly), and two-interval cadence is what keeps
-            checkpointing inside the benchmarked <5% ingest budget
-            (``benchmarks/bench_service_ingest.py``).
+            absorbs exactly), and two-interval cadence halves the
+            share of the ingest wall spent writing checkpoints (the
+            ``service_http`` ledger workload in ``benchmarks/perf/``
+            times the writes as ``service.checkpoint_s``).
         checkpoint_sync: fsync each checkpoint write.  Off by default -
             the atomic rename alone survives a killed process, which
             is the resume contract; turn it on when the deployment
-            must also survive power loss, at a measurable per-write
-            cost (see ``benchmarks/bench_service_ingest.py``).
+            must also survive power loss, at a per-write cost the
+            ledger does not time (its ``service_http`` workload writes
+            without fsync).
         max_body_bytes: largest accepted HTTP request body.
         chunk_rows: TCP ingest batch size (rows buffered per feed).
     """

@@ -4,8 +4,9 @@ Section III-E notes that "progressive implementations that use FP-trees
 ... have been shown to outperform standard hash tree implementations" of
 Apriori.  This module provides that faster comparator: identical output
 family, different algorithm - useful both as a performance baseline
-(``benchmarks/bench_mining_scaling.py``) and as a correctness
-cross-check (the property tests assert Apriori == FP-Growth == Eclat).
+(the ``forensic_sweep`` ledger workload in ``benchmarks/perf/`` times
+it as ``mining.fpgrowth_s``) and as a correctness cross-check (the
+property tests assert Apriori == FP-Growth == Eclat).
 """
 
 from __future__ import annotations

@@ -94,8 +94,9 @@ def write_checkpoint(
     byte-identical checkpoint, which the equivalence tests lean on.
     ``sync=True`` additionally fsyncs before the rename; the default
     skips it because process-kill durability needs only the atomic
-    rename, and a per-interval fsync dominates the checkpoint budget
-    on ordinary disks (see ``benchmarks/bench_service_ingest.py``).
+    rename.  The ``service_http`` ledger workload in
+    ``benchmarks/perf/`` times the default writes
+    (``service.checkpoint_s``).
     """
     try:
         payload = canonical_json(doc).encode("utf-8")

@@ -42,6 +42,11 @@ from repro.service.protocol import read_request, render_response
 
 _LOG = get_logger("service")
 
+#: The longest line the TCP ingest port reads, in bytes (asyncio's
+#: default stream limit, passed explicitly so the refusal can name it).
+LINE_LIMIT = 64 * 1024
+
+
 class ServiceSupervisor:
     """Own the daemon's sockets and serve the app over them.
 
@@ -104,6 +109,7 @@ class ServiceSupervisor:
                     self._serve_ingest,
                     host=self.host,
                     port=self.ingest_port,
+                    limit=LINE_LIMIT,
                 )
         except OSError as exc:
             await self.stop(final_checkpoint=False)
@@ -201,8 +207,15 @@ class ServiceSupervisor:
         (header-less, column order as ``/ingest``); rows are batched to
         ``chunk_rows`` and fed on the batch boundary and at EOF.  Each
         accepted batch is acknowledged ``ok <rows> <sequence>``; a
-        malformed batch is dropped and answered ``err <message>``."""
+        malformed batch is dropped and answered ``err <message>``.  A
+        line longer than :data:`LINE_LIMIT` drops the batch it would
+        have joined, is answered ``err``, and closes the connection:
+        past it there is no line boundary to resume at."""
         lines: list[str] = []
+
+        async def answer(reply: str) -> None:
+            writer.write(f"{reply}\n".encode())
+            await writer.drain()
 
         async def flush() -> None:
             nonlocal lines
@@ -219,12 +232,18 @@ class ServiceSupervisor:
                 if not isinstance(exc, ReproError):
                     _LOG.exception("unhandled error in a TCP ingest batch")
                 reply = "err " + str(exc).replace("\n", " ")
-            writer.write(f"{reply}\n".encode())
-            await writer.drain()
+            await answer(reply)
 
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:  # asyncio's LimitOverrunError
+                    await answer(
+                        f"err line longer than {LINE_LIMIT} bytes; "
+                        f"batch dropped, connection closed"
+                    )
+                    return
                 if not raw:
                     break
                 text = raw.decode("utf-8", errors="replace").strip()

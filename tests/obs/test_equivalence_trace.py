@@ -20,6 +20,7 @@ from repro.detection.metadata import Metadata
 from repro.federation import Collector, Federator, split_trace
 from repro.fleet.manager import FleetManager
 from repro.obs.trace import Tracer
+from repro.traffic import TraceGenerator, small_test
 
 CHUNK_ROWS = 517
 
@@ -121,6 +122,37 @@ class TestTraceOnVsOff:
         off, untraced = run(_config())
         assert traced and not untraced
         assert _rendered(on.extractions) == _rendered(off.extractions)
+
+
+class TestDisabledTracingIsFree:
+    """A disabled tracer costs one null call per span or event (the
+    per-call price is pinned by ``tests/obs/test_trace.py
+    test_null_tracer_hands_out_the_shared_null_span``), so what code
+    can change is how many calls an interval makes.  They are a few per
+    interval whatever its flows: instrumentation that scales with rows
+    or values breaks this."""
+
+    INTERVALS = 24
+    #: Today 98 calls (74 spans + 24 events) over 24 intervals.  At the
+    #: last reading a null span + event took ~0.6 us and an interval of
+    #: this trace ~0.6 ms, so even this bound stays under 1 % of one.
+    CALLS_PER_INTERVAL = 8
+
+    def calls(self, flows_per_interval):
+        trace = TraceGenerator(small_test(flows_per_interval), seed=3).generate(
+            self.INTERVALS
+        )
+        tracer = Tracer()
+        api.extract(
+            trace.flows, _config(), interval_seconds=trace.interval_seconds,
+            seed=1, tracer=tracer,
+        )
+        return len(tracer.spans), sum(len(s.events) for s in tracer.spans)
+
+    def test_calls_per_interval_do_not_grow_with_flows(self):
+        spans, events = self.calls(1500)
+        assert self.calls(3000) == (spans, events)
+        assert spans + events <= self.CALLS_PER_INTERVAL * self.INTERVALS
 
 
 class TestDetectionSpanExplainsAlarm:

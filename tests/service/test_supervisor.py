@@ -27,6 +27,7 @@ from repro.service.supervisor import (
     resume_sequence,
     run_service,
 )
+from repro.state import canonical_json
 
 
 def build_fleet(config, store_dir=None):
@@ -160,6 +161,46 @@ class TestSupervisorEndToEnd:
             )
             assert status == 413
             assert "max_body_bytes" in json.loads(body)["error"]
+            await supervisor.stop()
+
+        try:
+            asyncio.run(drive())
+        finally:
+            fleet.close()
+
+    def test_overlong_tcp_line_is_refused_with_err(
+        self, service_config, service_chunks, tmp_path
+    ):
+        """A line past the reader's limit drops the batch it would have
+        joined, answers ``err`` naming the limit, and hangs up; the
+        batch acknowledged before it stays fed."""
+        fleet = build_fleet(service_config)
+        app = ServiceApp(fleet, chunk_rows=2)
+        supervisor = ServiceSupervisor(app, port=0, ingest_port=0)
+        rows = csv_bytes(tmp_path, service_chunks[0]).splitlines()[1:]
+
+        async def drive():
+            await supervisor.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", supervisor.bound_ingest_port
+            )
+            writer.write(b"\n".join(rows[:2]) + b"\n")
+            assert await reader.readline() == b"ok 2 1\n"
+            acked = canonical_json(fleet.to_state())
+            writer.write(rows[2] + b"\n" + b"9" * 70_000 + b"\n")
+            writer.write(rows[3] + b"\n")
+            writer.write_eof()
+            assert await reader.readline() == (
+                b"err line longer than 65536 bytes; batch dropped, "
+                b"connection closed\n"
+            )
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            assert (app.sequence, canonical_json(fleet.to_state())) == (
+                1,
+                acked,
+            )
             await supervisor.stop()
 
         try:
