@@ -20,7 +20,7 @@ from pathlib import Path
 from repro import DetectorConfig, ExtractionConfig
 from repro.anomalies import DDoSInjector, EventSchedule
 from repro.api import extract
-from repro.incidents import IncidentStore
+from repro.incidents import IncidentStore, explain_incident
 from repro.traffic import TraceGenerator, small_test
 
 BURSTS = (20, 22, 24)
@@ -73,8 +73,7 @@ def main() -> None:
 
             top = ranked[0].incident
             print("\ntop incident drill-down:")
-            for interval, support, hint in store.itemset_history(top.key):
-                print(f"  interval {interval}: support {support} ({hint})")
+            print(explain_incident(store, ranked[0]).render())
             assert top.suspicious, "the DDoS must outrank the echoes"
             assert top.intervals_seen == len(BURSTS), (
                 "three bursts must correlate into one incident"

@@ -508,8 +508,6 @@ def open_fleet(
                 "[fleet.pipelines.<name>] sections to the run config"
             )
     elif isinstance(pipelines, int):
-        if pipelines < 1:
-            raise ConfigError(f"pipelines must be >= 1: {pipelines}")
         configs = {f"link{i}": base for i in range(pipelines)}
     elif isinstance(pipelines, Mapping):
         configs = {}
@@ -527,15 +525,11 @@ def open_fleet(
                     f"got {type(spec).__name__}"
                 )
     else:
-        names = [str(name) for name in pipelines]
-        duplicates = sorted({n for n in names if names.count(n) > 1})
-        if duplicates:
-            # A dict comprehension would silently collapse these and
-            # run fewer pipelines than the caller declared.
-            raise ConfigError(
-                f"duplicate pipeline names: {', '.join(duplicates)}"
-            )
-        configs = {name: base for name in names}
+        # The table refuses a repeated name, which a dict would
+        # silently collapse into fewer pipelines than declared.
+        configs = FleetSettings(
+            pipelines=tuple((str(name), base) for name in pipelines)
+        ).pipeline_configs()
     return FleetManager(
         configs,
         route=route,

@@ -34,15 +34,12 @@ def add_parser(sub: argparse._SubParsersAction) -> None:
     add_config_arg(inc)
     inc.add_argument("--top", type=positive_int, default=None,
                      help="only the k best-ranked incidents")
-    inc.add_argument("--show", type=int, default=None, metavar="ID",
-                     help="detail view of one incident (score "
-                     "components + per-interval history)")
     inc.add_argument("--profile", default="balanced",
                      help="ranking weight profile "
                      "(balanced, volume, campaign)")
     add_config_flags(inc, "incidents.jaccard", "incidents.quiet_gap")
     add_format_arg(inc, json_help="a single JSON array of incidents "
-                   "(one JSON object with --show or explain)")
+                   "(one JSON object with explain)")
     inc.set_defaults(func=run)
 
 
@@ -64,8 +61,6 @@ def run(args: argparse.Namespace) -> int:
         )
         if args.action == "explain":
             return _explain_incident(store, ranked, args)
-        if args.show is not None:
-            return _show_incident(store, ranked, args)
         total = len(ranked)
         if args.top is not None:
             ranked = ranked[: args.top]
@@ -97,63 +92,22 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
 
-def _lookup(ranked, incident_id: int):
-    """One ranked incident by id, or an IncidentError naming what the
-    store does have (the exit-2 contract for unknown ids)."""
+def _explain_incident(store, ranked, args: argparse.Namespace) -> int:
+    """Explain one ranked incident; an unknown id is an IncidentError
+    naming what the store does have (the exit-2 contract)."""
     from repro.errors import IncidentError
+    from repro.incidents import explain_incident
 
     by_id = {r.incident.incident_id: r for r in ranked}
-    entry = by_id.get(incident_id)
+    entry = by_id.get(args.incident_id)
     if entry is None:
         have = (
             f"{len(by_id)} incidents (ids {min(by_id)}..{max(by_id)})"
             if by_id else "no incidents"
         )
-        raise IncidentError(f"no incident #{incident_id}; store has {have}")
-    return entry
-
-
-def _show_incident(store, ranked, args: argparse.Namespace) -> int:
-    from repro.incidents import (
-        explain_incident,
-        render_vote_breakdown,
-    )
-
-    entry = _lookup(ranked, args.show)
-    # Bound to this incident's own span: a closed predecessor may share
-    # the same item-set key and its activity is not ours to show.
-    history = store.itemset_history(
-        entry.incident.key,
-        since=entry.incident.first_seen,
-        until=entry.incident.last_seen,
-    )
-    provenance = explain_incident(store, entry)
-    if args.format == "json":
-        data = entry.to_dict()
-        data["history"] = [
-            {"interval": i, "support": s, "hint": h}
-            for i, s, h in history
-        ]
-        data["vote_breakdown"] = provenance.vote_breakdown()
-        print(json.dumps(data, sort_keys=True))
-        return 0
-    print(entry.render())
-    for name, value in sorted(entry.components.items()):
-        print(f"  {name}: {value:.3f}")
-    for line in render_vote_breakdown(
-        provenance.vote_breakdown(), len(provenance.intervals)
-    ):
-        print(line)
-    print("  key item-set history:")
-    for interval, support, hint in history:
-        print(f"    interval {interval}: support {support} ({hint})")
-    return 0
-
-
-def _explain_incident(store, ranked, args: argparse.Namespace) -> int:
-    from repro.incidents import explain_incident
-
-    entry = _lookup(ranked, args.incident_id)
+        raise IncidentError(
+            f"no incident #{args.incident_id}; store has {have}"
+        )
     provenance = explain_incident(store, entry)
     if args.format == "json":
         print(json.dumps(provenance.to_dict(), sort_keys=True))

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 from repro.detection.detector import DetectorConfig
 from repro.detection.features import Feature, resolve_features
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count
 from repro.mining import miners
-from repro.obs.metrics import DEFAULT_BUCKETS
+from repro.obs.metrics import DEFAULT_BUCKETS, check_buckets
 from repro.registry import lookup
 
 #: ``[mining] prefilter_mode`` values: the paper's choice, then the
@@ -73,8 +73,7 @@ class MiningSettings:
     miner: str = "apriori"
 
     def __post_init__(self) -> None:
-        if self.min_support < 1:
-            raise ConfigError(f"min_support must be >= 1: {self.min_support}")
+        check_count("min_support", self.min_support)
         if self.prefilter_mode not in PREFILTER_MODES:
             raise ConfigError(
                 f"prefilter_mode must be one of {PREFILTER_MODES}: "
@@ -114,22 +113,14 @@ class StreamingSettings:
     keep_extractions: bool = True
 
     def __post_init__(self) -> None:
-        if self.window_intervals < 1:
+        check_count("window_intervals", self.window_intervals)
+        delay = self.max_delay_seconds
+        if not math.isfinite(delay) or delay < 0:
             raise ConfigError(
-                f"window_intervals must be >= 1: {self.window_intervals}"
+                f"max_delay_seconds must be finite and >= 0: {delay}"
             )
-        if self.max_delay_seconds < 0:
-            raise ConfigError(
-                f"max_delay_seconds must be >= 0: {self.max_delay_seconds}"
-            )
-        if (
-            self.max_pending_intervals is not None
-            and self.max_pending_intervals < 1
-        ):
-            raise ConfigError(
-                f"max_pending_intervals must be >= 1: "
-                f"{self.max_pending_intervals}"
-            )
+        if self.max_pending_intervals is not None:
+            check_count("max_pending_intervals", self.max_pending_intervals)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,13 +136,13 @@ class IncidentSettings:
             :class:`~repro.incidents.correlate.IncidentCorrelator` to
             merge non-identical item-sets into one incident
             (1.0 = exact matches only).  ``None`` (the default) keeps
-            whatever the store already persists (else 0.5); an explicit
-            value is written into the store and becomes its new
-            default.
+            whatever the store already persists (else
+            :data:`INCIDENT_JACCARD`); an explicit value is written
+            into the store and becomes its new default.
         quiet_gap: intervals of silence after which an active incident
             turns "quiet"; beyond the gap it is "closed" and a
             reappearance starts a new incident.  ``None`` defers to the
-            store like ``jaccard`` (else 2).
+            store like ``jaccard``.
     """
 
     store_path: str | None = None
@@ -163,10 +154,13 @@ class IncidentSettings:
             raise ConfigError(
                 f"incident jaccard must be in (0, 1]: {self.jaccard}"
             )
-        if self.quiet_gap is not None and self.quiet_gap < 1:
-            raise ConfigError(
-                f"incident quiet_gap must be >= 1: {self.quiet_gap}"
-            )
+        if self.quiet_gap is not None:
+            check_count("incident quiet_gap", self.quiet_gap)
+
+
+#: ``[incidents] jaccard`` / ``quiet_gap`` when neither the run config
+#: nor the store sets them (the correlator's defaults).
+INCIDENT_JACCARD, INCIDENT_QUIET_GAP = 0.5, 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,25 +206,9 @@ class ObsSettings:
                 f"{', '.join(map(repr, TRACE_FORMATS))}: "
                 f"{self.trace_format!r}"
             )
-        try:
-            buckets = tuple(float(b) for b in self.histogram_buckets)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"histogram_buckets must be numbers: "
-                f"{self.histogram_buckets!r}"
-            ) from exc
-        if not buckets:
-            raise ConfigError("histogram_buckets must not be empty")
-        if any(not math.isfinite(b) for b in buckets):
-            raise ConfigError(
-                f"histogram_buckets must be finite (+Inf is implicit): "
-                f"{buckets}"
-            )
-        if list(buckets) != sorted(set(buckets)):
-            raise ConfigError(
-                f"histogram_buckets must be strictly increasing: {buckets}"
-            )
-        object.__setattr__(self, "histogram_buckets", buckets)
+        object.__setattr__(
+            self, "histogram_buckets", check_buckets(self.histogram_buckets)
+        )
 
 
 #: Legacy flat constructor kwargs / attribute names -> (group, field).
@@ -906,25 +884,14 @@ class ServiceSettings:
             value = getattr(self, key)
             if value is None:
                 continue
-            if not isinstance(value, int) or not 0 <= value <= 65535:
+            whole = isinstance(value, int) and not isinstance(value, bool)
+            if not whole or not 0 <= value <= 65535:
                 raise ConfigError(
                     f"[service] {key} must be a port in [0, 65535]: "
                     f"{value!r}"
                 )
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"[service] checkpoint_every must be >= 1: "
-                f"{self.checkpoint_every}"
-            )
-        if self.max_body_bytes < 1:
-            raise ConfigError(
-                f"[service] max_body_bytes must be >= 1: "
-                f"{self.max_body_bytes}"
-            )
-        if self.chunk_rows < 1:
-            raise ConfigError(
-                f"[service] chunk_rows must be >= 1: {self.chunk_rows}"
-            )
+        for key in ("checkpoint_every", "max_body_bytes", "chunk_rows"):
+            check_count(f"[service] {key}", getattr(self, key))
 
     @classmethod
     def from_data(cls, data: Mapping | None) -> "ServiceSettings":
@@ -969,25 +936,18 @@ class FederationSettings:
     store_path: str | None = None
 
     def __post_init__(self) -> None:
+        for site in self.sites:
+            if not isinstance(site, str) or not site:
+                raise ConfigError(
+                    f"[federation] site names must be non-empty strings, "
+                    f"got {type(site).__name__}: {site!r}"
+                )
         if len(set(self.sites)) != len(self.sites):
             raise ConfigError(
                 f"[federation] sites must be unique: {list(self.sites)}"
             )
-        for site in self.sites:
-            if not site:
-                raise ConfigError(
-                    "[federation] site names must be non-empty"
-                )
-        if self.straggler_grace < 1:
-            raise ConfigError(
-                f"[federation] straggler_grace must be >= 1: "
-                f"{self.straggler_grace}"
-            )
-        if self.min_support < 1:
-            raise ConfigError(
-                f"[federation] min_support must be >= 1: "
-                f"{self.min_support}"
-            )
+        check_count("[federation] straggler_grace", self.straggler_grace)
+        check_count("[federation] min_support", self.min_support)
 
     @property
     def configured(self) -> bool:
@@ -1011,12 +971,6 @@ class FederationSettings:
                     f"[federation] sites must be a list of names, "
                     f"got {type(sites).__name__}: {sites!r}"
                 )
-            for site in sites:
-                if not isinstance(site, str):
-                    raise ConfigError(
-                        f"[federation] site names must be strings, "
-                        f"got {type(site).__name__}: {site!r}"
-                    )
             checked["sites"] = tuple(sites)
         return cls(**checked)  # type: ignore[arg-type]
 

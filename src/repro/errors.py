@@ -2,9 +2,12 @@
 
 All errors raised by this library derive from :class:`ReproError`, so
 callers can catch a single base class at API boundaries.
+:func:`check_count` is the one refusal of a count knob.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class ReproError(Exception):
@@ -21,6 +24,18 @@ class TraceFormatError(ReproError):
 
 class ConfigError(ReproError):
     """Invalid configuration value (bad parameter range or combination)."""
+
+
+def check_count(name: str, value: object) -> None:
+    """Refuse a count knob (a support floor, a window, a gap, a batch
+    size) that is not an integer >= 1: a :class:`ConfigError` naming
+    ``name``.  Booleans and floats are refused, ``2.0`` too."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise ConfigError(f"{name} must be an integer >= 1: {value}")
 
 
 class RegistryError(ConfigError):

@@ -187,16 +187,11 @@ class Federator:
         site_list = tuple(sites)
         if not site_list:
             raise FederationError("a federation needs at least one site")
-        if len(set(site_list)) != len(site_list):
-            raise FederationError(f"duplicate site names: {site_list}")
-        if min_support < 1:
-            raise FederationError(
-                f"min_support must be >= 1: {min_support}"
-            )
-        if straggler_grace < 1:
-            raise FederationError(
-                f"straggler_grace must be >= 1: {straggler_grace}"
-            )
+        FederationSettings(
+            sites=site_list,
+            min_support=min_support,
+            straggler_grace=straggler_grace,
+        )
         check_grid(interval_seconds, origin)
         self.sites = site_list
         self.config = config or DetectorConfig()

@@ -26,7 +26,7 @@ import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from repro.core.config import ExtractionConfig
+from repro.core.config import ExtractionConfig, FleetSettings
 from repro.core.pipeline import ExtractionResult, default_observers
 from repro.core.session import ExtractionSession, StreamExtraction
 from repro.errors import CheckpointError, ConfigError, ExtractionError
@@ -34,7 +34,7 @@ from repro.fleet.routing import Router, resolve_route, route_indices
 from repro.flows.stream import DEFAULT_INTERVAL_SECONDS, interval_index
 from repro.flows.table import FlowTable
 from repro.incidents.correlate import Incident
-from repro.incidents.rank import RankedIncident, rank_incidents
+from repro.incidents.rank import RankedIncident, check_ranking, rank_incidents
 from repro.obs.instruments import catalogued
 from repro.obs.metrics import MetricsRegistry, time_stage
 from repro.state import count, mapping, optional, read_fields
@@ -139,16 +139,7 @@ class FleetManager:
     ):
         if not pipelines:
             raise ConfigError("a fleet needs at least one pipeline")
-        for name, config in pipelines.items():
-            if not name or not isinstance(name, str):
-                raise ConfigError(
-                    f"pipeline name must be a non-empty string: {name!r}"
-                )
-            if not isinstance(config, ExtractionConfig):
-                raise ConfigError(
-                    f"pipeline {name!r} must map to an ExtractionConfig, "
-                    f"got {type(config).__name__}"
-                )
+        FleetSettings(pipelines=tuple(pipelines.items()))
         self._names: tuple[str, ...] = tuple(pipelines)
         self._origin, self._interval_seconds = origin, interval_seconds
         # Validate the route before any resource is acquired.
@@ -475,8 +466,7 @@ class FleetManager:
         quiet_gap: int | None,
         top: int | None,
     ) -> list[FleetIncident]:
-        if top is not None and top < 1:
-            raise ConfigError(f"top must be >= 1: {top}")
+        weights = check_ranking(profile, top)
         population: list[Incident] = []
         pipeline_of: dict[int, str] = {}
         for name, session in self._sessions.items():
@@ -488,7 +478,7 @@ class FleetManager:
         # rank_incidents' order is refined by pipeline name on ties.
         merged = [
             FleetIncident(pipeline=pipeline_of[id(r.incident)], ranked=r)
-            for r in rank_incidents(population, profile=profile)
+            for r in rank_incidents(population, profile=weights)
         ]
         merged.sort(
             key=lambda f: (

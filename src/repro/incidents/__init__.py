@@ -21,8 +21,8 @@ engines:
   (support mass, persistence, triage, detector votes) under a pluggable
   weight profile;
 * :func:`~repro.incidents.provenance.explain_incident` - joins one
-  ranked incident back to its contributing intervals (per-interval
-  key support, per-feature detector votes, extraction context) for
+  ranked incident back to its contributing intervals (the item-sets
+  absorbed in each, per-feature detector votes, extraction context) for
   the ``incidents <db> explain <id>`` narrative.
 
 CLI: ``repro-extract extract --store PATH`` to persist,
@@ -41,8 +41,6 @@ from repro.incidents.provenance import (
     IncidentProvenance,
     IntervalContribution,
     explain_incident,
-    render_vote_breakdown,
-    vote_breakdown,
 )
 from repro.incidents.rank import (
     PROFILES,
@@ -69,8 +67,6 @@ __all__ = [
     "correlate",
     "explain_incident",
     "jaccard_items",
-    "render_vote_breakdown",
-    "vote_breakdown",
     "PROFILES",
     "RankedIncident",
     "WeightProfile",

@@ -24,6 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.core.config import (
+    INCIDENT_JACCARD,
+    INCIDENT_QUIET_GAP,
+    IncidentSettings,
+)
 from repro.core.report import ExtractionReport
 from repro.errors import IncidentError
 from repro.mining.items import format_item
@@ -68,6 +73,12 @@ class Incident:
     hints: dict[str, int] = field(default_factory=dict)
     #: Lifecycle state, materialized by the correlator snapshot.
     state: str = "active"
+    #: Every item-set occurrence absorbed, in stream order, as
+    #: ``(interval, items, support, hint)`` - the exact-key and the
+    #: Jaccard-matched ones alike (what provenance lists).
+    occurrences: list[tuple[int, tuple[int, ...], int, str]] = field(
+        default_factory=list, repr=False, compare=False
+    )
     _counted_interval: int | None = field(
         default=None, repr=False, compare=False
     )
@@ -123,6 +134,7 @@ class Incident:
         votes: int,
     ) -> None:
         """Fold one triaged item-set occurrence into this incident."""
+        self.occurrences.append((interval, items, support, hint))
         self.items.update(items)
         self.last_seen = max(self.last_seen, interval)
         if self._counted_interval != interval:
@@ -152,11 +164,12 @@ class IncidentCorrelator:
             item-sets.
     """
 
-    def __init__(self, jaccard: float = 0.5, quiet_gap: int = 2):
-        if not 0 < jaccard <= 1:
-            raise IncidentError(f"jaccard must be in (0, 1]: {jaccard}")
-        if quiet_gap < 1:
-            raise IncidentError(f"quiet_gap must be >= 1: {quiet_gap}")
+    def __init__(
+        self,
+        jaccard: float = INCIDENT_JACCARD,
+        quiet_gap: int = INCIDENT_QUIET_GAP,
+    ):
+        IncidentSettings(jaccard=jaccard, quiet_gap=quiet_gap)
         self.jaccard = jaccard
         self.quiet_gap = quiet_gap
         self._incidents: list[Incident] = []
@@ -259,8 +272,8 @@ class IncidentCorrelator:
 
 def correlate(
     reports: Iterable[ExtractionReport],
-    jaccard: float = 0.5,
-    quiet_gap: int = 2,
+    jaccard: float = INCIDENT_JACCARD,
+    quiet_gap: int = INCIDENT_QUIET_GAP,
     now: int | None = None,
 ) -> list[Incident]:
     """One-shot correlation of an interval-ordered report sequence.

@@ -10,11 +10,11 @@ that back together into an :class:`IncidentProvenance`, and the
 renderer turns it into the HURRA-style narrative behind
 ``repro-extract incidents <db> explain <id>``.
 
-Everything here is a read-only join over :class:`IncidentStore`
-queries (:meth:`~repro.incidents.store.IncidentStore.itemset_history`
-bounded to the incident's own first/last-seen span, plus
+Everything here is a read-only join of the incident's own absorbed
+occurrences (what the correlator folded in, exact-key and
+Jaccard-matched alike) with
 :meth:`~repro.incidents.store.IncidentStore.report_at` per
-contributing interval) - no new state is persisted.
+contributing interval - no new state is persisted.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True)
 class IntervalContribution:
-    """One interval's part in an incident: the key item-set's support
-    there, its triage hint, and the detector/extraction context of the
+    """One interval's part in an incident: every item-set the incident
+    absorbed there, and the detector/extraction context of the
     interval's report."""
 
     interval: int
     start: float
     end: float
-    #: Support of the incident's key item-set in this interval.
+    #: Support and triage hint of the incident's key item-set here, or
+    #: of the strongest absorbed set where the key itself is absent.
     support: int
     hint: str
     #: Feature detectors that alarmed this interval (the votes).
@@ -47,6 +48,9 @@ class IntervalContribution:
     selected_flows: int
     algorithm: str
     min_support: int
+    #: ``(items, support, hint)`` of every set absorbed here, in report
+    #: order: the key and the Jaccard-matched sets alike.
+    itemsets: tuple[tuple[tuple[int, ...], int, str], ...]
 
     @property
     def votes(self) -> int:
@@ -65,7 +69,20 @@ class IntervalContribution:
             "selected_flows": self.selected_flows,
             "algorithm": self.algorithm,
             "min_support": self.min_support,
+            "itemsets": [
+                {
+                    "items": list(items),
+                    "rendered": _render_items(items),
+                    "support": support,
+                    "hint": hint,
+                }
+                for items, support, hint in self.itemsets
+            ],
         }
+
+
+def _render_items(items: tuple[int, ...]) -> str:
+    return ", ".join(format_item(i) for i in items)
 
 
 @dataclass(frozen=True)
@@ -77,8 +94,13 @@ class IncidentProvenance:
 
     def vote_breakdown(self) -> dict[str, int]:
         """Per-feature detector votes: in how many contributing
-        intervals each feature's detector alarmed."""
-        return vote_breakdown(self.intervals)
+        intervals each feature's detector alarmed, ordered by (votes
+        desc, name) for stable rendering."""
+        counts: dict[str, int] = {}
+        for contribution in self.intervals:
+            for feature in contribution.alarmed_features:
+                counts[feature] = counts.get(feature, 0) + 1
+        return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
     def to_dict(self) -> dict[str, Any]:
         data = self.entry.to_dict()
@@ -103,19 +125,29 @@ class IncidentProvenance:
         lines.append("  score components:")
         for name, value in sorted(self.entry.components.items()):
             lines.append(f"    {name}: {value:.3f}")
-        lines.extend(render_vote_breakdown(
-            self.vote_breakdown(), len(self.intervals)
-        ))
+        lines.append("  detector votes by feature:")
+        breakdown = self.vote_breakdown()
+        if not breakdown:
+            lines.append("    (no recorded votes)")
+        for feature, votes in breakdown.items():
+            lines.append(
+                f"    {feature}: alarmed in {votes}/{len(self.intervals)} "
+                "contributing intervals"
+            )
         lines.append("  contributing intervals:")
         for c in self.intervals:
             voters = ", ".join(c.alarmed_features) or "none"
             lines.append(
                 f"    interval {c.interval} [{c.start:g}..{c.end:g}]: "
-                f"support {c.support} ({c.hint}); "
                 f"{c.votes} detector votes ({voters}); "
                 f"{c.selected_flows}/{c.input_flows} flows selected; "
                 f"{c.algorithm} @ min-support {c.min_support}"
             )
+            for items, support, hint in c.itemsets:
+                lines.append(
+                    f"      {{{_render_items(items)}}}: "
+                    f"support {support} ({hint})"
+                )
         hints = ", ".join(
             f"{hint} x{count}" for hint, count in sorted(inc.hints.items())
         )
@@ -129,57 +161,26 @@ class IncidentProvenance:
         return "\n".join(lines)
 
 
-def vote_breakdown(
-    intervals: tuple[IntervalContribution, ...] | list[IntervalContribution],
-) -> dict[str, int]:
-    """Fold per-interval alarmed features into feature -> vote counts,
-    ordered by (votes desc, name) for stable rendering."""
-    counts: dict[str, int] = {}
-    for contribution in intervals:
-        for feature in contribution.alarmed_features:
-            counts[feature] = counts.get(feature, 0) + 1
-    return dict(
-        sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    )
-
-
-def render_vote_breakdown(
-    breakdown: dict[str, int], total: int
-) -> list[str]:
-    """Text lines for a per-feature vote breakdown (shared by the
-    ``--show`` detail view and ``explain``)."""
-    lines = ["  detector votes by feature:"]
-    if not breakdown:
-        lines.append("    (no recorded votes)")
-        return lines
-    for feature, votes in breakdown.items():
-        lines.append(
-            f"    {feature}: alarmed in {votes}/{total} "
-            "contributing intervals"
-        )
-    return lines
-
-
 def explain_incident(
     store: "IncidentStore", entry: "RankedIncident"
 ) -> IncidentProvenance:
     """Join one ranked incident back to its contributing intervals.
 
-    The history is bounded to the incident's own first/last-seen span
-    (a closed predecessor may share the item-set key; its activity is
-    not this incident's).  Intervals in the history always have a
-    stored report - the item-set row and the report row are written in
-    the same transaction - so :meth:`report_at` cannot miss.
+    Every interval where the incident absorbed an item-set contributes
+    - by exact key or by Jaccard match - so the list is as long as
+    ``intervals_seen``.  Each of them has a stored report (the
+    correlator read the sets from it), so :meth:`report_at` cannot
+    miss.
     """
     incident = entry.incident
-    history = store.itemset_history(
-        incident.key,
-        since=incident.first_seen,
-        until=incident.last_seen,
-    )
+    by_interval: dict[int, list[tuple[tuple[int, ...], int, str]]] = {}
+    for interval, items, support, hint in incident.occurrences:
+        by_interval.setdefault(interval, []).append((items, support, hint))
     contributions = []
-    for interval, support, hint in history:
+    for interval, sets in by_interval.items():
         report = store.report_at(interval)
+        keyed = [s for s in sets if s[0] == incident.key]
+        _, support, hint = keyed[0] if keyed else max(sets, key=lambda s: s[1])
         contributions.append(IntervalContribution(
             interval=interval,
             start=report.start,
@@ -191,6 +192,7 @@ def explain_incident(
             selected_flows=report.selected_flows,
             algorithm=report.algorithm,
             min_support=report.min_support,
+            itemsets=tuple(sets),
         ))
     return IncidentProvenance(
         entry=entry, intervals=tuple(contributions)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import log1p
 from typing import Any, Iterable
 
-from repro.errors import IncidentError
+from repro.errors import ConfigError, check_count
 from repro.incidents.correlate import Incident
 
 #: Score multiplier of an incident none of whose item-sets were
@@ -46,11 +46,11 @@ class WeightProfile:
         weights = (self.support_mass, self.persistence, self.triage,
                    self.votes)
         if any(w < 0 for w in weights):
-            raise IncidentError(
+            raise ConfigError(
                 f"profile {self.name!r}: weights must be >= 0: {weights}"
             )
         if sum(weights) <= 0:
-            raise IncidentError(
+            raise ConfigError(
                 f"profile {self.name!r}: at least one weight must be > 0"
             )
 
@@ -101,10 +101,22 @@ def resolve_profile(profile: str | WeightProfile) -> WeightProfile:
     try:
         return PROFILES[profile]
     except KeyError:
-        raise IncidentError(
+        raise ConfigError(
             f"unknown weight profile {profile!r}; "
             f"choose from {sorted(PROFILES)}"
         ) from None
+
+
+def check_ranking(
+    profile: str | WeightProfile, top: int | None
+) -> WeightProfile:
+    """The one check of the ranking knobs, run before any population is
+    read (a typo'd ``--profile`` fails on an empty store too): the
+    resolved ``profile``; ``top`` is ``None`` or an integer >= 1."""
+    weights = resolve_profile(profile)
+    if top is not None:
+        check_count("top", top)
+    return weights
 
 
 def score_incident(
@@ -159,11 +171,7 @@ def rank_incidents(
     Ties break deterministically on (earlier first_seen, key), so the
     ordering is reproducible across runs and platforms.
     """
-    # Validate the knobs even when there is nothing to rank - a typo'd
-    # --profile must error, not silently print "no incidents".
-    profile = resolve_profile(profile)
-    if top is not None and top < 1:
-        raise IncidentError(f"top must be >= 1: {top}")
+    profile = check_ranking(profile, top)
     population = list(incidents)
     if not population:
         return []

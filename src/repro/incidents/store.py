@@ -22,6 +22,11 @@ import sqlite3
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
+from repro.core.config import (
+    INCIDENT_JACCARD,
+    INCIDENT_QUIET_GAP,
+    IncidentSettings,
+)
 from repro.core.report import ExtractionReport
 from repro.errors import ExtractionError, IncidentError
 from repro.obs.instruments import catalogued
@@ -103,19 +108,14 @@ class IncidentStore:
         # Validate and canonicalize explicit knobs BEFORE anything is
         # persisted: a bad (or non-canonically rendered, e.g.
         # quiet_gap=2.0 -> "2.0") value written into store_meta would
-        # poison every later open (same bounds as ExtractionConfig /
-        # IncidentCorrelator).
+        # poison every later open.  A whole float gap is taken as its
+        # integer; the rest is the table's check.
+        if isinstance(quiet_gap, float) and quiet_gap.is_integer():
+            quiet_gap = int(quiet_gap)
+        IncidentSettings(jaccard=jaccard, quiet_gap=quiet_gap)
         if jaccard is not None:
-            if not 0 < jaccard <= 1:
-                raise IncidentError(
-                    f"jaccard must be in (0, 1]: {jaccard}"
-                )
             jaccard = float(jaccard)
         if quiet_gap is not None:
-            if int(quiet_gap) != quiet_gap or quiet_gap < 1:
-                raise IncidentError(
-                    f"quiet_gap must be an integer >= 1: {quiet_gap}"
-                )
             quiet_gap = int(quiet_gap)
         try:
             self._conn = sqlite3.connect(path, timeout=timeout)
@@ -150,13 +150,13 @@ class IncidentStore:
             #: ``incident_quiet_gap`` through here) are persisted in
             #: ``store_meta``, so a later ``repro-extract incidents``
             #: query correlates with the knobs the store was *written*
-            #: with instead of silently reverting to 0.5/2.
-            self.jaccard = float(
-                self._resolve_knob("incident_jaccard", jaccard, 0.5)
-            )
-            self.quiet_gap = int(
-                self._resolve_knob("incident_quiet_gap", quiet_gap, 2)
-            )
+            #: with instead of silently reverting to the fallback.
+            self.jaccard = float(self._resolve_knob(
+                "incident_jaccard", jaccard, INCIDENT_JACCARD
+            ))
+            self.quiet_gap = int(self._resolve_knob(
+                "incident_quiet_gap", quiet_gap, INCIDENT_QUIET_GAP
+            ))
             # In-memory mirror of the store_meta marker so the ingest
             # hot path (one guard check per append, one note per
             # interval) never re-reads it; valid because the monotonic
@@ -471,33 +471,19 @@ class IncidentStore:
         return self._decode(row[0])
 
     def itemset_history(
-        self,
-        items: Iterable[int],
-        since: int | None = None,
-        until: int | None = None,
+        self, items: Iterable[int]
     ) -> list[tuple[int, int, str]]:
-        """Every occurrence of one exact item-set across the log.
-
-        Returns ``(interval, support, hint)`` rows in interval order -
-        the raw material of an incident drill-down.  ``since``/``until``
-        bound the intervals (inclusive): an incident's drill-down passes
-        its own ``first_seen``/``last_seen`` so it doesn't absorb the
-        history of an earlier, closed incident that happened to carry
-        the same item-set key.
+        """Every occurrence of one exact item-set across the log:
+        ``(interval, support, hint)`` rows in interval order.  An
+        incident's drill-down is
+        :func:`~repro.incidents.provenance.explain_incident`, which also
+        names its Jaccard-matched sets.
         """
-        clauses, params = ["key = ?"], [itemset_key(items)]
-        if since is not None:
-            clauses.append("interval >= ?")
-            params.append(int(since))
-        if until is not None:
-            clauses.append("interval <= ?")
-            params.append(int(until))
         with self._wrap_db_errors():
             rows = self._connection().execute(
                 "SELECT interval, support, hint FROM itemsets "
-                f"WHERE {' AND '.join(clauses)} "
-                "ORDER BY interval, report_id",
-                params,
+                "WHERE key = ? ORDER BY interval, report_id",
+                (itemset_key(items),),
             ).fetchall()
         return [(int(i), int(s), str(h)) for i, s, h in rows]
 
@@ -547,7 +533,7 @@ class IncidentStore:
         it.  ``jaccard``/``quiet_gap`` default to the values the store
         was *written* with (the pipeline seeds them from
         ``ExtractionConfig`` and they persist in ``store_meta``), else
-        0.5/2.
+        the fallbacks in :mod:`repro.core.config`.
         """
         from repro.incidents.correlate import correlate
 

@@ -101,8 +101,6 @@ def apriori(
     Returns:
         A :class:`~repro.mining.result.MiningResult`.
     """
-    if min_support < 1:
-        raise MiningError(f"min_support must be >= 1: {min_support}")
     if counting not in _COUNTING_BACKENDS:
         raise MiningError(
             f"unknown counting backend {counting!r}; "

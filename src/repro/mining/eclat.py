@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import MiningError
 from repro.mining.items import FEATURE_SHIFT
 from repro.mining.maximal import filter_maximal
 from repro.mining.result import MiningResult, build_result
@@ -52,8 +51,6 @@ def eclat(
     maximal_only: bool = True,
 ) -> MiningResult:
     """Mine frequent item-sets with vertical DFS (Eclat)."""
-    if min_support < 1:
-        raise MiningError(f"min_support must be >= 1: {min_support}")
     item_support = transactions.frequent_items(min_support)
     all_frequent: dict[tuple[int, ...], int] = {}
     if item_support:

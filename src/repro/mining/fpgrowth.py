@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.errors import MiningError
 from repro.mining.maximal import filter_maximal
 from repro.mining.result import MiningResult, build_result
 from repro.mining.transactions import TransactionSet
@@ -112,8 +111,6 @@ def fpgrowth(
     Returns the same result family as :func:`repro.mining.apriori.apriori`
     (asserted by the property-based tests).
     """
-    if min_support < 1:
-        raise MiningError(f"min_support must be >= 1: {min_support}")
     item_support = transactions.frequent_items(min_support)
     all_frequent: dict[tuple[int, ...], int] = {}
     if item_support:

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import MiningError
+from repro.errors import MiningError, check_count
 from repro.mining.apriori import apriori
 from repro.mining.maximal import filter_maximal
 from repro.mining.result import MiningResult, build_result
@@ -57,8 +57,6 @@ def local_min_support(
     at the scaled threshold produces a candidate superset of the global
     answer - no false negatives by construction.
     """
-    if min_support < 1:
-        raise MiningError(f"min_support must be >= 1: {min_support}")
     if shard_size < 0 or total_size < shard_size:
         raise MiningError(
             f"invalid shard sizing: shard {shard_size} of {total_size}"
@@ -171,8 +169,7 @@ def son(
     (the default, and what ``miners["son"]`` runs) degenerates to
     apriori plus a verification pass.
     """
-    if min_support < 1:
-        raise MiningError(f"min_support must be >= 1: {min_support}")
+    check_count("min_support", min_support)
     n = len(transactions)
     shards = partition_transactions(transactions, partitions)
     candidates = merge_candidates(

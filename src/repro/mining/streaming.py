@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 from collections import Counter, deque
 
-from repro.errors import CheckpointError, MiningError
+from repro.errors import CheckpointError, MiningError, check_count
 from repro.flows.table import FlowTable
 from repro.mining.eclat import eclat
 from repro.mining.result import MiningResult
@@ -51,10 +51,8 @@ class SlidingWindowMiner:
         miner=eclat,
         maximal_only: bool = True,
     ):
-        if window < 1:
-            raise MiningError(f"window must be >= 1: {window}")
-        if min_support < 1:
-            raise MiningError(f"min_support must be >= 1: {min_support}")
+        check_count("window", window)
+        check_count("min_support", min_support)
         if not maximal_only and not _accepts_maximal_only(miner):
             # Fail here, not at the first mine(): a plain two-argument
             # custom miner cannot honor the request, and silently

@@ -26,7 +26,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.detection.features import MINING_FEATURES
-from repro.errors import MiningError
+from repro.errors import MiningError, check_count
 from repro.flows.table import FlowTable
 from repro.mining.items import FEATURE_SHIFT, VALUE_MASK, item_feature
 from repro.sketch.distinct import sorted_distinct
@@ -194,8 +194,7 @@ class TransactionSet:
 
     def frequent_items(self, min_support: int) -> dict[int, int]:
         """{item: support} for items meeting the minimum support."""
-        if min_support < 1:
-            raise MiningError(f"min_support must be >= 1: {min_support}")
+        check_count("min_support", min_support)
         items, counts = self.item_supports()
         keep = counts >= min_support
         return {

@@ -36,6 +36,8 @@ import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
 
+from repro.errors import ConfigError
+
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
@@ -45,6 +47,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
+    "check_buckets",
     "time_stage",
 ]
 
@@ -63,11 +66,30 @@ _METRIC_TYPES = ("counter", "gauge", "histogram")
 
 
 class MetricsError(ValueError):
-    """Misuse of the metrics API (type mismatch, bad labels, ...).
+    """Misuse of the metrics API (type mismatch, bad labels, ...); bad
+    bucket bounds are a knob's :class:`~repro.errors.ConfigError`."""
 
-    A ``ValueError`` subclass so the obs core stays importable without
-    the rest of the library's error hierarchy.
-    """
+
+def check_buckets(buckets: Sequence[float]) -> tuple[float, ...]:
+    """The one check of ``histogram_buckets`` (``[obs]``, registries,
+    histograms): non-empty, finite, strictly increasing floats."""
+    try:
+        bounds = tuple(float(b) for b in buckets)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"histogram_buckets must be numbers: {buckets!r}"
+        ) from exc
+    if not bounds:
+        raise ConfigError("histogram_buckets needs at least one bound")
+    if any(not math.isfinite(b) for b in bounds):
+        raise ConfigError(
+            f"histogram_buckets must be finite (+Inf is implicit): {bounds}"
+        )
+    if list(bounds) != sorted(set(bounds)):
+        raise ConfigError(
+            f"histogram_buckets must be strictly increasing: {bounds}"
+        )
+    return bounds
 
 
 def _check_name(name: str) -> str:
@@ -228,19 +250,8 @@ class Histogram(_Instrument):
     def __init__(self, name="", help="", labelnames=(),
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
         super().__init__(name or "_child", help, labelnames)
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise MetricsError("histogram needs at least one bucket bound")
-        if any(not math.isfinite(b) for b in bounds):
-            raise MetricsError(
-                f"bucket bounds must be finite (+Inf is implicit): {bounds}"
-            )
-        if list(bounds) != sorted(set(bounds)):
-            raise MetricsError(
-                f"bucket bounds must be strictly increasing: {bounds}"
-            )
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # last = +Inf
+        self.buckets = check_buckets(buckets)
+        self._counts = [0] * (len(self.buckets) + 1)  # last = +Inf
         self._sum = 0.0
         self._count = 0
 
@@ -301,7 +312,7 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
-        self.default_buckets = tuple(float(b) for b in buckets)
+        self.default_buckets = check_buckets(buckets)
         self._lock = threading.Lock()
         self._families: dict[str, _Instrument] = {}
 

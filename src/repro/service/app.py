@@ -27,6 +27,7 @@ import time
 from collections.abc import Iterable
 from typing import Any
 
+from repro.core.config import ServiceSettings
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -57,6 +58,9 @@ _JSON_CONTENT = "application/json"
 
 _LOG = get_logger("service")
 
+#: The ``[service]`` defaults.
+_DEFAULTS = ServiceSettings()
+
 
 def _json_body(payload: Any) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
@@ -68,6 +72,9 @@ def _error_body(message: str) -> bytes:
 
 class ServiceApp:
     """Dispatch requests against one live fleet.
+
+    ``[service]`` knobs take their defaults and checks from
+    :class:`~repro.core.config.ServiceSettings`.
 
     Args:
         fleet: the running :class:`FleetManager` (the app borrows it;
@@ -97,19 +104,19 @@ class ServiceApp:
     def __init__(
         self,
         fleet: FleetManager,
-        checkpoint_path: str | None = None,
-        checkpoint_every: int = 1,
-        checkpoint_sync: bool = False,
-        chunk_rows: int = 4096,
+        checkpoint_path: str | None = _DEFAULTS.checkpoint_path,
+        checkpoint_every: int = _DEFAULTS.checkpoint_every,
+        checkpoint_sync: bool = _DEFAULTS.checkpoint_sync,
+        chunk_rows: int = _DEFAULTS.chunk_rows,
         sequence: int = 0,
         federator: Federator | None = None,
     ):
-        if checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1: {checkpoint_every}"
-            )
-        if chunk_rows < 1:
-            raise ConfigError(f"chunk_rows must be >= 1: {chunk_rows}")
+        ServiceSettings(
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            checkpoint_sync=checkpoint_sync,
+            chunk_rows=chunk_rows,
+        )
         if sequence < 0:
             raise ConfigError(f"sequence must be >= 0: {sequence}")
         if checkpoint_path is not None:

@@ -46,9 +46,15 @@ _LOG = get_logger("service")
 #: default stream limit, passed explicitly so the refusal can name it).
 LINE_LIMIT = 64 * 1024
 
+#: The ``[service]`` defaults.
+_DEFAULTS = ServiceSettings()
+
 
 class ServiceSupervisor:
     """Own the daemon's sockets and serve the app over them.
+
+    ``[service]`` knobs take their defaults and checks from
+    :class:`~repro.core.config.ServiceSettings`.
 
     Args:
         app: the dispatcher (owns ingest sequencing + checkpoints).
@@ -63,11 +69,17 @@ class ServiceSupervisor:
     def __init__(
         self,
         app: ServiceApp,
-        host: str = "127.0.0.1",
-        port: int = 8181,
-        ingest_port: int | None = None,
-        max_body_bytes: int = 64 * 1024 * 1024,
+        host: str = _DEFAULTS.host,
+        port: int = _DEFAULTS.port,
+        ingest_port: int | None = _DEFAULTS.ingest_port,
+        max_body_bytes: int = _DEFAULTS.max_body_bytes,
     ):
+        ServiceSettings(
+            host=host,
+            port=port,
+            ingest_port=ingest_port,
+            max_body_bytes=max_body_bytes,
+        )
         self.app = app
         self.host = host
         self.port = port

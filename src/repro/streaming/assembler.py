@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from repro.core.config import StreamingSettings
 from repro.errors import CheckpointError, ConfigError
 from repro.flows.stream import (
     DEFAULT_INTERVAL_SECONDS,
@@ -45,6 +46,9 @@ from repro.obs.instruments import PipelineInstruments
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import NULL_TRACER
 from repro.state import count, finite, integer, listof, optional, read_fields, tupleof
+
+#: The ``[streaming]`` defaults.
+_DEFAULTS = StreamingSettings()
 
 #: The kind of every :meth:`IntervalAssembler.to_state` field.
 _STATE_KINDS = {
@@ -120,21 +124,16 @@ class IntervalAssembler:
         self,
         interval_seconds: float = DEFAULT_INTERVAL_SECONDS,
         origin: float = 0.0,
-        max_delay_seconds: float = 0.0,
-        max_pending_intervals: int | None = None,
+        max_delay_seconds: float = _DEFAULTS.max_delay_seconds,
+        max_pending_intervals: int | None = _DEFAULTS.max_pending_intervals,
         instruments: PipelineInstruments | None = None,
         tracer=None,
     ):
         check_grid(interval_seconds, origin)
-        if not math.isfinite(max_delay_seconds) or max_delay_seconds < 0:
-            raise ConfigError(
-                f"max_delay_seconds must be finite and >= 0: "
-                f"{max_delay_seconds}"
-            )
-        if max_pending_intervals is not None and max_pending_intervals < 1:
-            raise ConfigError(
-                f"max_pending_intervals must be >= 1: {max_pending_intervals}"
-            )
+        StreamingSettings(
+            max_delay_seconds=max_delay_seconds,
+            max_pending_intervals=max_pending_intervals,
+        )
         self.interval_seconds = float(interval_seconds)
         self.origin = float(origin)
         self.max_delay_seconds = float(max_delay_seconds)

@@ -265,11 +265,11 @@ class TestRefusals:
     def test_constructor_validation(self, federator_factory):
         with pytest.raises(FederationError, match="at least one site"):
             federator_factory(sites=())
-        with pytest.raises(FederationError, match="duplicate site"):
+        with pytest.raises(ConfigError, match="sites must be unique"):
             federator_factory(sites=("east", "east"))
-        with pytest.raises(FederationError, match="min_support"):
+        with pytest.raises(ConfigError, match="min_support"):
             federator_factory(min_support=0)
-        with pytest.raises(FederationError, match="straggler_grace"):
+        with pytest.raises(ConfigError, match="straggler_grace"):
             federator_factory(straggler_grace=0)
         with pytest.raises(ConfigError, match="interval length"):
             federator_factory(interval_seconds=0.0)

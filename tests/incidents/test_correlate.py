@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detection.features import Feature
-from repro.errors import IncidentError
+from repro.errors import ConfigError, IncidentError
 from repro.incidents.correlate import (
     IncidentCorrelator,
     correlate,
@@ -238,13 +238,13 @@ class TestValidation:
         assert inc.intervals_seen == 1
 
     def test_bad_jaccard(self):
-        with pytest.raises(IncidentError, match="jaccard"):
+        with pytest.raises(ConfigError, match="jaccard"):
             IncidentCorrelator(jaccard=0.0)
-        with pytest.raises(IncidentError, match="jaccard"):
+        with pytest.raises(ConfigError, match="jaccard"):
             IncidentCorrelator(jaccard=1.5)
 
     def test_bad_quiet_gap(self):
-        with pytest.raises(IncidentError, match="quiet_gap"):
+        with pytest.raises(ConfigError, match="quiet_gap"):
             IncidentCorrelator(quiet_gap=0)
 
     def test_empty_stream(self):

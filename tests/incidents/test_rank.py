@@ -6,7 +6,7 @@ import pytest
 
 import repro.api as api
 from repro.detection.features import Feature
-from repro.errors import IncidentError
+from repro.errors import ConfigError
 from repro.incidents.correlate import Incident
 from repro.incidents.rank import (
     BENIGN_TRIAGE_SCORE,
@@ -56,15 +56,15 @@ class TestProfiles:
         assert resolve_profile(custom) is custom
 
     def test_unknown_profile_rejected(self):
-        with pytest.raises(IncidentError, match="unknown weight profile"):
+        with pytest.raises(ConfigError, match="unknown weight profile"):
             resolve_profile("nope")
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(IncidentError, match="must be >= 0"):
+        with pytest.raises(ConfigError, match="must be >= 0"):
             WeightProfile("bad", triage=-1.0)
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(IncidentError, match="at least one weight"):
+        with pytest.raises(ConfigError, match="at least one weight"):
             WeightProfile("bad", support_mass=0, persistence=0,
                           triage=0, votes=0)
 
@@ -127,7 +127,7 @@ class TestScore:
 class TestRanking:
     def test_unknown_profile_rejected_even_when_empty(self):
         # A typo'd --profile must error, not silently print nothing.
-        with pytest.raises(IncidentError, match="unknown weight profile"):
+        with pytest.raises(ConfigError, match="unknown weight profile"):
             rank_incidents([], profile="blanced")
 
     def test_empty_population(self):
@@ -174,11 +174,11 @@ class TestRanking:
         assert ranked[0].incident.incident_id == 5
 
     def test_top_validation(self):
-        with pytest.raises(IncidentError, match="top"):
+        with pytest.raises(ConfigError, match="top"):
             rank_incidents([make_incident()], top=0)
 
     def test_top_validation_covers_an_empty_population(self):
-        with pytest.raises(IncidentError, match="top"):
+        with pytest.raises(ConfigError, match="top"):
             rank_incidents([], top=0)
 
     @pytest.mark.parametrize("top", [0, -1])
@@ -192,9 +192,9 @@ class TestRanking:
                 store.append(make_report(interval, [((item,), 300, "")]))
             assert len(api.rank(store)) == 3
             assert len(api.rank(store, top=2)) == 2
-            with pytest.raises(IncidentError, match="top must be >= 1"):
+            with pytest.raises(ConfigError, match="top must be an integer >= 1"):
                 api.rank(store, top=top)
-            with pytest.raises(IncidentError, match="top must be >= 1"):
+            with pytest.raises(ConfigError, match="top must be an integer >= 1"):
                 store.incidents(top=top)
 
     def test_scores_within_unit_interval(self):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.report import ExtractionReport, TriagedItemset
 from repro.detection.features import CustomFeature, Feature
-from repro.errors import IncidentError
+from repro.errors import ConfigError, IncidentError
 from repro.incidents.store import (
     IncidentStore,
     itemset_key,
@@ -146,20 +146,6 @@ class TestAppendAndQuery:
         history = store.itemset_history((VICTIM, PORT80))
         assert history == [(5, 300, "suspicious"), (6, 350, "suspicious")]
         assert store.itemset_history((PROTO,)) == [(5, 120, "common-size")]
-
-    def test_itemset_history_bounded_by_span(self, store):
-        """An incident's drill-down must not absorb the history of an
-        earlier, closed incident that carried the same key."""
-        store.extend([
-            make_report(i, [((VICTIM, PORT80), 100 + i, "suspicious")])
-            for i in (1, 2, 10, 11)
-        ])
-        assert store.itemset_history(
-            (VICTIM, PORT80), since=10, until=11
-        ) == [(10, 110, "suspicious"), (11, 111, "suspicious")]
-        assert store.itemset_history(
-            (VICTIM, PORT80), until=2
-        ) == [(1, 101, "suspicious"), (2, 102, "suspicious")]
 
     def test_empty_report_round_trips(self, store):
         empty = make_report(3, [], alarmed=("dstPort",))
@@ -399,11 +385,11 @@ class TestKnobPersistence:
         """A bad explicit knob must fail at the door - persisted, it
         would poison every later open of the store."""
         path = str(tmp_path / "inc.db")
-        with pytest.raises(IncidentError, match="jaccard"):
+        with pytest.raises(ConfigError, match="jaccard"):
             IncidentStore(path, jaccard=0.0)
-        with pytest.raises(IncidentError, match="quiet_gap"):
+        with pytest.raises(ConfigError, match="quiet_gap"):
             IncidentStore(path, quiet_gap=2.5)
-        with pytest.raises(IncidentError, match="quiet_gap"):
+        with pytest.raises(ConfigError, match="quiet_gap"):
             IncidentStore(path, quiet_gap=0)
         # The rejections wrote nothing: the store opens clean.
         with open_store(path) as store:

@@ -375,25 +375,26 @@ class TestIncidentCommands:
         else:
             assert f"{total} incidents" in out
 
-    def test_incidents_show_detail(self, stored, capsys):
+    def test_incidents_explain_detail(self, stored, capsys):
         assert main(
             ["incidents", stored, "--format", "json"]
         ) == 0
         docs = json.loads(capsys.readouterr().out)
         top = docs[0]["incident_id"]
         assert main(
-            ["incidents", stored, "--show", str(top), "--format", "json"]
+            ["incidents", stored, "explain", str(top), "--format", "json"]
         ) == 0
         detail = json.loads(capsys.readouterr().out)
         assert detail["incident_id"] == top
-        assert detail["history"]
+        assert len(detail["provenance"]) == detail["intervals_seen"]
 
-    def test_incidents_show_table(self, stored, capsys):
-        assert main(["incidents", stored, "--show", "1"]) == 0
+    def test_incidents_explain_table(self, stored, capsys):
+        assert main(["incidents", stored, "explain", "1"]) == 0
         out = capsys.readouterr().out
-        assert "history" in out
+        assert "contributing intervals:" in out
+        assert "}: support " in out  # each interval lists its sets
 
-    def test_show_history_bounded_to_own_span(self, tmp_path, capsys):
+    def test_explain_bounded_to_own_span(self, tmp_path, capsys):
         """A reappeared incident's drill-down must not print the
         intervals of the earlier, closed incident with the same key."""
         from repro.incidents import IncidentStore
@@ -408,14 +409,16 @@ class TestIncidentCommands:
                 for i in (1, 2, 10, 11)  # gap 8 > quiet_gap 2: two incidents
             ])
         assert main(
-            ["incidents", db, "--show", "2", "--format", "json"]
+            ["incidents", db, "explain", "2", "--format", "json"]
         ) == 0
         detail = json.loads(capsys.readouterr().out)
         assert detail["first_seen"] == 10
-        assert [h["interval"] for h in detail["history"]] == [10, 11]
+        assert [h["interval"] for h in detail["provenance"]] == [10, 11]
 
-    def test_incidents_show_unknown_id(self, stored, capsys):
-        assert main(["incidents", stored, "--show", "9999"]) == 2
+    def test_incidents_explain_unknown_id_json(self, stored, capsys):
+        assert main(
+            ["incidents", stored, "explain", "9999", "--format", "json"]
+        ) == 2
         assert "no incident" in capsys.readouterr().err
 
     def test_incidents_missing_db(self, tmp_path, capsys):
@@ -430,11 +433,16 @@ class TestIncidentCommands:
         ) == 2
         assert "unknown weight profile" in capsys.readouterr().err
 
-    def test_incidents_show_includes_vote_breakdown(self, stored, capsys):
-        assert main(["incidents", stored, "--show", "1"]) == 0
+    def test_incidents_explain_vote_denominator(self, stored, capsys):
+        assert main(
+            ["incidents", stored, "--format", "json"]
+        ) == 0
+        seen = json.loads(capsys.readouterr().out)
+        seen = {d["incident_id"]: d["intervals_seen"] for d in seen}
+        assert main(["incidents", stored, "explain", "1"]) == 0
         out = capsys.readouterr().out
         assert "detector votes by feature:" in out
-        assert "contributing intervals" in out
+        assert f"/{seen[1]} contributing intervals" in out
 
     def test_incidents_explain_narrative(self, stored, capsys):
         assert main(["incidents", stored, "explain", "1"]) == 0

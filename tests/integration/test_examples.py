@@ -57,6 +57,7 @@ class TestExamples:
         out = _run("incident_triage.py", capsys)
         assert "correlated incidents" in out
         assert "drill-down" in out
+        assert "contributing intervals" in out
         assert "ranked first" in out
 
     def test_fleet_two_links(self, capsys):

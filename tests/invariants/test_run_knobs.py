@@ -5,13 +5,18 @@ validation) and, if it has a flag, by one :data:`CONFIG_FLAGS` entry.
 These guards keep the copies that used to drift from coming back: a
 flag's own ``default=``, a second flag declaration under ``cli/``, a
 flat alias read inside the package, a parser that gains or loses an
-option, and a README table that disagrees with the fields.
+option, a README table that disagrees with the fields, and a runtime
+object whose own default for a knob drifts from its field's.
 """
 
 import argparse
 import ast
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
+import types
 from pathlib import Path
 
 from repro.cli import build_parser
@@ -152,7 +157,6 @@ OPTION_STRINGS = {
         "--jaccard",
         "--profile",
         "--quiet-gap",
-        "--show",
         "--top",
         "-h",
     ],
@@ -290,3 +294,66 @@ def test_the_readme_table_is_the_flag_table():
     )
     assert block is not None, "README has no <!-- config-flags --> table"
     assert block[1].splitlines() == expected
+
+
+#: The tables whose knobs the objects below ``core`` run, and the
+#: packages of those objects.  The :mod:`repro.api` verbs are not here:
+#: their ``None`` means "the run config's value" (``RunConfig.load``).
+RUNTIME_TABLES = (
+    config.ServiceSettings,
+    config.StreamingSettings,
+    config.FederationSettings,
+)
+RUNTIME_PACKAGES = ("streaming", "federation", "fleet", "service")
+
+
+def default_drift(tables, modules) -> list[str]:
+    """Every constructor parameter of a class in ``modules`` that is
+    named after a field of one of ``tables`` but defaults to another
+    value than the field's."""
+    fields = {}
+    for table in tables:
+        defaults = table()
+        for field in dataclasses.fields(table):
+            value = getattr(defaults, field.name)
+            fields.setdefault(field.name, []).append((table.__name__, value))
+    classes = [
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == module.__name__
+    ]
+    found = []
+    for cls in classes:
+        for param in inspect.signature(cls.__init__).parameters.values():
+            for table, value in fields.get(param.name, ()):
+                if param.default not in (param.empty, value):
+                    got = f"{param.name}={param.default!r}"
+                    found.append(f"{cls.__name__}({got}): {table} has {value!r}")
+    return found
+
+
+def _runtime_modules():
+    for package in RUNTIME_PACKAGES:
+        root = importlib.import_module(f"repro.{package}")
+        yield root
+        for info in pkgutil.iter_modules(root.__path__, f"{root.__name__}."):
+            yield importlib.import_module(info.name)
+
+
+def test_runtime_defaults_are_the_table_defaults():
+    """A runtime parameter that mirrors a ``[service]``, ``[streaming]``
+    or ``[federation]`` field defaults to that field's value."""
+    assert default_drift(RUNTIME_TABLES, list(_runtime_modules())) == []
+
+
+def test_the_default_checker():
+    class App:
+        def __init__(self, checkpoint_every=1, chunk_rows=4096, sequence=0):
+            pass
+
+    module = types.ModuleType("fake")
+    App.__module__ = "fake"
+    module.App = App
+    drift = default_drift([config.ServiceSettings], [module])
+    assert drift == ["App(checkpoint_every=1): ServiceSettings has 4"]

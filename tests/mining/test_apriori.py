@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import MiningError
+from repro.errors import ConfigError, MiningError
 from repro.flows.table import FlowTable
 from repro.mining.apriori import apriori
 from repro.mining.transactions import TransactionSet
@@ -107,7 +107,7 @@ class TestApriori:
         assert result.max_size <= 2
 
     def test_validation(self, pattern_transactions):
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError, match="min_support"):
             apriori(pattern_transactions, min_support=0)
         with pytest.raises(MiningError):
             apriori(pattern_transactions, 10, counting="quantum")

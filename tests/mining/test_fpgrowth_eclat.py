@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import MiningError
+from repro.errors import ConfigError
 from repro.flows.table import FlowTable
 from repro.mining.apriori import apriori
 from repro.mining.eclat import eclat
@@ -43,7 +43,7 @@ class TestFpGrowth:
         assert result.itemsets == []
 
     def test_validation(self, dense_transactions):
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError, match="min_support"):
             fpgrowth(dense_transactions, 0)
 
     def test_algorithm_tag(self, dense_transactions):
@@ -62,7 +62,7 @@ class TestEclat:
         assert result.itemsets == []
 
     def test_validation(self, dense_transactions):
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError, match="min_support"):
             eclat(dense_transactions, 0)
 
     def test_algorithm_tag(self, dense_transactions):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import MiningError
+from repro.errors import ConfigError, MiningError
 from repro.mining import miners
 from repro.mining.apriori import apriori
 from repro.mining.partition import (
@@ -166,7 +166,7 @@ class TestSon:
 
     def test_invalid_support_rejected(self, tiny_flows):
         transactions = TransactionSet.from_flows(tiny_flows)
-        with pytest.raises(MiningError, match="min_support"):
+        with pytest.raises(ConfigError, match="min_support"):
             son(transactions, 0)
 
     def test_registered_in_miners(self, tiny_flows):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import MiningError
+from repro.errors import ConfigError, MiningError
 from repro.flows.table import FlowTable
 from repro.mining.eclat import eclat
 from repro.mining.streaming import SlidingWindowMiner
@@ -91,9 +91,9 @@ class TestSlidingWindowMiner:
             miner.mine()
 
     def test_validation(self):
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError, match="window"):
             SlidingWindowMiner(window=0, min_support=10)
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError, match="min_support"):
             SlidingWindowMiner(window=1, min_support=0)
 
     def test_maximal_only_forwarded_to_miner(self):

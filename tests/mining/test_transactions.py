@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detection.features import Feature
-from repro.errors import MiningError
+from repro.errors import ConfigError, MiningError
 from repro.flows.io import iter_csv_handle
 from repro.flows.table import FlowTable
 from repro.mining import miners
@@ -70,7 +70,7 @@ class TestSupports:
         assert port25 not in frequent
 
     def test_frequent_items_validation(self, transactions):
-        with pytest.raises(MiningError):
+        with pytest.raises(ConfigError, match="min_support"):
             transactions.frequent_items(0)
 
     def test_tidset_matches_manual_scan(self, transactions, tiny_flows):

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MAX_LABEL_CARDINALITY,
@@ -98,13 +99,13 @@ class TestHistogram:
         assert h.cumulative_counts() == [1, 1, 1]
 
     def test_bad_bounds_rejected(self, registry):
-        with pytest.raises(MetricsError, match="at least one"):
+        with pytest.raises(ConfigError, match="at least one"):
             registry.histogram("repro_a_seconds", buckets=())
-        with pytest.raises(MetricsError, match="increasing"):
+        with pytest.raises(ConfigError, match="increasing"):
             registry.histogram("repro_b_seconds", buckets=(1.0, 0.5))
-        with pytest.raises(MetricsError, match="increasing"):
+        with pytest.raises(ConfigError, match="increasing"):
             registry.histogram("repro_c_seconds", buckets=(1.0, 1.0))
-        with pytest.raises(MetricsError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             registry.histogram(
                 "repro_d_seconds", buckets=(1.0, float("inf"))
             )

@@ -443,6 +443,39 @@ class TestQueries:
         assert status == 404
         assert "no incident" in json.loads(body)["error"]
 
+    def test_refusal_statuses(self, served, service_config, service_chunks,
+                              tmp_path):
+        """An unknown ranking profile is a bad request (400), on the
+        listing and on the detail route; an unknown id stays 404 and a
+        replay into a store that already holds the run stays 409."""
+        incident_id = body_of(
+            served.handle(req("GET", "/incidents"))
+        )["incidents"][0]["id"]
+        for path in ("/incidents", f"/incidents/{incident_id}"):
+            status, body, _ = served.handle(
+                req("GET", path, {"profile": "nope"})
+            )
+            assert status == 400, path
+            assert "unknown weight profile" in json.loads(body)["error"]
+        status, _, _ = served.handle(req(
+            "GET", "/incidents/linkA:99999", {"profile": "volume"}
+        ))
+        assert status == 404
+        bodies = [chunk_csv(tmp_path, chunk) for chunk in service_chunks]
+        statuses = []
+        for _ in range(2):  # the second fleet replays into the same stores
+            with FleetManager(
+                {"linkA": service_config}, route="dst_ip", interval_seconds=10.0,
+                store_dir=tmp_path / "stores",
+            ) as fleet:
+                app = ServiceApp(fleet)
+                statuses.append(
+                    [app.handle(req("POST", "/ingest", body=b))[0]
+                     for b in bodies]
+                )
+        assert set(statuses[0]) == {200}
+        assert 409 in statuses[1]
+
     def test_malformed_incident_id_400(self, served):
         status, _, _ = served.handle(req("GET", "/incidents/junk"))
         assert status == 400

@@ -479,6 +479,7 @@ class TestFederatedCheckpoint:
                 app = ServiceApp(
                     fleet,
                     checkpoint_path=str(path),
+                    checkpoint_every=1,
                     federator=make_federator(service_config, store=store),
                 )
                 for chunk in service_chunks[:6]:

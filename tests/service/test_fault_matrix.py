@@ -95,7 +95,9 @@ def daemon(service_config, tmp_path):
         metrics=MetricsRegistry(),
         tracer=Tracer(),
     )
-    app = ServiceApp(fleet, checkpoint_path=str(tmp_path / "run.ckpt"))
+    app = ServiceApp(
+        fleet, checkpoint_path=str(tmp_path / "run.ckpt"), checkpoint_every=1
+    )
     yield app
     fleet.close()
 
@@ -167,6 +169,7 @@ class TestCheckpointCannotBeWritten:
         app = ServiceApp(
             fleet,
             checkpoint_path=str(tmp_path / "run.ckpt"),
+            checkpoint_every=1,
             federator=Federator(
                 ("east",), interval_seconds=10.0, store=store, **common
             ),
@@ -179,6 +182,8 @@ class TestCheckpointCannotBeWritten:
             assert status == 200, ack
             assert (ack["sequence"], ack["checkpointed_sequence"]) == (1, 0)
             assert ack["next_interval"] == 1  # applied, and says so
+            # the batch's checkpoint write was tried, and failed
+            assert "No space left" in app.health()["checkpoint"]["last_error"]
             assert os.listdir(tmp_path) == ["stores"]
         finally:
             fleet.close()

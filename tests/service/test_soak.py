@@ -183,7 +183,8 @@ def test_federated_daemon_state_stays_flat(tmp_path):
             store=store, **schema,
         )
         app = ServiceApp(
-            fleet, checkpoint_path=str(checkpoint), federator=federator
+            fleet, checkpoint_path=str(checkpoint), checkpoint_every=1,
+            federator=federator,
         )
 
         def probe():

@@ -258,7 +258,7 @@ class TestResumePolicy:
     ):
         ckpt = tmp_path / "fleet.ckpt"
         first = build_fleet(service_config, tmp_path / "stores")
-        app = ServiceApp(first, checkpoint_path=str(ckpt))
+        app = ServiceApp(first, checkpoint_path=str(ckpt), checkpoint_every=1)
         try:
             for chunk in service_chunks[:4]:
                 first.feed(chunk)
