@@ -4,7 +4,6 @@ from repro.analysis.metrics import (
     DEFAULT_ANOMALOUS_FRACTION,
     ExtractionScore,
     ItemsetJudgement,
-    flow_recall,
     judge_itemsets,
 )
 from repro.analysis.roc import RocPoint, auc, operating_point, roc_curve
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_ANOMALOUS_FRACTION",
     "ExtractionScore",
     "ItemsetJudgement",
-    "flow_recall",
     "judge_itemsets",
     "RocPoint",
     "auc",

@@ -147,19 +147,3 @@ def judge_itemsets(
         events_present=events_present,
         events_covered=tuple(sorted(covered)),
     )
-
-
-def flow_recall(
-    itemsets: list[FrequentItemset], flows: FlowTable
-) -> float:
-    """Fraction of the interval's event flows matched by at least one
-    extracted item-set (how much of the anomaly the summary covers)."""
-    anomalous_mask = flows.anomalous_mask
-    total = int(anomalous_mask.sum())
-    if total == 0:
-        return 0.0
-    transactions = TransactionSet.from_flows(flows)
-    matched = np.zeros(len(flows), dtype=bool)
-    for itemset in itemsets:
-        matched |= transactions.contains_mask(itemset.items)
-    return float((matched & anomalous_mask).sum() / total)

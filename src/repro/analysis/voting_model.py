@@ -20,26 +20,58 @@ the positive correlation the bound ignores.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import stats
+import math
+import numbers
 
-from repro.errors import ConfigError
+import numpy as np
+
+from repro.errors import ConfigError, check_count
 
 
 def _check_kv(k: int, v: int) -> None:
-    if k < 1:
-        raise ConfigError(f"K must be >= 1: {k}")
-    if not 1 <= v <= k:
+    check_count("K", k)
+    check_count("V", v)
+    if v > k:
         raise ConfigError(f"V must be in [1, K={k}]: {v}")
 
 
+def _check_probability(name: str, value: object) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0 <= float(value) <= 1
+    ):
+        raise ConfigError(f"{name} must be a probability in [0, 1]: {value}")
+
+
+def _check_bins(b: int, m: int) -> None:
+    check_count("m", m)
+    if (
+        isinstance(b, bool)
+        or not isinstance(b, numbers.Integral)
+        or not 0 <= b <= m
+    ):
+        raise ConfigError(f"need an integer 0 <= B <= m: B={b}, m={m}")
+
+
 def binomial_tail(p: float, k: int, v: int) -> float:
-    """P(X >= v) for X ~ Binomial(k, p)."""
+    """P(X >= v) for X ~ Binomial(k, p).
+
+    The tail's terms summed with ``math.fsum``, each taken in log
+    space: the binomial coefficients are exact integers (stepped from
+    ``math.comb(k, v)``), so no term overflows whatever the clone count.
+    """
     _check_kv(k, v)
-    if not 0 <= p <= 1:
-        raise ConfigError(f"probability out of range: {p}")
-    # survival function is P(X > v-1)
-    return float(stats.binom.sf(v - 1, k, p))
+    _check_probability("p", p)
+    if p == 0 or p == 1:
+        return float(p)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    terms: list[float] = []
+    comb = math.comb(k, v)
+    for i in range(v, k + 1):
+        terms.append(math.exp(math.log(comb) + i * log_p + (k - i) * log_q))
+        comb = comb * (k - i) // (i + 1)
+    return min(math.fsum(terms), 1.0)
 
 
 def p_anomalous_included(beta: float, k: int, v: int) -> float:
@@ -63,8 +95,7 @@ def p_normal_included(
         k: number of clones.
         v: vote threshold.
     """
-    if m < 1 or not 0 <= b <= m:
-        raise ConfigError(f"need 0 <= B <= m: B={b}, m={m}")
+    _check_bins(b, m)
     return binomial_tail(b / m, k, v)
 
 
@@ -99,13 +130,17 @@ def simulate_anomalous_miss(
     events are positively correlated; the simulation demonstrates it.
     """
     _check_kv(k, v)
-    if not 0 <= correlation <= 1:
-        raise ConfigError(f"correlation must be in [0, 1]: {correlation}")
+    _check_probability("beta", beta)
+    _check_probability("correlation", correlation)
+    check_count("trials", trials)
+    if trials < 2:
+        raise ConfigError(
+            f"trials must be >= 2 for the rank transform: {trials}"
+        )
     rng = np.random.default_rng(seed)
     # Gaussian copula-ish shortcut: one shared uniform + per-clone
     # uniforms; clone includes the value when the mixed uniform < beta.
     shared = rng.random(trials)
-    misses = 0
     per_clone = rng.random((trials, k))
     mixed = correlation * shared[:, None] + (1 - correlation) * per_clone
     # Normalize the mixture so the marginal inclusion probability stays
@@ -130,8 +165,8 @@ def simulate_normal_inclusion(
     value uniformly; survival requires landing in one of the B anomalous
     bins in >= V clones.  Independent across clones by construction."""
     _check_kv(k, v)
-    if m < 1 or not 0 <= b <= m:
-        raise ConfigError(f"need 0 <= B <= m: B={b}, m={m}")
+    _check_bins(b, m)
+    check_count("trials", trials)
     rng = np.random.default_rng(seed)
     bins = rng.integers(0, m, size=(trials, k))
     hits = bins < b  # WLOG the anomalous bins are 0..B-1

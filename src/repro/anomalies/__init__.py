@@ -5,7 +5,6 @@ from repro.anomalies.base import (
     ANOMALY_CLASSES,
     AnomalyInjector,
     InjectedEvent,
-    stamp_label,
 )
 from repro.anomalies.ddos import DDoSInjector
 from repro.anomalies.experiment import NetworkExperimentInjector
@@ -30,7 +29,6 @@ __all__ = [
     "ANOMALY_CLASSES",
     "AnomalyInjector",
     "InjectedEvent",
-    "stamp_label",
     "BackscatterInjector",
     "DDoSInjector",
     "NetworkExperimentInjector",

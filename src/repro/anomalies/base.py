@@ -111,14 +111,3 @@ def uniform_times(
 ) -> np.ndarray:
     """Start times for ``n`` event flows, uniform over the event span."""
     return rng.uniform(start, start + duration, size=n)
-
-
-def stamp_label(table: FlowTable, label: int) -> FlowTable:
-    """Return a copy of ``table`` with every row's label set."""
-    import numpy as _np
-
-    cols = {name: table.column(name) for name in
-            ("src_ip", "dst_ip", "src_port", "dst_port",
-             "protocol", "packets", "bytes", "start")}
-    cols["label"] = _np.full(len(table), label, dtype=_np.int64)
-    return FlowTable(cols)

@@ -161,11 +161,3 @@ class SasserLikeWorm(AnomalyInjector):
             "dst_port": SASSER_SCAN_PORT,
             "bytes": SASSER_PAYLOAD_BYTES,
         }
-
-    def stage_signatures(self) -> list[dict[str, int]]:
-        """Per-stage feature hints (flow-disjoint by design)."""
-        return [
-            {"dst_port": SASSER_SCAN_PORT},
-            {"dst_port": SASSER_BACKDOOR_PORT},
-            {"dst_port": SASSER_FTP_PORT, "bytes": SASSER_PAYLOAD_BYTES},
-        ]

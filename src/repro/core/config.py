@@ -816,19 +816,6 @@ class FleetSettings:
         checked["pipelines"] = tuple(pipelines)
         return cls(**checked)  # type: ignore[arg-type]
 
-    @classmethod
-    def from_toml(
-        cls, path: str | os.PathLike[str]
-    ) -> tuple["FleetSettings", ExtractionConfig]:
-        """Load a fleet run config; returns ``(settings, base_config)``.
-
-        The pipeline sections build the base :class:`ExtractionConfig`
-        exactly as :meth:`ExtractionConfig.from_toml` would; the file
-        is read and validated whole by :meth:`RunConfig.load`.
-        """
-        run = RunConfig.load(path)
-        return run.fleet, run.base
-
 
 @dataclass(frozen=True)
 class ServiceSettings:

@@ -153,10 +153,6 @@ class ExtractionReport:
         """How many feature detectors agreed this interval is anomalous."""
         return len(self.alarmed_features)
 
-    @property
-    def suspicious_itemsets(self) -> tuple[TriagedItemset, ...]:
-        return tuple(t for t in self.itemsets if not t.looks_benign)
-
     @classmethod
     def from_result(
         cls,

@@ -242,10 +242,6 @@ class ExtractionSession(AnomalyExtractor):
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     def close(self) -> None:
         """Release the session's resources (idempotent): the metrics
         trail and the incident store, each even when the other's

@@ -135,11 +135,3 @@ class Metadata:
             if len(values)
         )
         return f"Metadata({inner})"
-
-
-def require_nonempty(metadata: Metadata, context: str) -> None:
-    """Raise :class:`ExtractionError` when no meta-data is available."""
-    if metadata.is_empty():
-        raise ExtractionError(
-            f"{context}: no meta-data available; did any detector alarm?"
-        )

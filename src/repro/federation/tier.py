@@ -49,10 +49,6 @@ class FederationResult:
         """Released intervals on which the merged detection alarmed."""
         return [fi.interval for fi in self.intervals if fi.alarm]
 
-    def straggler_intervals(self) -> list[int]:
-        """Released intervals missing at least one expected site."""
-        return [fi.interval for fi in self.intervals if fi.stragglers]
-
 
 def split_trace(
     trace: FlowTable,

@@ -116,23 +116,6 @@ class FlowRecord:
         """Human-readable protocol name (falls back to the number)."""
         return PROTOCOL_NAMES.get(self.protocol, str(self.protocol))
 
-    @property
-    def is_anomalous(self) -> bool:
-        """True when this flow belongs to an injected anomalous event."""
-        return self.label != BASELINE_LABEL
-
-    def as_tuple(self) -> tuple[int, int, int, int, int, int, int]:
-        """The seven mining features in canonical order."""
-        return (
-            self.src_ip,
-            self.dst_ip,
-            self.src_port,
-            self.dst_port,
-            self.protocol,
-            self.packets,
-            self.bytes,
-        )
-
     def __str__(self) -> str:
         return (
             f"{self.src_ip_str}:{self.src_port} -> "

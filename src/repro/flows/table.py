@@ -9,7 +9,7 @@ pure Python.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -69,11 +69,10 @@ _COLUMN_KINDS = {name: packed(dtype) for name, dtype in _DTYPES.items()}
 class FlowTable:
     """Immutable-by-convention columnar batch of flows.
 
-    Construct with :meth:`from_arrays`, :meth:`from_records`, or
-    :meth:`concat`.  Columns are exposed as read-only numpy arrays.  A
-    table cut from another by :meth:`row_range` shares its rows with
-    that table instead of copying them; neither can change, so the two
-    read as independent tables.
+    Construct with :meth:`from_arrays` or :meth:`concat`.  Columns are
+    exposed as read-only numpy arrays.  A table cut from another by
+    :meth:`row_range` shares its rows with that table instead of copying
+    them; neither can change, so the two read as independent tables.
     """
 
     __slots__ = ("_cols", "_state_cache")
@@ -139,22 +138,6 @@ class FlowTable:
         """
         return cls(
             {name: np.ascontiguousarray(rows[name]) for name in ALL_COLUMNS}
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[FlowRecord]) -> "FlowTable":
-        """Build a table from an iterable of :class:`FlowRecord`."""
-        rows = list(records)
-        return cls.from_arrays(
-            [r.src_ip for r in rows],
-            [r.dst_ip for r in rows],
-            [r.src_port for r in rows],
-            [r.dst_port for r in rows],
-            [r.protocol for r in rows],
-            [r.packets for r in rows],
-            [r.bytes for r in rows],
-            [r.start for r in rows],
-            [r.label for r in rows],
         )
 
     @classmethod
@@ -303,10 +286,6 @@ class FlowTable:
         """Sorted unique event ids present (excluding baseline)."""
         labels = np.unique(self._cols["label"])
         return labels[labels != BASELINE_LABEL]
-
-    def flows_of_event(self, event_id: int) -> "FlowTable":
-        """All flows carrying the given ground-truth event id."""
-        return self.select(self._cols["label"] == event_id)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -53,9 +53,7 @@ from repro.incidents.rank import (
 from repro.incidents.store import (
     SCHEMA_VERSION,
     IncidentStore,
-    itemset_key,
     open_store,
-    parse_itemset_key,
 )
 
 __all__ = [
@@ -75,7 +73,5 @@ __all__ = [
     "score_incident",
     "SCHEMA_VERSION",
     "IncidentStore",
-    "itemset_key",
     "open_store",
-    "parse_itemset_key",
 ]

@@ -9,10 +9,11 @@ file (stdlib ``sqlite3``, WAL journal), with append/query/compact APIs.
 
 The store is a faithful log: a report appended and read back is equal,
 as an object and byte-for-byte as canonical JSON, to the in-memory one
-(``tests/incidents/test_store.py`` holds the invariant).  The
-side-table of individual item-sets exists purely for indexed queries
-(per-item-set history, incident drill-down); the JSON column is the
-source of truth.
+(``tests/incidents/test_store.py`` holds the invariant).  The JSON
+column is the only copy of a report: an incident's drill-down
+(:func:`~repro.incidents.provenance.explain_incident`) reads its
+occurrences from the correlated reports and each interval's report by
+:meth:`IncidentStore.report_at`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.obs.metrics import NULL_REGISTRY, time_stage
 
 #: Bump when the table layout changes; the store refuses to open a
 #: database written by a different layout instead of misreading it.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -49,30 +50,7 @@ CREATE TABLE IF NOT EXISTS reports (
     json      TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_reports_interval ON reports (interval);
-CREATE TABLE IF NOT EXISTS itemsets (
-    report_id INTEGER NOT NULL REFERENCES reports (report_id)
-        ON DELETE CASCADE,
-    interval  INTEGER NOT NULL,
-    key       TEXT NOT NULL,
-    support   INTEGER NOT NULL,
-    hint      TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_itemsets_key ON itemsets (key);
-CREATE INDEX IF NOT EXISTS idx_itemsets_report ON itemsets (report_id);
 """
-
-
-def itemset_key(items: Iterable[int]) -> str:
-    """Canonical text key of an encoded item tuple ("a,b,c")."""
-    return ",".join(str(int(i)) for i in items)
-
-
-def parse_itemset_key(key: str) -> tuple[int, ...]:
-    """Inverse of :func:`itemset_key`."""
-    try:
-        return tuple(int(part) for part in key.split(","))
-    except ValueError as exc:
-        raise IncidentError(f"malformed item-set key: {key!r}") from exc
 
 
 class IncidentStore:
@@ -124,7 +102,7 @@ class IncidentStore:
         try:
             # Refuse a database we cannot adopt BEFORE any write (the
             # WAL pragma alone would permanently convert the file, and
-            # the schema script would plant v1 tables inside it): an
+            # the schema script would plant store tables inside it): an
             # existing database must be empty or a store of the
             # supported layout.
             tables = {
@@ -141,7 +119,6 @@ class IncidentStore:
                 self._reject_version_mismatch()
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA foreign_keys=ON")
             self._conn.executescript(_SCHEMA)
             self._stamp_schema_version()
             #: Default correlation knobs for :meth:`incidents`.
@@ -263,19 +240,7 @@ class IncidentStore:
                 (report.interval, report.start, report.end,
                  report.to_json()),
             )
-            report_id = cursor.lastrowid
-            conn.executemany(
-                "INSERT INTO itemsets "
-                "(report_id, interval, key, support, hint) "
-                "VALUES (?, ?, ?, ?, ?)",
-                [
-                    (report_id, report.interval,
-                     itemset_key(t.itemset.items), t.itemset.support,
-                     t.hint)
-                    for t in report.itemsets
-                ],
-            )
-            return int(report_id)
+            return int(cursor.lastrowid)
 
     def _reject_reingest(self, interval: int, last: int | None) -> None:
         """The store is a monotonic log: once the pipeline has noted
@@ -470,23 +435,6 @@ class IncidentStore:
             )
         return self._decode(row[0])
 
-    def itemset_history(
-        self, items: Iterable[int]
-    ) -> list[tuple[int, int, str]]:
-        """Every occurrence of one exact item-set across the log:
-        ``(interval, support, hint)`` rows in interval order.  An
-        incident's drill-down is
-        :func:`~repro.incidents.provenance.explain_incident`, which also
-        names its Jaccard-matched sets.
-        """
-        with self._wrap_db_errors():
-            rows = self._connection().execute(
-                "SELECT interval, support, hint FROM itemsets "
-                "WHERE key = ? ORDER BY interval, report_id",
-                (itemset_key(items),),
-            ).fetchall()
-        return [(int(i), int(s), str(h)) for i, s, h in rows]
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -509,7 +457,6 @@ class IncidentStore:
         with self._wrap_db_errors():
             if before_interval is not None:
                 with conn:
-                    # The itemsets side-table cascades via the FK.
                     cursor = conn.execute(
                         "DELETE FROM reports WHERE interval < ?",
                         (int(before_interval),),

@@ -85,10 +85,6 @@ class FrequentItemset:
         """Decoded {feature: value} view."""
         return dict(decode_item(item) for item in self.items)
 
-    def contains(self, other: "FrequentItemset") -> bool:
-        """True when ``other``'s items are a subset of this item-set."""
-        return set(other.items) <= set(self.items)
-
     def __str__(self) -> str:
         inner = ", ".join(format_item(item) for item in self.items)
         return f"{{{inner}}} (support={self.support})"

@@ -40,8 +40,7 @@ class SlidingWindowMiner:
         miner = SlidingWindowMiner(window=4, min_support=500)
         for interval in intervals:
             miner.push(interval.flows)
-            if miner.ready:
-                report = miner.mine()
+            result = miner.mine_if_candidates()  # None: nothing frequent
     """
 
     def __init__(
@@ -71,17 +70,8 @@ class SlidingWindowMiner:
 
     # ------------------------------------------------------------------
     @property
-    def ready(self) -> bool:
-        """True once a full window of batches has been pushed."""
-        return len(self._batches) == self.window
-
-    @property
     def batches(self) -> int:
         return len(self._batches)
-
-    @property
-    def flows_in_window(self) -> int:
-        return sum(len(batch) for batch in self._batches)
 
     def push(self, flows: FlowTable) -> None:
         """Add one interval's flows; evicts the oldest batch when the

@@ -285,11 +285,6 @@ class TransactionSet:
             return len(self)
         return int(self.contains_mask(items).sum())
 
-    def rows_as_sets(self) -> list[frozenset[int]]:
-        """Transactions as frozensets (for brute-force reference miners
-        in the test suite; do not use on large inputs)."""
-        return [frozenset(int(x) for x in row) for row in self.matrix]
-
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)

@@ -230,9 +230,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -399,9 +396,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -470,30 +464,21 @@ class time_stage:
         def build_report(...): ...
 
     The span is recorded even when the body raises - a failing stage
-    still spent the time.  :meth:`cancel` suppresses the pending
-    observation (e.g. a timed generator pull that found the stream
-    exhausted and did no stage work worth recording).
+    still spent the time.
     """
 
-    __slots__ = ("_target", "_start", "_cancelled")
+    __slots__ = ("_target", "_start")
 
     def __init__(self, target: Histogram | _NullInstrument):
         self._target = target
         self._start = 0.0
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Drop the span: ``__exit__`` records nothing."""
-        self._cancelled = True
 
     def __enter__(self) -> "time_stage":
         self._start = time.perf_counter()
-        self._cancelled = False
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if not self._cancelled:
-            self._target.observe(time.perf_counter() - self._start)
+        self._target.observe(time.perf_counter() - self._start)
 
     def __call__(self, fn: Callable) -> Callable:
         @functools.wraps(fn)

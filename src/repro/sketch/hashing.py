@@ -229,7 +229,6 @@ class HashFamily:
             raise ConfigError(f"bin count must be >= 1: {bins}")
         self._bins = bins
         self._rng = np.random.default_rng(seed)
-        self._issued: list[UniversalHash] = []
 
     @property
     def bins(self) -> int:
@@ -239,17 +238,10 @@ class HashFamily:
         """Draw the next independent hash function."""
         a = int(self._rng.integers(1, MERSENNE_PRIME))
         b = int(self._rng.integers(0, MERSENNE_PRIME))
-        fn = UniversalHash(a=a, b=b, bins=self._bins)
-        self._issued.append(fn)
-        return fn
+        return UniversalHash(a=a, b=b, bins=self._bins)
 
     def take(self, count: int) -> list[UniversalHash]:
         """Draw ``count`` independent hash functions."""
         if count < 1:
             raise ConfigError(f"must request at least one hash: {count}")
         return [self.fresh() for _ in range(count)]
-
-    @property
-    def issued(self) -> tuple[UniversalHash, ...]:
-        """All functions issued so far, in order."""
-        return tuple(self._issued)

@@ -181,8 +181,3 @@ class BaselineTrafficModel:
             start=rng.uniform(t0, t1, size=n),
         )
         return table
-
-    def top_internal_hosts(self, count: int) -> np.ndarray:
-        """The ``count`` most popular monitored addresses (the proxies and
-        caches that dominate port-80 traffic, a la hosts A/B/C)."""
-        return self._internal_pool[:count].copy()

@@ -76,10 +76,6 @@ class TraceGenerator:
         self.weekend_dip = weekend_dip
         self._model = BaselineTrafficModel(self.profile, seed=seed)
 
-    @property
-    def baseline_model(self) -> BaselineTrafficModel:
-        return self._model
-
     def generate(
         self,
         n_intervals: int,

@@ -99,10 +99,6 @@ class TrafficProfile:
         """Integer form of the first monitored address."""
         return ip_to_int(self.internal_network)
 
-    @property
-    def icmp_share(self) -> float:
-        return max(0.0, 1.0 - self.tcp_share - self.udp_share)
-
 
 def switch_like(flows_per_interval: int = 20_000) -> TrafficProfile:
     """The default scaled-down SWITCH/AS559-like profile.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import flow_recall, judge_itemsets
+from repro.analysis.metrics import judge_itemsets
 from repro.detection.features import Feature
 from repro.errors import ConfigError
 from repro.mining.items import FrequentItemset, encode_item
@@ -73,20 +73,3 @@ class TestJudgeItemsets:
         score = judge_itemsets([], tiny_flows)
         assert score.judgements == ()
         assert score.true_positives == 0
-
-
-class TestFlowRecall:
-    def test_full_recall(self, tiny_flows):
-        itemsets = [
-            _itemset([(Feature.PROTOCOL, 17)]),
-            _itemset([(Feature.SRC_IP, 10)]),
-        ]
-        assert flow_recall(itemsets, tiny_flows) == 1.0
-
-    def test_partial_recall(self, tiny_flows):
-        itemsets = [_itemset([(Feature.PROTOCOL, 17)])]  # 1 of 2 events
-        assert flow_recall(itemsets, tiny_flows) == pytest.approx(0.5)
-
-    def test_no_anomalous_flows(self, tiny_flows):
-        baseline = tiny_flows.select(~tiny_flows.anomalous_mask)
-        assert flow_recall([], baseline) == 0.0

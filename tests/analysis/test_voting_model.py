@@ -1,5 +1,7 @@
 """Unit tests for the analytic voting model (equations 1-3)."""
 
+import math
+
 import pytest
 
 from repro.analysis.voting_model import (
@@ -14,6 +16,9 @@ from repro.analysis.voting_model import (
     simulate_normal_inclusion,
 )
 from repro.errors import ConfigError
+from tests.analysis.binomial_tails import P, TAILS
+
+NAN = float("nan")
 
 
 class TestBinomialTail:
@@ -31,6 +36,68 @@ class TestBinomialTail:
             binomial_tail(0.5, 0, 1)
         with pytest.raises(ConfigError):
             binomial_tail(0.5, 3, 4)
+
+    @pytest.mark.parametrize("k, v, index, expected", TAILS)
+    def test_matches_the_recorded_tails(self, k, v, index, expected):
+        got = binomial_tail(P[index], k, v)
+        if expected > 1e-300:
+            assert abs(got - expected) <= 1e-12 * expected
+        else:
+            assert got <= 1e-290
+
+    @pytest.mark.parametrize("k", [1, 2, 25, 2000])
+    def test_certain_and_impossible_clones_are_exact(self, k):
+        for v in {1, (k + 1) // 2, k}:
+            assert binomial_tail(0.0, k, v) == 0.0
+            assert binomial_tail(1.0, k, v) == 1.0
+
+    def test_thousands_of_clones_do_not_overflow(self):
+        # The plain comb * p**i * q**(k-i) sum overflows from K ~ 1,030.
+        tail = binomial_tail(0.5, 2000, 1000)
+        assert 0.5 < tail < 0.52
+        assert math.isfinite(binomial_tail(3 / 1024, 2000, 1))
+
+
+#: Every input the voting model must refuse rather than answer.
+REFUSALS = [
+    (binomial_tail, (NAN, 3, 1), {}),
+    (binomial_tail, (float("inf"), 3, 1), {}),
+    (binomial_tail, (-0.1, 3, 1), {}),
+    (binomial_tail, (True, 3, 1), {}),
+    (binomial_tail, ("0.5", 3, 1), {}),
+    (binomial_tail, (0.5, 2.5, 1), {}),
+    (binomial_tail, (0.5, 3, 1.5), {}),
+    (binomial_tail, (0.5, 3, 0), {}),
+    (binomial_tail, (0.5, True, 1), {}),
+    (p_anomalous_missed, (NAN, 10, 5), {}),
+    (p_normal_included, (1.5, 4, 3, 1), {}),
+    (p_normal_included, (-1, 4, 3, 1), {}),
+    (p_normal_included, (1, 0, 3, 1), {}),
+    (p_normal_included, (1, 4.0, 3, 1), {}),
+    (p_normal_included, (1, 4, 3, 4), {}),
+    (simulate_anomalous_miss, (NAN, 5, 3), {}),
+    (simulate_anomalous_miss, (1.5, 5, 3), {}),
+    (simulate_anomalous_miss, (0.9, 5, 3), {"correlation": NAN}),
+    (simulate_anomalous_miss, (0.9, 5, 3), {"correlation": -0.5}),
+    (simulate_anomalous_miss, (0.9, 5, 3), {"trials": 0}),
+    (simulate_anomalous_miss, (0.9, 5, 3), {"trials": 1}),
+    (simulate_anomalous_miss, (0.9, 5, 3), {"trials": 10.0}),
+    (simulate_anomalous_miss, (0.9, 0, 1), {}),
+    (simulate_normal_inclusion, (8, 64, 4, 2), {"trials": 0}),
+    (simulate_normal_inclusion, (8, 64, 4, 2), {"trials": True}),
+    (simulate_normal_inclusion, (8.5, 64, 4, 2), {}),
+    (simulate_normal_inclusion, (8, 64, 4, 5), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, kwargs",
+    REFUSALS,
+    ids=[f"{f.__name__}{args}{kwargs or ''}" for f, args, kwargs in REFUSALS],
+)
+def test_refusals(function, args, kwargs):
+    with pytest.raises(ConfigError):
+        function(*args, **kwargs)
 
 
 class TestEquations:

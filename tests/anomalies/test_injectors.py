@@ -206,13 +206,6 @@ class TestWorm:
         assert set(np.unique(scans.src_ip).tolist()) <= set(ATTACKERS)
         assert set(np.unique(downloads.dst_ip).tolist()) <= set(ATTACKERS)
 
-    def test_stage_signatures(self):
-        worm = SasserLikeWorm(infected_ips=ATTACKERS)
-        sigs = worm.stage_signatures()
-        assert [s["dst_port"] for s in sigs] == [
-            SASSER_SCAN_PORT, SASSER_BACKDOOR_PORT, SASSER_FTP_PORT
-        ]
-
     def test_stage_ordering_in_time(self, gen_rng):
         worm = SasserLikeWorm(infected_ips=ATTACKERS, scan_flows=100,
                               backdoor_flows=100, download_flows=100)

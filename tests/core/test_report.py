@@ -145,11 +145,6 @@ class TestExtractionReport:
     def test_detector_votes(self):
         assert self._report().detector_votes == 2
 
-    def test_suspicious_itemsets_filter(self):
-        report = self._report()
-        assert len(report.suspicious_itemsets) == 1
-        assert report.suspicious_itemsets[0].hint == "suspicious"
-
     def test_from_result_interval_bounds(self, ddos_trace):
         from repro.core.config import ExtractionConfig
         from repro.detection.detector import DetectorConfig

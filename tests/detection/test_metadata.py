@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detection.features import Feature
-from repro.detection.metadata import Metadata, require_nonempty
+from repro.detection.metadata import Metadata
 from repro.errors import ExtractionError
 
 
@@ -112,8 +112,3 @@ class TestMetadata:
 
     def test_repr_compact(self, metadata):
         assert "dstPort:1" in repr(metadata)
-
-    def test_require_nonempty(self, metadata):
-        require_nonempty(metadata, "test")  # no raise
-        with pytest.raises(ExtractionError, match="no meta-data"):
-            require_nonempty(Metadata(), "test")

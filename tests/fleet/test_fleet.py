@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.core.config import ExtractionConfig, FleetSettings
+from repro.core.config import ExtractionConfig, FleetSettings, RunConfig
 from repro.detection.detector import DetectorConfig
 from repro.errors import ConfigError, ExtractionError, RegistryError
 from repro.fleet import FleetManager, resolve_route
@@ -334,10 +334,11 @@ min_support = 150
 
 
 class TestFleetSettings:
-    def test_from_toml_layers_pipeline_overrides(self, tmp_path):
+    def test_run_config_layers_pipeline_overrides(self, tmp_path):
         path = tmp_path / "fleet.toml"
         path.write_text(_FLEET_TOML)
-        settings, base = FleetSettings.from_toml(path)
+        run = RunConfig.load(path)
+        settings, base = run.fleet, run.base
         assert settings.route == "dst_ip%2"
         configs = settings.pipeline_configs()
         assert list(configs) == ["upstream", "peering"]
@@ -349,7 +350,7 @@ class TestFleetSettings:
         path = tmp_path / "bad.toml"
         path.write_text("[fleet]\nroute = 'dst_ip'\nstore_dri = 'x'\n")
         with pytest.raises(ConfigError, match="store_dir"):
-            FleetSettings.from_toml(path)
+            RunConfig.load(path)
 
     def test_unknown_pipeline_key_rejected(self, tmp_path):
         path = tmp_path / "bad2.toml"
@@ -359,7 +360,7 @@ class TestFleetSettings:
         with pytest.raises(
             ConfigError, match=r"\[fleet.pipelines.a\].*min_support"
         ):
-            FleetSettings.from_toml(path)
+            RunConfig.load(path)
 
     def test_plain_config_rejects_fleet_section_with_hint(self):
         with pytest.raises(ConfigError, match="open_fleet"):

@@ -81,10 +81,11 @@ class TestCsv:
         assert records == list(tiny_flows)
 
     def test_records_written_through_a_table(self, tmp_path):
-        records = [FlowRecord(1, 2, 3, 4, 6, 1, 40, start=0.5)]
+        record = FlowRecord(1, 2, 3, 4, 6, 1, 40, start=0.5)
         path = tmp_path / "records.csv"
-        write_csv(FlowTable.from_records(records), path)
-        assert read_csv(path).row(0) == records[0]
+        table = FlowTable.from_arrays([1], [2], [3], [4], [6], [1], [40], [0.5])
+        write_csv(table, path)
+        assert read_csv(path).row(0) == record
 
 
 class TestIterCsv:

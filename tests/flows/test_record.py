@@ -65,22 +65,6 @@ def _flow(**overrides):
 class TestFlowRecord:
     def test_default_label_is_baseline(self):
         assert _flow().label == BASELINE_LABEL
-        assert not _flow().is_anomalous
-
-    def test_labelled_flow_is_anomalous(self):
-        assert _flow(label=7).is_anomalous
-
-    def test_as_tuple_order(self):
-        flow = _flow()
-        assert flow.as_tuple() == (
-            flow.src_ip,
-            flow.dst_ip,
-            flow.src_port,
-            flow.dst_port,
-            flow.protocol,
-            flow.packets,
-            flow.bytes,
-        )
 
     def test_ip_string_properties(self):
         flow = _flow()

@@ -32,14 +32,6 @@ class TestConstruction:
         with pytest.raises(FlowError, match="ragged"):
             FlowTable(columns)
 
-    def test_from_records_round_trip(self):
-        records = [
-            FlowRecord(1, 2, 3, 4, 6, 5, 200, start=1.5, label=9),
-            FlowRecord(7, 8, 9, 10, 17, 1, 40),
-        ]
-        table = FlowTable.from_records(records)
-        assert [table.row(i) for i in range(2)] == records
-
     def test_columns_are_read_only(self):
         table = FlowTable.from_arrays([1], [2], [3], [4], [6], [1], [40])
         with pytest.raises(ValueError):
@@ -130,11 +122,6 @@ class TestGroundTruth:
 
     def test_event_labels_sorted_unique(self, tiny_flows):
         assert list(tiny_flows.event_labels()) == [0, 1]
-
-    def test_flows_of_event(self, tiny_flows):
-        event0 = tiny_flows.flows_of_event(0)
-        assert len(event0) == 1
-        assert event0.row(0).dst_port == 80
 
 
 class TestMisc:

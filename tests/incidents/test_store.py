@@ -8,12 +8,7 @@ import pytest
 from repro.core.report import ExtractionReport, TriagedItemset
 from repro.detection.features import CustomFeature, Feature
 from repro.errors import ConfigError, IncidentError
-from repro.incidents.store import (
-    IncidentStore,
-    itemset_key,
-    open_store,
-    parse_itemset_key,
-)
+from repro.incidents.store import IncidentStore, open_store
 from repro.mining.items import FrequentItemset, encode_item
 from repro.state import canonical_json
 
@@ -53,20 +48,49 @@ REPORT_A = make_report(
 REPORT_B = make_report(6, [((VICTIM, PORT80), 350, "suspicious")])
 
 
+#: The version-1 layout: the reports log plus an indexed item-set side
+#: table that nothing read.
+V1_SCHEMA = """
+CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE reports (
+    report_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    interval  INTEGER NOT NULL,
+    start     REAL NOT NULL,
+    end       REAL NOT NULL,
+    json      TEXT NOT NULL
+);
+CREATE INDEX idx_reports_interval ON reports (interval);
+CREATE TABLE itemsets (
+    report_id INTEGER NOT NULL REFERENCES reports (report_id)
+        ON DELETE CASCADE,
+    interval  INTEGER NOT NULL,
+    key       TEXT NOT NULL,
+    support   INTEGER NOT NULL,
+    hint      TEXT NOT NULL
+);
+CREATE INDEX idx_itemsets_key ON itemsets (key);
+CREATE INDEX idx_itemsets_report ON itemsets (report_id);
+"""
+
+
+def _dump(conn):
+    """Every table's rows, by table name."""
+    tables = [
+        row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' "
+            "ORDER BY name"
+        )
+    ]
+    return {
+        name: conn.execute(f"SELECT * FROM {name}").fetchall()
+        for name in tables
+    }
+
+
 @pytest.fixture()
 def store():
     with IncidentStore(":memory:") as s:
         yield s
-
-
-class TestKeys:
-    def test_round_trip(self):
-        key = itemset_key((VICTIM, PORT80))
-        assert parse_itemset_key(key) == (VICTIM, PORT80)
-
-    def test_malformed_key_rejected(self):
-        with pytest.raises(IncidentError, match="malformed"):
-            parse_itemset_key("1,banana")
 
 
 class TestAppendAndQuery:
@@ -141,12 +165,6 @@ class TestAppendAndQuery:
         with pytest.raises(IncidentError, match="no report"):
             store.report_at(99)
 
-    def test_itemset_history(self, store):
-        store.extend([REPORT_A, REPORT_B])
-        history = store.itemset_history((VICTIM, PORT80))
-        assert history == [(5, 300, "suspicious"), (6, 350, "suspicious")]
-        assert store.itemset_history((PROTO,)) == [(5, 120, "common-size")]
-
     def test_empty_report_round_trips(self, store):
         empty = make_report(3, [], alarmed=("dstPort",))
         store.append(empty)
@@ -203,7 +221,7 @@ class TestPersistence:
         self, tmp_path
     ):
         """A store written by a future layout must be refused before
-        the WAL flip or the v1 schema script touch it - an older binary
+        the WAL flip or the schema script touch it - an older binary
         must not corrupt a newer store it cannot read."""
         path = str(tmp_path / "future.db")
         conn = sqlite3.connect(path)
@@ -212,12 +230,12 @@ class TestPersistence:
             "value TEXT NOT NULL)"
         )
         conn.execute(
-            "INSERT INTO store_meta VALUES ('schema_version', '2')"
+            "INSERT INTO store_meta VALUES ('schema_version', '3')"
         )
         conn.execute("CREATE TABLE reports_v2 (x INTEGER)")
         conn.commit()
         conn.close()
-        with pytest.raises(IncidentError, match="schema version 2"):
+        with pytest.raises(IncidentError, match="schema version 3"):
             IncidentStore(path)
         conn = sqlite3.connect(path)
         tables = {
@@ -228,6 +246,39 @@ class TestPersistence:
         journal = conn.execute("PRAGMA journal_mode").fetchone()[0]
         conn.close()
         assert tables == {"store_meta", "reports_v2"}
+        assert journal != "wal"
+
+    def test_version_1_store_refused_without_mutation(self, tmp_path):
+        """Schema 1 also wrote every item-set into an indexed side
+        table.  Schema 2 dropped it; a version-1 file is refused with
+        its tables, rows and journal mode as they were (re-ingest into a
+        fresh store)."""
+        path = str(tmp_path / "v1.db")
+        conn = sqlite3.connect(path)
+        conn.executescript(V1_SCHEMA)
+        conn.execute(
+            "INSERT INTO store_meta VALUES ('schema_version', '1')"
+        )
+        conn.execute(
+            "INSERT INTO reports (interval, start, end, json) "
+            "VALUES (5, 4500.0, 5400.0, ?)",
+            (REPORT_A.to_json(),),
+        )
+        conn.execute(
+            "INSERT INTO itemsets VALUES (1, 5, ?, 300, 'suspicious')",
+            (f"{VICTIM},{PORT80}",),
+        )
+        conn.commit()
+        before = _dump(conn)
+        conn.close()
+        with pytest.raises(IncidentError, match="schema version 1"):
+            IncidentStore(path)
+        conn = sqlite3.connect(path)
+        after = _dump(conn)
+        journal = conn.execute("PRAGMA journal_mode").fetchone()[0]
+        conn.close()
+        assert after == before
+        assert "itemsets" in after
         assert journal != "wal"
 
     def test_foreign_database_rejected_without_mutation(self, tmp_path):
@@ -265,14 +316,6 @@ class TestCompact:
         assert deleted == 7
         assert store.intervals() == [7, 8, 9]
 
-    def test_compact_cascades_to_itemsets(self, store):
-        store.extend([REPORT_A, REPORT_B])
-        store.compact(before_interval=6)
-        # interval-5 occurrence gone, interval-6 one kept
-        assert store.itemset_history((VICTIM, PORT80)) == [
-            (6, 350, "suspicious")
-        ]
-
     def test_pure_vacuum_deletes_nothing(self, store):
         store.append(REPORT_A)
         assert store.compact() == 0
@@ -296,6 +339,74 @@ class TestCompact:
             store._connection().execute("PRAGMA wal_checkpoint(FULL)")
             after = path.stat().st_size
         assert after < before
+
+
+class TestDiskFull:
+    """A store whose file cannot grow (``PRAGMA max_page_count`` capped
+    at its current size) refuses the write that needs a new page as an
+    :class:`IncidentError`, and the refused write leaves nothing
+    behind: an append or a whole batch is all-or-nothing."""
+
+    @staticmethod
+    def _state(store):
+        return (
+            len(store),
+            store.intervals(),
+            store.last_interval(),
+            [r.to_json() for r in store.reports()],
+        )
+
+    @staticmethod
+    def _report(interval):
+        return make_report(
+            interval,
+            [((encode_item(Feature.SRC_IP, interval * 100 + i), PORT80),
+              300 + i, "suspicious") for i in range(3)],
+        )
+
+    def _fill(self, tmp_path):
+        """A file store capped at its size, appended to until it is
+        full; returns the store and the first interval it refused."""
+        store = IncidentStore(str(tmp_path / "full.db"))
+        conn = store._connection()
+        pages = conn.execute("PRAGMA page_count").fetchone()[0]
+        conn.execute(f"PRAGMA max_page_count = {pages}")
+        for interval in range(1000):
+            state = self._state(store)
+            try:
+                store.append(self._report(interval))
+            except IncidentError as exc:
+                assert "database or disk is full" in str(exc)
+                assert self._state(store) == state
+                return store, interval
+        raise AssertionError("the capped store never filled")
+
+    def test_append_is_all_or_nothing(self, tmp_path):
+        store, refused = self._fill(tmp_path)
+        with store:
+            assert refused > 0
+            assert store.intervals() == list(range(refused))
+            assert store.last_interval() == refused - 1
+
+    def test_extend_is_all_or_nothing(self, tmp_path):
+        store, refused = self._fill(tmp_path)
+        with store:
+            state = self._state(store)
+            batch = [self._report(refused + i) for i in range(3)]
+            with pytest.raises(IncidentError, match="disk is full"):
+                store.extend(batch)
+            assert self._state(store) == state
+
+    def test_the_refused_report_appends_once_the_cap_is_lifted(
+        self, tmp_path
+    ):
+        store, refused = self._fill(tmp_path)
+        with store:
+            store._connection().execute("PRAGMA max_page_count = 1000000")
+            store.append(self._report(refused))
+            assert store.intervals() == list(range(refused + 1))
+            assert store.last_interval() == refused
+            assert store.report_at(refused) == self._report(refused)
 
 
 class TestLastInterval:

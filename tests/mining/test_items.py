@@ -54,14 +54,6 @@ class TestFrequentItemset:
         assert itemset.size == 2
         assert itemset.as_dict() == {Feature.DST_PORT: 80, Feature.PROTOCOL: 6}
 
-    def test_contains(self):
-        big = self._itemset(
-            [(Feature.DST_PORT, 80), (Feature.PROTOCOL, 6), (Feature.PACKETS, 1)]
-        )
-        small = self._itemset([(Feature.DST_PORT, 80)])
-        assert big.contains(small)
-        assert not small.contains(big)
-
     def test_rejects_duplicate_feature(self):
         items = tuple(
             sorted(

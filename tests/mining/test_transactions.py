@@ -105,11 +105,6 @@ class TestSupports:
         assert transactions.support_of(items) == 3
         assert transactions.support_of(()) == len(transactions)
 
-    def test_rows_as_sets(self, transactions):
-        rows = transactions.rows_as_sets()
-        assert len(rows) == len(transactions)
-        assert all(len(row) == TRANSACTION_WIDTH for row in rows)
-
     def test_empty_flows(self):
         transactions = TransactionSet.from_flows(FlowTable.empty())
         assert len(transactions) == 0

@@ -76,11 +76,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self, registry):
+    def test_set_inc(self, registry):
         g = registry.gauge("repro_pending")
         g.set(10)
         g.inc(2)
-        g.dec(5)
+        g.inc(-5)
         assert g.value == 7.0
 
 
@@ -170,7 +170,7 @@ class TestNullRegistry:
         c.inc()
         g = NULL_REGISTRY.gauge("repro_pending")
         g.set(3)
-        g.dec()
+        g.inc()
         h = NULL_REGISTRY.histogram("repro_lat_seconds")
         h.observe(1.0)
         assert c.value == 0.0
@@ -196,21 +196,6 @@ class TestTimeStage:
         with pytest.raises(RuntimeError):
             with time_stage(h):
                 raise RuntimeError("stage failed")
-        assert h.count == 1
-
-    def test_cancel_suppresses_observation(self, registry):
-        h = registry.histogram("repro_stage_seconds")
-        with time_stage(h) as span:
-            span.cancel()
-        assert h.count == 0
-
-    def test_reentry_resets_cancellation(self, registry):
-        h = registry.histogram("repro_stage_seconds")
-        span = time_stage(h)
-        with span:
-            span.cancel()
-        with span:
-            pass
         assert h.count == 1
 
     def test_decorator_records_every_call(self, registry):

@@ -8,6 +8,8 @@ times the observed distinct values (up to 65 536 for ports).
 """
 
 from repro.analysis.voting_model import (
+    expected_normal_values,
+    fig8_grid,
     p_normal_included,
     simulate_normal_inclusion,
 )
@@ -33,3 +35,14 @@ def test_fig8_normal_value_survival():
     assert probs_v == sorted(probs_v, reverse=True)
     probs_k = [p_normal_included(3, M, k, 1) for k in range(1, 26)]
     assert probs_k == sorted(probs_k)
+    # The figure's two panels: B=3 (b) lies above B=1 (a) everywhere.
+    panel_a, panel_b = fig8_grid(1, M), fig8_grid(3, M)
+    assert panel_a.keys() == panel_b.keys()
+    for v, series in panel_a.items():
+        for (k, low), (k_b, high) in zip(series, panel_b[v], strict=True):
+            assert k == k_b and high > low
+    # False feature values = gamma_V x observed values (65 536 ports):
+    # one vote of three clones passes ~192 at B=1, all three votes not
+    # even one at B=3.
+    assert expected_normal_values(1, M, 3, 1, 65_536) > 150
+    assert expected_normal_values(3, M, 3, 3, 65_536) < 0.01

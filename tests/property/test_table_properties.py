@@ -212,7 +212,8 @@ def test_sort_by_start_is_permutation(table):
 @given(table=flow_tables())
 def test_anomalous_mask_consistent_with_events(table):
     mask_count = int(table.anomalous_mask.sum())
+    labels = table.column("label")
     by_event = sum(
-        len(table.flows_of_event(int(e))) for e in table.event_labels()
+        len(table.select(labels == int(e))) for e in table.event_labels()
     )
     assert mask_count == by_event

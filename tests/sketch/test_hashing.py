@@ -79,11 +79,6 @@ class TestHashFamily:
         agree = (f1.hash_array(values) == f2.hash_array(values)).mean()
         assert agree < 0.01  # expected ~1/1024
 
-    def test_issued_tracks_functions(self):
-        family = HashFamily(bins=8, seed=0)
-        drawn = family.take(2)
-        assert list(family.issued) == drawn
-
     def test_invalid_args(self):
         with pytest.raises(ConfigError):
             HashFamily(bins=0)

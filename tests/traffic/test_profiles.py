@@ -21,10 +21,6 @@ class TestProfiles:
         assert profile.internal_hosts <= 1024
         assert profile.flows_per_interval <= 2000
 
-    def test_icmp_share_is_remainder(self):
-        profile = TrafficProfile(tcp_share=0.7, udp_share=0.2)
-        assert profile.icmp_share == pytest.approx(0.1)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
