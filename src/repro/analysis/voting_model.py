@@ -144,10 +144,11 @@ def simulate_anomalous_miss(
     per_clone = rng.random((trials, k))
     mixed = correlation * shared[:, None] + (1 - correlation) * per_clone
     # Normalize the mixture so the marginal inclusion probability stays
-    # beta: for a sum of uniforms this is approximate, so instead select
-    # per-trial thresholds empirically via rank transform.
-    ranks = mixed.argsort(axis=0).argsort(axis=0) / (trials - 1)
-    included = ranks < beta
+    # beta: a sum of uniforms is not uniform, so each clone's column is
+    # rank-transformed instead, rank r to the mid-rank (r + 0.5) /
+    # trials - exactly round(beta * trials) trials include the value.
+    ranks = mixed.argsort(axis=0).argsort(axis=0)
+    included = (ranks + 0.5) / trials < beta
     votes = included.sum(axis=1)
     misses = int((votes < v).sum())
     return misses / trials

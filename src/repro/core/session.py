@@ -238,10 +238,6 @@ class ExtractionSession(AnomalyExtractor):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Release the session's resources (idempotent): the metrics
         trail and the incident store, each even when the other's

@@ -26,7 +26,7 @@ from repro.detection.threshold import (
     DEFAULT_MULTIPLIER,
     MAD_TO_SIGMA,
     AlarmThreshold,
-    estimate_threshold,
+    estimate_sigmas,
     mad_sigma,
 )
 from repro.detection.voting import vote, vote_matrix
@@ -54,7 +54,7 @@ __all__ = [
     "DEFAULT_MULTIPLIER",
     "MAD_TO_SIGMA",
     "AlarmThreshold",
-    "estimate_threshold",
+    "estimate_sigmas",
     "mad_sigma",
     "vote",
     "vote_matrix",

@@ -14,7 +14,8 @@ import functools
 import math
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.detection.kl import (
 from repro.detection.threshold import (
     DEFAULT_MULTIPLIER,
     AlarmThreshold,
-    estimate_threshold,
+    estimate_sigmas,
 )
 from repro.detection.voting import vote
 from repro.errors import CheckpointError, ConfigError, SketchError
@@ -143,16 +144,16 @@ NO_VALUES = np.empty(0, dtype=np.uint64)
 NO_VALUES.setflags(write=False)
 
 
-@dataclass(frozen=True, slots=True)
-class CloneObservation:
-    """Per-clone, per-interval detector output."""
+class CloneObservation(NamedTuple):
+    """Per-clone, per-interval detector output (a named tuple: a bank
+    builds ``F x C`` of them every interval)."""
 
     clone_index: int
     kl: float
     diff: float
     alarm: bool
     bins: tuple[int, ...] = ()
-    suspicious_values: np.ndarray = field(default_factory=lambda: NO_VALUES)
+    suspicious_values: np.ndarray = NO_VALUES
     bin_identification: BinIdentification | None = None
 
 
@@ -184,30 +185,225 @@ def _threshold(doc: object) -> AlarmThreshold:
     return AlarmThreshold(**_CALIBRATION(doc))
 
 
-class HistogramDetector:
-    """Stateful per-feature detector; call :meth:`observe` per interval."""
+class CloneScorer:
+    """The cross-interval state of ``F`` features' ``C`` clones, held
+    as ``(F, C)`` arrays, and the one pass that scores an interval's
+    ``(F, C, m)`` clone block against it.
 
-    def __init__(self, feature: Feature, config: DetectorConfig, seed: int = 0):
+    Per interval one ``smooth_rows`` and one ``divergence_rows`` call
+    score every clone against the smoothed histogram the previous
+    interval carried forward - the bits ``kl_rows`` would recompute
+    from the previous counts, since ``smooth_rows`` treats each row
+    alone - and the first differences, the training diffs, the
+    calibration and the alarm test are array operations.  Python runs
+    per clone only for a clone that alarms (its bins, their values and
+    the vote) and to build the records.
+
+    A detector bank scores all its rows at once; a
+    :class:`HistogramDetector` is one row, of its own scorer or of its
+    bank's.  Each row keeps its own interval index: a bank restored
+    from documents written apart may hold rows at different intervals.
+    """
+
+    def __init__(self, config: DetectorConfig, features: Sequence[Feature]):
+        clones, bins = config.clones, config.bins
+        shape = (len(features), clones)
+        self.config = config
+        self.features = tuple(features)
+        #: Per row, the index of the last observed interval (-1 before
+        #: any), and whether its clones are calibrated.
+        self.interval = np.full(len(features), -1, dtype=np.int64)
+        self.trained = np.zeros(len(features), dtype=bool)
+        # What the next interval reads: each clone's previous bin counts
+        # (where ``has_prev``) and KL, and until it calibrates its
+        # training diffs - interval ``i``'s at ``[..., i - 2]``.
+        self.prev = np.zeros((*shape, bins))
+        self.has_prev = np.zeros(shape, dtype=bool)
+        self.prev_kl = np.zeros(shape)
+        self.training_diffs = np.zeros(
+            (*shape, max(0, config.training_intervals - 2))
+        )
+        # The previous counts as the KL reads them, smoothed and
+        # normalised (``smooth_rows``), and each one's smoothed total:
+        # the current histograms of one interval are the reference of
+        # the next.
+        self.reference = np.zeros((*shape, bins))
+        self.reference_totals = np.zeros((*shape, 1))
+        # Each calibrated clone's alarm rule: diff > multiplier * sigma.
+        self.sigma = np.zeros(shape)
+        self.multiplier = np.zeros(shape)
+
+    def put(self, name: str, rows: slice, value: np.ndarray) -> None:
+        """Store ``value`` as rows ``rows`` of the array ``name``.  When
+        they are every row, ``value`` replaces the array as is (an
+        interval's read-only block is not copied); otherwise it is
+        written into the array, copied first if it is read-only."""
+        if range(*rows.indices(len(self.features))) == range(len(self.features)):
+            setattr(self, name, value)
+            return
+        held = getattr(self, name)
+        if not held.flags.writeable:
+            held = held.copy()
+            setattr(self, name, held)
+        held[rows] = value
+
+    def score(
+        self,
+        block: np.ndarray,
+        observed: Sequence[Sequence[np.ndarray]],
+        cells: Sequence[Sequence[np.ndarray]],
+        rows: slice = slice(None),
+    ) -> list[FeatureObservation]:
+        """Score one interval's ``(R, C, m)`` read-only clone histograms
+        as rows ``rows`` of this scorer, one observation per row.
+
+        ``observed[f][c]`` are the values clone ``c`` of row ``f``
+        binned and ``cells[f][c]`` their bins (the bin->values
+        back-map, read only by an alarming clone).  The block is kept,
+        uncopied, as the next interval's previous counts.
+        """
+        cfg = self.config
+        count, clones, bins = block.shape
+        # Smoothing validates the counts: refuse before any state moves.
+        current, totals = smooth_rows(block.reshape(-1, bins), cfg.pseudocount)
+        has_prev, prev_kl = self.has_prev[rows], self.prev_kl[rows]
+
+        if has_prev.all():
+            kl = divergence_rows(
+                current,
+                totals,
+                self.reference[rows].reshape(-1, bins),
+                self.reference_totals[rows].reshape(-1, 1),
+            ).reshape(count, clones)
+        else:
+            kl = np.zeros((count, clones))
+            scored = np.flatnonzero(has_prev)
+            if scored.size:
+                kl.flat[scored] = divergence_rows(
+                    current[scored],
+                    totals[scored],
+                    self.reference[rows].reshape(-1, bins)[scored],
+                    self.reference_totals[rows].reshape(-1, 1)[scored],
+                )
+        diff = np.where(has_prev, kl - prev_kl, 0.0)
+        interval = self.interval[rows] + 1
+        trained = self.trained[rows]
+        sigma, multiplier = self.sigma[rows], self.multiplier[rows]
+        alarm = trained[:, np.newaxis] & has_prev & (diff > multiplier * sigma)
+
+        if not trained.all():
+            training = ~trained
+            # Accumulate genuine diffs (skip the first two intervals,
+            # whose KL/diff are degenerate), then calibrate on them.
+            series = self.training_diffs[rows]
+            keep = np.flatnonzero(training & (interval >= 2))
+            series[keep, :, interval[keep] - 2] = diff[keep]
+            due = np.flatnonzero(
+                training & (interval + 1 >= cfg.training_intervals)
+            )
+            if due.size:
+                sigma[due] = estimate_sigmas(
+                    series[due].reshape(due.size * clones, -1)
+                ).reshape(due.size, clones)
+                multiplier[due] = cfg.multiplier
+                trained[due] = True
+
+        # Per row with an alarming clone, those clones' records.
+        found: dict[int, dict[int, CloneObservation]] = {}
+        for f, c in np.argwhere(alarm).tolist() if alarm.any() else ():
+            bin_id = identify_anomalous_bins(
+                block[f, c],
+                self.prev[rows][f, c],
+                AlarmThreshold(
+                    sigma=sigma[f, c].item(), multiplier=multiplier[f, c].item()
+                ),
+                previous_kl=prev_kl[f, c].item(),
+                pseudocount=cfg.pseudocount,
+            )
+            suspicious = NO_VALUES
+            if bin_id.bins and observed[f][c].size:
+                flagged = np.zeros(bins, dtype=bool)
+                flagged[list(bin_id.bins)] = True
+                suspicious = observed[f][c][flagged[cells[f][c]]]
+            found.setdefault(f, {})[c] = CloneObservation(
+                clone_index=c,
+                kl=kl[f, c].item(),
+                diff=diff[f, c].item(),
+                alarm=True,
+                bins=bin_id.bins,
+                suspicious_values=suspicious,
+                bin_identification=bin_id,
+            )
+
+        prev_kl[...] = kl
+        has_prev[...] = True
+        self.interval[rows] = interval
+        self.put("prev", rows, block)
+        self.put("reference", rows, current.reshape(block.shape))
+        self.put("reference_totals", rows, totals.reshape(count, clones, 1))
+
+        observations = []
+        quiet = [False] * clones
+        for f, (feature, kls, diffs, index, calibrated) in enumerate(
+            zip(
+                self.features[rows],
+                kl.tolist(),
+                diff.tolist(),
+                interval.tolist(),
+                trained.tolist(),
+            )
+        ):
+            results = tuple(
+                map(CloneObservation, range(clones), kls, diffs, quiet)
+            )
+            voted = NO_VALUES
+            if f in found:
+                results = tuple(found[f].get(c, r) for c, r in enumerate(results))
+                voted = vote(
+                    [clone.suspicious_values for clone in results],
+                    cfg.vote_threshold,
+                )
+            observations.append(
+                FeatureObservation(feature, index, results, voted, calibrated)
+            )
+        return observations
+
+
+class HistogramDetector:
+    """Stateful per-feature detector; call :meth:`observe` per interval.
+
+    Its state is one row of a :class:`CloneScorer`: ``scorer``, a
+    detector bank's, whose row for ``feature`` it reads and writes, or
+    by default one of its own.
+    """
+
+    def __init__(
+        self,
+        feature: Feature,
+        config: DetectorConfig,
+        seed: int = 0,
+        scorer: CloneScorer | None = None,
+    ):
         self.feature = feature
         self.config = config
         self._hashes = clone_hashes(seed, feature, config.clones, config.bins)
-        self._interval = -1
-        # What the next interval reads: each clone's previous bin
-        # counts and KL, and (until calibrated) its training diffs.
-        self._prev: list[np.ndarray | None] = [None] * config.clones
-        # The previous counts as the KL reads them, smoothed and
-        # normalised (``smooth_rows``): the current histograms of one
-        # interval are the reference of the next.
-        self._reference: tuple[np.ndarray, np.ndarray] | None = None
-        self._prev_kl = [0.0] * config.clones
-        self._training_diffs: list[list[float]] = [[] for _ in range(config.clones)]
-        self._thresholds: list[AlarmThreshold | None] = [None] * config.clones
+        if scorer is None:
+            scorer = CloneScorer(config, (feature,))
+        if scorer.config != config or feature not in scorer.features:
+            raise ConfigError(
+                f"feature {feature.short_name} is not a row of the shared "
+                f"scorer: it runs {scorer.config} over "
+                f"{[f.short_name for f in scorer.features]}, this "
+                f"detector {config}"
+            )
+        row = scorer.features.index(feature)
+        self._scorer, self._rows = scorer, slice(row, row + 1)
 
     # ------------------------------------------------------------------
     @property
     def interval(self) -> int:
         """Index of the last observed interval (-1 before any)."""
-        return self._interval
+        return int(self._scorer.interval[self._rows][0])
 
     @property
     def hash_fns(self) -> tuple[UniversalHash, ...]:
@@ -216,17 +412,20 @@ class HistogramDetector:
 
     @property
     def trained(self) -> bool:
-        return all(thr is not None for thr in self._thresholds)
+        return bool(self._scorer.trained[self._rows][0])
 
     def threshold(self, clone: int) -> AlarmThreshold:
-        thr = self._thresholds[clone]
-        if thr is None:
+        if not self.trained:
             raise ConfigError(
                 f"clone {clone} not calibrated yet "
-                f"(interval {self._interval} < training "
+                f"(interval {self.interval} < training "
                 f"{self.config.training_intervals})"
             )
-        return thr
+        scorer, rows = self._scorer, self._rows
+        return AlarmThreshold(
+            sigma=scorer.sigma[rows][0, clone].item(),
+            multiplier=scorer.multiplier[rows][0, clone].item(),
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -243,22 +442,29 @@ class HistogramDetector:
         packed array encoding (bit-exact and cheap to serialize, which
         the per-batch service checkpoint needs).
         """
+        scorer, rows, clones = self._scorer, self._rows, self.config.clones
+        interval, trained = self.interval, self.trained
+        held = max(0, interval - 1)
         return {
-            "interval": self._interval,
+            "interval": interval,
             "prev": [
-                None if counts is None else pack_array(counts)
-                for counts in self._prev
+                pack_array(counts) if has else None
+                for counts, has in zip(
+                    scorer.prev[rows][0], scorer.has_prev[rows][0].tolist()
+                )
             ],
-            "prev_kl": list(self._prev_kl),
-            "training_diffs": [
-                list(series) for series in self._training_diffs
-            ],
+            "prev_kl": scorer.prev_kl[rows][0].tolist(),
+            "training_diffs": (
+                [[] for _ in range(clones)]
+                if trained
+                else scorer.training_diffs[rows][0, :, :held].tolist()
+            ),
             "thresholds": [
-                None
-                if thr is None
-                else {"sigma": thr.sigma, "multiplier": thr.multiplier}
-                for thr in self._thresholds
-            ],
+                {"sigma": thr.sigma, "multiplier": thr.multiplier}
+                for thr in map(self.threshold, range(clones))
+            ]
+            if trained
+            else [None] * clones,
         }
 
     def from_state(self, state: dict) -> None:
@@ -311,37 +517,55 @@ class HistogramDetector:
                 )
         # The carried reference is derived from the raw counts, never
         # stored: ``smooth_rows`` of the same rows is the same bits.
-        prev = fields["prev"]
-        reference = None
-        if any(counts is not None for counts in prev):
-            rows = [np.zeros(bins) if c is None else c for c in prev]
-            try:
-                reference = smooth_rows(np.stack(rows), self.config.pseudocount)
-            except ConfigError as exc:
-                raise CheckpointError(
-                    f"malformed reference counts in detector "
-                    f"checkpoint: {exc}"
-                ) from exc
-        self._interval = interval
-        self._prev = prev
-        self._reference = reference
-        self._prev_kl = fields["prev_kl"]
-        self._training_diffs = fields["training_diffs"]
-        self._thresholds = fields["thresholds"]
+        # A clone without counts holds a zero row its flag never reads.
+        prev = np.zeros((clones, bins))
+        has_prev = [counts is not None for counts in fields["prev"]]
+        for c, counts in enumerate(fields["prev"]):
+            if counts is not None:
+                prev[c] = counts
+        try:
+            reference, totals = smooth_rows(prev, self.config.pseudocount)
+        except ConfigError as exc:
+            raise CheckpointError(
+                f"malformed reference counts in detector "
+                f"checkpoint: {exc}"
+            ) from exc
+        scorer, rows = self._scorer, self._rows
+        scorer.interval[rows] = interval
+        scorer.trained[rows] = calibrated
+        scorer.put("prev", rows, prev[np.newaxis])
+        scorer.has_prev[rows] = has_prev
+        scorer.put("reference", rows, reference[np.newaxis])
+        scorer.put("reference_totals", rows, totals[np.newaxis])
+        scorer.prev_kl[rows] = fields["prev_kl"]
+        scorer.training_diffs[rows][0, :, :expected] = fields["training_diffs"]
+        if calibrated:
+            scorer.sigma[rows] = [thr.sigma for thr in fields["thresholds"]]
+            scorer.multiplier[rows] = [
+                thr.multiplier for thr in fields["thresholds"]
+            ]
 
     # ------------------------------------------------------------------
     def observe(self, flows: FlowTable) -> FeatureObservation:
-        """Process one measurement interval and return the observation."""
+        """Process one interval and return the observation."""
         observed, counts = sorted_distinct(self.feature.extract(flows))
-        (block,), (cells,) = clone_counts(self._hashes, [(observed, counts)])
-        return self.observe_binned(
-            block, (observed,) * self.config.clones, cells
-        )
+        block, cells = clone_counts(self._hashes, [(observed, counts)])
+        return self._score(block, [(observed,) * self.config.clones], cells)
 
     def observe_snapshots(
         self, snapshots: list[HistogramSnapshot]
     ) -> FeatureObservation:
-        """Process one interval given per-clone histogram snapshots.
+        """Process one interval given per-clone histogram snapshots
+        (checked by :meth:`snapshot_rows`)."""
+        counts, observed, cells = self.snapshot_rows(snapshots)
+        block = np.stack(counts)[np.newaxis]
+        block.setflags(write=False)
+        return self._score(block, [observed], [cells])
+
+    def snapshot_rows(
+        self, snapshots: list[HistogramSnapshot]
+    ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+        """Each clone snapshot's counts, observed values and cells.
 
         The snapshots must use this detector's own clone hash functions
         (same order), otherwise the KL reference series would mix
@@ -362,111 +586,19 @@ class HistogramDetector:
                     f"than this detector's clone (check seed/clones/"
                     f"bins compatibility)"
                 )
-        block = np.stack([snapshot.counts for snapshot in snapshots])
-        block.setflags(write=False)
-        return self.observe_binned(
-            block,
+        return (
+            [snapshot.counts for snapshot in snapshots],
             [snapshot.observed for snapshot in snapshots],
             [snapshot.cells for snapshot in snapshots],
         )
 
-    def observe_binned(
+    def _score(
         self,
-        counts: np.ndarray,
-        observed: Sequence[np.ndarray],
-        cells: Sequence[np.ndarray],
+        block: np.ndarray,
+        observed: Sequence[Sequence[np.ndarray]],
+        cells: Sequence[Sequence[np.ndarray]],
     ) -> FeatureObservation:
-        """Process one interval given its ``(C, m)`` read-only clone
-        histograms, binned by :attr:`hash_fns`, each clone's observed
-        values and their cells (``cells[c][j]`` is the bin of
-        ``observed[c][j]`` under clone ``c``: the bin->values back-map,
-        read only by an alarming clone).
-
-        Every clone with a reference is scored against the smoothed
-        histogram the previous interval carried forward - the bits
-        ``kl_rows`` would recompute from the previous counts, since
-        ``smooth_rows`` treats each row alone.
-        """
-        cfg = self.config
-        # Smoothing validates the counts: refuse before any state moves.
-        current = smooth_rows(counts, cfg.pseudocount)
-        self._interval += 1
-
-        kls = [0.0] * cfg.clones
-        scored = [c for c, prev in enumerate(self._prev) if prev is not None]
-        if scored:
-            assert self._reference is not None  # set with the counts
-            rows = slice(None) if len(scored) == cfg.clones else scored
-            distances = divergence_rows(
-                current[0][rows],
-                current[1][rows],
-                self._reference[0][rows],
-                self._reference[1][rows],
-            )
-            for c, kl in zip(scored, distances.tolist()):
-                kls[c] = kl
-
-        clone_results: list[CloneObservation] = []
-        for c, prev in enumerate(self._prev):
-            kl = kls[c]
-            diff = 0.0 if prev is None else kl - self._prev_kl[c]
-
-            alarm = False
-            bins: tuple[int, ...] = ()
-            suspicious = NO_VALUES
-            bin_id: BinIdentification | None = None
-            if self._thresholds[c] is None:
-                # Training phase: accumulate genuine diffs (skip the
-                # first two intervals, whose KL/diff are degenerate).
-                if self._interval >= 2:
-                    self._training_diffs[c].append(diff)
-                if self._interval + 1 >= cfg.training_intervals:
-                    self._thresholds[c] = estimate_threshold(
-                        np.asarray(self._training_diffs[c]),
-                        multiplier=cfg.multiplier,
-                    )
-                    self._training_diffs[c] = []
-            else:
-                threshold = self._thresholds[c]
-                if threshold.is_alarm(diff) and prev is not None:
-                    alarm = True
-                    bin_id = identify_anomalous_bins(
-                        counts[c],
-                        prev,
-                        threshold,
-                        previous_kl=self._prev_kl[c],
-                        pseudocount=cfg.pseudocount,
-                    )
-                    bins = bin_id.bins
-                    if bins and observed[c].size:
-                        flagged = np.zeros(cfg.bins, dtype=bool)
-                        flagged[list(bins)] = True
-                        suspicious = observed[c][flagged[cells[c]]]
-            clone_results.append(
-                CloneObservation(
-                    clone_index=c,
-                    kl=kl,
-                    diff=diff,
-                    alarm=alarm,
-                    bins=bins,
-                    suspicious_values=suspicious,
-                    bin_identification=bin_id,
-                )
-            )
-            self._prev_kl[c] = kl
-        self._prev = list(counts)
-        self._reference = current
-
-        voted = NO_VALUES
-        if any(clone.alarm for clone in clone_results):
-            voted = vote(
-                [clone.suspicious_values for clone in clone_results],
-                cfg.vote_threshold,
-            )
-        return FeatureObservation(
-            feature=self.feature,
-            interval=self._interval,
-            clones=tuple(clone_results),
-            voted_values=voted,
-            trained=self.trained,
-        )
+        """:meth:`CloneScorer.score` of this detector's ``(1, C, m)``
+        block, as its row."""
+        (observation,) = self._scorer.score(block, observed, cells, self._rows)
+        return observation

@@ -24,6 +24,7 @@ from repro.errors import ConfigError
 from repro.flows.table import FlowTable
 from repro.registry import lookup
 from repro.sketch.distinct import sorted_distinct
+from repro.sketch.hashing import checked_keys
 
 
 class Feature(enum.Enum):
@@ -203,15 +204,68 @@ def value_counts(
     flows: FlowTable, features: Iterable[FeatureLike]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """One interval's summary per feature, keyed by short name: the
-    sorted distinct values and the int64 number of flows carrying each
-    - one sort per column.  A collector ships it as a digest and a
+    sorted distinct values (read-only uint64) and the int64 number of
+    flows carrying each.  A collector ships it as a digest and a
     detector bank bins it, so a solo run is the one-site federation
-    minus the wire."""
-    summary = {}
-    for feature in features:
-        distinct, run_lengths = sorted_distinct(feature.extract(flows))
-        summary[feature.short_name] = (distinct, run_lengths.astype(np.int64))
-    return summary
+    minus the wire.
+
+    Every column is checked as a key (a signed column holding a
+    negative value is refused with :class:`~repro.errors.SketchError`)
+    before the columns are stacked as one ``(F, n)`` unsigned block and
+    sorted by one ``np.sort``; one run-start mask over the block then
+    splits into each feature's runs.
+    """
+    features = tuple(features)
+    columns = [checked_keys(feature.extract(flows)) for feature in features]
+    if not len(flows) or {len(column) for column in columns} != {len(flows)}:
+        # No flows, or a custom transform that filters: each column
+        # sorted alone.
+        return {
+            feature.short_name: _int_counts(*sorted_distinct(column))
+            for feature, column in zip(features, columns)
+        }
+    # The block sorts in the narrowest unsigned width that holds every
+    # value (64-bit keys sort ~2.5x slower than 32-bit ones): the order
+    # is the uint64 order callers see, and the distinct values widen
+    # losslessly.  Signed and float columns are non-negative by now.
+    narrow = all(
+        column.dtype.kind == "u" and column.dtype.itemsize <= 4
+        or column.max() <= _UINT32_MAX
+        for column in columns
+    )
+    block = np.empty(
+        (len(columns), len(flows)), dtype=np.uint32 if narrow else np.uint64
+    )
+    for row, column in zip(block, columns):
+        row[...] = column
+    block.sort(axis=1)
+    first = np.empty(block.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(block[:, 1:], block[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    # Every row opens a run, so a run ends at the next start.
+    runs = np.empty(starts.size, dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=runs[:-1])
+    runs[-1] = block.size - starts[-1]
+    distinct = block.ravel()[starts].astype(np.uint64, copy=False)
+    distinct.setflags(write=False)
+    bounds = np.searchsorted(starts, np.arange(0, block.size + 1, len(flows)))
+    return {
+        feature.short_name: (distinct[lo:hi], runs[lo:hi])
+        for feature, lo, hi in zip(
+            features, bounds[:-1].tolist(), bounds[1:].tolist()
+        )
+    }
+
+
+#: The largest key a 32-bit sort holds.
+_UINT32_MAX = np.iinfo(np.uint32).max
+
+
+def _int_counts(
+    distinct: np.ndarray, run_lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    return distinct, run_lengths.astype(np.int64)
 
 
 #: The named feature sets a config or ``--features`` can select.

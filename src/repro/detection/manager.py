@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.detection.detector import (
+    CloneScorer,
     DetectorConfig,
     FeatureObservation,
     HistogramDetector,
@@ -165,8 +166,14 @@ class DetectorBank:
             raise ConfigError("need at least one monitored feature")
         self.config = config or DetectorConfig()
         self.features = features
+        # Every feature's clones are rows of one scorer, which scores an
+        # interval's (F, C, m) block in one pass; each detector reads
+        # and checkpoints its own row.
+        self._scorer = CloneScorer(self.config, features)
         self._detectors = {
-            feature: HistogramDetector(feature, self.config, seed=seed)
+            feature: HistogramDetector(
+                feature, self.config, seed=seed, scorer=self._scorer
+            )
             for feature in features
         }
         # Every feature's clone functions, one column each, drawn once:
@@ -281,14 +288,9 @@ class DetectorBank:
         block, cells = clone_counts(self._hashes, columns)
         binned = time.perf_counter()
         clones = self.config.clones
-        observations = {
-            feature: detector.observe_binned(
-                rows, (observed,) * clones, binned_cells
-            )
-            for (feature, detector), rows, (observed, _), binned_cells in zip(
-                self._detectors.items(), block, columns, cells, strict=True
-            )
-        }
+        observations = self._scorer.score(
+            block, [(observed,) * clones for observed, _ in columns], cells
+        )
         return self._record(
             observations,
             flow_count=flow_count,
@@ -302,8 +304,9 @@ class DetectorBank:
         flow_count: int,
     ) -> IntervalReport:
         """Feed one interval of per-feature clone snapshots, checked
-        against each detector's hash functions, stacked, and scored
-        like :meth:`observe_counts` scores its binning.
+        against each detector's hash functions, stacked into one
+        ``(F, C, m)`` block, and scored in one pass like
+        :meth:`observe_counts` scores its binning.
 
         A thin adapter: since the federator feeds merged value counts
         to :meth:`observe_counts`, the perf ledger's frozen replay
@@ -322,10 +325,17 @@ class DetectorBank:
                 f"interval snapshots missing monitored features: "
                 f"{', '.join(missing)}"
             )
-        observations = {
-            feature: detector.observe_snapshots(snapshots[feature])
+        rows = [
+            detector.snapshot_rows(snapshots[feature])
             for feature, detector in self._detectors.items()
-        }
+        ]
+        block = np.stack([counts for counts, _, _ in rows])
+        block.setflags(write=False)
+        observations = self._scorer.score(
+            block,
+            [observed for _, observed, _ in rows],
+            [cells for _, _, cells in rows],
+        )
         return self._record(
             observations,
             flow_count=flow_count,
@@ -334,15 +344,14 @@ class DetectorBank:
 
     def _record(
         self,
-        observations: dict[Feature, FeatureObservation],
+        observations: list[FeatureObservation],
         flow_count: int,
         bin_s: float = 0.0,
         score_s: float = 0.0,
     ) -> IntervalReport:
-        interval = next(iter(observations.values())).interval
         report = IntervalReport(
-            interval=interval,
-            observations=observations,
+            interval=observations[0].interval,
+            observations=dict(zip(self.features, observations, strict=True)),
             flow_count=flow_count,
             bin_s=bin_s,
             score_s=score_s,

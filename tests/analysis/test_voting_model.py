@@ -156,6 +156,18 @@ class TestMonteCarlo:
         )
         assert simulated == pytest.approx(analytic, abs=0.005)
 
+    def test_certain_inclusion_never_misses(self):
+        """beta = 1: every clone includes the value in every trial."""
+        assert simulate_anomalous_miss(1.0, 5, 5, trials=1000) == 0.0
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1234, 0.5004, 0.97])
+    def test_independent_inclusion_rate_is_beta(self, beta):
+        """With one clone the miss rate is its exclusion rate: the
+        mid-rank transform includes exactly round(beta * trials)."""
+        trials = 1000
+        missed = simulate_anomalous_miss(beta, 1, 1, trials=trials, seed=4)
+        assert missed == (trials - round(beta * trials)) / trials
+
     def test_correlated_clones_miss_less_dominated_by_bound(self):
         # Positive correlation concentrates votes: for V <= K the miss
         # probability stays at or below ~the independent bound scale.

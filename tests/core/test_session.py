@@ -257,7 +257,8 @@ class TestLeakRegression:
             ) as session:
                 session.feed(self._poisoned_chunk())
         store = session.store
-        assert session.closed
+        with pytest.raises(ExtractionError, match="session is closed"):
+            session.feed(self._poisoned_chunk())
         assert store is not None and store._conn is None
 
     def test_owning_session_close_is_try_finally(self, tmp_path):

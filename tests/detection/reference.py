@@ -34,6 +34,24 @@ def reference_kl(
     return float(np.sum(p[mask] * ratios))
 
 
+def reference_threshold(diffs, multiplier: float):
+    """A clone's calibration from its one series of training diffs:
+    1.4826 * MAD, or the series' spread (a tiny positive sigma when
+    that is 0 too) when training is degenerate."""
+    from repro.detection.threshold import MAD_TO_SIGMA, AlarmThreshold
+    from repro.errors import ConfigError
+
+    samples = np.asarray(diffs, dtype=np.float64)
+    if samples.size == 0:
+        raise ConfigError("need a non-empty 1-D sample array")
+    median = np.median(samples)
+    sigma = float(MAD_TO_SIGMA * np.median(np.abs(samples - median)))
+    if sigma == 0.0:
+        spread = float(np.std(samples))
+        sigma = spread if spread > 0 else 1e-12
+    return AlarmThreshold(sigma=sigma, multiplier=multiplier)
+
+
 def reference_identify_bins(
     current: np.ndarray,
     reference: np.ndarray,
@@ -96,7 +114,6 @@ class ReferenceDetector:
         """``(clones, voted)``: per clone ``(kl, diff, alarm, bins,
         suspicious values)``, and the voted values."""
         from repro.detection.kl import kl_rows
-        from repro.detection.threshold import estimate_threshold
         from repro.detection.voting import vote
 
         cfg = self.config
@@ -123,12 +140,11 @@ class ReferenceDetector:
                 if self.interval >= 2:
                     self.training[c].append(diff)
                 if self.interval + 1 >= cfg.training_intervals:
-                    self.thresholds[c] = estimate_threshold(
-                        np.asarray(self.training[c]),
-                        multiplier=cfg.multiplier,
+                    self.thresholds[c] = reference_threshold(
+                        self.training[c], cfg.multiplier
                     )
                     self.training[c] = []
-            elif self.thresholds[c].is_alarm(diff) and prev is not None:
+            elif diff > self.thresholds[c].value and prev is not None:
                 alarm = True
                 bins, _, _ = reference_identify_bins(
                     snapshot.counts,

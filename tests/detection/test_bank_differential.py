@@ -12,8 +12,16 @@ too.  All three must agree with ``==`` on every KL, difference, alarm,
 bin, suspicious value and vote; a bank resumed mid-stream from its
 checkpoint (the carried reference rebuilt from the raw counts) must
 agree with them as well.
+
+The bank scores its ``F`` features' clones as rows of one
+:class:`~repro.detection.detector.CloneScorer`, a lone
+:class:`~repro.detection.detector.HistogramDetector` as the one row of
+its own: the two must agree on every record and every checkpoint
+document, resumed or not, and the document's bytes are pinned.
 """
 
+import copy
+import hashlib
 import json
 import warnings
 
@@ -22,11 +30,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.detection.detector import DetectorConfig
+from repro.detection.detector import (
+    CloneScorer,
+    DetectorConfig,
+    HistogramDetector,
+)
 from repro.detection.features import CustomFeature, Feature
 from repro.detection.manager import DetectorBank
-from repro.errors import ReproError, SketchError
+from repro.errors import ConfigError, ReproError, SketchError
 from repro.flows.table import FlowTable
+from repro.state import canonical_json
 from tests.detection.reference import ReferenceDetector
 
 
@@ -252,3 +265,190 @@ def test_empty_intervals_do_not_warn(pseudocount):
         resumed = DetectorBank(config, FEATURES, seed=2)
         resumed.from_state(json.loads(json.dumps(first.to_state())))
         assert head + _run(_bank_step(resumed), tables[2:]) == observed
+
+
+# ----------------------------------------------------------------------
+# One scorer: a bank's rows == F lone detectors
+# ----------------------------------------------------------------------
+#: Calibrates after six intervals; a low multiplier over few bins makes
+#: the bursts alarm, so bins, traces and votes are compared too.
+ONE_SCORER = DetectorConfig(
+    clones=3, bins=64, vote_threshold=2, training_intervals=6,
+    multiplier=0.5,
+)
+
+
+def _full(obs):
+    """Everything an observation says, floats as their repr."""
+    return (
+        obs.interval,
+        obs.trained,
+        [
+            (
+                repr(c.kl), repr(c.diff), c.alarm, c.bins,
+                c.suspicious_values.tolist(),
+                None
+                if c.bin_identification is None
+                else [repr(kl) for kl in c.bin_identification.kl_trace],
+            )
+            for c in obs.clones
+        ],
+        obs.voted_values.tolist(),
+    )
+
+
+def _states(bank, lone):
+    """Each feature's checkpoint, from the bank and from its lone
+    detector (which must agree)."""
+    held = bank.to_state()["detectors"]
+    states = {f.short_name: canonical_json(held[f.short_name]) for f in lone}
+    assert states == {
+        f.short_name: canonical_json(d.to_state()) for f, d in lone.items()
+    }
+    return states
+
+
+def _agree(bank, lone, tables):
+    """Feed ``tables`` to both; their records, which must agree."""
+    records = []
+    for flows in tables:
+        report = bank.observe(flows)
+        seen = {f.short_name: _full(o) for f, o in report.observations.items()}
+        assert seen == {
+            f.short_name: _full(d.observe(flows)) for f, d in lone.items()
+        }
+        records.append(seen)
+        _states(bank, lone)
+    return records
+
+
+def _restored(bank_doc, config=ONE_SCORER, seed=3):
+    """A bank and lone detectors restored from a JSON round trip of a
+    bank checkpoint."""
+    doc = json.loads(json.dumps(bank_doc))
+    bank = DetectorBank(config, FEATURES, seed=seed)
+    bank.from_state(doc)
+    lone = {f: HistogramDetector(f, config, seed=seed) for f in FEATURES}
+    for feature, detector in lone.items():
+        detector.from_state(doc["detectors"][feature.short_name])
+    return bank, lone
+
+
+@pytest.mark.parametrize(
+    "cut", [1, 3, 6, 9], ids=["first", "training", "calibrating", "calibrated"]
+)
+def test_bank_rows_equal_lone_detectors_across_a_resume(cut):
+    tables = _trace(11, 16, 0.1)
+    bank = DetectorBank(ONE_SCORER, FEATURES, seed=3)
+    lone = {f: HistogramDetector(f, ONE_SCORER, seed=3) for f in FEATURES}
+    records = _agree(bank, lone, tables)
+    alarms = sum(
+        clone[2] for record in records for _, _, clones, _ in record.values()
+        for clone in clones
+    )
+    assert alarms > 0, "no clone alarmed: bins and votes went unchecked"
+
+    first = DetectorBank(ONE_SCORER, FEATURES, seed=3)
+    for flows in tables[:cut]:
+        first.observe(flows)
+    resumed, resumed_lone = _restored(first.to_state())
+    assert canonical_json(resumed.to_state()) == canonical_json(first.to_state())
+    assert _agree(resumed, resumed_lone, tables[cut:]) == records[cut:]
+    assert canonical_json(resumed.to_state()) == canonical_json(bank.to_state())
+
+
+def test_clones_restored_without_counts_score_zero_then_resume():
+    """A hand-built checkpoint whose clones hold no previous counts in
+    some features: those clones score 0 and diff 0 (never alarm) for
+    one interval, every other clone as if uninterrupted, in the bank
+    and in the lone detectors alike."""
+    tables = _trace(11, 16, 0.1)
+    first = DetectorBank(ONE_SCORER, FEATURES, seed=3)
+    for flows in tables[:9]:
+        first.observe(flows)
+    doc = copy.deepcopy(first.to_state())
+    gaps = {"srcIP": [1], "dstPort": [0, 2], "proto": [0, 1, 2]}
+    for name, clones in gaps.items():
+        for c in clones:
+            doc["detectors"][name]["prev"][c] = None
+    bank, lone = _restored(doc)
+    assert canonical_json(bank.to_state()) == canonical_json(
+        json.loads(json.dumps(doc))
+    )
+    after = _agree(bank, lone, tables[9:])
+    first.observe(tables[9])
+    uninterrupted = {
+        f.short_name: d.to_state() for f, d in first.detectors.items()
+    }
+    for name, (_, _, clones, _) in after[0].items():
+        for c, (kl, diff, alarm, *_rest) in enumerate(clones):
+            if c in gaps.get(name, ()):
+                assert (kl, diff, alarm) == ("0.0", "0.0", False)
+            else:
+                assert kl == repr(uninterrupted[name]["prev_kl"][c])
+
+
+def test_a_bank_detector_observed_alone_moves_only_its_row():
+    """``bank.detectors[f].observe`` scores the bank's row ``f`` alone:
+    the other rows keep their state, and every row still equals its
+    lone detector."""
+    tables = _trace(12, 10, 0.0)
+    bank = DetectorBank(ONE_SCORER, FEATURES, seed=3)
+    lone = {f: HistogramDetector(f, ONE_SCORER, seed=3) for f in FEATURES}
+    _agree(bank, lone, tables[:7])
+    before = _states(bank, lone)
+    row = bank.detectors[Feature.DST_IP]
+    assert _full(row.observe(tables[7])) == _full(
+        lone[Feature.DST_IP].observe(tables[7])
+    )
+    after = _states(bank, lone)
+    assert {k for k in after if after[k] != before[k]} == {"dstIP"}
+    assert row.interval == 7
+    assert bank.detectors[Feature.SRC_IP].interval == 6
+
+
+def test_a_detector_refuses_a_scorer_it_is_not_a_row_of():
+    scorer = CloneScorer(ONE_SCORER, FEATURES[:2])
+    with pytest.raises(ConfigError, match="not a row"):
+        HistogramDetector(Feature.DST_PORT, ONE_SCORER, scorer=scorer)
+    with pytest.raises(ConfigError, match="not a row"):
+        HistogramDetector(Feature.SRC_IP, DetectorConfig(), scorer=scorer)
+
+
+#: ``canonical_json(bank.to_state())`` after ``_quiet_bank``'s runs.
+#: Every KL in these runs is exactly 0 (each interval repeats the
+#: last), so no hashed byte depends on the host's ``log2``.  A change
+#: to the detector checkpoint layout moves them: bump the checkpoint
+#: version and re-record.  Per-feature scoring over per-clone Python
+#: lists, before the bank's one-pass scorer, wrote the same bytes.
+GOLDEN_BANK_TRAINING = (
+    "b8fa8170b825cda9160b311d8fd09988a10352d7ab1b054877e4627877d7c044"
+)
+GOLDEN_BANK_CALIBRATED = (
+    "6e58af177418ce94ecdd8cfc2facc218abbacb3893c4ad96b3396282545fa71a"
+)
+
+
+def _quiet_bank(intervals):
+    config = DetectorConfig(
+        clones=3, bins=64, vote_threshold=2, training_intervals=5
+    )
+    bank = DetectorBank(config, FEATURES, seed=9)
+    (flows,) = _trace(21, 1, 0.0)
+    for _ in range(intervals):
+        bank.observe(flows)
+    return bank.to_state()
+
+
+@pytest.mark.parametrize(
+    "intervals, golden",
+    [(4, GOLDEN_BANK_TRAINING), (6, GOLDEN_BANK_CALIBRATED)],
+    ids=["training", "calibrated"],
+)
+def test_bank_checkpoint_bytes(intervals, golden):
+    doc = _quiet_bank(intervals)
+    for state in doc["detectors"].values():
+        assert set(state["prev_kl"]) == {0.0}
+        assert (state["thresholds"][0] is None) == (intervals < 5)
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digest == golden

@@ -1,4 +1,4 @@
-"""Unit tests for the feature enum."""
+"""Unit tests for the feature enum and the interval value counts."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,14 @@ import pytest
 from repro.detection.features import (
     DETECTOR_FEATURES,
     MINING_FEATURES,
+    CustomFeature,
     Feature,
     parse_feature,
+    value_counts,
 )
 from repro.errors import ConfigError
+from repro.flows.table import FlowTable
+from repro.sketch.distinct import sorted_distinct
 
 
 class TestFeature:
@@ -86,3 +90,55 @@ class TestRepeatedFeatures:
         path.write_text('[detector]\nfeatures = ["dstIP", "dst_ip"]\n')
         with pytest.raises(ConfigError, match="'dstIP'"):
             ExtractionConfig.from_toml(path)
+
+
+def _filtered(values):
+    return values[values > 50]
+
+
+class TestValueCounts:
+    """One sort of the stacked columns == one ``sorted_distinct`` per
+    column: values, counts, dtypes and read-only flags."""
+
+    FEATURES = MINING_FEATURES + (
+        CustomFeature("net", "dst_ip", transform=lambda v: v >> np.uint64(4)),
+        CustomFeature("third", "dst_port", transform=lambda v: v / 3),
+        CustomFeature("signed", "src_port", transform=lambda v: v.astype(np.int64)),
+    )
+
+    @staticmethod
+    def _per_column(flows, features):
+        return {
+            f.short_name: (d, c.astype(np.int64))
+            for f in features
+            for d, c in [sorted_distinct(f.extract(flows))]
+        }
+
+    @staticmethod
+    def _table(rng, n, wide):
+        top = 2**40 if wide else 200
+        return FlowTable.from_arrays(
+            src_ip=rng.integers(0, 2**32, n),
+            dst_ip=rng.integers(0, 90, n),
+            src_port=rng.integers(0, 70, n),
+            dst_port=rng.integers(0, 2**16, n),
+            protocol=rng.choice([1, 6, 17], n),
+            packets=rng.integers(1, top, n),
+            bytes_=rng.integers(40, top, n),
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    @pytest.mark.parametrize("wide", [False, True], ids=["32bit", "64bit"])
+    def test_equals_one_sort_per_column(self, rng, n, wide):
+        flows = self._table(rng, n, wide)
+        features = self.FEATURES + (CustomFeature("big", "src_port", _filtered),)
+        got = value_counts(flows, features)
+        expected = self._per_column(flows, features)
+        assert list(got) == list(expected)
+        for name, (values, counts) in expected.items():
+            held, runs = got[name]
+            assert held.tolist() == values.tolist(), name
+            assert runs.tolist() == counts.tolist(), name
+            assert (held.dtype, runs.dtype) == (np.uint64, np.int64)
+            assert held.flags.writeable == values.flags.writeable
+            assert runs.flags.writeable

@@ -6,10 +6,11 @@ import pytest
 from repro.detection.threshold import (
     MAD_TO_SIGMA,
     AlarmThreshold,
-    estimate_threshold,
+    estimate_sigmas,
     mad_sigma,
 )
 from repro.errors import ConfigError
+from tests.detection.reference import reference_threshold
 
 
 class TestMadSigma:
@@ -37,9 +38,10 @@ class TestMadSigma:
 class TestAlarmThreshold:
     def test_one_sided(self):
         threshold = AlarmThreshold(sigma=1.0, multiplier=3.0)
-        assert threshold.is_alarm(3.5)
-        assert not threshold.is_alarm(-3.5)  # negative spikes ignored
-        assert not threshold.is_alarm(3.0)   # strict inequality
+        # Negative spikes are ignored; the inequality is strict.
+        assert threshold.alarms([3.5, -3.5, 3.0]).tolist() == [
+            True, False, False,
+        ]
 
     def test_value(self):
         assert AlarmThreshold(sigma=2.0, multiplier=4.0).value == 8.0
@@ -77,19 +79,38 @@ class TestAlarmThreshold:
             AlarmThreshold(**kwargs)
 
 
-class TestEstimateThreshold:
+class TestEstimateSigmas:
     def test_from_training_diffs(self, rng):
-        diffs = rng.normal(0.0, 0.5, size=5000)
-        threshold = estimate_threshold(diffs, multiplier=3.0)
-        assert threshold.sigma == pytest.approx(0.5, rel=0.1)
-        assert threshold.multiplier == 3.0
+        diffs = rng.normal(0.0, 0.5, size=(2, 5000))
+        assert estimate_sigmas(diffs) == pytest.approx([0.5, 0.5], rel=0.1)
 
     def test_degenerate_training_fallback(self):
-        threshold = estimate_threshold(np.zeros(100))
-        assert threshold.sigma > 0  # never a zero threshold
+        (sigma,) = estimate_sigmas(np.zeros((1, 100)))
+        assert sigma > 0  # never a zero threshold
 
     def test_mad_zero_but_spread_nonzero(self):
         # Majority identical values: MAD = 0 but std > 0.
         samples = np.concatenate([np.zeros(90), np.ones(10)])
-        threshold = estimate_threshold(samples)
-        assert threshold.sigma == pytest.approx(np.std(samples))
+        (sigma,) = estimate_sigmas(samples[np.newaxis])
+        assert sigma == pytest.approx(np.std(samples))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigError, match="non-empty"):
+            estimate_sigmas(np.zeros((3, 0)))
+
+    def test_rows_equal_one_series_at_a_time(self, rng):
+        """Each row's sigma is bit for bit the one-series calibration
+        of the reference detector, whatever else is in the stack:
+        normal, rounded (MAD 0, spread > 0) and constant rows."""
+        rows = np.concatenate(
+            [
+                rng.normal(0.0, 1e-3, (4, 31)),
+                np.round(rng.normal(0.0, 0.3, (4, 31))),
+                np.zeros((2, 31)),
+                np.full((2, 31), 0.25),
+            ]
+        )
+        rows[5, :20] = 0.0
+        sigmas = estimate_sigmas(rows).tolist()
+        assert sigmas == [reference_threshold(row, 4.0).sigma for row in rows]
+        assert mad_sigma(rows).tolist() == [mad_sigma(row) for row in rows]

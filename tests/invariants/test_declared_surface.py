@@ -41,6 +41,11 @@ LEDGER = (
     "benchmarks/perf/workloads.py pins (ROADMAP item 17)"
 )
 DOCUMENTED = "library surface that README documents; no verb calls it yet"
+SNAPSHOTS = (
+    "the clone-snapshot entry of the detection layer: the frozen "
+    "benchmarks/perf/workloads.py replay feeds the bank's, and the "
+    "scoring differential the lone detector's (both one scorer pass)"
+)
 
 EXEMPT = {
     "detection/kl.py kl_distance": ORACLE,
@@ -57,6 +62,8 @@ EXEMPT = {
     "analysis/voting_model.py fig8_grid": PAPER,
     "core/cost.py cost_curve": PAPER,
     "detection/manager.py DetectionRun.kl_series": PAPER,
+    "detection/manager.py DetectorBank.observe_snapshots": SNAPSHOTS,
+    "detection/detector.py HistogramDetector.observe_snapshots": SNAPSHOTS,
     "federation/digest.py countmin_seed": LEDGER,
     "federation/digest.py IntervalDigest.snapshots_by_feature": LEDGER,
     "sketch/countmin.py CountMinSketch.from_error_bounds": LEDGER,
