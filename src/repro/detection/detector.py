@@ -112,9 +112,14 @@ class DetectorConfig:
                 f"vote threshold {self.vote_threshold} out of "
                 f"range [1, {self.clones}]"
             )
-        if self.training_intervals < 2:
+        # Interval 0 has no KL and interval 1 no KL difference, so the
+        # first genuine diff (the only kind sigma is estimated from) is
+        # interval 2's: fewer intervals would calibrate on none.
+        if self.training_intervals < 3:
             raise ConfigError(
-                f"need >= 2 training intervals: {self.training_intervals}"
+                f"need >= 3 training intervals: {self.training_intervals} "
+                f"(the first KL difference a threshold calibrates on is "
+                f"the third interval's)"
             )
         # NaN fails both tests: a NaN multiplier would make the alarm
         # level NaN, and ``diff > nan`` is "no alarm" forever.

@@ -10,9 +10,11 @@ Every clone histogram is a function of the interval's sorted distinct
 values and their flow counts - the summary a collector ships and a
 detector bank reads.  :func:`clone_counts` is the one binning: every
 feature's values hashed by one :func:`~repro.sketch.hashing.hash_rows`
-call and added by one weighted ``bincount``.  A detector bank bins its
-``F`` features at once; a detector, a :class:`CloneSet` and a digest
-are the ``F = 1`` calls.
+call and added by one weighted ``bincount``.  That call skips every
+key's high 32 bits when no value of any feature reaches 2^32, as no
+paper feature does; one wider value sends the whole call down the
+two-half path.  A detector bank bins its ``F`` features at once; a
+detector, a :class:`CloneSet` and a digest are the ``F = 1`` calls.
 """
 
 from __future__ import annotations

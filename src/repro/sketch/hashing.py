@@ -16,12 +16,16 @@ wrapped, so a scalar and an array query of one key always agree.
 :func:`hash_rows` is the only vectorized kernel.  It never divides by
 ``p``: for ``t < 2^64``, ``t === (t & p) + (t >> 61) (mod p)`` because
 ``2^61 === 1``, and the right-hand side is at most ``p + 7``, so one
-conditional subtract lands it in [0, p).  The key is folded that way
-once; the product ``a * x + b`` is assembled from 31/30-bit halves into
-a sum below ``2^63 + 2^61 + 2^32 < 2^64`` (bounds at each term) and
-folded once more.  A power-of-two ``m`` bins with ``& (m - 1)``; only
-other bin counts pay a ``% m``.  A :class:`HashMatrix` lets one call
-bin each value by its own column of functions.
+conditional subtract lands it in [0, p).  A key is taken as two 32-bit
+halves and ``a * x`` as ``a' * xH + a * xL`` with ``a' = a * 2^32 mod
+p``; each product is assembled from the 31-bit split of its multiplier.
+When every key is below 2^32 - every paper feature - the high half's
+term is skipped: two 64-bit multiplies per key and function, terms
+below 2^61, 2^32, 2^63 and (``b``) 2^61, a sum below 2^64 and one fold.
+A wider key pays one more product and one more fold.  A power-of-two
+``m`` bins with ``& (m - 1)``; only other bin counts pay a ``% m``.  A
+:class:`HashMatrix` holds every split once and lets one call bin each
+value by its own column of functions.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from repro.errors import ConfigError, SketchError
 #: Mersenne prime 2^61 - 1; comfortably exceeds 32-bit feature values.
 MERSENNE_PRIME = (1 << 61) - 1
 
+_MASK31 = (1 << 31) - 1
 _P = np.uint64(MERSENNE_PRIME)
-_LOW31 = np.uint64((1 << 31) - 1)
 _LOW30 = np.uint64((1 << 30) - 1)
+_LOW32 = np.uint64((1 << 32) - 1)
 
 
 def checked_key(value: int) -> int:
@@ -71,6 +76,23 @@ def _fold(t: np.ndarray) -> np.ndarray:
     return np.minimum(t, t - _P, out=t)
 
 
+def _times(hi: np.ndarray, lo: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """A uint64 congruent to ``c * half`` mod ``p``, for ``c = hi*2^31
+    + lo`` (``hi < 2^30``, ``lo < 2^31``) and ``half < 2^32``.
+
+    ``y = hi*half < 2^62`` is shifted by 31 as ``(y mod 2^30)*2^31 +
+    (y >> 30)`` (terms below 2^61 and 2^32) and ``lo*half < 2^63`` is
+    added, so the result is below ``2^63 + 2^61 + 2^32``.
+    """
+    y = hi * half
+    t = y & _LOW30
+    t <<= np.uint64(31)
+    y >>= np.uint64(30)
+    t += y
+    t += np.multiply(lo, half, out=y)
+    return t
+
+
 def hash_rows(
     fns: Sequence[UniversalHash] | HashMatrix,
     values: np.ndarray,
@@ -89,38 +111,31 @@ def hash_rows(
     one call.  A one-column matrix applies to every value, so it
     needs no ``sizes``.
 
-    With ``x = xH*2^31 + xL`` and ``a = aH*2^31 + aL`` (``xH, aH <
-    2^30``; ``xL, aL < 2^31``):
+    A key is two 32-bit halves, ``x = xH*2^32 + xL``, so
 
-        a*x = aH*xH*2^62 + (aH*xL + aL*xH)*2^31 + aL*xL
+        a*x + b === a'*xH + a*xL + b  (mod p),  a' = a*2^32 mod p
 
-    where ``2^62 === 2`` and, splitting the middle sum ``y < 2^62`` as
-    ``yH*2^30 + yL``, ``y*2^31 === yL*2^31 + yH`` (mod p).  The terms are
-    below 2^61, 2^61 + 2^32, 2^62 and (``b``) 2^61, so their sum fits
-    uint64 exactly and one :func:`_fold` reduces it.
+    and each product is taken by :func:`_times` from the 31-bit split
+    of its multiplier.  When every key is below 2^32 (every paper
+    feature: addresses, ports, packet counts) ``xH`` is zero and its
+    term is skipped: the terms of ``a*xL`` are below 2^61, 2^32 and
+    2^63, ``b`` below 2^61, and the sum, below ``2^63 + 2^62 + 2^32``,
+    fits uint64 for one :func:`_fold`.  Otherwise the ``xL`` product
+    is folded below ``p`` first, so the sum stays below ``2^63 + 2^62
+    + 2^61 + 2^32``.
     """
     if isinstance(fns, HashMatrix):
-        a, b = per_value(fns.a, sizes), per_value(fns.b, sizes)
-        bins = [fns.bins]
+        params, bins = fns.params, [fns.bins]
     else:
-        a = np.array([[fn.a] for fn in fns], dtype=np.uint64)
-        b = np.array([[fn.b] for fn in fns], dtype=np.uint64)
-        bins = [fn.bins for fn in fns]
-    x = _fold(np.array(values, dtype=np.uint64))
-    x_hi = x >> np.uint64(31)
-    x_lo = x & _LOW31
-    a_hi = a >> np.uint64(31)
-    a_lo = a & _LOW31
-    total = (a_hi << np.uint64(1)) * x_hi
-    middle = a_hi * x_lo
-    term = a_lo * x_hi
-    middle += term
-    np.bitwise_and(middle, _LOW30, out=term)
-    term <<= np.uint64(31)
-    total += term
-    middle >>= np.uint64(30)
-    total += middle
-    total += np.multiply(a_lo, x_lo, out=term)
+        params, bins = _parameters(fns)[..., np.newaxis], [fn.bins for fn in fns]
+    x = np.asarray(values, dtype=np.uint64)
+    wide = x.size and x.max() > _LOW32
+    a_hi, a_lo, b, *shifted = per_value(params[: 5 if wide else 3], sizes)
+    if wide:
+        total = _fold(_times(a_hi, a_lo, x & _LOW32))
+        total += _times(*shifted, x >> np.uint64(32))
+    else:
+        total = _times(a_hi, a_lo, x)
     total += b
     hashed = _fold(total)
     width = np.array([[m] for m in bins], dtype=np.uint64)
@@ -131,30 +146,45 @@ def hash_rows(
     return hashed.view(np.int64)
 
 
+def _parameters(fns: Sequence[UniversalHash]) -> np.ndarray:
+    """The ``(5, len(fns))`` uint64 parameter rows of ``fns``: ``a``
+    split as ``a >> 31`` and ``a & (2^31 - 1)``, ``b``, and ``a' = a*2^32
+    mod p`` split the same way (both multipliers are below ``p``, so
+    every high part is below 2^30)."""
+    rows = []
+    for fn in fns:
+        shifted = (fn.a << 32) % MERSENNE_PRIME
+        rows.append(
+            (fn.a >> 31, fn.a & _MASK31, fn.b, shifted >> 31, shifted & _MASK31)
+        )
+    return np.array(rows, dtype=np.uint64).T
+
+
 def per_value(matrix: np.ndarray, sizes: Sequence[int] | None) -> np.ndarray:
-    """Column ``k`` of a ``(R, K)`` matrix repeated for the ``sizes[k]``
-    values of run ``k``; a one-column matrix broadcasts as it is."""
-    if matrix.shape[1] == 1:
+    """Column ``k`` of a ``(..., K)`` array repeated for the ``sizes[k]``
+    values of run ``k``; a one-column array broadcasts as it is."""
+    if matrix.shape[-1] == 1:
         return matrix
     if sizes is None:
         raise ConfigError(
-            f"a {matrix.shape[1]}-column hash matrix needs the number of "
+            f"a {matrix.shape[-1]}-column hash matrix needs the number of "
             f"values of every column"
         )
-    return np.repeat(matrix, sizes, axis=1)
+    return np.repeat(matrix, sizes, axis=-1)
 
 
 class HashMatrix:
     """``K`` columns of ``R`` universal hash functions over one bin
-    count, with their parameters laid out as the ``(R, K)`` uint64
-    matrices :func:`hash_rows` reads.
+    count, with their parameters laid out as the one ``(5, R, K)``
+    uint64 array :func:`hash_rows` reads (``params[:, :, k]`` is
+    column ``k``'s :func:`_parameters`).
 
     Column ``k`` is one feature's ``R`` clone functions.  A matrix is
     built once - per detector, detector bank, clone set or digest
     schema - so an interval's hashing reads arrays, not Python objects.
     """
 
-    __slots__ = ("columns", "bins", "a", "b")
+    __slots__ = ("columns", "bins", "params")
 
     def __init__(self, columns: Sequence[Sequence[UniversalHash]]):
         self.columns = tuple(tuple(column) for column in columns)
@@ -171,16 +201,10 @@ class HashMatrix:
                 f"a hash matrix bins by one bin count, got {sorted(bins)}"
             )
         (self.bins,) = bins
-        self.a = self._parameter("a")
-        self.b = self._parameter("b")
-
-    def _parameter(self, name: str) -> np.ndarray:
-        matrix = np.array(
-            [[getattr(fn, name) for fn in column] for column in self.columns],
-            dtype=np.uint64,
-        ).T.copy()
-        matrix.setflags(write=False)
-        return matrix
+        self.params = np.stack(
+            [_parameters(column) for column in self.columns], axis=-1
+        )
+        self.params.setflags(write=False)
 
 
 @dataclass(frozen=True, slots=True)

@@ -63,7 +63,7 @@ class TestRocCurve:
     def test_empty_run_rejected(self, run_and_truth):
         from repro.detection.manager import DetectionRun
 
-        empty = DetectionRun(config=DetectorConfig(training_intervals=2),
+        empty = DetectionRun(config=DetectorConfig(training_intervals=3),
                              features=())
         with pytest.raises(ConfigError):
             roc_curve(empty, set(), multipliers=[1.0])

@@ -164,7 +164,7 @@ configs = st.builds(
     clones=st.sampled_from((1, 3)),
     vote=st.integers(min_value=1, max_value=3),
     bins=st.sampled_from((7, 64, 100)),
-    training=st.sampled_from((2, 3, 5)),
+    training=st.sampled_from((3, 4, 5)),
     multiplier=st.sampled_from((0.5, 3.0)),
     pseudocount=st.sampled_from((1e-3, 0.5, 3.0)),
 )
@@ -222,7 +222,7 @@ def test_bank_pass_equals_per_feature_path(
 @pytest.mark.parametrize("clones", [1, 3])
 def test_negative_signed_key_is_refused_before_any_state_moves(clones):
     config = DetectorConfig(
-        clones=clones, bins=100, vote_threshold=1, training_intervals=2
+        clones=clones, bins=100, vote_threshold=1, training_intervals=3
     )
     signed = CustomFeature("signedPort", "dst_port", transform=_signed_offset)
     features = (Feature.DST_PORT, signed)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+import repro
 from repro.detection.detector import (
     MIN_PSEUDOCOUNT,
     NO_VALUES,
@@ -62,6 +64,27 @@ class TestDetectorConfig:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             DetectorConfig(**base)
+
+    def test_training_ends_no_earlier_than_the_first_genuine_diff(self, rng):
+        """Two training intervals used to pass the check and crash every
+        detector on interval 1, before any KL difference exists; three
+        is the shortest training, calibrated on the third interval."""
+        with pytest.raises(
+            ConfigError, match=r"need >= 3 training intervals: 2 .*third"
+        ):
+            DetectorConfig(training_intervals=2)
+        bank = DetectorBank(
+            DetectorConfig(bins=64, training_intervals=3),
+            (Feature.DST_PORT,),
+            seed=1,
+        )
+        detector = bank.detectors[Feature.DST_PORT]
+        for interval in range(4):
+            ports = _baseline_ports(rng).astype(np.uint64)
+            counts = np.unique(ports, return_counts=True)
+            bank.observe_counts({"dstPort": counts}, interval)
+            assert detector.trained == (interval >= 2)
+        assert all(detector.threshold(c).sigma > 0 for c in range(3))
 
 
 class TestDetectorConfigNumericEdges:
@@ -258,19 +281,27 @@ class TestDetection:
             "DetectorConfig\n"
             "from repro.detection.features import Feature\n"
             "d = HistogramDetector(Feature.DST_PORT, "
-            "DetectorConfig(training_intervals=2), seed=1)\n"
+            "DetectorConfig(training_intervals=3), seed=1)\n"
             "print(d.hash_fns[0].a)\n"
         )
-        outputs = {
+        # The child imports this tree's package, installed or not.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        runs = [
             subprocess.run(
                 [sys.executable, "-c", code],
                 capture_output=True,
                 text=True,
-                env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin"},
-            ).stdout
+                env={
+                    "PYTHONHASHSEED": str(seed),
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONPATH": src,
+                },
+            )
             for seed in (0, 1)
-        }
-        assert len(outputs) == 1
+        ]
+        # Two failed children print the same nothing.
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+        assert len({run.stdout for run in runs}) == 1
 
     def test_distinct_features_use_distinct_hash_streams(self, config):
         a = HistogramDetector(Feature.DST_PORT, config, seed=1)

@@ -123,7 +123,7 @@ class TestRunawayGap:
         assert built == []
 
     def test_detector_bank_observes_nothing(self, trace, monkeypatch):
-        bank = DetectorBank(DetectorConfig(bins=64, training_intervals=2))
+        bank = DetectorBank(DetectorConfig(bins=64, training_intervals=3))
         seen = []
         monkeypatch.setattr(bank, "observe", seen.append)
         with pytest.raises(ConfigError, match="max_gap_intervals"):

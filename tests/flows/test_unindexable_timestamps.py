@@ -33,7 +33,7 @@ def _table(starts):
 def _session():
     return api.session(
         mode="stream", interval_seconds=INTERVAL, min_support=1,
-        detector={"bins": 64, "training_intervals": 2},
+        detector={"bins": 64, "training_intervals": 3},
     )
 
 
@@ -81,7 +81,7 @@ class TestRefused:
     def test_fleet_feed_refuses_the_whole_chunk(self, bad):
         with api.open_fleet(
             pipelines=2, route="dst_ip%2", interval_seconds=INTERVAL,
-            min_support=1, detector={"bins": 64, "training_intervals": 2},
+            min_support=1, detector={"bins": 64, "training_intervals": 3},
         ) as fleet:
             good = FlowTable.from_arrays(
                 [1, 1], [2, 3], [3, 3], [4, 4], [6, 6], [1, 1], [40, 40],

@@ -202,6 +202,11 @@ MISTAKES = {
         "[detector]\nmultiplier = nan\n",
         "multiplier must be finite and > 0: nan",
     ),
+    # No KL difference exists before the third interval to calibrate on.
+    "training-too-short": (
+        "[detector]\ntraining_intervals = 2\n",
+        "need >= 3 training intervals: 2",
+    ),
     # The parallel engine is gone: its table is refused, not ignored.
     "parallel-removed": (
         "[parallel]\njobs = 2\n", "unknown config section 'parallel'"
@@ -368,6 +373,13 @@ def test_removed_flag_exits_2(verb, flag, trace, capsys):
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err
+
+
+def test_too_short_training_flag_exits_2(trace, capsys):
+    assert main(["extract", trace[1], "--training", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error: need >= 3 training intervals: 2" in err
     assert "Traceback" not in err
 
 

@@ -1,23 +1,49 @@
 """Property-based tests for universal hashing."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sketch.hashing import MERSENNE_PRIME, UniversalHash, hash_rows
 from tests.sketch.reference import reference_hash_array
 
 P = MERSENNE_PRIME
-#: Where the Mersenne folds change branch: around p, its powers of
-#: two, the sign bit and the top of the uint64 range.
-KEY_EDGES = [0, P - 1, P, P + 1, 1 << 61, 1 << 63, (1 << 64) - 1]
+#: Where the kernel changes branch: either side of 2^32 (a key's high
+#: half turns non-zero), around p, its powers of two, the sign bit and
+#: the top of the uint64 range.
+KEY_EDGES = [
+    0,
+    (1 << 32) - 1,
+    1 << 32,
+    (1 << 33) - 1,
+    P - 1,
+    P,
+    P + 1,
+    1 << 61,
+    1 << 63,
+    (1 << 64) - 1,
+]
+NARROW = 1 << 32
 
-keys = st.lists(
+narrow_keys = st.lists(
     st.one_of(
-        st.sampled_from(KEY_EDGES), st.integers(0, (1 << 64) - 1)
+        st.sampled_from([k for k in KEY_EDGES if k < NARROW]),
+        st.integers(0, NARROW - 1),
     ),
     min_size=1,
     max_size=40,
+)
+#: Mixed lists take the wide branch; lists of keys below 2^32 (every
+#: paper feature) take the one that skips the high half.
+keys = st.one_of(
+    st.lists(
+        st.one_of(
+            st.sampled_from(KEY_EDGES), st.integers(0, (1 << 64) - 1)
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    narrow_keys,
 )
 bin_counts = st.one_of(
     st.integers(0, 24).map(lambda e: 1 << e),   # the & (m - 1) path
@@ -70,6 +96,27 @@ def test_hash_rows_equals_reference_stack(fns, shared_bins, values):
         rows, np.stack([reference_hash_array(fn, array) for fn in fns])
     )
     assert rows.tolist() == [[fn(v) for v in values] for fn in fns]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fns=st.lists(functions, min_size=1, max_size=4),
+    values=narrow_keys,
+    wide=st.one_of(
+        st.sampled_from([k for k in KEY_EDGES if k >= NARROW]),
+        st.integers(NARROW, (1 << 64) - 1),
+    ),
+)
+# Just past the branch test, where a narrow-path product would overflow.
+@example([UniversalHash(P - 1, P - 1, 1 << 20)], [0, NARROW - 1], (1 << 33) - 1)
+@example([UniversalHash(P - 1, 0, 977)], [NARROW - 1], (1 << 64) - 1)
+def test_narrow_keys_bin_alike_in_both_branches(fns, values, wide):
+    """Keys below 2^32 hashed alone (the high half skipped) land in the
+    bins they get beside one wide key (the two-half branch)."""
+    alone = hash_rows(fns, np.array(values, dtype=np.uint64))
+    beside = hash_rows(fns, np.array([*values, wide], dtype=np.uint64))
+    assert np.array_equal(alone, beside[:, :-1])
+    assert beside[:, -1].tolist() == [fn(wide) for fn in fns]
 
 
 @settings(max_examples=100, deadline=None)

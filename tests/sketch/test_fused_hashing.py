@@ -16,24 +16,27 @@ from repro.sketch.hashing import MERSENNE_PRIME, HashFamily, hash_rows
 from tests.sketch.reference import reference_hash_array
 
 
-def _column(rng, size=2_000):
-    """A duplicate-heavy uint64 column reaching past 2^63."""
+def _column(rng, size=2_000, high=2**64):
+    """A duplicate-heavy uint64 column below ``high``, by default
+    reaching past 2^63; 2^32 keeps every key on the 32-bit branch."""
     small = rng.integers(0, 300, size=size // 2).astype(np.uint64)
-    wide = rng.integers(0, 2**64, size=size // 2, dtype=np.uint64)
+    wide = rng.integers(0, high, size=size // 2, dtype=np.uint64)
     return np.concatenate([small, wide, small[:50]])
 
 
 @pytest.mark.parametrize("bins", [1, 64, 1024, 977])
 def test_clone_set_equals_per_clone_histograms(rng, bins):
-    values = _column(rng)
-    clones = CloneSet(clones=4, bins=bins, seed=11)
-    clones.update(values)
-    for clone, fn in zip(clones, HashFamily(bins, seed=11).take(4)):
-        assert np.array_equal(clone.observed, np.unique(values))
-        expected = np.bincount(
-            reference_hash_array(fn, values), minlength=bins
-        )
-        assert np.array_equal(clone.counts, expected)
+    """Both kernel branches: the mixed column reaches past 2^32, the
+    narrow one does not."""
+    for values in (_column(rng), _column(rng, high=2**32)):
+        clones = CloneSet(clones=4, bins=bins, seed=11)
+        clones.update(values)
+        for clone, fn in zip(clones, HashFamily(bins, seed=11).take(4)):
+            assert np.array_equal(clone.observed, np.unique(values))
+            expected = np.bincount(
+                reference_hash_array(fn, values), minlength=bins
+            )
+            assert np.array_equal(clone.counts, expected)
 
 
 @pytest.mark.parametrize("width,depth", [(1, 1), (64, 4), (2719, 4), (5, 8)])
